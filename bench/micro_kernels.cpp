@@ -1,14 +1,19 @@
 // Kernel-planner microbenchmark: GFLOP/s of the reference axpy kernels
 // vs the planner's auto choice (packed cache-blocked GEMM on fat
 // shapes) for the GEMM shapes the RouteNet / FLNet conv layers actually
-// run, plus the plan-cache hit rate over the sweep.
+// run, plus the plan-cache hit rate over the sweep. A conv-layer row
+// times FLNet's single-output-channel head as Conv2d runs it (the
+// direct kernels) against the im2col + reference-GEMM lowering those
+// kernels replace, and gates on the two agreeing bit for bit.
 //
 // Emits BENCH_kernels.json for the CI bench-trajectory artifact;
 // ci/perf_gate.py diffs the per-shape auto GFLOP/s against the previous
 // main run with a +/-20% band. The bench gates itself on correctness
 // (auto result within summation-order tolerance of reference for every
 // shape), on the cost model picking packed for the fat conv shapes, and
-// on the plan cache absorbing the repeat lookups.
+// on the plan cache absorbing the repeat lookups. The m = 1
+// flnet_output GEMM row stays as the cost model's witness; the
+// conv_layers rows report the path that actually runs.
 //
 // Shape naming: <model>_<layer>[_dw|_dx]. Forward conv GEMMs are kNN
 // (weight x im2col columns), backward dW is kBT (dy x cols^T), backward
@@ -19,9 +24,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "nn/conv2d.hpp"
+#include "tensor/im2col.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/plan.hpp"
 #include "util/rng.hpp"
@@ -151,7 +159,114 @@ ShapeResult bench_shape(const ShapeCase& s, Rng& rng) {
   return result;
 }
 
+// A single-output-channel, stride-1 conv layer with same padding, timed
+// over one forward + backward at `batch`.
+struct ConvLayerCase {
+  const char* name;
+  std::int64_t in_channels, kernel, grid, batch;
+};
+
+// FLNet's 64 -> 1 9x9 output conv at the smoke grid and minibatch.
+const ConvLayerCase kConvLayers[] = {{"flnet_output_conv", 64, 9, 16, 4}};
+
+struct ConvLayerResult {
+  const ConvLayerCase* layer = nullptr;
+  double im2col_ms = 0.0;
+  double direct_ms = 0.0;
+  double speedup = 0.0;
+  bool bit_identical = false;
+};
+
+struct ConvGrads {
+  std::vector<float> y, dw, dx;
+};
+
+// The im2col lowering with the reference kernels, as Conv2d ran this
+// layer before its direct path (bias is zero; at batch <= 16 every
+// sample is its own dW slice, so accumulating in sample order matches
+// the layer's slice reduction).
+void im2col_layer(const ConvGeometry& g, std::int64_t batch,
+                  const float* w, const float* x, const float* gy,
+                  ConvGrads& out) {
+  const std::int64_t rows = g.col_rows();
+  const std::int64_t pixels = g.col_cols();
+  const std::int64_t in_stride = g.channels * g.height * g.width;
+  std::vector<float> cols(static_cast<std::size_t>(rows * pixels));
+  std::vector<float> dcols(cols.size());
+  std::fill(out.dw.begin(), out.dw.end(), 0.0f);
+  std::fill(out.dx.begin(), out.dx.end(), 0.0f);
+  for (std::int64_t n = 0; n < batch; ++n) {
+    im2col(x + n * in_stride, g, cols.data());
+    matmul_reference(w, cols.data(), out.y.data() + n * pixels, 1, rows,
+                     pixels);
+  }
+  for (std::int64_t n = 0; n < batch; ++n) {
+    const float* dy = gy + n * pixels;
+    im2col(x + n * in_stride, g, cols.data());
+    matmul_bt_reference(dy, cols.data(), out.dw.data(), 1, pixels, rows,
+                        /*accumulate=*/true);
+    matmul_at_reference(w, dy, dcols.data(), rows, 1, pixels);
+    col2im(dcols.data(), g, out.dx.data() + n * in_stride);
+  }
+}
+
+ConvLayerResult bench_conv_layer(const ConvLayerCase& c, Rng& rng) {
+  ConvLayerResult result;
+  result.layer = &c;
+  Conv2dOptions opts;
+  opts.in_channels = c.in_channels;
+  opts.out_channels = 1;
+  opts.kernel = c.kernel;
+  opts.same_padding();
+  Conv2d conv(c.name, opts, rng);
+  const ConvGeometry g{c.in_channels, c.grid,       c.grid, c.kernel,
+                       c.kernel,      opts.padding, opts.padding,
+                       1,             1,            1,      1};
+  Tensor x(Shape::of(c.batch, c.in_channels, c.grid, c.grid));
+  Tensor gy(Shape::of(c.batch, 1, c.grid, c.grid));
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    x[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  for (std::int64_t i = 0; i < gy.numel(); ++i) {
+    gy[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+
+  ConvGrads oracle{std::vector<float>(static_cast<std::size_t>(gy.numel())),
+                   std::vector<float>(static_cast<std::size_t>(
+                       conv.weight().value.numel())),
+                   std::vector<float>(static_cast<std::size_t>(x.numel()))};
+  ConvGrads direct;
+  const double flops = 6.0 * static_cast<double>(g.col_rows()) *
+                       static_cast<double>(g.col_cols()) *
+                       static_cast<double>(c.batch);
+  const double im2col_gflops = measure_gflops(flops, [&] {
+    im2col_layer(g, c.batch, conv.weight().value.data(), x.data(), gy.data(),
+                 oracle);
+  });
+  const double direct_gflops = measure_gflops(flops, [&] {
+    conv.zero_grad();
+    const Tensor y = conv.forward(x, /*training=*/true);
+    const Tensor dx = conv.backward(gy);
+    direct.y.assign(y.data(), y.data() + y.numel());
+    direct.dx.assign(dx.data(), dx.data() + dx.numel());
+    direct.dw.assign(conv.weight().grad.data(),
+                     conv.weight().grad.data() + conv.weight().grad.numel());
+  });
+  result.im2col_ms = flops / im2col_gflops * 1e-6;
+  result.direct_ms = flops / direct_gflops * 1e-6;
+  result.speedup = result.im2col_ms / result.direct_ms;
+  auto same = [](const std::vector<float>& a, const std::vector<float>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+  };
+  result.bit_identical = same(direct.y, oracle.y) &&
+                         same(direct.dw, oracle.dw) &&
+                         same(direct.dx, oracle.dx);
+  return result;
+}
+
 void write_bench_json(const std::vector<ShapeResult>& results,
+                      const std::vector<ConvLayerResult>& layers,
                       const PlanCacheStats& stats, double hit_rate,
                       bool pass) {
   std::FILE* f = std::fopen("BENCH_kernels.json", "w");
@@ -174,6 +289,22 @@ void write_bench_json(const std::vector<ShapeResult>& results,
         static_cast<long long>(r.shape->n), to_string(r.strategy),
         r.reference_gflops, r.auto_gflops, r.speedup,
         static_cast<double>(r.max_abs_diff));
+  }
+  std::fprintf(f, "],\"conv_layers\":[");
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    const ConvLayerResult& r = layers[i];
+    std::fprintf(
+        f,
+        "%s{\"name\":\"%s\",\"in_channels\":%lld,\"out_channels\":1,"
+        "\"kernel\":%lld,\"grid\":%lld,\"batch\":%lld,\"path\":\"direct\","
+        "\"im2col_ms\":%.4f,\"direct_ms\":%.4f,\"speedup\":%.3f,"
+        "\"bit_identical\":%s}",
+        i == 0 ? "" : ",", r.layer->name,
+        static_cast<long long>(r.layer->in_channels),
+        static_cast<long long>(r.layer->kernel),
+        static_cast<long long>(r.layer->grid),
+        static_cast<long long>(r.layer->batch), r.im2col_ms, r.direct_ms,
+        r.speedup, r.bit_identical ? "true" : "false");
   }
   std::fprintf(f,
                "],\"plan_cache\":{\"hits\":%llu,\"misses\":%llu,"
@@ -228,11 +359,40 @@ int main_impl() {
       static_cast<unsigned long long>(stats.misses), hit_rate,
       stats.entries);
 
+  // Conv layers run after the cache statistics are read, on one thread
+  // as a federated client runs its layers inside one pool task.
+  ThreadPool::reset_global(1);
+  std::vector<ConvLayerResult> layers;
+  for (const ConvLayerCase& c : kConvLayers) {
+    layers.push_back(bench_conv_layer(c, rng));
+  }
+  ThreadPool::reset_global(0);
+  std::printf("%-18s %4s %3s %4s %5s %10s %10s %8s %s\n", "conv layer", "cin",
+              "k", "grid", "batch", "im2col ms", "direct ms", "speedup",
+              "bits");
+  for (const ConvLayerResult& r : layers) {
+    std::printf("%-18s %4lld %3lld %4lld %5lld %10.3f %10.3f %7.2fx %s\n",
+                r.layer->name, static_cast<long long>(r.layer->in_channels),
+                static_cast<long long>(r.layer->kernel),
+                static_cast<long long>(r.layer->grid),
+                static_cast<long long>(r.layer->batch), r.im2col_ms,
+                r.direct_ms, r.speedup,
+                r.bit_identical ? "identical" : "DIFFER");
+  }
+
   // Gates. (1) Every shape's auto result is numerically equivalent to
   // reference. (2) The cost model packs the fat conv shapes and leaves
   // the m=1 output conv on reference. (3) Repeat lookups hit the cache
   // (the sweep runs each shape hundreds of times against ~8 misses).
+  // (4) Each conv layer's direct path reproduces the im2col bits.
   bool pass = true;
+  for (const ConvLayerResult& r : layers) {
+    if (!r.bit_identical) {
+      std::printf("FAIL: %s direct path differs from im2col bits\n",
+                  r.layer->name);
+      pass = false;
+    }
+  }
   for (const ShapeResult& r : results) {
     if (!r.equivalent) {
       std::printf("FAIL: %s auto diverged from reference (%.2e)\n",
@@ -265,7 +425,7 @@ int main_impl() {
     }
   }
 
-  write_bench_json(results, stats, hit_rate, pass);
+  write_bench_json(results, layers, stats, hit_rate, pass);
   std::printf("{\"bench\":\"micro_kernels\",\"pass\":%s}\n",
               pass ? "true" : "false");
   return pass ? 0 : 1;

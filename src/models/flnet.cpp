@@ -8,6 +8,7 @@ Conv2dOptions input_conv_opts(const FLNetOptions& o) {
   c.in_channels = o.in_channels;
   c.out_channels = o.hidden_filters;
   c.kernel = o.kernel;
+  c.input_grad = false;  // the raw features need no gradient
   return c.same_padding();
 }
 

@@ -34,8 +34,11 @@ void add_conv_bn_relu(Sequential& net, const std::string& name,
 PROS::PROS(const PROSOptions& opts, Rng& rng) : opts_(opts), net_("pros") {
   const std::int64_t F = opts.base_filters;
 
-  // Encoder: two stride-2 conv blocks, H -> H/4.
-  add_conv_bn_relu(net_, "enc1", conv_opts(opts.in_channels, F, 3, 2), rng);
+  // Encoder: two stride-2 conv blocks, H -> H/4. enc1 sees the raw
+  // features, whose gradient nobody needs.
+  Conv2dOptions enc1 = conv_opts(opts.in_channels, F, 3, 2);
+  enc1.input_grad = false;
+  add_conv_bn_relu(net_, "enc1", enc1, rng);
   add_conv_bn_relu(net_, "enc2", conv_opts(F, 2 * F, 3, 2), rng);
 
   // Dilated context aggregation blocks at H/4.

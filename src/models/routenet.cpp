@@ -14,6 +14,13 @@ Conv2dOptions conv_opts(std::int64_t cin, std::int64_t cout,
   return c.same_padding();
 }
 
+Conv2dOptions first_conv_opts(std::int64_t cin, std::int64_t cout,
+                              std::int64_t kernel) {
+  Conv2dOptions c = conv_opts(cin, cout, kernel);
+  c.input_grad = false;  // the raw features need no gradient
+  return c;
+}
+
 ConvTranspose2dOptions deconv_opts(std::int64_t cin, std::int64_t cout) {
   ConvTranspose2dOptions o;
   o.in_channels = cin;
@@ -28,7 +35,8 @@ ConvTranspose2dOptions deconv_opts(std::int64_t cin, std::int64_t cout) {
 
 RouteNet::RouteNet(const RouteNetOptions& opts, Rng& rng)
     : opts_(opts),
-      conv1_("conv1", conv_opts(opts.in_channels, opts.base_filters, 9), rng),
+      conv1_("conv1", first_conv_opts(opts.in_channels, opts.base_filters, 9),
+             rng),
       relu1_("relu1"),
       conv2_("conv2", conv_opts(opts.base_filters, 2 * opts.base_filters, 7),
              rng),

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "nn/init.hpp"
+#include "tensor/conv_direct.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/plan.hpp"
@@ -20,7 +21,8 @@ Conv2d::Conv2d(std::string name, const Conv2dOptions& opts, Rng& rng)
               Shape::of(opts.out_channels,
                         opts.in_channels * opts.kernel * opts.kernel)),
       bias_(name_ + ".bias", Shape::of(opts.out_channels)) {
-  if (opts.in_channels <= 0 || opts.out_channels <= 0 || opts.kernel <= 0) {
+  if (opts.in_channels <= 0 || opts.out_channels <= 0 || opts.kernel <= 0 ||
+      opts.stride <= 0 || opts.dilation <= 0 || opts.padding < 0) {
     throw std::invalid_argument("Conv2d: bad options for " + name_);
   }
   kaiming_uniform(weight_.value,
@@ -67,16 +69,25 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
   cached_input_ = training ? input : Tensor();
   Tensor output(Shape::of(N, opts_.out_channels, OH, OW));
 
-  // One plan for the whole step; when the planner picks the packed
-  // strategy, the weight panels are packed once here and shared
-  // read-only across the batch workers.
-  const GemmPlan plan = KernelPlanCache::global().plan_for(
-      GemmOp::kNN, opts_.out_channels, g.col_rows(), g.col_cols());
+  // The direct path reads a padded copy of each sample through one
+  // offset table. The GEMM path plans once for the whole step; when the
+  // planner picks the packed strategy, the weight panels are packed
+  // once here and shared read-only across the batch workers.
+  DirectConvIndex ix;
+  GemmPlan plan;
   std::vector<float> wpack;
-  if (plan.strategy == GemmStrategy::kPacked) {
-    wpack.resize(packed_a_elems(plan));
-    pack_a(plan, weight_.value.data(), wpack.data());
+  if (direct()) {
+    ix = make_direct_conv_index(g);
+  } else {
+    plan = KernelPlanCache::global().plan_for(
+        GemmOp::kNN, opts_.out_channels, g.col_rows(), g.col_cols());
+    if (plan.strategy == GemmStrategy::kPacked) {
+      wpack.resize(packed_a_elems(plan));
+      pack_a(plan, weight_.value.data(), wpack.data());
+    }
   }
+  const std::size_t buf_elems = static_cast<std::size_t>(
+      direct() ? ix.padded_elems() : g.col_rows() * g.col_cols());
 
   const std::int64_t in_stride = opts_.in_channels * H * W;
   const std::int64_t out_stride = opts_.out_channels * OH * OW;
@@ -84,26 +95,28 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
   // Under an outer parallel region this degrades to the serial loop.
   parallel_for(static_cast<std::size_t>(N), [&](std::size_t nb,
                                                 std::size_t ne) {
-    float* cols = thread_scratch(
-        ScratchSlot::kCols,
-        static_cast<std::size_t>(g.col_rows() * g.col_cols()));
+    float* buf = thread_scratch(ScratchSlot::kCols, buf_elems);
     for (std::size_t n = nb; n < ne; ++n) {
-      im2col(input.data() + static_cast<std::int64_t>(n) * in_stride, g,
-             cols);
-      // y = W [Cout x rows] * cols [rows x OHW]
+      const float* x = input.data() + static_cast<std::int64_t>(n) * in_stride;
       float* out_n = output.data() + static_cast<std::int64_t>(n) * out_stride;
-      if (plan.strategy == GemmStrategy::kPacked) {
-        gemm_packed_prepacked_a(plan, wpack.data(), cols, out_n,
-                                /*accumulate=*/false);
+      if (direct()) {
+        pad_image(x, g, buf);
+        direct_conv_forward(ix, buf, weight_.value.data(), out_n);
       } else {
-        matmul_reference(weight_.value.data(), cols, out_n,
-                         opts_.out_channels, g.col_rows(), g.col_cols());
+        im2col(x, g, buf);
+        // y = W [Cout x rows] * cols [rows x OHW]
+        if (plan.strategy == GemmStrategy::kPacked) {
+          gemm_packed_prepacked_a(plan, wpack.data(), buf, out_n,
+                                  /*accumulate=*/false);
+        } else {
+          matmul_reference(weight_.value.data(), buf, out_n,
+                           opts_.out_channels, g.col_rows(), g.col_cols());
+        }
       }
       if (opts_.bias) {
-        float* out = output.data() + static_cast<std::int64_t>(n) * out_stride;
         for (std::int64_t co = 0; co < opts_.out_channels; ++co) {
           const float b = bias_.value[co];
-          float* chan = out + co * OH * OW;
+          float* chan = out_n + co * OH * OW;
           for (std::int64_t i = 0; i < OH * OW; ++i) chan[i] += b;
         }
       }
@@ -128,20 +141,30 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
                                 grad_output.shape().to_string());
   }
 
-  Tensor grad_input(input.shape());
+  const bool want_dx = opts_.input_grad;
+  Tensor grad_input = want_dx ? Tensor(input.shape()) : Tensor();
   const std::int64_t in_stride = opts_.in_channels * H * W;
   const std::int64_t out_stride = opts_.out_channels * OH * OW;
 
-  // dcols reuses the weight across the whole batch: plan once, prepack
-  // once when packed. dW's GEMM has a per-sample A (dy), so it goes
-  // through the dispatching matmul_bt below.
-  const GemmPlan dx_plan = KernelPlanCache::global().plan_for(
-      GemmOp::kAT, g.col_rows(), opts_.out_channels, g.col_cols());
+  // The direct path needs only its offset table. On the GEMM path dcols
+  // reuses the weight across the whole batch: plan once, prepack once
+  // when packed. dW's GEMM has a per-sample A (dy), so it goes through
+  // the dispatching matmul_bt below.
+  DirectConvIndex ix;
+  GemmPlan dx_plan;
   std::vector<float> wpack;
-  if (dx_plan.strategy == GemmStrategy::kPacked) {
-    wpack.resize(packed_a_elems(dx_plan));
-    pack_a(dx_plan, weight_.value.data(), wpack.data());
+  if (direct()) {
+    ix = make_direct_conv_index(g);
+  } else if (want_dx) {
+    dx_plan = KernelPlanCache::global().plan_for(
+        GemmOp::kAT, g.col_rows(), opts_.out_channels, g.col_cols());
+    if (dx_plan.strategy == GemmStrategy::kPacked) {
+      wpack.resize(packed_a_elems(dx_plan));
+      pack_a(dx_plan, weight_.value.data(), wpack.data());
+    }
   }
+  const std::size_t buf_elems = static_cast<std::size_t>(
+      direct() ? ix.padded_elems() : g.col_rows() * g.col_cols());
 
   // Batch-parallel over a FIXED number of slices (independent of the
   // thread-pool size), each with its own dW/db partial, reduced
@@ -156,31 +179,44 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   std::vector<Tensor> db_partial(opts_.bias ? slices : 0,
                                  Tensor(bias_.grad.shape()));
   parallel_for(slices, [&](std::size_t sb, std::size_t se) {
-    const std::size_t col_elems =
-        static_cast<std::size_t>(g.col_rows() * g.col_cols());
-    float* cols = thread_scratch(ScratchSlot::kCols, col_elems);
-    float* dcols = thread_scratch(ScratchSlot::kColsGrad, col_elems);
+    float* buf = thread_scratch(ScratchSlot::kCols, buf_elems);
+    float* dbuf =
+        want_dx ? thread_scratch(ScratchSlot::kColsGrad, buf_elems) : nullptr;
     for (std::size_t s = sb; s < se; ++s) {
       for (std::size_t n = s * span; n < std::min(batch, (s + 1) * span);
            ++n) {
+        const float* x =
+            input.data() + static_cast<std::int64_t>(n) * in_stride;
         const float* dy =
             grad_output.data() + static_cast<std::int64_t>(n) * out_stride;
-        // Recompute the column matrix (cheaper than caching per sample).
-        im2col(input.data() + static_cast<std::int64_t>(n) * in_stride, g,
-               cols);
-        // dW_s += dy [Cout x OHW] * cols^T
-        matmul_bt(dy, cols, dw_partial[s].data(), opts_.out_channels,
-                  g.col_cols(), g.col_rows(), /*accumulate=*/true);
-        // dcols = W^T [rows x Cout] * dy [Cout x OHW]
-        if (dx_plan.strategy == GemmStrategy::kPacked) {
-          gemm_packed_prepacked_a(dx_plan, wpack.data(), dy, dcols,
-                                  /*accumulate=*/false);
+        float* dx = want_dx ? grad_input.data() +
+                                  static_cast<std::int64_t>(n) * in_stride
+                            : nullptr;
+        if (direct()) {
+          pad_image(x, g, buf);
+          direct_conv_weight_grad(ix, buf, dy, dw_partial[s].data());
+          if (want_dx) {
+            direct_conv_input_grad(ix, weight_.value.data(), dy, dbuf, dx);
+          }
         } else {
-          matmul_at_reference(weight_.value.data(), dy, dcols, g.col_rows(),
-                              opts_.out_channels, g.col_cols());
+          // Recompute the column matrix (cheaper than caching per sample).
+          im2col(x, g, buf);
+          // dW_s += dy [Cout x OHW] * cols^T
+          matmul_bt(dy, buf, dw_partial[s].data(), opts_.out_channels,
+                    g.col_cols(), g.col_rows(), /*accumulate=*/true);
+          if (want_dx) {
+            // dcols = W^T [rows x Cout] * dy [Cout x OHW]
+            if (dx_plan.strategy == GemmStrategy::kPacked) {
+              gemm_packed_prepacked_a(dx_plan, wpack.data(), dy, dbuf,
+                                      /*accumulate=*/false);
+            } else {
+              matmul_at_reference(weight_.value.data(), dy, dbuf,
+                                  g.col_rows(), opts_.out_channels,
+                                  g.col_cols());
+            }
+            col2im(dbuf, g, dx);
+          }
         }
-        col2im(dcols, g,
-               grad_input.data() + static_cast<std::int64_t>(n) * in_stride);
         if (opts_.bias) {
           for (std::int64_t co = 0; co < opts_.out_channels; ++co) {
             const float* chan = dy + co * OH * OW;

@@ -1,6 +1,13 @@
-// 2D convolution (im2col + matmul) with stride, zero padding, and
-// dilation — the workhorse of FLNet / RouteNet / PROS. Weight layout
-// is [Cout, Cin*kh*kw] (a GEMM-ready matrix), bias is [Cout].
+// 2D convolution with stride, zero padding, and dilation — the
+// workhorse of FLNet / RouteNet / PROS. Weight layout is
+// [Cout, Cin*kh*kw] (a GEMM-ready matrix), bias is [Cout].
+//
+// Two lowerings, chosen by the layer's own shape:
+//   - stride 1 with one output channel (every model's prediction head)
+//     runs the direct kernels of tensor/conv_direct.hpp on a padded copy
+//     of each sample; no column matrix is built;
+//   - everything else runs im2col + the planner's GEMM.
+// Both produce the bits the im2col + reference-GEMM lowering would.
 #pragma once
 
 #include "nn/module.hpp"
@@ -17,6 +24,10 @@ struct Conv2dOptions {
   std::int64_t padding = 0;  // use `same_padding()` for odd kernels
   std::int64_t dilation = 1;
   bool bias = true;
+  // Whether backward computes dL/d(input). A model's first layer sees
+  // the raw features, whose gradient nobody reads: with false, backward
+  // skips that GEMM and col2im and returns an empty Tensor.
+  bool input_grad = true;
 
   // Padding that preserves H/W at stride 1 for odd kernels.
   Conv2dOptions& same_padding() {
@@ -45,6 +56,7 @@ class Conv2d : public Module {
 
  private:
   ConvGeometry geometry(std::int64_t h, std::int64_t w) const;
+  bool direct() const { return opts_.out_channels == 1 && opts_.stride == 1; }
 
   std::string name_;
   Conv2dOptions opts_;

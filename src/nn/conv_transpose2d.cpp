@@ -21,7 +21,8 @@ ConvTranspose2d::ConvTranspose2d(std::string name,
               Shape::of(opts.in_channels,
                         opts.out_channels * opts.kernel * opts.kernel)),
       bias_(name_ + ".bias", Shape::of(opts.out_channels)) {
-  if (opts.in_channels <= 0 || opts.out_channels <= 0 || opts.kernel <= 0) {
+  if (opts.in_channels <= 0 || opts.out_channels <= 0 || opts.kernel <= 0 ||
+      opts.stride <= 0 || opts.padding < 0) {
     throw std::invalid_argument("ConvTranspose2d: bad options for " + name_);
   }
   kaiming_uniform(weight_.value,

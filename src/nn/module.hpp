@@ -49,7 +49,9 @@ class Module {
   virtual Tensor forward(const Tensor& input, bool training) = 0;
 
   // Consumes dL/d(output) of the latest forward and returns
-  // dL/d(input), accumulating parameter gradients (+=).
+  // dL/d(input), accumulating parameter gradients (+=). A layer built
+  // without an input gradient (Conv2dOptions::input_grad) returns an
+  // empty Tensor, and so does a model whose first layer is one.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
   // Trainable parameters (stable order across calls).

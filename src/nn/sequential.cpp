@@ -15,6 +15,8 @@ Tensor Sequential::forward(const Tensor& input, bool training) {
   return x;
 }
 
+// A first layer built without an input gradient returns an empty
+// Tensor, which passes out unchanged.
 Tensor Sequential::backward(const Tensor& grad_output) {
   Tensor g = grad_output;
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {

@@ -63,4 +63,22 @@ void col2im(const float* cols, const ConvGeometry& g, float* image) {
   }
 }
 
+void pad_image(const float* image, const ConvGeometry& g, float* padded) {
+  const std::int64_t Hp = g.height + 2 * g.pad_h;
+  const std::int64_t Wp = g.width + 2 * g.pad_w;
+  for (std::int64_t c = 0; c < g.channels; ++c) {
+    float* chan = padded + c * Hp * Wp;
+    const float* src = image + c * g.height * g.width;
+    std::memset(chan, 0, sizeof(float) * g.pad_h * Wp);
+    for (std::int64_t h = 0; h < g.height; ++h) {
+      float* row = chan + (g.pad_h + h) * Wp;
+      std::memset(row, 0, sizeof(float) * g.pad_w);
+      std::memcpy(row + g.pad_w, src + h * g.width, sizeof(float) * g.width);
+      std::memset(row + g.pad_w + g.width, 0, sizeof(float) * g.pad_w);
+    }
+    std::memset(chan + (g.pad_h + g.height) * Wp, 0,
+                sizeof(float) * g.pad_h * Wp);
+  }
+}
+
 }  // namespace fleda

@@ -3,7 +3,9 @@
 // im2col lowers a [C,H,W] image into a [C*kh*kw, OH*OW] column matrix
 // so convolution becomes a matmul with the [Cout, C*kh*kw] weight
 // matrix; col2im is its exact adjoint (scatter-add), used both for
-// conv backward-data and for ConvTranspose2d forward.
+// conv backward-data and for ConvTranspose2d forward. pad_image makes
+// the zero-padded copy of one sample that the direct conv kernels read
+// in place of a column matrix.
 #pragma once
 
 #include <cstdint>
@@ -43,5 +45,9 @@ void im2col(const float* image, const ConvGeometry& g, float* cols);
 // buffer must be zeroed by the caller if overwrite semantics are
 // desired.
 void col2im(const float* cols, const ConvGeometry& g, float* image);
+
+// image: [C,H,W] contiguous. padded: [C, H+2*pad_h, W+2*pad_w],
+// fully overwritten — the image in the middle, zeros around it.
+void pad_image(const float* image, const ConvGeometry& g, float* padded);
 
 }  // namespace fleda

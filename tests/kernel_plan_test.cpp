@@ -4,7 +4,9 @@
 // zero-pads), the auto plan must be bit-identical across thread-pool
 // sizes, the plan cache must count hits/misses/evictions correctly
 // under concurrent lookups, and FLEDA_PLAN=reference must make a full
-// training step use the historical kernels.
+// training step use the historical kernels. The direct kernels of the
+// single-output-channel conv must reproduce the im2col + reference-GEMM
+// lowering bit for bit, at any pool size.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,7 +17,9 @@
 #include "nn/conv2d.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
+#include "tensor/im2col.hpp"
 #include "tensor/matmul.hpp"
+#include "tensor/ops.hpp"
 #include "tensor/plan.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -363,6 +367,197 @@ TEST(GemmPacked, PropagatesNonFiniteValues) {
         << "reference row " << i;
     EXPECT_TRUE(std::isnan(c_packed[static_cast<std::size_t>(i * n) + 7]))
         << "packed row " << i;
+  }
+}
+
+// ---- Direct single-output-channel conv vs the im2col oracle ----
+
+struct DirectCase {
+  std::int64_t cin, kernel, pad, dilation, h, w, batch;
+  bool bias;
+};
+
+void PrintTo(const DirectCase& c, std::ostream* os) {
+  *os << "cin=" << c.cin << " k=" << c.kernel << " pad=" << c.pad
+      << " dilation=" << c.dilation << " " << c.h << "x" << c.w
+      << " batch=" << c.batch << " bias=" << c.bias;
+}
+
+struct ConvResult {
+  Tensor y, dw, db, dx;
+};
+
+Tensor random_tensor(const Shape& shape, Rng& rng) {
+  Tensor t(shape);
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    t[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  return t;
+}
+
+// The Cout = 1 conv as the im2col lowering computes it with the
+// reference kernels, including the layer's 16 fixed dW/db slices.
+ConvResult im2col_oracle(const DirectCase& c, const Tensor& w, const Tensor& b,
+                         const Tensor& x, const Tensor& gy) {
+  const ConvGeometry g{c.cin, c.h, c.w, c.kernel, c.kernel, c.pad, c.pad,
+                       1,     1,   c.dilation, c.dilation};
+  const std::int64_t rows = g.col_rows();
+  const std::int64_t pixels = g.col_cols();
+  const std::int64_t in_stride = c.cin * c.h * c.w;
+  std::vector<float> cols(static_cast<std::size_t>(rows * pixels));
+  std::vector<float> dcols(cols.size());
+  ConvResult r{Tensor(gy.shape()), Tensor(w.shape()), Tensor(b.shape()),
+               Tensor(x.shape())};
+  for (std::int64_t n = 0; n < c.batch; ++n) {
+    im2col(x.data() + n * in_stride, g, cols.data());
+    float* y = r.y.data() + n * pixels;
+    matmul_reference(w.data(), cols.data(), y, 1, rows, pixels);
+    if (c.bias) {
+      for (std::int64_t i = 0; i < pixels; ++i) y[i] += b[0];
+    }
+  }
+  const std::int64_t slices = std::min<std::int64_t>(c.batch, 16);
+  const std::int64_t span = (c.batch + slices - 1) / slices;
+  for (std::int64_t s = 0; s < slices; ++s) {
+    Tensor dw_part(w.shape());
+    Tensor db_part(b.shape());
+    for (std::int64_t n = s * span; n < std::min(c.batch, (s + 1) * span);
+         ++n) {
+      const float* dy = gy.data() + n * pixels;
+      im2col(x.data() + n * in_stride, g, cols.data());
+      matmul_bt_reference(dy, cols.data(), dw_part.data(), 1, pixels, rows,
+                          /*accumulate=*/true);
+      matmul_at_reference(w.data(), dy, dcols.data(), rows, 1, pixels);
+      col2im(dcols.data(), g, r.dx.data() + n * in_stride);
+      double acc = 0.0;
+      for (std::int64_t i = 0; i < pixels; ++i) acc += dy[i];
+      db_part[0] += static_cast<float>(acc);
+    }
+    add_inplace(r.dw, dw_part);
+    if (c.bias) add_inplace(r.db, db_part);
+  }
+  return r;
+}
+
+ConvResult run_conv2d(const DirectCase& c, const Tensor& w, const Tensor& b,
+                      const Tensor& x, const Tensor& gy) {
+  Conv2dOptions opts;
+  opts.in_channels = c.cin;
+  opts.out_channels = 1;
+  opts.kernel = c.kernel;
+  opts.padding = c.pad;
+  opts.dilation = c.dilation;
+  opts.bias = c.bias;
+  Rng rng(0);
+  Conv2d conv("head", opts, rng);
+  conv.weight().value = w;
+  conv.bias().value = b;
+  ConvResult r;
+  r.y = conv.forward(x, /*training=*/true);
+  r.dx = conv.backward(gy);
+  r.dw = conv.weight().grad;
+  r.db = conv.bias().grad;
+  return r;
+}
+
+// Bitwise equality, except that any two NaNs match (a NaN's payload is
+// not part of the contract).
+bool same_bits(const Tensor& a, const Tensor& b) {
+  if (a.shape() != b.shape()) return false;
+  for (std::int64_t i = 0; i < a.numel(); ++i) {
+    if (std::isnan(a[i]) && std::isnan(b[i])) continue;
+    if (std::memcmp(a.data() + i, b.data() + i, sizeof(float)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void expect_same_bits(const ConvResult& got, const ConvResult& want,
+                      const std::string& where) {
+  EXPECT_TRUE(same_bits(got.y, want.y)) << where << ": forward";
+  EXPECT_TRUE(same_bits(got.dw, want.dw)) << where << ": dW";
+  EXPECT_TRUE(same_bits(got.db, want.db)) << where << ": db";
+  EXPECT_TRUE(same_bits(got.dx, want.dx)) << where << ": dx";
+}
+
+class DirectConv : public ::testing::TestWithParam<DirectCase> {};
+
+TEST_P(DirectConv, BitIdenticalToIm2colOracleAtAnyPoolSize) {
+  const DirectCase& c = GetParam();
+  Rng rng(61);
+  const ConvGeometry g{c.cin, c.h, c.w, c.kernel, c.kernel, c.pad, c.pad,
+                       1,     1,   c.dilation, c.dilation};
+  const Tensor w = random_tensor(Shape::of(1, g.col_rows()), rng);
+  const Tensor b = random_tensor(Shape::of(1), rng);
+  const Tensor x = random_tensor(Shape::of(c.batch, c.cin, c.h, c.w), rng);
+  const Tensor gy = random_tensor(
+      Shape::of(c.batch, 1, g.out_height(), g.out_width()), rng);
+  const ConvResult want = im2col_oracle(c, w, b, x, gy);
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    ThreadPool::reset_global(threads);
+    for (PlanMode mode : {PlanMode::kAuto, PlanMode::kReference}) {
+      PlanModeGuard guard(mode);
+      expect_same_bits(run_conv2d(c, w, b, x, gy), want,
+                       "pool " + std::to_string(threads) + ", plan " +
+                           (mode == PlanMode::kAuto ? "auto" : "reference"));
+    }
+  }
+  ThreadPool::reset_global(0);
+}
+
+// Kernels 1/3/5/9 and dilation 2; C*k*k and OH*OW both on and off
+// multiples of 4 (OW % 4 decides the dW loop); valid and same padding;
+// bias on and off; batch 1 and 17 (more than the 16 backward slices).
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, DirectConv,
+    ::testing::Values(DirectCase{3, 1, 0, 1, 6, 5, 1, true},
+                      DirectCase{2, 3, 1, 1, 5, 7, 17, true},
+                      DirectCase{1, 5, 2, 1, 8, 8, 1, false},
+                      DirectCase{64, 9, 4, 1, 16, 16, 4, true},
+                      DirectCase{3, 3, 2, 2, 9, 6, 2, true},
+                      DirectCase{4, 3, 0, 1, 10, 10, 17, false},
+                      DirectCase{5, 9, 4, 1, 7, 12, 3, true}));
+
+TEST(DirectConv, NanWeightPoisonsOutputLikeOracle) {
+  const DirectCase c{2, 3, 1, 1, 6, 7, 2, true};
+  Rng rng(62);
+  Tensor w = random_tensor(Shape::of(1, 18), rng);
+  w[17] = std::nanf("");  // the axpy1 tail row
+  const Tensor b = random_tensor(Shape::of(1), rng);
+  const Tensor x = random_tensor(Shape::of(c.batch, c.cin, c.h, c.w), rng);
+  const Tensor gy = random_tensor(Shape::of(c.batch, 1, c.h, c.w), rng);
+  const ConvResult got = run_conv2d(c, w, b, x, gy);
+  // The NaN row reads every output pixel (zero padding included).
+  for (std::int64_t i = 0; i < got.y.numel(); ++i) {
+    ASSERT_TRUE(std::isnan(got.y[i])) << "pixel " << i;
+  }
+  expect_same_bits(got, im2col_oracle(c, w, b, x, gy), "NaN weight");
+}
+
+TEST(DirectConv, InputGradOffKeepsParameterGradsAndReturnsEmpty) {
+  for (std::int64_t cout : {1, 4}) {  // the direct and the im2col path
+    auto grads = [&](bool input_grad) {
+      Conv2dOptions opts;
+      opts.in_channels = 3;
+      opts.out_channels = cout;
+      opts.kernel = 3;
+      opts.same_padding();
+      opts.input_grad = input_grad;
+      Rng rng(63);
+      Conv2d conv("c", opts, rng);
+      const Tensor x = random_tensor(Shape::of(5, 3, 9, 9), rng);
+      const Tensor gy = random_tensor(Shape::of(5, cout, 9, 9), rng);
+      conv.forward(x, /*training=*/true);
+      const Tensor dx = conv.backward(gy);
+      return std::vector<Tensor>{conv.weight().grad, conv.bias().grad, dx};
+    };
+    const std::vector<Tensor> with = grads(true);
+    const std::vector<Tensor> without = grads(false);
+    EXPECT_TRUE(same_bits(with[0], without[0])) << "Cout " << cout << ": dW";
+    EXPECT_TRUE(same_bits(with[1], without[1])) << "Cout " << cout << ": db";
+    EXPECT_EQ(with[2].shape(), (Shape{5, 3, 9, 9})) << "Cout " << cout;
+    EXPECT_TRUE(without[2].empty()) << "Cout " << cout;
   }
 }
 

@@ -101,6 +101,57 @@ TEST(Conv2d, RejectsBadInputShape) {
   EXPECT_THROW(conv.forward(Tensor(Shape{8, 8}), true), std::invalid_argument);
 }
 
+// Constructing with `opts` throws std::invalid_argument naming `name`.
+template <typename Layer, typename Options>
+void expect_rejected(const std::string& name, const Options& opts) {
+  Rng rng(0);
+  try {
+    Layer layer(name, opts, rng);
+    ADD_FAILURE() << name << ": accepted bad options";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Conv2d, RejectsNonPositiveStrideOrDilationAndNegativePadding) {
+  // stride 0 used to reach an integer division by zero in ConvGeometry.
+  Conv2dOptions good;
+  good.in_channels = 2;
+  good.out_channels = 1;
+  good.kernel = 3;
+  for (std::int64_t bad : {0, -1}) {
+    Conv2dOptions o = good;
+    o.stride = bad;
+    expect_rejected<Conv2d>("head_stride", o);
+    o = good;
+    o.dilation = bad;
+    expect_rejected<Conv2d>("head_dilation", o);
+  }
+  Conv2dOptions o = good;
+  o.padding = -1;
+  expect_rejected<Conv2d>("head_padding", o);
+  Rng rng(34);
+  EXPECT_NO_THROW(Conv2d("head", good, rng));
+}
+
+TEST(ConvTranspose2d, RejectsNonPositiveStrideAndNegativePadding) {
+  ConvTranspose2dOptions good;
+  good.in_channels = 2;
+  good.out_channels = 1;
+  good.kernel = 4;
+  for (std::int64_t bad : {0, -2}) {
+    ConvTranspose2dOptions o = good;
+    o.stride = bad;
+    expect_rejected<ConvTranspose2d>("up_stride", o);
+  }
+  ConvTranspose2dOptions o = good;
+  o.padding = -1;
+  expect_rejected<ConvTranspose2d>("up_padding", o);
+  Rng rng(35);
+  EXPECT_NO_THROW(ConvTranspose2d("up", good, rng));
+}
+
 TEST(Conv2d, BackwardBeforeForwardThrows) {
   Rng rng(6);
   Conv2dOptions opts;
