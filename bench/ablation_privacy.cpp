@@ -27,20 +27,28 @@ class DpFedProx : public FederatedAlgorithm {
     ModelParameters global = ModelParameters::from_model(*init);
     Rng noise_rng(opts.seed ^ 0xD9E5ull);
 
-    const std::vector<double> weights = Server::client_weights(clients);
+    const std::vector<double> weights = client_weights(clients);
     const std::unique_ptr<AggregationRule> rule = sync_aggregation_rule(opts);
     for (int r = 0; r < opts.rounds; ++r) {
       const std::vector<std::size_t> cohort =
           select_cohort(participation, r, clients.size(), opts, sim);
-      std::vector<const ModelParameters*> deployed(cohort.size(), &global);
-      std::vector<ModelParameters> updates =
-          cohort_local_updates(clients, cohort, deployed, opts.client, sim);
-      for (ModelParameters& update : updates) {
-        privatize_update(update, global, dp_, noise_rng);
+      // One noise stream per cohort position, forked on this thread:
+      // the uploads are privatized on lane threads.
+      std::vector<Rng> noise;
+      for (std::size_t i = 0; i < cohort.size(); ++i) {
+        noise.push_back(noise_rng.fork(i));
       }
-      global = Server::aggregate(*rule, global, updates,
-                                 Server::cohort_weights(weights, cohort),
-                                 cohort);
+      const std::vector<const ModelParameters*> deployed(cohort.size(),
+                                                         &global);
+      LaneAccumulators next(*rule, global);
+      cohort_round(clients, cohort, sim.channel().broadcast(deployed, cohort),
+                   opts.client, sim,
+                   [&](std::size_t lane, std::size_t i, ModelParameters&& u) {
+                     privatize_update(u, global, dp_, noise[i]);
+                     next[lane].fold(std::move(u), weights[cohort[i]], 0,
+                                     static_cast<int>(cohort[i]));
+                   });
+      global = next.finish();
     }
     return std::vector<ModelParameters>(clients.size(), global);
   }

@@ -40,18 +40,6 @@ inline ExperimentConfig make_config(ModelKind model) {
   if (const char* reset = std::getenv("FLEDA_RESET_OPTIMIZER")) {
     cfg.reset_optimizer = std::atoi(reset) != 0;
   }
-  // FLEDA_STREAMING=1 — opt into the streaming sharded aggregation
-  // path (fold each decoded upload into per-lane accumulators instead
-  // of materializing the cohort; see README "Scaling"). Same result up
-  // to float reassociation, NOT bit-identical to the dense path.
-  if (const char* streaming = std::getenv("FLEDA_STREAMING")) {
-    cfg.aggregation.streaming = std::atoi(streaming) != 0;
-  }
-  // FLEDA_AGG_SHARDS — shard count for the streaming merge/finish
-  // elementwise passes (0 = one shard per pool thread).
-  if (const char* shards = std::getenv("FLEDA_AGG_SHARDS")) {
-    cfg.aggregation.shards = static_cast<std::size_t>(std::atoi(shards));
-  }
   // FLEDA_PARTICIPATION=kind[:C] — cohort policy by name ("full",
   // "uniform" / "uniform_sample", "availability" / "availability_aware",
   // "reputation" / "reputation_weighted", "importance" /

@@ -49,7 +49,7 @@
 //
 // Part 7 is the K = 100k streaming-federation demonstration: a fleet
 // built with ClientInitSchema::kFastInit (no per-client model-init
-// replay) running streaming sharded FedAvg rounds. The gate runs a
+// replay) running FedAvg rounds. The gate runs a
 // C = 128 round then a C = 2048 round in the same process and requires
 // the peak-RSS delta between them to stay flat — the server never
 // materializes the cohort, so 16x the cohort must not cost 16x the
@@ -852,13 +852,12 @@ int bench_profiler_overhead(SimBenchSummary* summary) {
 // bench budget: fast-init client construction (ClientInitSchema::
 // kFastInit skips the per-client model-init replay, so building the
 // fleet is O(K) cheap struct work, not O(K) model constructions) and
-// the streaming sharded aggregation path (FLEDA_STREAMING's
-// programmatic form), which folds each decoded upload into per-lane
-// accumulators instead of materializing the cohort. The flat-memory
-// gate runs a C = 128 round first, then a 16x larger C = 2048 round in
-// the same process: VmHWM is monotone, so the second round's peak-RSS
-// delta is exactly what the bigger cohort cost the server — with
-// streaming it must stay within a fixed margin instead of growing with
+// the round body, which folds each decoded upload into per-lane
+// weighted_average accumulators instead of materializing the cohort.
+// The flat-memory gate runs a C = 128 round first, then a 16x larger
+// C = 2048 round in the same process: VmHWM is monotone, so the second
+// round's peak-RSS delta is exactly what the bigger cohort cost the
+// server — it must stay within a fixed margin instead of growing with
 // C x model size.
 int bench_hundred_k(SimBenchSummary* summary) {
   constexpr std::size_t kK = 100'000;
@@ -888,7 +887,6 @@ int bench_hundred_k(SimBenchSummary* summary) {
   opts.seed = 99;
   opts.participation.kind = ParticipationKind::kUniformSample;
   opts.participation.seed = 31337;
-  opts.aggregation.streaming = true;
   opts.sim = SimConfig::heterogeneous(kK, /*seed=*/5);
 
   FedAvg algo;

@@ -26,6 +26,10 @@ from unseeded generators, or depend on hash-table iteration order:
                   FLEDA_GUARDED_BY(<that mutex>) protectee in the same
                   file — a mutex that guards nothing is either dead
                   weight or undocumented locking.
+  env-knob        getenv under src/ — every environment read is a knob
+                  that can change a run behind its config's back, so
+                  each one is a visible, reviewed escape. Knobs belong
+                  in the benches' config layer (bench/bench_common.hpp).
 
 Per-line escape (with a justification comment next to it, please):
 
@@ -55,6 +59,7 @@ ALL_RULES = (
     "stdout-io",
     "pragma-once",
     "mutex-guarded",
+    "env-knob",
 )
 
 # Directories (relative to a src root) whose numeric code must not
@@ -73,6 +78,7 @@ STDOUT_RE = re.compile(
     r"|(?<![\w:])(?:std\s*::\s*)?(?:printf|puts)\s*\("
     r"|\bfprintf\s*\(\s*stdout\b"
 )
+GETENV_RE = re.compile(r"\b(?:secure_)?getenv\s*\(")
 PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once\b", re.MULTILINE)
 MUTEX_DECL_RE = re.compile(
     r"^\s*(?:mutable\s+)?(?:fleda\s*::\s*)?"
@@ -185,6 +191,11 @@ def in_unordered_scope(path):
     return False
 
 
+def in_src_scope(path):
+    """True when `path` sits under a src/ tree (the library)."""
+    return "src" in os.path.normpath(path).split(os.sep)[:-1]
+
+
 def lint_file(path, force_all_rules=False):
     try:
         with open(path, "r", encoding="utf-8", errors="replace") as f:
@@ -224,6 +235,7 @@ def lint_file(path, force_all_rules=False):
     # --- line rules ---------------------------------------------------
     clock_exempt = norm.endswith(RAW_CLOCK_EXEMPT_SUFFIX)
     check_unordered = force_all_rules or in_unordered_scope(norm)
+    check_env = force_all_rules or in_src_scope(norm)
     range_for_res = [
         re.compile(r"for\s*\([^;)]*?:\s*" + re.escape(name) + r"\s*\)")
         for name in unordered_names
@@ -253,6 +265,13 @@ def lint_file(path, force_all_rules=False):
                 "stdout-io",
                 "stdout write in library code — benches own stdout; use "
                 "util/logging (stderr) instead",
+            )
+        if check_env and GETENV_RE.search(line):
+            report(
+                lineno,
+                "env-knob",
+                "environment read in the library — a new knob; escape it "
+                "with a justification or move it to the benches' config",
             )
         if check_unordered:
             for name, rf, bf in zip(unordered_names, range_for_res, begin_res):

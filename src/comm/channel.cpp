@@ -1,8 +1,10 @@
 #include "comm/channel.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <map>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -181,17 +183,27 @@ ModelParameters Channel::uplink_roundtrip(std::size_t client,
     to_send = &compensated;
   }
   ByteBuffer blob;
-  {
-    ProfileScope enc(phase::kCodecEncode);
-    blob = uplink_codec_->encode(*to_send, reference);
+  ModelParameters decoded;
+  // A codec error names the sender: the encode runs client-side, the
+  // decode parses bytes the server did not produce.
+  const auto from_sender = [client](const std::exception& e) {
+    return "Channel: upload from client " + std::to_string(client) + ": " +
+           e.what();
+  };
+  try {
+    {
+      ProfileScope enc(phase::kCodecEncode);
+      blob = uplink_codec_->encode(*to_send, reference);
+    }
+    ProfileScope dec(phase::kCodecDecode);
+    decoded = uplink_codec_->decode(blob, reference);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(from_sender(e));
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(from_sender(e));
   }
   *bytes = blob.size();
   *raw_bytes = raw_wire_bytes(update);
-  ModelParameters decoded;
-  {
-    ProfileScope dec(phase::kCodecDecode);
-    decoded = uplink_codec_->decode(blob, reference);
-  }
   if (feedback) {
     ModelParameters residual = *to_send;
     residual.add_scaled(decoded, -1.0);
@@ -229,45 +241,22 @@ std::vector<ModelParameters> Channel::collect(
   // parallelizes across clients (distinct sender indices touch
   // distinct residual slots, so the error-feedback state is safe; the
   // stats are reduced serially below).
+  // Pool tasks must not throw; a codec error is captured per update
+  // and the earliest in cohort order rethrown once all settle.
+  std::vector<std::exception_ptr> errors(n);
   parallel_for(n, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      received[i] = uplink_roundtrip(senders[i], updates[i], references[i],
-                                     &bytes[i], &raw[i]);
+      try {
+        received[i] = uplink_roundtrip(senders[i], updates[i], references[i],
+                                       &bytes[i], &raw[i]);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
     }
   });
-  for (std::size_t i = 0; i < n; ++i) bill_uplink(senders[i], bytes[i], raw[i]);
-  return received;
-}
-
-std::vector<ModelParameters> Channel::collect(
-    std::vector<ModelParameters>&& updates,
-    const std::vector<const ModelParameters*>& references,
-    const std::vector<std::size_t>& senders) {
-  if (updates.size() != references.size() ||
-      updates.size() != senders.size()) {
-    throw std::invalid_argument(
-        "Channel::collect: " + std::to_string(updates.size()) +
-        " updates vs " + std::to_string(references.size()) +
-        " references vs " + std::to_string(senders.size()) + " senders");
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
   }
-  const std::size_t n = updates.size();
-  std::size_t max_client = 0;
-  for (std::size_t k : senders) max_client = std::max(max_client, k + 1);
-  ensure_clients(max_client);
-  std::vector<ModelParameters> received(n);
-  std::vector<std::uint64_t> bytes(n, 0), raw(n, 0);
-  parallel_for(n, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      // The raw update dies as soon as its wire copy exists: `u` takes
-      // the buffers out of the caller's vector and drops them at the
-      // end of the iteration, so peak memory is one cohort of decoded
-      // updates plus the in-flight few, not raw + decoded side by side.
-      const ModelParameters u = std::move(updates[i]);
-      received[i] =
-          uplink_roundtrip(senders[i], u, references[i], &bytes[i], &raw[i]);
-    }
-  });
-  updates.clear();
   for (std::size_t i = 0; i < n; ++i) bill_uplink(senders[i], bytes[i], raw[i]);
   return received;
 }

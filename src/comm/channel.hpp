@@ -142,16 +142,6 @@ class Channel {
       const std::vector<const ModelParameters*>& references,
       const std::vector<std::size_t>& senders);
 
-  // Move-consuming form: identical math and billing, but each client's
-  // raw update is released right after its roundtrip instead of living
-  // until the whole cohort returns — the caller hands the vector over
-  // and the round peaks at one cohort of decoded updates, not two
-  // (raw + decoded).
-  std::vector<ModelParameters> collect(
-      std::vector<ModelParameters>&& updates,
-      const std::vector<const ModelParameters*>& references,
-      const std::vector<std::size_t>& senders);
-
   // Streaming collect: the fully O(1)-per-client form. Produces, wires,
   // and consumes one update at a time — the cohort is never
   // materialized on either side.

@@ -1,7 +1,9 @@
 #include "comm/codec.hpp"
 
 #include <cstring>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "comm/wire.hpp"
 #include "tensor/serialize.hpp"
@@ -41,19 +43,45 @@ void write_entry_meta(Writer& w, const ParameterEntry& entry) {
   }
 }
 
-ParameterEntry read_entry_meta(Reader& r) {
-  ParameterEntry entry;
-  entry.name = r.str();
-  entry.is_buffer = r.pod<std::uint8_t>() != 0;
+EntryMeta read_entry_meta(Reader& r) {
+  EntryMeta meta;
+  meta.name = r.str();
+  meta.is_buffer = r.pod<std::uint8_t>() != 0;
   const std::uint32_t rank = r.pod<std::uint32_t>();
   if (rank > static_cast<std::uint32_t>(Shape::kMaxRank)) {
     throw std::runtime_error("FLC1: bad rank");
   }
   std::int64_t dims[Shape::kMaxRank] = {0, 0, 0, 0};
+  std::int64_t count = 1;
   for (std::uint32_t i = 0; i < rank; ++i) {
     dims[i] = r.pod<std::int64_t>();
+    if (dims[i] < 0) {
+      throw std::runtime_error("FLC1: negative dim in '" + meta.name + "'");
+    }
+    if (dims[i] != 0 &&
+        count > std::numeric_limits<std::int64_t>::max() / dims[i]) {
+      throw std::runtime_error("FLC1: element count of '" + meta.name +
+                               "' overflows int64");
+    }
+    count *= dims[i];
   }
-  entry.value = Tensor(shape_from_dims(rank, dims));
+  meta.shape = shape_from_dims(rank, dims);
+  return meta;
+}
+
+ParameterEntry allocate_entry(const Reader& r, EntryMeta meta,
+                              std::size_t element_bytes) {
+  const auto count = static_cast<std::uint64_t>(meta.shape.numel());
+  if (count > r.remaining() / element_bytes) {
+    throw std::runtime_error(
+        "FLC1: '" + meta.name + "' claims " + std::to_string(count) +
+        " elements but only " + std::to_string(r.remaining()) +
+        " bytes are left");
+  }
+  ParameterEntry entry;
+  entry.name = std::move(meta.name);
+  entry.is_buffer = meta.is_buffer;
+  entry.value = Tensor(meta.shape);
   return entry;
 }
 

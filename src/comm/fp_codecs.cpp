@@ -89,7 +89,7 @@ ModelParameters Fp32Codec::decode(const ByteBuffer& blob,
   ModelParameters params;
   params.mutable_entries().reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    ParameterEntry e = wire::read_entry_meta(r);
+    ParameterEntry e = wire::allocate_entry(r, wire::read_entry_meta(r), 4);
     r.bytes(e.value.data(), static_cast<std::size_t>(e.value.numel()) * 4);
     params.mutable_entries().push_back(std::move(e));
   }
@@ -128,7 +128,7 @@ ModelParameters Fp16Codec::decode(const ByteBuffer& blob,
   ModelParameters params;
   params.mutable_entries().reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    ParameterEntry e = wire::read_entry_meta(r);
+    ParameterEntry e = wire::allocate_entry(r, wire::read_entry_meta(r), 2);
     for (std::int64_t j = 0; j < e.value.numel(); ++j) {
       e.value[j] = half_to_float(r.pod<std::uint16_t>());
     }

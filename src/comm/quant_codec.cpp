@@ -56,9 +56,10 @@ ModelParameters Int8QuantCodec::decode(
   ModelParameters params;
   params.mutable_entries().reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    ParameterEntry e = wire::read_entry_meta(r);
+    wire::EntryMeta meta = wire::read_entry_meta(r);
     const float lo = r.pod<float>();
     const float step = r.pod<float>();
+    ParameterEntry e = wire::allocate_entry(r, std::move(meta), 1);
     for (std::int64_t j = 0; j < e.value.numel(); ++j) {
       e.value[j] = lo + step * static_cast<float>(r.pod<std::uint8_t>());
     }

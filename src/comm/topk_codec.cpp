@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "comm/codec.hpp"
@@ -108,13 +109,25 @@ ModelParameters TopKDeltaCodec::decode(const ByteBuffer& blob,
   ModelParameters params;
   params.mutable_entries().reserve(count);
   for (std::uint32_t n = 0; n < count; ++n) {
-    ParameterEntry e = wire::read_entry_meta(r);
+    wire::EntryMeta meta = wire::read_entry_meta(r);
+    // The payload is sparse, so the bytes left do not bound the dense
+    // tensor: check the claimed shape against the reference before
+    // allocating, or without one cap it at the uint32 index range.
+    ParameterEntry e;
+    e.name = std::move(meta.name);
+    e.is_buffer = meta.is_buffer;
     if (reference != nullptr) {
       const Tensor& ref = reference->entries()[n].value;
-      if (ref.shape() != e.value.shape()) {
+      if (ref.shape() != meta.shape) {
         throw std::invalid_argument("TopKDeltaCodec: reference shape");
       }
       e.value = ref;
+    } else {
+      if (meta.shape.numel() > (std::int64_t{1} << 32)) {
+        throw std::runtime_error("TopKDeltaCodec: '" + e.name +
+                                 "' exceeds the uint32 index range");
+      }
+      e.value = Tensor(meta.shape);
     }
     const std::uint32_t nnz = r.pod<std::uint32_t>();
     for (std::uint32_t i = 0; i < nnz; ++i) {

@@ -41,6 +41,10 @@ struct Reader {
   explicit Reader(const std::vector<std::uint8_t>& blob)
       : cursor(blob.data()), end(blob.data() + blob.size()) {}
 
+  std::size_t remaining() const {
+    return static_cast<std::size_t>(end - cursor);
+  }
+
   void bytes(void* dst, std::size_t n) {
     if (static_cast<std::size_t>(end - cursor) < n) {
       throw std::runtime_error("FLC1: truncated buffer");
@@ -72,8 +76,22 @@ std::uint32_t read_preamble(Reader& r, std::uint8_t expected_codec);
 
 // Per-entry metadata: name, buffer flag, shape.
 void write_entry_meta(Writer& w, const ParameterEntry& entry);
-// Returns an entry with a zero-initialized tensor of the stored shape.
-ParameterEntry read_entry_meta(Reader& r);
+
+struct EntryMeta {
+  std::string name;
+  bool is_buffer = false;
+  Shape shape;
+};
+// Reads an entry's metadata without allocating its tensor. Throws
+// std::runtime_error on a bad rank, a negative dim, or an element count
+// that overflows int64 — the bytes are untrusted.
+EntryMeta read_entry_meta(Reader& r);
+// A zero-filled entry of meta's shape, allocated only after checking
+// that the bytes left in `r` can hold its element count at
+// `element_bytes` each, so a blob never makes the decoder allocate
+// more than it carries.
+ParameterEntry allocate_entry(const Reader& r, EntryMeta meta,
+                              std::size_t element_bytes);
 
 }  // namespace wire
 }  // namespace fleda

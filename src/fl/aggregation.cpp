@@ -14,404 +14,10 @@
 namespace fleda {
 namespace {
 
-// "client 7" when the caller labeled the input, "cohort update #3"
-// otherwise — validation errors must point at the sender of a poisoned
-// update, not just say "something was NaN".
-std::string who(const AggregationInput& in, std::size_t position) {
-  if (in.client >= 0) return "client " + std::to_string(in.client);
-  return "cohort update #" + std::to_string(position);
-}
-
-// Shared cohort validation: every rule divides by the total weight and
-// folds the parameter values in, so both failure families are caught
-// once — bad *weights* (the participation layer's usual bug) and
-// non-finite *values* (a poisoned or diverged client update, which
-// used to pass silently and corrupt every downstream round).
-double checked_total_weight(const char* rule,
-                            const std::vector<AggregationInput>& cohort,
-                            bool apply_staleness,
-                            const StalenessPolicy* staleness) {
-  if (cohort.empty()) {
-    throw std::invalid_argument(
-        std::string(rule) +
-        ": empty cohort — no client contributed this round (did the "
-        "participation policy sample only offline clients?)");
-  }
-  double total = 0.0;
-  for (std::size_t i = 0; i < cohort.size(); ++i) {
-    const AggregationInput& in = cohort[i];
-    if (in.params == nullptr) {
-      throw std::invalid_argument(std::string(rule) + ": null update from " +
-                                  who(in, i));
-    }
-    if (!(in.weight >= 0.0)) {  // negatives and NaNs both fail this
-      throw std::invalid_argument(
-          std::string(rule) + ": weight " + std::to_string(in.weight) +
-          " from " + who(in, i) + " is negative or non-finite");
-    }
-    // One cheap norm accumulation per entry catches NaN and Inf alike
-    // (either poisons the sum). Guards every rule, including plain
-    // WeightedAverage — the historical hole this check closes.
-    if (!std::isfinite(in.params->squared_l2_norm())) {
-      static Counter& trips = MetricsRegistry::global().counter(
-          "fleda.agg.nonfinite_guard_trips");
-      trips.add(1);
-      throw std::invalid_argument(
-          std::string(rule) + ": " + who(in, i) +
-          " sent a non-finite update (NaN/Inf parameter values) — "
-          "refusing to aggregate it into the global model");
-    }
-    total += apply_staleness ? in.weight * staleness->weight(in.staleness)
-                             : in.weight;
-  }
-  if (!(total > 0.0) || !std::isfinite(total)) {
-    throw std::invalid_argument(
-        std::string(rule) + ": total weight " + std::to_string(total) +
-        " over " + std::to_string(cohort.size()) +
-        " clients — refusing to divide (would emit NaN parameters)");
-  }
-  return total;
-}
-
-void check_structure(const char* rule, const ModelParameters& reference,
-                     const AggregationInput& in, std::size_t position) {
-  if (!reference.structurally_equal(*in.params)) {
-    throw std::invalid_argument(std::string(rule) + ": structure mismatch at " +
-                                who(in, position));
-  }
-}
-
-}  // namespace
-
-ModelParameters WeightedAverage::aggregate(
-    const ModelParameters& /*current*/,
-    const std::vector<AggregationInput>& cohort) const {
-  ProfileScope prof(phase::kAggregate);
-  const double total =
-      checked_total_weight("WeightedAverage", cohort, false, nullptr);
-  ModelParameters result = *cohort[0].params;
-  result.scale(cohort[0].weight / total);
-  for (std::size_t i = 1; i < cohort.size(); ++i) {
-    check_structure("WeightedAverage", *cohort[0].params, cohort[i], i);
-    result.add_scaled(*cohort[i].params, cohort[i].weight / total);
-  }
-  return result;
-}
-
-CoordinateMedian::CoordinateMedian(int sketch_bins, double sketch_span)
-    : sketch_bins_(sketch_bins), sketch_span_(sketch_span) {
-  if (sketch_bins < 2) {
-    throw std::invalid_argument("CoordinateMedian: sketch_bins " +
-                                std::to_string(sketch_bins) +
-                                " must be >= 2");
-  }
-  if (!std::isfinite(sketch_span) || sketch_span <= 0.0) {
-    throw std::invalid_argument("CoordinateMedian: sketch_span " +
-                                std::to_string(sketch_span) +
-                                " must be finite and > 0");
-  }
-}
-
-ModelParameters CoordinateMedian::aggregate(
-    const ModelParameters& /*current*/,
-    const std::vector<AggregationInput>& cohort) const {
-  ProfileScope prof(phase::kAggregate);
-  checked_total_weight("CoordinateMedian", cohort, false, nullptr);
-  for (std::size_t i = 1; i < cohort.size(); ++i) {
-    check_structure("CoordinateMedian", *cohort[0].params, cohort[i], i);
-  }
-  const std::size_t n = cohort.size();
-  ModelParameters result = *cohort[0].params;
-  std::vector<float> column(n);
-  std::vector<const float*> sources(n);
-  for (std::size_t e = 0; e < result.entries().size(); ++e) {
-    Tensor& out = result.mutable_entries()[e].value;
-    float* out_data = out.data();
-    const std::int64_t numel = out.numel();
-    for (std::size_t c = 0; c < n; ++c) {
-      sources[c] = cohort[c].params->entries()[e].value.data();
-    }
-    for (std::int64_t i = 0; i < numel; ++i) {
-      for (std::size_t c = 0; c < n; ++c) column[c] = sources[c][i];
-      // The k-th order statistic is a value of the multiset, so the
-      // result does not depend on the cohort's order — determinism
-      // across participation shuffles comes for free.
-      const std::size_t mid = n / 2;
-      std::nth_element(column.begin(), column.begin() + mid, column.end());
-      if (n % 2 == 1) {
-        out_data[i] = column[mid];
-      } else {
-        const float hi = column[mid];
-        const float lo =
-            *std::max_element(column.begin(), column.begin() + mid);
-        out_data[i] =
-            static_cast<float>((static_cast<double>(lo) + hi) / 2.0);
-      }
-    }
-  }
-  return result;
-}
-
-TrimmedMean::TrimmedMean(double trim_fraction, int sketch_bins,
-                         double sketch_span)
-    : trim_fraction_(trim_fraction),
-      sketch_bins_(sketch_bins),
-      sketch_span_(sketch_span) {
-  if (!(trim_fraction >= 0.0) || trim_fraction >= 0.5) {
-    throw std::invalid_argument(
-        "TrimmedMean: trim_fraction " + std::to_string(trim_fraction) +
-        " outside [0, 0.5) — trimming half or more from each end leaves "
-        "nothing to average");
-  }
-  if (sketch_bins < 2) {
-    throw std::invalid_argument("TrimmedMean: sketch_bins " +
-                                std::to_string(sketch_bins) +
-                                " must be >= 2");
-  }
-  if (!std::isfinite(sketch_span) || sketch_span <= 0.0) {
-    throw std::invalid_argument("TrimmedMean: sketch_span " +
-                                std::to_string(sketch_span) +
-                                " must be finite and > 0");
-  }
-}
-
-ModelParameters TrimmedMean::aggregate(
-    const ModelParameters& /*current*/,
-    const std::vector<AggregationInput>& cohort) const {
-  ProfileScope prof(phase::kAggregate);
-  checked_total_weight("TrimmedMean", cohort, false, nullptr);
-  for (std::size_t i = 1; i < cohort.size(); ++i) {
-    check_structure("TrimmedMean", *cohort[0].params, cohort[i], i);
-  }
-  const std::size_t n = cohort.size();
-  // trim_fraction < 0.5 guarantees n - 2g >= 1 survivors.
-  const std::size_t g =
-      static_cast<std::size_t>(trim_fraction_ * static_cast<double>(n));
-  ModelParameters result = *cohort[0].params;
-  std::vector<float> column(n);
-  std::vector<const float*> sources(n);
-  for (std::size_t e = 0; e < result.entries().size(); ++e) {
-    Tensor& out = result.mutable_entries()[e].value;
-    float* out_data = out.data();
-    const std::int64_t numel = out.numel();
-    for (std::size_t c = 0; c < n; ++c) {
-      sources[c] = cohort[c].params->entries()[e].value.data();
-    }
-    for (std::int64_t i = 0; i < numel; ++i) {
-      for (std::size_t c = 0; c < n; ++c) column[c] = sources[c][i];
-      std::sort(column.begin(), column.end());
-      double acc = 0.0;
-      for (std::size_t c = g; c < n - g; ++c) acc += column[c];
-      out_data[i] = static_cast<float>(acc / static_cast<double>(n - 2 * g));
-    }
-  }
-  return result;
-}
-
-NormClippedMean::NormClippedMean(double clip_norm) : clip_norm_(clip_norm) {
-  if (!std::isfinite(clip_norm) || clip_norm <= 0.0) {
-    throw std::invalid_argument("NormClippedMean: clip_norm " +
-                                std::to_string(clip_norm) +
-                                " must be finite and > 0");
-  }
-}
-
-ModelParameters NormClippedMean::aggregate(
-    const ModelParameters& current,
-    const std::vector<AggregationInput>& cohort) const {
-  ProfileScope prof(phase::kAggregate);
-  const double total =
-      checked_total_weight("NormClippedMean", cohort, false, nullptr);
-  if (current.empty()) {
-    throw std::invalid_argument(
-        "NormClippedMean: empty `current` — the rule clips each update's "
-        "delta against the server's model, so the caller must pass it "
-        "(not an empty snapshot)");
-  }
-  ModelParameters result = current;
-  for (std::size_t i = 0; i < cohort.size(); ++i) {
-    check_structure("NormClippedMean", current, cohort[i], i);
-    ModelParameters delta = *cohort[i].params;
-    delta.add_scaled(current, -1.0);
-    const double norm = std::sqrt(delta.squared_l2_norm());
-    const double clip = norm > clip_norm_ ? clip_norm_ / norm : 1.0;
-    result.add_scaled(delta, clip * cohort[i].weight / total);
-  }
-  return result;
-}
-
-Krum::Krum(int f) : f_(f) {
-  if (f < 0) {
-    throw std::invalid_argument("Krum: f " + std::to_string(f) +
-                                " must be >= 0");
-  }
-}
-
-std::vector<std::size_t> Krum::krum_order(
-    const std::vector<AggregationInput>& cohort, const char* rule) const {
-  checked_total_weight(rule, cohort, false, nullptr);
-  const std::size_t n = cohort.size();
-  for (std::size_t i = 1; i < n; ++i) {
-    check_structure(rule, *cohort[0].params, cohort[i], i);
-  }
-  const std::size_t needed = 2 * static_cast<std::size_t>(f_) + 3;
-  if (n < needed) {
-    throw std::invalid_argument(
-        std::string(rule) + ": cohort of " + std::to_string(n) +
-        " cannot tolerate f=" + std::to_string(f_) +
-        " Byzantine members — Krum scoring needs n >= 2f + 3 = " +
-        std::to_string(needed) +
-        " (sample a larger cohort or lower krum_f)");
-  }
-  // Pairwise squared distances, each pair computed once. n is a cohort
-  // (tens), not the fleet, so the O(n^2) pass over full snapshots is
-  // the aggregation cost, not a scaling wall.
-  std::vector<double> dist(n * n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double d = cohort[i].params->squared_l2_distance(*cohort[j].params);
-      dist[i * n + j] = d;
-      dist[j * n + i] = d;
-    }
-  }
-  // score_i = sum of the n - f - 2 smallest distances to OTHERS.
-  const std::size_t neighbors = n - static_cast<std::size_t>(f_) - 2;
-  std::vector<double> score(n, 0.0);
-  std::vector<double> row(n - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t m = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j != i) row[m++] = dist[i * n + j];
-    }
-    std::nth_element(row.begin(),
-                     row.begin() + static_cast<std::ptrdiff_t>(neighbors - 1),
-                     row.end());
-    double acc = 0.0;
-    for (std::size_t c = 0; c < neighbors; ++c) acc += row[c];
-    score[i] = acc;
-  }
-  std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = i;
-  // Ties break on the lower cohort index — selection is a pure
-  // function of the multiset of updates plus their order, never of
-  // thread scheduling.
-  std::sort(order.begin(), order.end(),
-            [&score](std::size_t a, std::size_t b) {
-              if (score[a] != score[b]) return score[a] < score[b];
-              return a < b;
-            });
-  return order;
-}
-
-ModelParameters Krum::aggregate(
-    const ModelParameters& /*current*/,
-    const std::vector<AggregationInput>& cohort) const {
-  ProfileScope prof(phase::kAggregate);
-  const std::vector<std::size_t> order = krum_order(cohort, "Krum");
-  return *cohort[order.front()].params;
-}
-
-MultiKrum::MultiKrum(int f, int m) : Krum(f), m_(m) {
-  if (m < 0) {
-    throw std::invalid_argument("MultiKrum: m " + std::to_string(m) +
-                                " must be >= 0 (0 = auto n - f - 2)");
-  }
-}
-
-ModelParameters MultiKrum::aggregate(
-    const ModelParameters& /*current*/,
-    const std::vector<AggregationInput>& cohort) const {
-  ProfileScope prof(phase::kAggregate);
-  const std::vector<std::size_t> order = krum_order(cohort, "MultiKrum");
-  const std::size_t n = cohort.size();
-  const std::size_t max_m = n - static_cast<std::size_t>(f()) - 2;
-  const std::size_t m = m_ == 0 ? max_m : static_cast<std::size_t>(m_);
-  if (m > max_m) {
-    throw std::invalid_argument(
-        "MultiKrum: m=" + std::to_string(m) + " exceeds n - f - 2 = " +
-        std::to_string(max_m) + " for a cohort of " + std::to_string(n) +
-        " — the tail beyond that has no Byzantine-resilient score");
-  }
-  // Unweighted average of the m best-scored updates (rank-based family:
-  // robustness comes from the selection, not the sample counts).
-  ModelParameters result = *cohort[order[0]].params;
-  result.scale(1.0 / static_cast<double>(m));
-  for (std::size_t c = 1; c < m; ++c) {
-    result.add_scaled(*cohort[order[c]].params, 1.0 / static_cast<double>(m));
-  }
-  return result;
-}
-
-double StalenessPolicy::weight(int staleness) const {
-  if (staleness <= 0) return 1.0;
-  switch (discount) {
-    case StalenessDiscount::kPolynomial:
-      return std::pow(1.0 + static_cast<double>(staleness), -poly_exponent);
-    case StalenessDiscount::kConstant:
-      return constant_factor;
-  }
-  return 1.0;
-}
-
-StalenessDiscountedMix::StalenessDiscountedMix(StalenessPolicy staleness,
-                                               double server_mix)
-    : staleness_(staleness), server_mix_(server_mix) {
-  if (server_mix_ <= 0.0) {
-    throw std::invalid_argument("StalenessDiscountedMix: server_mix <= 0");
-  }
-  if (staleness_.poly_exponent < 0.0 || staleness_.constant_factor <= 0.0) {
-    throw std::invalid_argument(
-        "StalenessDiscountedMix: discount must be positive");
-  }
-}
-
-ModelParameters StalenessDiscountedMix::aggregate(
-    const ModelParameters& current,
-    const std::vector<AggregationInput>& cohort) const {
-  ProfileScope prof(phase::kAggregate);
-  const double total = checked_total_weight("StalenessDiscountedMix", cohort,
-                                            true, &staleness_);
-  // acc = sum_i n_i s(tau_i) delta_i
-  ModelParameters acc;
-  for (const AggregationInput& in : cohort) {
-    const double u = in.weight * staleness_.weight(in.staleness);
-    if (acc.empty()) {
-      acc = *in.params;
-      acc.scale(u);
-    } else {
-      acc.add_scaled(*in.params, u);
-    }
-  }
-  acc.scale(server_mix_ / total);
-  ModelParameters next = current;
-  next.add_scaled(acc, 1.0);
-  return next;
-}
-
-// ---------------------------------------------------------------------------
-// Streaming accumulators
-// ---------------------------------------------------------------------------
-
-std::vector<std::size_t> fold_lane_offsets(std::size_t n, std::size_t lanes) {
-  if (lanes == 0) lanes = 1;
-  std::vector<std::size_t> offsets(lanes + 1);
-  for (std::size_t l = 0; l <= lanes; ++l) offsets[l] = n * l / lanes;
-  return offsets;
-}
-
-std::unique_ptr<StreamingAccumulator> AggregationRule::accumulator(
-    const ModelParameters& /*current*/, const ShardLayout& /*layout*/) const {
-  throw std::logic_error(
-      name() +
-      ": no streaming accumulator — this rule scores the cohort as a whole "
-      "(requires_dense() == true); callers must keep the batch path");
-}
-
-namespace {
-
-// Per-fold mirror of checked_total_weight's guards: same failure
-// families, same counter, caught before the value ever touches a
-// partial sum.
+// Fold-time guards, shared by every accumulator: bad *weights* (the
+// participation layer's usual bug) and non-finite *values* (a poisoned
+// or diverged client update) are caught before the value ever touches
+// a partial sum or the retained cohort.
 void check_fold(const char* rule, const ModelParameters& update, double weight,
                 int client) {
   const std::string sender = client >= 0
@@ -485,8 +91,7 @@ void for_each_shard(std::size_t total, std::size_t shards,
 
 // Per-entry double accumulation buffers shaped like a reference model.
 // Folding in float updates at double precision keeps the running sum's
-// error independent of the fold order's reassociation — the reason the
-// streaming mean family matches the dense rules to float rounding.
+// error independent of the lane layout's reassociation.
 struct DoubleSums {
   std::vector<std::vector<double>> acc;
 
@@ -568,6 +173,8 @@ struct DoubleSums {
 // weighted_average: acc = sum w_k p_k, finish = acc / total.
 class MeanStreamAccumulator final : public StreamingAccumulator {
  public:
+  using StreamingAccumulator::fold;
+
   explicit MeanStreamAccumulator(std::size_t shards) : shards_(shards) {}
 
   void fold(const ModelParameters& update, double weight, int /*staleness*/,
@@ -627,6 +234,8 @@ class MeanStreamAccumulator final : public StreamingAccumulator {
 // finish = current + acc / total. Holds `current` by reference.
 class ClippedStreamAccumulator final : public StreamingAccumulator {
  public:
+  using StreamingAccumulator::fold;
+
   ClippedStreamAccumulator(const ModelParameters& current, double clip_norm,
                            std::size_t shards)
       : current_(&current), clip_norm_(clip_norm), shards_(shards) {
@@ -695,6 +304,8 @@ class ClippedStreamAccumulator final : public StreamingAccumulator {
 // u_i = w_i s(tau_i), finish = current + server_mix * acc / total.
 class MixStreamAccumulator final : public StreamingAccumulator {
  public:
+  using StreamingAccumulator::fold;
+
   MixStreamAccumulator(const ModelParameters& current,
                        const StalenessPolicy& staleness, double server_mix,
                        std::size_t shards)
@@ -750,17 +361,19 @@ class MixStreamAccumulator final : public StreamingAccumulator {
   std::size_t folds_ = 0;
 };
 
-// Streaming quantile sketch for the rank-based rules: a fixed-bin
-// histogram per coordinate over [current[c] - span, current[c] + span]
-// (outliers clamp to the edge bins). Integer bin counts make merges
-// exact and order-independent, so the sketch — unlike the double sums
-// — is bit-identical across every lane/shard layout by construction.
+// Quantile sketch for the rank-based rules (sketch_bins > 0): a
+// fixed-bin histogram per coordinate over [current[c] - span,
+// current[c] + span] (outliers clamp to the edge bins). Integer bin
+// counts make merges exact and order-independent, so the sketch is
+// bit-identical across every lane/shard layout by construction.
 // finish() walks each coordinate's bin ranks: the median reads the
 // middle rank(s), the trimmed mean averages the mass of ranks
 // [g, n - g), both answering with bucket midpoints (in-span error at
 // most one bin width = 2 * span / bins).
 class SketchStreamAccumulator final : public StreamingAccumulator {
  public:
+  using StreamingAccumulator::fold;
+
   SketchStreamAccumulator(const char* rule, const ModelParameters& current,
                           int bins, double span, double trim_fraction,
                           std::size_t shards)
@@ -909,52 +522,414 @@ class SketchStreamAccumulator final : public StreamingAccumulator {
   std::size_t folds_ = 0;
 };
 
-void require_streaming_current(const char* rule,
+void require_current(const char* rule,
                                const ModelParameters& current) {
   if (current.empty()) {
     throw std::invalid_argument(
         std::string(rule) +
-        ": empty `current` — the streaming accumulator anchors on the "
-        "server's model (delta reference / sketch center), so the caller "
-        "must pass it");
+        ": empty `current` — the accumulator anchors on the server's "
+        "model (delta reference / sketch center), so the caller must pass "
+        "it");
+  }
+}
+
+
+// Batch math of the rules that need the whole cohort. Each runs in
+// RetainingAccumulator::finish() over a cohort the folds already
+// validated (finite values, good weights, one structure).
+
+ModelParameters median_of(const std::vector<AggregationInput>& cohort) {
+  const std::size_t n = cohort.size();
+  ModelParameters result = *cohort[0].params;
+  std::vector<float> column(n);
+  std::vector<const float*> sources(n);
+  for (std::size_t e = 0; e < result.entries().size(); ++e) {
+    Tensor& out = result.mutable_entries()[e].value;
+    float* out_data = out.data();
+    const std::int64_t numel = out.numel();
+    for (std::size_t c = 0; c < n; ++c) {
+      sources[c] = cohort[c].params->entries()[e].value.data();
+    }
+    for (std::int64_t i = 0; i < numel; ++i) {
+      for (std::size_t c = 0; c < n; ++c) column[c] = sources[c][i];
+      // The k-th order statistic is a value of the multiset, so the
+      // result does not depend on the cohort's order — determinism
+      // across participation shuffles comes for free.
+      const std::size_t mid = n / 2;
+      std::nth_element(column.begin(), column.begin() + mid, column.end());
+      if (n % 2 == 1) {
+        out_data[i] = column[mid];
+      } else {
+        const float hi = column[mid];
+        const float lo =
+            *std::max_element(column.begin(), column.begin() + mid);
+        out_data[i] =
+            static_cast<float>((static_cast<double>(lo) + hi) / 2.0);
+      }
+    }
+  }
+  return result;
+}
+
+ModelParameters trimmed_mean_of(const std::vector<AggregationInput>& cohort,
+                                double trim_fraction) {
+  const std::size_t n = cohort.size();
+  // trim_fraction < 0.5 guarantees n - 2g >= 1 survivors.
+  const std::size_t g =
+      static_cast<std::size_t>(trim_fraction * static_cast<double>(n));
+  ModelParameters result = *cohort[0].params;
+  std::vector<float> column(n);
+  std::vector<const float*> sources(n);
+  for (std::size_t e = 0; e < result.entries().size(); ++e) {
+    Tensor& out = result.mutable_entries()[e].value;
+    float* out_data = out.data();
+    const std::int64_t numel = out.numel();
+    for (std::size_t c = 0; c < n; ++c) {
+      sources[c] = cohort[c].params->entries()[e].value.data();
+    }
+    for (std::int64_t i = 0; i < numel; ++i) {
+      for (std::size_t c = 0; c < n; ++c) column[c] = sources[c][i];
+      std::sort(column.begin(), column.end());
+      double acc = 0.0;
+      for (std::size_t c = g; c < n - g; ++c) acc += column[c];
+      out_data[i] = static_cast<float>(acc / static_cast<double>(n - 2 * g));
+    }
+  }
+  return result;
+}
+
+// Cohort indices ordered ascending by (Krum score, index); callers
+// take the first m. Enforces n >= 2f + 3; `rule` labels the error.
+std::vector<std::size_t> krum_order(const std::vector<AggregationInput>& cohort,
+                                    int f, const char* rule) {
+  const std::size_t n = cohort.size();
+  const std::size_t needed = 2 * static_cast<std::size_t>(f) + 3;
+  if (n < needed) {
+    throw std::invalid_argument(
+        std::string(rule) + ": cohort of " + std::to_string(n) +
+        " cannot tolerate f=" + std::to_string(f) +
+        " Byzantine members — Krum scoring needs n >= 2f + 3 = " +
+        std::to_string(needed) +
+        " (sample a larger cohort or lower krum_f)");
+  }
+  // Pairwise squared distances, each pair computed once. n is a cohort
+  // (tens), not the fleet, so the O(n^2) pass over full snapshots is
+  // the aggregation cost, not a scaling wall.
+  std::vector<double> dist(n * n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const double d = cohort[i].params->squared_l2_distance(*cohort[j].params);
+      dist[i * n + j] = d;
+      dist[j * n + i] = d;
+    }
+  }
+  // score_i = sum of the n - f - 2 smallest distances to OTHERS.
+  const std::size_t neighbors = n - static_cast<std::size_t>(f) - 2;
+  std::vector<double> score(n, 0.0);
+  std::vector<double> row(n - 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t m = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j != i) row[m++] = dist[i * n + j];
+    }
+    std::nth_element(row.begin(),
+                     row.begin() + static_cast<std::ptrdiff_t>(neighbors - 1),
+                     row.end());
+    double acc = 0.0;
+    for (std::size_t c = 0; c < neighbors; ++c) acc += row[c];
+    score[i] = acc;
+  }
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = i;
+  // Ties break on the lower cohort index — selection is a pure
+  // function of the multiset of updates plus their order, never of
+  // thread scheduling.
+  std::sort(order.begin(), order.end(),
+            [&score](std::size_t a, std::size_t b) {
+              if (score[a] != score[b]) return score[a] < score[b];
+              return a < b;
+            });
+  return order;
+}
+
+// Keeps every folded update (handed over, or copied from a const&
+// fold) and runs a rule's batch math over them in finish(). Lanes are
+// contiguous cohort blocks merged in lane order, so the batch sees the
+// cohort in cohort order — exactly the materialized cohort.
+class RetainingAccumulator final : public StreamingAccumulator {
+ public:
+  using Batch =
+      std::function<ModelParameters(const std::vector<AggregationInput>&)>;
+
+  RetainingAccumulator(const char* rule, Batch batch)
+      : rule_(rule), batch_(std::move(batch)) {}
+
+  void fold(const ModelParameters& update, double weight, int staleness,
+            int client) override {
+    fold(ModelParameters(update), weight, staleness, client);
+  }
+
+  void fold(ModelParameters&& update, double weight, int staleness,
+            int client) override {
+    ProfileScope prof(phase::kAggregate);
+    check_fold(rule_, update, weight, client);
+    if (!kept_.empty()) {
+      check_fold_structure(rule_, kept_.front().update, update, client);
+    }
+    kept_.push_back({std::move(update), weight, staleness, client});
+  }
+
+  void merge(StreamingAccumulator& other) override {
+    auto* peer = dynamic_cast<RetainingAccumulator*>(&other);
+    if (peer == nullptr || std::string(peer->rule_) != rule_) {
+      throw std::invalid_argument(
+          std::string(rule_) + ": merge with a different rule's accumulator");
+    }
+    if (peer->kept_.empty()) return;
+    if (!kept_.empty()) {
+      check_fold_structure(rule_, kept_.front().update,
+                           peer->kept_.front().update,
+                           peer->kept_.front().client);
+    }
+    for (Kept& k : peer->kept_) kept_.push_back(std::move(k));
+    peer->kept_.clear();
+  }
+
+  std::size_t folds() const override { return kept_.size(); }
+
+  ModelParameters finish() override {
+    ProfileScope prof(phase::kAggregate);
+    double total = 0.0;
+    std::vector<AggregationInput> cohort;
+    cohort.reserve(kept_.size());
+    for (const Kept& k : kept_) {
+      total += k.weight;
+      cohort.push_back({&k.update, k.weight, k.staleness, k.client});
+    }
+    check_finish_total(rule_, kept_.size(), total);
+    return batch_(cohort);
+  }
+
+ private:
+  struct Kept {
+    ModelParameters update;
+    double weight;
+    int staleness;
+    int client;
+  };
+  const char* rule_;
+  Batch batch_;
+  std::vector<Kept> kept_;
+};
+
+void check_sketch_knobs(const char* rule, int bins, double span) {
+  if (bins != 0 && bins < 2) {
+    throw std::invalid_argument(std::string(rule) + ": sketch_bins " +
+                                std::to_string(bins) +
+                                " must be 0 (exact) or >= 2");
+  }
+  if (!std::isfinite(span) || span <= 0.0) {
+    throw std::invalid_argument(std::string(rule) + ": sketch_span " +
+                                std::to_string(span) +
+                                " must be finite and > 0");
   }
 }
 
 }  // namespace
+
+std::vector<std::size_t> fold_lane_offsets(std::size_t n, std::size_t lanes) {
+  if (lanes == 0) lanes = 1;
+  std::vector<std::size_t> offsets(lanes + 1);
+  for (std::size_t l = 0; l <= lanes; ++l) offsets[l] = n * l / lanes;
+  return offsets;
+}
+
+LaneAccumulators::LaneAccumulators(const AggregationRule& rule,
+                                   const ModelParameters& current,
+                                   const ShardLayout& layout) {
+  lanes_.reserve(kFoldLanes);
+  for (std::size_t l = 0; l < kFoldLanes; ++l) {
+    lanes_.push_back(rule.accumulator(current, layout));
+  }
+}
+
+StreamingAccumulator& LaneAccumulators::merged() {
+  // Lane order is the merge order — part of the deterministic contract.
+  for (std::size_t l = 1; l < lanes_.size(); ++l) lanes_[0]->merge(*lanes_[l]);
+  return *lanes_[0];
+}
+
+ModelParameters AggregationRule::aggregate(
+    const ModelParameters& current,
+    const std::vector<AggregationInput>& cohort) const {
+  const std::unique_ptr<StreamingAccumulator> acc =
+      accumulator(current, ShardLayout{});
+  for (std::size_t i = 0; i < cohort.size(); ++i) {
+    const AggregationInput& in = cohort[i];
+    const std::string position = "cohort update #" + std::to_string(i);
+    if (in.params == nullptr) {
+      throw std::invalid_argument(name() + ": null update from " + position);
+    }
+    try {
+      acc->fold(*in.params, in.weight, in.staleness, in.client);
+    } catch (const std::invalid_argument& e) {
+      // An unlabeled input is named by its cohort position instead.
+      if (in.client >= 0) throw;
+      throw std::invalid_argument(std::string(e.what()) + " (" + position +
+                                  ")");
+    }
+  }
+  return acc->finish();
+}
 
 std::unique_ptr<StreamingAccumulator> WeightedAverage::accumulator(
     const ModelParameters& /*current*/, const ShardLayout& layout) const {
   return std::make_unique<MeanStreamAccumulator>(layout.shards);
 }
 
-std::unique_ptr<StreamingAccumulator> NormClippedMean::accumulator(
-    const ModelParameters& current, const ShardLayout& layout) const {
-  require_streaming_current("NormClippedMean", current);
-  return std::make_unique<ClippedStreamAccumulator>(current, clip_norm_,
-                                                    layout.shards);
-}
-
-std::unique_ptr<StreamingAccumulator> StalenessDiscountedMix::accumulator(
-    const ModelParameters& current, const ShardLayout& layout) const {
-  require_streaming_current("StalenessDiscountedMix", current);
-  return std::make_unique<MixStreamAccumulator>(current, staleness_,
-                                                server_mix_, layout.shards);
+CoordinateMedian::CoordinateMedian(int sketch_bins, double sketch_span)
+    : sketch_bins_(sketch_bins), sketch_span_(sketch_span) {
+  check_sketch_knobs("CoordinateMedian", sketch_bins, sketch_span);
 }
 
 std::unique_ptr<StreamingAccumulator> CoordinateMedian::accumulator(
     const ModelParameters& current, const ShardLayout& layout) const {
-  require_streaming_current("CoordinateMedian", current);
+  if (sketch_bins_ == 0) {
+    return std::make_unique<RetainingAccumulator>("CoordinateMedian",
+                                                  median_of);
+  }
+  require_current("CoordinateMedian", current);
   return std::make_unique<SketchStreamAccumulator>(
       "CoordinateMedian", current, sketch_bins_, sketch_span_,
       /*trim_fraction=*/-1.0, layout.shards);
 }
 
+TrimmedMean::TrimmedMean(double trim_fraction, int sketch_bins,
+                         double sketch_span)
+    : trim_fraction_(trim_fraction),
+      sketch_bins_(sketch_bins),
+      sketch_span_(sketch_span) {
+  if (!(trim_fraction >= 0.0) || trim_fraction >= 0.5) {
+    throw std::invalid_argument(
+        "TrimmedMean: trim_fraction " + std::to_string(trim_fraction) +
+        " outside [0, 0.5) — trimming half or more from each end leaves "
+        "nothing to average");
+  }
+  check_sketch_knobs("TrimmedMean", sketch_bins, sketch_span);
+}
+
 std::unique_ptr<StreamingAccumulator> TrimmedMean::accumulator(
     const ModelParameters& current, const ShardLayout& layout) const {
-  require_streaming_current("TrimmedMean", current);
+  if (sketch_bins_ == 0) {
+    const double trim = trim_fraction_;
+    return std::make_unique<RetainingAccumulator>(
+        "TrimmedMean", [trim](const std::vector<AggregationInput>& cohort) {
+          return trimmed_mean_of(cohort, trim);
+        });
+  }
+  require_current("TrimmedMean", current);
   return std::make_unique<SketchStreamAccumulator>(
       "TrimmedMean", current, sketch_bins_, sketch_span_, trim_fraction_,
       layout.shards);
+}
+
+NormClippedMean::NormClippedMean(double clip_norm) : clip_norm_(clip_norm) {
+  if (!std::isfinite(clip_norm) || clip_norm <= 0.0) {
+    throw std::invalid_argument("NormClippedMean: clip_norm " +
+                                std::to_string(clip_norm) +
+                                " must be finite and > 0");
+  }
+}
+
+std::unique_ptr<StreamingAccumulator> NormClippedMean::accumulator(
+    const ModelParameters& current, const ShardLayout& layout) const {
+  require_current("NormClippedMean", current);
+  return std::make_unique<ClippedStreamAccumulator>(current, clip_norm_,
+                                                    layout.shards);
+}
+
+Krum::Krum(int f) : f_(f) {
+  if (f < 0) {
+    throw std::invalid_argument("Krum: f " + std::to_string(f) +
+                                " must be >= 0");
+  }
+}
+
+std::unique_ptr<StreamingAccumulator> Krum::accumulator(
+    const ModelParameters& /*current*/, const ShardLayout& /*layout*/) const {
+  const int f = f_;
+  return std::make_unique<RetainingAccumulator>(
+      "Krum", [f](const std::vector<AggregationInput>& cohort) {
+        return *cohort[krum_order(cohort, f, "Krum").front()].params;
+      });
+}
+
+MultiKrum::MultiKrum(int f, int m) : Krum(f), m_(m) {
+  if (m < 0) {
+    throw std::invalid_argument("MultiKrum: m " + std::to_string(m) +
+                                " must be >= 0 (0 = auto n - f - 2)");
+  }
+}
+
+std::unique_ptr<StreamingAccumulator> MultiKrum::accumulator(
+    const ModelParameters& /*current*/, const ShardLayout& /*layout*/) const {
+  const int f = this->f();
+  const int m_knob = m_;
+  return std::make_unique<RetainingAccumulator>(
+      "MultiKrum", [f, m_knob](const std::vector<AggregationInput>& cohort) {
+        const std::vector<std::size_t> order =
+            krum_order(cohort, f, "MultiKrum");
+        const std::size_t n = cohort.size();
+        const std::size_t max_m = n - static_cast<std::size_t>(f) - 2;
+        const std::size_t m =
+            m_knob == 0 ? max_m : static_cast<std::size_t>(m_knob);
+        if (m > max_m) {
+          throw std::invalid_argument(
+              "MultiKrum: m=" + std::to_string(m) + " exceeds n - f - 2 = " +
+              std::to_string(max_m) + " for a cohort of " + std::to_string(n) +
+              " — the tail beyond that has no Byzantine-resilient score");
+        }
+        // Unweighted average of the m best-scored updates (rank-based
+        // family: robustness comes from the selection, not the sample
+        // counts).
+        ModelParameters result = *cohort[order[0]].params;
+        result.scale(1.0 / static_cast<double>(m));
+        for (std::size_t c = 1; c < m; ++c) {
+          result.add_scaled(*cohort[order[c]].params,
+                            1.0 / static_cast<double>(m));
+        }
+        return result;
+      });
+}
+
+double StalenessPolicy::weight(int staleness) const {
+  if (staleness <= 0) return 1.0;
+  switch (discount) {
+    case StalenessDiscount::kPolynomial:
+      return std::pow(1.0 + static_cast<double>(staleness), -poly_exponent);
+    case StalenessDiscount::kConstant:
+      return constant_factor;
+  }
+  return 1.0;
+}
+
+StalenessDiscountedMix::StalenessDiscountedMix(StalenessPolicy staleness,
+                                               double server_mix)
+    : staleness_(staleness), server_mix_(server_mix) {
+  if (server_mix_ <= 0.0) {
+    throw std::invalid_argument("StalenessDiscountedMix: server_mix <= 0");
+  }
+  if (staleness_.poly_exponent < 0.0 || staleness_.constant_factor <= 0.0) {
+    throw std::invalid_argument(
+        "StalenessDiscountedMix: discount must be positive");
+  }
+}
+
+std::unique_ptr<StreamingAccumulator> StalenessDiscountedMix::accumulator(
+    const ModelParameters& current, const ShardLayout& layout) const {
+  require_current("StalenessDiscountedMix", current);
+  return std::make_unique<MixStreamAccumulator>(current, staleness_,
+                                                server_mix_, layout.shards);
 }
 
 namespace {

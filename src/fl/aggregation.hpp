@@ -1,9 +1,22 @@
 // AggregationRule: the strategy that turns a cohort's updates into the
-// next server-side model. The weighted-average math used to live in
-// Server and the staleness-discount / server-mix math inside
-// AsyncFedAvg's round loop; both are now pluggable rules, so a new
-// aggregation scheme (median, trimmed mean, momentum server, ...)
-// plugs into every algorithm instead of forking one.
+// next server-side model, plugged into every algorithm by name.
+//
+// Every rule has one form, the accumulator protocol: the round loop
+// asks the rule for one StreamingAccumulator per fold lane, folds each
+// decoded upload into its lane as it arrives, merges the lanes in lane
+// order and calls finish(). How much a rule keeps is a property of its
+// accumulator, not a second path through the round loops:
+//   running sums — WeightedAverage, NormClippedMean and
+//     StalenessDiscountedMix keep O(model) double sums per lane;
+//   histogram sketch — CoordinateMedian / TrimmedMean with
+//     sketch_bins > 0 keep O(bins x model) counts per lane;
+//   retained cohort — Krum, MultiKrum and exact (sketch_bins == 0)
+//     CoordinateMedian / TrimmedMean keep every folded update and run
+//     the batch math in finish(). Lanes concatenate in lane order,
+//     which is cohort order, and none of these rules depends on fold
+//     order, so the result is the batch result bit for bit.
+// AggregationRule::aggregate() is the same protocol over a cohort that
+// is already materialized (one accumulator, folded in cohort order).
 //
 // Two families ship:
 //   Averaging rules (folds_into_current() == false) — combine the
@@ -11,33 +24,28 @@
 //       WeightedAverage   — W' = sum_k (n_k / n) w_k over the cohort
 //                           (FedAvg/FedProx semantics; ignores
 //                           `current` and staleness).
-//       CoordinateMedian  — entrywise median of the cohort (rank-based,
-//                           so sample counts are validated but do not
-//                           weight the result). Robust to < 50%
-//                           arbitrarily-corrupted clients.
+//       CoordinateMedian  — entrywise median of the cohort.
 //       TrimmedMean       — entrywise mean after dropping the
 //                           floor(trim_fraction * n) largest and
 //                           smallest values per coordinate.
-//       NormClippedMean   — each update's delta against `current` is
-//                           clipped to clip_norm in L2 before the
-//                           weighted average; bounds any single
-//                           client's pull on the global model.
-//   Delta/mixing rules (folds_into_current() == true) — the cohort
-//     entries are DELTAS and aggregate() returns `current` with them
-//     folded in:
+//       NormClippedMean   — weighted average of deltas clipped to
+//                           clip_norm in L2 against `current`.
+//       Krum / MultiKrum  — distance-scored selection.
+//   Delta/mixing rules (folds_into_current() == true) — the folds are
+//     DELTAS and finish() returns `current` with them folded in:
 //       StalenessDiscountedMix — W' = W + eta * sum_i u_i d_i /
 //                           sum_i u_i, u_i = n_i * s(tau_i)
 //                           (AsyncFedAvg/FedBuff semantics).
 //
-// Every rule refuses an empty cohort, a zero total weight, or a
-// non-finite update with a descriptive error — under partial
-// participation an all-offline sampled cohort must fail loudly, and a
-// single NaN/Inf client update must never reach the global model.
+// Every accumulator refuses an empty or non-finite update and a bad
+// weight at fold time, and an empty cohort or a zero total weight at
+// finish, naming the client — under partial participation an
+// all-offline sampled cohort must fail loudly, and a single NaN/Inf
+// client update must never reach the global model.
 //
-// Rules are constructible by name through AggregationRegistry (the
-// aggregation-layer mirror of AlgorithmRegistry), parameterized by the
-// declarative AggregationConfig that FLRunOptions/ExperimentConfig
-// carry — so any algorithm swaps its rule without a code change.
+// Rules are constructible by name through AggregationRegistry,
+// parameterized by the declarative AggregationConfig that
+// FLRunOptions/ExperimentConfig carry.
 #pragma once
 
 #include <cstdint>
@@ -65,53 +73,54 @@ struct AggregationInput {
   int client = -1;
 };
 
-// Fixed fold-lane count of the streaming aggregation path. Lanes — not
-// thread-pool chunks — are the unit of parallel folding: the cohort is
-// partitioned into kFoldLanes contiguous blocks, each lane folds its
-// block serially in cohort order into its own accumulator, and the
-// coordinator merges the lanes in lane order. Because the partition and
-// both fold/merge orders are pure functions of the cohort (never of
-// thread scheduling), streaming results are bit-identical across
-// thread-pool sizes.
+// Fixed fold-lane count of a round. Lanes — not thread-pool chunks —
+// are the unit of parallel folding: the cohort is partitioned into
+// kFoldLanes contiguous blocks, each lane folds its block serially in
+// cohort order into its own accumulator, and the lanes are merged in
+// lane order. Because the partition and both fold/merge orders are
+// pure functions of the cohort (never of thread scheduling), results
+// are bit-identical across thread-pool sizes.
 inline constexpr std::size_t kFoldLanes = 8;
 
-// How a streaming aggregation is laid out: how many folds to expect,
-// how many parallel fold lanes feed partial accumulators, and how many
-// parameter shards the (element-wise) merge/finish passes may split
-// the model into. Shards only parallelize element-wise work, so the
-// result is shard-count invariant by construction — FLEDA_AGG_SHARDS
-// is a parallelism knob, not a semantics knob.
+// How many parameter shards the element-wise merge/finish passes may
+// split the model into. Shards only parallelize element-wise work, so
+// the result is shard-count invariant by construction.
 struct ShardLayout {
-  std::size_t cohort_size = 0;    // expected folds; 0 = unknown
-  std::size_t lanes = kFoldLanes; // partial accumulators folded in parallel
-  std::size_t shards = 0;         // merge/finish parallelism; 0 = auto
+  std::size_t shards = 0;  // 0 = one shard per pool thread
 };
 
 // Half-open lane boundaries over [0, n): lanes + 1 offsets with lane l
 // covering [offsets[l], offsets[l + 1]). Pure function of (n, lanes) —
-// the streaming path's determinism rests on these bounds never
-// depending on the thread pool.
+// the round's determinism rests on these bounds never depending on the
+// thread pool.
 std::vector<std::size_t> fold_lane_offsets(std::size_t n, std::size_t lanes);
 
-// One partial accumulator of a streaming aggregation: updates are
-// folded in one at a time (and can be freed by the caller immediately
-// after), sibling lanes are merged in lane order, and finish() emits
-// the aggregated model. Obtained from AggregationRule::accumulator();
-// not thread-safe — each lane owns one, and merge()/finish() run on
-// the coordinator after all folds complete. Server memory for a round
-// becomes O(lanes x model) (plus O(shards x threads) transient scratch
-// in finish), independent of cohort size.
+// One partial aggregation: updates are folded in one at a time, sibling
+// lanes are merged in lane order, and finish() emits the aggregated
+// model. Obtained from AggregationRule::accumulator(); not thread-safe —
+// each lane owns one, and merge()/finish() run on the coordinator after
+// all folds complete. The mean family keeps O(model) running sums, so
+// server memory for a round is O(lanes x model) at any cohort size; the
+// rules that score the cohort as a whole retain their folds instead
+// (see RetainingAccumulator in aggregation.cpp).
 class StreamingAccumulator {
  public:
   virtual ~StreamingAccumulator() = default;
 
-  // Folds one client's contribution. Mirrors the dense rules' guards:
-  // throws std::invalid_argument on a null-structure/NaN/Inf update, a
-  // negative or non-finite weight, or a structure mismatch, naming
-  // `client` (negative = unknown). `staleness` feeds mixing rules'
-  // discount; synchronous callers pass 0.
+  // Folds one client's contribution. Throws std::invalid_argument on an
+  // empty/NaN/Inf update, a negative or non-finite weight, or a
+  // structure mismatch, naming `client` (negative = unknown).
+  // `staleness` feeds mixing rules' discount; synchronous callers pass 0.
   virtual void fold(const ModelParameters& update, double weight,
                     int staleness, int client) = 0;
+
+  // Hand-over form: a retaining accumulator keeps `update` without a
+  // copy; the others fold it like the const& form and let it drop.
+  virtual void fold(ModelParameters&& update, double weight, int staleness,
+                    int client) {
+    fold(static_cast<const ModelParameters&>(update), weight, staleness,
+         client);
+  }
 
   // Absorbs a sibling lane's partials (same rule, same layout). The
   // caller merges lanes in ascending lane order; `other` is left empty.
@@ -122,9 +131,27 @@ class StreamingAccumulator {
   // the empty-cohort error.
   virtual std::size_t folds() const = 0;
 
-  // The aggregated model. Throws like the dense rules on zero folds or
-  // a zero/non-finite total weight. Call once, after all merges.
+  // The aggregated model. Throws std::invalid_argument on zero folds
+  // or a zero/non-finite total weight. Call once, after all merges.
   virtual ModelParameters finish() = 0;
+};
+
+class AggregationRule;
+
+// One accumulator per fold lane of a round (Channel::collect_streaming's
+// `lane` picks one); finish() merges them in lane order.
+class LaneAccumulators {
+ public:
+  LaneAccumulators(const AggregationRule& rule, const ModelParameters& current,
+                   const ShardLayout& layout = {});
+
+  StreamingAccumulator& operator[](std::size_t lane) { return *lanes_[lane]; }
+  // Merges every lane into lane 0 (idempotent) and returns it.
+  StreamingAccumulator& merged();
+  ModelParameters finish() { return merged().finish(); }
+
+ private:
+  std::vector<std::unique_ptr<StreamingAccumulator>> lanes_;
 };
 
 class AggregationRule {
@@ -133,53 +160,38 @@ class AggregationRule {
 
   virtual std::string name() const = 0;
 
-  // Whether aggregate() folds the cohort (as deltas) into `current`
+  // Whether the rule folds the cohort (as deltas) into `current`
   // (mixing rules) rather than combining the cohort's snapshots alone
   // (averaging rules). Event-driven servers use this to decide how to
-  // apply a rule to their buffered deltas.
+  // apply a rule to their deltas.
   virtual bool folds_into_current() const { return false; }
 
-  // Whether the rule needs the whole cohort materialized at once.
-  // Krum-family rules score pairwise distances and keep the batch
-  // path; rules with a streaming form (weighted_average,
-  // norm_clipped_mean, staleness_mix natively; coordinate_median /
-  // trimmed_mean via a histogram sketch) return false and implement
-  // accumulator().
-  virtual bool requires_dense() const { return true; }
-
   // A fresh partial accumulator for one fold lane. `current` is the
-  // model being replaced (the delta/clipping reference; it must
-  // outlive the accumulator — round loops keep the global model alive
-  // across the round). Default: throws std::logic_error — callers must
-  // check requires_dense() first.
+  // model being replaced (the delta/clipping reference or sketch
+  // center; it must outlive the accumulator — round loops keep the
+  // global model alive across the round).
   virtual std::unique_ptr<StreamingAccumulator> accumulator(
-      const ModelParameters& current, const ShardLayout& layout) const;
+      const ModelParameters& current, const ShardLayout& layout) const = 0;
 
-  // Combines the cohort into the next model. `current` is the model
-  // being replaced; plain averaging rules ignore it, clipping rules use
-  // it as the delta reference, mixing rules fold into it. Throws
+  // Combines a materialized cohort into the next model: one
+  // accumulator, the cohort folded in order, then finish(). Throws
   // std::invalid_argument on an empty cohort, zero/non-finite total
-  // weight, a non-finite update, or structure mismatch.
-  virtual ModelParameters aggregate(
-      const ModelParameters& current,
-      const std::vector<AggregationInput>& cohort) const = 0;
+  // weight, a null or non-finite update, or a structure mismatch; an
+  // unlabeled input (client < 0) is named by its cohort position.
+  ModelParameters aggregate(const ModelParameters& current,
+                            const std::vector<AggregationInput>& cohort) const;
 };
 
-// Sample-count weighted FedAvg average (paper Eq. W^{r+1}).
+// Sample-count weighted FedAvg average (paper Eq. W^{r+1}): per-
+// coordinate double running sums of w_k * w^k plus a scalar total
+// weight; finish() scales by 1 / total. Doubles absorb the lane
+// reassociation, so the result is exact to float rounding whatever the
+// lane layout.
 class WeightedAverage : public AggregationRule {
  public:
   std::string name() const override { return "weighted_average"; }
-  bool requires_dense() const override { return false; }
-  // Streaming form: per-coordinate double running sums of w_k * w^k
-  // plus a scalar total weight; finish() scales by 1 / total. Exact up
-  // to summation order (doubles absorb the reassociation), so it
-  // matches the dense rule to float rounding, not bit-for-bit — which
-  // is why streaming is opt-in.
   std::unique_ptr<StreamingAccumulator> accumulator(
       const ModelParameters& current, const ShardLayout& layout) const override;
-  ModelParameters aggregate(
-      const ModelParameters& current,
-      const std::vector<AggregationInput>& cohort) const override;
 };
 
 // Entrywise (coordinate-wise) median over the cohort. Rank-based:
@@ -188,24 +200,18 @@ class WeightedAverage : public AggregationRule {
 // clients unable to move any coordinate outside the honest range.
 class CoordinateMedian : public AggregationRule {
  public:
-  // sketch_bins / sketch_span parameterize ONLY the streaming sketch
-  // (see accumulator()); the dense aggregate() stays exact.
-  explicit CoordinateMedian(int sketch_bins = 32, double sketch_span = 0.25);
+  // sketch_bins == 0 (the default) is exact: the accumulator retains
+  // the cohort and takes the per-coordinate median in finish().
+  // sketch_bins >= 2 switches to a per-coordinate fixed-bin histogram
+  // over [current[c] - span, current[c] + span] (values outside clamp
+  // to the edge bins) answering with bucket midpoints: O(bins x model)
+  // memory at any cohort size, at most one bin width (2 * span / bins)
+  // off within the span, and integer counts merge exactly.
+  explicit CoordinateMedian(int sketch_bins = 0, double sketch_span = 0.25);
 
   std::string name() const override { return "coordinate_median"; }
-  bool requires_dense() const override { return false; }
-  // Streaming form: a per-coordinate fixed-bin histogram sketch over
-  // [current[c] - span, current[c] + span] (values outside clamp to the
-  // edge bins); finish() reads the median off the bin ranks, answering
-  // with the bucket midpoint. Bounded error: within the span the
-  // median is off by at most one bin width (2 * span / bins); integer
-  // bin counts merge exactly, so the sketch stays deterministic across
-  // lane/shard layouts.
   std::unique_ptr<StreamingAccumulator> accumulator(
       const ModelParameters& current, const ShardLayout& layout) const override;
-  ModelParameters aggregate(
-      const ModelParameters& current,
-      const std::vector<AggregationInput>& cohort) const override;
 
  private:
   int sketch_bins_;
@@ -219,22 +225,16 @@ class CoordinateMedian : public AggregationRule {
 // g corrupted clients per coordinate.
 class TrimmedMean : public AggregationRule {
  public:
-  // trim_fraction in [0, 0.5); 0 recovers the unweighted mean.
-  // sketch_bins / sketch_span parameterize only the streaming sketch.
-  explicit TrimmedMean(double trim_fraction, int sketch_bins = 32,
+  // trim_fraction in [0, 0.5); 0 recovers the unweighted mean. The
+  // sketch knobs mean what they mean for CoordinateMedian (0 = exact);
+  // the sketch averages the mass of ranks [g, n - g) per coordinate.
+  explicit TrimmedMean(double trim_fraction, int sketch_bins = 0,
                        double sketch_span = 0.25);
 
   std::string name() const override { return "trimmed_mean"; }
   double trim_fraction() const { return trim_fraction_; }
-  bool requires_dense() const override { return false; }
-  // Streaming form: the same histogram sketch as CoordinateMedian;
-  // finish() averages the mass of ranks [g, n - g) per coordinate by
-  // walking the bins' cumulative counts (bucket midpoints as values).
   std::unique_ptr<StreamingAccumulator> accumulator(
       const ModelParameters& current, const ShardLayout& layout) const override;
-  ModelParameters aggregate(
-      const ModelParameters& current,
-      const std::vector<AggregationInput>& cohort) const override;
 
  private:
   double trim_fraction_;
@@ -246,24 +246,17 @@ class TrimmedMean : public AggregationRule {
 // delta against `current` is scaled down to at most clip_norm in L2
 // before the sample-count weighted average, so no single client —
 // however scaled its update — can pull the global model further than
-// clip_norm in one round. Requires a non-empty `current` (the server's
-// model) as the clipping reference.
+// clip_norm in one round. The clip factor needs only the one update,
+// so fold() applies it on the spot. Requires a non-empty `current`
+// (the server's model) as the clipping reference.
 class NormClippedMean : public AggregationRule {
  public:
   explicit NormClippedMean(double clip_norm);  // must be finite and > 0
 
   std::string name() const override { return "norm_clipped_mean"; }
   double clip_norm() const { return clip_norm_; }
-  bool requires_dense() const override { return false; }
-  // Streaming form: fold computes the clipped delta against `current`
-  // immediately (clip factor needs only the one update) and running-sums
-  // w_k * clip_k * delta_k in doubles; finish() adds the scaled sum back
-  // onto `current`. `current` must outlive the accumulator.
   std::unique_ptr<StreamingAccumulator> accumulator(
       const ModelParameters& current, const ShardLayout& layout) const override;
-  ModelParameters aggregate(
-      const ModelParameters& current,
-      const std::vector<AggregationInput>& cohort) const override;
 
  private:
   double clip_norm_;
@@ -274,26 +267,19 @@ class NormClippedMean : public AggregationRule {
 // n - f - 2 nearest neighbors; the member with the lowest score — the
 // update sitting deepest inside the honest cluster — becomes the next
 // model verbatim. Tolerates f Byzantine members but requires
-// n >= 2f + 3 (enforced per aggregate() call with a descriptive
-// error): with fewer honest neighbors the score is no longer
-// Byzantine-resilient. Rank-based like the median: sample-count
-// weights are validated but do not influence selection.
+// n >= 2f + 3 (checked at finish() with a descriptive error): with
+// fewer honest neighbors the score is no longer Byzantine-resilient.
+// Rank-based like the median: sample-count weights are validated but
+// do not influence selection. Scoring needs the whole cohort, so the
+// accumulator retains its folds.
 class Krum : public AggregationRule {
  public:
   explicit Krum(int f);  // assumed Byzantine count, must be >= 0
 
   std::string name() const override { return "krum"; }
   int f() const { return f_; }
-  ModelParameters aggregate(
-      const ModelParameters& current,
-      const std::vector<AggregationInput>& cohort) const override;
-
- protected:
-  // Cohort indices ordered ascending by (Krum score, index); callers
-  // take the first m. Validates the cohort (shared guards + the
-  // n >= 2f + 3 requirement). `rule` labels the thrown errors.
-  std::vector<std::size_t> krum_order(
-      const std::vector<AggregationInput>& cohort, const char* rule) const;
+  std::unique_ptr<StreamingAccumulator> accumulator(
+      const ModelParameters& current, const ShardLayout& layout) const override;
 
  private:
   int f_;
@@ -306,13 +292,12 @@ class Krum : public AggregationRule {
 // cohort (keep everything Krum considers scoreable).
 class MultiKrum : public Krum {
  public:
-  MultiKrum(int f, int m);  // m >= 0; 0 = auto (n - f - 2 at aggregate)
+  MultiKrum(int f, int m);  // m >= 0; 0 = auto (n - f - 2 at finish)
 
   std::string name() const override { return "multi_krum"; }
   int m() const { return m_; }
-  ModelParameters aggregate(
-      const ModelParameters& current,
-      const std::vector<AggregationInput>& cohort) const override;
+  std::unique_ptr<StreamingAccumulator> accumulator(
+      const ModelParameters& current, const ShardLayout& layout) const override;
 
  private:
   int m_;
@@ -336,22 +321,17 @@ struct StalenessPolicy {
   double weight(int staleness) const;
 };
 
-// current + server_mix * (discounted weighted average of deltas).
+// current + server_mix * (discounted weighted average of deltas). The
+// folds are DELTAS: running sum of u_i * d_i with u_i = weight *
+// s(staleness); finish() returns current + server_mix * sum / total_u.
 class StalenessDiscountedMix : public AggregationRule {
  public:
   StalenessDiscountedMix(StalenessPolicy staleness, double server_mix);
 
   std::string name() const override { return "staleness_mix"; }
   bool folds_into_current() const override { return true; }
-  bool requires_dense() const override { return false; }
-  // Streaming form: folds are DELTAS (like aggregate()'s cohort);
-  // running sum of u_i * d_i with u_i = weight * s(staleness); finish()
-  // returns current + server_mix * sum / total_u.
   std::unique_ptr<StreamingAccumulator> accumulator(
       const ModelParameters& current, const ShardLayout& layout) const override;
-  ModelParameters aggregate(
-      const ModelParameters& current,
-      const std::vector<AggregationInput>& cohort) const override;
 
  private:
   StalenessPolicy staleness_;
@@ -379,20 +359,12 @@ struct AggregationConfig {
   // means configuring it here.
   StalenessPolicy staleness;
   double server_mix = 0.5;
-  // Route round loops through the StreamingAccumulator path when the
-  // rule supports it (requires_dense() == false). Off by default: the
-  // streaming math reassociates sums (double partials), so results
-  // match dense to float rounding but not bit-for-bit, and the dense
-  // K = 1000 reference fingerprint must not move.
-  bool streaming = false;
-  // Merge/finish element-wise parallelism for the streaming path
-  // (FLEDA_AGG_SHARDS). 0 = auto. Never changes results.
-  std::size_t shards = 0;
-  // Histogram-sketch resolution for streaming coordinate_median /
-  // trimmed_mean: bins per coordinate and the half-width of the sketch
-  // window around the current model. Worst-case in-span quantile error
-  // is one bin width = 2 * sketch_span / sketch_bins.
-  int sketch_bins = 32;
+  // Histogram-sketch resolution for coordinate_median / trimmed_mean:
+  // bins per coordinate and the half-width of the sketch window around
+  // the current model. 0 bins = exact (the accumulator retains the
+  // cohort). Worst-case in-span quantile error of the sketch is one bin
+  // width = 2 * sketch_span / sketch_bins.
+  int sketch_bins = 0;
   double sketch_span = 0.25;
 };
 

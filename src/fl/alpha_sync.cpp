@@ -16,11 +16,11 @@ std::vector<ModelParameters> AlphaPortionSync::run_rounds(
   Rng rng(opts.seed);
   const ModelParameters initial = initial_model_parameters(factory, rng);
 
-  const std::vector<double> weights = Server::client_weights(clients);
+  const std::vector<double> weights = client_weights(clients);
   // With a configured rule, each member's (1 - alpha) share comes from
   // the rule applied to the OTHER cohort members' updates (a robust
   // consensus of the peers) instead of their plain weighted average.
-  // Empty = the historical inline mixing, bit-for-bit.
+  // Empty = the shared-sum mix below.
   const std::unique_ptr<AggregationRule> rule =
       opts.aggregation.rule.empty() ? nullptr : sync_aggregation_rule(opts);
 
@@ -33,8 +33,12 @@ std::vector<ModelParameters> AlphaPortionSync::run_rounds(
     std::vector<const ModelParameters*> deployed_ptrs;
     deployed_ptrs.reserve(cohort.size());
     for (std::size_t k : cohort) deployed_ptrs.push_back(&deployed[k]);
-    std::vector<ModelParameters> updates =
-        cohort_local_updates(clients, cohort, deployed_ptrs, opts.client, sim);
+    std::vector<ModelParameters> updates(cohort.size());
+    cohort_round(clients, cohort,
+                 sim.channel().broadcast(deployed_ptrs, cohort), opts.client,
+                 sim, [&](std::size_t, std::size_t i, ModelParameters&& u) {
+                   updates[i] = std::move(u);
+                 });
 
     // The mixing below bypasses the AggregationRule guards, so screen
     // the cohort's updates for non-finite values here — a poisoned
@@ -54,14 +58,11 @@ std::vector<ModelParameters> AlphaPortionSync::run_rounds(
     // new model this round.
     double cohort_total = 0.0;
     for (std::size_t k : cohort) cohort_total += weights[k];
-    std::vector<ModelParameters> mixed(cohort.size());
-    if (opts.aggregation.streaming && rule == nullptr) {
-      // Streaming-era fast path for the default mix: one shared sum
-      // S = sum_j w_j u_j turns each member's peer average into
-      // (S - w_i u_i) / others_total, so the round is O(n) model adds
-      // instead of the historical O(n^2) pairwise loop. Same mix up to
-      // float reassociation — opt-in like every streaming path.
-      ModelParameters sum;
+    // Without a rule, one shared sum S = sum_j w_j u_j turns each
+    // member's peer average into (S - w_i u_i) / others_total, so the
+    // round is O(n) model adds instead of O(n^2).
+    ModelParameters sum;
+    if (rule == nullptr) {
       for (std::size_t j = 0; j < cohort.size(); ++j) {
         if (sum.empty()) {
           sum = updates[j];
@@ -70,26 +71,8 @@ std::vector<ModelParameters> AlphaPortionSync::run_rounds(
           sum.add_scaled(updates[j], weights[cohort[j]]);
         }
       }
-      for (std::size_t i = 0; i < cohort.size(); ++i) {
-        const std::size_t k = cohort[i];
-        const double others_total = cohort_total - weights[k];
-        if (others_total <= 0.0) {
-          mixed[i] = updates[i];
-          continue;
-        }
-        // alpha u_i + (1 - alpha)(S - w_k u_i) / others_total
-        const double peer_share = (1.0 - alpha_) / others_total;
-        ModelParameters m = updates[i];
-        m.scale(alpha_ - peer_share * weights[k]);
-        m.add_scaled(sum, peer_share);
-        mixed[i] = std::move(m);
-      }
-      for (std::size_t i = 0; i < cohort.size(); ++i) {
-        deployed[cohort[i]] = std::move(mixed[i]);
-      }
-      if (opts.on_round) opts.on_round(r, deployed);
-      continue;
     }
+    std::vector<ModelParameters> mixed(cohort.size());
     for (std::size_t i = 0; i < cohort.size(); ++i) {
       const std::size_t k = cohort[i];
       const double others_total = cohort_total - weights[k];
@@ -101,7 +84,6 @@ std::vector<ModelParameters> AlphaPortionSync::run_rounds(
         continue;
       }
       ModelParameters m = updates[i];
-      m.scale(alpha_);
       if (rule != nullptr) {
         // Robust peer consensus: the configured rule over the other
         // members' updates, anchored at this member's previous model
@@ -113,14 +95,13 @@ std::vector<ModelParameters> AlphaPortionSync::run_rounds(
           others.push_back({&updates[j], weights[cohort[j]], 0,
                             static_cast<int>(cohort[j])});
         }
+        m.scale(alpha_);
         m.add_scaled(rule->aggregate(deployed[k], others), 1.0 - alpha_);
       } else {
-        for (std::size_t j = 0; j < cohort.size(); ++j) {
-          if (j == i) continue;
-          const double share =
-              (1.0 - alpha_) * weights[cohort[j]] / others_total;
-          m.add_scaled(updates[j], share);
-        }
+        // alpha u_i + (1 - alpha)(S - w_k u_i) / others_total
+        const double peer_share = (1.0 - alpha_) / others_total;
+        m.scale(alpha_ - peer_share * weights[k]);
+        m.add_scaled(sum, peer_share);
       }
       mixed[i] = std::move(m);
     }

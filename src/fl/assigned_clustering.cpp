@@ -28,7 +28,7 @@ std::vector<ModelParameters> AssignedClustering::run_rounds(
     cluster_models.push_back(initial_model_parameters(factory, rng));
   }
 
-  const std::vector<double> weights = Server::client_weights(clients);
+  const std::vector<double> weights = client_weights(clients);
   const std::unique_ptr<AggregationRule> rule = sync_aggregation_rule(opts);
   for (int r = 0; r < opts.rounds; ++r) {
     const std::vector<std::size_t> cohort =
@@ -39,8 +39,12 @@ std::vector<ModelParameters> AssignedClustering::run_rounds(
       deployed.push_back(
           &cluster_models[static_cast<std::size_t>(assignment_[k])]);
     }
-    std::vector<ModelParameters> updates =
-        cohort_local_updates(clients, cohort, deployed, opts.client, sim);
+    std::vector<ModelParameters> updates(cohort.size());
+    cohort_round(clients, cohort, sim.channel().broadcast(deployed, cohort),
+                 opts.client, sim,
+                 [&](std::size_t, std::size_t i, ModelParameters&& u) {
+                   updates[i] = std::move(u);
+                 });
 
     // Per-cluster aggregation over this round's sampled members,
     // through the configured rule; a cluster with nobody sampled keeps

@@ -12,17 +12,9 @@
 namespace fleda {
 namespace {
 
-// One buffered client update awaiting aggregation.
-struct Buffered {
-  ModelParameters delta;  // server view of (update - dispatched model)
-  double weight = 0.0;    // n_k
-  int dispatched_version = 0;
-  int client = -1;  // sender, for aggregation-guard error messages
-};
-
-// Streaming mode keeps only this per arrival (the delta itself is
-// folded into the interval's accumulator and freed on the spot).
-struct PendingMeta {
+// What the server keeps per arrival of an aggregation interval (the
+// delta itself is folded into the interval's accumulator on arrival).
+struct Arrival {
   int client = -1;
   int staleness = 0;
 };
@@ -71,7 +63,7 @@ std::vector<ModelParameters> AsyncFedAvg::run_rounds(
 
   SimEngine& engine = sim.engine();
   Channel& channel = sim.channel();
-  const std::vector<double> weights = Server::client_weights(clients);
+  const std::vector<double> weights = client_weights(clients);
   const StalenessPolicy staleness = staleness_policy(config_);
   // The configured aggregation rule; the empty default keeps the
   // historical AsyncConfig-derived StalenessDiscountedMix. NOTE: an
@@ -91,132 +83,68 @@ std::vector<ModelParameters> AsyncFedAvg::run_rounds(
   // must draw fresh noise. Event callbacks run serially on the engine
   // thread, so the counters are deterministic.
   std::vector<std::uint64_t> attack_sends(clients.size(), 0);
-  std::vector<Buffered> buffer;
-  buffer.reserve(static_cast<std::size_t>(config_.buffer_size));
   double last_aggregate_time = 0.0;
 
-  // Streaming mode: each delta folds into the interval's accumulator
-  // the moment it arrives and is freed, so the server never holds the
-  // buffer's deltas — only one accumulator plus per-arrival metadata.
-  // Safe because an arrival's staleness (version - dispatched_version)
-  // cannot change after it: `version` only advances in aggregate(),
-  // which fires AT the buffer-filling arrival. Event callbacks run
-  // serially on the engine thread, so a single lane suffices.
-  const bool streaming = opts.aggregation.streaming &&
-                         !rule->requires_dense() &&
-                         sim.anomaly_detector() == nullptr;
-  ShardLayout stream_layout;
-  stream_layout.cohort_size = static_cast<std::size_t>(config_.buffer_size);
-  stream_layout.lanes = 1;
-  stream_layout.shards = opts.aggregation.shards;
-  // Averaging rules combine the deltas around a zero anchor (FedBuff's
-  // robust-consensus composition, exactly like the dense branch below);
-  // mixing rules fold into the live global.
+  // Each delta folds into the interval's accumulator the moment it
+  // arrives. Its staleness (version - dispatched_version) cannot change
+  // after arrival: `version` only advances in aggregate(), which fires
+  // AT the buffer-filling arrival. Event callbacks run serially on the
+  // engine thread, so a single lane suffices. Mixing rules (the
+  // StalenessDiscountedMix default) fold the deltas into the live
+  // global: global += eta * sum_i n_i s(tau_i) delta_i / sum_i n_i
+  // s(tau_i). An averaging rule (coordinate_median, trimmed_mean,
+  // norm_clipped_mean, ...) instead combines the deltas around a zero
+  // anchor into one robust consensus delta, which the server folds in
+  // with its mixing rate — FedBuff's robust-aggregation composition.
+  // The staleness discount then goes through the weights, which only
+  // the weight-sensitive rules consume; the rank-based rules ignore
+  // weights by design, so under them stale deltas vote with full
+  // strength.
   ModelParameters zero_anchor;
-  if (streaming && !rule->folds_into_current()) {
+  if (!rule->folds_into_current()) {
     zero_anchor = global;
     zero_anchor.scale(0.0);
   }
-  std::unique_ptr<StreamingAccumulator> interval_acc;
-  std::vector<PendingMeta> pending;
-  pending.reserve(static_cast<std::size_t>(config_.buffer_size));
+  std::unique_ptr<StreamingAccumulator> interval;
+  std::vector<Arrival> arrivals;
+  arrivals.reserve(static_cast<std::size_t>(config_.buffer_size));
+  // Server-side detection scores the interval's deltas as a whole, so
+  // only with a detector attached are they kept (pure observer).
+  const bool observe = sim.anomaly_detector() != nullptr;
+  std::vector<ModelParameters> observed;
 
   auto aggregate = [&]() {
-    if (streaming) {
-      if (TelemetrySink* sink = sim.telemetry()) {
-        int attackers = 0;
-        for (const PendingMeta& m : pending) {
-          if (m.client >= 0 &&
-              engine.profile(static_cast<std::size_t>(m.client)).attack.kind !=
-                  AttackKind::kNone) {
-            ++attackers;
-          }
-        }
-        sink->record_cohort(static_cast<int>(pending.size()), attackers);
-        for (const PendingMeta& m : pending) {
-          sink->record_staleness(m.staleness);
-        }
-      }
-      if (rule->folds_into_current()) {
-        // finish() fully builds the next model from the accumulator
-        // before `global` (its anchor) is replaced.
-        ModelParameters next = interval_acc->finish();
-        interval_acc.reset();
-        global = std::move(next);
-      } else {
-        const ModelParameters step = interval_acc->finish();
-        interval_acc.reset();
-        global.add_scaled(step, config_.server_mix);
-      }
-      pending.clear();
-      ++version;
-      engine.note(SimEventKind::kAggregate, /*client=*/-1, version - 1);
-      channel.end_round(engine.now() - last_aggregate_time);
-      last_aggregate_time = engine.now();
-      sim.close_telemetry_round();
-      if (opts.on_round) {
-        opts.on_round(version - 1,
-                      std::vector<ModelParameters>(clients.size(), global));
-      }
-      return;
-    }
-    // Mixing rules (the StalenessDiscountedMix default) fold the
-    // buffered deltas into the model themselves: global += eta *
-    // sum_i n_i s(tau_i) delta_i / sum_i n_i s(tau_i). An averaging
-    // rule (coordinate_median, trimmed_mean, norm_clipped_mean, ...)
-    // instead combines the deltas around a zero anchor into one robust
-    // consensus delta, which the server folds in with its mixing rate
-    // — FedBuff's robust-aggregation composition. The staleness
-    // discount is applied through the weights, which only the
-    // weight-sensitive rules (weighted_average, norm_clipped_mean)
-    // consume; the rank-based rules ignore weights by design, so under
-    // them stale deltas vote with full strength.
-    std::vector<AggregationInput> cohort;
-    cohort.reserve(buffer.size());
-    for (const Buffered& b : buffer) {
-      cohort.push_back({&b.delta, b.weight, version - b.dispatched_version,
-                        b.client});
-    }
     if (TelemetrySink* sink = sim.telemetry()) {
       int attackers = 0;
-      for (const Buffered& b : buffer) {
-        if (b.client >= 0 &&
-            engine.profile(static_cast<std::size_t>(b.client)).attack.kind !=
-                AttackKind::kNone) {
+      for (const Arrival& a : arrivals) {
+        if (engine.profile(static_cast<std::size_t>(a.client)).attack.kind !=
+            AttackKind::kNone) {
           ++attackers;
         }
       }
-      sink->record_cohort(static_cast<int>(buffer.size()), attackers);
-      for (const Buffered& b : buffer) {
-        sink->record_staleness(version - b.dispatched_version);
-      }
+      sink->record_cohort(static_cast<int>(arrivals.size()), attackers);
+      for (const Arrival& a : arrivals) sink->record_staleness(a.staleness);
     }
-    // Server-side detection scores the buffered deltas before they are
-    // consumed (pure observer — no-op without a detector).
-    if (sim.anomaly_detector() != nullptr) {
+    if (observe) {
       std::vector<std::size_t> senders;
       std::vector<const ModelParameters*> deltas;
-      senders.reserve(buffer.size());
-      deltas.reserve(buffer.size());
-      for (const Buffered& b : buffer) {
-        if (b.client < 0) continue;
-        senders.push_back(static_cast<std::size_t>(b.client));
-        deltas.push_back(&b.delta);
+      for (std::size_t i = 0; i < arrivals.size(); ++i) {
+        senders.push_back(static_cast<std::size_t>(arrivals[i].client));
+        deltas.push_back(&observed[i]);
       }
       sim.observe_cohort_deltas(senders, deltas);
+      observed.clear();
     }
+    // finish() fully builds the result before `global` (a mixing
+    // rule's anchor) is replaced.
+    ModelParameters step = interval->finish();
+    interval.reset();
     if (rule->folds_into_current()) {
-      global = rule->aggregate(global, cohort);
+      global = std::move(step);
     } else {
-      for (AggregationInput& in : cohort) {
-        in.weight *= staleness.weight(in.staleness);
-      }
-      ModelParameters zero = global;
-      zero.scale(0.0);
-      const ModelParameters step = rule->aggregate(zero, cohort);
       global.add_scaled(step, config_.server_mix);
     }
-    buffer.clear();
+    arrivals.clear();
     ++version;
     engine.note(SimEventKind::kAggregate, /*client=*/-1, version - 1);
     // Channel round entry = one aggregation interval, so cumulative
@@ -246,15 +174,12 @@ std::vector<ModelParameters> AsyncFedAvg::run_rounds(
   // fixed gate. All callers run serially on the engine thread.
   auto effective_cap = [&]() {
     if (cap <= 0 || config_.staleness_gate_age <= 0) return cap;
+    // An arrival's recorded staleness is exact (version is frozen
+    // between aggregations), so its dispatch version reconstructs as
+    // version - staleness.
     int oldest = version;
-    for (const Buffered& b : buffer) {
-      oldest = std::min(oldest, b.dispatched_version);
-    }
-    // Streaming mode tracks arrivals as metadata; an entry's recorded
-    // staleness is exact (version is frozen between aggregations), so
-    // its dispatch version reconstructs as version - staleness.
-    for (const PendingMeta& m : pending) {
-      oldest = std::min(oldest, version - m.staleness);
+    for (const Arrival& a : arrivals) {
+      oldest = std::min(oldest, version - a.staleness);
     }
     const int excess = (version - oldest) - config_.staleness_gate_age;
     return excess > 0 ? std::max(1, cap - excess) : cap;
@@ -365,39 +290,23 @@ std::vector<ModelParameters> AsyncFedAvg::run_rounds(
                     [&, k, dispatched_version,
                      delta = std::move(delta)]() mutable {
                       if (version >= opts.rounds) return;
-                      if (streaming) {
-                        // Fold at arrival; the staleness recorded here
-                        // equals what aggregate() would compute (the
-                        // version only advances at the buffer-filling
-                        // arrival, below this fold).
-                        if (!interval_acc) {
-                          interval_acc = rule->accumulator(
-                              rule->folds_into_current() ? global
-                                                         : zero_anchor,
-                              stream_layout);
-                        }
-                        const int tau = version - dispatched_version;
-                        double w = weights[k];
-                        if (!rule->folds_into_current()) {
-                          w *= staleness.weight(tau);
-                        }
-                        interval_acc->fold(delta, w, tau,
-                                           static_cast<int>(k));
-                        pending.push_back(
-                            PendingMeta{static_cast<int>(k), tau});
-                        delta = ModelParameters{};  // folded; free it now
-                        if (static_cast<int>(pending.size()) >=
-                            config_.buffer_size) {
-                          aggregate();
-                        }
-                      } else {
-                        buffer.push_back(Buffered{delta, weights[k],
-                                                  dispatched_version,
-                                                  static_cast<int>(k)});
-                        if (static_cast<int>(buffer.size()) >=
-                            config_.buffer_size) {
-                          aggregate();
-                        }
+                      if (!interval) {
+                        interval = rule->accumulator(
+                            rule->folds_into_current() ? global : zero_anchor,
+                            ShardLayout{});
+                      }
+                      const int tau = version - dispatched_version;
+                      double w = weights[k];
+                      if (!rule->folds_into_current()) {
+                        w *= staleness.weight(tau);
+                      }
+                      if (observe) observed.push_back(delta);
+                      interval->fold(std::move(delta), w, tau,
+                                     static_cast<int>(k));
+                      arrivals.push_back({static_cast<int>(k), tau});
+                      if (static_cast<int>(arrivals.size()) >=
+                          config_.buffer_size) {
+                        aggregate();
                       }
                       finish_chain();
                       request_dispatch(k);

@@ -9,24 +9,20 @@ std::vector<ModelParameters> FedProx::run_rounds(
   Rng rng(opts.seed);
   ModelParameters global = initial_model_parameters(factory, rng);
 
-  const std::vector<double> weights = Server::client_weights(clients);
+  const std::vector<double> weights = client_weights(clients);
   const std::unique_ptr<AggregationRule> rule = sync_aggregation_rule(opts);
-  const bool streaming = streaming_rounds(opts, *rule, sim);
   for (int r = 0; r < opts.rounds; ++r) {
     const std::vector<std::size_t> cohort =
         select_cohort(participation, r, clients.size(), opts, sim);
-    if (streaming) {
-      global = streaming_cohort_round(
-          clients, cohort, global, Server::cohort_weights(weights, cohort),
-          *rule, opts.aggregation, opts.client, sim);
-    } else {
-      std::vector<const ModelParameters*> deployed(cohort.size(), &global);
-      std::vector<ModelParameters> updates =
-          cohort_local_updates(clients, cohort, deployed, opts.client, sim);
-      global =
-          Server::aggregate(*rule, global, updates,
-                            Server::cohort_weights(weights, cohort), cohort);
-    }
+    const std::vector<const ModelParameters*> deployed(cohort.size(), &global);
+    LaneAccumulators next(*rule, global);
+    cohort_round(clients, cohort, sim.channel().broadcast(deployed, cohort),
+                 opts.client, sim,
+                 [&](std::size_t lane, std::size_t i, ModelParameters&& u) {
+                   next[lane].fold(std::move(u), weights[cohort[i]], 0,
+                                   static_cast<int>(cohort[i]));
+                 });
+    global = next.finish();
     if (opts.on_round) {
       opts.on_round(r, std::vector<ModelParameters>(clients.size(), global));
     }

@@ -14,7 +14,7 @@ std::vector<ModelParameters> FedProxLG::run_rounds(
   std::vector<ModelParameters> client_state(clients.size(), global);
   auto is_global = [this](const std::string& n) { return !is_local_(n); };
 
-  const std::vector<double> weights = Server::client_weights(clients);
+  const std::vector<double> weights = client_weights(clients);
   const std::unique_ptr<AggregationRule> rule = sync_aggregation_rule(opts);
   for (int r = 0; r < opts.rounds; ++r) {
     const std::vector<std::size_t> cohort =
@@ -28,15 +28,20 @@ std::vector<ModelParameters> FedProxLG::run_rounds(
     }
     std::vector<const ModelParameters*> deployed;
     for (const auto& d : deployed_storage) deployed.push_back(&d);
-
-    std::vector<ModelParameters> updates =
-        cohort_local_updates(clients, cohort, deployed, opts.client, sim);
-
+    std::vector<ModelParameters> updates(cohort.size());
+    cohort_round(clients, cohort, sim.channel().broadcast(deployed, cohort),
+                 opts.client, sim,
+                 [&](std::size_t, std::size_t i, ModelParameters&& u) {
+                   updates[i] = std::move(u);
+                 });
     // Server aggregates only the cohort's global parts; local parts
     // stay put on every client.
-    ModelParameters aggregate = Server::aggregate(
-        *rule, global, updates, Server::cohort_weights(weights, cohort),
-        cohort);
+    std::vector<AggregationInput> inputs;
+    for (std::size_t i = 0; i < cohort.size(); ++i) {
+      inputs.push_back({&updates[i], weights[cohort[i]], 0,
+                        static_cast<int>(cohort[i])});
+    }
+    const ModelParameters aggregate = rule->aggregate(global, inputs);
     global = global.merged_with(aggregate, is_global);
     for (std::size_t i = 0; i < cohort.size(); ++i) {
       client_state[cohort[i]] = std::move(updates[i]);

@@ -5,9 +5,17 @@
 #include <utility>
 
 #include "obs/telemetry.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fleda {
+
+std::vector<double> client_weights(const std::vector<Client>& clients) {
+  std::vector<double> weights;
+  weights.reserve(clients.size());
+  for (const Client& c : clients) {
+    weights.push_back(static_cast<double>(c.num_train()));
+  }
+  return weights;
+}
 
 std::vector<ModelParameters> FederatedAlgorithm::run(
     std::vector<Client>& clients, const ModelFactory& factory,
@@ -119,41 +127,12 @@ std::vector<std::size_t> FederatedAlgorithm::select_cohort(
   return participation.select(ctx);
 }
 
-std::vector<ModelParameters> FederatedAlgorithm::parallel_local_updates(
-    std::vector<Client>& clients,
-    const std::vector<const ModelParameters*>& deployed,
-    const ClientTrainConfig& cfg) {
-  if (clients.size() != deployed.size()) {
-    throw std::invalid_argument("parallel_local_updates: size mismatch");
-  }
-  std::vector<ModelParameters> updates(clients.size());
-  parallel_for(clients.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t k = begin; k < end; ++k) {
-      updates[k] = clients[k].local_update(*deployed[k], cfg);
-    }
-  });
-  return updates;
-}
-
-std::vector<ModelParameters> FederatedAlgorithm::parallel_local_updates(
-    std::vector<Client>& clients,
-    const std::vector<const ModelParameters*>& deployed,
-    const ClientTrainConfig& cfg, FederationSim& sim) {
-  if (clients.size() != deployed.size()) {
-    throw std::invalid_argument("parallel_local_updates: size mismatch");
-  }
-  std::vector<std::size_t> everyone(clients.size());
-  for (std::size_t k = 0; k < everyone.size(); ++k) everyone[k] = k;
-  return cohort_local_updates(clients, everyone, deployed, cfg, sim);
-}
-
 namespace {
 
-// Shared by the dense and streaming round bodies. The channel's
-// parallel encode/decode touches per-client state (error-feedback
-// residuals, downlink references), which is only safe for distinct
-// indices — require the policies' strictly ascending order instead of
-// racing on duplicates.
+// The channel's parallel encode/decode touches per-client state
+// (error-feedback residuals, downlink references), which is only safe
+// for distinct indices — require the policies' strictly ascending
+// order instead of racing on duplicates.
 void validate_cohort(const char* where, std::size_t num_clients,
                      const std::vector<std::size_t>& cohort) {
   for (std::size_t i = 0; i < cohort.size(); ++i) {
@@ -207,100 +186,39 @@ void record_cohort_telemetry(FederationSim& sim,
 
 }  // namespace
 
-std::vector<ModelParameters> FederatedAlgorithm::cohort_local_updates(
+void FederatedAlgorithm::cohort_round(
     std::vector<Client>& clients, const std::vector<std::size_t>& cohort,
-    const std::vector<const ModelParameters*>& deployed,
-    const ClientTrainConfig& cfg, FederationSim& sim) {
-  if (cohort.size() != deployed.size()) {
-    throw std::invalid_argument("cohort_local_updates: size mismatch");
+    const std::vector<std::shared_ptr<const ModelParameters>>& received,
+    const ClientTrainConfig& cfg, FederationSim& sim, const Consume& consume) {
+  if (cohort.size() != received.size()) {
+    throw std::invalid_argument("cohort_round: " +
+                                std::to_string(cohort.size()) +
+                                " members vs " +
+                                std::to_string(received.size()) +
+                                " deployments");
   }
-  validate_cohort("cohort_local_updates", clients.size(), cohort);
+  validate_cohort("cohort_round", clients.size(), cohort);
   Channel& channel = sim.channel();
-  // Downlink: cohort members train from what they decode, not from the
-  // server-side snapshot — a lossy codec's error feeds into training.
-  const std::vector<std::shared_ptr<const ModelParameters>> received =
-      channel.broadcast(deployed, cohort);
   // Byzantine behaviors fire between training and upload: a
   // compromised client trains honestly (its rng stream is unchanged)
   // and corrupts what it sends. Completed channel rounds disambiguate
   // repeated attacks by the same client (the noise-stream nonce).
   const std::uint64_t round_nonce = channel.stats().rounds.size();
   std::vector<AttackState*> attack_states = gather_attack_states(sim, cohort);
-  std::vector<ModelParameters> updates(cohort.size());
-  parallel_for(cohort.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::size_t k = cohort[i];
-      updates[i] = clients[k].local_update(*received[i], cfg);
-      const AttackSpec& attack = sim.engine().profile(k).attack;
-      if (attack.kind != AttackKind::kNone) {
-        updates[i] = apply_attack(attack, std::move(updates[i]), *received[i],
-                                  k, round_nonce, attack_states[i]);
-      }
-    }
-  });
-  // Uplink: the decoded deployment is the shared reference for delta
-  // codecs (both sides hold it).
+  // The decoded deployment is the uplink's shared delta reference
+  // (both sides hold it).
   std::vector<const ModelParameters*> references;
   references.reserve(received.size());
   for (const auto& r : received) references.push_back(r.get());
-  // Handing `updates` over lets the channel drop each raw update right
-  // after its wire roundtrip — without the move the round briefly held
-  // two full cohorts (raw + decoded), a 2x spike at exactly the
-  // all-cohorts-resident peak.
-  std::vector<ModelParameters> collected =
-      channel.collect(std::move(updates), references, cohort);
-  // Server-side detection sees exactly what the aggregator will see:
-  // the collected (decoded) updates against the deployed references.
-  sim.observe_cohort_updates(cohort, collected, references);
-  record_cohort_telemetry(sim, cohort);
-  // Barrier policy: the round's events run on the virtual clock and
-  // the round closes at the slowest cohort member's upload.
-  sim.finish_sync_round(cfg.steps, cohort);
-  return collected;
-}
-
-bool FederatedAlgorithm::streaming_rounds(const FLRunOptions& opts,
-                                          const AggregationRule& rule,
-                                          const FederationSim& sim) {
-  return opts.aggregation.streaming && !rule.requires_dense() &&
-         sim.anomaly_detector() == nullptr;
-}
-
-ModelParameters FederatedAlgorithm::streaming_cohort_round(
-    std::vector<Client>& clients, const std::vector<std::size_t>& cohort,
-    const ModelParameters& global, const std::vector<double>& cohort_weights,
-    const AggregationRule& rule, const AggregationConfig& agg,
-    const ClientTrainConfig& cfg, FederationSim& sim) {
-  if (cohort.size() != cohort_weights.size()) {
-    throw std::invalid_argument("streaming_cohort_round: size mismatch");
-  }
-  validate_cohort("streaming_cohort_round", clients.size(), cohort);
-  Channel& channel = sim.channel();
-  const std::vector<const ModelParameters*> deployed(cohort.size(), &global);
-  const std::vector<std::shared_ptr<const ModelParameters>> received =
-      channel.broadcast(deployed, cohort);
-  const std::uint64_t round_nonce = channel.stats().rounds.size();
-  std::vector<AttackState*> attack_states = gather_attack_states(sim, cohort);
-  std::vector<const ModelParameters*> references;
-  references.reserve(received.size());
-  for (const auto& r : received) references.push_back(r.get());
-  ShardLayout layout;
-  layout.cohort_size = cohort.size();
-  layout.lanes = kFoldLanes;
-  layout.shards = agg.shards;
-  const std::vector<std::size_t> lanes =
-      fold_lane_offsets(cohort.size(), layout.lanes);
-  std::vector<std::unique_ptr<StreamingAccumulator>> accs(layout.lanes);
-  for (std::size_t l = 0; l < accs.size(); ++l) {
-    accs[l] = rule.accumulator(global, layout);
-  }
-  // Each cohort member trains inside its fold lane (produce), so lane
-  // count is also the round's training parallelism; the decoded upload
-  // folds into the lane's accumulator (consume) and is freed before
-  // the lane's next member starts. At no point does more than
-  // lanes x (1 update + 1 accumulator) live on the server.
+  // Detection scores the cohort as a whole, so only with a detector
+  // attached does the round keep the decoded uploads.
+  const bool observe = sim.anomaly_detector() != nullptr;
+  std::vector<ModelParameters> observed(observe ? cohort.size() : 0);
+  // Each member trains inside its fold lane, so the lane count is also
+  // the round's training parallelism; the raw update is freed once its
+  // wire copy exists and the decoded one is handed to the consumer.
   channel.collect_streaming(
-      cohort, references, lanes,
+      cohort, references, fold_lane_offsets(cohort.size(), kFoldLanes),
       [&](std::size_t i) {
         const std::size_t k = cohort[i];
         ModelParameters update = clients[k].local_update(*received[i], cfg);
@@ -312,16 +230,14 @@ ModelParameters FederatedAlgorithm::streaming_cohort_round(
         return update;
       },
       [&](std::size_t lane, std::size_t i, ModelParameters&& decoded) {
-        accs[lane]->fold(decoded, cohort_weights[i], /*staleness=*/0,
-                         static_cast<int>(cohort[i]));
+        if (observe) observed[i] = decoded;
+        consume(lane, i, std::move(decoded));
       });
+  if (observe) sim.observe_cohort_updates(cohort, observed, references);
   record_cohort_telemetry(sim, cohort);
+  // Barrier policy: the round's events run on the virtual clock and
+  // the round closes at the slowest cohort member's upload.
   sim.finish_sync_round(cfg.steps, cohort);
-  // Lane order is the merge order — part of the deterministic contract.
-  for (std::size_t l = 1; l < accs.size(); ++l) {
-    accs[0]->merge(*accs[l]);
-  }
-  return accs[0]->finish();
 }
 
 }  // namespace fleda

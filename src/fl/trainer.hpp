@@ -13,21 +13,34 @@
 // default (homogeneous, always-online) profiles and a lossless
 // channel, the sync path is bit-identical to a direct exchange — the
 // engine only attaches simulated time to it.
+//
+// Every synchronous algorithm runs its rounds through one body,
+// cohort_round(): the cohort trains inside fixed fold lanes, each
+// decoded upload is handed to the algorithm's consumer on its lane
+// thread (usually a fold into that lane's accumulator — see
+// LaneAccumulators in fl/aggregation.hpp), and the barrier closes the
+// round. The server (the paper's "developer") never sees data, only
+// the uploads, weighted by each client's sample count n_k.
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "fl/aggregation.hpp"
 #include "fl/anomaly.hpp"
 #include "fl/client.hpp"
 #include "fl/participation.hpp"
-#include "fl/server.hpp"
 #include "sim/federation.hpp"
 
 namespace fleda {
 
 class TelemetrySink;
+
+// Sample-count weights n_k for a set of clients (the aggregation
+// weights of W^{r+1} = sum_k (n_k / n) w_k).
+std::vector<double> client_weights(const std::vector<Client>& clients);
 
 struct FLRunOptions {
   int rounds = 50;  // R (for AsyncFedAvg: number of server aggregations)
@@ -133,63 +146,30 @@ class FederatedAlgorithm {
       std::size_t num_clients, const FLRunOptions& opts,
       const FederationSim& sim);
 
-  // Runs local_update on every client in parallel (each client only
-  // touches its own model and data). deployed[k] is what client k
-  // starts from this round. This is the direct, unmetered path — kept
-  // for baselines and as the reference the channel path is tested
-  // against.
-  static std::vector<ModelParameters> parallel_local_updates(
-      std::vector<Client>& clients,
-      const std::vector<const ModelParameters*>& deployed,
-      const ClientTrainConfig& cfg);
+  // Receives cohort position i's decoded upload on fold lane `lane`.
+  using Consume =
+      std::function<void(std::size_t lane, std::size_t i, ModelParameters&&)>;
 
-  // Sync-barrier exchange round on the simulation engine, over the
-  // full client set: broadcasts deployed[k] down the channel, trains
-  // each client from what it decoded, collects the updates back up
-  // (delta codecs encode against the decoded deployment), schedules
-  // the per-client transfer/compute events and closes the round at the
-  // slowest client. Returns the server-side view of the updates.
-  static std::vector<ModelParameters> parallel_local_updates(
-      std::vector<Client>& clients,
-      const std::vector<const ModelParameters*>& deployed,
-      const ClientTrainConfig& cfg, FederationSim& sim);
-
-  // Cohort form of the sync exchange round: deployed[i] goes to client
-  // cohort[i], only cohort members train, upload and are billed, and
-  // the barrier closes at the slowest *member* — the building block
-  // every synchronous algorithm now composes with a
-  // ParticipationPolicy. Returns cohort-indexed server-side updates.
-  static std::vector<ModelParameters> cohort_local_updates(
+  // The synchronous round body on the simulation engine. cohort[i]
+  // trains from received[i] — what it decoded from this round's
+  // downlink broadcast (Channel::broadcast) — inside fold lane
+  // fold_lane_offsets(n, kFoldLanes); a Byzantine member corrupts its
+  // update before upload; the update goes up the channel (delta codecs
+  // encode against received[i]) and consume(lane, i, decoded) takes
+  // the server-side view. consume runs on lane threads, concurrently
+  // for distinct lanes and serially in cohort order within a lane, so
+  // a consumer that writes only lane- or position-indexed state is
+  // bit-identical across thread-pool sizes. Then the cohort's
+  // telemetry is recorded and the barrier closes the round at the
+  // slowest member's upload. With an anomaly detector attached the
+  // body also keeps a copy of each decoded upload and scores the
+  // cohort — a pure observer, so results are identical either way.
+  // Cohort indices must be strictly ascending.
+  static void cohort_round(
       std::vector<Client>& clients, const std::vector<std::size_t>& cohort,
-      const std::vector<const ModelParameters*>& deployed,
-      const ClientTrainConfig& cfg, FederationSim& sim);
-
-  // Whether this run's synchronous rounds take the streaming
-  // accumulator path: opted in (opts.aggregation.streaming), a rule
-  // with a streaming form (requires_dense() == false), and no anomaly
-  // detector (detection scores the materialized cohort, so it pins the
-  // dense path). Evaluated once per run.
-  static bool streaming_rounds(const FLRunOptions& opts,
-                               const AggregationRule& rule,
-                               const FederationSim& sim);
-
-  // Streaming counterpart of cohort_local_updates + Server::aggregate
-  // in one pass: broadcasts `global` to the cohort, trains each member
-  // inside its fold lane, folds every decoded upload straight into a
-  // per-lane accumulator from `rule` and frees it, then merges the
-  // lanes in lane order and returns the aggregated next model — the
-  // cohort is never materialized, so server memory stays O(lanes x
-  // model) at any cohort size. cohort_weights[i] weights cohort[i].
-  // Bit-identical across thread-pool sizes (the lane partition is a
-  // pure function of the cohort), but NOT bit-identical to the dense
-  // path (double partial sums reassociate) — which is why the caller
-  // gates on streaming_rounds().
-  static ModelParameters streaming_cohort_round(
-      std::vector<Client>& clients, const std::vector<std::size_t>& cohort,
-      const ModelParameters& global,
-      const std::vector<double>& cohort_weights, const AggregationRule& rule,
-      const AggregationConfig& agg, const ClientTrainConfig& cfg,
-      FederationSim& sim);
+      const std::vector<std::shared_ptr<const ModelParameters>>& received,
+      const ClientTrainConfig& cfg, FederationSim& sim,
+      const Consume& consume);
 };
 
 }  // namespace fleda

@@ -76,7 +76,9 @@ ThreadSlab& thread_slab() {
 }
 
 bool initial_enabled() {
-  const char* env = std::getenv("FLEDA_PROFILE");
+  // Profiling is time-only; finals are bit-identical on or off.
+  const char* env =
+      std::getenv("FLEDA_PROFILE");  // fleda-lint: allow(env-knob)
   return env == nullptr || std::strcmp(env, "0") != 0;
 }
 

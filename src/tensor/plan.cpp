@@ -27,7 +27,8 @@ std::int64_t round_down(std::int64_t v, std::int64_t to) {
 std::atomic<int> g_plan_mode{-1};  // -1 = not yet read from env
 
 PlanMode mode_from_env() {
-  const char* env = std::getenv("FLEDA_PLAN");
+  // Kernel choice; "reference" pins the historical bits.
+  const char* env = std::getenv("FLEDA_PLAN");  // fleda-lint: allow(env-knob)
   if (env != nullptr && std::string(env) == "reference") {
     return PlanMode::kReference;
   }

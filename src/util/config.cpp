@@ -39,7 +39,8 @@ RunScale resolve_scale(const std::string& name) {
 }
 
 RunScale scale_from_env() {
-  const char* env = std::getenv("FLEDA_SCALE");
+  // The benches' run size (smoke/quick/full), documented in README.
+  const char* env = std::getenv("FLEDA_SCALE");  // fleda-lint: allow(env-knob)
   return resolve_scale(env == nullptr ? "quick" : env);
 }
 

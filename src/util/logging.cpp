@@ -47,7 +47,9 @@ const char* level_name(LogLevel level) {
 }
 
 LogLevel init_from_env() {
-  const char* env = std::getenv("FLEDA_LOG_LEVEL");
+  // Log verbosity only; never changes a result.
+  const char* env =
+      std::getenv("FLEDA_LOG_LEVEL");  // fleda-lint: allow(env-knob)
   if (env == nullptr) return LogLevel::kInfo;
   return parse_log_level(env);
 }

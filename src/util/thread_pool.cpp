@@ -13,7 +13,9 @@ namespace {
 thread_local bool t_inside_parallel_region = false;
 
 std::size_t env_thread_count() {
-  const char* env = std::getenv("FLEDA_THREADS");
+  // Pool size; results are bit-identical at any size.
+  const char* env =
+      std::getenv("FLEDA_THREADS");  // fleda-lint: allow(env-knob)
   if (env != nullptr) {
     long v = std::strtol(env, nullptr, 10);
     if (v > 0) return static_cast<std::size_t>(v);

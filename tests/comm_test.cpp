@@ -7,11 +7,13 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "comm/channel.hpp"
 #include "comm/codec.hpp"
 #include "fl/fedavg.hpp"
-#include "fl/server.hpp"
 #include "models/registry.hpp"
 
 namespace fleda {
@@ -193,6 +195,95 @@ TEST(Codec, MismatchedCodecIsRejected) {
   EXPECT_THROW(fp32.decode(truncated, nullptr), std::runtime_error);
 }
 
+// An FLC1 blob with one entry "w" whose header claims `dims` and
+// carries no payload at all — what a hostile sender can put on the
+// wire for a few dozen bytes.
+ByteBuffer claiming_blob(CodecKind kind, const std::vector<std::int64_t>& dims) {
+  ByteBuffer out;
+  auto put = [&out](const void* src, std::size_t n) {
+    const auto* p = static_cast<const std::uint8_t*>(src);
+    out.insert(out.end(), p, p + n);
+  };
+  put("FLC1", 4);
+  const auto codec = static_cast<std::uint8_t>(kind);
+  put(&codec, 1);
+  const std::uint32_t entries = 1, name_len = 1;
+  put(&entries, 4);
+  put(&name_len, 4);
+  put("w", 1);
+  const std::uint8_t is_buffer = 0;
+  put(&is_buffer, 1);
+  const auto rank = static_cast<std::uint32_t>(dims.size());
+  put(&rank, 4);
+  for (const std::int64_t d : dims) put(&d, 8);
+  return out;
+}
+
+TEST(Codec, HostileDimsAreRejectedBeforeAnyAllocation) {
+  // 2^28 and 2^40 elements claimed by a 27-byte blob, an int64-overflowing
+  // element count, and a negative dim: every codec refuses each with a
+  // runtime_error before touching memory for the tensor (no
+  // std::bad_alloc, no gigabyte zero-fill).
+  const std::vector<std::vector<std::int64_t>> claims = {
+      {std::int64_t{1} << 28},
+      {std::int64_t{1} << 40},
+      {std::int64_t{1} << 20, std::int64_t{1} << 20, std::int64_t{1} << 20,
+       std::int64_t{1} << 20},
+      {-4}};
+  for (const CodecKind kind : {CodecKind::kFp32, CodecKind::kFp16,
+                               CodecKind::kInt8Quant, CodecKind::kTopKDelta}) {
+    const std::unique_ptr<ParameterCodec> codec = make_codec(kind, 0.1);
+    for (const std::vector<std::int64_t>& dims : claims) {
+      if (kind == CodecKind::kTopKDelta && dims[0] == (std::int64_t{1} << 28)) {
+        continue;  // within TopK's index range; see below
+      }
+      EXPECT_THROW(codec->decode(claiming_blob(kind, dims), nullptr),
+                   std::runtime_error)
+          << to_string(kind) << " dims[0]=" << dims[0];
+    }
+  }
+  EXPECT_EQ(claiming_blob(CodecKind::kFp32, {std::int64_t{1} << 28}).size(),
+            27u);
+}
+
+TEST(Codec, TopKChecksTheClaimedShapeAgainstItsReference) {
+  // TopK's payload is sparse, so the bytes left cannot bound the dense
+  // tensor; the reference does. A claim that disagrees with it is
+  // rejected before the decoder allocates anything.
+  const ModelParameters reference = snapshot(ModelKind::kFLNet, 40);
+  TopKDeltaCodec codec(0.1);
+  ByteBuffer blob = codec.encode(reference, &reference);
+  EXPECT_NO_THROW(codec.decode(blob, &reference));
+  ModelParameters one_entry;
+  one_entry.mutable_entries().push_back(reference.entries()[0]);
+  EXPECT_THROW(codec.decode(claiming_blob(CodecKind::kTopKDelta,
+                                          {std::int64_t{1} << 30}),
+                            &one_entry),
+               std::invalid_argument);
+  // Without a reference a claim past the uint32 index range is refused.
+  EXPECT_THROW(codec.decode(claiming_blob(CodecKind::kTopKDelta,
+                                          {(std::int64_t{1} << 32) + 1}),
+                            nullptr),
+               std::runtime_error);
+}
+
+TEST(Channel, UplinkCodecErrorsNameTheSender) {
+  CommConfig config;
+  config.uplink = CodecKind::kInt8Quant;
+  Channel channel(config);
+  const ModelParameters good = snapshot(ModelKind::kFLNet, 41);
+  ModelParameters bad = good;
+  bad.mutable_entries()[0].value[0] = std::numeric_limits<float>::infinity();
+  const std::vector<ModelParameters> updates = {good, bad};
+  try {
+    channel.collect(updates, {nullptr, nullptr}, {2, 5});
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("client 5"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Codec, FactoryCoversAllKinds) {
   for (CodecKind kind : {CodecKind::kFp32, CodecKind::kFp16,
                          CodecKind::kInt8Quant, CodecKind::kTopKDelta}) {
@@ -353,14 +444,6 @@ TEST(Channel, CollectMetersUplinkAndRoundsAccumulate) {
   EXPECT_THROW(channel.collect(updates, {&reference}), std::invalid_argument);
 }
 
-TEST(Server, AggregateValidatesSizes) {
-  const ModelParameters a = snapshot(ModelKind::kFLNet, 16);
-  std::vector<ModelParameters> updates = {a, a};
-  EXPECT_THROW(Server::aggregate(updates, {1.0}), std::invalid_argument);
-  EXPECT_THROW(Server::aggregate_subset(updates, {1.0}, {0}),
-               std::invalid_argument);
-}
-
 // --- end-to-end: FedAvg through a lossless channel is bit-identical
 // to the direct exchange (see fl_algorithms_test.cpp for the world
 // helper idiom).
@@ -422,18 +505,20 @@ TEST(Channel, EndToEndLosslessFedAvgMatchesDirectPath) {
   std::vector<ModelParameters> channel_finals =
       algo.run(w1.clients, w1.factory, opts);
 
-  // Direct path, re-implemented against the raw Client/Server API.
+  // Direct path, re-implemented against the raw Client API and the
+  // default rule.
   TinyWorld w2 = make_world(77);
   Rng rng(opts.seed);
   RoutabilityModelPtr init = w2.factory(rng);
   ModelParameters global = ModelParameters::from_model(*init);
-  const std::vector<double> weights = Server::client_weights(w2.clients);
+  const std::vector<double> weights = client_weights(w2.clients);
   for (int r = 0; r < opts.rounds; ++r) {
     std::vector<ModelParameters> updates;
     for (Client& c : w2.clients) {
       updates.push_back(c.local_update(global, opts.client));
     }
-    global = Server::aggregate(updates, weights);
+    global = WeightedAverage().aggregate(
+        global, {{&updates[0], weights[0], 0}, {&updates[1], weights[1], 0}});
   }
 
   ASSERT_EQ(channel_finals.size(), 2u);

@@ -579,36 +579,46 @@ TEST(Participation, AllOfflineCohortFailsWithDescriptiveError) {
 
 // --- aggregation rules (tentpole + guard satellite) ------------------
 
-TEST(AggregationRules, WeightedAverageMatchesServerFacade) {
+TEST(AggregationRules, WeightedAverageMatchesTheClosedForm) {
   TinyWorld w = make_world(85);
   Rng rng(5);
   ModelParameters u1 = ModelParameters::from_model(*w.factory(rng));
   ModelParameters u2 = ModelParameters::from_model(*w.factory(rng));
-  const std::vector<ModelParameters> updates = {u1, u2};
-  const std::vector<double> weights = {1.0, 3.0};
 
-  const ModelParameters via_server = Server::aggregate(updates, weights);
+  // W' = (1 * u1 + 3 * u2) / 4, per coordinate.
   const ModelParameters via_rule = WeightedAverage().aggregate(
       ModelParameters{}, {{&u1, 1.0, 0}, {&u2, 3.0, 0}});
-  EXPECT_TRUE(bit_identical(via_server, via_rule));
+  ASSERT_TRUE(via_rule.structurally_equal(u1));
+  for (std::size_t n = 0; n < u1.entries().size(); ++n) {
+    const Tensor& a = u1.entries()[n].value;
+    const Tensor& b = u2.entries()[n].value;
+    const Tensor& got = via_rule.entries()[n].value;
+    for (std::int64_t i = 0; i < a.numel(); ++i) {
+      const double expected =
+          (1.0 * static_cast<double>(a[i]) + 3.0 * static_cast<double>(b[i])) /
+          4.0;
+      EXPECT_FLOAT_EQ(got[i], static_cast<float>(expected));
+    }
+  }
 }
 
 TEST(AggregationRules, EmptyCohortAndZeroWeightThrowDescriptively) {
+  TinyWorld w = make_world(86);
+  Rng rng(5);
+  ModelParameters u = ModelParameters::from_model(*w.factory(rng));
   const WeightedAverage avg;
   const StalenessDiscountedMix mix(StalenessPolicy{}, 0.5);
   for (const AggregationRule* rule :
        std::vector<const AggregationRule*>{&avg, &mix}) {
     try {
-      rule->aggregate(ModelParameters{}, {});
+      // The mixing rule folds into `current`, so it gets a real one.
+      rule->aggregate(u, {});
       FAIL() << rule->name() << ": expected invalid_argument";
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find("empty cohort"), std::string::npos)
           << e.what();
     }
   }
-  TinyWorld w = make_world(86);
-  Rng rng(5);
-  ModelParameters u = ModelParameters::from_model(*w.factory(rng));
   EXPECT_THROW(
       avg.aggregate(ModelParameters{}, {{&u, 0.0, 0}, {&u, 0.0, 0}}),
       std::invalid_argument);

@@ -1,11 +1,11 @@
-// Tests for ModelParameters (the FL communication unit) and Server
+// Tests for ModelParameters (the FL communication unit) and its
 // aggregation: snapshot/apply round trips, weighted-average math,
 // proximal distance, the LG merge, and buffer handling (BatchNorm
 // running statistics participate in aggregation).
 #include <gtest/gtest.h>
 
+#include "fl/aggregation.hpp"
 #include "fl/parameters.hpp"
-#include "fl/server.hpp"
 #include "models/registry.hpp"
 #include "tensor/ops.hpp"
 
@@ -144,23 +144,22 @@ TEST(ModelParameters, OutputLayerPredicateMatchesAllModels) {
   }
 }
 
-TEST(Server, AggregateSubsetUsesOnlyMembers) {
+TEST(WeightedAverage, AveragesOnlyTheInputsItIsGiven) {
   RoutabilityModelPtr m = fresh(ModelKind::kFLNet, 13);
   ModelParameters base = ModelParameters::from_model(*m);
   ModelParameters x1 = base, x2 = base, x3 = base;
   x1.scale(1.0);
   x2.scale(2.0);
-  x3.scale(100.0);  // must be ignored
-  std::vector<ModelParameters> updates = {x1, x2, x3};
-  std::vector<double> weights = {1.0, 1.0, 1.0};
-  ModelParameters agg = Server::aggregate_subset(updates, weights, {0, 1});
+  x3.scale(100.0);  // not an input: must not leak in
+  ModelParameters agg = WeightedAverage().aggregate(
+      ModelParameters{}, {{&x1, 1.0, 0}, {&x2, 1.0, 0}});
   ModelParameters expected = base;
   expected.scale(1.5);
   for (std::size_t i = 0; i < agg.entries().size(); ++i) {
     EXPECT_TRUE(allclose(agg.entries()[i].value, expected.entries()[i].value,
                          1e-5f, 1e-6f));
   }
-  EXPECT_THROW(Server::aggregate_subset(updates, weights, {}),
+  EXPECT_THROW(WeightedAverage().aggregate(ModelParameters{}, {}),
                std::invalid_argument);
 }
 

@@ -33,6 +33,10 @@ double escaped_unordered(const std::unordered_map<int, double>& m) {
   return total;
 }
 
+const char* escaped_env() {
+  return std::getenv("FIXTURE_LEVEL");  // fleda-lint: allow(env-knob)
+}
+
 struct Handshake {
   std::mutex cv_mutex;  // fleda-lint: allow(mutex-guarded)
 };

@@ -19,7 +19,6 @@
 #include "fl/async_fedavg.hpp"
 #include "fl/fedavg.hpp"
 #include "fl/participation.hpp"
-#include "fl/server.hpp"
 #include "fl/synthetic.hpp"
 #include "sim/profile.hpp"
 #include "util/thread_pool.hpp"
@@ -206,14 +205,13 @@ TEST(AggregationGuards, InfUpdateAndUnlabeledInputsAlsoFail) {
   }
 }
 
-TEST(AggregationGuards, ServerFacadeLabelsClientsFromTheCohort) {
-  const std::vector<ModelParameters> updates = {
-      make_params({1.0f}),
-      make_params({std::numeric_limits<float>::quiet_NaN()})};
-  const std::vector<double> weights = {1.0, 1.0};
-  const WeightedAverage rule;
+TEST(AggregationGuards, LabeledInputsNameTheClientNotThePosition) {
+  const ModelParameters good = make_params({1.0f});
+  const ModelParameters bad =
+      make_params({std::numeric_limits<float>::quiet_NaN()});
   try {
-    Server::aggregate(rule, ModelParameters{}, updates, weights, {4, 42});
+    WeightedAverage().aggregate(ModelParameters{},
+                                {{&good, 1.0, 0, 4}, {&bad, 1.0, 0, 42}});
     FAIL() << "expected invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("client 42"), std::string::npos)

@@ -15,7 +15,6 @@
 
 #include "fl/async_fedavg.hpp"
 #include "fl/fedavg.hpp"
-#include "fl/server.hpp"
 #include "fl/synthetic.hpp"
 #include "models/registry.hpp"
 #include "sim/engine.hpp"
@@ -341,26 +340,25 @@ TEST(AsyncFedAvg, ThrowsWhenEveryClientIsPermanentlyOffline) {
 
 // --- aggregation guards (satellite) ----------------------------------
 
-TEST(ServerGuards, DescriptiveErrorsInsteadOfNaNs) {
+TEST(AggregationGuards, DescriptiveErrorsInsteadOfNaNs) {
   Rng rng(4);
   RoutabilityModelPtr model = make_model(ModelKind::kFLNet, 2, rng);
-  ModelParameters params = ModelParameters::from_model(*model);
-  std::vector<ModelParameters> updates = {params, params};
+  const ModelParameters params = ModelParameters::from_model(*model);
+  const WeightedAverage rule;
+  auto two = [&](double w0, double w1) {
+    return std::vector<AggregationInput>{{&params, w0, 0, 0},
+                                         {&params, w1, 0, 1}};
+  };
 
-  // Empty member set.
-  EXPECT_THROW(Server::aggregate_subset(updates, {1.0, 1.0}, {}),
-               std::invalid_argument);
+  // Empty cohort.
+  EXPECT_THROW(rule.aggregate(params, {}), std::invalid_argument);
   // Zero total weight would divide by zero -> NaN parameters.
-  EXPECT_THROW(Server::aggregate(updates, {0.0, 0.0}), std::invalid_argument);
+  EXPECT_THROW(rule.aggregate(params, two(0.0, 0.0)), std::invalid_argument);
   // Non-finite weights must not slip through the sign check.
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(Server::aggregate(updates, {nan, 1.0}), std::invalid_argument);
-  EXPECT_THROW(
-      Server::aggregate(updates,
-                        {std::numeric_limits<double>::infinity(), 1.0}),
-      std::invalid_argument);
-  // Subset with all-zero weights.
-  EXPECT_THROW(Server::aggregate_subset(updates, {0.0, 0.0}, {0, 1}),
+  EXPECT_THROW(rule.aggregate(params, two(nan, 1.0)), std::invalid_argument);
+  EXPECT_THROW(rule.aggregate(
+                   params, two(std::numeric_limits<double>::infinity(), 1.0)),
                std::invalid_argument);
 }
 

@@ -1,15 +1,16 @@
-// Streaming-aggregation tests: the StreamingAccumulator protocol
-// (fold/merge/finish per rule family), streaming ≡ dense at small K
-// (exact to float rounding for the mean family, within one bin width
-// for the histogram sketches), bit-identity of the streaming path
-// across thread-pool sizes and shard counts (lane partition + merge
-// order are pure functions of the cohort), the fold-time validation
-// guards, Channel::collect_streaming / move-collect equivalence with
-// the batch collect, the fast client-construction schema, the
-// importance_sample participation policy, and end-to-end streaming
-// round loops (FedAvg, AlphaPortionSync, AsyncFedAvg).
+// Accumulator-protocol tests: fold/merge/finish per rule family
+// against closed-form references computed here (exact to float
+// rounding for the mean family, within one bin width for the histogram
+// sketches, bit for bit for the retaining rules whatever the lane
+// layout), bit-identity across thread-pool sizes and shard counts (lane
+// partition + merge order are pure functions of the cohort), the
+// fold-time validation guards, Channel::collect_streaming equivalence
+// with the batch collect, the fast client-construction schema, the
+// importance_sample participation policy, and end-to-end round loops
+// (FedAvg, AlphaPortionSync, AsyncFedAvg) against closed-form replays.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -23,6 +24,7 @@
 #include "fl/alpha_sync.hpp"
 #include "fl/async_fedavg.hpp"
 #include "fl/fedavg.hpp"
+#include "fl/ifca.hpp"
 #include "fl/participation.hpp"
 #include "fl/synthetic.hpp"
 #include "models/pool.hpp"
@@ -65,42 +67,47 @@ bool bit_identical(const ModelParameters& a, const ModelParameters& b) {
   return true;
 }
 
-double max_abs_diff(const ModelParameters& a, const ModelParameters& b) {
-  EXPECT_TRUE(a.structurally_equal(b));
-  double worst = 0.0;
-  for (std::size_t n = 0; n < a.entries().size(); ++n) {
-    const Tensor& ta = a.entries()[n].value;
-    const Tensor& tb = b.entries()[n].value;
-    for (std::int64_t i = 0; i < ta.numel(); ++i) {
-      worst = std::max(worst,
-                       std::abs(static_cast<double>(ta[i]) - tb[i]));
+// Every value of `p`, entries concatenated, at double precision — the
+// closed-form references below are written over this flat view.
+std::vector<double> flat(const ModelParameters& p) {
+  std::vector<double> out;
+  for (const ParameterEntry& e : p.entries()) {
+    for (std::int64_t i = 0; i < e.value.numel(); ++i) {
+      out.push_back(e.value[i]);
     }
+  }
+  return out;
+}
+
+double max_abs_diff(const std::vector<double>& a,
+                    const std::vector<double>& b) {
+  EXPECT_EQ(a.size(), b.size());
+  double worst = 0.0;
+  for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
+    worst = std::max(worst, std::abs(a[i] - b[i]));
   }
   return worst;
 }
 
-// Runs `cohort` through the rule's streaming path exactly like the
-// round loops do: lanes from fold_lane_offsets, serial folds per lane
-// in cohort order, lanes merged ascending, one finish.
-ModelParameters stream_aggregate(const AggregationRule& rule,
-                                 const ModelParameters& current,
-                                 const std::vector<AggregationInput>& cohort,
-                                 std::size_t shards = 0) {
+// Runs `cohort` through the rule exactly like the round loops do:
+// lanes from fold_lane_offsets, serial folds per lane in cohort order,
+// lanes merged ascending, one finish.
+ModelParameters lane_aggregate(const AggregationRule& rule,
+                               const ModelParameters& current,
+                               const std::vector<AggregationInput>& cohort,
+                               std::size_t shards = 0) {
   ShardLayout layout;
-  layout.cohort_size = cohort.size();
   layout.shards = shards;
   const std::vector<std::size_t> lanes =
-      fold_lane_offsets(cohort.size(), layout.lanes);
-  std::vector<std::unique_ptr<StreamingAccumulator>> accs(layout.lanes);
-  for (auto& acc : accs) acc = rule.accumulator(current, layout);
-  for (std::size_t l = 0; l < layout.lanes; ++l) {
+      fold_lane_offsets(cohort.size(), kFoldLanes);
+  LaneAccumulators accs(rule, current, layout);
+  for (std::size_t l = 0; l < kFoldLanes; ++l) {
     for (std::size_t i = lanes[l]; i < lanes[l + 1]; ++i) {
-      accs[l]->fold(*cohort[i].params, cohort[i].weight, cohort[i].staleness,
-                    cohort[i].client);
+      accs[l].fold(*cohort[i].params, cohort[i].weight, cohort[i].staleness,
+                   cohort[i].client);
     }
   }
-  for (std::size_t l = 1; l < layout.lanes; ++l) accs[0]->merge(*accs[l]);
-  return accs[0]->finish();
+  return accs.finish();
 }
 
 // --- lane partition --------------------------------------------------
@@ -124,34 +131,60 @@ TEST(FoldLanes, PartitionIsIndependentOfThreadPoolSize) {
   ThreadPool::reset_global(0);
 }
 
-// --- streaming vs dense, mean family ---------------------------------
+// --- mean family against closed forms -------------------------------
 
-TEST(StreamingAccumulator, WeightedAverageMatchesDenseToFloatRounding) {
+TEST(StreamingAccumulator, WeightedAverageMatchesTheClosedForm) {
   const ModelParameters a = make_params({1.0f, -2.0f, 3.0f}, 1.0f);
   const ModelParameters b = make_params({5.0f, 0.5f, -1.0f}, 2.0f);
   const ModelParameters c = make_params({-3.0f, 4.0f, 0.25f}, 3.0f);
   const std::vector<AggregationInput> cohort = {
       {&a, 6.0, 0, 1}, {&b, 3.0, 0, 2}, {&c, 1.0, 0, 3}};
+  // sum_k w_k x_k / sum_k w_k
+  std::vector<double> expected(flat(a).size(), 0.0);
+  for (const AggregationInput& in : cohort) {
+    const std::vector<double> x = flat(*in.params);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      expected[i] += in.weight * x[i] / 10.0;
+    }
+  }
   const WeightedAverage rule;
-  const ModelParameters dense = rule.aggregate(ModelParameters{}, cohort);
-  const ModelParameters streamed =
-      stream_aggregate(rule, ModelParameters{}, cohort);
-  EXPECT_LE(max_abs_diff(dense, streamed), 1e-5);
+  EXPECT_LE(max_abs_diff(flat(lane_aggregate(rule, ModelParameters{}, cohort)),
+                         expected),
+            1e-6);
+  EXPECT_LE(
+      max_abs_diff(flat(rule.aggregate(ModelParameters{}, cohort)), expected),
+      1e-6);
 }
 
-TEST(StreamingAccumulator, NormClippedMeanMatchesDense) {
+TEST(StreamingAccumulator, NormClippedMeanMatchesTheClosedForm) {
   const ModelParameters current = make_params({0.0f, 0.0f}, 0.0f);
-  const ModelParameters honest = make_params({0.1f, -0.1f}, 1.0f);
+  const ModelParameters honest = make_params({0.1f, -0.1f}, 0.2f);
   const ModelParameters outlier = make_params({50.0f, 50.0f}, 1.0f);
   const std::vector<AggregationInput> cohort = {{&honest, 2.0, 0, 1},
                                                 {&outlier, 1.0, 0, 2}};
-  const NormClippedMean rule(1.0);
-  const ModelParameters dense = rule.aggregate(current, cohort);
-  const ModelParameters streamed = stream_aggregate(rule, current, cohort);
-  EXPECT_LE(max_abs_diff(dense, streamed), 1e-5);
+  // current + sum_k w_k min(1, clip / |d_k|) d_k / sum_k w_k, with
+  // d_k = x_k - current over every entry (buffers included).
+  const std::vector<double> base = flat(current);
+  std::vector<double> expected = base;
+  for (const AggregationInput& in : cohort) {
+    std::vector<double> d = flat(*in.params);
+    double norm2 = 0.0;
+    for (std::size_t i = 0; i < d.size(); ++i) {
+      d[i] -= base[i];
+      norm2 += d[i] * d[i];
+    }
+    const double clip = std::min(1.0, 1.0 / std::sqrt(norm2));
+    for (std::size_t i = 0; i < d.size(); ++i) {
+      expected[i] += in.weight * clip * d[i] / 3.0;
+    }
+  }
+  EXPECT_LE(max_abs_diff(flat(lane_aggregate(NormClippedMean(1.0), current,
+                                             cohort)),
+                         expected),
+            1e-6);
 }
 
-TEST(StreamingAccumulator, StalenessMixMatchesDense) {
+TEST(StreamingAccumulator, StalenessMixMatchesTheClosedForm) {
   const ModelParameters current = make_params({1.0f, 1.0f}, 1.0f);
   const ModelParameters d1 = make_params({0.5f, -0.5f}, 0.0f);
   const ModelParameters d2 = make_params({-0.25f, 0.75f}, 0.0f);
@@ -159,15 +192,99 @@ TEST(StreamingAccumulator, StalenessMixMatchesDense) {
                                                 {&d2, 2.0, 3, 2}};
   StalenessPolicy policy;
   policy.poly_exponent = 1.0;
-  const StalenessDiscountedMix rule(policy, 0.5);
-  const ModelParameters dense = rule.aggregate(current, cohort);
-  const ModelParameters streamed = stream_aggregate(rule, current, cohort);
-  EXPECT_LE(max_abs_diff(dense, streamed), 1e-5);
+  // current + mix * sum_i u_i d_i / sum_i u_i, u_i = w_i / (1 + tau_i)
+  const double u1 = 4.0;
+  const double u2 = 2.0 / 4.0;
+  std::vector<double> expected = flat(current);
+  const std::vector<double> x1 = flat(d1);
+  const std::vector<double> x2 = flat(d2);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    expected[i] += 0.5 * (u1 * x1[i] + u2 * x2[i]) / (u1 + u2);
+  }
+  EXPECT_LE(max_abs_diff(flat(lane_aggregate(
+                             StalenessDiscountedMix(policy, 0.5), current,
+                             cohort)),
+                         expected),
+            1e-6);
 }
 
-// --- streaming vs dense, sketch family -------------------------------
+// --- retaining rules: the batch math, whatever the lane layout -------
 
-TEST(StreamingAccumulator, MedianSketchWithinOneBinWidthOfDense) {
+std::vector<ModelParameters> spread_members(std::size_t n,
+                                            std::uint64_t seed) {
+  std::vector<ModelParameters> members;
+  Rng rng(seed);
+  for (std::size_t i = 0; i < n; ++i) {
+    members.push_back(make_params(
+        {static_cast<float>(rng.uniform(-0.2, 0.2)),
+         static_cast<float>(rng.uniform(-0.2, 0.2)),
+         static_cast<float>(rng.uniform(-0.2, 0.2))},
+        static_cast<float>(i)));
+  }
+  return members;
+}
+
+std::vector<AggregationInput> as_inputs(
+    const std::vector<ModelParameters>& members) {
+  std::vector<AggregationInput> cohort;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    cohort.push_back({&members[i], 1.0 + static_cast<double>(i), 0,
+                      static_cast<int>(i)});
+  }
+  return cohort;
+}
+
+TEST(RetainingAccumulator, LanesReproduceTheSingleAccumulatorBitForBit) {
+  // Lanes are contiguous cohort blocks merged in lane order, so the
+  // retained cohort reaches the batch math in cohort order: an 8-lane
+  // round and one accumulator over the materialized cohort agree bit
+  // for bit, for every retaining rule.
+  const std::vector<ModelParameters> members = spread_members(19, 3);
+  const std::vector<AggregationInput> cohort = as_inputs(members);
+  const CoordinateMedian median;
+  const TrimmedMean trimmed(0.2);
+  const Krum krum(2);
+  const MultiKrum multi(2, 0);
+  for (const AggregationRule* rule :
+       std::vector<const AggregationRule*>{&median, &trimmed, &krum, &multi}) {
+    EXPECT_TRUE(bit_identical(lane_aggregate(*rule, ModelParameters{}, cohort),
+                              rule->aggregate(ModelParameters{}, cohort)))
+        << rule->name();
+  }
+}
+
+TEST(RetainingAccumulator, ExactMedianIsTheMiddleValue) {
+  const std::vector<ModelParameters> members = spread_members(9, 5);
+  const ModelParameters m =
+      lane_aggregate(CoordinateMedian(), ModelParameters{}, as_inputs(members));
+  for (std::size_t c = 0; c < 3; ++c) {
+    std::vector<float> column;
+    for (const ModelParameters& p : members) column.push_back(values_of(p)[c]);
+    std::sort(column.begin(), column.end());
+    EXPECT_EQ(values_of(m)[c], column[4]) << "coordinate " << c;
+  }
+}
+
+TEST(RetainingAccumulator, MergeConcatenatesAndEmptiesThePeer) {
+  const Krum rule(0);
+  auto a = rule.accumulator(ModelParameters{}, ShardLayout{});
+  auto b = rule.accumulator(ModelParameters{}, ShardLayout{});
+  a->fold(make_params({0.0f}), 1.0, 0, 0);
+  b->fold(make_params({0.1f}), 1.0, 0, 1);
+  b->fold(make_params({9.0f}), 1.0, 0, 2);
+  a->merge(*b);
+  EXPECT_EQ(a->folds(), 3u);
+  EXPECT_EQ(b->folds(), 0u);
+  // f = 0 scores each update by its nearest neighbor: the outlier loses.
+  EXPECT_FLOAT_EQ(values_of(a->finish())[0], 0.0f);
+  // Another rule's retained cohort cannot be merged in.
+  auto median = CoordinateMedian().accumulator(ModelParameters{}, {});
+  EXPECT_THROW(median->merge(*a), std::invalid_argument);
+}
+
+// --- sketch family against the exact rules ---------------------------
+
+TEST(StreamingAccumulator, MedianSketchWithinOneBinWidthOfExact) {
   // Values inside the sketch window around current = 0: the sketch
   // answer (a bucket midpoint) may be off the exact median by at most
   // one bin width = 2 * span / bins.
@@ -179,13 +296,15 @@ TEST(StreamingAccumulator, MedianSketchWithinOneBinWidthOfDense) {
       {&a, 1.0, 0, 1}, {&b, 1.0, 0, 2}, {&c, 1.0, 0, 3}};
   const int bins = 64;
   const double span = 0.25;
-  const CoordinateMedian rule(bins, span);
-  const ModelParameters dense = rule.aggregate(ModelParameters{}, cohort);
-  const ModelParameters streamed = stream_aggregate(rule, current, cohort);
-  EXPECT_LE(max_abs_diff(dense, streamed), 2.0 * span / bins + 1e-6);
+  const ModelParameters exact =
+      CoordinateMedian().aggregate(ModelParameters{}, cohort);
+  const ModelParameters sketched =
+      lane_aggregate(CoordinateMedian(bins, span), current, cohort);
+  EXPECT_LE(max_abs_diff(flat(exact), flat(sketched)),
+            2.0 * span / bins + 1e-6);
 }
 
-TEST(StreamingAccumulator, TrimmedMeanSketchWithinOneBinWidthOfDense) {
+TEST(StreamingAccumulator, TrimmedMeanSketchWithinOneBinWidthOfExact) {
   const ModelParameters current = make_params({0.0f}, 0.0f);
   std::vector<ModelParameters> members;
   for (int i = 0; i < 8; ++i) {
@@ -198,10 +317,12 @@ TEST(StreamingAccumulator, TrimmedMeanSketchWithinOneBinWidthOfDense) {
   }
   const int bins = 128;
   const double span = 0.3;
-  const TrimmedMean rule(0.25, bins, span);
-  const ModelParameters dense = rule.aggregate(ModelParameters{}, cohort);
-  const ModelParameters streamed = stream_aggregate(rule, current, cohort);
-  EXPECT_LE(max_abs_diff(dense, streamed), 2.0 * span / bins + 1e-6);
+  const ModelParameters exact =
+      TrimmedMean(0.25).aggregate(ModelParameters{}, cohort);
+  const ModelParameters sketched =
+      lane_aggregate(TrimmedMean(0.25, bins, span), current, cohort);
+  EXPECT_LE(max_abs_diff(flat(exact), flat(sketched)),
+            2.0 * span / bins + 1e-6);
 }
 
 TEST(StreamingAccumulator, SketchClampsOutOfSpanValuesToEdgeBins) {
@@ -215,41 +336,36 @@ TEST(StreamingAccumulator, SketchClampsOutOfSpanValuesToEdgeBins) {
   const std::vector<AggregationInput> cohort = {
       {&a, 1.0, 0, 1}, {&b, 1.0, 0, 2}, {&outlier, 1.0, 0, 3}};
   const CoordinateMedian rule(32, 0.25);
-  const ModelParameters streamed = stream_aggregate(rule, current, cohort);
-  EXPECT_LE(std::abs(values_of(streamed)[0]), 0.25 + 1e-6);
+  const ModelParameters sketched = lane_aggregate(rule, current, cohort);
+  EXPECT_LE(std::abs(values_of(sketched)[0]), 0.25 + 1e-6);
 }
 
 // --- determinism across pools and shards -----------------------------
 
 TEST(StreamingAccumulator, BitIdenticalAcrossThreadPoolSizesAndShards) {
-  std::vector<ModelParameters> members;
-  std::vector<AggregationInput> cohort;
-  Rng rng(7);
-  for (int i = 0; i < 23; ++i) {
-    members.push_back(make_params(
-        {static_cast<float>(rng.uniform(-0.2, 0.2)),
-         static_cast<float>(rng.uniform(-0.2, 0.2))},
-        static_cast<float>(i)));
-  }
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    cohort.push_back({&members[i], 1.0 + static_cast<double>(i), 0,
-                      static_cast<int>(i)});
-  }
-  const ModelParameters current = make_params({0.0f, 0.0f}, 0.0f);
+  const std::vector<ModelParameters> members = spread_members(23, 7);
+  const std::vector<AggregationInput> cohort = as_inputs(members);
+  const ModelParameters current = make_params({0.0f, 0.0f, 0.0f}, 0.0f);
   const WeightedAverage mean;
-  const CoordinateMedian median(32, 0.25);
-  const ModelParameters mean_ref = stream_aggregate(mean, current, cohort, 1);
-  const ModelParameters median_ref =
-      stream_aggregate(median, current, cohort, 1);
+  const CoordinateMedian sketch(32, 0.25);
+  const TrimmedMean exact(0.1);
+  std::vector<ModelParameters> reference;
+  for (const AggregationRule* rule :
+       std::vector<const AggregationRule*>{&mean, &sketch, &exact}) {
+    reference.push_back(lane_aggregate(*rule, current, cohort, 1));
+  }
   for (const std::size_t pool : {1u, 2u, 8u}) {
     ThreadPool::reset_global(pool);
     for (const std::size_t shards : {1u, 3u, 16u}) {
-      EXPECT_TRUE(bit_identical(
-          mean_ref, stream_aggregate(mean, current, cohort, shards)))
+      EXPECT_TRUE(bit_identical(reference[0],
+                                lane_aggregate(mean, current, cohort, shards)))
           << "weighted_average pool=" << pool << " shards=" << shards;
       EXPECT_TRUE(bit_identical(
-          median_ref, stream_aggregate(median, current, cohort, shards)))
-          << "coordinate_median pool=" << pool << " shards=" << shards;
+          reference[1], lane_aggregate(sketch, current, cohort, shards)))
+          << "median sketch pool=" << pool << " shards=" << shards;
+      EXPECT_TRUE(bit_identical(
+          reference[2], lane_aggregate(exact, current, cohort, shards)))
+          << "exact trimmed_mean pool=" << pool << " shards=" << shards;
     }
   }
   ThreadPool::reset_global(0);
@@ -282,7 +398,7 @@ TEST(StreamingAccumulator, FoldRejectsBadWeightsAndEmptyUpdates) {
                std::invalid_argument);
 }
 
-TEST(StreamingAccumulator, FinishOnZeroFoldsThrowsLikeTheDenseEmptyCohort) {
+TEST(StreamingAccumulator, FinishOnZeroFoldsThrowsTheEmptyCohortError) {
   const WeightedAverage rule;
   auto acc = rule.accumulator(ModelParameters{}, ShardLayout{});
   EXPECT_EQ(acc->folds(), 0u);
@@ -311,27 +427,16 @@ TEST(StreamingAccumulator, MergeRejectsAForeignAccumulatorType) {
   EXPECT_THROW(a->merge(*b), std::invalid_argument);
 }
 
-TEST(StreamingAccumulator, KrumFamilyStaysDense) {
-  const Krum krum(1);
-  const MultiKrum multi(1, 0);
-  EXPECT_TRUE(krum.requires_dense());
-  EXPECT_TRUE(multi.requires_dense());
-  EXPECT_THROW(krum.accumulator(ModelParameters{}, ShardLayout{}),
-               std::logic_error);
-  const WeightedAverage mean;
-  EXPECT_FALSE(mean.requires_dense());
-  EXPECT_FALSE(CoordinateMedian().requires_dense());
-  EXPECT_FALSE(TrimmedMean(0.1).requires_dense());
-  EXPECT_FALSE(NormClippedMean(1.0).requires_dense());
-}
-
 TEST(StreamingAccumulator, ClippingAndSketchRulesRequireANonEmptyCurrent) {
   EXPECT_THROW(
       NormClippedMean(1.0).accumulator(ModelParameters{}, ShardLayout{}),
       std::invalid_argument);
   EXPECT_THROW(
-      CoordinateMedian().accumulator(ModelParameters{}, ShardLayout{}),
+      CoordinateMedian(32, 0.25).accumulator(ModelParameters{}, ShardLayout{}),
       std::invalid_argument);
+  // The exact (retaining) form needs no anchor.
+  EXPECT_NO_THROW(
+      CoordinateMedian().accumulator(ModelParameters{}, ShardLayout{}));
 }
 
 TEST(CoordinateMedian, RejectsBadSketchKnobs) {
@@ -339,32 +444,10 @@ TEST(CoordinateMedian, RejectsBadSketchKnobs) {
   EXPECT_THROW(CoordinateMedian(32, 0.0), std::invalid_argument);
   EXPECT_THROW(CoordinateMedian(32, std::numeric_limits<double>::infinity()),
                std::invalid_argument);
+  EXPECT_NO_THROW(CoordinateMedian(0, 0.25));  // 0 bins = exact
 }
 
-// --- channel: move collect and streaming collect ---------------------
-
-TEST(Channel, MoveCollectMatchesBatchCollectBitForBitIncludingBilling) {
-  const std::vector<std::size_t> senders = {1, 3, 4};
-  std::vector<ModelParameters> updates;
-  for (int i = 0; i < 3; ++i) {
-    updates.push_back(make_params({static_cast<float>(i), 1.5f}, 1.0f));
-  }
-  const std::vector<const ModelParameters*> references(senders.size(),
-                                                       nullptr);
-  Channel batch{CommConfig{}};
-  const std::vector<ModelParameters> collected =
-      batch.collect(updates, references, senders);
-  Channel moved{CommConfig{}};
-  std::vector<ModelParameters> owned = updates;  // copy, then hand over
-  const std::vector<ModelParameters> collected_moved =
-      moved.collect(std::move(owned), references, senders);
-  ASSERT_EQ(collected.size(), collected_moved.size());
-  for (std::size_t i = 0; i < collected.size(); ++i) {
-    EXPECT_TRUE(bit_identical(collected[i], collected_moved[i]));
-  }
-  EXPECT_EQ(batch.stats().uplink_bytes, moved.stats().uplink_bytes);
-  EXPECT_EQ(batch.stats().uplink_messages, moved.stats().uplink_messages);
-}
+// --- channel: streaming collect -------------------------------------
 
 TEST(Channel, CollectStreamingMatchesBatchCollectAndItsBilling) {
   const std::size_t n = 13;
@@ -566,7 +649,7 @@ TEST(ImportanceSample, EndToEndRunPrefersDataRichClients) {
   (void)rich_rounds;
 }
 
-// --- end-to-end streaming rounds -------------------------------------
+// --- end-to-end rounds against closed-form replays -------------------
 
 FLRunOptions small_world_options(int rounds) {
   FLRunOptions opts;
@@ -578,96 +661,169 @@ FLRunOptions small_world_options(int rounds) {
   return opts;
 }
 
-TEST(StreamingRounds, FedAvgStreamingTracksDenseAndIsPoolSizeInvariant) {
+// sum_k w_k x_k / sum_k w_k, computed coordinate by coordinate in double.
+ModelParameters weighted_mean(const std::vector<ModelParameters>& xs,
+                              const std::vector<double>& w) {
+  double total = 0.0;
+  for (double v : w) total += v;
+  ModelParameters out = xs.front();
+  for (std::size_t e = 0; e < out.entries().size(); ++e) {
+    Tensor& t = out.mutable_entries()[e].value;
+    for (std::int64_t i = 0; i < t.numel(); ++i) {
+      double acc = 0.0;
+      for (std::size_t k = 0; k < xs.size(); ++k) {
+        acc += w[k] * static_cast<double>(xs[k].entries()[e].value[i]);
+      }
+      t[i] = static_cast<float>(acc / total);
+    }
+  }
+  return out;
+}
+
+TEST(StreamingRounds, FedAvgMatchesAClosedFormReplayAtEveryPoolSize) {
   SyntheticWorldOptions options;
   options.num_clients = 5;
-  FLRunOptions dense_opts = small_world_options(3);
-  FLRunOptions streaming_opts = dense_opts;
-  streaming_opts.aggregation.streaming = true;
+  const FLRunOptions opts = small_world_options(3);
 
-  SyntheticWorld dense_world = make_synthetic_world(31, options);
-  FedAvg dense_algo;
-  const std::vector<ModelParameters> dense =
-      dense_algo.run(dense_world.clients, dense_world.factory, dense_opts);
+  // Replay: every client trains from the global model, the server
+  // takes the sample-count weighted mean (lossless fp32 channel).
+  SyntheticWorld replay = make_synthetic_world(31, options);
+  Rng init_rng(opts.seed);
+  ModelParameters global = initial_model_parameters(replay.factory, init_rng);
+  const std::vector<double> weights = client_weights(replay.clients);
+  for (int r = 0; r < opts.rounds; ++r) {
+    std::vector<ModelParameters> updates;
+    for (Client& c : replay.clients) {
+      updates.push_back(c.local_update(global, opts.client));
+    }
+    global = weighted_mean(updates, weights);
+  }
 
-  std::vector<ModelParameters> streamed_by_pool;
+  std::vector<ModelParameters> by_pool;
   for (const std::size_t pool : {1u, 2u, 8u}) {
     ThreadPool::reset_global(pool);
     SyntheticWorld w = make_synthetic_world(31, options);
     FedAvg algo;
-    streamed_by_pool.push_back(
-        algo.run(w.clients, w.factory, streaming_opts).front());
+    by_pool.push_back(algo.run(w.clients, w.factory, opts).front());
   }
   ThreadPool::reset_global(0);
-  // Streaming is pool-size invariant bit for bit...
-  EXPECT_TRUE(bit_identical(streamed_by_pool[0], streamed_by_pool[1]));
-  EXPECT_TRUE(bit_identical(streamed_by_pool[0], streamed_by_pool[2]));
-  // ...and tracks the dense result to accumulated float rounding.
-  EXPECT_LE(max_abs_diff(dense.front(), streamed_by_pool[0]), 1e-4);
+  EXPECT_TRUE(bit_identical(by_pool[0], by_pool[1]));
+  EXPECT_TRUE(bit_identical(by_pool[0], by_pool[2]));
+  EXPECT_LE(max_abs_diff(flat(global), flat(by_pool[0])), 1e-6);
 }
 
-TEST(StreamingRounds, AlphaSyncStreamingFastPathMatchesThePairwiseMix) {
+TEST(StreamingRounds, AlphaSyncMatchesTheClosedFormPeerMix) {
   SyntheticWorldOptions options;
   options.num_clients = 4;
-  FLRunOptions dense_opts = small_world_options(2);
-  FLRunOptions streaming_opts = dense_opts;
-  streaming_opts.aggregation.streaming = true;
+  const FLRunOptions opts = small_world_options(2);
+  const double alpha = 0.7;
 
-  SyntheticWorld a = make_synthetic_world(13, options);
-  AlphaPortionSync dense_algo(0.7);
-  const std::vector<ModelParameters> dense =
-      dense_algo.run(a.clients, a.factory, dense_opts);
-  SyntheticWorld b = make_synthetic_world(13, options);
-  AlphaPortionSync streaming_algo(0.7);
-  const std::vector<ModelParameters> streamed =
-      streaming_algo.run(b.clients, b.factory, streaming_opts);
-  ASSERT_EQ(dense.size(), streamed.size());
-  for (std::size_t k = 0; k < dense.size(); ++k) {
-    EXPECT_LE(max_abs_diff(dense[k], streamed[k]), 1e-4) << "client " << k;
+  // W_k <- alpha u_k + (1 - alpha) sum_{j != k} w_j u_j / sum_{j != k} w_j
+  SyntheticWorld replay = make_synthetic_world(13, options);
+  Rng init_rng(opts.seed);
+  std::vector<ModelParameters> deployed(
+      replay.clients.size(), initial_model_parameters(replay.factory, init_rng));
+  const std::vector<double> weights = client_weights(replay.clients);
+  for (int r = 0; r < opts.rounds; ++r) {
+    std::vector<ModelParameters> updates;
+    for (std::size_t k = 0; k < replay.clients.size(); ++k) {
+      updates.push_back(replay.clients[k].local_update(deployed[k],
+                                                       opts.client));
+    }
+    for (std::size_t k = 0; k < updates.size(); ++k) {
+      std::vector<ModelParameters> xs = {updates[k]};
+      std::vector<double> w = {alpha};
+      double others = 0.0;
+      for (std::size_t j = 0; j < updates.size(); ++j) {
+        if (j != k) others += weights[j];
+      }
+      for (std::size_t j = 0; j < updates.size(); ++j) {
+        if (j == k) continue;
+        xs.push_back(updates[j]);
+        w.push_back((1.0 - alpha) * weights[j] / others);
+      }
+      deployed[k] = weighted_mean(xs, w);  // the shares sum to 1
+    }
+  }
+
+  SyntheticWorld world = make_synthetic_world(13, options);
+  AlphaPortionSync algo(alpha);
+  const std::vector<ModelParameters> finals =
+      algo.run(world.clients, world.factory, opts);
+  ASSERT_EQ(finals.size(), deployed.size());
+  for (std::size_t k = 0; k < finals.size(); ++k) {
+    EXPECT_LE(max_abs_diff(flat(deployed[k]), flat(finals[k])), 1e-4)
+        << "client " << k;
   }
 }
 
-TEST(StreamingRounds, AsyncFedAvgStreamingTracksTheBufferedPath) {
+TEST(StreamingRounds, AsyncFedAvgFoldsOneIntervalToTheClosedForm) {
+  // Homogeneous clients with buffer_size = K all deliver at the same
+  // instant at staleness 0, so the first aggregation interval holds
+  // exactly one delta per client, each trained from the initial model:
+  // W1 = W0 + mix * sum_k n_k d_k / sum_k n_k.
   SyntheticWorldOptions options;
   options.num_clients = 4;
-  FLRunOptions dense_opts = small_world_options(4);
-  FLRunOptions streaming_opts = dense_opts;
-  streaming_opts.aggregation.streaming = true;
+  const FLRunOptions opts = small_world_options(1);
   AsyncConfig config;
-  config.buffer_size = 2;
+  config.buffer_size = 4;
   config.server_mix = 0.5;
 
-  SyntheticWorld a = make_synthetic_world(17, options);
-  AsyncFedAvg dense_algo(config);
-  const std::vector<ModelParameters> dense =
-      dense_algo.run(a.clients, a.factory, dense_opts);
-  SyntheticWorld b = make_synthetic_world(17, options);
-  AsyncFedAvg streaming_algo(config);
-  const std::vector<ModelParameters> streamed =
-      streaming_algo.run(b.clients, b.factory, streaming_opts);
-  EXPECT_LE(max_abs_diff(dense.front(), streamed.front()), 1e-4);
+  SyntheticWorld replay = make_synthetic_world(17, options);
+  Rng init_rng(opts.seed);
+  const ModelParameters w0 = initial_model_parameters(replay.factory, init_rng);
+  std::vector<ModelParameters> deltas;
+  for (Client& c : replay.clients) {
+    ModelParameters d = c.local_update(w0, opts.client);
+    d.add_scaled(w0, -1.0);
+    deltas.push_back(std::move(d));
+  }
+  const ModelParameters step =
+      weighted_mean(deltas, client_weights(replay.clients));
+  ModelParameters expected = w0;
+  expected.add_scaled(step, config.server_mix);
+
+  SyntheticWorld world = make_synthetic_world(17, options);
+  AsyncFedAvg algo(config);
+  const std::vector<ModelParameters> finals =
+      algo.run(world.clients, world.factory, opts);
+  EXPECT_LE(max_abs_diff(flat(expected), flat(finals.front())), 1e-6);
 }
 
-TEST(StreamingRounds, AnomalyDetectionPinsTheDensePath) {
-  // Detection needs the materialized cohort; opting into streaming with
-  // a detector enabled must transparently stay dense (bit-identical to
-  // the dense run), not fail.
+// Anomaly detection is a pure observer: attaching it makes the round
+// keep the decoded uploads for scoring, and must not move a bit.
+template <typename Algo>
+void expect_detection_is_bit_neutral(Algo make_algo, std::uint64_t seed) {
   SyntheticWorldOptions options;
   options.num_clients = 4;
-  FLRunOptions dense_opts = small_world_options(2);
-  dense_opts.anomaly.enabled = true;
-  FLRunOptions streaming_opts = dense_opts;
-  streaming_opts.aggregation.streaming = true;
+  FLRunOptions off = small_world_options(2);
+  FLRunOptions on = off;
+  on.anomaly.enabled = true;
 
-  SyntheticWorld a = make_synthetic_world(19, options);
-  FedAvg dense_algo;
-  const std::vector<ModelParameters> dense =
-      dense_algo.run(a.clients, a.factory, dense_opts);
-  SyntheticWorld b = make_synthetic_world(19, options);
-  FedAvg streaming_algo;
-  const std::vector<ModelParameters> streamed =
-      streaming_algo.run(b.clients, b.factory, streaming_opts);
-  EXPECT_TRUE(bit_identical(dense.front(), streamed.front()));
+  SyntheticWorld a = make_synthetic_world(seed, options);
+  auto algo_off = make_algo();
+  const std::vector<ModelParameters> without =
+      algo_off.run(a.clients, a.factory, off);
+  SyntheticWorld b = make_synthetic_world(seed, options);
+  auto algo_on = make_algo();
+  const std::vector<ModelParameters> with = algo_on.run(b.clients, b.factory, on);
+  ASSERT_EQ(without.size(), with.size());
+  for (std::size_t k = 0; k < with.size(); ++k) {
+    EXPECT_TRUE(bit_identical(without[k], with[k]))
+        << algo_on.name() << " client " << k;
+  }
+}
+
+TEST(StreamingRounds, DetectionOnOrOffGivesIdenticalBits) {
+  expect_detection_is_bit_neutral([] { return FedAvg(); }, 19);
+  expect_detection_is_bit_neutral([] { return IFCA(2); }, 19);
+  expect_detection_is_bit_neutral(
+      [] {
+        AsyncConfig config;
+        config.buffer_size = 2;
+        return AsyncFedAvg(config);
+      },
+      19);
 }
 
 }  // namespace
