@@ -133,7 +133,7 @@ ModelParameters TopKDeltaCodec::decode(const ByteBuffer& blob,
     for (std::uint32_t i = 0; i < nnz; ++i) {
       const std::uint32_t idx = r.pod<std::uint32_t>();
       const float d = r.pod<float>();
-      if (idx >= static_cast<std::uint32_t>(e.value.numel())) {
+      if (static_cast<std::int64_t>(idx) >= e.value.numel()) {
         throw std::runtime_error("TopKDeltaCodec: index out of range");
       }
       e.value[idx] += d;

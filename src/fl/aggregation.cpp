@@ -69,15 +69,14 @@ void check_finish_total(const char* rule, std::size_t folds, double total) {
   }
 }
 
-// Runs fn(begin, end) over `shards` contiguous slices of [0, total).
-// Slices are a pure function of (total, shards) and every write inside
-// fn targets its own slice, so the split parallelizes element-wise
-// merge/finish work without affecting results. shards == 0 picks the
-// pool size; nested use (inside an outer parallel_for) degrades to the
+// Runs fn(begin, end) over one contiguous slice of [0, total) per pool
+// thread. Every write inside fn targets its own slice, so the split
+// parallelizes element-wise merge/finish work without affecting
+// results; nested use (inside an outer parallel_for) degrades to the
 // serial path via the pool's non-reentrancy.
-void for_each_shard(std::size_t total, std::size_t shards,
+void for_each_shard(std::size_t total,
                     const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (shards == 0) shards = ThreadPool::global().size();
+  const std::size_t shards = ThreadPool::global().size();
   if (shards <= 1 || total < 4096) {
     fn(0, total);
     return;
@@ -133,11 +132,11 @@ struct DoubleSums {
   }
 
   // acc += other.acc, element-wise across shards.
-  void add_sums(const DoubleSums& other, std::size_t shards) {
+  void add_sums(const DoubleSums& other) {
     for (std::size_t e = 0; e < acc.size(); ++e) {
       double* dst = acc[e].data();
       const double* src = other.acc[e].data();
-      for_each_shard(acc[e].size(), shards,
+      for_each_shard(acc[e].size(),
                      [dst, src](std::size_t begin, std::size_t end) {
                        for (std::size_t i = begin; i < end; ++i) {
                          dst[i] += src[i];
@@ -149,13 +148,13 @@ struct DoubleSums {
   // result[e][i] = base (or base[e][i]) + acc[e][i] * scale, written
   // into a copy of `shape`.
   ModelParameters render(const ModelParameters& shape, double scale,
-                         bool add_to_shape, std::size_t shards) const {
+                         bool add_to_shape) const {
     ModelParameters result = shape;
     for (std::size_t e = 0; e < acc.size(); ++e) {
       float* out = result.mutable_entries()[e].value.data();
       const double* sums = acc[e].data();
       for_each_shard(
-          acc[e].size(), shards,
+          acc[e].size(),
           [out, sums, scale, add_to_shape](std::size_t begin,
                                            std::size_t end) {
             for (std::size_t i = begin; i < end; ++i) {
@@ -174,8 +173,6 @@ struct DoubleSums {
 class MeanStreamAccumulator final : public StreamingAccumulator {
  public:
   using StreamingAccumulator::fold;
-
-  explicit MeanStreamAccumulator(std::size_t shards) : shards_(shards) {}
 
   void fold(const ModelParameters& update, double weight, int /*staleness*/,
             int client) override {
@@ -207,11 +204,11 @@ class MeanStreamAccumulator final : public StreamingAccumulator {
       folds_ = peer->folds_;
     } else {
       check_fold_structure("WeightedAverage", shape_, peer->shape_, -1);
-      sums_.add_sums(peer->sums_, shards_);
+      sums_.add_sums(peer->sums_);
       total_ += peer->total_;
       folds_ += peer->folds_;
     }
-    *peer = MeanStreamAccumulator(shards_);
+    *peer = MeanStreamAccumulator();
   }
 
   std::size_t folds() const override { return folds_; }
@@ -219,11 +216,10 @@ class MeanStreamAccumulator final : public StreamingAccumulator {
   ModelParameters finish() override {
     ProfileScope prof(phase::kAggregate);
     check_finish_total("WeightedAverage", folds_, total_);
-    return sums_.render(shape_, 1.0 / total_, /*add_to_shape=*/false, shards_);
+    return sums_.render(shape_, 1.0 / total_, /*add_to_shape=*/false);
   }
 
  private:
-  std::size_t shards_;
   ModelParameters shape_;
   DoubleSums sums_;
   double total_ = 0.0;
@@ -236,9 +232,8 @@ class ClippedStreamAccumulator final : public StreamingAccumulator {
  public:
   using StreamingAccumulator::fold;
 
-  ClippedStreamAccumulator(const ModelParameters& current, double clip_norm,
-                           std::size_t shards)
-      : current_(&current), clip_norm_(clip_norm), shards_(shards) {
+  ClippedStreamAccumulator(const ModelParameters& current, double clip_norm)
+      : current_(&current), clip_norm_(clip_norm) {
     sums_.init(current);
   }
 
@@ -276,10 +271,10 @@ class ClippedStreamAccumulator final : public StreamingAccumulator {
           "NormClippedMean: merge with a different rule's accumulator");
     }
     if (peer->folds_ == 0) return;
-    sums_.add_sums(peer->sums_, shards_);
+    sums_.add_sums(peer->sums_);
     total_ += peer->total_;
     folds_ += peer->folds_;
-    *peer = ClippedStreamAccumulator(*peer->current_, clip_norm_, shards_);
+    *peer = ClippedStreamAccumulator(*peer->current_, clip_norm_);
   }
 
   std::size_t folds() const override { return folds_; }
@@ -287,14 +282,12 @@ class ClippedStreamAccumulator final : public StreamingAccumulator {
   ModelParameters finish() override {
     ProfileScope prof(phase::kAggregate);
     check_finish_total("NormClippedMean", folds_, total_);
-    return sums_.render(*current_, 1.0 / total_, /*add_to_shape=*/true,
-                        shards_);
+    return sums_.render(*current_, 1.0 / total_, /*add_to_shape=*/true);
   }
 
  private:
   const ModelParameters* current_;
   double clip_norm_;
-  std::size_t shards_;
   DoubleSums sums_;
   double total_ = 0.0;
   std::size_t folds_ = 0;
@@ -307,12 +300,8 @@ class MixStreamAccumulator final : public StreamingAccumulator {
   using StreamingAccumulator::fold;
 
   MixStreamAccumulator(const ModelParameters& current,
-                       const StalenessPolicy& staleness, double server_mix,
-                       std::size_t shards)
-      : current_(&current),
-        staleness_(staleness),
-        server_mix_(server_mix),
-        shards_(shards) {
+                       const StalenessPolicy& staleness, double server_mix)
+      : current_(&current), staleness_(staleness), server_mix_(server_mix) {
     sums_.init(current);
   }
 
@@ -335,11 +324,10 @@ class MixStreamAccumulator final : public StreamingAccumulator {
           "StalenessDiscountedMix: merge with a different rule's accumulator");
     }
     if (peer->folds_ == 0) return;
-    sums_.add_sums(peer->sums_, shards_);
+    sums_.add_sums(peer->sums_);
     total_ += peer->total_;
     folds_ += peer->folds_;
-    *peer = MixStreamAccumulator(*peer->current_, staleness_, server_mix_,
-                                 shards_);
+    *peer = MixStreamAccumulator(*peer->current_, staleness_, server_mix_);
   }
 
   std::size_t folds() const override { return folds_; }
@@ -347,192 +335,27 @@ class MixStreamAccumulator final : public StreamingAccumulator {
   ModelParameters finish() override {
     ProfileScope prof(phase::kAggregate);
     check_finish_total("StalenessDiscountedMix", folds_, total_);
-    return sums_.render(*current_, server_mix_ / total_, /*add_to_shape=*/true,
-                        shards_);
+    return sums_.render(*current_, server_mix_ / total_,
+                        /*add_to_shape=*/true);
   }
 
  private:
   const ModelParameters* current_;
   StalenessPolicy staleness_;
   double server_mix_;
-  std::size_t shards_;
   DoubleSums sums_;
   double total_ = 0.0;
   std::size_t folds_ = 0;
 };
 
-// Quantile sketch for the rank-based rules (sketch_bins > 0): a
-// fixed-bin histogram per coordinate over [current[c] - span,
-// current[c] + span] (outliers clamp to the edge bins). Integer bin
-// counts make merges exact and order-independent, so the sketch is
-// bit-identical across every lane/shard layout by construction.
-// finish() walks each coordinate's bin ranks: the median reads the
-// middle rank(s), the trimmed mean averages the mass of ranks
-// [g, n - g), both answering with bucket midpoints (in-span error at
-// most one bin width = 2 * span / bins).
-class SketchStreamAccumulator final : public StreamingAccumulator {
- public:
-  using StreamingAccumulator::fold;
-
-  SketchStreamAccumulator(const char* rule, const ModelParameters& current,
-                          int bins, double span, double trim_fraction,
-                          std::size_t shards)
-      : rule_(rule),
-        current_(&current),
-        bins_(static_cast<std::size_t>(bins)),
-        span_(span),
-        trim_fraction_(trim_fraction),
-        shards_(shards) {
-    counts_.assign(current.entries().size(), {});
-    for (std::size_t e = 0; e < counts_.size(); ++e) {
-      counts_[e].assign(
-          static_cast<std::size_t>(current.entries()[e].value.numel()) * bins_,
-          0);
-    }
-  }
-
-  void fold(const ModelParameters& update, double weight, int /*staleness*/,
-            int client) override {
-    ProfileScope prof(phase::kAggregate);
-    check_fold(rule_, update, weight, client);
-    check_fold_structure(rule_, *current_, update, client);
-    const double inv_width =
-        static_cast<double>(bins_) / (2.0 * span_);
-    for (std::size_t e = 0; e < counts_.size(); ++e) {
-      const float* u = update.entries()[e].value.data();
-      const float* c = current_->entries()[e].value.data();
-      std::uint32_t* bins = counts_[e].data();
-      const std::size_t n = counts_[e].size() / bins_;
-      for (std::size_t i = 0; i < n; ++i) {
-        const double rel =
-            (static_cast<double>(u[i]) - static_cast<double>(c[i]) + span_) *
-            inv_width;
-        std::size_t b = rel <= 0.0 ? 0 : static_cast<std::size_t>(rel);
-        if (b >= bins_) b = bins_ - 1;
-        ++bins[i * bins_ + b];
-      }
-    }
-    total_ += weight;
-    ++folds_;
-  }
-
-  void merge(StreamingAccumulator& other) override {
-    ProfileScope prof(phase::kAggregate);
-    auto* peer = dynamic_cast<SketchStreamAccumulator*>(&other);
-    if (peer == nullptr || peer->bins_ != bins_ || peer->span_ != span_) {
-      throw std::invalid_argument(
-          std::string(rule_) +
-          ": merge with an incompatible sketch accumulator");
-    }
-    if (peer->folds_ == 0) return;
-    for (std::size_t e = 0; e < counts_.size(); ++e) {
-      std::uint32_t* dst = counts_[e].data();
-      const std::uint32_t* src = peer->counts_[e].data();
-      for_each_shard(counts_[e].size(), shards_,
-                     [dst, src](std::size_t begin, std::size_t end) {
-                       for (std::size_t i = begin; i < end; ++i) {
-                         dst[i] += src[i];
-                       }
-                     });
-    }
-    total_ += peer->total_;
-    folds_ += peer->folds_;
-    *peer = SketchStreamAccumulator(rule_, *peer->current_,
-                                    static_cast<int>(bins_), span_,
-                                    trim_fraction_, shards_);
-  }
-
-  std::size_t folds() const override { return folds_; }
-
-  ModelParameters finish() override {
-    ProfileScope prof(phase::kAggregate);
-    check_finish_total(rule_, folds_, total_);
-    const std::size_t n = folds_;
-    const std::size_t g = static_cast<std::size_t>(
-        trim_fraction_ * static_cast<double>(n));
-    const double width = 2.0 * span_ / static_cast<double>(bins_);
-    const bool median = trim_fraction_ < 0.0;
-    ModelParameters result = *current_;
-    for (std::size_t e = 0; e < counts_.size(); ++e) {
-      float* out = result.mutable_entries()[e].value.data();
-      const std::uint32_t* bins = counts_[e].data();
-      const std::size_t numel = counts_[e].size() / bins_;
-      const std::size_t nbins = bins_;
-      const double span = span_;
-      for_each_shard(
-          numel, shards_,
-          [out, bins, numel, nbins, span, width, n, g,
-           median](std::size_t begin, std::size_t end) {
-            (void)numel;
-            for (std::size_t i = begin; i < end; ++i) {
-              const std::uint32_t* row = bins + i * nbins;
-              const double base = static_cast<double>(out[i]) - span;
-              if (median) {
-                // Value(s) at the middle rank(s), bucket midpoints.
-                const std::size_t hi_rank = n / 2;
-                const std::size_t lo_rank = n % 2 == 1 ? hi_rank : hi_rank - 1;
-                double lo = 0.0, hi = 0.0;
-                std::size_t cum = 0;
-                for (std::size_t b = 0; b < nbins; ++b) {
-                  const std::size_t next = cum + row[b];
-                  const double mid =
-                      base + (static_cast<double>(b) + 0.5) * width;
-                  if (cum <= lo_rank && lo_rank < next) lo = mid;
-                  if (cum <= hi_rank && hi_rank < next) {
-                    hi = mid;
-                    break;
-                  }
-                  cum = next;
-                }
-                out[i] = static_cast<float>((lo + hi) / 2.0);
-              } else {
-                // Mass of ranks [g, n - g): each bin contributes the
-                // overlap of its cumulative rank range, valued at its
-                // midpoint.
-                double acc = 0.0;
-                std::size_t cum = 0;
-                for (std::size_t b = 0; b < nbins && cum < n - g; ++b) {
-                  const std::size_t next = cum + row[b];
-                  const std::size_t lo = cum > g ? cum : g;
-                  const std::size_t hi = next < n - g ? next : n - g;
-                  if (hi > lo) {
-                    acc += static_cast<double>(hi - lo) *
-                           (base + (static_cast<double>(b) + 0.5) * width);
-                  }
-                  cum = next;
-                }
-                out[i] = static_cast<float>(
-                    acc / static_cast<double>(n - 2 * g));
-              }
-            }
-          });
-    }
-    return result;
-  }
-
- private:
-  const char* rule_;
-  const ModelParameters* current_;
-  std::size_t bins_;
-  double span_;
-  double trim_fraction_;  // < 0 = median mode
-  std::size_t shards_;
-  std::vector<std::vector<std::uint32_t>> counts_;
-  double total_ = 0.0;
-  std::size_t folds_ = 0;
-};
-
-void require_current(const char* rule,
-                               const ModelParameters& current) {
+void require_current(const char* rule, const ModelParameters& current) {
   if (current.empty()) {
     throw std::invalid_argument(
         std::string(rule) +
         ": empty `current` — the accumulator anchors on the server's "
-        "model (delta reference / sketch center), so the caller must pass "
-        "it");
+        "model (delta / clipping reference), so the caller must pass it");
   }
 }
-
 
 // Batch math of the rules that need the whole cohort. Each runs in
 // RetainingAccumulator::finish() over a cohort the folds already
@@ -722,19 +545,6 @@ class RetainingAccumulator final : public StreamingAccumulator {
   std::vector<Kept> kept_;
 };
 
-void check_sketch_knobs(const char* rule, int bins, double span) {
-  if (bins != 0 && bins < 2) {
-    throw std::invalid_argument(std::string(rule) + ": sketch_bins " +
-                                std::to_string(bins) +
-                                " must be 0 (exact) or >= 2");
-  }
-  if (!std::isfinite(span) || span <= 0.0) {
-    throw std::invalid_argument(std::string(rule) + ": sketch_span " +
-                                std::to_string(span) +
-                                " must be finite and > 0");
-  }
-}
-
 }  // namespace
 
 std::vector<std::size_t> fold_lane_offsets(std::size_t n, std::size_t lanes) {
@@ -745,25 +555,34 @@ std::vector<std::size_t> fold_lane_offsets(std::size_t n, std::size_t lanes) {
 }
 
 LaneAccumulators::LaneAccumulators(const AggregationRule& rule,
-                                   const ModelParameters& current,
-                                   const ShardLayout& layout) {
-  lanes_.reserve(kFoldLanes);
-  for (std::size_t l = 0; l < kFoldLanes; ++l) {
-    lanes_.push_back(rule.accumulator(current, layout));
-  }
+                                   const ModelParameters& current)
+    : rule_(&rule), current_(&current), lanes_(kFoldLanes) {}
+
+StreamingAccumulator& LaneAccumulators::operator[](std::size_t lane) {
+  std::unique_ptr<StreamingAccumulator>& slot = lanes_.at(lane);
+  if (!slot) slot = rule_->accumulator(*current_);
+  return *slot;
 }
 
 StreamingAccumulator& LaneAccumulators::merged() {
   // Lane order is the merge order — part of the deterministic contract.
-  for (std::size_t l = 1; l < lanes_.size(); ++l) lanes_[0]->merge(*lanes_[l]);
-  return *lanes_[0];
+  StreamingAccumulator* first = nullptr;
+  for (const std::unique_ptr<StreamingAccumulator>& lane : lanes_) {
+    if (!lane) continue;
+    if (first == nullptr) {
+      first = lane.get();
+    } else {
+      first->merge(*lane);
+    }
+  }
+  return first != nullptr ? *first : (*this)[0];
 }
 
 ModelParameters AggregationRule::aggregate(
     const ModelParameters& current,
     const std::vector<AggregationInput>& cohort) const {
   const std::unique_ptr<StreamingAccumulator> acc =
-      accumulator(current, ShardLayout{});
+      accumulator(current);
   for (std::size_t i = 0; i < cohort.size(); ++i) {
     const AggregationInput& in = cohort[i];
     const std::string position = "cohort update #" + std::to_string(i);
@@ -783,54 +602,33 @@ ModelParameters AggregationRule::aggregate(
 }
 
 std::unique_ptr<StreamingAccumulator> WeightedAverage::accumulator(
-    const ModelParameters& /*current*/, const ShardLayout& layout) const {
-  return std::make_unique<MeanStreamAccumulator>(layout.shards);
-}
-
-CoordinateMedian::CoordinateMedian(int sketch_bins, double sketch_span)
-    : sketch_bins_(sketch_bins), sketch_span_(sketch_span) {
-  check_sketch_knobs("CoordinateMedian", sketch_bins, sketch_span);
+    const ModelParameters& /*current*/) const {
+  return std::make_unique<MeanStreamAccumulator>();
 }
 
 std::unique_ptr<StreamingAccumulator> CoordinateMedian::accumulator(
-    const ModelParameters& current, const ShardLayout& layout) const {
-  if (sketch_bins_ == 0) {
-    return std::make_unique<RetainingAccumulator>("CoordinateMedian",
-                                                  median_of);
-  }
-  require_current("CoordinateMedian", current);
-  return std::make_unique<SketchStreamAccumulator>(
-      "CoordinateMedian", current, sketch_bins_, sketch_span_,
-      /*trim_fraction=*/-1.0, layout.shards);
+    const ModelParameters& /*current*/) const {
+  return std::make_unique<RetainingAccumulator>("CoordinateMedian",
+                                                median_of);
 }
 
-TrimmedMean::TrimmedMean(double trim_fraction, int sketch_bins,
-                         double sketch_span)
-    : trim_fraction_(trim_fraction),
-      sketch_bins_(sketch_bins),
-      sketch_span_(sketch_span) {
+TrimmedMean::TrimmedMean(double trim_fraction)
+    : trim_fraction_(trim_fraction) {
   if (!(trim_fraction >= 0.0) || trim_fraction >= 0.5) {
     throw std::invalid_argument(
         "TrimmedMean: trim_fraction " + std::to_string(trim_fraction) +
         " outside [0, 0.5) — trimming half or more from each end leaves "
         "nothing to average");
   }
-  check_sketch_knobs("TrimmedMean", sketch_bins, sketch_span);
 }
 
 std::unique_ptr<StreamingAccumulator> TrimmedMean::accumulator(
-    const ModelParameters& current, const ShardLayout& layout) const {
-  if (sketch_bins_ == 0) {
-    const double trim = trim_fraction_;
-    return std::make_unique<RetainingAccumulator>(
-        "TrimmedMean", [trim](const std::vector<AggregationInput>& cohort) {
-          return trimmed_mean_of(cohort, trim);
-        });
-  }
-  require_current("TrimmedMean", current);
-  return std::make_unique<SketchStreamAccumulator>(
-      "TrimmedMean", current, sketch_bins_, sketch_span_, trim_fraction_,
-      layout.shards);
+    const ModelParameters& /*current*/) const {
+  const double trim = trim_fraction_;
+  return std::make_unique<RetainingAccumulator>(
+      "TrimmedMean", [trim](const std::vector<AggregationInput>& cohort) {
+        return trimmed_mean_of(cohort, trim);
+      });
 }
 
 NormClippedMean::NormClippedMean(double clip_norm) : clip_norm_(clip_norm) {
@@ -842,10 +640,9 @@ NormClippedMean::NormClippedMean(double clip_norm) : clip_norm_(clip_norm) {
 }
 
 std::unique_ptr<StreamingAccumulator> NormClippedMean::accumulator(
-    const ModelParameters& current, const ShardLayout& layout) const {
+    const ModelParameters& current) const {
   require_current("NormClippedMean", current);
-  return std::make_unique<ClippedStreamAccumulator>(current, clip_norm_,
-                                                    layout.shards);
+  return std::make_unique<ClippedStreamAccumulator>(current, clip_norm_);
 }
 
 Krum::Krum(int f) : f_(f) {
@@ -856,7 +653,7 @@ Krum::Krum(int f) : f_(f) {
 }
 
 std::unique_ptr<StreamingAccumulator> Krum::accumulator(
-    const ModelParameters& /*current*/, const ShardLayout& /*layout*/) const {
+    const ModelParameters& /*current*/) const {
   const int f = f_;
   return std::make_unique<RetainingAccumulator>(
       "Krum", [f](const std::vector<AggregationInput>& cohort) {
@@ -872,7 +669,7 @@ MultiKrum::MultiKrum(int f, int m) : Krum(f), m_(m) {
 }
 
 std::unique_ptr<StreamingAccumulator> MultiKrum::accumulator(
-    const ModelParameters& /*current*/, const ShardLayout& /*layout*/) const {
+    const ModelParameters& /*current*/) const {
   const int f = this->f();
   const int m_knob = m_;
   return std::make_unique<RetainingAccumulator>(
@@ -926,10 +723,10 @@ StalenessDiscountedMix::StalenessDiscountedMix(StalenessPolicy staleness,
 }
 
 std::unique_ptr<StreamingAccumulator> StalenessDiscountedMix::accumulator(
-    const ModelParameters& current, const ShardLayout& layout) const {
+    const ModelParameters& current) const {
   require_current("StalenessDiscountedMix", current);
   return std::make_unique<MixStreamAccumulator>(current, staleness_,
-                                                server_mix_, layout.shards);
+                                                server_mix_);
 }
 
 namespace {
@@ -938,12 +735,11 @@ void register_builtin_rules(AggregationRegistry& registry) {
   registry.add("weighted_average", [](const AggregationConfig&) {
     return std::make_unique<WeightedAverage>();
   });
-  registry.add("coordinate_median", [](const AggregationConfig& c) {
-    return std::make_unique<CoordinateMedian>(c.sketch_bins, c.sketch_span);
+  registry.add("coordinate_median", [](const AggregationConfig&) {
+    return std::make_unique<CoordinateMedian>();
   });
   registry.add("trimmed_mean", [](const AggregationConfig& c) {
-    return std::make_unique<TrimmedMean>(c.trim_fraction, c.sketch_bins,
-                                         c.sketch_span);
+    return std::make_unique<TrimmedMean>(c.trim_fraction);
   });
   registry.add("norm_clipped_mean", [](const AggregationConfig& c) {
     return std::make_unique<NormClippedMean>(c.clip_norm);

@@ -8,13 +8,11 @@
 // accumulator, not a second path through the round loops:
 //   running sums — WeightedAverage, NormClippedMean and
 //     StalenessDiscountedMix keep O(model) double sums per lane;
-//   histogram sketch — CoordinateMedian / TrimmedMean with
-//     sketch_bins > 0 keep O(bins x model) counts per lane;
-//   retained cohort — Krum, MultiKrum and exact (sketch_bins == 0)
-//     CoordinateMedian / TrimmedMean keep every folded update and run
-//     the batch math in finish(). Lanes concatenate in lane order,
-//     which is cohort order, and none of these rules depends on fold
-//     order, so the result is the batch result bit for bit.
+//   retained cohort — Krum, MultiKrum, CoordinateMedian and
+//     TrimmedMean keep every folded update and run the batch math in
+//     finish(). Lanes concatenate in lane order, which is cohort
+//     order, and none of these rules depends on fold order, so the
+//     result is the batch result bit for bit.
 // AggregationRule::aggregate() is the same protocol over a cohort that
 // is already materialized (one accumulator, folded in cohort order).
 //
@@ -79,15 +77,11 @@ struct AggregationInput {
 // cohort order into its own accumulator, and the lanes are merged in
 // lane order. Because the partition and both fold/merge orders are
 // pure functions of the cohort (never of thread scheduling), results
-// are bit-identical across thread-pool sizes.
-inline constexpr std::size_t kFoldLanes = 8;
-
-// How many parameter shards the element-wise merge/finish passes may
-// split the model into. Shards only parallelize element-wise work, so
-// the result is shard-count invariant by construction.
-struct ShardLayout {
-  std::size_t shards = 0;  // 0 = one shard per pool thread
-};
+// are bit-identical across thread-pool sizes. Round bodies train each
+// member inside its lane, so the constant also caps a round's training
+// parallelism: a cohort of n runs min(n, kFoldLanes) members at once,
+// and only lanes that receive a fold allocate an accumulator.
+inline constexpr std::size_t kFoldLanes = 64;
 
 // Half-open lane boundaries over [0, n): lanes + 1 offsets with lane l
 // covering [offsets[l], offsets[l + 1]). Pure function of (n, lanes) —
@@ -122,7 +116,7 @@ class StreamingAccumulator {
          client);
   }
 
-  // Absorbs a sibling lane's partials (same rule, same layout). The
+  // Absorbs a sibling lane's partials (same rule). The
   // caller merges lanes in ascending lane order; `other` is left empty.
   virtual void merge(StreamingAccumulator& other) = 0;
 
@@ -139,18 +133,22 @@ class StreamingAccumulator {
 class AggregationRule;
 
 // One accumulator per fold lane of a round (Channel::collect_streaming's
-// `lane` picks one); finish() merges them in lane order.
+// `lane` picks one); finish() merges them in lane order. A lane's
+// accumulator is created on its first access, from that lane's thread
+// only, so a small cohort pays for the lanes it uses, not kFoldLanes.
 class LaneAccumulators {
  public:
-  LaneAccumulators(const AggregationRule& rule, const ModelParameters& current,
-                   const ShardLayout& layout = {});
+  LaneAccumulators(const AggregationRule& rule, const ModelParameters& current);
 
-  StreamingAccumulator& operator[](std::size_t lane) { return *lanes_[lane]; }
-  // Merges every lane into lane 0 (idempotent) and returns it.
+  StreamingAccumulator& operator[](std::size_t lane);
+  // Merges every used lane into the first one (idempotent) and returns
+  // it; an unused round yields an empty accumulator.
   StreamingAccumulator& merged();
   ModelParameters finish() { return merged().finish(); }
 
  private:
+  const AggregationRule* rule_;
+  const ModelParameters* current_;
   std::vector<std::unique_ptr<StreamingAccumulator>> lanes_;
 };
 
@@ -167,11 +165,11 @@ class AggregationRule {
   virtual bool folds_into_current() const { return false; }
 
   // A fresh partial accumulator for one fold lane. `current` is the
-  // model being replaced (the delta/clipping reference or sketch
-  // center; it must outlive the accumulator — round loops keep the
-  // global model alive across the round).
+  // model being replaced (the delta/clipping reference; it must
+  // outlive the accumulator — round loops keep the global model alive
+  // across the round).
   virtual std::unique_ptr<StreamingAccumulator> accumulator(
-      const ModelParameters& current, const ShardLayout& layout) const = 0;
+      const ModelParameters& current) const = 0;
 
   // Combines a materialized cohort into the next model: one
   // accumulator, the cohort folded in order, then finish(). Throws
@@ -191,31 +189,20 @@ class WeightedAverage : public AggregationRule {
  public:
   std::string name() const override { return "weighted_average"; }
   std::unique_ptr<StreamingAccumulator> accumulator(
-      const ModelParameters& current, const ShardLayout& layout) const override;
+      const ModelParameters& current) const override;
 };
 
 // Entrywise (coordinate-wise) median over the cohort. Rank-based:
 // sample-count weights are validated but do not influence the result,
 // which is what makes a < 50% fraction of arbitrarily-corrupted
 // clients unable to move any coordinate outside the honest range.
+// The accumulator retains the cohort and takes the per-coordinate
+// median in finish().
 class CoordinateMedian : public AggregationRule {
  public:
-  // sketch_bins == 0 (the default) is exact: the accumulator retains
-  // the cohort and takes the per-coordinate median in finish().
-  // sketch_bins >= 2 switches to a per-coordinate fixed-bin histogram
-  // over [current[c] - span, current[c] + span] (values outside clamp
-  // to the edge bins) answering with bucket midpoints: O(bins x model)
-  // memory at any cohort size, at most one bin width (2 * span / bins)
-  // off within the span, and integer counts merge exactly.
-  explicit CoordinateMedian(int sketch_bins = 0, double sketch_span = 0.25);
-
   std::string name() const override { return "coordinate_median"; }
   std::unique_ptr<StreamingAccumulator> accumulator(
-      const ModelParameters& current, const ShardLayout& layout) const override;
-
- private:
-  int sketch_bins_;
-  double sketch_span_;
+      const ModelParameters& current) const override;
 };
 
 // Entrywise trimmed mean: per coordinate, the g = floor(trim_fraction
@@ -225,21 +212,16 @@ class CoordinateMedian : public AggregationRule {
 // g corrupted clients per coordinate.
 class TrimmedMean : public AggregationRule {
  public:
-  // trim_fraction in [0, 0.5); 0 recovers the unweighted mean. The
-  // sketch knobs mean what they mean for CoordinateMedian (0 = exact);
-  // the sketch averages the mass of ranks [g, n - g) per coordinate.
-  explicit TrimmedMean(double trim_fraction, int sketch_bins = 0,
-                       double sketch_span = 0.25);
+  // trim_fraction in [0, 0.5); 0 recovers the unweighted mean.
+  explicit TrimmedMean(double trim_fraction);
 
   std::string name() const override { return "trimmed_mean"; }
   double trim_fraction() const { return trim_fraction_; }
   std::unique_ptr<StreamingAccumulator> accumulator(
-      const ModelParameters& current, const ShardLayout& layout) const override;
+      const ModelParameters& current) const override;
 
  private:
   double trim_fraction_;
-  int sketch_bins_;
-  double sketch_span_;
 };
 
 // Weighted average of delta-clipped updates: each cohort member's
@@ -256,7 +238,7 @@ class NormClippedMean : public AggregationRule {
   std::string name() const override { return "norm_clipped_mean"; }
   double clip_norm() const { return clip_norm_; }
   std::unique_ptr<StreamingAccumulator> accumulator(
-      const ModelParameters& current, const ShardLayout& layout) const override;
+      const ModelParameters& current) const override;
 
  private:
   double clip_norm_;
@@ -279,7 +261,7 @@ class Krum : public AggregationRule {
   std::string name() const override { return "krum"; }
   int f() const { return f_; }
   std::unique_ptr<StreamingAccumulator> accumulator(
-      const ModelParameters& current, const ShardLayout& layout) const override;
+      const ModelParameters& current) const override;
 
  private:
   int f_;
@@ -297,7 +279,7 @@ class MultiKrum : public Krum {
   std::string name() const override { return "multi_krum"; }
   int m() const { return m_; }
   std::unique_ptr<StreamingAccumulator> accumulator(
-      const ModelParameters& current, const ShardLayout& layout) const override;
+      const ModelParameters& current) const override;
 
  private:
   int m_;
@@ -331,7 +313,7 @@ class StalenessDiscountedMix : public AggregationRule {
   std::string name() const override { return "staleness_mix"; }
   bool folds_into_current() const override { return true; }
   std::unique_ptr<StreamingAccumulator> accumulator(
-      const ModelParameters& current, const ShardLayout& layout) const override;
+      const ModelParameters& current) const override;
 
  private:
   StalenessPolicy staleness_;
@@ -359,13 +341,6 @@ struct AggregationConfig {
   // means configuring it here.
   StalenessPolicy staleness;
   double server_mix = 0.5;
-  // Histogram-sketch resolution for coordinate_median / trimmed_mean:
-  // bins per coordinate and the half-width of the sketch window around
-  // the current model. 0 bins = exact (the accumulator retains the
-  // cohort). Worst-case in-span quantile error of the sketch is one bin
-  // width = 2 * sketch_span / sketch_bins.
-  int sketch_bins = 0;
-  double sketch_span = 0.25;
 };
 
 // String-keyed factory map over aggregation rules, mirroring

@@ -292,8 +292,7 @@ std::vector<ModelParameters> AsyncFedAvg::run_rounds(
                       if (version >= opts.rounds) return;
                       if (!interval) {
                         interval = rule->accumulator(
-                            rule->folds_into_current() ? global : zero_anchor,
-                            ShardLayout{});
+                            rule->folds_into_current() ? global : zero_anchor);
                       }
                       const int tau = version - dispatched_version;
                       double w = weights[k];

@@ -66,7 +66,7 @@ std::vector<ModelParameters> IFCA::run_rounds(
     // client from the selection broadcast, so no second download. Each
     // decoded upload folds into its lane's accumulator for the
     // member's ASSIGNED cluster (each cluster's own model is the
-    // delta/sketch anchor); the barrier prices the round with each
+    // delta/clipping reference); the barrier prices the round with each
     // member's C serial downloads in its billed traffic.
     std::vector<std::shared_ptr<const ModelParameters>> received;
     received.reserve(cohort.size());

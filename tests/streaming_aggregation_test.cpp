@@ -1,9 +1,8 @@
 // Accumulator-protocol tests: fold/merge/finish per rule family
 // against closed-form references computed here (exact to float
-// rounding for the mean family, within one bin width for the histogram
-// sketches, bit for bit for the retaining rules whatever the lane
-// layout), bit-identity across thread-pool sizes and shard counts (lane
-// partition + merge order are pure functions of the cohort), the
+// rounding for the mean family, bit for bit for the retaining rules
+// whatever the lane layout), bit-identity across thread-pool sizes
+// (lane partition + merge order are pure functions of the cohort), the
 // fold-time validation guards, Channel::collect_streaming equivalence
 // with the batch collect, the fast client-construction schema, the
 // importance_sample participation policy, and end-to-end round loops
@@ -94,13 +93,10 @@ double max_abs_diff(const std::vector<double>& a,
 // lanes merged ascending, one finish.
 ModelParameters lane_aggregate(const AggregationRule& rule,
                                const ModelParameters& current,
-                               const std::vector<AggregationInput>& cohort,
-                               std::size_t shards = 0) {
-  ShardLayout layout;
-  layout.shards = shards;
+                               const std::vector<AggregationInput>& cohort) {
   const std::vector<std::size_t> lanes =
       fold_lane_offsets(cohort.size(), kFoldLanes);
-  LaneAccumulators accs(rule, current, layout);
+  LaneAccumulators accs(rule, current);
   for (std::size_t l = 0; l < kFoldLanes; ++l) {
     for (std::size_t i = lanes[l]; i < lanes[l + 1]; ++i) {
       accs[l].fold(*cohort[i].params, cohort[i].weight, cohort[i].staleness,
@@ -236,10 +232,11 @@ std::vector<AggregationInput> as_inputs(
 
 TEST(RetainingAccumulator, LanesReproduceTheSingleAccumulatorBitForBit) {
   // Lanes are contiguous cohort blocks merged in lane order, so the
-  // retained cohort reaches the batch math in cohort order: an 8-lane
-  // round and one accumulator over the materialized cohort agree bit
-  // for bit, for every retaining rule.
-  const std::vector<ModelParameters> members = spread_members(19, 3);
+  // retained cohort reaches the batch math in cohort order: a lane
+  // round (several members per lane) and one accumulator over the
+  // materialized cohort agree bit for bit, for every retaining rule.
+  const std::vector<ModelParameters> members =
+      spread_members(2 * kFoldLanes + 3, 3);
   const std::vector<AggregationInput> cohort = as_inputs(members);
   const CoordinateMedian median;
   const TrimmedMean trimmed(0.2);
@@ -267,8 +264,8 @@ TEST(RetainingAccumulator, ExactMedianIsTheMiddleValue) {
 
 TEST(RetainingAccumulator, MergeConcatenatesAndEmptiesThePeer) {
   const Krum rule(0);
-  auto a = rule.accumulator(ModelParameters{}, ShardLayout{});
-  auto b = rule.accumulator(ModelParameters{}, ShardLayout{});
+  auto a = rule.accumulator(ModelParameters{});
+  auto b = rule.accumulator(ModelParameters{});
   a->fold(make_params({0.0f}), 1.0, 0, 0);
   b->fold(make_params({0.1f}), 1.0, 0, 1);
   b->fold(make_params({9.0f}), 1.0, 0, 2);
@@ -278,94 +275,34 @@ TEST(RetainingAccumulator, MergeConcatenatesAndEmptiesThePeer) {
   // f = 0 scores each update by its nearest neighbor: the outlier loses.
   EXPECT_FLOAT_EQ(values_of(a->finish())[0], 0.0f);
   // Another rule's retained cohort cannot be merged in.
-  auto median = CoordinateMedian().accumulator(ModelParameters{}, {});
+  auto median = CoordinateMedian().accumulator(ModelParameters{});
   EXPECT_THROW(median->merge(*a), std::invalid_argument);
 }
 
-// --- sketch family against the exact rules ---------------------------
+// --- determinism across pools --------------------------------------
 
-TEST(StreamingAccumulator, MedianSketchWithinOneBinWidthOfExact) {
-  // Values inside the sketch window around current = 0: the sketch
-  // answer (a bucket midpoint) may be off the exact median by at most
-  // one bin width = 2 * span / bins.
-  const ModelParameters current = make_params({0.0f, 0.0f}, 0.0f);
-  const ModelParameters a = make_params({-0.20f, 0.01f}, 0.02f);
-  const ModelParameters b = make_params({0.05f, 0.10f}, 0.05f);
-  const ModelParameters c = make_params({0.15f, -0.24f}, -0.10f);
-  const std::vector<AggregationInput> cohort = {
-      {&a, 1.0, 0, 1}, {&b, 1.0, 0, 2}, {&c, 1.0, 0, 3}};
-  const int bins = 64;
-  const double span = 0.25;
-  const ModelParameters exact =
-      CoordinateMedian().aggregate(ModelParameters{}, cohort);
-  const ModelParameters sketched =
-      lane_aggregate(CoordinateMedian(bins, span), current, cohort);
-  EXPECT_LE(max_abs_diff(flat(exact), flat(sketched)),
-            2.0 * span / bins + 1e-6);
-}
-
-TEST(StreamingAccumulator, TrimmedMeanSketchWithinOneBinWidthOfExact) {
-  const ModelParameters current = make_params({0.0f}, 0.0f);
-  std::vector<ModelParameters> members;
-  for (int i = 0; i < 8; ++i) {
-    members.push_back(make_params({-0.2f + 0.05f * static_cast<float>(i)},
-                                  0.01f * static_cast<float>(i)));
-  }
-  std::vector<AggregationInput> cohort;
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    cohort.push_back({&members[i], 1.0, 0, static_cast<int>(i)});
-  }
-  const int bins = 128;
-  const double span = 0.3;
-  const ModelParameters exact =
-      TrimmedMean(0.25).aggregate(ModelParameters{}, cohort);
-  const ModelParameters sketched =
-      lane_aggregate(TrimmedMean(0.25, bins, span), current, cohort);
-  EXPECT_LE(max_abs_diff(flat(exact), flat(sketched)),
-            2.0 * span / bins + 1e-6);
-}
-
-TEST(StreamingAccumulator, SketchClampsOutOfSpanValuesToEdgeBins) {
-  // A huge outlier lands in the edge bin — it can shift WHICH bucket
-  // holds the median only as far as any in-window value would, so the
-  // sketch median stays inside the window (the robustness property).
-  const ModelParameters current = make_params({0.0f}, 0.0f);
-  const ModelParameters a = make_params({-0.05f}, 1.0f);
-  const ModelParameters b = make_params({0.05f}, 1.0f);
-  const ModelParameters outlier = make_params({1e6f}, 1.0f);
-  const std::vector<AggregationInput> cohort = {
-      {&a, 1.0, 0, 1}, {&b, 1.0, 0, 2}, {&outlier, 1.0, 0, 3}};
-  const CoordinateMedian rule(32, 0.25);
-  const ModelParameters sketched = lane_aggregate(rule, current, cohort);
-  EXPECT_LE(std::abs(values_of(sketched)[0]), 0.25 + 1e-6);
-}
-
-// --- determinism across pools and shards -----------------------------
-
-TEST(StreamingAccumulator, BitIdenticalAcrossThreadPoolSizesAndShards) {
-  const std::vector<ModelParameters> members = spread_members(23, 7);
+TEST(StreamingAccumulator, BitIdenticalAcrossThreadPoolSizes) {
+  // More members than lanes, so lanes fold several members each and the
+  // merge/finish passes split across every pool size tried.
+  const std::vector<ModelParameters> members =
+      spread_members(2 * kFoldLanes + 7, 7);
   const std::vector<AggregationInput> cohort = as_inputs(members);
   const ModelParameters current = make_params({0.0f, 0.0f, 0.0f}, 0.0f);
   const WeightedAverage mean;
-  const CoordinateMedian sketch(32, 0.25);
-  const TrimmedMean exact(0.1);
+  const CoordinateMedian median;
+  const TrimmedMean trimmed(0.1);
+  const std::vector<const AggregationRule*> rules = {&mean, &median, &trimmed};
+  ThreadPool::reset_global(1);
   std::vector<ModelParameters> reference;
-  for (const AggregationRule* rule :
-       std::vector<const AggregationRule*>{&mean, &sketch, &exact}) {
-    reference.push_back(lane_aggregate(*rule, current, cohort, 1));
+  for (const AggregationRule* rule : rules) {
+    reference.push_back(lane_aggregate(*rule, current, cohort));
   }
-  for (const std::size_t pool : {1u, 2u, 8u}) {
+  for (const std::size_t pool : {2u, 8u}) {
     ThreadPool::reset_global(pool);
-    for (const std::size_t shards : {1u, 3u, 16u}) {
-      EXPECT_TRUE(bit_identical(reference[0],
-                                lane_aggregate(mean, current, cohort, shards)))
-          << "weighted_average pool=" << pool << " shards=" << shards;
-      EXPECT_TRUE(bit_identical(
-          reference[1], lane_aggregate(sketch, current, cohort, shards)))
-          << "median sketch pool=" << pool << " shards=" << shards;
-      EXPECT_TRUE(bit_identical(
-          reference[2], lane_aggregate(exact, current, cohort, shards)))
-          << "exact trimmed_mean pool=" << pool << " shards=" << shards;
+    for (std::size_t r = 0; r < rules.size(); ++r) {
+      EXPECT_TRUE(bit_identical(reference[r],
+                                lane_aggregate(*rules[r], current, cohort)))
+          << rules[r]->name() << " pool=" << pool;
     }
   }
   ThreadPool::reset_global(0);
@@ -375,7 +312,7 @@ TEST(StreamingAccumulator, BitIdenticalAcrossThreadPoolSizesAndShards) {
 
 TEST(StreamingAccumulator, FoldRejectsNonFiniteUpdateNamingTheClient) {
   const WeightedAverage rule;
-  auto acc = rule.accumulator(ModelParameters{}, ShardLayout{});
+  auto acc = rule.accumulator(ModelParameters{});
   const ModelParameters bad =
       make_params({1.0f, std::numeric_limits<float>::quiet_NaN()});
   try {
@@ -389,7 +326,7 @@ TEST(StreamingAccumulator, FoldRejectsNonFiniteUpdateNamingTheClient) {
 
 TEST(StreamingAccumulator, FoldRejectsBadWeightsAndEmptyUpdates) {
   const WeightedAverage rule;
-  auto acc = rule.accumulator(ModelParameters{}, ShardLayout{});
+  auto acc = rule.accumulator(ModelParameters{});
   const ModelParameters ok = make_params({1.0f});
   EXPECT_THROW(acc->fold(ok, -1.0, 0, 0), std::invalid_argument);
   EXPECT_THROW(acc->fold(ok, std::numeric_limits<double>::quiet_NaN(), 0, 0),
@@ -400,15 +337,15 @@ TEST(StreamingAccumulator, FoldRejectsBadWeightsAndEmptyUpdates) {
 
 TEST(StreamingAccumulator, FinishOnZeroFoldsThrowsTheEmptyCohortError) {
   const WeightedAverage rule;
-  auto acc = rule.accumulator(ModelParameters{}, ShardLayout{});
+  auto acc = rule.accumulator(ModelParameters{});
   EXPECT_EQ(acc->folds(), 0u);
   EXPECT_THROW(acc->finish(), std::invalid_argument);
 }
 
 TEST(StreamingAccumulator, MergeCountsFoldsAndEmptiesThePeer) {
   const WeightedAverage rule;
-  auto a = rule.accumulator(ModelParameters{}, ShardLayout{});
-  auto b = rule.accumulator(ModelParameters{}, ShardLayout{});
+  auto a = rule.accumulator(ModelParameters{});
+  auto b = rule.accumulator(ModelParameters{});
   const ModelParameters u = make_params({1.0f});
   a->fold(u, 1.0, 0, 0);
   b->fold(u, 1.0, 0, 1);
@@ -422,29 +359,31 @@ TEST(StreamingAccumulator, MergeRejectsAForeignAccumulatorType) {
   const WeightedAverage mean;
   const NormClippedMean clipped(1.0);
   const ModelParameters current = make_params({0.0f});
-  auto a = mean.accumulator(current, ShardLayout{});
-  auto b = clipped.accumulator(current, ShardLayout{});
+  auto a = mean.accumulator(current);
+  auto b = clipped.accumulator(current);
   EXPECT_THROW(a->merge(*b), std::invalid_argument);
 }
 
-TEST(StreamingAccumulator, ClippingAndSketchRulesRequireANonEmptyCurrent) {
-  EXPECT_THROW(
-      NormClippedMean(1.0).accumulator(ModelParameters{}, ShardLayout{}),
-      std::invalid_argument);
-  EXPECT_THROW(
-      CoordinateMedian(32, 0.25).accumulator(ModelParameters{}, ShardLayout{}),
-      std::invalid_argument);
-  // The exact (retaining) form needs no anchor.
-  EXPECT_NO_THROW(
-      CoordinateMedian().accumulator(ModelParameters{}, ShardLayout{}));
+TEST(StreamingAccumulator, ClippingRuleRequiresANonEmptyCurrent) {
+  EXPECT_THROW(NormClippedMean(1.0).accumulator(ModelParameters{}),
+               std::invalid_argument);
+  // The retaining rules need no anchor.
+  EXPECT_NO_THROW(CoordinateMedian().accumulator(ModelParameters{}));
 }
 
-TEST(CoordinateMedian, RejectsBadSketchKnobs) {
-  EXPECT_THROW(CoordinateMedian(1, 0.25), std::invalid_argument);
-  EXPECT_THROW(CoordinateMedian(32, 0.0), std::invalid_argument);
-  EXPECT_THROW(CoordinateMedian(32, std::numeric_limits<double>::infinity()),
-               std::invalid_argument);
-  EXPECT_NO_THROW(CoordinateMedian(0, 0.25));  // 0 bins = exact
+TEST(LaneAccumulators, AnUnusedRoundMergesToAnEmptyAccumulator) {
+  // A dead IFCA cluster folds nothing: merged() reports zero folds and
+  // finish() raises the empty-cohort error instead of emitting a model.
+  const WeightedAverage rule;
+  LaneAccumulators unused(rule, ModelParameters{});
+  EXPECT_EQ(unused.merged().folds(), 0u);
+  EXPECT_THROW(unused.finish(), std::invalid_argument);
+  // Lanes used out of order still merge in lane order.
+  LaneAccumulators sparse(rule, ModelParameters{});
+  sparse[kFoldLanes - 1].fold(make_params({3.0f}), 1.0, 0, 1);
+  sparse[2].fold(make_params({1.0f}), 1.0, 0, 0);
+  EXPECT_EQ(sparse.merged().folds(), 2u);
+  EXPECT_FLOAT_EQ(values_of(sparse.finish())[0], 2.0f);
 }
 
 // --- channel: streaming collect -------------------------------------
