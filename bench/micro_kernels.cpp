@@ -4,7 +4,11 @@
 // run, plus the plan-cache hit rate over the sweep. A conv-layer row
 // times FLNet's single-output-channel head as Conv2d runs it (the
 // direct kernels) against the im2col + reference-GEMM lowering those
-// kernels replace, and gates on the two agreeing bit for bit.
+// kernels replace, and gates on the two agreeing bit for bit. The
+// isa_layers rows time RouteNet's conv2 and conv3 (forward + backward
+// through Conv2d) on the portable kernels against the dispatched ISA
+// (AVX2 where the host has it) and gate on identical bits; the JSON
+// names the dispatched ISA.
 //
 // Emits BENCH_kernels.json for the CI bench-trajectory artifact;
 // ci/perf_gate.py diffs the per-shape auto GFLOP/s against the previous
@@ -178,8 +182,13 @@ struct ConvLayerResult {
 };
 
 struct ConvGrads {
-  std::vector<float> y, dw, dx;
+  std::vector<float> y, dw, dx, db;  // db: isa_layers only
 };
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
 
 // The im2col lowering with the reference kernels, as Conv2d ran this
 // layer before its direct path (bias is zero; at batch <= 16 every
@@ -255,18 +264,83 @@ ConvLayerResult bench_conv_layer(const ConvLayerCase& c, Rng& rng) {
   result.im2col_ms = flops / im2col_gflops * 1e-6;
   result.direct_ms = flops / direct_gflops * 1e-6;
   result.speedup = result.im2col_ms / result.direct_ms;
-  auto same = [](const std::vector<float>& a, const std::vector<float>& b) {
-    return a.size() == b.size() &&
-           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+  result.bit_identical = same_bits(direct.y, oracle.y) &&
+                         same_bits(direct.dw, oracle.dw) &&
+                         same_bits(direct.dx, oracle.dx);
+  return result;
+}
+
+// A Conv2d layer timed over one forward + backward, portable kernels
+// against the dispatched ISA.
+struct IsaLayerCase {
+  const char* name;
+  std::int64_t in_channels, out_channels, kernel, grid, batch;
+};
+
+// RouteNet's conv2 (32 -> 64, 7x7) and conv3 (64 -> 32, 9x9, after the
+// pool) at the quick bench grid.
+const IsaLayerCase kIsaLayers[] = {{"routenet_conv2", 32, 64, 7, 32, 2},
+                                   {"routenet_conv3", 64, 32, 9, 16, 2}};
+
+struct IsaLayerResult {
+  const IsaLayerCase* layer = nullptr;
+  double portable_ms = 0.0;
+  double dispatched_ms = 0.0;
+  double speedup = 0.0;
+  bool bit_identical = false;
+};
+
+IsaLayerResult bench_isa_layer(const IsaLayerCase& c, Rng& rng) {
+  IsaLayerResult result;
+  result.layer = &c;
+  Conv2dOptions opts;
+  opts.in_channels = c.in_channels;
+  opts.out_channels = c.out_channels;
+  opts.kernel = c.kernel;
+  opts.same_padding();
+  Conv2d conv(c.name, opts, rng);
+  Tensor x(Shape::of(c.batch, c.in_channels, c.grid, c.grid));
+  Tensor gy(Shape::of(c.batch, c.out_channels, c.grid, c.grid));
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    x[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  for (std::int64_t i = 0; i < gy.numel(); ++i) {
+    gy[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  auto step = [&](ConvGrads& out) {
+    conv.zero_grad();
+    const Tensor y = conv.forward(x, /*training=*/true);
+    const Tensor dx = conv.backward(gy);
+    out.y.assign(y.data(), y.data() + y.numel());
+    out.dx.assign(dx.data(), dx.data() + dx.numel());
+    out.dw.assign(conv.weight().grad.data(),
+                  conv.weight().grad.data() + conv.weight().grad.numel());
+    out.db.assign(conv.bias().grad.data(),
+                  conv.bias().grad.data() + conv.bias().grad.numel());
   };
-  result.bit_identical = same(direct.y, oracle.y) &&
-                         same(direct.dw, oracle.dw) &&
-                         same(direct.dx, oracle.dx);
+  const double flops = 6.0 * static_cast<double>(c.out_channels) *
+                       static_cast<double>(c.in_channels * c.kernel *
+                                           c.kernel) *
+                       static_cast<double>(c.grid * c.grid * c.batch);
+  const KernelIsa dispatched = kernel_isa();
+  ConvGrads portable, fast;
+  set_kernel_isa(KernelIsa::kPortable);
+  result.portable_ms =
+      flops / measure_gflops(flops, [&] { step(portable); }) * 1e-6;
+  set_kernel_isa(dispatched);
+  result.dispatched_ms = flops / measure_gflops(flops, [&] { step(fast); }) *
+                         1e-6;
+  result.speedup = result.portable_ms / result.dispatched_ms;
+  result.bit_identical = same_bits(portable.y, fast.y) &&
+                         same_bits(portable.dw, fast.dw) &&
+                         same_bits(portable.db, fast.db) &&
+                         same_bits(portable.dx, fast.dx);
   return result;
 }
 
 void write_bench_json(const std::vector<ShapeResult>& results,
                       const std::vector<ConvLayerResult>& layers,
+                      const std::vector<IsaLayerResult>& isa_layers,
                       const PlanCacheStats& stats, double hit_rate,
                       bool pass) {
   std::FILE* f = std::fopen("BENCH_kernels.json", "w");
@@ -274,8 +348,10 @@ void write_bench_json(const std::vector<ShapeResult>& results,
     std::fprintf(stderr, "micro_kernels: cannot write BENCH_kernels.json\n");
     return;
   }
-  std::fprintf(f, "{\"bench\":\"micro_kernels\",\"threads\":%zu,\"shapes\":[",
-               ThreadPool::global().size());
+  std::fprintf(f,
+               "{\"bench\":\"micro_kernels\",\"threads\":%zu,\"isa\":\"%s\","
+               "\"shapes\":[",
+               ThreadPool::global().size(), to_string(kernel_isa()));
   for (std::size_t i = 0; i < results.size(); ++i) {
     const ShapeResult& r = results[i];
     std::fprintf(
@@ -306,6 +382,24 @@ void write_bench_json(const std::vector<ShapeResult>& results,
         static_cast<long long>(r.layer->batch), r.im2col_ms, r.direct_ms,
         r.speedup, r.bit_identical ? "true" : "false");
   }
+  std::fprintf(f, "],\"isa_layers\":[");
+  for (std::size_t i = 0; i < isa_layers.size(); ++i) {
+    const IsaLayerResult& r = isa_layers[i];
+    std::fprintf(
+        f,
+        "%s{\"name\":\"%s\",\"in_channels\":%lld,\"out_channels\":%lld,"
+        "\"kernel\":%lld,\"grid\":%lld,\"batch\":%lld,\"isa\":\"%s\","
+        "\"portable_ms\":%.4f,\"dispatched_ms\":%.4f,\"speedup\":%.3f,"
+        "\"bit_identical\":%s}",
+        i == 0 ? "" : ",", r.layer->name,
+        static_cast<long long>(r.layer->in_channels),
+        static_cast<long long>(r.layer->out_channels),
+        static_cast<long long>(r.layer->kernel),
+        static_cast<long long>(r.layer->grid),
+        static_cast<long long>(r.layer->batch), to_string(kernel_isa()),
+        r.portable_ms, r.dispatched_ms, r.speedup,
+        r.bit_identical ? "true" : "false");
+  }
   std::fprintf(f,
                "],\"plan_cache\":{\"hits\":%llu,\"misses\":%llu,"
                "\"evictions\":%llu,\"entries\":%zu,\"hit_rate\":%.4f},"
@@ -319,9 +413,10 @@ void write_bench_json(const std::vector<ShapeResult>& results,
 
 int main_impl() {
   std::printf("== micro_kernels: planner strategies on model GEMM shapes ==\n");
-  std::printf("threads=%zu plan_mode=%s MR=%lld NR=%lld\n",
+  std::printf("threads=%zu plan_mode=%s isa=%s MR=%lld NR=%lld\n",
               ThreadPool::global().size(),
               plan_mode() == PlanMode::kReference ? "reference" : "auto",
+              to_string(kernel_isa()),
               static_cast<long long>(kGemmMR),
               static_cast<long long>(kGemmNR));
 
@@ -366,6 +461,10 @@ int main_impl() {
   for (const ConvLayerCase& c : kConvLayers) {
     layers.push_back(bench_conv_layer(c, rng));
   }
+  std::vector<IsaLayerResult> isa_layers;
+  for (const IsaLayerCase& c : kIsaLayers) {
+    isa_layers.push_back(bench_isa_layer(c, rng));
+  }
   ThreadPool::reset_global(0);
   std::printf("%-18s %4s %3s %4s %5s %10s %10s %8s %s\n", "conv layer", "cin",
               "k", "grid", "batch", "im2col ms", "direct ms", "speedup",
@@ -380,12 +479,35 @@ int main_impl() {
                 r.bit_identical ? "identical" : "DIFFER");
   }
 
+  std::printf("%-18s %4s %4s %3s %4s %5s %9s %12s %8s %s\n", "isa layer",
+              "cin", "cout", "k", "grid", "batch", "portable", "dispatched",
+              "speedup", "bits");
+  for (const IsaLayerResult& r : isa_layers) {
+    std::printf("%-18s %4lld %4lld %3lld %4lld %5lld %6.3f ms %6.3f ms %-4s"
+                "%7.2fx %s\n",
+                r.layer->name, static_cast<long long>(r.layer->in_channels),
+                static_cast<long long>(r.layer->out_channels),
+                static_cast<long long>(r.layer->kernel),
+                static_cast<long long>(r.layer->grid),
+                static_cast<long long>(r.layer->batch), r.portable_ms,
+                r.dispatched_ms, to_string(kernel_isa()), r.speedup,
+                r.bit_identical ? "identical" : "DIFFER");
+  }
+
   // Gates. (1) Every shape's auto result is numerically equivalent to
   // reference. (2) The cost model packs the fat conv shapes and leaves
   // the m=1 output conv on reference. (3) Repeat lookups hit the cache
   // (the sweep runs each shape hundreds of times against ~8 misses).
   // (4) Each conv layer's direct path reproduces the im2col bits.
+  // (5) Each ISA layer's dispatched kernels reproduce the portable bits.
   bool pass = true;
+  for (const IsaLayerResult& r : isa_layers) {
+    if (!r.bit_identical) {
+      std::printf("FAIL: %s %s kernels differ from portable bits\n",
+                  r.layer->name, to_string(kernel_isa()));
+      pass = false;
+    }
+  }
   for (const ConvLayerResult& r : layers) {
     if (!r.bit_identical) {
       std::printf("FAIL: %s direct path differs from im2col bits\n",
@@ -425,7 +547,7 @@ int main_impl() {
     }
   }
 
-  write_bench_json(results, layers, stats, hit_rate, pass);
+  write_bench_json(results, layers, isa_layers, stats, hit_rate, pass);
   std::printf("{\"bench\":\"micro_kernels\",\"pass\":%s}\n",
               pass ? "true" : "false");
   return pass ? 0 : 1;

@@ -30,6 +30,13 @@ from unseeded generators, or depend on hash-table iteration order:
                   that can change a run behind its config's back, so
                   each one is a visible, reviewed escape. Knobs belong
                   in the benches' config layer (bench/bench_common.hpp).
+  fp-contract     fused multiply-add under src/: "fma" (or an AVX-512
+                  ISA, which brings FMA with it) inside a target(...)
+                  attribute, any _mm*_fmadd*-family intrinsic, or
+                  std::fma / __builtin_fma. A fused a*b + c rounds once
+                  where the portable kernels round twice, so it would
+                  make results depend on the host's ISA; the kernel
+                  contract is that the ISA changes speed, never bits.
 
 Per-line escape (with a justification comment next to it, please):
 
@@ -60,6 +67,7 @@ ALL_RULES = (
     "pragma-once",
     "mutex-guarded",
     "env-knob",
+    "fp-contract",
 )
 
 # Directories (relative to a src root) whose numeric code must not
@@ -79,6 +87,15 @@ STDOUT_RE = re.compile(
     r"|\bfprintf\s*\(\s*stdout\b"
 )
 GETENV_RE = re.compile(r"\b(?:secure_)?getenv\s*\(")
+# Matched on the raw line (the ISA list is a string literal, which
+# strip_code blanks); the match must start in code, not a comment.
+TARGET_ATTR_RE = re.compile(r"\btarget\s*\(\s*\"([^\"]*)\"")
+FUSED_ISA_RE = re.compile(r"^(?:fma4?|avx512\w*)$")
+FMA_CALL_RE = re.compile(
+    r"\b_mm\d*_fn?m(?:add|sub)\w*"
+    r"|\bstd\s*::\s*fma[fl]?\s*\("
+    r"|\b__builtin_fma[fl]?\s*\("
+)
 PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once\b", re.MULTILINE)
 MUTEX_DECL_RE = re.compile(
     r"^\s*(?:mutable\s+)?(?:fleda\s*::\s*)?"
@@ -236,6 +253,7 @@ def lint_file(path, force_all_rules=False):
     clock_exempt = norm.endswith(RAW_CLOCK_EXEMPT_SUFFIX)
     check_unordered = force_all_rules or in_unordered_scope(norm)
     check_env = force_all_rules or in_src_scope(norm)
+    raw_lines = raw.splitlines()
     range_for_res = [
         re.compile(r"for\s*\([^;)]*?:\s*" + re.escape(name) + r"\s*\)")
         for name in unordered_names
@@ -273,6 +291,22 @@ def lint_file(path, force_all_rules=False):
                 "environment read in the library — a new knob; escape it "
                 "with a justification or move it to the benches' config",
             )
+        if check_env:
+            raw_line = raw_lines[lineno - 1] if lineno <= len(raw_lines) else ""
+            fused_target = any(
+                line[m.start():m.start() + 6] == "target"
+                and any(FUSED_ISA_RE.match(isa.strip())
+                        for isa in m.group(1).split(","))
+                for m in TARGET_ATTR_RE.finditer(raw_line)
+            )
+            if fused_target or FMA_CALL_RE.search(line):
+                report(
+                    lineno,
+                    "fp-contract",
+                    "fused multiply-add in the library — it rounds once "
+                    "where the portable kernels round twice, so bits would "
+                    "depend on the host ISA; multiply, then add",
+                )
         if check_unordered:
             for name, rf, bf in zip(unordered_names, range_for_res, begin_res):
                 if rf.search(line) or bf.search(line):

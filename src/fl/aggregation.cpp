@@ -361,37 +361,48 @@ void require_current(const char* rule, const ModelParameters& current) {
 // RetainingAccumulator::finish() over a cohort the folds already
 // validated (finite values, good weights, one structure).
 
-ModelParameters median_of(const std::vector<AggregationInput>& cohort) {
+// out[i] = reduce(column_i) for every coordinate i of every entry,
+// where column_i holds the cohort's values of coordinate i in cohort
+// order. Coordinates are independent, so for_each_shard splits them
+// across the pool, each shard with its own column scratch, and the
+// result is the same at every pool size.
+template <class Reduce>
+ModelParameters reduce_columns(const std::vector<AggregationInput>& cohort,
+                               const Reduce& reduce) {
   const std::size_t n = cohort.size();
   ModelParameters result = *cohort[0].params;
-  std::vector<float> column(n);
   std::vector<const float*> sources(n);
   for (std::size_t e = 0; e < result.entries().size(); ++e) {
-    Tensor& out = result.mutable_entries()[e].value;
-    float* out_data = out.data();
-    const std::int64_t numel = out.numel();
+    float* out = result.mutable_entries()[e].value.data();
     for (std::size_t c = 0; c < n; ++c) {
       sources[c] = cohort[c].params->entries()[e].value.data();
     }
-    for (std::int64_t i = 0; i < numel; ++i) {
-      for (std::size_t c = 0; c < n; ++c) column[c] = sources[c][i];
-      // The k-th order statistic is a value of the multiset, so the
-      // result does not depend on the cohort's order — determinism
-      // across participation shuffles comes for free.
-      const std::size_t mid = n / 2;
-      std::nth_element(column.begin(), column.begin() + mid, column.end());
-      if (n % 2 == 1) {
-        out_data[i] = column[mid];
-      } else {
-        const float hi = column[mid];
-        const float lo =
-            *std::max_element(column.begin(), column.begin() + mid);
-        out_data[i] =
-            static_cast<float>((static_cast<double>(lo) + hi) / 2.0);
-      }
-    }
+    for_each_shard(
+        static_cast<std::size_t>(result.entries()[e].value.numel()),
+        [&](std::size_t begin, std::size_t end) {
+          std::vector<float> column(n);
+          for (std::size_t i = begin; i < end; ++i) {
+            for (std::size_t c = 0; c < n; ++c) column[c] = sources[c][i];
+            out[i] = reduce(column);
+          }
+        });
   }
   return result;
+}
+
+ModelParameters median_of(const std::vector<AggregationInput>& cohort) {
+  return reduce_columns(cohort, [](std::vector<float>& column) {
+    // The k-th order statistic is a value of the multiset, so the
+    // result does not depend on the cohort's order — determinism
+    // across participation shuffles comes for free.
+    const std::size_t n = column.size();
+    const std::size_t mid = n / 2;
+    std::nth_element(column.begin(), column.begin() + mid, column.end());
+    if (n % 2 == 1) return column[mid];
+    const float hi = column[mid];
+    const float lo = *std::max_element(column.begin(), column.begin() + mid);
+    return static_cast<float>((static_cast<double>(lo) + hi) / 2.0);
+  });
 }
 
 ModelParameters trimmed_mean_of(const std::vector<AggregationInput>& cohort,
@@ -400,25 +411,12 @@ ModelParameters trimmed_mean_of(const std::vector<AggregationInput>& cohort,
   // trim_fraction < 0.5 guarantees n - 2g >= 1 survivors.
   const std::size_t g =
       static_cast<std::size_t>(trim_fraction * static_cast<double>(n));
-  ModelParameters result = *cohort[0].params;
-  std::vector<float> column(n);
-  std::vector<const float*> sources(n);
-  for (std::size_t e = 0; e < result.entries().size(); ++e) {
-    Tensor& out = result.mutable_entries()[e].value;
-    float* out_data = out.data();
-    const std::int64_t numel = out.numel();
-    for (std::size_t c = 0; c < n; ++c) {
-      sources[c] = cohort[c].params->entries()[e].value.data();
-    }
-    for (std::int64_t i = 0; i < numel; ++i) {
-      for (std::size_t c = 0; c < n; ++c) column[c] = sources[c][i];
-      std::sort(column.begin(), column.end());
-      double acc = 0.0;
-      for (std::size_t c = g; c < n - g; ++c) acc += column[c];
-      out_data[i] = static_cast<float>(acc / static_cast<double>(n - 2 * g));
-    }
-  }
-  return result;
+  return reduce_columns(cohort, [n, g](std::vector<float>& column) {
+    std::sort(column.begin(), column.end());
+    double acc = 0.0;
+    for (std::size_t c = g; c < n - g; ++c) acc += column[c];
+    return static_cast<float>(acc / static_cast<double>(n - 2 * g));
+  });
 }
 
 // Cohort indices ordered ascending by (Krum score, index); callers

@@ -13,6 +13,13 @@
 #include "util/thread_pool.hpp"
 
 namespace fleda {
+namespace {
+
+ImplicitCols implicit_cols(const ConvIndex& ix, const float* padded) {
+  return ImplicitCols{padded, ix.row_offset.data(), ix.pixel_offset.data()};
+}
+
+}  // namespace
 
 Conv2d::Conv2d(std::string name, const Conv2dOptions& opts, Rng& rng)
     : name_(std::move(name)),
@@ -69,16 +76,17 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
   cached_input_ = training ? input : Tensor();
   Tensor output(Shape::of(N, opts_.out_channels, OH, OW));
 
-  // The direct path reads a padded copy of each sample through one
-  // offset table. The GEMM path plans once for the whole step; when the
-  // planner picks the packed strategy, the weight panels are packed
-  // once here and shared read-only across the batch workers.
-  DirectConvIndex ix;
+  // Three lowerings, all reading either a padded copy of each sample or
+  // its im2col column matrix:
+  //   direct   (Cout = 1, stride 1): the direct kernels, padded copy;
+  //   implicit (planner packs):      B panels packed from the padded
+  //                                  copy; the weight panels are packed
+  //                                  once here, shared by the batch;
+  //   im2col   (planner's reference strategy): the materialized cols.
+  const ConvIndex ix = make_conv_index(g);
   GemmPlan plan;
   std::vector<float> wpack;
-  if (direct()) {
-    ix = make_direct_conv_index(g);
-  } else {
+  if (!direct()) {
     plan = KernelPlanCache::global().plan_for(
         GemmOp::kNN, opts_.out_channels, g.col_rows(), g.col_cols());
     if (plan.strategy == GemmStrategy::kPacked) {
@@ -86,8 +94,10 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
       pack_a(plan, weight_.value.data(), wpack.data());
     }
   }
+  const bool implicit = plan.strategy == GemmStrategy::kPacked;
+  const bool padded = direct() || implicit;
   const std::size_t buf_elems = static_cast<std::size_t>(
-      direct() ? ix.padded_elems() : g.col_rows() * g.col_cols());
+      padded ? ix.padded_elems() : g.col_rows() * g.col_cols());
 
   const std::int64_t in_stride = opts_.in_channels * H * W;
   const std::int64_t out_stride = opts_.out_channels * OH * OW;
@@ -99,19 +109,21 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
     for (std::size_t n = nb; n < ne; ++n) {
       const float* x = input.data() + static_cast<std::int64_t>(n) * in_stride;
       float* out_n = output.data() + static_cast<std::int64_t>(n) * out_stride;
-      if (direct()) {
+      if (padded) {
         pad_image(x, g, buf);
-        direct_conv_forward(ix, buf, weight_.value.data(), out_n);
       } else {
         im2col(x, g, buf);
-        // y = W [Cout x rows] * cols [rows x OHW]
-        if (plan.strategy == GemmStrategy::kPacked) {
-          gemm_packed_prepacked_a(plan, wpack.data(), buf, out_n,
-                                  /*accumulate=*/false);
-        } else {
-          matmul_reference(weight_.value.data(), buf, out_n,
-                           opts_.out_channels, g.col_rows(), g.col_cols());
-        }
+      }
+      // y = W [Cout x rows] * cols [rows x OHW]
+      if (direct()) {
+        direct_conv_forward(ix, buf, weight_.value.data(), out_n);
+      } else if (implicit) {
+        gemm_packed_implicit(plan, /*a=*/nullptr, wpack.data(),
+                             implicit_cols(ix, buf), out_n,
+                             /*accumulate=*/false);
+      } else {
+        matmul_reference(weight_.value.data(), buf, out_n, opts_.out_channels,
+                         g.col_rows(), g.col_cols());
       }
       if (opts_.bias) {
         for (std::int64_t co = 0; co < opts_.out_channels; ++co) {
@@ -146,24 +158,31 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   const std::int64_t in_stride = opts_.in_channels * H * W;
   const std::int64_t out_stride = opts_.out_channels * OH * OW;
 
-  // The direct path needs only its offset table. On the GEMM path dcols
-  // reuses the weight across the whole batch: plan once, prepack once
-  // when packed. dW's GEMM has a per-sample A (dy), so it goes through
-  // the dispatching matmul_bt below.
-  DirectConvIndex ix;
+  // The same lowerings as forward: dW's GEMM (per-sample A = dy) packs
+  // its B panels from the padded copy whenever the planner packs it.
+  // dcols = W^T dy reuses the weight across the whole batch: plan once,
+  // prepack once when packed, then col2im.
+  const ConvIndex ix = make_conv_index(g);
+  GemmPlan dw_plan;
   GemmPlan dx_plan;
   std::vector<float> wpack;
-  if (direct()) {
-    ix = make_direct_conv_index(g);
-  } else if (want_dx) {
-    dx_plan = KernelPlanCache::global().plan_for(
-        GemmOp::kAT, g.col_rows(), opts_.out_channels, g.col_cols());
-    if (dx_plan.strategy == GemmStrategy::kPacked) {
-      wpack.resize(packed_a_elems(dx_plan));
-      pack_a(dx_plan, weight_.value.data(), wpack.data());
+  if (!direct()) {
+    dw_plan = KernelPlanCache::global().plan_for(
+        GemmOp::kBT, opts_.out_channels, g.col_cols(), g.col_rows());
+    if (want_dx) {
+      dx_plan = KernelPlanCache::global().plan_for(
+          GemmOp::kAT, g.col_rows(), opts_.out_channels, g.col_cols());
+      if (dx_plan.strategy == GemmStrategy::kPacked) {
+        wpack.resize(packed_a_elems(dx_plan));
+        pack_a(dx_plan, weight_.value.data(), wpack.data());
+      }
     }
   }
+  const bool implicit = dw_plan.strategy == GemmStrategy::kPacked;
+  const bool padded = direct() || implicit;
   const std::size_t buf_elems = static_cast<std::size_t>(
+      padded ? ix.padded_elems() : g.col_rows() * g.col_cols());
+  const std::size_t dbuf_elems = static_cast<std::size_t>(
       direct() ? ix.padded_elems() : g.col_rows() * g.col_cols());
 
   // Batch-parallel over a FIXED number of slices (independent of the
@@ -181,7 +200,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   parallel_for(slices, [&](std::size_t sb, std::size_t se) {
     float* buf = thread_scratch(ScratchSlot::kCols, buf_elems);
     float* dbuf =
-        want_dx ? thread_scratch(ScratchSlot::kColsGrad, buf_elems) : nullptr;
+        want_dx ? thread_scratch(ScratchSlot::kColsGrad, dbuf_elems) : nullptr;
     for (std::size_t s = sb; s < se; ++s) {
       for (std::size_t n = s * span; n < std::min(batch, (s + 1) * span);
            ++n) {
@@ -192,18 +211,29 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
         float* dx = want_dx ? grad_input.data() +
                                   static_cast<std::int64_t>(n) * in_stride
                             : nullptr;
-        if (direct()) {
+        // Rebuild the padded copy or the column matrix (cheaper than
+        // caching one per sample).
+        if (padded) {
           pad_image(x, g, buf);
+        } else {
+          im2col(x, g, buf);
+        }
+        if (direct()) {
           direct_conv_weight_grad(ix, buf, dy, dw_partial[s].data());
           if (want_dx) {
             direct_conv_input_grad(ix, weight_.value.data(), dy, dbuf, dx);
           }
         } else {
-          // Recompute the column matrix (cheaper than caching per sample).
-          im2col(x, g, buf);
           // dW_s += dy [Cout x OHW] * cols^T
-          matmul_bt(dy, buf, dw_partial[s].data(), opts_.out_channels,
-                    g.col_cols(), g.col_rows(), /*accumulate=*/true);
+          if (implicit) {
+            gemm_packed_implicit(dw_plan, dy, /*apack=*/nullptr,
+                                 implicit_cols(ix, buf),
+                                 dw_partial[s].data(), /*accumulate=*/true);
+          } else {
+            matmul_bt_reference(dy, buf, dw_partial[s].data(),
+                                opts_.out_channels, g.col_cols(),
+                                g.col_rows(), /*accumulate=*/true);
+          }
           if (want_dx) {
             // dcols = W^T [rows x Cout] * dy [Cout x OHW]
             if (dx_plan.strategy == GemmStrategy::kPacked) {

@@ -2,12 +2,17 @@
 // workhorse of FLNet / RouteNet / PROS. Weight layout is
 // [Cout, Cin*kh*kw] (a GEMM-ready matrix), bias is [Cout].
 //
-// Two lowerings, chosen by the layer's own shape:
+// Three lowerings, chosen by the layer's own shape and the GEMM plan:
 //   - stride 1 with one output channel (every model's prediction head)
 //     runs the direct kernels of tensor/conv_direct.hpp on a padded copy
 //     of each sample; no column matrix is built;
-//   - everything else runs im2col + the planner's GEMM.
-// Both produce the bits the im2col + reference-GEMM lowering would.
+//   - when the planner packs a GEMM whose B is the column matrix (the
+//     forward and dW), its B panels are packed straight from a padded
+//     copy of the sample (ImplicitCols); no column matrix is built;
+//   - everything else runs im2col + the planner's GEMM; dX always forms
+//     W^T dy as columns and scatters them with col2im.
+// All produce the bits the im2col lowering with the same GEMM plans
+// would.
 #pragma once
 
 #include "nn/module.hpp"

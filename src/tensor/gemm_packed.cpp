@@ -1,7 +1,6 @@
 // Packed cache-blocked GEMM — the planner's "fat shape" strategy.
 //
-// Classic three-loop blocking (the BLIS/poplibs structure, scalar C++
-// left to the compiler's vectorizer):
+// Classic three-loop blocking (the BLIS/poplibs structure):
 //
 //   for jc over n in NC columns:                 L2-resident B block
 //     for pc over k in KC depth slices:
@@ -11,21 +10,38 @@
 //         for each B micro-panel: MR x NR register tile over kc,
 //           then store (pc == 0) or accumulate (pc > 0) into C
 //
+// B comes either from memory in the plan's layout or, for the conv
+// GEMMs, straight from a padded image through ImplicitCols: both pack
+// the same panels, so the column matrix never has to exist.
+//
+// Micro-kernels: a portable one (scalar C++ left to the compiler's
+// vectorizer) and, on x86 hosts with AVX2, one that holds each tile row
+// in a __m256 and steps two B micro-panels per call (eight independent
+// accumulators hide the add latency). Both compute every C element as
+// 0, then + a*b for p ascending, each product rounded before the sum
+// (mul then add, never a fused multiply-add), so they agree bit for bit.
+//
 // Determinism: the row partition is by fixed MR panels (independent of
 // the thread count), every C element sees its KC slices in ascending pc
 // order, and the micro-kernel's accumulation order is a function of the
-// plan only — so results are bit-identical across thread-pool sizes.
+// plan only — so results are bit-identical across thread-pool sizes and
+// kernel ISAs.
 //
 // Zero-padding contract: the packing routines zero-fill the MR/NR
 // tails, so the micro-kernel always runs full tiles; only the valid
 // mr x nr region is written back to C.
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
 
 #include "obs/profiler.hpp"
 #include "tensor/plan.hpp"
 #include "util/scratch.hpp"
 #include "util/thread_pool.hpp"
+
+#if FLEDA_X86_KERNELS
+#include <immintrin.h>
+#endif
 
 namespace fleda {
 namespace {
@@ -92,12 +108,57 @@ void pack_b_panel(GemmOp op, const float* b, std::int64_t k, std::int64_t n,
   }
 }
 
+// The same panel as pack_b_panel would pack from a materialized column
+// matrix, gathered from the padded image instead.
+void pack_b_panel_implicit(GemmOp op, const ImplicitCols& b, std::int64_t pc,
+                           std::int64_t kc, std::int64_t j0, std::int64_t nr,
+                           float* dst) {
+  if (op == GemmOp::kBT) {
+    // B(p, j) = cols(j0 + j, pc + p): one weight row per column.
+    const std::int64_t* px = b.pixel_offset + pc;
+    for (std::int64_t j = 0; j < nr; ++j) {
+      const float* src = b.padded + b.row_offset[j0 + j];
+      for (std::int64_t p = 0; p < kc; ++p) dst[p * NR + j] = src[px[p]];
+    }
+    for (std::int64_t j = nr; j < NR; ++j) {
+      for (std::int64_t p = 0; p < kc; ++p) dst[p * NR + j] = 0.0f;
+    }
+    return;
+  }
+  // B(p, j) = cols(pc + p, j0 + j): one weight row per depth step. A
+  // full panel of pixels on one output row at stride 1 is a contiguous
+  // run of the padded row (offsets strictly increase along a row).
+  const std::int64_t* px = b.pixel_offset + j0;
+  const bool run = nr == NR && px[NR - 1] - px[0] == NR - 1;
+  for (std::int64_t p = 0; p < kc; ++p) {
+    const float* src = b.padded + b.row_offset[pc + p];
+    float* out = dst + p * NR;
+    if (run) {
+      std::memcpy(out, src + px[0], sizeof(float) * NR);
+      continue;
+    }
+    std::int64_t j = 0;
+    for (; j < nr; ++j) out[j] = src[px[j]];
+    for (; j < NR; ++j) out[j] = 0.0f;
+  }
+}
+
+// One micro-kernel call covers `panels` consecutive B micro-panels
+// (panel t at bp + t * kc * NR) against one A micro-panel, writing the
+// valid mr x nr region of C (nr <= panels * NR).
+struct MicroKernel {
+  void (*run)(const float* ap, const float* bp, std::int64_t kc, float* c,
+              std::int64_t ldc, std::int64_t mr, std::int64_t nr,
+              bool accumulate);
+  std::int64_t panels;
+};
+
 // MR x NR register tile: acc += sum_p apanel[p][*] (x) bpanel[p][*],
 // then stored or accumulated into the valid mr x nr region of C.
-inline void micro_kernel(const float* __restrict ap,
-                         const float* __restrict bp, std::int64_t kc,
-                         float* __restrict c, std::int64_t ldc,
-                         std::int64_t mr, std::int64_t nr, bool accumulate) {
+void micro_kernel_portable(const float* __restrict ap,
+                           const float* __restrict bp, std::int64_t kc,
+                           float* __restrict c, std::int64_t ldc,
+                           std::int64_t mr, std::int64_t nr, bool accumulate) {
   float acc[MR * NR] = {};
   for (std::int64_t p = 0; p < kc; ++p) {
     const float* __restrict arow = ap + p * MR;
@@ -119,8 +180,95 @@ inline void micro_kernel(const float* __restrict ap,
   }
 }
 
+#if FLEDA_X86_KERNELS
+
+// Writes the first `nr` (<= NR) lanes of one accumulator row to C.
+FLEDA_TARGET_AVX2 inline void store_row_avx2(float* crow, __m256 acc,
+                                             std::int64_t nr,
+                                             bool accumulate) {
+  if (nr == NR) {
+    if (accumulate) acc = _mm256_add_ps(_mm256_loadu_ps(crow), acc);
+    _mm256_storeu_ps(crow, acc);
+    return;
+  }
+  alignas(32) float lanes[NR];
+  _mm256_store_ps(lanes, acc);
+  if (accumulate) {
+    for (std::int64_t j = 0; j < nr; ++j) crow[j] += lanes[j];
+  } else {
+    for (std::int64_t j = 0; j < nr; ++j) crow[j] = lanes[j];
+  }
+}
+
+// MR x 2NR tile (two B micro-panels) in eight __m256 accumulators;
+// a single-panel call (nr <= NR) runs the MR x NR half alone. The
+// accumulators are named locals, not arrays: indexing an array by the
+// runtime mr at write-back makes the compiler store every accumulator
+// on every depth step.
+FLEDA_TARGET_AVX2 void micro_kernel_avx2(const float* ap, const float* bp,
+                                         std::int64_t kc, float* c,
+                                         std::int64_t ldc, std::int64_t mr,
+                                         std::int64_t nr, bool accumulate) {
+  static_assert(MR == 4, "one named accumulator per tile row");
+  if (nr <= NR) {
+    __m256 c0 = _mm256_setzero_ps(), c1 = c0, c2 = c0, c3 = c0;
+    for (std::int64_t p = 0; p < kc; ++p) {
+      const __m256 b = _mm256_loadu_ps(bp + p * NR);
+      const float* a = ap + p * MR;
+      c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_broadcast_ss(a), b));
+      c1 = _mm256_add_ps(c1, _mm256_mul_ps(_mm256_broadcast_ss(a + 1), b));
+      c2 = _mm256_add_ps(c2, _mm256_mul_ps(_mm256_broadcast_ss(a + 2), b));
+      c3 = _mm256_add_ps(c3, _mm256_mul_ps(_mm256_broadcast_ss(a + 3), b));
+    }
+    const __m256 rows[MR] = {c0, c1, c2, c3};
+    for (std::int64_t r = 0; r < mr; ++r) {
+      store_row_avx2(c + r * ldc, rows[r], nr, accumulate);
+    }
+    return;
+  }
+  const float* bp1 = bp + kc * NR;
+  __m256 c0 = _mm256_setzero_ps(), c1 = c0, c2 = c0, c3 = c0;
+  __m256 d0 = c0, d1 = c0, d2 = c0, d3 = c0;
+  for (std::int64_t p = 0; p < kc; ++p) {
+    const __m256 b0 = _mm256_loadu_ps(bp + p * NR);
+    const __m256 b1 = _mm256_loadu_ps(bp1 + p * NR);
+    const float* a = ap + p * MR;
+    __m256 av = _mm256_broadcast_ss(a);
+    c0 = _mm256_add_ps(c0, _mm256_mul_ps(av, b0));
+    d0 = _mm256_add_ps(d0, _mm256_mul_ps(av, b1));
+    av = _mm256_broadcast_ss(a + 1);
+    c1 = _mm256_add_ps(c1, _mm256_mul_ps(av, b0));
+    d1 = _mm256_add_ps(d1, _mm256_mul_ps(av, b1));
+    av = _mm256_broadcast_ss(a + 2);
+    c2 = _mm256_add_ps(c2, _mm256_mul_ps(av, b0));
+    d2 = _mm256_add_ps(d2, _mm256_mul_ps(av, b1));
+    av = _mm256_broadcast_ss(a + 3);
+    c3 = _mm256_add_ps(c3, _mm256_mul_ps(av, b0));
+    d3 = _mm256_add_ps(d3, _mm256_mul_ps(av, b1));
+  }
+  const __m256 left[MR] = {c0, c1, c2, c3};
+  const __m256 right[MR] = {d0, d1, d2, d3};
+  for (std::int64_t r = 0; r < mr; ++r) {
+    store_row_avx2(c + r * ldc, left[r], NR, accumulate);
+    store_row_avx2(c + r * ldc + NR, right[r], nr - NR, accumulate);
+  }
+}
+
+#endif  // FLEDA_X86_KERNELS
+
+MicroKernel micro_kernel_for(KernelIsa isa) {
+#if FLEDA_X86_KERNELS
+  if (isa == KernelIsa::kAvx2) return {micro_kernel_avx2, 2};
+#endif
+  (void)isa;
+  return {micro_kernel_portable, 1};
+}
+
+// Exactly one of `b` (the plan's memory layout) and `implicit` (a conv
+// column matrix read from its padded image) is set.
 void gemm_packed_impl(const GemmPlan& plan, const float* a,
-                      const float* apack_full, const float* b, float* c,
+                      const float* apack_full, const float* b,
+                      const ImplicitCols* implicit, float* c,
                       bool accumulate) {
   const GemmOp op = plan.shape.op;
   const std::int64_t m = plan.shape.m;
@@ -128,6 +276,7 @@ void gemm_packed_impl(const GemmPlan& plan, const float* a,
   const std::int64_t n = plan.shape.n;
   const std::int64_t kc_max = plan.kc;
   const std::int64_t nc_max = plan.nc;
+  const MicroKernel kernel = micro_kernel_for(plan.isa);
 
   // Shared packed-B block: panels are written disjointly by the packing
   // parallel_for and read-only during compute, all through the calling
@@ -153,9 +302,14 @@ void gemm_packed_impl(const GemmPlan& plan, const float* a,
               for (std::size_t jp = begin; jp < end; ++jp) {
                 const std::int64_t j0 =
                     jc + static_cast<std::int64_t>(jp) * NR;
-                pack_b_panel(op, b, k, n, pc, kc, j0,
-                             std::min<std::int64_t>(NR, jc + nc - j0),
-                             bpack + static_cast<std::int64_t>(jp) * kc * NR);
+                const std::int64_t nr =
+                    std::min<std::int64_t>(NR, jc + nc - j0);
+                float* dst = bpack + static_cast<std::int64_t>(jp) * kc * NR;
+                if (implicit != nullptr) {
+                  pack_b_panel_implicit(op, *implicit, pc, kc, j0, nr, dst);
+                } else {
+                  pack_b_panel(op, b, k, n, pc, kc, j0, nr, dst);
+                }
               }
             },
             /*grain=*/4);
@@ -177,11 +331,13 @@ void gemm_packed_impl(const GemmPlan& plan, const float* a,
                 pack_a_panel(op, a, m, k, i0, mr, pc, kc, apanel);
                 ap = apanel;
               }
-              for (std::int64_t jp = 0; jp < npanels; ++jp) {
+              for (std::int64_t jp = 0; jp < npanels; jp += kernel.panels) {
                 const std::int64_t j0 = jc + jp * NR;
-                micro_kernel(ap, bpack + jp * kc * NR, kc, c + i0 * n + j0,
-                             n, mr, std::min<std::int64_t>(NR, jc + nc - j0),
-                             acc_c);
+                kernel.run(ap, bpack + jp * kc * NR, kc, c + i0 * n + j0, n,
+                           mr,
+                           std::min<std::int64_t>(kernel.panels * NR,
+                                                  jc + nc - j0),
+                           acc_c);
               }
             }
           },
@@ -217,12 +373,23 @@ void pack_a(const GemmPlan& plan, const float* a, float* apack) {
 
 void gemm_packed(const GemmPlan& plan, const float* a, const float* b,
                  float* c, bool accumulate) {
-  gemm_packed_impl(plan, a, /*apack_full=*/nullptr, b, c, accumulate);
+  gemm_packed_impl(plan, a, /*apack_full=*/nullptr, b, /*implicit=*/nullptr,
+                   c, accumulate);
 }
 
 void gemm_packed_prepacked_a(const GemmPlan& plan, const float* apack,
                              const float* b, float* c, bool accumulate) {
-  gemm_packed_impl(plan, /*a=*/nullptr, apack, b, c, accumulate);
+  gemm_packed_impl(plan, /*a=*/nullptr, apack, b, /*implicit=*/nullptr, c,
+                   accumulate);
+}
+
+void gemm_packed_implicit(const GemmPlan& plan, const float* a,
+                          const float* apack, const ImplicitCols& b,
+                          float* c, bool accumulate) {
+  if (plan.shape.op == GemmOp::kAT) {
+    throw std::invalid_argument("gemm_packed_implicit: no kAT form");
+  }
+  gemm_packed_impl(plan, a, apack, /*b=*/nullptr, &b, c, accumulate);
 }
 
 }  // namespace fleda

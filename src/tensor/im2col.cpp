@@ -81,4 +81,32 @@ void pad_image(const float* image, const ConvGeometry& g, float* padded) {
   }
 }
 
+ConvIndex make_conv_index(const ConvGeometry& g) {
+  ConvIndex ix;
+  ix.geometry = g;
+  ix.padded_height = g.height + 2 * g.pad_h;
+  ix.padded_width = g.width + 2 * g.pad_w;
+  ix.out_height = g.out_height();
+  ix.out_width = g.out_width();
+  const std::int64_t plane = ix.padded_height * ix.padded_width;
+  ix.row_offset.reserve(static_cast<std::size_t>(g.col_rows()));
+  for (std::int64_t c = 0; c < g.channels; ++c) {
+    for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
+      for (std::int64_t kw = 0; kw < g.kernel_w; ++kw) {
+        ix.row_offset.push_back(c * plane +
+                                kh * g.dilation_h * ix.padded_width +
+                                kw * g.dilation_w);
+      }
+    }
+  }
+  ix.pixel_offset.reserve(static_cast<std::size_t>(g.col_cols()));
+  for (std::int64_t oh = 0; oh < ix.out_height; ++oh) {
+    for (std::int64_t ow = 0; ow < ix.out_width; ++ow) {
+      ix.pixel_offset.push_back(oh * g.stride_h * ix.padded_width +
+                                ow * g.stride_w);
+    }
+  }
+  return ix;
+}
+
 }  // namespace fleda

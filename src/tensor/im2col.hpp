@@ -4,11 +4,13 @@
 // so convolution becomes a matmul with the [Cout, C*kh*kw] weight
 // matrix; col2im is its exact adjoint (scatter-add), used both for
 // conv backward-data and for ConvTranspose2d forward. pad_image makes
-// the zero-padded copy of one sample that the direct conv kernels read
-// in place of a column matrix.
+// the zero-padded copy of one sample that the direct conv kernels and
+// the implicit-column GEMM read in place of a column matrix, addressed
+// through a ConvIndex.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 namespace fleda {
 
@@ -49,5 +51,28 @@ void col2im(const float* cols, const ConvGeometry& g, float* image);
 // image: [C,H,W] contiguous. padded: [C, H+2*pad_h, W+2*pad_w],
 // fully overwritten — the image in the middle, zeros around it.
 void pad_image(const float* image, const ConvGeometry& g, float* padded);
+
+// Offsets that address the column matrix inside a padded sample:
+//   cols[r][q] = padded[row_offset[r] + pixel_offset[q]]
+//   row_offset[r]   = c*Hp*Wp + kh*dilation_h*Wp + kw*dilation_w
+//   pixel_offset[q] = oh*stride_h*Wp + ow*stride_w,  q = oh*OW + ow
+// for weight row r = (c, kh, kw). Padding cells of cols land on the
+// zero margin of the padded copy, so every entry matches im2col's.
+struct ConvIndex {
+  ConvGeometry geometry;
+  std::int64_t padded_height = 0;
+  std::int64_t padded_width = 0;
+  std::int64_t out_height = 0;
+  std::int64_t out_width = 0;
+  std::vector<std::int64_t> row_offset;    // col_rows() entries
+  std::vector<std::int64_t> pixel_offset;  // col_cols() entries
+
+  // Floats in one padded sample: C * Hp * Wp.
+  std::int64_t padded_elems() const {
+    return geometry.channels * padded_height * padded_width;
+  }
+};
+
+ConvIndex make_conv_index(const ConvGeometry& g);
 
 }  // namespace fleda

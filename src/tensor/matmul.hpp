@@ -7,8 +7,9 @@
 // through the shape-keyed KernelPlanCache (tensor/plan.hpp): skinny
 // shapes run the historical axpy kernels, fat shapes run the packed
 // cache-blocked GEMM. The *_reference variants are the historical
-// kernels verbatim — the planner's baseline strategy, also exposed for
-// equivalence tests and the micro_kernels bench.
+// kernels — the planner's baseline strategy, also exposed for
+// equivalence tests and the micro_kernels bench. Both strategies run
+// the kernel_isa() bodies, which give the same bits on every ISA.
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <deque>
+#include <stdexcept>
 
 #include "obs/profiler.hpp"
 #include "util/thread_safety.hpp"
@@ -33,6 +34,18 @@ PlanMode mode_from_env() {
     return PlanMode::kReference;
   }
   return PlanMode::kAuto;  // default; unknown values fall back to auto
+}
+
+std::atomic<int> g_kernel_isa{-1};  // -1 = not yet probed
+
+bool host_has_avx2() {
+#if FLEDA_X86_KERNELS
+  // Checks the CPUID bit and that the OS saves the YMM state.
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
 }
 
 }  // namespace
@@ -72,6 +85,40 @@ void set_plan_mode(PlanMode mode) {
   g_plan_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
 }
 
+const char* to_string(KernelIsa isa) {
+  switch (isa) {
+    case KernelIsa::kPortable:
+      return "portable";
+    case KernelIsa::kAvx2:
+      return "avx2";
+  }
+  return "?";
+}
+
+bool kernel_isa_supported(KernelIsa isa) {
+  static const bool avx2 = host_has_avx2();
+  return isa == KernelIsa::kPortable || (isa == KernelIsa::kAvx2 && avx2);
+}
+
+KernelIsa kernel_isa() {
+  int isa = g_kernel_isa.load(std::memory_order_relaxed);
+  if (isa < 0) {
+    isa = static_cast<int>(kernel_isa_supported(KernelIsa::kAvx2)
+                               ? KernelIsa::kAvx2
+                               : KernelIsa::kPortable);
+    g_kernel_isa.store(isa, std::memory_order_relaxed);
+  }
+  return static_cast<KernelIsa>(isa);
+}
+
+void set_kernel_isa(KernelIsa isa) {
+  if (!kernel_isa_supported(isa)) {
+    throw std::invalid_argument(std::string("set_kernel_isa: ") +
+                                to_string(isa) + " is not supported here");
+  }
+  g_kernel_isa.store(static_cast<int>(isa), std::memory_order_relaxed);
+}
+
 std::string GemmPlan::to_string() const {
   std::string s = "gemm(";
   s += fleda::to_string(shape.op);
@@ -82,6 +129,8 @@ std::string GemmPlan::to_string() const {
     s += "{mc=" + std::to_string(mc) + ", kc=" + std::to_string(kc) +
          ", nc=" + std::to_string(nc) + "}";
   }
+  s += " on ";
+  s += fleda::to_string(isa);
   return s;
 }
 
@@ -91,6 +140,7 @@ GemmPlan make_gemm_plan(GemmOp op, std::int64_t m, std::int64_t k,
   plan.shape = GemmShape{op, m, k, n};
   plan.flops = 2.0 * static_cast<double>(m) * static_cast<double>(k) *
                static_cast<double>(n);
+  plan.isa = kernel_isa();
 
   // Packing pays for itself only when the B panels are reused across
   // several MR row-panels and the accumulator tile runs long enough in
@@ -231,15 +281,20 @@ GemmPlan KernelPlanCache::lookup_or_plan(const GemmShape& shape) {
 
 GemmPlan KernelPlanCache::plan_for(GemmOp op, std::int64_t m, std::int64_t k,
                                    std::int64_t n) {
+  GemmPlan plan;
   if (plan_mode() == PlanMode::kReference) {
-    GemmPlan plan;
     plan.shape = GemmShape{op, m, k, n};
     plan.strategy = GemmStrategy::kReference;
     plan.flops = 2.0 * static_cast<double>(m) * static_cast<double>(k) *
                  static_cast<double>(n);
-    return plan;
+  } else {
+    plan = cached_plan(GemmShape{op, m, k, n});
   }
-  const GemmShape shape{op, m, k, n};
+  plan.isa = kernel_isa();
+  return plan;
+}
+
+GemmPlan KernelPlanCache::cached_plan(const GemmShape& shape) {
   const std::uint64_t epoch = g_plan_epoch.load(std::memory_order_acquire);
   for (const PlanMemoEntry& memo : t_plan_memo) {
     if (memo.valid && memo.cache == this && memo.epoch == epoch &&

@@ -11,20 +11,38 @@
 // shapes never change across a federated run, so the planning cost is
 // paid once per shape, not once per step.
 //
+// Instruction set: every float kernel (the packed micro-kernel, the
+// reference axpy loops, the direct conv kernels) has a portable body
+// and, on x86, an AVX2 body; kernel_isa() picks one at run time from
+// the host's CPUID, once per process. The AVX2 bodies are compiled with
+// target("avx2") and never with "fma": each output element keeps the
+// portable kernel's order of rounded products and sums, so the ISA
+// changes speed, never bits. Non-x86 builds compile only the portable
+// bodies.
+//
 // Determinism contract: a plan is a pure function of the shape (never
 // of the thread-pool size), the packed kernel partitions rows into
 // fixed MR panels, and every C element accumulates its KC blocks in
 // ascending order — so results are bit-identical across thread-pool
-// sizes, exactly like the reference kernels. Packed and reference
-// *summation orders* differ, so the two strategies agree only to
-// floating-point tolerance; FLEDA_PLAN=reference forces the historical
-// kernels everywhere when bit-compatibility with old runs matters.
+// sizes and instruction sets, exactly like the reference kernels.
+// Packed and reference *summation orders* differ, so the two strategies
+// agree only to floating-point tolerance; FLEDA_PLAN=reference forces
+// the historical kernels everywhere when bit-compatibility with old
+// runs matters.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+
+#if defined(__x86_64__) || defined(__i386__)
+#define FLEDA_X86_KERNELS 1
+// An AVX2 kernel body. Never add "fma": contraction would change bits.
+#define FLEDA_TARGET_AVX2 __attribute__((target("avx2")))
+#else
+#define FLEDA_X86_KERNELS 0
+#endif
 
 namespace fleda {
 
@@ -43,6 +61,17 @@ const char* to_string(GemmStrategy strategy);
 enum class PlanMode : std::uint8_t { kAuto = 0, kReference = 1 };
 PlanMode plan_mode();
 void set_plan_mode(PlanMode mode);  // overrides the environment
+
+// The instruction set the float kernels run. kAvx2 needs an x86 host
+// whose CPU (and OS) support AVX2; everything else runs kPortable.
+enum class KernelIsa : std::uint8_t { kPortable = 0, kAvx2 = 1 };
+const char* to_string(KernelIsa isa);
+bool kernel_isa_supported(KernelIsa isa);  // by this host and build
+// The best supported ISA, probed once; set_kernel_isa() overrides it.
+KernelIsa kernel_isa();
+// Test seam: pins the ISA (e.g. kPortable to compare against AVX2).
+// Throws std::invalid_argument for an ISA this host cannot run.
+void set_kernel_isa(KernelIsa isa);
 
 // Register micro-tile of the packed kernel: MR rows x NR columns of C
 // held in accumulators across a whole KC block.
@@ -69,6 +98,9 @@ struct GemmPlan {
   std::int64_t kc = 0;
   std::int64_t nc = 0;
   double flops = 0.0;  // 2*m*k*n, for bench reporting
+  // The ISA the kernels run under; stamped from kernel_isa() whenever a
+  // plan is made or handed out, so it is not part of the cached choice.
+  KernelIsa isa = KernelIsa::kPortable;
 
   std::string to_string() const;
 };
@@ -104,10 +136,10 @@ class KernelPlanCache {
 
   static KernelPlanCache& global();
 
-  // The plan for a shape under the current PlanMode: kReference mode
-  // short-circuits to a reference plan without touching the cache;
-  // kAuto consults the cache and runs the cost model on a miss (inside
-  // a kernel/plan profiler span).
+  // The plan for a shape under the current PlanMode and KernelIsa:
+  // kReference mode short-circuits to a reference plan without touching
+  // the cache; kAuto consults the cache and runs the cost model on a
+  // miss (inside a kernel/plan profiler span).
   GemmPlan plan_for(GemmOp op, std::int64_t m, std::int64_t k,
                     std::int64_t n);
 
@@ -119,6 +151,7 @@ class KernelPlanCache {
 
  private:
   struct Shard;
+  GemmPlan cached_plan(const GemmShape& shape);
   GemmPlan lookup_or_plan(const GemmShape& shape);
 
   Shard* shards_;
@@ -151,5 +184,26 @@ void gemm_packed(const GemmPlan& plan, const float* a, const float* b,
 // safe to use concurrently from batch-parallel workers).
 void gemm_packed_prepacked_a(const GemmPlan& plan, const float* apack,
                              const float* b, float* c, bool accumulate);
+
+// A conv's column matrix, read in place from one zero-padded sample:
+//   cols(r, q) = padded[row_offset[r] + pixel_offset[q]]
+// for weight row r = (c, kh, kw) and output pixel q. That is im2col's
+// cols[r][q], so packing B panels from here gives the panels — and the
+// bits — that packing a materialized cols would, without writing it.
+// ConvIndex (tensor/im2col.hpp) builds the two tables.
+struct ImplicitCols {
+  const float* padded = nullptr;
+  const std::int64_t* row_offset = nullptr;
+  const std::int64_t* pixel_offset = nullptr;
+};
+
+// The two conv GEMMs whose B is the column matrix: the forward
+// (kNN, B = cols [rows, pixels]) and the weight gradient (kBT,
+// B stored [n, k] = cols). A is either raw (`a`, packed on the fly) or
+// prepacked with pack_a (`apack`); pass nullptr for the other.
+// Throws std::invalid_argument for kAT plans.
+void gemm_packed_implicit(const GemmPlan& plan, const float* a,
+                          const float* apack, const ImplicitCols& b,
+                          float* c, bool accumulate);
 
 }  // namespace fleda

@@ -1,14 +1,46 @@
 #include "tensor/serialize.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
 namespace fleda {
 namespace {
 
 constexpr char kMagic[4] = {'F', 'L', 'T', '1'};
+
+// Bytes from the read position to the end of the stream, or -1 when the
+// stream cannot seek (a pipe, say).
+std::int64_t bytes_left(std::istream& in) {
+  const std::istream::pos_type here = in.tellg();
+  if (here == std::istream::pos_type(-1)) return -1;
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.clear();
+  in.seekg(here);
+  if (end == std::istream::pos_type(-1) || !in) return -1;
+  return static_cast<std::int64_t>(end - here);
+}
+
+// Reads `bytes` without trusting the claim: chunks are appended as they
+// arrive, so memory tracks the bytes actually present.
+std::vector<char> read_bounded(std::istream& in, std::int64_t bytes) {
+  constexpr std::int64_t kChunk = 1 << 20;
+  std::vector<char> data;
+  while (static_cast<std::int64_t>(data.size()) < bytes) {
+    const std::int64_t take = std::min<std::int64_t>(
+        kChunk, bytes - static_cast<std::int64_t>(data.size()));
+    const std::size_t at = data.size();
+    data.resize(at + static_cast<std::size_t>(take));
+    in.read(data.data() + at, static_cast<std::streamsize>(take));
+    if (!in) throw std::runtime_error("read_tensor: truncated payload");
+  }
+  return data;
+}
 
 }  // namespace
 
@@ -16,8 +48,15 @@ Shape shape_from_dims(std::uint32_t rank, const std::int64_t* dims) {
   if (rank > static_cast<std::uint32_t>(Shape::kMaxRank)) {
     throw std::runtime_error("shape_from_dims: bad rank");
   }
+  std::int64_t count = 1;
   for (std::uint32_t i = 0; i < rank; ++i) {
     if (dims[i] < 0) throw std::runtime_error("shape_from_dims: bad dim");
+    if (dims[i] != 0 &&
+        count > std::numeric_limits<std::int64_t>::max() / dims[i]) {
+      throw std::runtime_error(
+          "shape_from_dims: element count overflows int64");
+    }
+    count *= dims[i];
   }
   switch (rank) {
     case 0:
@@ -62,9 +101,30 @@ Tensor read_tensor(std::istream& in) {
     in.read(reinterpret_cast<char*>(&dims[i]), sizeof(std::int64_t));
     if (!in || dims[i] < 0) throw std::runtime_error("read_tensor: bad dim");
   }
-  Tensor t(shape_from_dims(rank, dims));
+  // The dims are untrusted: check the claim against the bytes actually
+  // left before allocating anything.
+  const Shape shape = shape_from_dims(rank, dims);
+  const std::int64_t count = shape.numel();
+  constexpr std::int64_t kFloat = static_cast<std::int64_t>(sizeof(float));
+  if (count > std::numeric_limits<std::int64_t>::max() / kFloat) {
+    throw std::runtime_error("read_tensor: " + std::to_string(count) +
+                             " elements overflow the byte count");
+  }
+  const std::int64_t left = bytes_left(in);
+  if (left >= 0 && count * kFloat > left) {
+    throw std::runtime_error("read_tensor: claims " + std::to_string(count) +
+                             " elements but only " + std::to_string(left) +
+                             " bytes are left");
+  }
+  if (left < 0) {
+    const std::vector<char> payload = read_bounded(in, count * kFloat);
+    Tensor t(shape);
+    std::memcpy(t.data(), payload.data(), payload.size());
+    return t;
+  }
+  Tensor t(shape);
   in.read(reinterpret_cast<char*>(t.data()),
-          static_cast<std::streamsize>(t.numel() * sizeof(float)));
+          static_cast<std::streamsize>(count * kFloat));
   if (!in) throw std::runtime_error("read_tensor: truncated payload");
   return t;
 }
@@ -78,7 +138,11 @@ void save_tensor(const std::string& path, const Tensor& t) {
 Tensor load_tensor(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("load_tensor: cannot open " + path);
-  return read_tensor(in);
+  try {
+    return read_tensor(in);
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error("load_tensor: " + path + ": " + e.what());
+  }
 }
 
 }  // namespace fleda

@@ -11,14 +11,20 @@
 namespace fleda {
 
 void write_tensor(std::ostream& out, const Tensor& t);
+// The bytes are untrusted: a bad header, an element count that
+// overflows, or one larger than the bytes left in the stream throws
+// std::runtime_error before anything is allocated. (A stream that
+// cannot seek is read in bounded chunks instead.)
 Tensor read_tensor(std::istream& in);
 
 // Rebuilds a Shape from deserialized rank/dims, validating rank <=
-// Shape::kMaxRank and dims >= 0; throws std::runtime_error otherwise.
+// Shape::kMaxRank, dims >= 0 and an element count that fits int64;
+// throws std::runtime_error otherwise.
 // Shared by the FLT1 tensor reader and the comm FLC1 wire format.
 Shape shape_from_dims(std::uint32_t rank, const std::int64_t* dims);
 
-// File convenience wrappers; throw std::runtime_error on I/O failure.
+// File convenience wrappers; throw std::runtime_error on I/O failure
+// (load_tensor's errors name the path).
 void save_tensor(const std::string& path, const Tensor& t);
 Tensor load_tensor(const std::string& path);
 

@@ -6,11 +6,18 @@
 // under concurrent lookups, and FLEDA_PLAN=reference must make a full
 // training step use the historical kernels. The direct kernels of the
 // single-output-channel conv must reproduce the im2col + reference-GEMM
-// lowering bit for bit, at any pool size.
+// lowering bit for bit, at any pool size. Every kernel ISA the host
+// supports must reproduce the portable kernels' bits, and Conv2d's
+// implicit-column packed path must reproduce im2col + the same GEMM
+// plans, at strides 1 and 2, dilation 2 and pool sizes 1 and 4.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "models/flnet.hpp"
@@ -32,6 +39,27 @@ struct PlanModeGuard {
   explicit PlanModeGuard(PlanMode mode) { set_plan_mode(mode); }
   ~PlanModeGuard() { set_plan_mode(PlanMode::kAuto); }
 };
+
+// Pins the kernel ISA for one scope, then restores the host default.
+struct IsaGuard {
+  explicit IsaGuard(KernelIsa isa) : saved(kernel_isa()) {
+    set_kernel_isa(isa);
+  }
+  ~IsaGuard() { set_kernel_isa(saved); }
+  KernelIsa saved;
+};
+
+// The ISAs besides kPortable that this host can run.
+std::vector<KernelIsa> accelerated_isas() {
+  std::vector<KernelIsa> isas;
+  if (kernel_isa_supported(KernelIsa::kAvx2)) isas.push_back(KernelIsa::kAvx2);
+  return isas;
+}
+
+#define SKIP_WITHOUT_ACCELERATED_ISA()                                     \
+  if (accelerated_isas().empty()) {                                        \
+    GTEST_SKIP() << "host has no kernel ISA beyond portable (no AVX2)";    \
+  }
 
 std::vector<float> random_vec(std::size_t n, Rng& rng) {
   std::vector<float> v(n);
@@ -558,6 +586,341 @@ TEST(DirectConv, InputGradOffKeepsParameterGradsAndReturnsEmpty) {
     EXPECT_TRUE(same_bits(with[1], without[1])) << "Cout " << cout << ": db";
     EXPECT_EQ(with[2].shape(), (Shape{5, 3, 9, 9})) << "Cout " << cout;
     EXPECT_TRUE(without[2].empty()) << "Cout " << cout;
+  }
+}
+
+// ---- Kernel ISAs: every accelerated ISA reproduces portable bits ----
+
+TEST(KernelIsa, ProbeAndSeam) {
+  EXPECT_TRUE(kernel_isa_supported(KernelIsa::kPortable));
+  EXPECT_TRUE(kernel_isa_supported(kernel_isa()));
+  {
+    IsaGuard portable(KernelIsa::kPortable);
+    EXPECT_EQ(kernel_isa(), KernelIsa::kPortable);
+    const GemmPlan plan =
+        KernelPlanCache::global().plan_for(GemmOp::kNN, 64, 486, 1024);
+    EXPECT_EQ(plan.isa, KernelIsa::kPortable);
+    EXPECT_NE(plan.to_string().find("portable"), std::string::npos)
+        << plan.to_string();
+  }
+  if (!kernel_isa_supported(KernelIsa::kAvx2)) {
+    EXPECT_THROW(set_kernel_isa(KernelIsa::kAvx2), std::invalid_argument);
+  }
+}
+
+// Bitwise equality of two float buffers, any two NaNs matching.
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::isnan(a[i]) && std::isnan(b[i])) continue;
+    if (std::memcmp(&a[i], &b[i], sizeof(float)) != 0) return false;
+  }
+  return true;
+}
+
+TEST(KernelIsa, PackedGemmBitIdenticalToPortable) {
+  SKIP_WITHOUT_ACCELERATED_ISA();
+  // n covers one panel with a tail (3), whole panels (8, 16), odd panel
+  // counts with tails in either half of a two-panel step (17, 23, 47);
+  // m covers MR tails; kc = 16 puts several KC blocks in every k >= 17,
+  // and nc = 2 * NR several NC blocks in every n > 16.
+  const struct {
+    std::int64_t m, k, n;
+  } shapes[] = {{1, 7, 3},   {5, 37, 19},  {4, 16, 16}, {7, 81, 23},
+                {13, 40, 8}, {33, 65, 47}, {9, 17, 17}, {64, 162, 64}};
+  Rng rng(71);
+  for (KernelIsa isa : accelerated_isas()) {
+    for (GemmOp op : {GemmOp::kNN, GemmOp::kAT, GemmOp::kBT}) {
+      for (const auto& s : shapes) {
+        for (bool accumulate : {false, true}) {
+          const std::vector<float> a =
+              random_vec(static_cast<std::size_t>(s.m * s.k), rng);
+          const std::vector<float> b =
+              random_vec(static_cast<std::size_t>(s.k * s.n), rng);
+          const std::vector<float> seed =
+              random_vec(static_cast<std::size_t>(s.m * s.n), rng);
+          GemmPlan plan = forced_packed_plan(op, s.m, s.k, s.n);
+          plan.kc = std::min<std::int64_t>(s.k, 16);
+          plan.nc = 2 * kGemmNR;
+          std::vector<float> want = seed;
+          plan.isa = KernelIsa::kPortable;
+          gemm_packed(plan, a.data(), b.data(), want.data(), accumulate);
+          std::vector<float> got = seed;
+          plan.isa = isa;
+          gemm_packed(plan, a.data(), b.data(), got.data(), accumulate);
+          EXPECT_TRUE(same_bits(want, got))
+              << plan.to_string() << " accumulate=" << accumulate;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelIsa, ReferenceKernelsBitIdenticalToPortable) {
+  SKIP_WITHOUT_ACCELERATED_ISA();
+  // n below, at and past a vector width; k with and without the axpy1
+  // tail (k % 4); the k = 32 dX shape of RouteNet's conv3/conv4.
+  const struct {
+    std::int64_t m, k, n;
+  } shapes[] = {{3, 5, 7},   {4, 8, 8},    {6, 3, 19},
+                {9, 13, 33}, {50, 32, 77}, {2, 7, 260}};
+  Rng rng(72);
+  for (KernelIsa isa : accelerated_isas()) {
+    for (GemmOp op : {GemmOp::kNN, GemmOp::kAT, GemmOp::kBT}) {
+      for (const auto& s : shapes) {
+        for (bool accumulate : {false, true}) {
+          const std::vector<float> a =
+              random_vec(static_cast<std::size_t>(s.m * s.k), rng);
+          const std::vector<float> b =
+              random_vec(static_cast<std::size_t>(s.k * s.n), rng);
+          std::vector<float> want =
+              random_vec(static_cast<std::size_t>(s.m * s.n), rng);
+          std::vector<float> got = want;
+          {
+            IsaGuard guard(KernelIsa::kPortable);
+            run_reference(op, a.data(), b.data(), want.data(), s.m, s.k, s.n,
+                          accumulate);
+          }
+          {
+            IsaGuard guard(isa);
+            run_reference(op, a.data(), b.data(), got.data(), s.m, s.k, s.n,
+                          accumulate);
+          }
+          EXPECT_TRUE(same_bits(want, got))
+              << to_string(op) << " m=" << s.m << " k=" << s.k
+              << " n=" << s.n << " accumulate=" << accumulate;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelIsa, NonFiniteValuesPropagateLikePortable) {
+  SKIP_WITHOUT_ACCELERATED_ISA();
+  const std::int64_t m = 9, k = 21, n = 27;
+  Rng rng(73);
+  std::vector<float> a = random_vec(static_cast<std::size_t>(m * k), rng);
+  std::vector<float> b = random_vec(static_cast<std::size_t>(k * n), rng);
+  a[5] = 0.0f;
+  b[static_cast<std::size_t>(5 * n) + 3] = std::nanf("");  // 0 * NaN
+  a[static_cast<std::size_t>(2 * k) + 20] =
+      std::numeric_limits<float>::infinity();
+  b[static_cast<std::size_t>(20 * n) + 26] = std::nanf("");  // tails
+  for (KernelIsa isa : accelerated_isas()) {
+    for (GemmOp op : {GemmOp::kNN, GemmOp::kAT, GemmOp::kBT}) {
+      GemmPlan plan = forced_packed_plan(op, m, k, n);
+      std::vector<float> want_packed(static_cast<std::size_t>(m * n));
+      std::vector<float> got_packed = want_packed;
+      std::vector<float> want_ref = want_packed;
+      std::vector<float> got_ref = want_packed;
+      plan.isa = KernelIsa::kPortable;
+      gemm_packed(plan, a.data(), b.data(), want_packed.data(), false);
+      plan.isa = isa;
+      gemm_packed(plan, a.data(), b.data(), got_packed.data(), false);
+      {
+        IsaGuard guard(KernelIsa::kPortable);
+        run_reference(op, a.data(), b.data(), want_ref.data(), m, k, n, false);
+      }
+      {
+        IsaGuard guard(isa);
+        run_reference(op, a.data(), b.data(), got_ref.data(), m, k, n, false);
+      }
+      EXPECT_TRUE(same_bits(want_packed, got_packed)) << plan.to_string();
+      EXPECT_TRUE(same_bits(want_ref, got_ref)) << to_string(op);
+      EXPECT_TRUE(std::any_of(got_packed.begin(), got_packed.end(),
+                              [](float v) { return std::isnan(v); }));
+    }
+  }
+}
+
+// ---- Conv2d at any Cout and stride vs im2col + the planner's GEMMs ----
+
+struct ConvCase {
+  std::int64_t cin, cout, kernel, stride, pad, dilation, h, w, batch;
+};
+
+void PrintTo(const ConvCase& c, std::ostream* os) {
+  *os << "cin=" << c.cin << " cout=" << c.cout << " k=" << c.kernel
+      << " stride=" << c.stride << " pad=" << c.pad
+      << " dilation=" << c.dilation << " " << c.h << "x" << c.w
+      << " batch=" << c.batch;
+}
+
+ConvGeometry geometry_of(const ConvCase& c) {
+  return ConvGeometry{c.cin,    c.h,      c.w,        c.kernel,
+                      c.kernel, c.pad,    c.pad,      c.stride,
+                      c.stride, c.dilation, c.dilation};
+}
+
+// The layer as the im2col lowering computes it with the dispatching
+// GEMMs (the same plans Conv2d picks), including the 16 fixed dW/db
+// slices of backward.
+ConvResult conv_oracle(const ConvCase& c, const Tensor& w, const Tensor& b,
+                       const Tensor& x, const Tensor& gy) {
+  const ConvGeometry g = geometry_of(c);
+  const std::int64_t rows = g.col_rows();
+  const std::int64_t pixels = g.col_cols();
+  const std::int64_t in_stride = c.cin * c.h * c.w;
+  const std::int64_t out_stride = c.cout * pixels;
+  std::vector<float> cols(static_cast<std::size_t>(rows * pixels));
+  std::vector<float> dcols(cols.size());
+  ConvResult r{Tensor(gy.shape()), Tensor(w.shape()), Tensor(b.shape()),
+               Tensor(x.shape())};
+  for (std::int64_t n = 0; n < c.batch; ++n) {
+    im2col(x.data() + n * in_stride, g, cols.data());
+    float* y = r.y.data() + n * out_stride;
+    matmul(w.data(), cols.data(), y, c.cout, rows, pixels);
+    for (std::int64_t co = 0; co < c.cout; ++co) {
+      for (std::int64_t i = 0; i < pixels; ++i) y[co * pixels + i] += b[co];
+    }
+  }
+  const std::int64_t slices = std::min<std::int64_t>(c.batch, 16);
+  const std::int64_t span = (c.batch + slices - 1) / slices;
+  for (std::int64_t s = 0; s < slices; ++s) {
+    Tensor dw_part(w.shape());
+    Tensor db_part(b.shape());
+    for (std::int64_t n = s * span; n < std::min(c.batch, (s + 1) * span);
+         ++n) {
+      const float* dy = gy.data() + n * out_stride;
+      im2col(x.data() + n * in_stride, g, cols.data());
+      matmul_bt(dy, cols.data(), dw_part.data(), c.cout, pixels, rows,
+                /*accumulate=*/true);
+      matmul_at(w.data(), dy, dcols.data(), rows, c.cout, pixels);
+      col2im(dcols.data(), g, r.dx.data() + n * in_stride);
+      for (std::int64_t co = 0; co < c.cout; ++co) {
+        double acc = 0.0;
+        for (std::int64_t i = 0; i < pixels; ++i) acc += dy[co * pixels + i];
+        db_part[co] += static_cast<float>(acc);
+      }
+    }
+    add_inplace(r.dw, dw_part);
+    add_inplace(r.db, db_part);
+  }
+  return r;
+}
+
+ConvResult run_conv(const ConvCase& c, const Tensor& w, const Tensor& b,
+                    const Tensor& x, const Tensor& gy) {
+  Conv2dOptions opts;
+  opts.in_channels = c.cin;
+  opts.out_channels = c.cout;
+  opts.kernel = c.kernel;
+  opts.stride = c.stride;
+  opts.padding = c.pad;
+  opts.dilation = c.dilation;
+  Rng rng(0);
+  Conv2d conv("c", opts, rng);
+  conv.weight().value = w;
+  conv.bias().value = b;
+  ConvResult r;
+  r.y = conv.forward(x, /*training=*/true);
+  r.dx = conv.backward(gy);
+  r.dw = conv.weight().grad;
+  r.db = conv.bias().grad;
+  return r;
+}
+
+class ConvIsa : public ::testing::TestWithParam<ConvCase> {};
+
+TEST_P(ConvIsa, EveryIsaAndPoolMatchesPortableIm2colOracle) {
+  const ConvCase& c = GetParam();
+  const ConvGeometry g = geometry_of(c);
+  Rng rng(81);
+  const Tensor w = random_tensor(Shape::of(c.cout, g.col_rows()), rng);
+  const Tensor b = random_tensor(Shape::of(c.cout), rng);
+  Tensor x = random_tensor(Shape::of(c.batch, c.cin, c.h, c.w), rng);
+  const Tensor gy = random_tensor(
+      Shape::of(c.batch, c.cout, g.out_height(), g.out_width()), rng);
+  std::vector<KernelIsa> isas = accelerated_isas();
+  isas.insert(isas.begin(), KernelIsa::kPortable);
+  for (bool poisoned : {false, true}) {
+    // A NaN pixel must poison the same outputs and gradients everywhere.
+    if (poisoned) x[x.numel() / 2] = std::nanf("");
+    for (PlanMode mode : {PlanMode::kAuto, PlanMode::kReference}) {
+      PlanModeGuard plan_guard(mode);
+      ConvResult want;
+      {
+        IsaGuard guard(KernelIsa::kPortable);
+        want = conv_oracle(c, w, b, x, gy);
+      }
+      for (KernelIsa isa : isas) {
+        IsaGuard guard(isa);
+        for (std::size_t threads : {1u, 4u}) {
+          ThreadPool::reset_global(threads);
+          expect_same_bits(
+              run_conv(c, w, b, x, gy), want,
+              std::string(to_string(isa)) + ", pool " +
+                  std::to_string(threads) + ", plan " +
+                  (mode == PlanMode::kAuto ? "auto" : "reference") +
+                  (poisoned ? ", NaN input" : ""));
+        }
+      }
+    }
+  }
+  ThreadPool::reset_global(0);
+}
+
+// Shapes whose forward and dW GEMMs the cost model packs (so Conv2d
+// packs B straight from the padded image): stride 1 with output rows
+// that do and do not fill whole 8-pixel panels, stride 2 (gathered
+// panels), dilation 2, and a fat RouteNet-like layer; plus one the
+// planner keeps on the reference kernels and one Cout = 1 head.
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ConvIsa,
+    ::testing::Values(ConvCase{3, 8, 5, 1, 2, 1, 12, 12, 3},
+                      ConvCase{3, 8, 5, 1, 2, 1, 11, 13, 2},
+                      ConvCase{3, 8, 5, 2, 2, 1, 16, 16, 3},
+                      ConvCase{6, 8, 3, 1, 2, 2, 10, 10, 2},
+                      ConvCase{4, 9, 3, 2, 1, 2, 15, 14, 17},
+                      ConvCase{8, 16, 7, 1, 3, 1, 16, 16, 2},
+                      ConvCase{2, 4, 3, 1, 1, 1, 6, 6, 2},
+                      ConvCase{9, 1, 3, 1, 1, 1, 9, 16, 2}));
+
+TEST(ConvIsa, ShapeSweepCoversThePackedImplicitPath) {
+  // Guards the instantiation above: its first shapes must really run
+  // the implicit path (forward and dW packed) rather than im2col.
+  for (const ConvCase& c : {ConvCase{3, 8, 5, 1, 2, 1, 12, 12, 3},
+                            ConvCase{3, 8, 5, 2, 2, 1, 16, 16, 3},
+                            ConvCase{6, 8, 3, 1, 2, 2, 10, 10, 2}}) {
+    const ConvGeometry g = geometry_of(c);
+    EXPECT_EQ(make_gemm_plan(GemmOp::kNN, c.cout, g.col_rows(), g.col_cols())
+                  .strategy,
+              GemmStrategy::kPacked);
+    EXPECT_EQ(make_gemm_plan(GemmOp::kBT, c.cout, g.col_cols(), g.col_rows())
+                  .strategy,
+              GemmStrategy::kPacked);
+  }
+}
+
+TEST(ConvIsa, DirectConvBitIdenticalToPortable) {
+  SKIP_WITHOUT_ACCELERATED_ISA();
+  // Cout = 1 heads: output widths on and off multiples of 4 and 8, and
+  // C*k*k on and off multiples of the AVX2 dW kernel's 8-row groups.
+  for (const DirectCase& c :
+       {DirectCase{64, 9, 4, 1, 16, 16, 2, true},
+        DirectCase{3, 3, 1, 1, 9, 12, 3, true},
+        DirectCase{5, 3, 2, 2, 7, 13, 2, false},
+        DirectCase{2, 5, 2, 1, 8, 20, 1, true}}) {
+    Rng rng(82);
+    const ConvGeometry g{c.cin, c.h, c.w, c.kernel, c.kernel, c.pad, c.pad,
+                         1,     1,   c.dilation, c.dilation};
+    const Tensor w = random_tensor(Shape::of(1, g.col_rows()), rng);
+    const Tensor b = random_tensor(Shape::of(1), rng);
+    const Tensor x = random_tensor(Shape::of(c.batch, c.cin, c.h, c.w), rng);
+    const Tensor gy = random_tensor(
+        Shape::of(c.batch, 1, g.out_height(), g.out_width()), rng);
+    ConvResult want;
+    {
+      IsaGuard guard(KernelIsa::kPortable);
+      want = run_conv2d(c, w, b, x, gy);
+    }
+    for (KernelIsa isa : accelerated_isas()) {
+      IsaGuard guard(isa);
+      std::ostringstream where;
+      PrintTo(c, &where);
+      expect_same_bits(run_conv2d(c, w, b, x, gy), want,
+                       std::string(to_string(isa)) + " " + where.str());
+    }
   }
 }
 

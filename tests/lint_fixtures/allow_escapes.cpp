@@ -3,6 +3,7 @@
 // `// fleda-lint: allow(<rule>)` escape — the linter must report
 // nothing. Real code pairs each escape with a justification.
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -35,6 +36,11 @@ double escaped_unordered(const std::unordered_map<int, double>& m) {
 
 const char* escaped_env() {
   return std::getenv("FIXTURE_LEVEL");  // fleda-lint: allow(env-knob)
+}
+
+// target("fma") in a comment is not an attribute; the call below is.
+float escaped_fma(float a, float b, float c) {
+  return std::fma(a, b, c);  // fleda-lint: allow(fp-contract)
 }
 
 struct Handshake {

@@ -206,16 +206,14 @@ TEST(StreamingAccumulator, StalenessMixMatchesTheClosedForm) {
 
 // --- retaining rules: the batch math, whatever the lane layout -------
 
-std::vector<ModelParameters> spread_members(std::size_t n,
-                                            std::uint64_t seed) {
+std::vector<ModelParameters> spread_members(std::size_t n, std::uint64_t seed,
+                                            std::size_t width = 3) {
   std::vector<ModelParameters> members;
   Rng rng(seed);
   for (std::size_t i = 0; i < n; ++i) {
-    members.push_back(make_params(
-        {static_cast<float>(rng.uniform(-0.2, 0.2)),
-         static_cast<float>(rng.uniform(-0.2, 0.2)),
-         static_cast<float>(rng.uniform(-0.2, 0.2))},
-        static_cast<float>(i)));
+    std::vector<float> values(width);
+    for (float& v : values) v = static_cast<float>(rng.uniform(-0.2, 0.2));
+    members.push_back(make_params(values, static_cast<float>(i)));
   }
   return members;
 }
@@ -283,26 +281,42 @@ TEST(RetainingAccumulator, MergeConcatenatesAndEmptiesThePeer) {
 
 TEST(StreamingAccumulator, BitIdenticalAcrossThreadPoolSizes) {
   // More members than lanes, so lanes fold several members each and the
-  // merge/finish passes split across every pool size tried.
-  const std::vector<ModelParameters> members =
+  // merge/finish passes split across every pool size tried. The wide
+  // cohort's 5000-element entry is past for_each_shard's serial cutoff,
+  // so the rank rules' coordinate split runs at every pool size > 1.
+  const std::vector<ModelParameters> narrow =
       spread_members(2 * kFoldLanes + 7, 7);
-  const std::vector<AggregationInput> cohort = as_inputs(members);
-  const ModelParameters current = make_params({0.0f, 0.0f, 0.0f}, 0.0f);
+  const std::vector<ModelParameters> wide =
+      spread_members(kFoldLanes + 5, 8, /*width=*/5000);
+  const std::vector<AggregationInput> narrow_cohort = as_inputs(narrow);
+  const std::vector<AggregationInput> wide_cohort = as_inputs(wide);
+  const ModelParameters narrow_current = make_params({0.0f, 0.0f, 0.0f});
+  const ModelParameters wide_current =
+      make_params(std::vector<float>(5000, 0.0f));
   const WeightedAverage mean;
   const CoordinateMedian median;
   const TrimmedMean trimmed(0.1);
-  const std::vector<const AggregationRule*> rules = {&mean, &median, &trimmed};
+  struct Case {
+    const AggregationRule* rule;
+    const ModelParameters* current;
+    const std::vector<AggregationInput>* cohort;
+  };
+  const std::vector<Case> cases = {{&mean, &narrow_current, &narrow_cohort},
+                                   {&median, &narrow_current, &narrow_cohort},
+                                   {&trimmed, &narrow_current, &narrow_cohort},
+                                   {&median, &wide_current, &wide_cohort},
+                                   {&trimmed, &wide_current, &wide_cohort}};
+  auto run = [](const Case& c) {
+    return lane_aggregate(*c.rule, *c.current, *c.cohort);
+  };
   ThreadPool::reset_global(1);
   std::vector<ModelParameters> reference;
-  for (const AggregationRule* rule : rules) {
-    reference.push_back(lane_aggregate(*rule, current, cohort));
-  }
-  for (const std::size_t pool : {2u, 8u}) {
+  for (const Case& c : cases) reference.push_back(run(c));
+  for (const std::size_t pool : {2u, 4u, 8u}) {
     ThreadPool::reset_global(pool);
-    for (std::size_t r = 0; r < rules.size(); ++r) {
-      EXPECT_TRUE(bit_identical(reference[r],
-                                lane_aggregate(*rules[r], current, cohort)))
-          << rules[r]->name() << " pool=" << pool;
+    for (std::size_t r = 0; r < cases.size(); ++r) {
+      EXPECT_TRUE(bit_identical(reference[r], run(cases[r])))
+          << cases[r].rule->name() << " case " << r << " pool=" << pool;
     }
   }
   ThreadPool::reset_global(0);

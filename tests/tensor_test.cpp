@@ -5,6 +5,10 @@
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <streambuf>
+#include <string>
+#include <vector>
 #include <sstream>
 
 #include "tensor/im2col.hpp"
@@ -371,6 +375,84 @@ TEST(Serialize, TruncatedPayloadThrows) {
   std::string s = ss.str();
   std::stringstream truncated(s.substr(0, s.size() / 2));
   EXPECT_THROW(read_tensor(truncated), std::runtime_error);
+}
+
+// ---- hostile FLT1 headers: a runtime_error before any allocation ----
+
+std::string flt1_header(const std::vector<std::int64_t>& dims) {
+  std::string bytes = "FLT1";
+  const auto rank = static_cast<std::uint32_t>(dims.size());
+  bytes.append(reinterpret_cast<const char*>(&rank), sizeof(rank));
+  for (std::int64_t d : dims) {
+    bytes.append(reinterpret_cast<const char*>(&d), sizeof(d));
+  }
+  return bytes;
+}
+
+// Fails the test on bad_alloc (or anything else but runtime_error).
+void expect_rejected(std::istream& in, const std::string& what) {
+  try {
+    read_tensor(in);
+    ADD_FAILURE() << what << ": accepted";
+  } catch (const std::runtime_error&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": threw " << e.what() << " instead";
+  }
+}
+
+// A stream that cannot seek, like a pipe: tellg() reports -1.
+class PipeBuf : public std::streambuf {
+ public:
+  explicit PipeBuf(std::string bytes) : bytes_(std::move(bytes)) {
+    setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
+  }
+
+ private:
+  std::string bytes_;
+};
+
+TEST(Serialize, HostileHeadersThrowBeforeAllocating) {
+  const std::string payload(40, '\0');  // ten floats
+  const struct {
+    const char* what;
+    std::string bytes;
+  } cases[] = {
+      {"2^62 dim", flt1_header({std::int64_t{1} << 62}) + payload},
+      {"overflowing product",
+       flt1_header({std::int64_t{1} << 32, std::int64_t{1} << 32}) + payload},
+      {"count beyond payload", flt1_header({1000}) + payload},
+      {"truncated payload", flt1_header({11}) + payload},
+  };
+  for (const auto& c : cases) {
+    std::stringstream seekable(c.bytes);
+    expect_rejected(seekable, std::string(c.what) + " (seekable)");
+    PipeBuf buf(c.bytes);
+    std::istream pipe(&buf);
+    expect_rejected(pipe, std::string(c.what) + " (pipe)");
+  }
+  // The same ten floats with an honest header read back from a pipe.
+  PipeBuf buf(flt1_header({10}) + payload);
+  std::istream pipe(&buf);
+  EXPECT_EQ(read_tensor(pipe).numel(), 10);
+}
+
+TEST(Serialize, LoadTensorErrorsNameThePath) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "fleda_hostile_tensor.bin")
+          .string();
+  {
+    std::ofstream out(path, std::ios::binary);
+    const std::string bytes = flt1_header({std::int64_t{1} << 40});
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  try {
+    load_tensor(path);
+    ADD_FAILURE() << "accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove(path);
 }
 
 }  // namespace
