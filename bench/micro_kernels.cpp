@@ -29,9 +29,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "fl/aggregation.hpp"
 #include "nn/conv2d.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/matmul.hpp"
@@ -338,9 +340,86 @@ IsaLayerResult bench_isa_layer(const IsaLayerCase& c, Rng& rng) {
   return result;
 }
 
+// Trimmed mean over a cohort of `cohort` updates, each one entry of
+// kSortCoordinates floats (the fleet_10k model's parameter count). The
+// network rows time TrimmedMean::aggregate, so they also pay for
+// validating and copying each folded update; the std::sort row is the
+// column loop alone.
+constexpr std::int64_t kSortCoordinates = 15617;
+constexpr double kSortTrim = 0.1;
+const std::size_t kSortCohorts[] = {9, 200, 1000};
+
+struct SortLanesResult {
+  std::size_t cohort = 0;
+  double std_sort_ms = 0.0;
+  double portable_ms = 0.0;
+  double avx2_ms = 0.0;  // 0 when the host cannot run AVX2
+  bool bit_identical = false;
+};
+
+double measure_ms(const std::function<void()>& call) {
+  return 1e-6 / measure_gflops(1.0, call);
+}
+
+// The per-coordinate form the kernel replaced: gather the column, sort
+// it, sum the survivors in ascending order in double.
+ModelParameters std_sort_trimmed_mean(
+    const std::vector<ModelParameters>& cohort) {
+  const std::size_t n = cohort.size();
+  const auto g = static_cast<std::size_t>(kSortTrim * static_cast<double>(n));
+  ModelParameters out = cohort[0];
+  float* dst = out.mutable_entries()[0].value.data();
+  std::vector<float> column(n);
+  for (std::int64_t i = 0; i < kSortCoordinates; ++i) {
+    for (std::size_t c = 0; c < n; ++c) {
+      column[c] = cohort[c].entries()[0].value.data()[i];
+    }
+    std::sort(column.begin(), column.end());
+    double acc = 0.0;
+    for (std::size_t c = g; c < n - g; ++c) acc += column[c];
+    dst[i] = static_cast<float>(acc / static_cast<double>(n - 2 * g));
+  }
+  return out;
+}
+
+SortLanesResult bench_sort_lanes(std::size_t n, Rng& rng) {
+  SortLanesResult result;
+  result.cohort = n;
+  std::vector<ModelParameters> cohort(n);
+  std::vector<AggregationInput> inputs;
+  for (ModelParameters& p : cohort) {
+    const std::vector<float> values =
+        random_vec(static_cast<std::size_t>(kSortCoordinates), rng);
+    Tensor t(Shape::of(kSortCoordinates));
+    std::copy(values.begin(), values.end(), t.data());
+    p.mutable_entries().push_back({"w", false, t});
+    inputs.push_back({&p, 1.0, 0});
+  }
+  ModelParameters oracle;
+  result.std_sort_ms =
+      measure_ms([&] { oracle = std_sort_trimmed_mean(cohort); });
+  const TrimmedMean rule(kSortTrim);
+  const KernelIsa dispatched = kernel_isa();
+  result.bit_identical = true;
+  for (const KernelIsa isa : {KernelIsa::kPortable, KernelIsa::kAvx2}) {
+    if (!kernel_isa_supported(isa)) continue;
+    set_kernel_isa(isa);
+    ModelParameters network;
+    const double ms = measure_ms(
+        [&] { network = rule.aggregate(ModelParameters{}, inputs); });
+    (isa == KernelIsa::kAvx2 ? result.avx2_ms : result.portable_ms) = ms;
+    result.bit_identical = result.bit_identical &&
+                           network.entries()[0].value.equals(
+                               oracle.entries()[0].value);
+  }
+  set_kernel_isa(dispatched);
+  return result;
+}
+
 void write_bench_json(const std::vector<ShapeResult>& results,
                       const std::vector<ConvLayerResult>& layers,
                       const std::vector<IsaLayerResult>& isa_layers,
+                      const std::vector<SortLanesResult>& sorts,
                       const PlanCacheStats& stats, double hit_rate,
                       bool pass) {
   std::FILE* f = std::fopen("BENCH_kernels.json", "w");
@@ -399,6 +478,18 @@ void write_bench_json(const std::vector<ShapeResult>& results,
         static_cast<long long>(r.layer->batch), to_string(kernel_isa()),
         r.portable_ms, r.dispatched_ms, r.speedup,
         r.bit_identical ? "true" : "false");
+  }
+  std::fprintf(f, "],\"sort_lanes\":[");
+  for (std::size_t i = 0; i < sorts.size(); ++i) {
+    const SortLanesResult& r = sorts[i];
+    std::fprintf(
+        f,
+        "%s{\"rule\":\"trimmed_mean\",\"trim\":%.2f,\"cohort\":%zu,"
+        "\"coordinates\":%lld,\"std_sort_ms\":%.4f,\"portable_ms\":%.4f,"
+        "\"avx2_ms\":%.4f,\"bit_identical\":%s}",
+        i == 0 ? "" : ",", kSortTrim, r.cohort,
+        static_cast<long long>(kSortCoordinates), r.std_sort_ms,
+        r.portable_ms, r.avx2_ms, r.bit_identical ? "true" : "false");
   }
   std::fprintf(f,
                "],\"plan_cache\":{\"hits\":%llu,\"misses\":%llu,"
@@ -465,6 +556,10 @@ int main_impl() {
   for (const IsaLayerCase& c : kIsaLayers) {
     isa_layers.push_back(bench_isa_layer(c, rng));
   }
+  std::vector<SortLanesResult> sorts;
+  for (const std::size_t n : kSortCohorts) {
+    sorts.push_back(bench_sort_lanes(n, rng));
+  }
   ThreadPool::reset_global(0);
   std::printf("%-18s %4s %3s %4s %5s %10s %10s %8s %s\n", "conv layer", "cin",
               "k", "grid", "batch", "im2col ms", "direct ms", "speedup",
@@ -494,13 +589,41 @@ int main_impl() {
                 r.bit_identical ? "identical" : "DIFFER");
   }
 
+  std::printf("%-18s %6s %11s %12s %9s %8s %s\n", "sort_lanes", "cohort",
+              "std::sort", "portable", "avx2", "speedup", "bits");
+  for (const SortLanesResult& r : sorts) {
+    const double network_ms = r.avx2_ms > 0.0 ? r.avx2_ms : r.portable_ms;
+    std::printf("%-18s %6zu %8.3f ms %9.3f ms ", "trimmed_mean", r.cohort,
+                r.std_sort_ms, r.portable_ms);
+    if (r.avx2_ms > 0.0) {
+      std::printf("%6.3f ms", r.avx2_ms);
+    } else {
+      std::printf("%9s", "n/a");
+    }
+    std::printf(" %7.2fx %s\n", r.std_sort_ms / network_ms,
+                r.bit_identical ? "identical" : "DIFFER");
+    if (network_ms > r.std_sort_ms) {
+      std::printf("note: std::sort beats the network at cohort %zu\n",
+                  r.cohort);
+    }
+  }
+
   // Gates. (1) Every shape's auto result is numerically equivalent to
   // reference. (2) The cost model packs the fat conv shapes and leaves
   // the m=1 output conv on reference. (3) Repeat lookups hit the cache
   // (the sweep runs each shape hundreds of times against ~8 misses).
   // (4) Each conv layer's direct path reproduces the im2col bits.
   // (5) Each ISA layer's dispatched kernels reproduce the portable bits.
+  // (6) The sorting-network trimmed mean reproduces the std::sort bits
+  // on every ISA.
   bool pass = true;
+  for (const SortLanesResult& r : sorts) {
+    if (!r.bit_identical) {
+      std::printf("FAIL: trimmed_mean at cohort %zu differs from std::sort\n",
+                  r.cohort);
+      pass = false;
+    }
+  }
   for (const IsaLayerResult& r : isa_layers) {
     if (!r.bit_identical) {
       std::printf("FAIL: %s %s kernels differ from portable bits\n",
@@ -547,7 +670,8 @@ int main_impl() {
     }
   }
 
-  write_bench_json(results, layers, isa_layers, stats, hit_rate, pass);
+  write_bench_json(results, layers, isa_layers, sorts, stats, hit_rate,
+                   pass);
   std::printf("{\"bench\":\"micro_kernels\",\"pass\":%s}\n",
               pass ? "true" : "false");
   return pass ? 0 : 1;

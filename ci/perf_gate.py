@@ -1,7 +1,27 @@
 #!/usr/bin/env python3
-"""Perf-trajectory gate: diff this run's BENCH_*.json against the
-previous successful main run's `bench-trajectory` artifact and fail on
-a >20% regression in the headline numbers.
+"""Bench gates over this run's BENCH_*.json, in two modes.
+
+Threshold gates (`--gates BENCH_sim.json`): the absolute acceptance
+numbers micro_sim records, as one declarative table (GATES below):
+
+  - byzantine  under 10% sign-flip attackers, coordinate_median and
+               trimmed_mean stay within `tolerance` of the attack-free
+               AUC while the unguarded weighted_average diverges
+  - arms_race  multi_krum tracks the attack-free AUC, the anomaly
+               detector clears 0.8/0.8 precision/recall, reputation
+               sampling wins back half the AUC gap, and the adaptive
+               attacker costs norm_clipped_mean >= 0.05 AUC more than
+               the oblivious one
+  - hundred_k  the K = 100k streaming round ran and its peak RSS
+               stayed flat
+
+A gate stops at its first failing check and prints that check's
+message; any failing gate makes the run exit 1. `--self-test` feeds
+every gate one passing and one failing fixture.
+
+Perf-trajectory gate (no arguments): diff this run's BENCH_*.json
+against the previous successful main run's `bench-trajectory` artifact
+and fail on a >20% regression in the headline numbers.
 
 Gated metrics (current vs previous):
   - BENCH_sim.json     events_per_sec                  must be >= 0.8x
@@ -24,6 +44,8 @@ optionally GITHUB_WORKFLOW_REF / PERF_GATE_WORKFLOW (workflow file name,
 default ci.yml) and PERF_GATE_BRANCH (default main).
 """
 
+import argparse
+import copy
 import io
 import json
 import os
@@ -31,6 +53,167 @@ import sys
 import urllib.error
 import urllib.request
 import zipfile
+
+# --- threshold gates ---------------------------------------------------
+#
+# One row per gate: the BENCH_sim.json values it reads (`values`), its
+# checks in order as (predicate, failure message), and the line printed
+# when every check holds. Messages are str.format templates over the
+# values, so `{byz}` prints the whole block.
+
+def _byzantine_values(bench):
+    byz = bench["byzantine"]
+    tol, clean = byz["tolerance"], byz["clean_auc"]
+    return {
+        "byz": byz, "tol": tol, "clean": clean,
+        "median_gap": abs(byz["coordinate_median_auc"] - clean),
+        "trimmed_gap": abs(byz["trimmed_mean_auc"] - clean),
+        "wa_gap": abs(byz["weighted_average_auc"] - clean),
+    }
+
+
+def _arms_race_values(bench):
+    ar, byz = bench["arms_race"], bench["byzantine"]
+    return {
+        "ar": ar, "byz": byz,
+        "krum_gap": abs(ar["multi_krum_auc"] - byz["clean_auc"]),
+    }
+
+
+def _hundred_k_values(bench):
+    return {"hk": bench["hundred_k"]}
+
+
+GATES = (
+    {
+        "name": "byzantine",
+        "values": _byzantine_values,
+        "checks": (
+            (lambda v: v["median_gap"] <= v["tol"],
+             "coordinate_median drifted {median_gap:.4f} > {tol}: {byz}"),
+            (lambda v: v["trimmed_gap"] <= v["tol"],
+             "trimmed_mean drifted {trimmed_gap:.4f} > {tol}: {byz}"),
+            (lambda v: (v["byz"]["weighted_average_diverged"]
+                        and v["wa_gap"] > v["tol"]),
+             "weighted_average was expected to diverge under attack: {byz}"),
+        ),
+        "ok": ("byzantine gate ok: clean={clean:.4f} "
+               "median_gap={median_gap:.4f} trimmed_gap={trimmed_gap:.4f} "
+               "weighted_average_gap={wa_gap:.4f}"),
+    },
+    {
+        "name": "arms_race",
+        "values": _arms_race_values,
+        "checks": (
+            (lambda v: v["krum_gap"] <= v["byz"]["tolerance"],
+             "multi_krum drifted {krum_gap:.4f} > {byz[tolerance]}: {ar}"),
+            (lambda v: v["ar"]["detector_precision"] >= 0.8,
+             "detector precision: {ar}"),
+            (lambda v: v["ar"]["detector_recall"] >= 0.8,
+             "detector recall: {ar}"),
+            (lambda v: v["ar"]["reputation_recovered"] >= 0.5,
+             "reputation_weighted recovered too little of the wa gap: {ar}"),
+            (lambda v: v["ar"]["adaptive_gap"] >= 0.05,
+             "adaptive attacker no longer beats the oblivious one: {ar}"),
+            (lambda v: v["ar"]["pass"],
+             "arms_race bench reported failure: {ar}"),
+        ),
+        "ok": ("arms-race gate ok: krum_gap={krum_gap:.4f} "
+               "P={ar[detector_precision]:.2f} R={ar[detector_recall]:.2f} "
+               "recovered={ar[reputation_recovered]:.3f} "
+               "adaptive_gap={ar[adaptive_gap]:.4f}"),
+    },
+    {
+        "name": "hundred_k",
+        "values": _hundred_k_values,
+        "checks": (
+            (lambda v: v["hk"]["events_per_sec"] > 0,
+             "hundred_k round did not run: {hk}"),
+            (lambda v: v["hk"]["pass"],
+             "hundred_k flat-RSS gate failed: {hk}"),
+        ),
+        "ok": ("hundred_k gate ok: events/s={hk[events_per_sec]:.0f} "
+               "construct_s={hk[construct_s]:.3f} "
+               "rss_delta_mb={hk[delta_mb]:.1f}"),
+    },
+)
+
+
+def run_gate(gate, bench):
+    """The failure message of the gate's first failing check, or None
+    (after printing the gate's ok line) when every check holds."""
+    values = gate["values"](bench)
+    for holds, message in gate["checks"]:
+        if not holds(values):
+            return message.format(**values)
+    print(gate["ok"].format(**values))
+    return None
+
+
+def run_gates(path):
+    try:
+        with open(path) as f:
+            bench = json.load(f)
+    except (OSError, json.JSONDecodeError) as e:
+        print(f"perf_gate: FAIL - cannot read {path}: {e}")
+        return 1
+    failed = False
+    for gate in GATES:
+        try:
+            error = run_gate(gate, bench)
+        except KeyError as e:
+            error = f"{path} has no {e} for the {gate['name']} gate"
+        if error is not None:
+            print(f"perf_gate: FAIL - {gate['name']}: {error}")
+            failed = True
+    return 1 if failed else 0
+
+
+# A BENCH_sim.json excerpt every gate passes, and per gate one edit
+# that must make it fail.
+PASSING_FIXTURE = {
+    "byzantine": {
+        "tolerance": 0.05, "clean_auc": 0.80,
+        "weighted_average_auc": 0.50, "weighted_average_diverged": True,
+        "coordinate_median_auc": 0.79, "trimmed_mean_auc": 0.78,
+    },
+    "arms_race": {
+        "multi_krum_auc": 0.81, "detector_precision": 1.0,
+        "detector_recall": 1.0, "reputation_recovered": 0.96,
+        "adaptive_gap": 0.10, "pass": True,
+    },
+    "hundred_k": {
+        "events_per_sec": 1.0e6, "construct_s": 0.5, "delta_mb": 1.0,
+        "pass": True,
+    },
+}
+FAILING_EDITS = {
+    "byzantine": ("byzantine", "trimmed_mean_auc", 0.70),
+    "arms_race": ("arms_race", "detector_recall", 0.5),
+    "hundred_k": ("hundred_k", "pass", False),
+}
+
+
+def self_test():
+    errors = []
+    for gate in GATES:
+        name = gate["name"]
+        if run_gate(gate, PASSING_FIXTURE) is not None:
+            errors.append(f"{name}: failed its passing fixture")
+        failing = copy.deepcopy(PASSING_FIXTURE)
+        block, key, value = FAILING_EDITS[name]
+        failing[block][key] = value
+        if run_gate(gate, failing) is None:
+            errors.append(f"{name}: passed its failing fixture "
+                          f"({block}.{key} = {value})")
+    for e in errors:
+        print(f"perf_gate self-test: FAIL - {e}")
+    if not errors:
+        print(f"perf_gate self-test: ok ({len(GATES)} gates)")
+    return 1 if errors else 0
+
+
+# --- perf-trajectory gate ----------------------------------------------
 
 API = "https://api.github.com"
 ARTIFACT_NAME = "bench-trajectory"
@@ -106,7 +289,7 @@ def shape_rows(bench):
     return {row["name"]: row for row in (bench or {}).get("shapes", [])}
 
 
-def main():
+def trajectory():
     token = os.environ.get("GITHUB_TOKEN", "")
     repo = os.environ.get("GITHUB_REPOSITORY", "")
     workflow = os.environ.get("PERF_GATE_WORKFLOW", "ci.yml")
@@ -189,5 +372,20 @@ def main():
     print("perf_gate: all metrics within the 20% band")
 
 
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--gates", metavar="BENCH_SIM_JSON",
+                        help="run the threshold gates over this file")
+    parser.add_argument("--self-test", action="store_true",
+                        help="check every threshold gate on its fixtures")
+    args = parser.parse_args()
+    if args.self_test:
+        return self_test()
+    if args.gates:
+        return run_gates(args.gates)
+    trajectory()
+    return 0
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -32,6 +32,12 @@ struct Writer {
     pod<std::uint32_t>(static_cast<std::uint32_t>(s.size()));
     bytes(s.data(), s.size());
   }
+  // Appends n bytes for the caller to fill; valid until the next write.
+  std::uint8_t* span(std::size_t n) {
+    const std::size_t at = out.size();
+    out.resize(at + n);
+    return out.data() + at;
+  }
 };
 
 struct Reader {
@@ -45,13 +51,16 @@ struct Reader {
     return static_cast<std::size_t>(end - cursor);
   }
 
-  void bytes(void* dst, std::size_t n) {
+  // The next n bytes, in place; throws if fewer are left.
+  const std::uint8_t* span(std::size_t n) {
     if (static_cast<std::size_t>(end - cursor) < n) {
       throw std::runtime_error("FLC1: truncated buffer");
     }
-    std::memcpy(dst, cursor, n);
+    const std::uint8_t* at = cursor;
     cursor += n;
+    return at;
   }
+  void bytes(void* dst, std::size_t n) { std::memcpy(dst, span(n), n); }
   template <typename T>
   T pod() {
     static_assert(std::is_trivially_copyable_v<T>);

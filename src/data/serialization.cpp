@@ -28,8 +28,25 @@ void write_string(std::ostream& out, const std::string& s) {
   out.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 
+// Reads a u32 element count and rejects it, before anything is
+// allocated, when `min_bytes` per element cannot fit in the bytes left
+// (a stream that cannot seek is not checked: its vectors then grow
+// only as elements actually arrive).
+std::uint32_t read_count(std::istream& in, std::size_t min_bytes,
+                         const char* what) {
+  const std::uint32_t n = read_u32(in);
+  const std::int64_t left = stream_bytes_left(in);
+  if (left >= 0 && static_cast<std::uint64_t>(n) * min_bytes >
+                       static_cast<std::uint64_t>(left)) {
+    throw std::runtime_error("dataset read: " + std::to_string(n) + " " +
+                             what + " claimed but only " +
+                             std::to_string(left) + " bytes are left");
+  }
+  return n;
+}
+
 std::string read_string(std::istream& in) {
-  std::uint32_t n = read_u32(in);
+  const std::uint32_t n = read_count(in, 1, "name bytes");
   if (n > (1u << 20)) throw std::runtime_error("dataset read: bad string");
   std::string s(n, '\0');
   in.read(s.data(), n);
@@ -47,9 +64,11 @@ void write_designs(std::ostream& out, const std::vector<DesignInfo>& designs) {
 }
 
 std::vector<DesignInfo> read_designs(std::istream& in) {
-  std::uint32_t n = read_u32(in);
-  std::vector<DesignInfo> designs(n);
-  for (auto& d : designs) {
+  // A design is at least its name length, suite and placement count.
+  const std::uint32_t n = read_count(in, 12, "designs");
+  std::vector<DesignInfo> designs;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    DesignInfo& d = designs.emplace_back();
     d.name = read_string(in);
     d.suite = static_cast<BenchmarkSuite>(read_u32(in));
     d.num_placements = read_u32(in);
@@ -66,13 +85,29 @@ void write_samples(std::ostream& out, const std::vector<Sample>& samples) {
 }
 
 std::vector<Sample> read_samples(std::istream& in) {
-  std::uint32_t n = read_u32(in);
-  std::vector<Sample> samples(n);
-  for (auto& s : samples) {
+  // A sample is at least two tensor headers (magic + rank each).
+  const std::uint32_t n = read_count(in, 16, "samples");
+  std::vector<Sample> samples;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    Sample& s = samples.emplace_back();
     s.features = read_tensor(in);
     s.label = read_tensor(in);
   }
   return samples;
+}
+
+ClientDataset read_client_dataset(std::istream& in) {
+  if (read_u32(in) != kMagic) {
+    throw std::runtime_error("dataset read: bad magic");
+  }
+  ClientDataset ds;
+  ds.client_id = static_cast<int>(read_u32(in));
+  ds.suite = static_cast<BenchmarkSuite>(read_u32(in));
+  ds.train_designs = read_designs(in);
+  ds.test_designs = read_designs(in);
+  ds.train = read_samples(in);
+  ds.test = read_samples(in);
+  return ds;
 }
 
 }  // namespace
@@ -93,17 +128,11 @@ void save_client_dataset(const std::string& path, const ClientDataset& ds) {
 ClientDataset load_client_dataset(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("load_client_dataset: cannot open " + path);
-  if (read_u32(in) != kMagic) {
-    throw std::runtime_error("load_client_dataset: bad magic in " + path);
+  try {
+    return read_client_dataset(in);
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error("load_client_dataset: " + path + ": " + e.what());
   }
-  ClientDataset ds;
-  ds.client_id = static_cast<int>(read_u32(in));
-  ds.suite = static_cast<BenchmarkSuite>(read_u32(in));
-  ds.train_designs = read_designs(in);
-  ds.test_designs = read_designs(in);
-  ds.train = read_samples(in);
-  ds.test = read_samples(in);
-  return ds;
 }
 
 void save_all_clients(const std::string& dir,

@@ -10,6 +10,9 @@
 namespace fleda {
 
 void save_client_dataset(const std::string& path, const ClientDataset& ds);
+// The file's bytes are untrusted: a bad magic, a count larger than the
+// bytes left can hold, or a truncated name, sample or tensor throws
+// std::runtime_error naming `path`, before anything is allocated for it.
 ClientDataset load_client_dataset(const std::string& path);
 
 void save_all_clients(const std::string& dir,

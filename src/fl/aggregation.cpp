@@ -9,6 +9,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
+#include "tensor/sort_lanes.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fleda {
@@ -361,15 +362,20 @@ void require_current(const char* rule, const ModelParameters& current) {
 // RetainingAccumulator::finish() over a cohort the folds already
 // validated (finite values, good weights, one structure).
 
-// out[i] = reduce(column_i) for every coordinate i of every entry,
-// where column_i holds the cohort's values of coordinate i in cohort
-// order. Coordinates are independent, so for_each_shard splits them
-// across the pool, each shard with its own column scratch, and the
-// result is the same at every pool size.
+// Runs reduce(sorted, lanes, out + i) for every block of kSortLanes
+// coordinates i..i+lanes-1 of every entry, where lane l of `sorted`
+// holds the cohort's sort keys of coordinate i + l in ascending order
+// (tensor/sort_lanes.hpp; a short last block sorts stale finite keys in
+// its spare lanes, and reduce writes only the first `lanes` outputs). Coordinates are
+// independent, so for_each_shard splits them across the pool, each
+// shard with its own block scratch, and the result is the same at every
+// pool size. The folds rejected non-finite values, which is the
+// network's precondition.
 template <class Reduce>
-ModelParameters reduce_columns(const std::vector<AggregationInput>& cohort,
-                               const Reduce& reduce) {
+ModelParameters reduce_sorted_columns(
+    const std::vector<AggregationInput>& cohort, const Reduce& reduce) {
   const std::size_t n = cohort.size();
+  const SortNetwork net(n);
   ModelParameters result = *cohort[0].params;
   std::vector<const float*> sources(n);
   for (std::size_t e = 0; e < result.entries().size(); ++e) {
@@ -377,32 +383,52 @@ ModelParameters reduce_columns(const std::vector<AggregationInput>& cohort,
     for (std::size_t c = 0; c < n; ++c) {
       sources[c] = cohort[c].params->entries()[e].value.data();
     }
-    for_each_shard(
-        static_cast<std::size_t>(result.entries()[e].value.numel()),
-        [&](std::size_t begin, std::size_t end) {
-          std::vector<float> column(n);
-          for (std::size_t i = begin; i < end; ++i) {
-            for (std::size_t c = 0; c < n; ++c) column[c] = sources[c][i];
-            out[i] = reduce(column);
-          }
-        });
+    const std::size_t numel =
+        static_cast<std::size_t>(result.entries()[e].value.numel());
+    for_each_shard(numel, [&](std::size_t begin, std::size_t end) {
+      std::vector<std::int32_t> storage;
+      std::int32_t* block = aligned_block(storage, n);
+      for (std::size_t i = begin; i < end; i += kSortLanes) {
+        const std::size_t lanes = std::min(kSortLanes, end - i);
+        // The gather reads n streams at once, more than the hardware
+        // prefetcher follows; fetch a few blocks ahead.
+        const std::size_t ahead = i + 4 * kSortLanes;
+        for (std::size_t c = 0; c < n; ++c) {
+          std::int32_t* row = block + c * kSortLanes;
+          const float* src = sources[c] + i;
+          if (ahead < numel) __builtin_prefetch(sources[c] + ahead);
+          for (std::size_t l = 0; l < lanes; ++l) row[l] = sort_key(src[l]);
+        }
+        sort_lanes(net, block);
+        reduce(block, lanes, out + i);
+      }
+    });
   }
   return result;
 }
 
 ModelParameters median_of(const std::vector<AggregationInput>& cohort) {
-  return reduce_columns(cohort, [](std::vector<float>& column) {
-    // The k-th order statistic is a value of the multiset, so the
-    // result does not depend on the cohort's order — determinism
-    // across participation shuffles comes for free.
-    const std::size_t n = column.size();
-    const std::size_t mid = n / 2;
-    std::nth_element(column.begin(), column.begin() + mid, column.end());
-    if (n % 2 == 1) return column[mid];
-    const float hi = column[mid];
-    const float lo = *std::max_element(column.begin(), column.begin() + mid);
-    return static_cast<float>((static_cast<double>(lo) + hi) / 2.0);
-  });
+  // The k-th order statistic in the total order is a value of the
+  // multiset (ties of -0 and +0 included), so the result does not
+  // depend on the cohort's order — determinism across participation
+  // shuffles comes for free.
+  const std::size_t n = cohort.size();
+  const std::size_t mid = n / 2;
+  return reduce_sorted_columns(
+      cohort, [n, mid](const std::int32_t* sorted, std::size_t lanes,
+                       float* out) {
+        const std::int32_t* hi = sorted + mid * kSortLanes;
+        if (n % 2 == 1) {
+          for (std::size_t l = 0; l < lanes; ++l) out[l] = from_sort_key(hi[l]);
+          return;
+        }
+        const std::int32_t* lo = hi - kSortLanes;
+        for (std::size_t l = 0; l < lanes; ++l) {
+          const double sum = static_cast<double>(from_sort_key(lo[l])) +
+                             static_cast<double>(from_sort_key(hi[l]));
+          out[l] = static_cast<float>(sum / 2.0);
+        }
+      });
 }
 
 ModelParameters trimmed_mean_of(const std::vector<AggregationInput>& cohort,
@@ -411,12 +437,21 @@ ModelParameters trimmed_mean_of(const std::vector<AggregationInput>& cohort,
   // trim_fraction < 0.5 guarantees n - 2g >= 1 survivors.
   const std::size_t g =
       static_cast<std::size_t>(trim_fraction * static_cast<double>(n));
-  return reduce_columns(cohort, [n, g](std::vector<float>& column) {
-    std::sort(column.begin(), column.end());
-    double acc = 0.0;
-    for (std::size_t c = g; c < n - g; ++c) acc += column[c];
-    return static_cast<float>(acc / static_cast<double>(n - 2 * g));
-  });
+  return reduce_sorted_columns(
+      cohort,
+      [n, g](const std::int32_t* sorted, std::size_t lanes, float* out) {
+        // Each lane sums its survivors in ascending order, in double.
+        double acc[kSortLanes] = {};
+        for (std::size_t c = g; c < n - g; ++c) {
+          const std::int32_t* row = sorted + c * kSortLanes;
+          for (std::size_t l = 0; l < kSortLanes; ++l) {
+            acc[l] += static_cast<double>(from_sort_key(row[l]));
+          }
+        }
+        for (std::size_t l = 0; l < lanes; ++l) {
+          out[l] = static_cast<float>(acc[l] / static_cast<double>(n - 2 * g));
+        }
+      });
 }
 
 // Cohort indices ordered ascending by (Krum score, index); callers

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 #include "tensor/serialize.hpp"
 
@@ -41,7 +42,15 @@ ModelParameters read_checkpoint(std::istream& in) {
     throw std::runtime_error("checkpoint: bad magic");
   }
   const std::uint32_t count = read_u32(in);
-  if (count > (1u << 20)) throw std::runtime_error("checkpoint: bad count");
+  // An entry is at least its name length, buffer flag and a tensor
+  // header (magic + rank): 16 bytes. The claim is checked against the
+  // bytes left before anything is reserved for it.
+  const std::int64_t left = stream_bytes_left(in);
+  if (count > (1u << 20) ||
+      (left >= 0 && static_cast<std::int64_t>(count) * 16 > left)) {
+    throw std::runtime_error("checkpoint: bad count " +
+                             std::to_string(count));
+  }
 
   ModelParameters params;
   params.mutable_entries().reserve(count);
@@ -68,7 +77,11 @@ void save_checkpoint(const std::string& path, const ModelParameters& params) {
 ModelParameters load_checkpoint(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("load_checkpoint: cannot open " + path);
-  return read_checkpoint(in);
+  try {
+    return read_checkpoint(in);
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error("load_checkpoint: " + path + ": " + e.what());
+  }
 }
 
 }  // namespace fleda

@@ -14,7 +14,8 @@ namespace fleda {
 void write_checkpoint(std::ostream& out, const ModelParameters& params);
 ModelParameters read_checkpoint(std::istream& in);
 
-// File wrappers; throw std::runtime_error on I/O failure.
+// File wrappers; throw std::runtime_error on I/O failure or bad bytes
+// (load_checkpoint's errors name the path).
 void save_checkpoint(const std::string& path, const ModelParameters& params);
 ModelParameters load_checkpoint(const std::string& path);
 

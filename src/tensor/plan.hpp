@@ -12,13 +12,13 @@
 // paid once per shape, not once per step.
 //
 // Instruction set: every float kernel (the packed micro-kernel, the
-// reference axpy loops, the direct conv kernels) has a portable body
-// and, on x86, an AVX2 body; kernel_isa() picks one at run time from
-// the host's CPUID, once per process. The AVX2 bodies are compiled with
-// target("avx2") and never with "fma": each output element keeps the
-// portable kernel's order of rounded products and sums, so the ISA
-// changes speed, never bits. Non-x86 builds compile only the portable
-// bodies.
+// reference axpy loops, the direct conv kernels, the sort_lanes
+// network) has a portable body and, on x86, an AVX2 body; kernel_isa()
+// picks one at run time from the host's CPUID, once per process. The
+// AVX2 bodies are compiled with target("avx2") and never with "fma":
+// each output element keeps the portable kernel's order of rounded
+// products and sums, so the ISA changes speed, never bits. Non-x86
+// builds compile only the portable bodies.
 //
 // Determinism contract: a plan is a pure function of the shape (never
 // of the thread-pool size), the packed kernel partitions rows into

@@ -13,19 +13,6 @@ namespace {
 
 constexpr char kMagic[4] = {'F', 'L', 'T', '1'};
 
-// Bytes from the read position to the end of the stream, or -1 when the
-// stream cannot seek (a pipe, say).
-std::int64_t bytes_left(std::istream& in) {
-  const std::istream::pos_type here = in.tellg();
-  if (here == std::istream::pos_type(-1)) return -1;
-  in.seekg(0, std::ios::end);
-  const std::istream::pos_type end = in.tellg();
-  in.clear();
-  in.seekg(here);
-  if (end == std::istream::pos_type(-1) || !in) return -1;
-  return static_cast<std::int64_t>(end - here);
-}
-
 // Reads `bytes` without trusting the claim: chunks are appended as they
 // arrive, so memory tracks the bytes actually present.
 std::vector<char> read_bounded(std::istream& in, std::int64_t bytes) {
@@ -43,6 +30,17 @@ std::vector<char> read_bounded(std::istream& in, std::int64_t bytes) {
 }
 
 }  // namespace
+
+std::int64_t stream_bytes_left(std::istream& in) {
+  const std::istream::pos_type here = in.tellg();
+  if (here == std::istream::pos_type(-1)) return -1;
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.clear();
+  in.seekg(here);
+  if (end == std::istream::pos_type(-1) || !in) return -1;
+  return static_cast<std::int64_t>(end - here);
+}
 
 Shape shape_from_dims(std::uint32_t rank, const std::int64_t* dims) {
   if (rank > static_cast<std::uint32_t>(Shape::kMaxRank)) {
@@ -110,7 +108,7 @@ Tensor read_tensor(std::istream& in) {
     throw std::runtime_error("read_tensor: " + std::to_string(count) +
                              " elements overflow the byte count");
   }
-  const std::int64_t left = bytes_left(in);
+  const std::int64_t left = stream_bytes_left(in);
   if (left >= 0 && count * kFloat > left) {
     throw std::runtime_error("read_tensor: claims " + std::to_string(count) +
                              " elements but only " + std::to_string(left) +

@@ -3,6 +3,7 @@
 // then raw little-endian float32 payload.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 
@@ -22,6 +23,11 @@ Tensor read_tensor(std::istream& in);
 // throws std::runtime_error otherwise.
 // Shared by the FLT1 tensor reader and the comm FLC1 wire format.
 Shape shape_from_dims(std::uint32_t rank, const std::int64_t* dims);
+
+// Bytes from the read position to the end of the stream, or -1 when
+// the stream cannot seek (a pipe, say). Readers of untrusted headers
+// check a claimed count against it before allocating.
+std::int64_t stream_bytes_left(std::istream& in);
 
 // File convenience wrappers; throw std::runtime_error on I/O failure
 // (load_tensor's errors name the path).

@@ -5,6 +5,8 @@
 // through a lossless channel vs. the direct path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -13,6 +15,7 @@
 
 #include "comm/channel.hpp"
 #include "comm/codec.hpp"
+#include "comm/wire.hpp"
 #include "fl/fedavg.hpp"
 #include "models/registry.hpp"
 
@@ -114,6 +117,14 @@ TEST(Codec, NonFiniteValuesAreRejectedByLossyCodecs) {
   params.mutable_entries().push_back({"w", false, t});
   EXPECT_THROW(Int8QuantCodec().encode(params, nullptr),
                std::invalid_argument);
+  // A NaN past the first element never wins a min/max comparison, so
+  // the range alone cannot catch it.
+  ModelParameters late_nan;
+  Tensor u(Shape::of(9));
+  u[5] = std::numeric_limits<float>::quiet_NaN();
+  late_nan.mutable_entries().push_back({"w", false, u});
+  EXPECT_THROW(Int8QuantCodec().encode(late_nan, nullptr),
+               std::invalid_argument);
   EXPECT_THROW(Fp16Codec().encode(params, nullptr), std::invalid_argument);
   EXPECT_THROW(TopKDeltaCodec(0.5).encode(params, nullptr),
                std::invalid_argument);
@@ -132,6 +143,127 @@ TEST(Int8QuantCodec, ConstantTensorDecodesExactly) {
   const ModelParameters back = codec.decode(codec.encode(params, nullptr),
                                             nullptr);
   EXPECT_TRUE(back.entries()[0].value.equals(params.entries()[0].value));
+}
+
+// The encoder's rounding, t + (v - t >= 0.5) on a clamped v, must give
+// the bytes of the std::round form it replaced, kept here verbatim.
+ByteBuffer reference_int8_encode(const ModelParameters& params) {
+  ByteBuffer out;
+  wire::Writer w{out};
+  wire::write_preamble(w, static_cast<std::uint8_t>(CodecKind::kInt8Quant),
+                       static_cast<std::uint32_t>(params.entries().size()));
+  for (const ParameterEntry& e : params.entries()) {
+    wire::write_entry_meta(w, e);
+    float lo = 0.0f, hi = 0.0f;
+    if (e.value.numel() > 0) {
+      lo = hi = e.value[0];
+      for (std::int64_t i = 1; i < e.value.numel(); ++i) {
+        lo = std::min(lo, e.value[i]);
+        hi = std::max(hi, e.value[i]);
+      }
+    }
+    const float step = (hi - lo) / 255.0f;
+    if (!std::isfinite(lo) || !std::isfinite(hi) || !std::isfinite(step)) {
+      throw std::invalid_argument("reference: range overflow");
+    }
+    w.pod<float>(lo);
+    w.pod<float>(step);
+    for (std::int64_t i = 0; i < e.value.numel(); ++i) {
+      float q = step > 0.0f ? std::round((e.value[i] - lo) / step) : 0.0f;
+      q = std::min(255.0f, std::max(0.0f, q));
+      w.pod<std::uint8_t>(static_cast<std::uint8_t>(q));
+    }
+  }
+  return out;
+}
+
+ModelParameters one_entry(const std::vector<float>& values) {
+  ModelParameters params;
+  Tensor t(Shape::of(static_cast<std::int64_t>(values.size())));
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    t[static_cast<std::int64_t>(i)] = values[i];
+  }
+  params.mutable_entries().push_back({"w", false, t});
+  return params;
+}
+
+void expect_reference_bytes(const ModelParameters& params,
+                            const std::string& label) {
+  const ByteBuffer blob = Int8QuantCodec().encode(params, nullptr);
+  EXPECT_EQ(blob, reference_int8_encode(params)) << label;
+  // The decoder reads the codes back the way the per-byte loop did.
+  const ModelParameters back = Int8QuantCodec().decode(blob, nullptr);
+  ASSERT_TRUE(back.structurally_equal(params)) << label;
+}
+
+TEST(Int8QuantCodec, EncodesTheSameBytesAsTheStdRoundForm) {
+  expect_reference_bytes(snapshot(ModelKind::kFLNet, 6), "flnet snapshot");
+  expect_reference_bytes(snapshot(ModelKind::kRouteNet, 7),
+                         "routenet snapshot");
+  Rng rng(8);
+  for (const double span : {1e-3, 1.0, 37.0, 1e30}) {
+    std::vector<float> values(1001);
+    for (float& v : values) {
+      v = static_cast<float>(rng.uniform(-span, span / 3.0));
+    }
+    expect_reference_bytes(one_entry(values), "random span " +
+                                                  std::to_string(span));
+  }
+}
+
+TEST(Int8QuantCodec, HalfStepsAndTheirNeighboursRoundLikeStdRound) {
+  // lo + (k + 0.5) * step sits on a rounding boundary; its float
+  // neighbours sit just either side of it.
+  for (const float lo : {-1.0f, 0.0f, 3.25f, -1e-3f}) {
+    for (const float width : {1.0f, 255.0f, 0.1f, 7e-3f}) {
+      const float hi = lo + width;
+      const float step = (hi - lo) / 255.0f;
+      std::vector<float> values = {lo, hi};
+      for (int k = 0; k < 255; ++k) {
+        const float half = lo + (static_cast<float>(k) + 0.5f) * step;
+        for (const float v : {std::nextafter(half, -INFINITY), half,
+                              std::nextafter(half, INFINITY)}) {
+          if (v >= lo && v <= hi) values.push_back(v);
+        }
+      }
+      expect_reference_bytes(one_entry(values),
+                             "lo " + std::to_string(lo) + " width " +
+                                 std::to_string(width));
+    }
+  }
+}
+
+TEST(Int8QuantCodec, EdgeRangesEncodeLikeTheReference) {
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  expect_reference_bytes(one_entry(std::vector<float>(9, -2.5f)), "constant");
+  expect_reference_bytes(one_entry({0.75f}), "one element");
+  expect_reference_bytes(one_entry({0.0f, denorm, 2 * denorm, 7 * denorm}),
+                         "subnormal range with step 0");
+  expect_reference_bytes(
+      one_entry({0.0f, 1e-40f, 3e-39f, -5e-39f, 100 * denorm}),
+      "subnormal range");
+  expect_reference_bytes(one_entry({-1e-38f, 1e-38f, 0.0f, -0.0f}),
+                         "subnormal step");
+  expect_reference_bytes(one_entry({-FLT_MAX / 2, FLT_MAX / 2, 0.0f}),
+                         "widest finite range");
+  // A zero extreme keeps the sign of the first zero in index order,
+  // whichever lane of the vector scan meets it.
+  expect_reference_bytes(
+      one_entry({0.5f, 0.0f, 0.75f, 0.1f, -0.0f, 0.3f, 0.2f, 0.9f, 0.4f}),
+      "zero minimum, +0 first");
+  expect_reference_bytes(
+      one_entry({0.5f, -0.0f, 0.75f, 0.1f, 0.0f, 0.3f, 0.2f, 0.9f, 0.4f}),
+      "zero minimum, -0 first");
+  expect_reference_bytes(
+      one_entry({-0.5f, 0.0f, -0.75f, -0.1f, -0.0f, -0.3f, -0.2f, -0.9f}),
+      "zero maximum, +0 first");
+  expect_reference_bytes(
+      one_entry({-0.5f, -0.0f, -0.75f, -0.1f, 0.0f, -0.3f, -0.2f, -0.9f}),
+      "zero maximum, -0 first");
+  const ModelParameters overflow = one_entry({-FLT_MAX, FLT_MAX, 0.0f});
+  EXPECT_THROW(Int8QuantCodec().encode(overflow, nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(reference_int8_encode(overflow), std::invalid_argument);
 }
 
 TEST(Int8QuantCodec, CompressesAtLeast3_5x) {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
 
 #include "data/generator.hpp"
@@ -212,6 +214,73 @@ TEST(Serialization, AllClientsRoundTripAndMissingDirReturnsEmpty) {
   EXPECT_EQ(loaded[0].client_id, 1);
   EXPECT_EQ(loaded[1].client_id, 2);
   std::filesystem::remove_all(dir);
+}
+
+// --- hostile cache files ---------------------------------------------
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+std::string u32_bytes(std::uint32_t v) {
+  return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+// The file's header: magic, client id, suite.
+std::string dataset_header() {
+  return u32_bytes(0xF1EDA001u) + u32_bytes(3) + u32_bytes(0);
+}
+
+// Loading `bytes` must raise std::runtime_error naming the file — never
+// bad_alloc, which would escape the catch below and fail the test.
+void expect_load_error_names_the_file(const std::string& bytes,
+                                      const std::string& label) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / ("fleda_ds_" + label + ".bin"))
+          .string();
+  write_bytes(path, bytes);
+  try {
+    load_client_dataset(path);
+    ADD_FAILURE() << label << ": corrupt file loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << label << ": " << e.what();
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(Serialization, HostileDesignAndSampleCountsAreRejectedBeforeAllocating) {
+  // 0xFFFFFFFF designs, then 0xFFFFFFFF samples after two empty design
+  // lists: each would ask for ~2^32 elements.
+  expect_load_error_names_the_file(dataset_header() + u32_bytes(0xFFFFFFFFu),
+                                   "design_count");
+  expect_load_error_names_the_file(dataset_header() + u32_bytes(0) +
+                                       u32_bytes(0) + u32_bytes(0xFFFFFFFFu),
+                                   "sample_count");
+}
+
+TEST(Serialization, TruncatedNamesAndSamplesNameTheFile) {
+  // One design whose name claims 10 bytes but carries 3.
+  expect_load_error_names_the_file(
+      dataset_header() + u32_bytes(1) + u32_bytes(10) + "abc", "name");
+
+  ClientDataset ds =
+      generate_client_dataset(paper_client_specs()[1], tiny_options());
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "fleda_ds_whole.bin").string();
+  save_client_dataset(path, ds);
+  const std::string whole = read_bytes(path);
+  std::filesystem::remove(path);
+  // Cut inside the last test sample's label payload.
+  expect_load_error_names_the_file(whole.substr(0, whole.size() - 5),
+                                   "sample");
+  expect_load_error_names_the_file(std::string("junk"), "magic");
 }
 
 TEST(HotspotRate, ComputedOverAllSamples) {

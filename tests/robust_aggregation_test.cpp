@@ -8,7 +8,10 @@
 // UniformSample non-positive-size rejection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -21,6 +24,8 @@
 #include "fl/participation.hpp"
 #include "fl/synthetic.hpp"
 #include "sim/profile.hpp"
+#include "tensor/plan.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fleda {
@@ -127,6 +132,160 @@ TEST(TrimmedMean, ConstructorRejectsBadFractions) {
   EXPECT_THROW(TrimmedMean(std::numeric_limits<double>::quiet_NaN()),
                std::invalid_argument);
   EXPECT_NO_THROW(TrimmedMean(0.49));
+}
+
+// --- rank rules vs std::sort / nth_element oracles -------------------
+
+// The sorting-network kernel behind median and trimmed mean must give
+// what sorting each coordinate's column would: trimmed mean bit for
+// bit, median value for value (its ±0 ties become canonical).
+
+// Entries of 4099 (past for_each_shard's serial cutoff, not a multiple
+// of the kernel's lane count), 37 and 1 elements. Values mix random
+// floats with duplicates, ±0, subnormals and ±FLT_MAX.
+std::vector<ModelParameters> oracle_cohort(std::size_t n, std::uint64_t seed) {
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float specials[] = {0.0f,    -0.0f,   denorm, -denorm,  1e-40f,
+                            FLT_MAX, -FLT_MAX, 0.25f,  0.25f,   -0.5f};
+  Rng rng(seed);
+  std::vector<ModelParameters> cohort(n);
+  for (ModelParameters& p : cohort) {
+    for (const std::int64_t numel : {4099, 37, 1}) {
+      ParameterEntry e;
+      e.name = "e" + std::to_string(numel);
+      e.value = Tensor(Shape{numel});
+      for (std::int64_t i = 0; i < numel; ++i) {
+        e.value[i] = rng.bernoulli(0.25)
+                         ? specials[rng.uniform_int(std::size(specials))]
+                         : static_cast<float>(rng.uniform(-1.0, 1.0));
+      }
+      p.mutable_entries().push_back(std::move(e));
+    }
+  }
+  return cohort;
+}
+
+std::vector<AggregationInput> inputs_of(const std::vector<ModelParameters>& c) {
+  std::vector<AggregationInput> inputs;
+  for (const ModelParameters& p : c) inputs.push_back({&p, 1.0, 0});
+  return inputs;
+}
+
+// The column-by-column forms the kernel replaced.
+template <class Reduce>
+ModelParameters oracle_columns(const std::vector<ModelParameters>& cohort,
+                               const Reduce& reduce) {
+  ModelParameters out = cohort[0];
+  for (std::size_t e = 0; e < out.entries().size(); ++e) {
+    Tensor& value = out.mutable_entries()[e].value;
+    std::vector<float> column(cohort.size());
+    for (std::int64_t i = 0; i < value.numel(); ++i) {
+      for (std::size_t c = 0; c < cohort.size(); ++c) {
+        column[c] = cohort[c].entries()[e].value[i];
+      }
+      value[i] = reduce(column);
+    }
+  }
+  return out;
+}
+
+ModelParameters oracle_trimmed_mean(const std::vector<ModelParameters>& cohort,
+                                    double trim) {
+  const std::size_t n = cohort.size();
+  const auto g = static_cast<std::size_t>(trim * static_cast<double>(n));
+  return oracle_columns(cohort, [n, g](std::vector<float>& column) {
+    std::sort(column.begin(), column.end());
+    double acc = 0.0;
+    for (std::size_t c = g; c < n - g; ++c) acc += column[c];
+    return static_cast<float>(acc / static_cast<double>(n - 2 * g));
+  });
+}
+
+ModelParameters oracle_median(const std::vector<ModelParameters>& cohort) {
+  return oracle_columns(cohort, [](std::vector<float>& column) {
+    const std::size_t n = column.size();
+    const std::size_t mid = n / 2;
+    std::nth_element(column.begin(), column.begin() + mid, column.end());
+    if (n % 2 == 1) return column[mid];
+    const float hi = column[mid];
+    const float lo = *std::max_element(column.begin(), column.begin() + mid);
+    return static_cast<float>((static_cast<double>(lo) + hi) / 2.0);
+  });
+}
+
+bool values_equal(const ModelParameters& a, const ModelParameters& b,
+                  std::string* where) {
+  for (std::size_t e = 0; e < a.entries().size(); ++e) {
+    const Tensor& x = a.entries()[e].value;
+    const Tensor& y = b.entries()[e].value;
+    for (std::int64_t i = 0; i < x.numel(); ++i) {
+      if (!(x[i] == y[i])) {
+        *where = a.entries()[e].name + "[" + std::to_string(i) + "] " +
+                 std::to_string(x[i]) + " vs " + std::to_string(y[i]);
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+TEST(RankRuleKernel, MatchesTheSortOraclesAtEveryCohortSizeIsaAndPool) {
+  const KernelIsa saved = kernel_isa();
+  std::vector<KernelIsa> isas = {KernelIsa::kPortable};
+  if (kernel_isa_supported(KernelIsa::kAvx2)) isas.push_back(KernelIsa::kAvx2);
+  const double trims[] = {0.0, 0.1, 0.49};
+  for (const std::size_t n :
+       {1u, 2u, 3u, 7u, 9u, 63u, 64u, 65u, 199u, 200u, 201u, 256u, 257u}) {
+    const std::vector<ModelParameters> cohort = oracle_cohort(n, 100 + n);
+    const std::vector<AggregationInput> inputs = inputs_of(cohort);
+    const ModelParameters median_oracle = oracle_median(cohort);
+    std::vector<ModelParameters> trimmed_oracle;
+    for (const double trim : trims) {
+      trimmed_oracle.push_back(oracle_trimmed_mean(cohort, trim));
+    }
+    for (const KernelIsa isa : isas) {
+      set_kernel_isa(isa);
+      for (const std::size_t pool : {1u, 4u}) {
+        ThreadPool::reset_global(pool);
+        const std::string label = "n=" + std::to_string(n) + " isa=" +
+                                  to_string(isa) +
+                                  " pool=" + std::to_string(pool);
+        std::string where;
+        EXPECT_TRUE(values_equal(
+            CoordinateMedian().aggregate(ModelParameters{}, inputs),
+            median_oracle, &where))
+            << "median " << label << " at " << where;
+        for (std::size_t t = 0; t < std::size(trims); ++t) {
+          EXPECT_TRUE(bit_identical(
+              TrimmedMean(trims[t]).aggregate(ModelParameters{}, inputs),
+              trimmed_oracle[t]))
+              << "trimmed_mean(" << trims[t] << ") " << label;
+        }
+      }
+    }
+  }
+  set_kernel_isa(saved);
+  ThreadPool::reset_global(0);
+  if (!kernel_isa_supported(KernelIsa::kAvx2)) {
+    GTEST_SKIP() << "AVX2 not available on this host: portable kernel only";
+  }
+}
+
+TEST(RankRuleKernel, MedianOfMixedSignedZerosIsTheCanonicalNegativeZero) {
+  // Sorted in the total order, {+0, -0, +0, -0, -0} is
+  // [-0, -0, -0, +0, +0]: the middle is -0 whatever the cohort order.
+  const ModelParameters pos = make_params({0.0f});
+  const ModelParameters neg = make_params({-0.0f});
+  std::vector<const ModelParameters*> order = {&pos, &neg, &pos, &neg, &neg};
+  std::sort(order.begin(), order.end());
+  do {
+    std::vector<AggregationInput> inputs;
+    for (const ModelParameters* p : order) inputs.push_back({p, 1.0, 0});
+    const ModelParameters m =
+        CoordinateMedian().aggregate(ModelParameters{}, inputs);
+    EXPECT_EQ(values_of(m)[0], 0.0f);
+    EXPECT_TRUE(std::signbit(values_of(m)[0]));
+  } while (std::next_permutation(order.begin(), order.end()));
 }
 
 TEST(NormClippedMean, ClipsEachDeltaToTheNormBudget) {
