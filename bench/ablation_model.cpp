@@ -7,7 +7,7 @@
 // so the decentralization *gap* is visible per variant.
 #include "bench_common.hpp"
 #include "fl/baselines.hpp"
-#include "fl/fedprox.hpp"
+#include "fl/registry.hpp"
 #include "models/flnet.hpp"
 #include "nn/batchnorm2d.hpp"
 #include "nn/conv2d.hpp"
@@ -54,9 +54,12 @@ class FLNetBN : public RoutabilityModel {
   Sequential net_;
 };
 
+// Trains one variant with `method`: "central", or an AlgorithmRegistry
+// name.
 MethodResult run_variant(const std::string& label, const ModelFactory& factory,
                          const std::vector<ClientDataset>& data,
-                         const ExperimentConfig& cfg, TrainingMethod method) {
+                         const ExperimentConfig& cfg,
+                         const std::string& method) {
   const RunScale& scale = cfg.scale;
   PaperHyperParams hp;
   // Each variant has its own architecture, so each gets its own pool;
@@ -77,19 +80,20 @@ MethodResult run_variant(const std::string& label, const ModelFactory& factory,
   ccfg.mu = hp.fedprox_mu;
   ccfg.reset_optimizer = cfg.reset_optimizer;
 
-  if (method == TrainingMethod::kCentral) {
+  if (method == "central") {
     BaselineOptions bopts;
     bopts.total_steps = scale.rounds * scale.steps_per_round;
     bopts.client = ccfg;
     ModelParameters central = train_centralized(data, factory, bopts);
     return evaluate_shared(label, clients, central);
   }
-  FedProx algo;
+  std::unique_ptr<FederatedAlgorithm> algo =
+      AlgorithmRegistry::global().create(method);
   FLRunOptions opts;
   opts.rounds = scale.rounds;
   opts.client = ccfg;
   opts.aggregation = cfg.aggregation;
-  std::vector<ModelParameters> finals = algo.run(clients, factory, opts);
+  std::vector<ModelParameters> finals = algo->run(clients, factory, opts);
   return evaluate_per_client(label, clients, finals);
 }
 
@@ -109,10 +113,8 @@ int main() {
   t.set_header({"Variant", "FedProx", "Central", "Degradation"});
 
   auto add_row = [&](const std::string& label, const ModelFactory& factory) {
-    MethodResult fed =
-        run_variant(label, factory, data, cfg, TrainingMethod::kFedProx);
-    MethodResult central =
-        run_variant(label, factory, data, cfg, TrainingMethod::kCentral);
+    MethodResult fed = run_variant(label, factory, data, cfg, "fedprox");
+    MethodResult central = run_variant(label, factory, data, cfg, "central");
     t.add_row({label, AsciiTable::fmt(fed.average, 3),
                AsciiTable::fmt(central.average, 3),
                AsciiTable::fmt(central.average - fed.average, 3)});

@@ -13,8 +13,8 @@ int main() {
   Experiment exp(cfg);
   exp.prepare_data();
 
-  auto fedavg = exp.run_convergence(TrainingMethod::kFedAvg);
-  auto fedprox = exp.run_convergence(TrainingMethod::kFedProx);
+  auto fedavg = exp.run_convergence("fedavg");
+  auto fedprox = exp.run_convergence("fedprox");
 
   AsciiTable t("Average test ROC AUC per round");
   t.set_header({"Round", "FedAvg", "FedProx"});

@@ -106,7 +106,7 @@ E2EResult run_e2e(Experiment& exp, CodecKind uplink) {
   cfg.comm.uplink = uplink;
   Experiment run(cfg);
   run.prepare_data();
-  MethodResult row = run.run_method(TrainingMethod::kFedProx);
+  MethodResult row = run.run_method("fedprox");
   E2EResult r;
   r.upload_mb = row.comm.uplink_mb();
   r.avg_auc = row.average;

@@ -18,9 +18,10 @@
 // FedAvg with UniformSample{C = 20}. The gates check (a) the per-round
 // cost is O(C), not O(K) — exactly 2C messages and 2C model-snapshots
 // of bytes per round; (b) the sampled run replays bit-identically; and
-// (c) memory is O(threads), not O(K) — the scratch-model pool must
-// keep the peak live RoutabilityModel count at threads + 1 or below
-// for the whole thousand-client run.
+// (c) memory is O(threads), not O(K) — client construction builds no
+// model, and the scratch-model pool must keep the peak live
+// RoutabilityModel count at threads + 1 or below for the whole
+// thousand-client run.
 //
 // Part 4 is the Byzantine robustness demonstration: the same K = 1000
 // federation with 10% sign-flip attackers in the fleet. Plain
@@ -48,12 +49,11 @@
 // never part of the simulation state.
 //
 // Part 7 is the K = 100k streaming-federation demonstration: a fleet
-// built with ClientInitSchema::kFastInit (no per-client model-init
-// replay) running FedAvg rounds. The gate runs a
-// C = 128 round then a C = 2048 round in the same process and requires
-// the peak-RSS delta between them to stay flat — the server never
-// materializes the cohort, so 16x the cohort must not cost 16x the
-// update memory.
+// of O(1)-constructed clients (no client builds a model) running
+// FedAvg rounds. The gate runs a C = 128 round then a C = 2048 round
+// in the same process and requires the peak-RSS delta between them to
+// stay flat — the server never materializes the cohort, so 16x the
+// cohort must not cost 16x the update memory.
 //
 // Output is one JSON object per line, easy to diff/collect in CI, and
 // the headline numbers are also written to BENCH_sim.json so future
@@ -439,7 +439,7 @@ struct SimBenchSummary {
   bool prof_pass = false;
   int distinct_phases = 0;          // phases with count > 0 in the report
   // Part 7: K = 100k streaming federation (flat-memory gate).
-  double hk_construct_s = 0.0;      // fast-init fleet construction
+  double hk_construct_s = 0.0;      // fleet construction
   double hk_events_per_sec = 0.0;   // large-cohort round throughput
   double hk_small_hwm_mb = -1.0;    // VmHWM after the C = 128 round
   double hk_large_hwm_mb = -1.0;    // VmHWM after the C = 2048 round
@@ -457,8 +457,8 @@ int bench_thousand_clients(SimBenchSummary* summary) {
   topts.rounds = kRounds;
 
   // O(threads) memory gate: the pooled run (client construction
-  // included — its transient per-client init replays are serial) may
-  // never hold more live models than pool workers + the caller.
+  // included) may never hold more live models than pool workers + the
+  // caller.
   RoutabilityModel::reset_peak_instances();
   const std::int64_t budget =
       static_cast<std::int64_t>(ThreadPool::global().size()) + 1;
@@ -849,16 +849,15 @@ int bench_profiler_overhead(SimBenchSummary* summary) {
 // --- part 7: K = 100k streaming federation ---------------------------
 
 // The million-client architecture, demonstrated at K = 100k on the
-// bench budget: fast-init client construction (ClientInitSchema::
-// kFastInit skips the per-client model-init replay, so building the
-// fleet is O(K) cheap struct work, not O(K) model constructions) and
-// the round body, which folds each decoded upload into per-lane
-// weighted_average accumulators instead of materializing the cohort.
-// The flat-memory gate runs a C = 128 round first, then a 16x larger
-// C = 2048 round in the same process: VmHWM is monotone, so the second
-// round's peak-RSS delta is exactly what the bigger cohort cost the
-// server — it must stay within a fixed margin instead of growing with
-// C x model size.
+// bench budget: O(1) client construction (no client builds a model,
+// so building the fleet is O(K) cheap struct work, not O(K) model
+// constructions) and the round body, which folds each decoded upload
+// into per-lane weighted_average accumulators instead of materializing
+// the cohort. The flat-memory gate runs a C = 128 round first, then a
+// 16x larger C = 2048 round in the same process: VmHWM is monotone, so
+// the second round's peak-RSS delta is exactly what the bigger cohort
+// cost the server — it must stay within a fixed margin instead of
+// growing with C x model size.
 int bench_hundred_k(SimBenchSummary* summary) {
   constexpr std::size_t kK = 100'000;
   constexpr int kSmallCohort = 128;
@@ -874,7 +873,7 @@ int bench_hundred_k(SimBenchSummary* summary) {
   clients.reserve(kK);
   for (std::size_t k = 0; k < kK; ++k) {
     clients.emplace_back(static_cast<int>(k) + 1, &shared_data[k % 9], pool,
-                         rng.fork(k), ClientInitSchema::kFastInit);
+                         rng.fork(k));
   }
   const double construct_s = construct_timer.seconds();
 
@@ -1039,7 +1038,7 @@ int main_impl() {
     return byz_rc != 0 ? byz_rc : arms_rc;
   }
   // FLEDA_SIM_PART=hundred_k runs only the K = 100k streaming
-  // federation (fast-init fleet + flat peak-RSS gate) — the CI step
+  // federation (fleet construction + flat peak-RSS gate) — the CI step
   // that guards the million-client architecture.
   if (part != nullptr && std::string(part) == "hundred_k") {
     Profiler::set_enabled(true);

@@ -6,6 +6,7 @@
 // a single client's perspective.
 //
 // Usage: personalize_client [--client 1..9] [--model flnet] [--scale smoke|quick|full]
+// Without --scale the run size comes from FLEDA_SCALE (default quick).
 #include <cstdio>
 
 #include "core/experiment.hpp"
@@ -27,7 +28,9 @@ int main(int argc, char** argv) {
   }
   ExperimentConfig cfg;
   cfg.model = parse_model_kind(cli.get_string("model", "flnet"));
-  cfg.scale = resolve_scale(cli.get_string("scale", "quick"));
+  // --scale wins; otherwise FLEDA_SCALE, as for the benches.
+  cfg.scale = cli.has("scale") ? resolve_scale(cli.get_string("scale"))
+                               : scale_from_env();
   cfg.cache_dir = ".fleda-cache";
 
   Experiment exp(cfg);
@@ -40,11 +43,11 @@ int main(int argc, char** argv) {
               static_cast<long long>(exp.data()[k].num_test()));
 
   std::printf("Training local baseline b_%d...\n", client_id);
-  MethodResult local = exp.run_method(TrainingMethod::kLocal);
+  MethodResult local = exp.run_method("local");
   std::printf("Running FedProx across all clients...\n");
-  MethodResult fedprox = exp.run_method(TrainingMethod::kFedProx);
+  MethodResult fedprox = exp.run_method("fedprox");
   std::printf("Running FedProx + local fine-tuning...\n");
-  MethodResult finetuned = exp.run_method(TrainingMethod::kFedProxFineTune);
+  MethodResult finetuned = exp.run_method("fedprox_finetune");
 
   AsciiTable t("Client " + std::to_string(client_id) + " test ROC AUC");
   t.set_header({"Model", "AUC (this client)", "AUC (9-client average)"});

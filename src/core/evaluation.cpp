@@ -13,6 +13,22 @@ double average(const std::vector<double>& v) {
   return v.empty() ? 0.0 : s / static_cast<double>(v.size());
 }
 
+// Evaluates model_for(k) on clients[k], for every client in parallel.
+template <typename ModelFor>
+MethodResult evaluate_each(const std::string& method,
+                           std::vector<Client>& clients, ModelFor model_for) {
+  MethodResult result;
+  result.method = method;
+  result.client_auc.resize(clients.size());
+  parallel_for(clients.size(), [&](std::size_t begin, std::size_t end) {
+    for (std::size_t k = begin; k < end; ++k) {
+      result.client_auc[k] = clients[k].evaluate_test_auc(model_for(k));
+    }
+  });
+  result.average = average(result.client_auc);
+  return result;
+}
+
 }  // namespace
 
 MethodResult evaluate_per_client(const std::string& method,
@@ -21,24 +37,18 @@ MethodResult evaluate_per_client(const std::string& method,
   if (clients.size() != finals.size()) {
     throw std::invalid_argument("evaluate_per_client: size mismatch");
   }
-  MethodResult result;
-  result.method = method;
-  result.client_auc.resize(clients.size());
-  parallel_for(clients.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t k = begin; k < end; ++k) {
-      result.client_auc[k] = clients[k].evaluate_test_auc(finals[k]);
-    }
-  });
-  result.average = average(result.client_auc);
-  return result;
+  return evaluate_each(method, clients,
+                       [&](std::size_t k) -> const ModelParameters& {
+                         return finals[k];
+                       });
 }
 
 MethodResult evaluate_shared(const std::string& method,
                              std::vector<Client>& clients,
                              const ModelParameters& model) {
-  return evaluate_per_client(
+  return evaluate_each(
       method, clients,
-      std::vector<ModelParameters>(clients.size(), model));
+      [&](std::size_t) -> const ModelParameters& { return model; });
 }
 
 }  // namespace fleda

@@ -11,36 +11,6 @@
 
 namespace fleda {
 
-std::string to_string(TrainingMethod method) {
-  return display_name(registry_name(method));
-}
-
-std::string registry_name(TrainingMethod method) {
-  switch (method) {
-    case TrainingMethod::kLocal:
-      return "local";
-    case TrainingMethod::kCentral:
-      return "central";
-    case TrainingMethod::kFedAvg:
-      return "fedavg";
-    case TrainingMethod::kFedProx:
-      return "fedprox";
-    case TrainingMethod::kFedProxLG:
-      return "fedprox_lg";
-    case TrainingMethod::kIFCA:
-      return "ifca";
-    case TrainingMethod::kFedProxFineTune:
-      return "fedprox_finetune";
-    case TrainingMethod::kAssignedClustering:
-      return "assigned_clustering";
-    case TrainingMethod::kAlphaPortionSync:
-      return "alpha_sync";
-    case TrainingMethod::kAsyncFedAvg:
-      return "async_fedavg";
-  }
-  return "?";
-}
-
 std::string display_name(std::string_view name) {
   // The paper's table labels for the built-in methods; anything
   // registered downstream is shown under its registry name.
@@ -57,16 +27,16 @@ std::string display_name(std::string_view name) {
   return std::string(name);
 }
 
-std::vector<TrainingMethod> paper_table_methods() {
+std::vector<std::string> paper_table_methods() {
   return {
-      TrainingMethod::kLocal,
-      TrainingMethod::kCentral,
-      TrainingMethod::kFedProx,
-      TrainingMethod::kFedProxLG,
-      TrainingMethod::kIFCA,
-      TrainingMethod::kFedProxFineTune,
-      TrainingMethod::kAssignedClustering,
-      TrainingMethod::kAlphaPortionSync,
+      "local",
+      "central",
+      "fedprox",
+      "fedprox_lg",
+      "ifca",
+      "fedprox_finetune",
+      "assigned_clustering",
+      "alpha_sync",
   };
 }
 
@@ -159,10 +129,6 @@ std::unique_ptr<FederatedAlgorithm> Experiment::make_algorithm(
   return AlgorithmRegistry::global().create(name, make_algorithm_options());
 }
 
-MethodResult Experiment::run_method(TrainingMethod method) {
-  return run_method(registry_name(method));
-}
-
 MethodResult Experiment::run_method(std::string_view name) {
   std::vector<Client> clients = make_clients();
   Timer timer;
@@ -223,15 +189,10 @@ MethodResult Experiment::run_method(std::string_view name) {
 
 std::vector<MethodResult> Experiment::run_paper_table() {
   std::vector<MethodResult> rows;
-  for (TrainingMethod method : paper_table_methods()) {
-    rows.push_back(run_method(method));
+  for (const std::string& name : paper_table_methods()) {
+    rows.push_back(run_method(name));
   }
   return rows;
-}
-
-std::vector<Experiment::ConvergencePoint> Experiment::run_convergence(
-    TrainingMethod method) {
-  return run_convergence(registry_name(method));
 }
 
 std::vector<Experiment::ConvergencePoint> Experiment::run_convergence(

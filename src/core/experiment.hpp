@@ -11,9 +11,7 @@
 //   MethodResult row = exp.run_method("fedprox_finetune");
 //
 // Methods are looked up by registry name (AlgorithmRegistry::global(),
-// plus the "local" / "central" baselines); the TrainingMethod enum
-// below survives as a thin deprecated shim over those names so
-// paper_table_methods() and the existing benches keep compiling.
+// plus the "local" / "central" baselines).
 #pragma once
 
 #include <optional>
@@ -31,31 +29,12 @@
 
 namespace fleda {
 
-// DEPRECATED enum dispatch: kept only so existing callers compile.
-// Each value maps onto a registry name via registry_name(); new code
-// should pass names to Experiment::run_method(std::string_view).
-enum class TrainingMethod {
-  kLocal,               // Local Average (b_1..b_9)
-  kCentral,             // Training Centrally on All Data
-  kFedAvg,              // plain FedAvg (supplementary)
-  kFedProx,             //
-  kFedProxLG,           //
-  kIFCA,                //
-  kFedProxFineTune,     // FedProx + Fine-tuning
-  kAssignedClustering,  //
-  kAlphaPortionSync,    // FedProx + alpha-Portion Sync
-  kAsyncFedAvg,         // staleness-aware buffered async (extension)
-};
-
-std::string to_string(TrainingMethod method);
-// The AlgorithmRegistry key for an enum value ("local" / "central" for
-// the two baselines, which are not federated algorithms).
-std::string registry_name(TrainingMethod method);
 // The paper's table label for a registry name (falls back to the name
 // itself for methods registered downstream).
 std::string display_name(std::string_view name);
-// The eight rows of Tables 3-5, in the paper's order.
-std::vector<TrainingMethod> paper_table_methods();
+// The registry names of the eight rows of Tables 3-5, in the paper's
+// order.
+std::vector<std::string> paper_table_methods();
 
 struct ExperimentConfig {
   ModelKind model = ModelKind::kFLNet;
@@ -102,8 +81,6 @@ class Experiment {
   // prepare_data() first. `name` is an AlgorithmRegistry key, or the
   // "local" / "central" baselines.
   MethodResult run_method(std::string_view name);
-  // Deprecated enum shim over the name-keyed overload.
-  MethodResult run_method(TrainingMethod method);
 
   // All eight table rows, in paper order.
   std::vector<MethodResult> run_paper_table();
@@ -116,7 +93,6 @@ class Experiment {
     double sim_time_s = 0.0;
   };
   std::vector<ConvergencePoint> run_convergence(std::string_view name);
-  std::vector<ConvergencePoint> run_convergence(TrainingMethod method);
 
   const std::vector<ClientDataset>& data() const { return data_; }
   const ExperimentConfig& config() const { return config_; }

@@ -10,13 +10,8 @@
 namespace fleda {
 
 Client::Client(int id, const ClientDataset* data,
-               std::shared_ptr<ModelPool> pool, Rng rng,
-               ClientInitSchema schema)
-    : id_(id),
-      data_(data),
-      pool_(std::move(pool)),
-      rng_(rng),
-      init_schema_(schema) {
+               std::shared_ptr<ModelPool> pool, Rng rng)
+    : id_(id), data_(data), pool_(std::move(pool)), rng_(rng) {
   if (data_ == nullptr || data_->train.empty() || data_->test.empty()) {
     throw std::invalid_argument("Client: empty dataset for client " +
                                 std::to_string(id));
@@ -25,19 +20,7 @@ Client::Client(int id, const ClientDataset* data,
     throw std::invalid_argument("Client: null model pool for client " +
                                 std::to_string(id));
   }
-  if (init_schema_ == ClientInitSchema::kReplayInit) {
-    // Keep the rng stream bit-identical to the per-client-model seed
-    // implementation, which constructed (and kept) a model here.
-    // kFastInit skips the replay: construction is O(1), the client's
-    // rng stream starts directly at its first training draw.
-    pool_->consume_init_stream(rng_);
-  }
 }
-
-Client::Client(int id, const ClientDataset* data, const ModelFactory& factory,
-               Rng rng, ClientInitSchema schema)
-    : Client(id, data, std::make_shared<ModelPool>(factory), std::move(rng),
-             schema) {}
 
 ModelParameters Client::train_steps(const ModelParameters& start, int steps,
                                     const ClientTrainConfig& cfg,

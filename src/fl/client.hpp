@@ -45,19 +45,10 @@ struct ClientTrainConfig {
 class Client {
  public:
   // Shares `pool`'s scratch models with every other client on it.
-  // Under the default kReplayInit schema the client's rng consumes one
-  // factory construction so its stream stays bit-identical to the seed
-  // implementation (which built and kept a model per client);
-  // kFastInit skips that replay, so constructing a 100k+ fleet is no
-  // longer an O(K) wall of model inits (see ClientInitSchema).
+  // Construction builds no model and costs O(1): the client's rng
+  // stream starts at its first training draw.
   Client(int id, const ClientDataset* data, std::shared_ptr<ModelPool> pool,
-         Rng rng, ClientInitSchema schema = ClientInitSchema::kReplayInit);
-
-  // Convenience: a private single-client pool over `factory`. Memory
-  // behaves like the seed implementation (at most one scratch model per
-  // client); prefer the shared-pool constructor for large federations.
-  Client(int id, const ClientDataset* data, const ModelFactory& factory,
-         Rng rng, ClientInitSchema schema = ClientInitSchema::kReplayInit);
+         Rng rng);
 
   // Movable (clients live in vectors), not copyable.
   Client(Client&&) = default;
@@ -92,7 +83,6 @@ class Client {
   double evaluate_test_auc(const ModelParameters& params);
 
   float last_train_loss() const { return last_train_loss_; }
-  ClientInitSchema init_schema() const { return init_schema_; }
 
  private:
   // Runs `steps` optimizer steps; anchor != nullptr enables the
@@ -105,7 +95,6 @@ class Client {
   const ClientDataset* data_ = nullptr;
   std::shared_ptr<ModelPool> pool_;
   Rng rng_;
-  ClientInitSchema init_schema_ = ClientInitSchema::kReplayInit;
   float last_train_loss_ = 0.0f;
   // Persisted optimizer state for reset_optimizer == false runs; empty
   // means "start from zero moments".

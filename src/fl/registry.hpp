@@ -1,17 +1,13 @@
 // AlgorithmRegistry: a string-keyed factory map over every federated
-// training algorithm. The old dispatch was a hardcoded TrainingMethod
-// enum plus a switch in Experiment::make_algorithm — adding an
-// algorithm meant editing the enum, its to_string, and the switch in
-// lockstep. The registry replaces that with one registration call:
+// training algorithm. Adding an algorithm is one registration call:
 //
 //   AlgorithmRegistry::global().add("dp_fedprox",
 //       [](const AlgorithmOptions& o) { return std::make_unique<DpFedProx>(...); });
 //   auto algo = AlgorithmRegistry::global().create("dp_fedprox");
 //
 // Downstream code (benches, ablations, thousand-client sweeps) can
-// register variants without touching src/; the TrainingMethod enum
-// survives only as a thin deprecated shim mapped onto registry names
-// (core/experiment.hpp).
+// register variants without touching src/. Registry names are the only
+// way to name a method (Experiment::run_method, paper_table_methods).
 #pragma once
 
 #include <functional>

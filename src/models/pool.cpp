@@ -81,14 +81,6 @@ ModelLease ModelPool::acquire() {
   return ModelLease(this, std::move(scratch));
 }
 
-void ModelPool::consume_init_stream(Rng& rng) const {
-  // Build-and-discard: only the rng side effect survives, keeping the
-  // client's downstream draws (batch samplers, forks) bit-identical to
-  // the implementation where the client kept this instance for life.
-  RoutabilityModelPtr transient = factory_(rng);
-  (void)transient;
-}
-
 std::size_t ModelPool::resident() const {
   MutexLock lock(mutex_);
   return idle_.size();

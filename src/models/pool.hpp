@@ -34,21 +34,6 @@ namespace fleda {
 
 class ModelPool;
 
-// Versioned contract for how a client's rng stream is initialized
-// against the pool. kReplayInit replays one factory construction per
-// client (consume_init_stream), keeping every per-client stream
-// bit-identical to the seed implementation where each client built and
-// kept its own model — the default, and what every recorded fingerprint
-// assumes. kFastInit skips the replay entirely, making client
-// construction O(1) instead of one full model init each: the per-client
-// streams differ from kReplayInit, so results are valid but on a
-// different (still deterministic) rng schedule. The enum is explicitly
-// numbered so the schema can be recorded/compared across runs.
-enum class ClientInitSchema : int {
-  kReplayInit = 1,
-  kFastInit = 2,
-};
-
 // One borrowable scratch unit: a model plus the Adam optimizer bound to
 // its parameters (built lazily on the first training lease and kept
 // warm across leases).
@@ -99,12 +84,6 @@ class ModelPool {
 
   // Borrows a scratch instance (reusing a warm one when available).
   ModelLease acquire();
-
-  // Replays one factory construction against `rng` and discards the
-  // instance. Client construction calls this so the per-client rng
-  // streams stay bit-identical to the seed implementation, where every
-  // client built (and kept) its own model from its rng.
-  void consume_init_stream(Rng& rng) const;
 
   const ModelFactory& factory() const { return factory_; }
 

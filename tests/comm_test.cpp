@@ -614,7 +614,8 @@ TinyWorld make_world(std::uint64_t seed) {
   w.factory = make_model_factory(ModelKind::kFLNet, 2);
   Rng rng(seed);
   for (std::size_t k = 0; k < w.data.size(); ++k) {
-    w.clients.emplace_back(w.data[k].client_id, &w.data[k], w.factory,
+    w.clients.emplace_back(w.data[k].client_id, &w.data[k],
+                           std::make_shared<ModelPool>(w.factory),
                            rng.fork(k));
   }
   return w;

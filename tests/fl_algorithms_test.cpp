@@ -60,8 +60,8 @@ struct TinyWorld {
 };
 
 // One fixture, two memory layouts. "Owned" (shared_pool = false):
-// every client gets a private scratch pool — the seed implementation's
-// one-model-per-client behavior. "Pooled": all clients borrow from one
+// every client gets its own scratch pool, so it never shares a scratch
+// model with another client. "Pooled": all clients borrow from one
 // shared scratch pool (w.pool).
 TinyWorld make_world(std::uint64_t seed = 1, bool shared_pool = false) {
   TinyWorld w;
@@ -76,7 +76,8 @@ TinyWorld make_world(std::uint64_t seed = 1, bool shared_pool = false) {
       w.clients.emplace_back(w.data[k].client_id, &w.data[k], w.pool,
                              rng.fork(k));
     } else {
-      w.clients.emplace_back(w.data[k].client_id, &w.data[k], w.factory,
+      w.clients.emplace_back(w.data[k].client_id, &w.data[k],
+                             std::make_shared<ModelPool>(w.factory),
                              rng.fork(k));
     }
   }

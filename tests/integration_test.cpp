@@ -42,16 +42,16 @@ TEST(ExperimentIntegration, PreparesNineClientTable2Dataset) {
 
 TEST(ExperimentIntegration, RunMethodRequiresData) {
   Experiment exp(smoke_config());
-  EXPECT_THROW(exp.run_method(TrainingMethod::kFedProx), std::logic_error);
+  EXPECT_THROW(exp.run_method("fedprox"), std::logic_error);
 }
 
-class AllMethods : public ::testing::TestWithParam<TrainingMethod> {};
+class AllMethods : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(AllMethods, ProducesValidRow) {
   Experiment exp(smoke_config());
   exp.prepare_data();
   MethodResult row = exp.run_method(GetParam());
-  EXPECT_EQ(row.method, to_string(GetParam()));
+  EXPECT_EQ(row.method, display_name(GetParam()));
   ASSERT_EQ(row.client_auc.size(), 9u);
   for (double auc : row.client_auc) {
     EXPECT_GE(auc, 0.0);
@@ -62,40 +62,10 @@ TEST_P(AllMethods, ProducesValidRow) {
 
 INSTANTIATE_TEST_SUITE_P(
     Methods, AllMethods,
-    ::testing::Values(TrainingMethod::kLocal, TrainingMethod::kCentral,
-                      TrainingMethod::kFedAvg, TrainingMethod::kFedProx,
-                      TrainingMethod::kFedProxLG, TrainingMethod::kIFCA,
-                      TrainingMethod::kFedProxFineTune,
-                      TrainingMethod::kAssignedClustering,
-                      TrainingMethod::kAlphaPortionSync),
-    [](const auto& info) {
-      std::string name = to_string(info.param);
-      for (char& c : name) {
-        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
-      }
-      return name;
-    });
-
-TEST(ExperimentIntegration, EnumShimMapsOntoRegistryNames) {
-  // The deprecated TrainingMethod enum is a thin shim over registry
-  // names: every federated value resolves to a registered algorithm,
-  // and the display labels the tables rely on are preserved.
-  for (TrainingMethod m :
-       {TrainingMethod::kFedAvg, TrainingMethod::kFedProx,
-        TrainingMethod::kFedProxLG, TrainingMethod::kIFCA,
-        TrainingMethod::kFedProxFineTune, TrainingMethod::kAssignedClustering,
-        TrainingMethod::kAlphaPortionSync, TrainingMethod::kAsyncFedAvg}) {
-    const std::string name = registry_name(m);
-    EXPECT_TRUE(AlgorithmRegistry::global().contains(name)) << name;
-    EXPECT_EQ(display_name(name), to_string(m));
-  }
-  EXPECT_EQ(registry_name(TrainingMethod::kLocal), "local");
-  EXPECT_EQ(registry_name(TrainingMethod::kCentral), "central");
-  EXPECT_EQ(to_string(TrainingMethod::kFedProx), "FedProx");
-  EXPECT_EQ(to_string(TrainingMethod::kLocal), "Local Average (b1 to b9)");
-  // Unregistered names display as themselves.
-  EXPECT_EQ(display_name("dp_fedprox"), "dp_fedprox");
-}
+    ::testing::Values("local", "central", "fedavg", "fedprox", "fedprox_lg",
+                      "ifca", "fedprox_finetune", "assigned_clustering",
+                      "alpha_sync"),
+    [](const auto& info) { return info.param; });
 
 TEST(ExperimentIntegration, RunMethodByNameAndUnknownNameThrows) {
   ExperimentConfig cfg = smoke_config();
@@ -123,17 +93,32 @@ TEST(ExperimentIntegration, RunMethodByNameAndUnknownNameThrows) {
 }
 
 TEST(ExperimentIntegration, PaperMethodListMatchesTableRows) {
-  std::vector<TrainingMethod> methods = paper_table_methods();
-  ASSERT_EQ(methods.size(), 8u);
-  EXPECT_EQ(methods.front(), TrainingMethod::kLocal);
-  EXPECT_EQ(methods[1], TrainingMethod::kCentral);
-  EXPECT_EQ(methods[5], TrainingMethod::kFedProxFineTune);
+  const std::vector<std::string> expected = {
+      "local", "central", "fedprox", "fedprox_lg", "ifca", "fedprox_finetune",
+      "assigned_clustering", "alpha_sync"};
+  EXPECT_EQ(paper_table_methods(), expected);
+  // Every federated row (all but the two baselines) is a registered
+  // algorithm.
+  for (const std::string& name : paper_table_methods()) {
+    if (name == "local" || name == "central") continue;
+    EXPECT_TRUE(AlgorithmRegistry::global().contains(name)) << name;
+  }
+  EXPECT_TRUE(AlgorithmRegistry::global().contains("fedavg"));
+  EXPECT_TRUE(AlgorithmRegistry::global().contains("async_fedavg"));
+  // The table labels the benches print.
+  EXPECT_EQ(display_name("local"), "Local Average (b1 to b9)");
+  EXPECT_EQ(display_name("central"), "Training Centrally on All Data");
+  EXPECT_EQ(display_name("fedprox"), "FedProx");
+  EXPECT_EQ(display_name("fedprox_finetune"), "FedProx + Fine-tuning");
+  EXPECT_EQ(display_name("alpha_sync"), "FedProx + a-Portion Sync");
+  // Unregistered names display as themselves.
+  EXPECT_EQ(display_name("dp_fedprox"), "dp_fedprox");
 }
 
 TEST(ExperimentIntegration, ConvergenceSeriesHasOnePointPerRound) {
   Experiment exp(smoke_config());
   exp.prepare_data();
-  auto series = exp.run_convergence(TrainingMethod::kFedProx);
+  auto series = exp.run_convergence("fedprox");
   ASSERT_EQ(series.size(), 2u);
   EXPECT_EQ(series[0].round, 0);
   EXPECT_EQ(series[1].round, 1);
@@ -141,8 +126,7 @@ TEST(ExperimentIntegration, ConvergenceSeriesHasOnePointPerRound) {
     EXPECT_GE(pt.average_auc, 0.0);
     EXPECT_LE(pt.average_auc, 1.0);
   }
-  EXPECT_THROW(exp.run_convergence(TrainingMethod::kLocal),
-               std::invalid_argument);
+  EXPECT_THROW(exp.run_convergence("local"), std::invalid_argument);
 }
 
 TEST(ExperimentIntegration, DatasetCacheRoundTrips) {

@@ -1,11 +1,13 @@
 // Tests for the scratch-model pool (models/pool.hpp): warm reuse and
-// residency caps, lease RAII/move semantics, rng-stream compatibility
-// with the per-client-model seed implementation, the RoutabilityModel
-// instance counters, and the client-side Adam moment persistence that
-// replaces client-owned optimizers when reset_optimizer == false.
+// residency caps, lease RAII/move semantics, client construction that
+// builds no model, the RoutabilityModel instance counters, and the
+// client-side Adam moment persistence that replaces client-owned
+// optimizers when reset_optimizer == false.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "fl/client.hpp"
 #include "fl/parameters.hpp"
@@ -109,18 +111,6 @@ TEST(ModelPool, AdamIsBoundOnceAndReconfigured) {
   EXPECT_DOUBLE_EQ(adam.options().lr, 5e-4);
 }
 
-TEST(ModelPool, ConsumeInitStreamMatchesFactoryDraws) {
-  // The whole point of consume_init_stream: a pooled client's rng must
-  // advance exactly as if it had constructed (and kept) its own model.
-  ModelFactory factory = tiny_factory();
-  ModelPool pool(factory);
-  Rng pooled(123);
-  Rng owned(123);
-  pool.consume_init_stream(pooled);
-  { RoutabilityModelPtr model = factory(owned); }
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(pooled.next_u64(), owned.next_u64());
-}
-
 TEST(ModelPool, RejectsEmptyFactory) {
   EXPECT_THROW(ModelPool(ModelFactory{}), std::invalid_argument);
 }
@@ -166,6 +156,43 @@ TEST(ModelPool, SharedPoolHoldsOThreadsInstancesForManyClients) {
   EXPECT_LE(static_cast<std::int64_t>(w.pool->resident()), budget);
 }
 
+// A client is its dataset plus its rng stream: building one constructs
+// no model, and the stream starts at the client's first training draw.
+TEST(ClientConstruction, BuildsNoModelAndTrainsDeterministicallyPerSeed) {
+  const ClientDataset data = make_synthetic_client(1, 0.4f, 11);
+  ModelFactory factory = tiny_factory();
+  auto pool = std::make_shared<ModelPool>(factory);
+  const std::int64_t live0 = RoutabilityModel::live_instances();
+  RoutabilityModel::reset_peak_instances();
+  const std::int64_t peak0 = RoutabilityModel::peak_instances();
+  {
+    Rng rng(4242);
+    std::vector<Client> clients;
+    clients.reserve(1000);
+    for (std::uint64_t k = 0; k < 1000; ++k) {
+      clients.emplace_back(static_cast<int>(k) + 1, &data, pool, rng.fork(k));
+    }
+    EXPECT_EQ(RoutabilityModel::live_instances(), live0);
+    EXPECT_EQ(RoutabilityModel::peak_instances(), peak0);
+    EXPECT_EQ(pool->created(), 0u);
+  }
+
+  Rng init_rng(9);
+  const ModelParameters start = initial_model_parameters(factory, init_rng);
+  ClientTrainConfig cfg;
+  cfg.steps = 2;
+  cfg.batch_size = 2;
+  cfg.mu = 0.0;
+  // Rng::fork advances the parent stream, so equal client streams come
+  // from equally seeded generators, not from repeated forks of one.
+  Client client(1, &data, pool, Rng(123));
+  Client twin(1, &data, pool, Rng(123));
+  Client other(1, &data, pool, Rng(124));
+  const ModelParameters trained = client.local_update(start, cfg);
+  EXPECT_TRUE(bit_identical(trained, twin.local_update(start, cfg)));
+  EXPECT_FALSE(bit_identical(trained, other.local_update(start, cfg)));
+}
+
 // reset_optimizer == false: the client carries its Adam moments between
 // rounds as data, independent of which scratch instance it borrows.
 TEST(ClientOptimizerState, PersistedMomentsAreSharedPoolInvariant) {
@@ -191,7 +218,7 @@ TEST(ClientOptimizerState, PersistedMomentsAreSharedPoolInvariant) {
       }
     } else {
       // The owned layout: per-client exclusive pools over the same
-      // data and rng streams (the factory-ctor compatibility path).
+      // data and rng streams.
       std::vector<ClientDataset> data;
       for (std::size_t k = 0; k < options.num_clients; ++k) {
         data.push_back(make_synthetic_client(
@@ -204,7 +231,8 @@ TEST(ClientOptimizerState, PersistedMomentsAreSharedPoolInvariant) {
       Rng rng(seed);
       std::vector<Client> clients;
       for (std::size_t k = 0; k < data.size(); ++k) {
-        clients.emplace_back(data[k].client_id, &data[k], factory,
+        clients.emplace_back(data[k].client_id, &data[k],
+                             std::make_shared<ModelPool>(factory),
                              rng.fork(k));
       }
       Rng r(5);

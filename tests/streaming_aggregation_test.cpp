@@ -4,9 +4,9 @@
 // whatever the lane layout), bit-identity across thread-pool sizes
 // (lane partition + merge order are pure functions of the cohort), the
 // fold-time validation guards, Channel::collect_streaming equivalence
-// with the batch collect, the fast client-construction schema, the
-// importance_sample participation policy, and end-to-end round loops
-// (FedAvg, AlphaPortionSync, AsyncFedAvg) against closed-form replays.
+// with the batch collect, the importance_sample participation policy,
+// and end-to-end round loops (FedAvg, AlphaPortionSync, AsyncFedAvg)
+// against closed-form replays.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -469,36 +469,6 @@ TEST(Channel, CollectStreamingRethrowsAProduceError) {
           },
           [](std::size_t, std::size_t, ModelParameters&&) {}),
       std::runtime_error);
-}
-
-// --- fast client construction ----------------------------------------
-
-TEST(ClientInitSchema, FastInitSkipsTheInitReplayAndStaysDeterministic) {
-  const ClientDataset data = make_synthetic_client(1, 0.4f, 11);
-  ModelFactory factory = make_model_factory(ModelKind::kFLNet, 2);
-  auto pool = std::make_shared<ModelPool>(factory);
-  // Rng::fork advances the parent stream, so identical per-client
-  // streams come from identically-seeded generators, not repeated
-  // forks of one parent.
-  Client replay(1, &data, pool, Rng(123));
-  Client fast(1, &data, pool, Rng(123), ClientInitSchema::kFastInit);
-  Client fast_twin(1, &data, pool, Rng(123), ClientInitSchema::kFastInit);
-  EXPECT_EQ(replay.init_schema(), ClientInitSchema::kReplayInit);
-  EXPECT_EQ(fast.init_schema(), ClientInitSchema::kFastInit);
-
-  Rng init_rng(9);
-  const ModelParameters start = initial_model_parameters(factory, init_rng);
-  ClientTrainConfig cfg;
-  cfg.steps = 2;
-  cfg.batch_size = 2;
-  cfg.mu = 0.0;
-  const ModelParameters from_fast = fast.local_update(start, cfg);
-  // Same seed, same schema: bit-identical training.
-  EXPECT_TRUE(bit_identical(from_fast, fast_twin.local_update(start, cfg)));
-  // The replay schema consumed one model init from the stream first, so
-  // its batch sampling diverges — the schemas are distinct rng
-  // schedules, which is exactly why the enum is versioned.
-  EXPECT_FALSE(bit_identical(from_fast, replay.local_update(start, cfg)));
 }
 
 // --- importance_sample participation ---------------------------------
