@@ -54,16 +54,10 @@ class FLNetBN : public RoutabilityModel {
   Sequential net_;
 };
 
-// Trains one variant with `method`: "central", or an AlgorithmRegistry
-// name.
-MethodResult run_variant(const std::string& label, const ModelFactory& factory,
-                         const std::vector<ClientDataset>& data,
-                         const ExperimentConfig& cfg,
-                         const std::string& method) {
-  const RunScale& scale = cfg.scale;
-  PaperHyperParams hp;
-  // Each variant has its own architecture, so each gets its own pool;
-  // within the variant all clients share its scratch models.
+// Each variant has its own architecture, so each gets its own pool;
+// within the variant all clients share its scratch models.
+std::vector<Client> make_clients(const ModelFactory& factory,
+                                 const std::vector<ClientDataset>& data) {
   auto pool = std::make_shared<ModelPool>(factory);
   Rng rng(7);
   std::vector<Client> clients;
@@ -72,29 +66,46 @@ MethodResult run_variant(const std::string& label, const ModelFactory& factory,
     clients.emplace_back(ds.client_id, &ds, pool,
                          rng.fork(static_cast<std::uint64_t>(ds.client_id)));
   }
+  return clients;
+}
+
+ClientTrainConfig make_train_config(const ExperimentConfig& cfg) {
+  PaperHyperParams hp;
   ClientTrainConfig ccfg;
-  ccfg.steps = scale.steps_per_round;
-  ccfg.batch_size = scale.batch_size;
+  ccfg.steps = cfg.scale.steps_per_round;
+  ccfg.batch_size = cfg.scale.batch_size;
   ccfg.learning_rate = hp.learning_rate;
   ccfg.l2_regularization = hp.l2_regularization;
   ccfg.mu = hp.fedprox_mu;
   ccfg.reset_optimizer = cfg.reset_optimizer;
+  return ccfg;
+}
 
-  if (method == "central") {
-    BaselineOptions bopts;
-    bopts.total_steps = scale.rounds * scale.steps_per_round;
-    bopts.client = ccfg;
-    ModelParameters central = train_centralized(data, factory, bopts);
-    return evaluate_shared(label, clients, central);
-  }
+// Trains one variant federated with the AlgorithmRegistry method `name`.
+MethodResult run_variant(const std::string& label, const ModelFactory& factory,
+                         const std::vector<ClientDataset>& data,
+                         const ExperimentConfig& cfg, const std::string& name) {
+  std::vector<Client> clients = make_clients(factory, data);
   std::unique_ptr<FederatedAlgorithm> algo =
-      AlgorithmRegistry::global().create(method);
+      AlgorithmRegistry::global().create(name);
   FLRunOptions opts;
-  opts.rounds = scale.rounds;
-  opts.client = ccfg;
+  opts.rounds = cfg.scale.rounds;
+  opts.client = make_train_config(cfg);
   opts.aggregation = cfg.aggregation;
   std::vector<ModelParameters> finals = algo->run(clients, factory, opts);
   return evaluate_per_client(label, clients, finals);
+}
+
+// Trains one variant centrally on the pooled data.
+MethodResult run_central(const std::string& label, const ModelFactory& factory,
+                         const std::vector<ClientDataset>& data,
+                         const ExperimentConfig& cfg) {
+  BaselineOptions bopts;
+  bopts.total_steps = cfg.scale.rounds * cfg.scale.steps_per_round;
+  bopts.client = make_train_config(cfg);
+  ModelParameters central = train_centralized(data, factory, bopts);
+  std::vector<Client> clients = make_clients(factory, data);
+  return evaluate_shared(label, clients, central);
 }
 
 }  // namespace
@@ -114,7 +125,7 @@ int main() {
 
   auto add_row = [&](const std::string& label, const ModelFactory& factory) {
     MethodResult fed = run_variant(label, factory, data, cfg, "fedprox");
-    MethodResult central = run_variant(label, factory, data, cfg, "central");
+    MethodResult central = run_central(label, factory, data, cfg);
     t.add_row({label, AsciiTable::fmt(fed.average, 3),
                AsciiTable::fmt(central.average, 3),
                AsciiTable::fmt(central.average - fed.average, 3)});

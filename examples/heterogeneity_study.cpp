@@ -5,7 +5,6 @@
 // degraded cross-suite transfer, plus per-suite feature statistics.
 //
 // Usage: heterogeneity_study [--scale smoke|quick|full] [--model flnet]
-// Without --scale the run size comes from FLEDA_SCALE (default quick).
 #include <cstdio>
 
 #include "core/experiment.hpp"
@@ -22,9 +21,7 @@ int main(int argc, char** argv) {
   CliParser cli(argc, argv);
   ExperimentConfig cfg;
   cfg.model = parse_model_kind(cli.get_string("model", "flnet"));
-  // --scale wins; otherwise FLEDA_SCALE, as for the benches.
-  cfg.scale = cli.has("scale") ? resolve_scale(cli.get_string("scale"))
-                               : scale_from_env();
+  cfg.scale = resolve_scale(cli.get_string("scale", "quick"));
   cfg.cache_dir = ".fleda-cache";
 
   Experiment exp(cfg);

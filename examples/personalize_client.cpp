@@ -6,7 +6,6 @@
 // a single client's perspective.
 //
 // Usage: personalize_client [--client 1..9] [--model flnet] [--scale smoke|quick|full]
-// Without --scale the run size comes from FLEDA_SCALE (default quick).
 #include <cstdio>
 
 #include "core/experiment.hpp"
@@ -28,9 +27,7 @@ int main(int argc, char** argv) {
   }
   ExperimentConfig cfg;
   cfg.model = parse_model_kind(cli.get_string("model", "flnet"));
-  // --scale wins; otherwise FLEDA_SCALE, as for the benches.
-  cfg.scale = cli.has("scale") ? resolve_scale(cli.get_string("scale"))
-                               : scale_from_env();
+  cfg.scale = resolve_scale(cli.get_string("scale", "quick"));
   cfg.cache_dir = ".fleda-cache";
 
   Experiment exp(cfg);
