@@ -7,8 +7,17 @@
 // Buffers are included in aggregation on purpose: averaging BatchNorm
 // running statistics across heterogeneous clients is precisely the
 // instability the paper's FLNet design sidesteps.
+//
+// A snapshot is a value with shared storage: copying one only bumps a
+// reference count, so deploying one model to K clients costs K
+// handles, not K models. Every mutating member first detaches, i.e.
+// deep-copies the entries, but only while another handle shares them.
+// Copies of one snapshot may be read from any number of threads at
+// once, and each thread may mutate its own copy.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -27,6 +36,11 @@ struct ParameterEntry {
 class ModelParameters {
  public:
   ModelParameters() = default;
+  ModelParameters(const ModelParameters& other) noexcept;
+  ModelParameters(ModelParameters&& other) noexcept;
+  ModelParameters& operator=(const ModelParameters& other) noexcept;
+  ModelParameters& operator=(ModelParameters&& other) noexcept;
+  ~ModelParameters();
 
   // Snapshots a model's parameters and buffers (deep copy).
   static ModelParameters from_model(Module& model);
@@ -74,15 +88,38 @@ class ModelParameters {
 
   bool structurally_equal(const ModelParameters& other) const;
   std::int64_t numel() const;
-  bool empty() const { return entries_.empty(); }
-  const std::vector<ParameterEntry>& entries() const { return entries_; }
+  bool empty() const { return entries().empty(); }
+  // The reference is valid until this object is mutated, assigned or
+  // destroyed.
+  const std::vector<ParameterEntry>& entries() const {
+    return storage_ != nullptr ? storage_->entries : no_entries();
+  }
   // Mutable access for mechanisms that transform snapshots in place
-  // (e.g. the DP Gaussian mechanism). Structure (names, shapes, order)
-  // must not be changed.
-  std::vector<ParameterEntry>& mutable_entries() { return entries_; }
+  // (e.g. the DP Gaussian mechanism), which must not change its
+  // structure (names, shapes, order), and for decoders that build one.
+  // Detaches first, so writes never reach another copy. The returned
+  // reference is valid only until this object is copied or assigned:
+  // after a copy, writes through it would reach the copy too, so call
+  // mutable_entries() again instead of keeping the reference.
+  std::vector<ParameterEntry>& mutable_entries();
 
  private:
-  std::vector<ParameterEntry> entries_;
+  // Entry storage shared by every copy of one snapshot; `refs` counts
+  // the handles. A handle writes only while it is the sole owner.
+  struct Storage {
+    Storage() = default;
+    explicit Storage(const std::vector<ParameterEntry>& e) : entries(e) {}
+    std::atomic<std::int64_t> refs{1};
+    std::vector<ParameterEntry> entries;
+  };
+
+  static const std::vector<ParameterEntry>& no_entries();
+  static void release(Storage* storage) noexcept;
+  // Makes storage_ exclusively this handle's, deep-copying the entries
+  // if another handle shares them.
+  void detach();
+
+  Storage* storage_ = nullptr;
 };
 
 // Name predicate for the paper's FedProx-LG split: the models' output
