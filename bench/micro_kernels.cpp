@@ -172,8 +172,14 @@ struct ConvLayerCase {
   std::int64_t in_channels, kernel, grid, batch;
 };
 
-// FLNet's 64 -> 1 9x9 output conv at the smoke grid and minibatch.
-const ConvLayerCase kConvLayers[] = {{"flnet_output_conv", 64, 9, 16, 4}};
+// The single-output-channel heads the benchmark trains: FLNet's 64 -> 1
+// 9x9 output conv at the smoke grid and minibatch, the fleet's
+// flnet_tiny head (grid 8, one sample per step) and RouteNet's
+// 32 -> 1 5x5 output conv.
+const ConvLayerCase kConvLayers[] = {
+    {"flnet_output_conv", 64, 9, 16, 4},
+    {"flnet_tiny_output_conv", 64, 9, 8, 1},
+    {"routenet_output_conv", 32, 5, 16, 4}};
 
 struct ConvLayerResult {
   const ConvLayerCase* layer = nullptr;
@@ -561,11 +567,11 @@ int main_impl() {
     sorts.push_back(bench_sort_lanes(n, rng));
   }
   ThreadPool::reset_global(0);
-  std::printf("%-18s %4s %3s %4s %5s %10s %10s %8s %s\n", "conv layer", "cin",
-              "k", "grid", "batch", "im2col ms", "direct ms", "speedup",
-              "bits");
+  std::printf("%-22s %4s %3s %4s %5s %10s %10s %8s %s\n", "conv layer",
+              "cin", "k", "grid", "batch", "im2col ms", "direct ms",
+              "speedup", "bits");
   for (const ConvLayerResult& r : layers) {
-    std::printf("%-18s %4lld %3lld %4lld %5lld %10.3f %10.3f %7.2fx %s\n",
+    std::printf("%-22s %4lld %3lld %4lld %5lld %10.3f %10.3f %7.2fx %s\n",
                 r.layer->name, static_cast<long long>(r.layer->in_channels),
                 static_cast<long long>(r.layer->kernel),
                 static_cast<long long>(r.layer->grid),

@@ -17,7 +17,8 @@ numbers micro_sim records, as one declarative table (GATES below):
 
 A gate stops at its first failing check and prints that check's
 message; any failing gate makes the run exit 1. `--self-test` feeds
-every gate one passing and one failing fixture.
+every gate one passing and one failing fixture, and does the same for
+the conv-layer rows of the trajectory gate below.
 
 Perf-trajectory gate (no arguments): diff this run's BENCH_*.json
 against the previous successful main run's `bench-trajectory` artifact
@@ -33,6 +34,7 @@ Gated metrics (current vs previous):
   - BENCH_comm.json    codecs[*].decode_mb_per_s       must be >= 0.8x
   - BENCH_kernels.json shapes[*].auto_gflops           must be >= 0.8x
   - BENCH_kernels.json plan_cache.hit_rate             must be >= 0.8x
+  - BENCH_kernels.json conv_layers[*].direct_ms        must be <= 1.2x
 
 Stdlib only (urllib + zipfile against the GitHub REST API). The gate is
 advisory-by-absence: no GITHUB_TOKEN, no previous artifact, or an API
@@ -194,8 +196,36 @@ FAILING_EDITS = {
 }
 
 
+# A BENCH_kernels.json excerpt, and the factors by which the current
+# run's direct_ms may (within the 20% band) and may not (beyond it)
+# exceed it.
+CONV_LAYERS_FIXTURE = {
+    "conv_layers": [
+        {"name": "flnet_output_conv", "direct_ms": 1.0},
+        {"name": "routenet_output_conv", "direct_ms": 0.4},
+    ],
+}
+CONV_LAYERS_PASSING_FACTOR = 1.15
+CONV_LAYERS_FAILING_FACTOR = 1.3
+
+
+def scaled_conv_layers(factor):
+    bench = copy.deepcopy(CONV_LAYERS_FIXTURE)
+    for row in bench["conv_layers"]:
+        row["direct_ms"] *= factor
+    return bench
+
+
 def self_test():
     errors = []
+    passing = scaled_conv_layers(CONV_LAYERS_PASSING_FACTOR)
+    if any(conv_layer_errors(passing, CONV_LAYERS_FIXTURE)):
+        errors.append(f"conv_layers: {CONV_LAYERS_PASSING_FACTOR}x direct_ms "
+                      "failed the trajectory check")
+    failing = scaled_conv_layers(CONV_LAYERS_FAILING_FACTOR)
+    if not all(conv_layer_errors(failing, CONV_LAYERS_FIXTURE)):
+        errors.append(f"conv_layers: {CONV_LAYERS_FAILING_FACTOR}x direct_ms "
+                      "passed the trajectory check")
     for gate in GATES:
         name = gate["name"]
         if run_gate(gate, PASSING_FIXTURE) is not None:
@@ -209,7 +239,8 @@ def self_test():
     for e in errors:
         print(f"perf_gate self-test: FAIL - {e}")
     if not errors:
-        print(f"perf_gate self-test: ok ({len(GATES)} gates)")
+        print(f"perf_gate self-test: ok ({len(GATES)} gates, "
+              f"{len(CONV_LAYERS_FIXTURE['conv_layers'])} conv-layer rows)")
     return 1 if errors else 0
 
 
@@ -273,11 +304,11 @@ def check(label, current, previous, lower_is_better=False):
     bound = 1.0 + TOLERANCE if lower_is_better else 1.0 - TOLERANCE
     ok = ratio <= bound if lower_is_better else ratio >= bound
     status = "ok" if ok else "REGRESSION"
-    print(f"perf_gate: {label}: {current:.1f} vs {previous:.1f} "
+    print(f"perf_gate: {label}: {current:.4g} vs {previous:.4g} "
           f"(ratio {ratio:.3f}, need {direction} {bound:.2f}) {status}")
     if not ok:
-        return (f"{label} regressed: {current:.1f} vs baseline "
-                f"{previous:.1f} (ratio {ratio:.3f})")
+        return (f"{label} regressed: {current:.4g} vs baseline "
+                f"{previous:.4g} (ratio {ratio:.3f})")
     return None
 
 
@@ -287,6 +318,19 @@ def codec_rows(bench):
 
 def shape_rows(bench):
     return {row["name"]: row for row in (bench or {}).get("shapes", [])}
+
+
+def conv_layer_errors(kernels_now, kernels_prev):
+    """One check() result per conv layer both runs timed: the direct
+    path's forward + backward wall time, lower is better."""
+    def rows(bench):
+        return {row["name"]: row
+                for row in (bench or {}).get("conv_layers", [])}
+    now_rows, prev_rows = rows(kernels_now), rows(kernels_prev)
+    return [check(f"kernels.{name}.direct_ms",
+                  now_rows[name].get("direct_ms"),
+                  prev_rows[name].get("direct_ms"), lower_is_better=True)
+            for name in sorted(set(now_rows) & set(prev_rows))]
 
 
 def trajectory():
@@ -363,6 +407,7 @@ def trajectory():
         "kernels.plan_cache.hit_rate",
         kernels_now.get("plan_cache", {}).get("hit_rate"),
         kernels_prev.get("plan_cache", {}).get("hit_rate")))
+    errors.extend(conv_layer_errors(kernels_now, kernels_prev))
 
     errors = [e for e in errors if e is not None]
     if errors:

@@ -118,12 +118,16 @@ std::vector<std::shared_ptr<const ModelParameters>> Channel::broadcast(
   ensure_clients(max_client);
   // Encode (and decode) each distinct (snapshot, delta-reference) pair
   // once; identical pairs mean the same broadcast payload, and all
-  // their recipients share the one decoded copy. Without a delta
-  // downlink the reference is always null, so this degenerates to
-  // distinct snapshots. Distinct payloads go through the codec in
-  // parallel, mirroring collect().
-  using PayloadKey = std::pair<const ModelParameters*, const ModelParameters*>;
-  std::vector<PayloadKey> distinct;
+  // their recipients share the one decoded copy. A snapshot is keyed
+  // by its entry storage, not its address: handles copied from one
+  // model share that storage (ModelParameters holds nothing else), so
+  // K deployments of one model encode once. Without a delta downlink
+  // the reference is always null, so this degenerates to distinct
+  // snapshots. Distinct payloads go through the codec in parallel,
+  // mirroring collect().
+  using PayloadKey = std::pair<const void*, const ModelParameters*>;
+  std::vector<std::pair<const ModelParameters*, const ModelParameters*>>
+      distinct;
   std::map<PayloadKey, std::size_t> index;
   std::vector<std::size_t> payload_of(deployed.size());
   for (std::size_t i = 0; i < deployed.size(); ++i) {
@@ -132,9 +136,9 @@ std::vector<std::shared_ptr<const ModelParameters>> Channel::broadcast(
     }
     const ModelParameters* reference =
         downlink_delta_ ? downlink_refs_[recipients[i]].get() : nullptr;
-    const PayloadKey key{deployed[i], reference};
+    const PayloadKey key{&deployed[i]->entries(), reference};
     const auto [it, inserted] = index.emplace(key, distinct.size());
-    if (inserted) distinct.push_back(key);
+    if (inserted) distinct.emplace_back(deployed[i], reference);
     payload_of[i] = it->second;
   }
   std::vector<std::pair<std::uint64_t, std::uint64_t>> sizes(distinct.size());

@@ -183,7 +183,8 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   const std::size_t buf_elems = static_cast<std::size_t>(
       padded ? ix.padded_elems() : g.col_rows() * g.col_cols());
   const std::size_t dbuf_elems = static_cast<std::size_t>(
-      direct() ? ix.padded_elems() : g.col_rows() * g.col_cols());
+      direct() ? direct_conv_input_grad_scratch(ix)
+               : g.col_rows() * g.col_cols());
 
   // Batch-parallel over a FIXED number of slices (independent of the
   // thread-pool size), each with its own dW/db partial, reduced

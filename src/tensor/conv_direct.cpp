@@ -1,8 +1,8 @@
 #include "tensor/conv_direct.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
-#include <vector>
 
 #include "tensor/plan.hpp"
 
@@ -23,10 +23,6 @@ inline Lanes4 load4(const float* p) {
   return v;
 }
 
-inline void store4(float* p, Lanes4 v) { std::memcpy(p, &v, sizeof(v)); }
-
-inline Lanes4 splat4(float a) { return Lanes4{a, a, a, a}; }
-
 inline float combine(Lanes4 a) { return (a[0] + a[1]) + (a[2] + a[3]); }
 
 void require_unit_stride(const ConvIndex& ix) {
@@ -35,155 +31,228 @@ void require_unit_stride(const ConvIndex& ix) {
   }
 }
 
-// Row kernels: pixels [ow, OW) of one output row. The AVX2 rows take
-// eight pixels per step and hand the remainder to the portable row, so
-// every pixel is computed by the same expression.
-struct PortableRows {
-  // yr += a0*b0 + a1*b1 + a2*b2 + a3*b3 (one axpy4 step of matmul).
-  static void axpy4(float* yr, const float* b0, const float* b1,
-                    const float* b2, const float* b3, float a0, float a1,
-                    float a2, float a3, std::int64_t ow, std::int64_t OW) {
-    const Lanes4 v0 = splat4(a0), v1 = splat4(a1), v2 = splat4(a2),
-                 v3 = splat4(a3);
-    for (; ow + 4 <= OW; ow += 4) {
-      store4(yr + ow, load4(yr + ow) + (v0 * load4(b0 + ow) +
-                                        v1 * load4(b1 + ow) +
-                                        v2 * load4(b2 + ow) +
-                                        v3 * load4(b3 + ow)));
-    }
-    for (; ow < OW; ++ow) {
-      yr[ow] += a0 * b0[ow] + a1 * b1[ow] + a2 * b2[ow] + a3 * b3[ow];
-    }
-  }
+// ---- Register tiles (forward and dX) ----
+//
+// A tile is up to kTileRows rows x N adjacent pixels of one output
+// plane, one N-lane accumulator per row, held in registers across every
+// tap and stored once. N = 8 is an AVX2 register, N = 4 an SSE/NEON
+// one, N = 1 a scalar. Each vector operator is one IEEE single-precision
+// operation per lane (no FMA, no regrouping), so a pixel's value does
+// not depend on N, on the tile it falls in, or on the ISA.
+//
+// A row narrower than the widest N runs N = 4, then N = 1; a row at
+// least N wide takes strips of N pixels, the last one shifted left to
+// end at the row's end (it recomputes a few pixels, with the same
+// bits). Rows past the plane's end are switched off per tile.
 
-  // yr += a * b (the axpy1 tail).
-  static void axpy1(float* yr, const float* b, float a, std::int64_t ow,
-                    std::int64_t OW) {
-    for (; ow < OW; ++ow) yr[ow] += a * b[ow];
-  }
+constexpr std::int64_t kTileRows = 8;
 
-  // d += 0 + a * src (a k = 1 column entry, scattered by col2im).
-  static void scatter(float* d, const float* src, float a, std::int64_t ow,
-                      std::int64_t OW) {
-    const Lanes4 va = splat4(a);
-    for (; ow + 4 <= OW; ow += 4) {
-      store4(d + ow, load4(d + ow) + (Lanes4{} + va * load4(src + ow)));
-    }
-    for (; ow < OW; ++ow) d[ow] += 0.0f + a * src[ow];
-  }
+template <int N>
+struct Lanes {
+  typedef float F __attribute__((vector_size(4 * N)));
+  typedef std::int32_t I __attribute__((vector_size(4 * N)));
 };
 
-#if FLEDA_X86_KERNELS
-struct Avx2Rows {
-  FLEDA_TARGET_AVX2 static void axpy4(float* yr, const float* b0,
-                                      const float* b1, const float* b2,
-                                      const float* b3, float a0, float a1,
-                                      float a2, float a3, std::int64_t ow,
-                                      std::int64_t OW) {
-    const __m256 v0 = _mm256_set1_ps(a0), v1 = _mm256_set1_ps(a1),
-                 v2 = _mm256_set1_ps(a2), v3 = _mm256_set1_ps(a3);
-    for (; ow + 8 <= OW; ow += 8) {
-      __m256 s = _mm256_mul_ps(v0, _mm256_loadu_ps(b0 + ow));
-      s = _mm256_add_ps(s, _mm256_mul_ps(v1, _mm256_loadu_ps(b1 + ow)));
-      s = _mm256_add_ps(s, _mm256_mul_ps(v2, _mm256_loadu_ps(b2 + ow)));
-      s = _mm256_add_ps(s, _mm256_mul_ps(v3, _mm256_loadu_ps(b3 + ow)));
-      _mm256_storeu_ps(yr + ow, _mm256_add_ps(_mm256_loadu_ps(yr + ow), s));
-    }
-    PortableRows::axpy4(yr, b0, b1, b2, b3, a0, a1, a2, a3, ow, OW);
-  }
+// Loads, stores and broadcasts go through references, so no function
+// passes a wide vector by value outside an AVX2 body.
+template <class V>
+__attribute__((always_inline)) inline void load(V& v, const float* p) {
+  std::memcpy(&v, p, sizeof(v));
+}
 
-  FLEDA_TARGET_AVX2 static void axpy1(float* yr, const float* b, float a,
-                                      std::int64_t ow, std::int64_t OW) {
-    const __m256 va = _mm256_set1_ps(a);
-    for (; ow + 8 <= OW; ow += 8) {
-      _mm256_storeu_ps(
-          yr + ow, _mm256_add_ps(_mm256_loadu_ps(yr + ow),
-                                 _mm256_mul_ps(va, _mm256_loadu_ps(b + ow))));
-    }
-    PortableRows::axpy1(yr, b, a, ow, OW);
-  }
+template <class V>
+__attribute__((always_inline)) inline void store(float* p, const V& v) {
+  std::memcpy(p, &v, sizeof(v));
+}
 
-  FLEDA_TARGET_AVX2 static void scatter(float* d, const float* src, float a,
-                                        std::int64_t ow, std::int64_t OW) {
-    const __m256 va = _mm256_set1_ps(a);
-    const __m256 zero = _mm256_setzero_ps();
-    for (; ow + 8 <= OW; ow += 8) {
-      const __m256 col =
-          _mm256_add_ps(zero, _mm256_mul_ps(va, _mm256_loadu_ps(src + ow)));
-      _mm256_storeu_ps(d + ow, _mm256_add_ps(_mm256_loadu_ps(d + ow), col));
-    }
-    PortableRows::scatter(d, src, a, ow, OW);
-  }
-};
-#endif  // FLEDA_X86_KERNELS
+// Every lane = a. The broadcast is an integer add of zero, exact for
+// any bits; a float 0 + a would turn a -0 weight into +0.
+template <class V, class S>
+__attribute__((always_inline)) inline void splat(V& v, S a) {
+  static_assert(sizeof(S) == sizeof(std::int32_t), "32-bit lanes");
+  typedef typename Lanes<sizeof(V) / sizeof(S)>::I I;
+  std::int32_t bits;
+  std::memcpy(&bits, &a, sizeof(bits));
+  v = (V)(I{} + bits);
+}
 
-template <class Rows>
-__attribute__((always_inline)) inline void forward_body(const ConvIndex& ix,
-                                                        const float* padded,
-                                                        const float* w,
-                                                        float* y) {
-  // matmul_reference at m = 1: every output pixel starts at 0 and takes
-  // the weight rows in axpy4 groups of four, then the axpy1 tail. Each
-  // output row is one axpy over OW contiguous padded pixels.
+// Output rows [oh0, oh0 + rows) x pixels [ow0, ow0 + N). matmul_reference
+// at m = 1: every pixel starts at +0 and adds the taps in axpy4 groups,
+//   acc = acc + (((w0*x0 + w1*x1) + w2*x2) + w3*x3),
+// then acc = acc + w*x for the axpy1 tail.
+template <int N>
+__attribute__((always_inline)) inline void forward_tile(
+    const ConvIndex& ix, const float* padded, const float* w, float* y,
+    std::int64_t oh0, std::int64_t rows, std::int64_t ow0) {
+  typedef typename Lanes<N>::F F;
+  const std::int64_t Wp = ix.padded_width;
+  const std::int64_t taps = static_cast<std::int64_t>(ix.row_offset.size());
+  const std::int64_t* off = ix.row_offset.data();
+  const float* at = padded + oh0 * Wp + ow0;
+  F acc[kTileRows] = {};
+  std::int64_t p = 0;
+  for (; p + 4 <= taps; p += 4) {
+    F w0, w1, w2, w3;
+    splat(w0, w[p]);
+    splat(w1, w[p + 1]);
+    splat(w2, w[p + 2]);
+    splat(w3, w[p + 3]);
+    const float* b0 = at + off[p];
+    const float* b1 = at + off[p + 1];
+    const float* b2 = at + off[p + 2];
+    const float* b3 = at + off[p + 3];
+    for (std::int64_t r = 0; r < kTileRows; ++r) {
+      if (r < rows) {
+        F x0, x1, x2, x3;
+        load(x0, b0 + r * Wp);
+        load(x1, b1 + r * Wp);
+        load(x2, b2 + r * Wp);
+        load(x3, b3 + r * Wp);
+        acc[r] = acc[r] + (((w0 * x0 + w1 * x1) + w2 * x2) + w3 * x3);
+      }
+    }
+  }
+  for (; p < taps; ++p) {
+    F wp;
+    splat(wp, w[p]);
+    const float* b = at + off[p];
+    for (std::int64_t r = 0; r < kTileRows; ++r) {
+      if (r < rows) {
+        F x;
+        load(x, b + r * Wp);
+        acc[r] = acc[r] + wp * x;
+      }
+    }
+  }
+  for (std::int64_t r = 0; r < rows; ++r) {
+    store(y + (oh0 + r) * ix.out_width + ow0, acc[r]);
+  }
+}
+
+template <int N>
+__attribute__((always_inline)) inline void forward_strips(const ConvIndex& ix,
+                                                          const float* padded,
+                                                          const float* w,
+                                                          float* y) {
   const std::int64_t OH = ix.out_height;
   const std::int64_t OW = ix.out_width;
-  const std::int64_t Wp = ix.padded_width;
-  const std::int64_t rows = static_cast<std::int64_t>(ix.row_offset.size());
-  const std::int64_t* off = ix.row_offset.data();
-  std::memset(y, 0, sizeof(float) * OH * OW);
-  std::int64_t p = 0;
-  for (; p + 4 <= rows; p += 4) {
-    for (std::int64_t oh = 0; oh < OH; ++oh) {
-      const float* b = padded + oh * Wp;
-      Rows::axpy4(y + oh * OW, b + off[p], b + off[p + 1], b + off[p + 2],
-                  b + off[p + 3], w[p], w[p + 1], w[p + 2], w[p + 3], 0, OW);
-    }
-  }
-  for (; p < rows; ++p) {
-    for (std::int64_t oh = 0; oh < OH; ++oh) {
-      Rows::axpy1(y + oh * OW, padded + oh * Wp + off[p], w[p], 0, OW);
+  for (std::int64_t oh = 0; oh < OH; oh += kTileRows) {
+    const std::int64_t rows = std::min(kTileRows, OH - oh);
+    for (std::int64_t ow = 0; ow < OW; ow += N) {
+      forward_tile<N>(ix, padded, w, y, oh, rows, std::min(ow, OW - N));
     }
   }
 }
 
-template <class Rows>
-__attribute__((always_inline)) inline void input_grad_body(
-    const ConvIndex& ix, const float* w, const float* dy, float* dpadded,
-    float* dx) {
-  // matmul_at_reference at k = 1 makes each column entry 0 + w[p]*dy;
-  // col2im adds them into the image in (row, oh, ow) order. Scattering
-  // into the padded frame keeps that order for every in-bounds pixel;
-  // the margin collects what col2im would have skipped.
+// Width of the zero margin on each side of a frame row (see
+// direct_conv_input_grad_scratch): the farthest a tap reaches left of
+// output column 0 from image column 0.
+std::int64_t frame_margin(const ConvGeometry& g) {
+  return std::max<std::int64_t>(0, (g.kernel_w - 1) * g.dilation_w - g.pad_w);
+}
+
+// dx rows [h0, h0 + rows) x columns [x0, x0 + N) of channel plane `dxc`,
+// whose taps are `wc`. col2im adds a pixel's column entries 0 + w*dy in
+// ascending (kh, kw) order onto +0; the gather adds w*dy in that order
+// onto a +0 accumulator. The two agree bit for bit: the accumulator
+// never holds -0 (x + y is -0 only when both are), so dropping the
+// 0 + changes no sum. A tap whose (oh, ow) lies outside dy is one
+// col2im never adds, so it must not contribute even w*0 (NaN for an
+// Inf weight). Its row is skipped; its lanes read the frame's zero
+// margin with the weight masked to +0, so they add +0 * 0 = +0.
+template <int N>
+__attribute__((always_inline)) inline void input_grad_tile(
+    const ConvIndex& ix, const float* wc, const float* frame, float* dxc,
+    std::int64_t h0, std::int64_t rows, std::int64_t x0) {
+  typedef typename Lanes<N>::F F;
+  typedef typename Lanes<N>::I I;
   const ConvGeometry& g = ix.geometry;
   const std::int64_t OH = ix.out_height;
-  const std::int64_t OW = ix.out_width;
-  const std::int64_t Wp = ix.padded_width;
-  const std::int64_t rows = static_cast<std::int64_t>(ix.row_offset.size());
-  std::memset(dpadded, 0, sizeof(float) * ix.padded_elems());
-  for (std::int64_t p = 0; p < rows; ++p) {
-    float* dst = dpadded + ix.row_offset[static_cast<std::size_t>(p)];
-    for (std::int64_t oh = 0; oh < OH; ++oh) {
-      Rows::scatter(dst + oh * Wp, dy + oh * OW, w[p], 0, OW);
+  const std::int64_t margin = frame_margin(g);
+  const std::int64_t FW = ix.out_width + 2 * margin;
+  I lane, first, step, out_w;
+  for (int l = 0; l < N; ++l) lane[l] = l;
+  splat(first, static_cast<std::int32_t>(x0 + g.pad_w));
+  splat(step, static_cast<std::int32_t>(g.dilation_w));
+  splat(out_w, static_cast<std::int32_t>(ix.out_width));
+  F acc[kTileRows] = {};
+  for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
+    // Bit r: dx row h0 + r sees dy row oh0 + r under this kh.
+    const std::int64_t oh0 = h0 + g.pad_h - kh * g.dilation_h;
+    unsigned live_rows = 0;
+    for (std::int64_t r = 0; r < rows; ++r) {
+      if (oh0 + r >= 0 && oh0 + r < OH) live_rows |= 1u << r;
+    }
+    if (live_rows == 0) continue;
+    // Frame offset of lane 0 in tile row 0, and each lane's dy column.
+    // An offset, not a pointer: rows above dy are never dereferenced.
+    std::int64_t at = oh0 * FW + margin + x0 + g.pad_w;
+    I ow = lane + first;
+    for (std::int64_t kw = 0; kw < g.kernel_w; ++kw) {
+      F wt;
+      splat(wt, wc[kh * g.kernel_w + kw]);
+      wt = (F)((I)wt & ((ow >= 0) & (ow < out_w)));
+      for (std::int64_t r = 0; r < kTileRows; ++r) {
+        if (live_rows & (1u << r)) {
+          F d;
+          load(d, frame + (at + r * FW));
+          acc[r] = acc[r] + wt * d;
+        }
+      }
+      at -= g.dilation_w;
+      ow -= step;
     }
   }
-  const std::int64_t plane = ix.padded_height * Wp;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    store(dxc + (h0 + r) * g.width + x0, acc[r]);
+  }
+}
+
+template <int N>
+__attribute__((always_inline)) inline void input_grad_strips(
+    const ConvIndex& ix, const float* w, const float* frame, float* dx) {
+  const ConvGeometry& g = ix.geometry;
+  const std::int64_t taps = g.kernel_h * g.kernel_w;
   for (std::int64_t c = 0; c < g.channels; ++c) {
-    for (std::int64_t h = 0; h < g.height; ++h) {
-      std::memcpy(dx + (c * g.height + h) * g.width,
-                  dpadded + c * plane + (h + g.pad_h) * Wp + g.pad_w,
-                  sizeof(float) * g.width);
+    float* dxc = dx + c * g.height * g.width;
+    for (std::int64_t h = 0; h < g.height; h += kTileRows) {
+      const std::int64_t rows = std::min(kTileRows, g.height - h);
+      for (std::int64_t x = 0; x < g.width; x += N) {
+        input_grad_tile<N>(ix, w + c * taps, frame, dxc, h, rows,
+                           std::min(x, g.width - N));
+      }
     }
+  }
+}
+
+// dy [OH, OW] into the frame's rows, between zero margins.
+void fill_frame(const ConvIndex& ix, const float* dy, float* frame) {
+  const std::int64_t OW = ix.out_width;
+  const std::int64_t margin = frame_margin(ix.geometry);
+  for (std::int64_t oh = 0; oh < ix.out_height; ++oh) {
+    float* row = frame + oh * (OW + 2 * margin);
+    std::memset(row, 0, sizeof(float) * margin);
+    std::memcpy(row + margin, dy + oh * OW, sizeof(float) * OW);
+    std::memset(row + margin + OW, 0, sizeof(float) * margin);
   }
 }
 
 void forward_portable(const ConvIndex& ix, const float* padded,
                       const float* w, float* y) {
-  forward_body<PortableRows>(ix, padded, w, y);
+  if (ix.out_width >= 4) {
+    forward_strips<4>(ix, padded, w, y);
+  } else {
+    forward_strips<1>(ix, padded, w, y);
+  }
 }
 
 void input_grad_portable(const ConvIndex& ix, const float* w,
-                         const float* dy, float* dpadded, float* dx) {
-  input_grad_body<PortableRows>(ix, w, dy, dpadded, dx);
+                         const float* frame, float* dx) {
+  if (ix.geometry.width >= 4) {
+    input_grad_strips<4>(ix, w, frame, dx);
+  } else {
+    input_grad_strips<1>(ix, w, frame, dx);
+  }
 }
 
 // dW when OW % 4 == 0 (see direct_conv_weight_grad), weight rows
@@ -235,13 +304,20 @@ void weight_grad_rows_portable(const ConvIndex& ix, const float* padded,
 
 FLEDA_TARGET_AVX2 void forward_avx2(const ConvIndex& ix, const float* padded,
                                     const float* w, float* y) {
-  forward_body<Avx2Rows>(ix, padded, w, y);
+  if (ix.out_width >= 8) {
+    forward_strips<8>(ix, padded, w, y);
+  } else {
+    forward_portable(ix, padded, w, y);
+  }
 }
 
 FLEDA_TARGET_AVX2 void input_grad_avx2(const ConvIndex& ix, const float* w,
-                                       const float* dy, float* dpadded,
-                                       float* dx) {
-  input_grad_body<Avx2Rows>(ix, w, dy, dpadded, dx);
+                                       const float* frame, float* dx) {
+  if (ix.geometry.width >= 8) {
+    input_grad_strips<8>(ix, w, frame, dx);
+  } else {
+    input_grad_portable(ix, w, frame, dx);
+  }
 }
 
 // The same four partials per weight row, eight weight rows at a time:
@@ -308,7 +384,6 @@ void direct_conv_weight_grad(const ConvIndex& ix, const float* padded,
   require_unit_stride(ix);
   const std::int64_t OH = ix.out_height;
   const std::int64_t OW = ix.out_width;
-  const std::int64_t Wp = ix.padded_width;
   const std::int64_t rows = static_cast<std::int64_t>(ix.row_offset.size());
   if (OW % 4 == 0) {
     // Every group of four flat pixels lies in one output row and there
@@ -324,13 +399,9 @@ void direct_conv_weight_grad(const ConvIndex& ix, const float* padded,
     return;
   }
   // Groups of four may straddle output rows: address each flat pixel
-  // through a table.
+  // through the index's pixel table.
   const std::int64_t n = OH * OW;
-  std::vector<std::int64_t> pixel(static_cast<std::size_t>(n));
-  for (std::int64_t q = 0; q < n; ++q) {
-    pixel[static_cast<std::size_t>(q)] = (q / OW) * Wp + q % OW;
-  }
-  const std::int64_t* at = pixel.data();
+  const std::int64_t* at = ix.pixel_offset.data();
   for (std::int64_t p = 0; p < rows; ++p) {
     const float* x = padded + ix.row_offset[static_cast<std::size_t>(p)];
     float a0 = 0.0f, a1 = 0.0f, a2 = 0.0f, a3 = 0.0f;
@@ -347,16 +418,21 @@ void direct_conv_weight_grad(const ConvIndex& ix, const float* padded,
   }
 }
 
+std::int64_t direct_conv_input_grad_scratch(const ConvIndex& ix) {
+  return ix.out_height * (ix.out_width + 2 * frame_margin(ix.geometry));
+}
+
 void direct_conv_input_grad(const ConvIndex& ix, const float* w,
-                            const float* dy, float* dpadded, float* dx) {
+                            const float* dy, float* frame, float* dx) {
   require_unit_stride(ix);
+  fill_frame(ix, dy, frame);
 #if FLEDA_X86_KERNELS
   if (kernel_isa() == KernelIsa::kAvx2) {
-    input_grad_avx2(ix, w, dy, dpadded, dx);
+    input_grad_avx2(ix, w, frame, dx);
     return;
   }
 #endif
-  input_grad_portable(ix, w, dy, dpadded, dx);
+  input_grad_portable(ix, w, frame, dx);
 }
 
 }  // namespace fleda

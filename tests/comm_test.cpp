@@ -18,6 +18,7 @@
 #include "comm/wire.hpp"
 #include "fl/fedavg.hpp"
 #include "models/registry.hpp"
+#include "obs/profiler.hpp"
 
 namespace fleda {
 namespace {
@@ -427,19 +428,32 @@ TEST(Codec, FactoryCoversAllKinds) {
 }
 
 TEST(Channel, BroadcastBillsPerRecipientButEncodesOnce) {
+  // One snapshot deployed twice, plus three handles copied from it (they
+  // share its storage): one encode and one decoded copy, shared by all
+  // five recipients, and five billed downloads.
   const ModelParameters global = snapshot(ModelKind::kFLNet, 13);
+  const std::vector<ModelParameters> handles(3, global);
+  std::vector<const ModelParameters*> deployed(2, &global);
+  for (const ModelParameters& h : handles) deployed.push_back(&h);
+  const bool was_enabled = Profiler::enabled();
+  Profiler::set_enabled(true);
+  Profiler::reset();
   Channel channel{CommConfig{}};
-  std::vector<const ModelParameters*> deployed(3, &global);
   std::vector<std::shared_ptr<const ModelParameters>> received =
       channel.broadcast(deployed);
-  ASSERT_EQ(received.size(), 3u);
+  const ProfileReport report = Profiler::report();
+  Profiler::reset();
+  Profiler::set_enabled(was_enabled);
+  const PhaseReport* encode = report.find(phase::kCodecEncode);
+  ASSERT_NE(encode, nullptr);
+  EXPECT_EQ(encode->count, 1u);
+  ASSERT_EQ(received.size(), 5u);
   const ChannelStats& stats = channel.stats();
-  EXPECT_EQ(stats.downlink_messages, 3u);
-  EXPECT_EQ(stats.downlink_bytes, 3 * raw_wire_bytes(global));
+  EXPECT_EQ(stats.downlink_messages, 5u);
+  EXPECT_EQ(stats.downlink_bytes, 5 * raw_wire_bytes(global));
   EXPECT_EQ(stats.uplink_messages, 0u);
-  // One decode, shared by every recipient of the same snapshot.
-  EXPECT_EQ(received[0].get(), received[1].get());
   for (const auto& r : received) {
+    EXPECT_EQ(r.get(), received[0].get());
     EXPECT_EQ(max_abs_error(global, *r), 0.0);  // fp32 downlink: lossless
   }
 }

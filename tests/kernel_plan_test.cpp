@@ -24,6 +24,7 @@
 #include "nn/conv2d.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
+#include "tensor/conv_direct.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/ops.hpp"
@@ -534,33 +535,100 @@ TEST_P(DirectConv, BitIdenticalToIm2colOracleAtAnyPoolSize) {
   ThreadPool::reset_global(0);
 }
 
+// The heads the benchmark trains: FLNet's at the smoke grid, the
+// fleet's flnet_tiny at 8x8, RouteNet's. Then: OH not a multiple of
+// the 8-row tile with an OW tail past the last 8-lane vector (11x13),
+// dilation 2 with such a tail (12x19), and a one-channel image whose
+// dX frame outgrows padded_elems().
+const DirectCase kTileCases[] = {
+    DirectCase{64, 9, 4, 1, 16, 16, 4, true},
+    DirectCase{64, 9, 4, 1, 8, 8, 1, true},
+    DirectCase{32, 5, 2, 1, 16, 16, 4, true},
+    DirectCase{3, 3, 1, 1, 11, 13, 2, true},
+    DirectCase{4, 5, 4, 2, 12, 19, 2, false},
+    DirectCase{1, 3, 0, 1, 20, 3, 2, true}};
+
 // Kernels 1/3/5/9 and dilation 2; C*k*k and OH*OW both on and off
 // multiples of 4 (OW % 4 decides the dW loop); valid and same padding;
-// bias on and off; batch 1 and 17 (more than the 16 backward slices).
+// bias on and off; batch 1 and 17 (more than the 16 backward slices);
+// plus kTileCases.
 INSTANTIATE_TEST_SUITE_P(
     Geometries, DirectConv,
     ::testing::Values(DirectCase{3, 1, 0, 1, 6, 5, 1, true},
                       DirectCase{2, 3, 1, 1, 5, 7, 17, true},
                       DirectCase{1, 5, 2, 1, 8, 8, 1, false},
-                      DirectCase{64, 9, 4, 1, 16, 16, 4, true},
                       DirectCase{3, 3, 2, 2, 9, 6, 2, true},
                       DirectCase{4, 3, 0, 1, 10, 10, 17, false},
                       DirectCase{5, 9, 4, 1, 7, 12, 3, true}));
 
-TEST(DirectConv, NanWeightPoisonsOutputLikeOracle) {
-  const DirectCase c{2, 3, 1, 1, 6, 7, 2, true};
-  Rng rng(62);
-  Tensor w = random_tensor(Shape::of(1, 18), rng);
-  w[17] = std::nanf("");  // the axpy1 tail row
-  const Tensor b = random_tensor(Shape::of(1), rng);
-  const Tensor x = random_tensor(Shape::of(c.batch, c.cin, c.h, c.w), rng);
-  const Tensor gy = random_tensor(Shape::of(c.batch, 1, c.h, c.w), rng);
-  const ConvResult got = run_conv2d(c, w, b, x, gy);
-  // The NaN row reads every output pixel (zero padding included).
-  for (std::int64_t i = 0; i < got.y.numel(); ++i) {
-    ASSERT_TRUE(std::isnan(got.y[i])) << "pixel " << i;
+INSTANTIATE_TEST_SUITE_P(Tiles, DirectConv, ::testing::ValuesIn(kTileCases));
+
+TEST(DirectConv, InputGradScratchCoversTheFrame) {
+  // dX reads dy from OH rows framed by (k-1)*d - pad zeros on each side.
+  const ConvIndex thin = make_conv_index(
+      ConvGeometry{1, 20, 3, 3, 3, 0, 0, 1, 1, 1, 1});
+  EXPECT_EQ(direct_conv_input_grad_scratch(thin), 18 * (1 + 2 * 2));
+  EXPECT_GT(direct_conv_input_grad_scratch(thin), thin.padded_elems());
+  const ConvIndex head = make_conv_index(
+      ConvGeometry{64, 8, 8, 9, 9, 4, 4, 1, 1, 1, 1});
+  EXPECT_EQ(direct_conv_input_grad_scratch(head), 8 * (8 + 2 * 4));
+}
+
+TEST(DirectConv, NonFiniteValuesPoisonLikeOracle) {
+  // A weight and optionally dy's top-right pixel set to `value`, under
+  // every ISA:
+  //  - 6x7, a NaN in the axpy1 tail row (18 = 4*4 + 2 rows), which
+  //    reads every output pixel, zero padding included;
+  //  - the 16x16 and 8x8 heads, an Inf at tap (c=0, kh=0, kw=0) and an
+  //    Inf dy. Most dx pixels of channel 0 have that tap outside dy:
+  //    col2im never applies it there, so a gather that multiplied it
+  //    by a zero margin would put NaN where the oracle has a finite
+  //    value.
+  struct Poison {
+    DirectCase c;
+    std::int64_t weight;
+    float value;
+    bool dy_corner;
+  };
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<KernelIsa> isas = accelerated_isas();
+  isas.insert(isas.begin(), KernelIsa::kPortable);
+  for (const Poison& t :
+       {Poison{DirectCase{2, 3, 1, 1, 6, 7, 2, true}, 17, std::nanf(""),
+               false},
+        Poison{DirectCase{64, 9, 4, 1, 16, 16, 2, true}, 0, inf, true},
+        Poison{DirectCase{64, 9, 4, 1, 8, 8, 1, true}, 0, inf, true}}) {
+    const DirectCase& c = t.c;
+    std::ostringstream where;
+    PrintTo(c, &where);
+    Rng rng(62);
+    const ConvGeometry g{c.cin, c.h, c.w, c.kernel, c.kernel, c.pad, c.pad,
+                         1,     1,   c.dilation, c.dilation};
+    Tensor w = random_tensor(Shape::of(1, g.col_rows()), rng);
+    w[t.weight] = t.value;
+    const Tensor b = random_tensor(Shape::of(1), rng);
+    const Tensor x = random_tensor(Shape::of(c.batch, c.cin, c.h, c.w), rng);
+    Tensor gy = random_tensor(
+        Shape::of(c.batch, 1, g.out_height(), g.out_width()), rng);
+    if (t.dy_corner) gy[g.out_width() - 1] = t.value;
+    const ConvResult want = im2col_oracle(c, w, b, x, gy);
+    if (std::isnan(t.value)) {
+      for (std::int64_t i = 0; i < want.y.numel(); ++i) {
+        ASSERT_TRUE(std::isnan(want.y[i])) << where.str() << " pixel " << i;
+      }
+    } else {
+      std::int64_t finite = 0;
+      for (std::int64_t i = 0; i < c.h * c.w; ++i) {
+        finite += std::isfinite(want.dx[i]) ? 1 : 0;
+      }
+      ASSERT_GT(finite, 0) << where.str() << ": no finite dx in channel 0";
+    }
+    for (KernelIsa isa : isas) {
+      IsaGuard guard(isa);
+      expect_same_bits(run_conv2d(c, w, b, x, gy), want,
+                       std::string(to_string(isa)) + " " + where.str());
+    }
   }
-  expect_same_bits(got, im2col_oracle(c, w, b, x, gy), "NaN weight");
 }
 
 TEST(DirectConv, InputGradOffKeepsParameterGradsAndReturnsEmpty) {
@@ -895,12 +963,13 @@ TEST(ConvIsa, ShapeSweepCoversThePackedImplicitPath) {
 TEST(ConvIsa, DirectConvBitIdenticalToPortable) {
   SKIP_WITHOUT_ACCELERATED_ISA();
   // Cout = 1 heads: output widths on and off multiples of 4 and 8, and
-  // C*k*k on and off multiples of the AVX2 dW kernel's 8-row groups.
-  for (const DirectCase& c :
-       {DirectCase{64, 9, 4, 1, 16, 16, 2, true},
-        DirectCase{3, 3, 1, 1, 9, 12, 3, true},
-        DirectCase{5, 3, 2, 2, 7, 13, 2, false},
-        DirectCase{2, 5, 2, 1, 8, 20, 1, true}}) {
+  // C*k*k on and off multiples of the AVX2 dW kernel's 8-row groups;
+  // plus kTileCases.
+  std::vector<DirectCase> cases = {DirectCase{3, 3, 1, 1, 9, 12, 3, true},
+                                   DirectCase{5, 3, 2, 2, 7, 13, 2, false},
+                                   DirectCase{2, 5, 2, 1, 8, 20, 1, true}};
+  cases.insert(cases.end(), std::begin(kTileCases), std::end(kTileCases));
+  for (const DirectCase& c : cases) {
     Rng rng(82);
     const ConvGeometry g{c.cin, c.h, c.w, c.kernel, c.kernel, c.pad, c.pad,
                          1,     1,   c.dilation, c.dilation};
