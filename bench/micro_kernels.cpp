@@ -1,4 +1,4 @@
-// Kernel-planner microbenchmark: GFLOP/s of the reference axpy kernels
+// Kernel-planner microbenchmark: GFLOP/s of the reference row kernels
 // vs the planner's auto choice (packed cache-blocked GEMM on fat
 // shapes) for the GEMM shapes the RouteNet / FLNet conv layers actually
 // run, plus the plan-cache hit rate over the sweep. A conv-layer row
@@ -13,11 +13,12 @@
 // Emits BENCH_kernels.json for the CI bench-trajectory artifact;
 // ci/perf_gate.py diffs the per-shape auto GFLOP/s against the previous
 // main run with a +/-20% band. The bench gates itself on correctness
-// (auto result within summation-order tolerance of reference for every
-// shape), on the cost model picking packed for the fat conv shapes, and
-// on the plan cache absorbing the repeat lookups. The m = 1
-// flnet_output GEMM row stays as the cost model's witness; the
-// conv_layers rows report the path that actually runs.
+// (auto result bit-identical to reference for every shape: all
+// strategies share one summation order), on the cost model picking
+// packed for the fat conv shapes, and on the plan cache absorbing the
+// repeat lookups. The m = 1 flnet_output GEMM row stays as the cost
+// model's witness; the conv_layers rows report the path that actually
+// runs.
 //
 // Shape naming: <model>_<layer>[_dw|_dx]. Forward conv GEMMs are kNN
 // (weight x im2col columns), backward dW is kBT (dy x cols^T), backward
@@ -25,7 +26,6 @@
 // sim_* rows are micro_sim's synthetic FLNet world (grid 8, 2 input
 // channels), so the K = 1000 federation numbers trace back to these.
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -70,8 +70,7 @@ struct ShapeResult {
   double reference_gflops = 0.0;
   double auto_gflops = 0.0;
   double speedup = 0.0;
-  float max_abs_diff = 0.0f;
-  bool equivalent = false;
+  bool identical = false;
 };
 
 std::vector<float> random_vec(std::size_t elems, Rng& rng) {
@@ -133,6 +132,11 @@ double measure_gflops(double flops_per_call, Fn&& call) {
   return rates[1];  // median
 }
 
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
 ShapeResult bench_shape(const ShapeCase& s, Rng& rng) {
   ShapeResult result;
   result.shape = &s;
@@ -153,15 +157,7 @@ ShapeResult bench_shape(const ShapeCase& s, Rng& rng) {
       plan.flops, [&] { run_auto(s, a.data(), b.data(), c_auto.data()); });
   result.speedup = result.auto_gflops / result.reference_gflops;
 
-  float worst = 0.0f;
-  for (std::size_t i = 0; i < c_ref.size(); ++i) {
-    worst = std::max(worst, std::fabs(c_ref[i] - c_auto[i]));
-  }
-  result.max_abs_diff = worst;
-  // Summation-order tolerance, same budget as kernel_plan_test.
-  const float tolerance =
-      1e-5f * std::max(1.0f, std::sqrt(static_cast<float>(s.k)));
-  result.equivalent = worst <= tolerance;
+  result.identical = same_bits(c_ref, c_auto);
   return result;
 }
 
@@ -192,11 +188,6 @@ struct ConvLayerResult {
 struct ConvGrads {
   std::vector<float> y, dw, dx, db;  // db: isa_layers only
 };
-
-bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
-}
 
 // The im2col lowering with the reference kernels, as Conv2d ran this
 // layer before its direct path (bias is zero; at batch <= 16 every
@@ -443,13 +434,13 @@ void write_bench_json(const std::vector<ShapeResult>& results,
         f,
         "%s{\"name\":\"%s\",\"op\":\"%s\",\"m\":%lld,\"k\":%lld,"
         "\"n\":%lld,\"strategy\":\"%s\",\"reference_gflops\":%.3f,"
-        "\"auto_gflops\":%.3f,\"speedup\":%.3f,\"max_abs_diff\":%.2e}",
+        "\"auto_gflops\":%.3f,\"speedup\":%.3f,\"identical\":%s}",
         i == 0 ? "" : ",", r.shape->name, to_string(r.shape->op),
         static_cast<long long>(r.shape->m),
         static_cast<long long>(r.shape->k),
         static_cast<long long>(r.shape->n), to_string(r.strategy),
         r.reference_gflops, r.auto_gflops, r.speedup,
-        static_cast<double>(r.max_abs_diff));
+        r.identical ? "true" : "false");
   }
   std::fprintf(f, "],\"conv_layers\":[");
   for (std::size_t i = 0; i < layers.size(); ++i) {
@@ -510,12 +501,11 @@ void write_bench_json(const std::vector<ShapeResult>& results,
 
 int main_impl() {
   std::printf("== micro_kernels: planner strategies on model GEMM shapes ==\n");
-  std::printf("threads=%zu plan_mode=%s isa=%s MR=%lld NR=%lld\n",
-              ThreadPool::global().size(),
-              plan_mode() == PlanMode::kReference ? "reference" : "auto",
-              to_string(kernel_isa()),
+  std::printf("threads=%zu isa=%s MR=%lld NR=%lld KC=%lld\n",
+              ThreadPool::global().size(), to_string(kernel_isa()),
               static_cast<long long>(kGemmMR),
-              static_cast<long long>(kGemmNR));
+              static_cast<long long>(kGemmNR),
+              static_cast<long long>(kGemmKC));
 
   // Start the cache cold so the hit rate below reflects this sweep.
   KernelPlanCache::global().clear();
@@ -526,18 +516,18 @@ int main_impl() {
     results.push_back(bench_shape(s, rng));
   }
 
-  std::printf("%-18s %-3s %5s %5s %5s  %-9s %9s %9s %8s %9s\n", "shape",
+  std::printf("%-18s %-3s %5s %5s %5s  %-9s %9s %9s %8s %s\n", "shape",
               "op", "m", "k", "n", "strategy", "ref GF/s", "auto GF/s",
-              "speedup", "max|diff|");
+              "speedup", "bits");
   for (const ShapeResult& r : results) {
     std::printf(
-        "%-18s %-3s %5lld %5lld %5lld  %-9s %9.2f %9.2f %7.2fx %9.1e\n",
+        "%-18s %-3s %5lld %5lld %5lld  %-9s %9.2f %9.2f %7.2fx %s\n",
         r.shape->name, to_string(r.shape->op),
         static_cast<long long>(r.shape->m),
         static_cast<long long>(r.shape->k),
         static_cast<long long>(r.shape->n), to_string(r.strategy),
         r.reference_gflops, r.auto_gflops, r.speedup,
-        static_cast<double>(r.max_abs_diff));
+        r.identical ? "identical" : "DIFFER");
   }
 
   const PlanCacheStats stats = KernelPlanCache::global().stats();
@@ -614,7 +604,7 @@ int main_impl() {
     }
   }
 
-  // Gates. (1) Every shape's auto result is numerically equivalent to
+  // Gates. (1) Every shape's auto result is bit-identical to
   // reference. (2) The cost model packs the fat conv shapes and leaves
   // the m=1 output conv on reference. (3) Repeat lookups hit the cache
   // (the sweep runs each shape hundreds of times against ~8 misses).
@@ -645,9 +635,9 @@ int main_impl() {
     }
   }
   for (const ShapeResult& r : results) {
-    if (!r.equivalent) {
-      std::printf("FAIL: %s auto diverged from reference (%.2e)\n",
-                  r.shape->name, static_cast<double>(r.max_abs_diff));
+    if (!r.identical) {
+      std::printf("FAIL: %s auto differs from reference bits\n",
+                  r.shape->name);
       pass = false;
     }
   }
@@ -657,23 +647,20 @@ int main_impl() {
     }
     return GemmStrategy::kReference;
   };
-  if (plan_mode() == PlanMode::kAuto) {
-    for (const char* fat :
-         {"flnet_conv1", "routenet_conv2", "routenet_conv3",
-          "sim_flnet_conv1"}) {
-      if (strategy_of(fat) != GemmStrategy::kPacked) {
-        std::printf("FAIL: cost model left fat shape %s on reference\n", fat);
-        pass = false;
-      }
-    }
-    if (strategy_of("flnet_output") != GemmStrategy::kReference) {
-      std::printf("FAIL: cost model packed the m=1 output conv\n");
+  for (const char* fat : {"flnet_conv1", "routenet_conv2", "routenet_conv3",
+                          "sim_flnet_conv1"}) {
+    if (strategy_of(fat) != GemmStrategy::kPacked) {
+      std::printf("FAIL: cost model left fat shape %s on reference\n", fat);
       pass = false;
     }
-    if (hit_rate < 0.9) {
-      std::printf("FAIL: plan cache hit rate %.3f < 0.9\n", hit_rate);
-      pass = false;
-    }
+  }
+  if (strategy_of("flnet_output") != GemmStrategy::kReference) {
+    std::printf("FAIL: cost model packed the m=1 output conv\n");
+    pass = false;
+  }
+  if (hit_rate < 0.9) {
+    std::printf("FAIL: plan cache hit rate %.3f < 0.9\n", hit_rate);
+    pass = false;
   }
 
   write_bench_json(results, layers, isa_layers, sorts, stats, hit_rate,

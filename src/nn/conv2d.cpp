@@ -159,7 +159,8 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   const std::int64_t out_stride = opts_.out_channels * OH * OW;
 
   // The same lowerings as forward: dW's GEMM (per-sample A = dy) packs
-  // its B panels from the padded copy whenever the planner packs it.
+  // its B panels from the padded copy whenever the planner packs it; the
+  // direct dW kernel pads each sample itself.
   // dcols = W^T dy reuses the weight across the whole batch: plan once,
   // prepack once when packed, then col2im.
   const ConvIndex ix = make_conv_index(g);
@@ -179,9 +180,10 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     }
   }
   const bool implicit = dw_plan.strategy == GemmStrategy::kPacked;
-  const bool padded = direct() || implicit;
   const std::size_t buf_elems = static_cast<std::size_t>(
-      padded ? ix.padded_elems() : g.col_rows() * g.col_cols());
+      direct()   ? 0
+      : implicit ? ix.padded_elems()
+                 : g.col_rows() * g.col_cols());
   const std::size_t dbuf_elems = static_cast<std::size_t>(
       direct() ? direct_conv_input_grad_scratch(ix)
                : g.col_rows() * g.col_cols());
@@ -212,25 +214,21 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
         float* dx = want_dx ? grad_input.data() +
                                   static_cast<std::int64_t>(n) * in_stride
                             : nullptr;
-        // Rebuild the padded copy or the column matrix (cheaper than
-        // caching one per sample).
-        if (padded) {
-          pad_image(x, g, buf);
-        } else {
-          im2col(x, g, buf);
-        }
         if (direct()) {
-          direct_conv_weight_grad(ix, buf, dy, dw_partial[s].data());
+          direct_conv_weight_grad(ix, x, dy, dw_partial[s].data());
           if (want_dx) {
             direct_conv_input_grad(ix, weight_.value.data(), dy, dbuf, dx);
           }
         } else {
-          // dW_s += dy [Cout x OHW] * cols^T
+          // dW_s += dy [Cout x OHW] * cols^T, from a rebuilt padded copy
+          // or column matrix (cheaper than caching one per sample).
           if (implicit) {
+            pad_image(x, g, buf);
             gemm_packed_implicit(dw_plan, dy, /*apack=*/nullptr,
                                  implicit_cols(ix, buf),
                                  dw_partial[s].data(), /*accumulate=*/true);
           } else {
+            im2col(x, g, buf);
             matmul_bt_reference(dy, buf, dw_partial[s].data(),
                                 opts_.out_channels, g.col_cols(),
                                 g.col_rows(), /*accumulate=*/true);

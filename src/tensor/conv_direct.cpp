@@ -4,26 +4,12 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "tensor/lanes.hpp"
 #include "tensor/plan.hpp"
-
-#if FLEDA_X86_KERNELS
-#include <immintrin.h>
-#endif
+#include "util/scratch.hpp"
 
 namespace fleda {
 namespace {
-
-// Four float lanes; arithmetic is IEEE single precision per lane, the
-// same operations the reference kernels' four scalar partials perform.
-typedef float Lanes4 __attribute__((vector_size(16)));
-
-inline Lanes4 load4(const float* p) {
-  Lanes4 v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-inline float combine(Lanes4 a) { return (a[0] + a[1]) + (a[2] + a[3]); }
 
 void require_unit_stride(const ConvIndex& ix) {
   if (ix.geometry.stride_h != 1 || ix.geometry.stride_w != 1) {
@@ -34,11 +20,10 @@ void require_unit_stride(const ConvIndex& ix) {
 // ---- Register tiles (forward and dX) ----
 //
 // A tile is up to kTileRows rows x N adjacent pixels of one output
-// plane, one N-lane accumulator per row, held in registers across every
-// tap and stored once. N = 8 is an AVX2 register, N = 4 an SSE/NEON
-// one, N = 1 a scalar. Each vector operator is one IEEE single-precision
-// operation per lane (no FMA, no regrouping), so a pixel's value does
-// not depend on N, on the tile it falls in, or on the ISA.
+// plane, one N-lane accumulator per row (tensor/lanes.hpp), held in
+// registers across the taps (for forward, across each KC slice of
+// them) and stored once. A pixel's value does not depend on N, on the
+// tile it falls in, or on the ISA.
 //
 // A row narrower than the widest N runs N = 4, then N = 1; a row at
 // least N wide takes strips of N pixels, the last one shifted left to
@@ -47,39 +32,9 @@ void require_unit_stride(const ConvIndex& ix) {
 
 constexpr std::int64_t kTileRows = 8;
 
-template <int N>
-struct Lanes {
-  typedef float F __attribute__((vector_size(4 * N)));
-  typedef std::int32_t I __attribute__((vector_size(4 * N)));
-};
-
-// Loads, stores and broadcasts go through references, so no function
-// passes a wide vector by value outside an AVX2 body.
-template <class V>
-__attribute__((always_inline)) inline void load(V& v, const float* p) {
-  std::memcpy(&v, p, sizeof(v));
-}
-
-template <class V>
-__attribute__((always_inline)) inline void store(float* p, const V& v) {
-  std::memcpy(p, &v, sizeof(v));
-}
-
-// Every lane = a. The broadcast is an integer add of zero, exact for
-// any bits; a float 0 + a would turn a -0 weight into +0.
-template <class V, class S>
-__attribute__((always_inline)) inline void splat(V& v, S a) {
-  static_assert(sizeof(S) == sizeof(std::int32_t), "32-bit lanes");
-  typedef typename Lanes<sizeof(V) / sizeof(S)>::I I;
-  std::int32_t bits;
-  std::memcpy(&bits, &a, sizeof(bits));
-  v = (V)(I{} + bits);
-}
-
-// Output rows [oh0, oh0 + rows) x pixels [ow0, ow0 + N). matmul_reference
-// at m = 1: every pixel starts at +0 and adds the taps in axpy4 groups,
-//   acc = acc + (((w0*x0 + w1*x1) + w2*x2) + w3*x3),
-// then acc = acc + w*x for the axpy1 tail.
+// Output rows [oh0, oh0 + rows) x pixels [ow0, ow0 + N): matmul at
+// m = 1 in the canonical order. Each KC slice of taps sums +0, then
+// + w*x tap by tap; the first slice is stored in y, later ones added.
 template <int N>
 __attribute__((always_inline)) inline void forward_tile(
     const ConvIndex& ix, const float* padded, const float* w, float* y,
@@ -89,43 +44,31 @@ __attribute__((always_inline)) inline void forward_tile(
   const std::int64_t taps = static_cast<std::int64_t>(ix.row_offset.size());
   const std::int64_t* off = ix.row_offset.data();
   const float* at = padded + oh0 * Wp + ow0;
-  F acc[kTileRows] = {};
-  std::int64_t p = 0;
-  for (; p + 4 <= taps; p += 4) {
-    F w0, w1, w2, w3;
-    splat(w0, w[p]);
-    splat(w1, w[p + 1]);
-    splat(w2, w[p + 2]);
-    splat(w3, w[p + 3]);
-    const float* b0 = at + off[p];
-    const float* b1 = at + off[p + 1];
-    const float* b2 = at + off[p + 2];
-    const float* b3 = at + off[p + 3];
-    for (std::int64_t r = 0; r < kTileRows; ++r) {
-      if (r < rows) {
-        F x0, x1, x2, x3;
-        load(x0, b0 + r * Wp);
-        load(x1, b1 + r * Wp);
-        load(x2, b2 + r * Wp);
-        load(x3, b3 + r * Wp);
-        acc[r] = acc[r] + (((w0 * x0 + w1 * x1) + w2 * x2) + w3 * x3);
+  float* out = y + oh0 * ix.out_width + ow0;
+  for (std::int64_t pc = 0; pc < taps; pc += kGemmKC) {
+    const std::int64_t pe = std::min(taps, pc + kGemmKC);
+    F acc[kTileRows] = {};
+    for (std::int64_t p = pc; p < pe; ++p) {
+      F wp;
+      splat(wp, w[p]);
+      const float* b = at + off[p];
+      for (std::int64_t r = 0; r < kTileRows; ++r) {
+        if (r < rows) {
+          F x;
+          load(x, b + r * Wp);
+          acc[r] = acc[r] + wp * x;
+        }
       }
     }
-  }
-  for (; p < taps; ++p) {
-    F wp;
-    splat(wp, w[p]);
-    const float* b = at + off[p];
-    for (std::int64_t r = 0; r < kTileRows; ++r) {
-      if (r < rows) {
-        F x;
-        load(x, b + r * Wp);
-        acc[r] = acc[r] + wp * x;
+    for (std::int64_t r = 0; r < rows; ++r) {
+      float* yr = out + r * ix.out_width;
+      if (pc > 0) {
+        F prev;
+        load(prev, yr);
+        acc[r] = prev + acc[r];
       }
+      store(yr, acc[r]);
     }
-  }
-  for (std::int64_t r = 0; r < rows; ++r) {
-    store(y + (oh0 + r) * ix.out_width + ow0, acc[r]);
   }
 }
 
@@ -139,7 +82,12 @@ __attribute__((always_inline)) inline void forward_strips(const ConvIndex& ix,
   for (std::int64_t oh = 0; oh < OH; oh += kTileRows) {
     const std::int64_t rows = std::min(kTileRows, OH - oh);
     for (std::int64_t ow = 0; ow < OW; ow += N) {
-      forward_tile<N>(ix, padded, w, y, oh, rows, std::min(ow, OW - N));
+      // A full tile gets its own copy with the row checks folded away.
+      if (rows == kTileRows) {
+        forward_tile<N>(ix, padded, w, y, oh, kTileRows, std::min(ow, OW - N));
+      } else {
+        forward_tile<N>(ix, padded, w, y, oh, rows, std::min(ow, OW - N));
+      }
     }
   }
 }
@@ -255,49 +203,106 @@ void input_grad_portable(const ConvIndex& ix, const float* w,
   }
 }
 
-// dW when OW % 4 == 0 (see direct_conv_weight_grad), weight rows
-// [p, rows): four at a time, then one at a time.
-void weight_grad_rows_portable(const ConvIndex& ix, const float* padded,
-                               const float* dy, float* dw, std::int64_t p) {
-  const std::int64_t OH = ix.out_height;
-  const std::int64_t OW = ix.out_width;
+// ---- dW: one sequential dot per weight row and KC slice ----
+//
+// matmul_bt at m = 1 in the canonical order: weight row p = (c, kh, kw)
+// adds, per KC slice of the flat pixel index q, +0 + dy[q] * x_p[q]
+// summed in q order. The lanes run across channels. Each group of N
+// channels gets its own zero-padded, channel-interleaved block,
+//   block[s * N + l] = padded[(c0 + l) * Hp * Wp + s]   (s = h * Wp + w),
+// in which rows (c0 .. c0 + N, kh, kw) at one pixel are N adjacent
+// floats: one broadcast of dy[q] against one load feeds N rows. A batch
+// of R such row vectors (R taps) shares each broadcast, which also
+// gives the adds R independent chains; every tap of a group reads the
+// one block while it is in L1.
+
+// The block of channels [c0, c0 + N) of the unpadded sample x.
+template <int N>
+__attribute__((always_inline)) inline void pad_group(const ConvIndex& ix,
+                                                     const float* x,
+                                                     std::int64_t c0,
+                                                     float* block) {
+  const ConvGeometry& g = ix.geometry;
   const std::int64_t Wp = ix.padded_width;
-  const std::int64_t rows = static_cast<std::int64_t>(ix.row_offset.size());
-  auto row = [&](std::int64_t q) {
-    return padded + ix.row_offset[static_cast<std::size_t>(q)];
-  };
-  for (; p + 4 <= rows; p += 4) {
-    const float* x0 = row(p);
-    const float* x1 = row(p + 1);
-    const float* x2 = row(p + 2);
-    const float* x3 = row(p + 3);
-    Lanes4 a0 = {}, a1 = {}, a2 = {}, a3 = {};
-    for (std::int64_t oh = 0; oh < OH; ++oh) {
-      const float* d = dy + oh * OW;
-      const std::int64_t r = oh * Wp;
-      for (std::int64_t ow = 0; ow < OW; ow += 4) {
-        const Lanes4 g = load4(d + ow);
-        a0 += g * load4(x0 + r + ow);
-        a1 += g * load4(x1 + r + ow);
-        a2 += g * load4(x2 + r + ow);
-        a3 += g * load4(x3 + r + ow);
+  std::memset(block, 0, sizeof(float) * ix.padded_height * Wp * N);
+  for (std::int64_t h = 0; h < g.height; ++h) {
+    float* dst = block + ((h + g.pad_h) * Wp + g.pad_w) * N;
+    const float* src = x + c0 * g.height * g.width + h * g.width;
+    for (std::int64_t w = 0; w < g.width; ++w) {
+      for (int l = 0; l < N; ++l) {
+        dst[w * N + l] = src[l * g.height * g.width + w];
       }
     }
-    dw[p] += combine(a0);
-    dw[p + 1] += combine(a1);
-    dw[p + 2] += combine(a2);
-    dw[p + 3] += combine(a3);
   }
-  for (; p < rows; ++p) {
-    const float* x = row(p);
-    Lanes4 a = {};
-    for (std::int64_t oh = 0; oh < OH; ++oh) {
-      for (std::int64_t ow = 0; ow < OW; ow += 4) {
-        a += load4(dy + oh * OW + ow) * load4(x + oh * Wp + ow);
+}
+
+// R taps [tap0, tap0 + R) of the group at c0: lane l of tap r is weight
+// row (c0 + l) * taps + tap0 + r.
+template <int N, int R>
+__attribute__((always_inline)) inline void weight_grad_batch(
+    const ConvIndex& ix, const float* block, std::int64_t c0,
+    std::int64_t tap0, const float* dy, float* dw) {
+  typedef typename Lanes<N>::F F;
+  const std::int64_t taps = ix.geometry.kernel_h * ix.geometry.kernel_w;
+  const std::int64_t pixels = ix.out_height * ix.out_width;
+  const float* at[R];
+  for (int r = 0; r < R; ++r) {
+    // A tap's spatial offset is its channel-0 row offset.
+    at[r] = block + ix.row_offset[static_cast<std::size_t>(tap0 + r)] * N;
+  }
+  for (std::int64_t qc = 0; qc < pixels; qc += kGemmKC) {
+    const std::int64_t qe = std::min(pixels, qc + kGemmKC);
+    F acc[R] = {};
+    for (std::int64_t q = qc; q < qe; ++q) {
+      F d;
+      splat(d, dy[q]);
+      const std::int64_t px = ix.pixel_offset[static_cast<std::size_t>(q)] * N;
+      for (int r = 0; r < R; ++r) {
+        F x;
+        load(x, at[r] + px);
+        acc[r] = acc[r] + d * x;
       }
     }
-    dw[p] += combine(a);
+    for (int r = 0; r < R; ++r) {
+      float lanes[N];
+      store(lanes, acc[r]);
+      for (int l = 0; l < N; ++l) {
+        float& out = dw[(c0 + l) * taps + tap0 + r];
+        out = out + lanes[l];
+      }
+    }
   }
+}
+
+// Channels [c0, C) in groups of N, their taps in batches of 8, then 4,
+// then 1; then the channels left over at N / 2, down to one lane.
+template <int N>
+__attribute__((always_inline)) inline void weight_grad_from(
+    const ConvIndex& ix, const float* x, const float* dy, float* dw,
+    float* block, std::int64_t c0) {
+  const std::int64_t C = ix.geometry.channels;
+  const std::int64_t taps = ix.geometry.kernel_h * ix.geometry.kernel_w;
+  for (; c0 + N <= C; c0 += N) {
+    pad_group<N>(ix, x, c0, block);
+    std::int64_t tap = 0;
+    for (; tap + 8 <= taps; tap += 8) {
+      weight_grad_batch<N, 8>(ix, block, c0, tap, dy, dw);
+    }
+    for (; tap + 4 <= taps; tap += 4) {
+      weight_grad_batch<N, 4>(ix, block, c0, tap, dy, dw);
+    }
+    for (; tap < taps; ++tap) {
+      weight_grad_batch<N, 1>(ix, block, c0, tap, dy, dw);
+    }
+  }
+  if constexpr (N > 1) {
+    weight_grad_from<N / 2>(ix, x, dy, dw, block, c0);
+  }
+}
+
+void weight_grad_portable(const ConvIndex& ix, const float* x,
+                          const float* dy, float* dw, float* block) {
+  weight_grad_from<4>(ix, x, dy, dw, block, 0);
 }
 
 #if FLEDA_X86_KERNELS
@@ -320,43 +325,10 @@ FLEDA_TARGET_AVX2 void input_grad_avx2(const ConvIndex& ix, const float* w,
   }
 }
 
-// The same four partials per weight row, eight weight rows at a time:
-// twice the independent add chains of the portable loop, and each
-// row's partials still sum its pixels in (oh, ow) order.
-FLEDA_TARGET_AVX2 void weight_grad_rows_avx2(const ConvIndex& ix,
-                                             const float* padded,
-                                             const float* dy, float* dw) {
-  constexpr std::int64_t kRows = 8;
-  const std::int64_t OH = ix.out_height;
-  const std::int64_t OW = ix.out_width;
-  const std::int64_t Wp = ix.padded_width;
-  const std::int64_t rows = static_cast<std::int64_t>(ix.row_offset.size());
-  std::int64_t p = 0;
-  for (; p + kRows <= rows; p += kRows) {
-    const float* x[kRows];
-    __m128 acc[kRows];
-    for (std::int64_t i = 0; i < kRows; ++i) {
-      x[i] = padded + ix.row_offset[static_cast<std::size_t>(p + i)];
-      acc[i] = _mm_setzero_ps();
-    }
-    for (std::int64_t oh = 0; oh < OH; ++oh) {
-      const float* d = dy + oh * OW;
-      const std::int64_t r = oh * Wp;
-      for (std::int64_t ow = 0; ow < OW; ow += 4) {
-        const __m128 g = _mm_loadu_ps(d + ow);
-        for (std::int64_t i = 0; i < kRows; ++i) {
-          acc[i] = _mm_add_ps(acc[i],
-                              _mm_mul_ps(g, _mm_loadu_ps(x[i] + r + ow)));
-        }
-      }
-    }
-    for (std::int64_t i = 0; i < kRows; ++i) {
-      alignas(16) float a[4];
-      _mm_store_ps(a, acc[i]);
-      dw[p + i] += (a[0] + a[1]) + (a[2] + a[3]);
-    }
-  }
-  weight_grad_rows_portable(ix, padded, dy, dw, p);
+FLEDA_TARGET_AVX2 void weight_grad_avx2(const ConvIndex& ix, const float* x,
+                                        const float* dy, float* dw,
+                                        float* block) {
+  weight_grad_from<8>(ix, x, dy, dw, block, 0);
 }
 
 #endif  // FLEDA_X86_KERNELS
@@ -375,47 +347,19 @@ void direct_conv_forward(const ConvIndex& ix, const float* padded,
   forward_portable(ix, padded, w, y);
 }
 
-void direct_conv_weight_grad(const ConvIndex& ix, const float* padded,
+void direct_conv_weight_grad(const ConvIndex& ix, const float* x,
                              const float* dy, float* dw) {
-  // matmul_bt_reference at m = 1: one dot product over the flat pixel
-  // index q per weight row, with partial q % 4 for the first
-  // floor(OHW/4)*4 pixels, combined as (a0 + a1) + (a2 + a3), then the
-  // remaining pixels added one by one.
   require_unit_stride(ix);
-  const std::int64_t OH = ix.out_height;
-  const std::int64_t OW = ix.out_width;
-  const std::int64_t rows = static_cast<std::int64_t>(ix.row_offset.size());
-  if (OW % 4 == 0) {
-    // Every group of four flat pixels lies in one output row and there
-    // is no tail, so the four partials are the four lanes of a vector
-    // stepping along each row, one accumulator chain per weight row.
+  float* block = thread_scratch(
+      ScratchSlot::kConvBlock,
+      static_cast<std::size_t>(ix.padded_height * ix.padded_width * 8));
 #if FLEDA_X86_KERNELS
-    if (kernel_isa() == KernelIsa::kAvx2) {
-      weight_grad_rows_avx2(ix, padded, dy, dw);
-      return;
-    }
-#endif
-    weight_grad_rows_portable(ix, padded, dy, dw, 0);
+  if (kernel_isa() == KernelIsa::kAvx2) {
+    weight_grad_avx2(ix, x, dy, dw, block);
     return;
   }
-  // Groups of four may straddle output rows: address each flat pixel
-  // through the index's pixel table.
-  const std::int64_t n = OH * OW;
-  const std::int64_t* at = ix.pixel_offset.data();
-  for (std::int64_t p = 0; p < rows; ++p) {
-    const float* x = padded + ix.row_offset[static_cast<std::size_t>(p)];
-    float a0 = 0.0f, a1 = 0.0f, a2 = 0.0f, a3 = 0.0f;
-    std::int64_t q = 0;
-    for (; q + 4 <= n; q += 4) {
-      a0 += dy[q] * x[at[q]];
-      a1 += dy[q + 1] * x[at[q + 1]];
-      a2 += dy[q + 2] * x[at[q + 2]];
-      a3 += dy[q + 3] * x[at[q + 3]];
-    }
-    float acc = (a0 + a1) + (a2 + a3);
-    for (; q < n; ++q) acc += dy[q] * x[at[q]];
-    dw[p] += acc;
-  }
+#endif
+  weight_grad_portable(ix, x, dy, dw, block);
 }
 
 std::int64_t direct_conv_input_grad_scratch(const ConvIndex& ix) {

@@ -3,25 +3,27 @@
 // to a GEMM, that conv is an m = 1 product whose [C*kh*kw, OH*OW]
 // column matrix is far larger than the image it was built from, so the
 // im2col path spends its time writing that matrix and reading it back.
-// These kernels read a zero-padded copy of one sample (pad_image)
-// instead: through a ConvIndex at stride 1, weight row p = (c, kh, kw)
-// sees output pixel (oh, ow) at
+// These kernels read a zero-padded copy of one sample instead: through
+// a ConvIndex at stride 1, weight row p = (c, kh, kw) sees output pixel
+// (oh, ow) at
 //   padded[row_offset[p] + oh*Wp + ow],
-// which is exactly im2col's cols[p][oh*OW + ow].
+// which is exactly im2col's cols[p][oh*OW + ow]. Forward takes the
+// copy (pad_image); dW pads into its own channel-interleaved blocks.
 //
 // Forward and dX run register tiles: up to eight output rows by one
 // vector of adjacent pixels (8 lanes under AVX2, else 4, else 1), one
-// accumulator per row kept in a register across every tap and stored
-// once. dX is a gather: each dx pixel sums w[c,kh,kw] * dy[oh, ow] over
-// its taps, read from a copy of dy framed by zero margins.
+// accumulator per row kept in a register across the taps. dX is a
+// gather: each dx pixel sums w[c,kh,kw] * dy[oh, ow] over its taps,
+// read from a copy of dy framed by zero margins. dW runs its lanes
+// across channels, over channel-interleaved padded blocks of the sample.
 //
-// Each kernel reproduces the float expression and summation order of
-// the reference kernel it replaces, so the results are bit-identical:
-//   forward  == im2col + matmul_reference        (axpy4 groups of rows)
-//   dW       == im2col + matmul_bt_reference     (four strided partials)
-//   dX       == matmul_at_reference + col2im     (0 + w*dy, scattered)
-// Forward: every pixel starts at +0 and adds the taps in the same axpy4
-// groups and axpy1 tail, in a register instead of in y.
+// Forward and dW are the m = 1 GEMMs of the im2col lowering, computed
+// in the one summation order of tensor/plan.hpp (KC slices of +0 then
+// + a*b in ascending order, each slice stored or added), so their bits
+// are those of every GEMM strategy:
+//   forward  == im2col + matmul    (slices of taps, then stored in y)
+//   dW       == im2col + matmul_bt (slices of pixels, each added to dw)
+//   dX       == matmul_at + col2im (0 + w*dy, scattered)
 // dX: col2im adds a pixel's entries in ascending (kh, kw) order, which
 // is the gather's order. The gather's accumulator starts at +0 and so
 // never holds -0, which makes acc + w*dy equal to acc + (0 + w*dy). A
@@ -29,10 +31,8 @@
 // skipped, and its lanes read the frame's zero margin with the weight
 // masked to +0, adding +0 * 0 = +0. So an Inf weight cannot meet a
 // margin zero and make a NaN that col2im never computes.
-// The planner never packs m = 1 shapes, so this holds under both
-// FLEDA_PLAN modes, and under every KernelIsa: a lane computes the
-// same IEEE operations at every vector width, and the AVX2 dW kernel
-// only runs more weight rows at once, never regrouping a sum.
+// A lane computes the same IEEE operations at every vector width, so
+// no kernel's bits depend on the KernelIsa.
 //
 // All three throw std::invalid_argument unless the index has stride 1.
 #pragma once
@@ -48,8 +48,10 @@ namespace fleda {
 void direct_conv_forward(const ConvIndex& ix, const float* padded,
                          const float* w, float* y);
 
-// dw[C*kh*kw] += dy[OH*OW] * cols^T.
-void direct_conv_weight_grad(const ConvIndex& ix, const float* padded,
+// dw[C*kh*kw] += dy[OH*OW] * cols^T. `x` is one unpadded sample
+// [C, H, W]: the kernel builds its padded channel blocks itself, in
+// thread-local scratch.
+void direct_conv_weight_grad(const ConvIndex& ix, const float* x,
                              const float* dy, float* dw);
 
 // dx[C,H,W] = col2im(w^T * dy), overwriting dx. `frame` is scratch of

@@ -3,7 +3,7 @@
 // Classic three-loop blocking (the BLIS/poplibs structure):
 //
 //   for jc over n in NC columns:                 L2-resident B block
-//     for pc over k in KC depth slices:
+//     for pc over k in KC = kGemmKC depth slices:
 //       pack B(pc:kc, jc:nc) into NR-wide micro-panels (aligned scratch)
 //       parallel_for over MR row panels:         deterministic partition
 //         pack A(panel, pc:kc) into an MR-wide micro-panel
@@ -17,15 +17,12 @@
 // Micro-kernels: a portable one (scalar C++ left to the compiler's
 // vectorizer) and, on x86 hosts with AVX2, one that holds each tile row
 // in a __m256 and steps two B micro-panels per call (eight independent
-// accumulators hide the add latency). Both compute every C element as
-// 0, then + a*b for p ascending, each product rounded before the sum
-// (mul then add, never a fused multiply-add), so they agree bit for bit.
-//
-// Determinism: the row partition is by fixed MR panels (independent of
-// the thread count), every C element sees its KC slices in ascending pc
-// order, and the micro-kernel's accumulation order is a function of the
-// plan only — so results are bit-identical across thread-pool sizes and
-// kernel ISAs.
+// accumulators hide the add latency). Both compute each KC slice of a
+// C element as +0, then + a*b for p ascending, each product rounded
+// before the sum (mul then add, never a fused multiply-add), and add
+// the slices in ascending pc order: the one order of tensor/plan.hpp,
+// so the results are the reference kernels' bits at every thread-pool
+// size and kernel ISA.
 //
 // Zero-padding contract: the packing routines zero-fill the MR/NR
 // tails, so the micro-kernel always runs full tiles; only the valid
@@ -274,7 +271,7 @@ void gemm_packed_impl(const GemmPlan& plan, const float* a,
   const std::int64_t m = plan.shape.m;
   const std::int64_t k = plan.shape.k;
   const std::int64_t n = plan.shape.n;
-  const std::int64_t kc_max = plan.kc;
+  const std::int64_t kc_max = std::min(k, kGemmKC);
   const std::int64_t nc_max = plan.nc;
   const MicroKernel kernel = micro_kernel_for(plan.isa);
 

@@ -1,98 +1,152 @@
 #include "tensor/matmul.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
+#include "tensor/lanes.hpp"
 #include "tensor/plan.hpp"
+#include "util/scratch.hpp"
 #include "util/thread_pool.hpp"
-
-#if FLEDA_X86_KERNELS
-#include <immintrin.h>
-#endif
 
 namespace fleda {
 namespace {
 
-// Inner kernel: crow[0..n) += sum_{t<4} a_t * b_t[0..n). Processing
-// four B rows per pass quarters the store traffic relative to a plain
-// saxpy loop, which is what limits throughput on wide rows.
-inline void axpy4_portable(float* crow, const float* a4, const float* b0,
-                           const float* b1, const float* b2, const float* b3,
-                           std::int64_t n) {
-  const float a0 = a4[0], a1 = a4[1], a2 = a4[2], a3 = a4[3];
-  for (std::int64_t j = 0; j < n; ++j) {
-    crow[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
+// ---- Reference row kernels ----
+//
+// One row of C per call, in the canonical order of tensor/plan.hpp:
+// each KC slice of every element sums +0, then + a*b for p ascending,
+// and is stored (first slice, not accumulating) or added to C. A tile
+// of V vectors of N adjacent columns holds its partials in registers
+// across kRowDepth depth steps, parking them in a row buffer in between
+// (a float stored and reloaded is the same float), so B is read in
+// blocks of kRowDepth rows that stream along each row. For the k = 32
+// conv shapes a slice is one block, and a 64-column row one AVX2 tile.
+
+constexpr std::int64_t kRowDepth = 64;
+
+// Columns [0, V*N) of one row over depth [p0, p1) of a slice: A(p) =
+// a[p * a_step], B(p, j) = b[p * n + j]; `part` holds the slice's
+// partials unless p0 starts it; the slice ends at p1 when `last`.
+template <int N, int V>
+__attribute__((always_inline)) inline void row_tile(
+    const float* a, std::int64_t a_step, const float* b, std::int64_t n,
+    std::int64_t p0, std::int64_t p1, bool first, bool last, float* part,
+    float* c, bool add) {
+  typedef typename Lanes<N>::F F;
+  F acc[V] = {};
+  if (!first) {
+    for (int v = 0; v < V; ++v) load(acc[v], part + v * N);
+  }
+  for (std::int64_t p = p0; p < p1; ++p) {
+    // No a == 0 shortcut: 0 * NaN must stay NaN.
+    F av;
+    splat(av, a[p * a_step]);
+    const float* brow = b + p * n;
+    for (int v = 0; v < V; ++v) {
+      F x;
+      load(x, brow + v * N);
+      acc[v] = acc[v] + av * x;
+    }
+  }
+  for (int v = 0; v < V; ++v) {
+    if (!last) {
+      store(part + v * N, acc[v]);
+      continue;
+    }
+    if (add) {
+      F y;
+      load(y, c + v * N);
+      acc[v] = y + acc[v];
+    }
+    store(c + v * N, acc[v]);
   }
 }
 
-// No a == 0 shortcut: 0 * NaN must stay NaN. Skipping the row would
-// silently drop non-finite values arriving through B, and the planner's
-// strategies must agree exactly on which inputs poison the output.
-inline void axpy1_portable(float* crow, float a, const float* brow,
-                           std::int64_t n) {
-  for (std::int64_t j = 0; j < n; ++j) crow[j] += a * brow[j];
+// The whole row, one depth block at a time: tiles of 8 vectors, then
+// single vectors, then scalars.
+template <int N>
+__attribute__((always_inline)) inline void row_blocks(
+    const float* a, std::int64_t a_step, const float* b, std::int64_t n,
+    std::int64_t k, float* part, float* c, bool accumulate) {
+  for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
+    const std::int64_t pe = std::min(k, pc + kGemmKC);
+    for (std::int64_t p0 = pc; p0 < pe; p0 += kRowDepth) {
+      const std::int64_t p1 = std::min(pe, p0 + kRowDepth);
+      const bool first = p0 == pc;
+      const bool last = p1 == pe;
+      const bool add = accumulate || pc > 0;
+      std::int64_t j = 0;
+      for (; j + 8 * N <= n; j += 8 * N) {
+        row_tile<N, 8>(a, a_step, b + j, n, p0, p1, first, last, part + j,
+                       c + j, add);
+      }
+      for (; j + N <= n; j += N) {
+        row_tile<N, 1>(a, a_step, b + j, n, p0, p1, first, last, part + j,
+                       c + j, add);
+      }
+      for (; j < n; ++j) {
+        row_tile<1, 1>(a, a_step, b + j, n, p0, p1, first, last, part + j,
+                       c + j, add);
+      }
+    }
+  }
+}
+
+void row_portable(const float* a, std::int64_t a_step, const float* b,
+                  std::int64_t n, std::int64_t k, float* part, float* c,
+                  bool accumulate) {
+  row_blocks<4>(a, a_step, b, n, k, part, c, accumulate);
 }
 
 #if FLEDA_X86_KERNELS
-
-// The same expressions eight columns at a time: every column still
-// computes crow + (((a0*b0 + a1*b1) + a2*b2) + a3*b3), each product
-// rounded before its sum, so the bits match the portable loops, which
-// also finish the last n % 8 columns.
-FLEDA_TARGET_AVX2 void axpy4_avx2(float* crow, const float* a4,
-                                  const float* b0, const float* b1,
-                                  const float* b2, const float* b3,
-                                  std::int64_t n) {
-  const float a0 = a4[0], a1 = a4[1], a2 = a4[2], a3 = a4[3];
-  const __m256 v0 = _mm256_set1_ps(a0), v1 = _mm256_set1_ps(a1),
-               v2 = _mm256_set1_ps(a2), v3 = _mm256_set1_ps(a3);
-  std::int64_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    __m256 s = _mm256_mul_ps(v0, _mm256_loadu_ps(b0 + j));
-    s = _mm256_add_ps(s, _mm256_mul_ps(v1, _mm256_loadu_ps(b1 + j)));
-    s = _mm256_add_ps(s, _mm256_mul_ps(v2, _mm256_loadu_ps(b2 + j)));
-    s = _mm256_add_ps(s, _mm256_mul_ps(v3, _mm256_loadu_ps(b3 + j)));
-    _mm256_storeu_ps(crow + j, _mm256_add_ps(_mm256_loadu_ps(crow + j), s));
-  }
-  axpy4_portable(crow + j, a4, b0 + j, b1 + j, b2 + j, b3 + j, n - j);
+FLEDA_TARGET_AVX2 void row_avx2(const float* a, std::int64_t a_step,
+                                const float* b, std::int64_t n,
+                                std::int64_t k, float* part, float* c,
+                                bool accumulate) {
+  row_blocks<8>(a, a_step, b, n, k, part, c, accumulate);
 }
-
-FLEDA_TARGET_AVX2 void axpy1_avx2(float* crow, float a, const float* brow,
-                                  std::int64_t n) {
-  const __m256 va = _mm256_set1_ps(a);
-  std::int64_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m256 prod = _mm256_mul_ps(va, _mm256_loadu_ps(brow + j));
-    _mm256_storeu_ps(crow + j, _mm256_add_ps(_mm256_loadu_ps(crow + j), prod));
-  }
-  axpy1_portable(crow + j, a, brow + j, n - j);
-}
-
-#endif  // FLEDA_X86_KERNELS
-
-inline void axpy4(KernelIsa isa, float* crow, const float* a4, const float* b0,
-                  const float* b1, const float* b2, const float* b3,
-                  std::int64_t n) {
-#if FLEDA_X86_KERNELS
-  if (isa == KernelIsa::kAvx2) {
-    axpy4_avx2(crow, a4, b0, b1, b2, b3, n);
-    return;
-  }
 #endif
-  (void)isa;
-  axpy4_portable(crow, a4, b0, b1, b2, b3, n);
+
+// C[i, :] for rows i of A(i, p) = a[i * i_step + p * p_step].
+void reference_rows(const float* a, std::int64_t i_step, std::int64_t p_step,
+                    const float* b, float* c, std::int64_t m, std::int64_t k,
+                    std::int64_t n, bool accumulate) {
+  auto row = row_portable;
+#if FLEDA_X86_KERNELS
+  if (kernel_isa() == KernelIsa::kAvx2) row = row_avx2;
+#endif
+  parallel_for(
+      static_cast<std::size_t>(m),
+      [&](std::size_t begin, std::size_t end) {
+        float* part = k > kRowDepth ? thread_scratch(ScratchSlot::kRowPartial,
+                                                     static_cast<std::size_t>(n))
+                                    : nullptr;
+        for (std::size_t i = begin; i < end; ++i) {
+          float* crow = c + static_cast<std::int64_t>(i) * n;
+          if (k == 0 && !accumulate) std::memset(crow, 0, sizeof(float) * n);
+          row(a + static_cast<std::int64_t>(i) * i_step, p_step, b, n, k,
+              part, crow, accumulate);
+        }
+      },
+      /*grain=*/4);
 }
 
-inline void axpy1(KernelIsa isa, float* crow, float a, const float* brow,
-                  std::int64_t n) {
-#if FLEDA_X86_KERNELS
-  if (isa == KernelIsa::kAvx2) {
-    axpy1_avx2(crow, a, brow, n);
-    return;
+// C[0, Cols) of one row of matmul_bt: Cols independent dots (add
+// chains) against B rows b + j * k.
+template <int Cols>
+inline void dot_block(const float* arow, const float* b, std::int64_t k,
+                      float* c, bool accumulate) {
+  for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
+    const std::int64_t pe = std::min(k, pc + kGemmKC);
+    float acc[Cols] = {};
+    for (std::int64_t p = pc; p < pe; ++p) {
+      for (int j = 0; j < Cols; ++j) acc[j] = acc[j] + arow[p] * b[j * k + p];
+    }
+    for (int j = 0; j < Cols; ++j) {
+      c[j] = accumulate || pc > 0 ? c[j] + acc[j] : acc[j];
+    }
   }
-#endif
-  (void)isa;
-  axpy1_portable(crow, a, brow, n);
 }
 
 }  // namespace
@@ -100,83 +154,33 @@ inline void axpy1(KernelIsa isa, float* crow, float a, const float* brow,
 void matmul_reference(const float* a, const float* b, float* c,
                       std::int64_t m, std::int64_t k, std::int64_t n,
                       bool accumulate) {
-  const KernelIsa isa = kernel_isa();
-  parallel_for(
-      static_cast<std::size_t>(m),
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          float* crow = c + i * n;
-          if (!accumulate) std::memset(crow, 0, sizeof(float) * n);
-          const float* arow = a + i * k;
-          std::int64_t p = 0;
-          for (; p + 4 <= k; p += 4) {
-            axpy4(isa, crow, arow + p, b + p * n, b + (p + 1) * n,
-                  b + (p + 2) * n, b + (p + 3) * n, n);
-          }
-          for (; p < k; ++p) axpy1(isa, crow, arow[p], b + p * n, n);
-        }
-      },
-      /*grain=*/4);
+  reference_rows(a, /*i_step=*/k, /*p_step=*/1, b, c, m, k, n, accumulate);
 }
 
 void matmul_at_reference(const float* a, const float* b, float* c,
                          std::int64_t m, std::int64_t k, std::int64_t n,
                          bool accumulate) {
-  // C[i,j] = sum_p A[p,i] * B[p,j] with A stored [k,m].
-  const KernelIsa isa = kernel_isa();
-  parallel_for(
-      static_cast<std::size_t>(m),
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          float* crow = c + i * n;
-          if (!accumulate) std::memset(crow, 0, sizeof(float) * n);
-          std::int64_t p = 0;
-          for (; p + 4 <= k; p += 4) {
-            const float a4[4] = {
-                a[p * m + static_cast<std::int64_t>(i)],
-                a[(p + 1) * m + static_cast<std::int64_t>(i)],
-                a[(p + 2) * m + static_cast<std::int64_t>(i)],
-                a[(p + 3) * m + static_cast<std::int64_t>(i)]};
-            axpy4(isa, crow, a4, b + p * n, b + (p + 1) * n, b + (p + 2) * n,
-                  b + (p + 3) * n, n);
-          }
-          for (; p < k; ++p) {
-            axpy1(isa, crow, a[p * m + static_cast<std::int64_t>(i)],
-                  b + p * n, n);
-          }
-        }
-      },
-      /*grain=*/4);
+  // A stored [k, m]: A(i, p) = a[p * m + i].
+  reference_rows(a, /*i_step=*/1, /*p_step=*/m, b, c, m, k, n, accumulate);
 }
 
 void matmul_bt_reference(const float* a, const float* b, float* c,
                          std::int64_t m, std::int64_t k, std::int64_t n,
                          bool accumulate) {
-  // C[i,j] = sum_p A[i,p] * B[j,p]; contiguous dot products with four
-  // independent accumulators for instruction-level parallelism.
+  // C[i,j] = sum_p A[i,p] * B[j,p]: a sequential dot per KC slice.
   parallel_for(
       static_cast<std::size_t>(m),
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
-          const float* arow = a + i * k;
-          float* crow = c + i * n;
-          for (std::int64_t j = 0; j < n; ++j) {
-            const float* brow = b + j * k;
-            float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
-            std::int64_t p = 0;
-            for (; p + 4 <= k; p += 4) {
-              acc0 += arow[p] * brow[p];
-              acc1 += arow[p + 1] * brow[p + 1];
-              acc2 += arow[p + 2] * brow[p + 2];
-              acc3 += arow[p + 3] * brow[p + 3];
-            }
-            float acc = (acc0 + acc1) + (acc2 + acc3);
-            for (; p < k; ++p) acc += arow[p] * brow[p];
-            if (accumulate) {
-              crow[j] += acc;
-            } else {
-              crow[j] = acc;
-            }
+          const float* arow = a + static_cast<std::int64_t>(i) * k;
+          float* crow = c + static_cast<std::int64_t>(i) * n;
+          if (k == 0 && !accumulate) std::memset(crow, 0, sizeof(float) * n);
+          std::int64_t j = 0;
+          for (; j + 8 <= n; j += 8) {
+            dot_block<8>(arow, b + j * k, k, crow + j, accumulate);
+          }
+          for (; j < n; ++j) {
+            dot_block<1>(arow, b + j * k, k, crow + j, accumulate);
           }
         }
       },

@@ -5,11 +5,11 @@
 //
 // The public matmul / matmul_at / matmul_bt entry points dispatch
 // through the shape-keyed KernelPlanCache (tensor/plan.hpp): skinny
-// shapes run the historical axpy kernels, fat shapes run the packed
-// cache-blocked GEMM. The *_reference variants are the historical
-// kernels — the planner's baseline strategy, also exposed for
-// equivalence tests and the micro_kernels bench. Both strategies run
-// the kernel_isa() bodies, which give the same bits on every ISA.
+// shapes run the row-streaming reference kernels, fat shapes run the
+// packed cache-blocked GEMM. The *_reference variants are the
+// planner's baseline strategy, also exposed for equivalence tests and
+// the micro_kernels bench. Every strategy sums in the one order of
+// tensor/plan.hpp on every ISA, so they all give the same bits.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +31,7 @@ void matmul_at(const float* a, const float* b, float* c, std::int64_t m,
 void matmul_bt(const float* a, const float* b, float* c, std::int64_t m,
                std::int64_t k, std::int64_t n, bool accumulate = false);
 
-// The historical unblocked kernels, bypassing the planner.
+// The reference strategy's kernels, bypassing the planner.
 void matmul_reference(const float* a, const float* b, float* c,
                       std::int64_t m, std::int64_t k, std::int64_t n,
                       bool accumulate = false);

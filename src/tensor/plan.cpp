@@ -1,7 +1,6 @@
 #include "tensor/plan.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <deque>
 #include <stdexcept>
 
@@ -12,9 +11,12 @@ namespace fleda {
 namespace {
 
 // Cost-model cache sizes. Deliberately compile-time constants (not
-// probed from the host) so a plan — and therefore every result bit —
-// is a pure function of the GEMM shape.
+// probed from the host) so a plan is a pure function of the GEMM shape.
 constexpr std::int64_t kL1Bytes = 32 * 1024;
+static_assert((kGemmMR + kGemmNR) * kGemmKC *
+                      static_cast<std::int64_t>(sizeof(float)) <=
+                  kL1Bytes,
+              "kGemmKC: one A plus one B micro-panel must fit in L1");
 constexpr std::int64_t kL2Bytes = 1024 * 1024;
 
 std::int64_t round_up(std::int64_t v, std::int64_t to) {
@@ -23,17 +25,6 @@ std::int64_t round_up(std::int64_t v, std::int64_t to) {
 
 std::int64_t round_down(std::int64_t v, std::int64_t to) {
   return v / to * to;
-}
-
-std::atomic<int> g_plan_mode{-1};  // -1 = not yet read from env
-
-PlanMode mode_from_env() {
-  // Kernel choice; "reference" pins the historical bits.
-  const char* env = std::getenv("FLEDA_PLAN");  // fleda-lint: allow(env-knob)
-  if (env != nullptr && std::string(env) == "reference") {
-    return PlanMode::kReference;
-  }
-  return PlanMode::kAuto;  // default; unknown values fall back to auto
 }
 
 std::atomic<int> g_kernel_isa{-1};  // -1 = not yet probed
@@ -70,19 +61,6 @@ const char* to_string(GemmStrategy strategy) {
       return "packed";
   }
   return "?";
-}
-
-PlanMode plan_mode() {
-  int mode = g_plan_mode.load(std::memory_order_relaxed);
-  if (mode < 0) {
-    mode = static_cast<int>(mode_from_env());
-    g_plan_mode.store(mode, std::memory_order_relaxed);
-  }
-  return static_cast<PlanMode>(mode);
-}
-
-void set_plan_mode(PlanMode mode) {
-  g_plan_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
 }
 
 const char* to_string(KernelIsa isa) {
@@ -126,8 +104,7 @@ std::string GemmPlan::to_string() const {
        ", n=" + std::to_string(shape.n) + ") -> ";
   s += fleda::to_string(strategy);
   if (strategy == GemmStrategy::kPacked) {
-    s += "{mc=" + std::to_string(mc) + ", kc=" + std::to_string(kc) +
-         ", nc=" + std::to_string(nc) + "}";
+    s += "{mc=" + std::to_string(mc) + ", nc=" + std::to_string(nc) + "}";
   }
   s += " on ";
   s += fleda::to_string(isa);
@@ -145,7 +122,7 @@ GemmPlan make_gemm_plan(GemmOp op, std::int64_t m, std::int64_t k,
   // Packing pays for itself only when the B panels are reused across
   // several MR row-panels and the accumulator tile runs long enough in
   // k. Skinny shapes (vector-matrix products, rank-1 updates, tiny
-  // tails) stay on the reference axpy/dot kernels, which stream those
+  // tails) stay on the reference row kernels, which stream those
   // shapes at close to memory speed already — and at k < ~48 the
   // reference kernels keep the whole B slab L1-resident per output row,
   // which packing cannot beat (measured: the k=32 deconv GEMM runs
@@ -158,18 +135,11 @@ GemmPlan make_gemm_plan(GemmOp op, std::int64_t m, std::int64_t k,
   }
 
   plan.strategy = GemmStrategy::kPacked;
-  // KC: one A micro-panel (MR*kc) plus one B micro-panel (NR*kc) of
-  // floats should fit in L1 with room to spare for the C tile and the
-  // streamed cache lines.
-  const std::int64_t kc_budget =
-      kL1Bytes / (static_cast<std::int64_t>(sizeof(float)) *
-                  (kGemmMR + kGemmNR));
-  plan.kc = std::min<std::int64_t>(k, round_down(kc_budget, 8));
-  if (plan.kc < 8) plan.kc = std::min<std::int64_t>(k, 8);
-  // NC: the packed B block (kc x nc floats) should occupy at most half
+  // NC: the packed B block (KC x nc floats) should occupy at most half
   // of L2, so it survives the sweep over all row panels.
+  const std::int64_t kc = std::min(k, kGemmKC);
   std::int64_t nc_budget =
-      (kL2Bytes / 2) / (static_cast<std::int64_t>(sizeof(float)) * plan.kc);
+      (kL2Bytes / 2) / (static_cast<std::int64_t>(sizeof(float)) * kc);
   nc_budget = round_down(nc_budget, kGemmNR);
   if (nc_budget < kGemmNR) nc_budget = kGemmNR;
   plan.nc = std::min<std::int64_t>(round_up(n, kGemmNR), nc_budget);
@@ -281,15 +251,7 @@ GemmPlan KernelPlanCache::lookup_or_plan(const GemmShape& shape) {
 
 GemmPlan KernelPlanCache::plan_for(GemmOp op, std::int64_t m, std::int64_t k,
                                    std::int64_t n) {
-  GemmPlan plan;
-  if (plan_mode() == PlanMode::kReference) {
-    plan.shape = GemmShape{op, m, k, n};
-    plan.strategy = GemmStrategy::kReference;
-    plan.flops = 2.0 * static_cast<double>(m) * static_cast<double>(k) *
-                 static_cast<double>(n);
-  } else {
-    plan = cached_plan(GemmShape{op, m, k, n});
-  }
+  GemmPlan plan = cached_plan(GemmShape{op, m, k, n});
   plan.isa = kernel_isa();
   return plan;
 }

@@ -3,7 +3,7 @@
 // Every matmul / matmul_at / matmul_bt call consults a KernelPlanCache
 // keyed by (op, m, k, n): the first call for a shape runs a small cost
 // model (shape vs the L1/L2 working sets) and decides between the
-// historical axpy kernels ("reference" — best for skinny shapes) and a
+// row-streaming kernels ("reference" — best for skinny shapes) and a
 // packed cache-blocked GEMM ("packed" — B panels packed into aligned
 // scratch, a register-tiled MR x NR micro-kernel, and MC/KC/NC cache
 // blocking). The decision is cached and reused for the rest of the
@@ -11,24 +11,27 @@
 // shapes never change across a federated run, so the planning cost is
 // paid once per shape, not once per step.
 //
+// One summation order: every strategy — packed, reference, and the
+// direct conv kernels (tensor/conv_direct.hpp) — computes each output
+// element the same way. k is split into slices of KC = min(k, kGemmKC);
+// each slice sums +0, then + a*b for p ascending, one rounded product
+// per step (mul then add, never a fused multiply-add); the first slice
+// is stored (or added, when accumulating) and each later slice is added
+// in ascending order. So the strategy a plan picks changes speed, never
+// bits.
+//
 // Instruction set: every float kernel (the packed micro-kernel, the
-// reference axpy loops, the direct conv kernels, the sort_lanes
+// reference row kernels, the direct conv kernels, the sort_lanes
 // network) has a portable body and, on x86, an AVX2 body; kernel_isa()
 // picks one at run time from the host's CPUID, once per process. The
-// AVX2 bodies are compiled with target("avx2") and never with "fma":
-// each output element keeps the portable kernel's order of rounded
-// products and sums, so the ISA changes speed, never bits. Non-x86
-// builds compile only the portable bodies.
+// AVX2 bodies are compiled with target("avx2") and never with "fma",
+// and they keep the order above, so the ISA changes speed, never bits.
+// Non-x86 builds compile only the portable bodies.
 //
 // Determinism contract: a plan is a pure function of the shape (never
-// of the thread-pool size), the packed kernel partitions rows into
-// fixed MR panels, and every C element accumulates its KC blocks in
-// ascending order — so results are bit-identical across thread-pool
-// sizes and instruction sets, exactly like the reference kernels.
-// Packed and reference *summation orders* differ, so the two strategies
-// agree only to floating-point tolerance; FLEDA_PLAN=reference forces
-// the historical kernels everywhere when bit-compatibility with old
-// runs matters.
+// of the thread-pool size), and no kernel's order depends on how its
+// rows are partitioned — so results are bit-identical across
+// thread-pool sizes, instruction sets and strategies.
 #pragma once
 
 #include <atomic>
@@ -56,12 +59,6 @@ const char* to_string(GemmOp op);
 enum class GemmStrategy : std::uint8_t { kReference = 0, kPacked = 1 };
 const char* to_string(GemmStrategy strategy);
 
-// FLEDA_PLAN=reference forces the historical kernels for every shape;
-// FLEDA_PLAN=auto (the default) lets the cost model choose.
-enum class PlanMode : std::uint8_t { kAuto = 0, kReference = 1 };
-PlanMode plan_mode();
-void set_plan_mode(PlanMode mode);  // overrides the environment
-
 // The instruction set the float kernels run. kAvx2 needs an x86 host
 // whose CPU (and OS) support AVX2; everything else runs kPortable.
 enum class KernelIsa : std::uint8_t { kPortable = 0, kAvx2 = 1 };
@@ -74,9 +71,14 @@ KernelIsa kernel_isa();
 void set_kernel_isa(KernelIsa isa);
 
 // Register micro-tile of the packed kernel: MR rows x NR columns of C
-// held in accumulators across a whole KC block.
+// held in accumulators across a whole KC slice.
 inline constexpr std::int64_t kGemmMR = 4;
 inline constexpr std::int64_t kGemmNR = 8;
+// Depth of one summation slice, for every strategy (see above). One A
+// micro-panel plus one B micro-panel, (MR + NR) * KC floats, fills the
+// 32 KiB L1 the packed kernel is blocked for. Part of the bits: changing
+// it changes results.
+inline constexpr std::int64_t kGemmKC = 680;
 
 struct GemmShape {
   GemmOp op = GemmOp::kNN;
@@ -92,10 +94,9 @@ struct GemmShape {
 struct GemmPlan {
   GemmShape shape;
   GemmStrategy strategy = GemmStrategy::kReference;
-  // Cache blocking (packed strategy only). mc/nc are MR/NR multiples;
-  // kc is the unrolled depth of one packed panel pass.
+  // Cache blocking (packed strategy only): MR/NR multiples. The depth
+  // blocking is kGemmKC for every plan.
   std::int64_t mc = 0;
-  std::int64_t kc = 0;
   std::int64_t nc = 0;
   double flops = 0.0;  // 2*m*k*n, for bench reporting
   // The ISA the kernels run under; stamped from kernel_isa() whenever a
@@ -136,10 +137,9 @@ class KernelPlanCache {
 
   static KernelPlanCache& global();
 
-  // The plan for a shape under the current PlanMode and KernelIsa:
-  // kReference mode short-circuits to a reference plan without touching
-  // the cache; kAuto consults the cache and runs the cost model on a
-  // miss (inside a kernel/plan profiler span).
+  // The plan for a shape under the current KernelIsa: consults the
+  // cache and runs the cost model on a miss (inside a kernel/plan
+  // profiler span).
   GemmPlan plan_for(GemmOp op, std::int64_t m, std::int64_t k,
                     std::int64_t n);
 

@@ -13,12 +13,13 @@ namespace fleda {
 enum class ScratchSlot : int {
   kCols = 0,
   kColsGrad = 1,
-  kAux = 2,
-  kPackA = 3,  // packed A micro-panels (gemm_packed)
-  kPackB = 4,  // packed B panel block (gemm_packed)
+  kConvBlock = 2,   // a channel group's padded block (direct conv dW)
+  kPackA = 3,       // packed A micro-panels (gemm_packed)
+  kPackB = 4,       // packed B panel block (gemm_packed)
+  kRowPartial = 5,  // a row's KC-slice partial sums (reference GEMM)
 };
 
-inline constexpr int kNumScratchSlots = 5;
+inline constexpr int kNumScratchSlots = 6;
 
 // Returns a thread-local float buffer of at least `n` elements for the
 // given slot. Contents are unspecified — callers must fully overwrite
