@@ -8,7 +8,11 @@
 // isa_layers rows time RouteNet's conv2 and conv3 (forward + backward
 // through Conv2d) on the portable kernels against the dispatched ISA
 // (AVX2 where the host has it) and gate on identical bits; the JSON
-// names the dispatched ISA.
+// names the dispatched ISA. The conv_backward rows time RouteNet's
+// conv2, conv3, conv4 and deconv (forward, and backward alone) inside
+// one pool task, as a round runs them, and check the layer against the
+// col2im lowering it replaced, kept here as an oracle: dW bit for bit,
+// dX to rounding (dx_max_rel_err).
 //
 // Emits BENCH_kernels.json for the CI bench-trajectory artifact;
 // ci/perf_gate.py diffs the per-shape auto GFLOP/s against the previous
@@ -26,15 +30,18 @@
 // sim_* rows are micro_sim's synthetic FLNet world (grid 8, 2 input
 // channels), so the K = 1000 federation numbers trace back to these.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "fl/aggregation.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/conv_transpose2d.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/plan.hpp"
@@ -358,6 +365,145 @@ double measure_ms(const std::function<void()>& call) {
   return 1e-6 / measure_gflops(1.0, call);
 }
 
+// RouteNet's conv2, conv3, conv4 and deconv at the smoke grid (16, and
+// 8 after the pool) and batch 4, timed inside one pool task as a
+// federated round runs them (every parallel_for in the layer runs
+// serially). The col2im lowering they replaced is kept below as the
+// oracle.
+struct ConvBackwardCase {
+  const char* name;
+  std::int64_t in_channels, out_channels, kernel, grid, batch;
+  bool deconv;
+};
+
+const ConvBackwardCase kConvBackward[] = {
+    {"routenet_conv2", 32, 64, 7, 16, 4, false},
+    {"routenet_conv3", 64, 32, 9, 8, 4, false},
+    {"routenet_conv4", 32, 32, 7, 8, 4, false},
+    {"routenet_deconv", 32, 32, 4, 8, 4, true}};
+
+struct ConvBackwardResult {
+  const ConvBackwardCase* layer = nullptr;
+  double fwd_ms = 0.0;
+  double bwd_ms = 0.0;
+  double dx_max_rel_err = 0.0;  // max |dx - oracle| / max |oracle|
+  bool dw_identical = false;
+};
+
+// Runs `fn` inside a pool task, so nested parallel_for calls are serial.
+void in_pool_task(const std::function<void()>& fn) {
+  parallel_for(2, [&](std::size_t begin, std::size_t) {
+    if (begin == 0) fn();
+  });
+}
+
+// The lowering the layers' backward ran before dX became a conv: the
+// batch in min(N, 16) fixed slices, each with its own dW partial added
+// into dw in slice order, and dX as col2im(W^T dy) for a Conv2d, or
+// W * im2col(dy) for the deconv (whose `g` is its output geometry).
+void col2im_backward(const ConvBackwardCase& c, const ConvGeometry& g,
+                     const float* w, const Tensor& x, const Tensor& gy,
+                     std::vector<float>& dw, std::vector<float>& dx) {
+  const std::int64_t rows = g.col_rows();
+  const std::int64_t pixels = g.col_cols();
+  const std::int64_t x_stride = x.numel() / c.batch;
+  const std::int64_t gy_stride = gy.numel() / c.batch;
+  std::vector<float> cols(static_cast<std::size_t>(rows * pixels));
+  std::vector<float> dcols(cols.size());
+  std::fill(dw.begin(), dw.end(), 0.0f);
+  std::fill(dx.begin(), dx.end(), 0.0f);
+  const std::int64_t slices = std::min<std::int64_t>(c.batch, 16);
+  const std::int64_t span = (c.batch + slices - 1) / slices;
+  std::vector<float> partial(dw.size());
+  for (std::int64_t s = 0; s < slices; ++s) {
+    std::fill(partial.begin(), partial.end(), 0.0f);
+    for (std::int64_t n = s * span; n < std::min(c.batch, (s + 1) * span);
+         ++n) {
+      const float* xn = x.data() + n * x_stride;
+      const float* dy = gy.data() + n * gy_stride;
+      float* dxn = dx.data() + n * x_stride;
+      if (c.deconv) {
+        im2col(dy, g, dcols.data());
+        matmul(w, dcols.data(), dxn, c.in_channels, rows, pixels);
+        matmul_bt(xn, dcols.data(), partial.data(), c.in_channels, pixels,
+                  rows, /*accumulate=*/true);
+      } else {
+        im2col(xn, g, cols.data());
+        matmul_bt(dy, cols.data(), partial.data(), c.out_channels, pixels,
+                  rows, /*accumulate=*/true);
+        matmul_at(w, dy, dcols.data(), rows, c.out_channels, pixels);
+        col2im(dcols.data(), g, dxn);
+      }
+    }
+    for (std::size_t i = 0; i < dw.size(); ++i) dw[i] += partial[i];
+  }
+}
+
+// dX's bound against the oracle: a few ulps of its largest value (the
+// conv dX sums channels x taps in KC slices instead of per tap).
+constexpr double kDxMaxRelErr = 1e-5;
+
+ConvBackwardResult bench_conv_backward(const ConvBackwardCase& c, Rng& rng) {
+  ConvBackwardResult result;
+  result.layer = &c;
+  std::unique_ptr<Module> layer;
+  ConvGeometry g;
+  Shape out_shape;
+  if (c.deconv) {
+    ConvTranspose2dOptions o;
+    o.in_channels = c.in_channels;
+    o.out_channels = c.out_channels;
+    o.kernel = c.kernel;
+    o.stride = 2;
+    o.padding = 1;
+    const std::int64_t out = o.out_size(c.grid);
+    g = ConvGeometry{c.out_channels, out, out, c.kernel, c.kernel, 1, 1,
+                     2,              2,   1,   1};
+    out_shape = Shape::of(c.batch, c.out_channels, out, out);
+    layer = std::make_unique<ConvTranspose2d>(c.name, o, rng);
+  } else {
+    Conv2dOptions o;
+    o.in_channels = c.in_channels;
+    o.out_channels = c.out_channels;
+    o.kernel = c.kernel;
+    o.same_padding();
+    g = ConvGeometry{c.in_channels, c.grid,    c.grid, c.kernel, c.kernel,
+                     o.padding,     o.padding, 1,      1,        1, 1};
+    out_shape = Shape::of(c.batch, c.out_channels, c.grid, c.grid);
+    layer = std::make_unique<Conv2d>(c.name, o, rng);
+  }
+  Tensor x(Shape::of(c.batch, c.in_channels, c.grid, c.grid));
+  Tensor gy(out_shape);
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    x[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  for (std::int64_t i = 0; i < gy.numel(); ++i) {
+    gy[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  Parameter& weight = *layer->parameters()[0];
+  Tensor dx;
+  in_pool_task([&] {
+    result.fwd_ms = measure_ms([&] { layer->forward(x, /*training=*/true); });
+    result.bwd_ms = measure_ms([&] { layer->backward(gy); });
+    layer->zero_grad();
+    dx = layer->backward(gy);
+  });
+  std::vector<float> dw(static_cast<std::size_t>(weight.grad.numel()));
+  std::vector<float> want_dx(static_cast<std::size_t>(x.numel()));
+  col2im_backward(c, g, weight.value.data(), x, gy, dw, want_dx);
+  result.dw_identical =
+      same_bits(dw, std::vector<float>(weight.grad.data(),
+                                       weight.grad.data() + dw.size()));
+  double err = 0.0, scale = 0.0;
+  for (std::size_t i = 0; i < want_dx.size(); ++i) {
+    const float got = dx[static_cast<std::int64_t>(i)];
+    err = std::max(err, static_cast<double>(std::fabs(got - want_dx[i])));
+    scale = std::max(scale, static_cast<double>(std::fabs(want_dx[i])));
+  }
+  result.dx_max_rel_err = scale > 0.0 ? err / scale : err;
+  return result;
+}
+
 // The per-coordinate form the kernel replaced: gather the column, sort
 // it, sum the survivors in ascending order in double.
 ModelParameters std_sort_trimmed_mean(
@@ -416,6 +562,7 @@ SortLanesResult bench_sort_lanes(std::size_t n, Rng& rng) {
 void write_bench_json(const std::vector<ShapeResult>& results,
                       const std::vector<ConvLayerResult>& layers,
                       const std::vector<IsaLayerResult>& isa_layers,
+                      const std::vector<ConvBackwardResult>& backward,
                       const std::vector<SortLanesResult>& sorts,
                       const PlanCacheStats& stats, double hit_rate,
                       bool pass) {
@@ -475,6 +622,22 @@ void write_bench_json(const std::vector<ShapeResult>& results,
         static_cast<long long>(r.layer->batch), to_string(kernel_isa()),
         r.portable_ms, r.dispatched_ms, r.speedup,
         r.bit_identical ? "true" : "false");
+  }
+  std::fprintf(f, "],\"conv_backward\":[");
+  for (std::size_t i = 0; i < backward.size(); ++i) {
+    const ConvBackwardResult& r = backward[i];
+    std::fprintf(
+        f,
+        "%s{\"name\":\"%s\",\"in_channels\":%lld,\"out_channels\":%lld,"
+        "\"kernel\":%lld,\"grid\":%lld,\"batch\":%lld,\"fwd_ms\":%.4f,"
+        "\"bwd_ms\":%.4f,\"dx_max_rel_err\":%.3e,\"dw_identical\":%s}",
+        i == 0 ? "" : ",", r.layer->name,
+        static_cast<long long>(r.layer->in_channels),
+        static_cast<long long>(r.layer->out_channels),
+        static_cast<long long>(r.layer->kernel),
+        static_cast<long long>(r.layer->grid),
+        static_cast<long long>(r.layer->batch), r.fwd_ms, r.bwd_ms,
+        r.dx_max_rel_err, r.dw_identical ? "true" : "false");
   }
   std::fprintf(f, "],\"sort_lanes\":[");
   for (std::size_t i = 0; i < sorts.size(); ++i) {
@@ -552,6 +715,12 @@ int main_impl() {
   for (const IsaLayerCase& c : kIsaLayers) {
     isa_layers.push_back(bench_isa_layer(c, rng));
   }
+  std::vector<ConvBackwardResult> backward;
+  // Its own stream, so the rows after it keep their inputs.
+  Rng backward_rng(4321);
+  for (const ConvBackwardCase& c : kConvBackward) {
+    backward.push_back(bench_conv_backward(c, backward_rng));
+  }
   std::vector<SortLanesResult> sorts;
   for (const std::size_t n : kSortCohorts) {
     sorts.push_back(bench_sort_lanes(n, rng));
@@ -585,6 +754,21 @@ int main_impl() {
                 r.bit_identical ? "identical" : "DIFFER");
   }
 
+  std::printf("%-18s %4s %4s %3s %4s %5s %9s %9s %8s %14s %s\n",
+              "conv backward", "cin", "cout", "k", "grid", "batch", "fwd ms",
+              "bwd ms", "bwd/fwd", "dx max rel err", "dW");
+  for (const ConvBackwardResult& r : backward) {
+    std::printf("%-18s %4lld %4lld %3lld %4lld %5lld %9.3f %9.3f %7.2fx "
+                "%14.3e %s\n",
+                r.layer->name, static_cast<long long>(r.layer->in_channels),
+                static_cast<long long>(r.layer->out_channels),
+                static_cast<long long>(r.layer->kernel),
+                static_cast<long long>(r.layer->grid),
+                static_cast<long long>(r.layer->batch), r.fwd_ms, r.bwd_ms,
+                r.bwd_ms / r.fwd_ms, r.dx_max_rel_err,
+                r.dw_identical ? "identical" : "DIFFER");
+  }
+
   std::printf("%-18s %6s %11s %12s %9s %8s %s\n", "sort_lanes", "cohort",
               "std::sort", "portable", "avx2", "speedup", "bits");
   for (const SortLanesResult& r : sorts) {
@@ -611,8 +795,17 @@ int main_impl() {
   // (4) Each conv layer's direct path reproduces the im2col bits.
   // (5) Each ISA layer's dispatched kernels reproduce the portable bits.
   // (6) The sorting-network trimmed mean reproduces the std::sort bits
-  // on every ISA.
+  // on every ISA. (7) Each conv_backward layer's dW reproduces the
+  // col2im lowering's bits and its dX agrees with it to rounding.
   bool pass = true;
+  for (const ConvBackwardResult& r : backward) {
+    if (!r.dw_identical || !(r.dx_max_rel_err <= kDxMaxRelErr)) {
+      std::printf("FAIL: %s backward: dW %s, dx max rel err %.3e (max %.0e)\n",
+                  r.layer->name, r.dw_identical ? "identical" : "DIFFERS",
+                  r.dx_max_rel_err, kDxMaxRelErr);
+      pass = false;
+    }
+  }
   for (const SortLanesResult& r : sorts) {
     if (!r.bit_identical) {
       std::printf("FAIL: trimmed_mean at cohort %zu differs from std::sort\n",
@@ -663,8 +856,8 @@ int main_impl() {
     pass = false;
   }
 
-  write_bench_json(results, layers, isa_layers, sorts, stats, hit_rate,
-                   pass);
+  write_bench_json(results, layers, isa_layers, backward, sorts, stats,
+                   hit_rate, pass);
   std::printf("{\"bench\":\"micro_kernels\",\"pass\":%s}\n",
               pass ? "true" : "false");
   return pass ? 0 : 1;

@@ -18,7 +18,7 @@ numbers micro_sim records, as one declarative table (GATES below):
 A gate stops at its first failing check and prints that check's
 message; any failing gate makes the run exit 1. `--self-test` feeds
 every gate one passing and one failing fixture, and does the same for
-the conv-layer rows of the trajectory gate below.
+the conv-layer and conv-backward rows of the trajectory gate below.
 
 Perf-trajectory gate (no arguments): diff this run's BENCH_*.json
 against the previous successful main run's `bench-trajectory` artifact
@@ -35,6 +35,7 @@ Gated metrics (current vs previous):
   - BENCH_kernels.json shapes[*].auto_gflops           must be >= 0.8x
   - BENCH_kernels.json plan_cache.hit_rate             must be >= 0.8x
   - BENCH_kernels.json conv_layers[*].direct_ms        must be <= 1.2x
+  - BENCH_kernels.json conv_backward[*].bwd_ms         must be <= 1.2x
 
 Stdlib only (urllib + zipfile against the GitHub REST API). The gate is
 advisory-by-absence: no GITHUB_TOKEN, no previous artifact, or an API
@@ -197,35 +198,44 @@ FAILING_EDITS = {
 
 
 # A BENCH_kernels.json excerpt, and the factors by which the current
-# run's direct_ms may (within the 20% band) and may not (beyond it)
+# run's layer timings may (within the 20% band) and may not (beyond it)
 # exceed it.
-CONV_LAYERS_FIXTURE = {
+LAYER_ROWS_FIXTURE = {
     "conv_layers": [
         {"name": "flnet_output_conv", "direct_ms": 1.0},
         {"name": "routenet_output_conv", "direct_ms": 0.4},
     ],
+    "conv_backward": [
+        {"name": "routenet_conv2", "fwd_ms": 4.0, "bwd_ms": 9.0},
+        {"name": "routenet_deconv", "fwd_ms": 0.5, "bwd_ms": 0.8},
+    ],
 }
-CONV_LAYERS_PASSING_FACTOR = 1.15
-CONV_LAYERS_FAILING_FACTOR = 1.3
+LAYER_ROWS_PASSING_FACTOR = 1.15
+LAYER_ROWS_FAILING_FACTOR = 1.3
+# (section, gated metric) pairs of the trajectory gate's layer rows.
+LAYER_ROWS = (("conv_layers", "direct_ms"), ("conv_backward", "bwd_ms"))
 
 
-def scaled_conv_layers(factor):
-    bench = copy.deepcopy(CONV_LAYERS_FIXTURE)
-    for row in bench["conv_layers"]:
-        row["direct_ms"] *= factor
+def scaled_layer_rows(section, metric, factor):
+    bench = copy.deepcopy(LAYER_ROWS_FIXTURE)
+    for row in bench[section]:
+        row[metric] *= factor
     return bench
 
 
 def self_test():
     errors = []
-    passing = scaled_conv_layers(CONV_LAYERS_PASSING_FACTOR)
-    if any(conv_layer_errors(passing, CONV_LAYERS_FIXTURE)):
-        errors.append(f"conv_layers: {CONV_LAYERS_PASSING_FACTOR}x direct_ms "
-                      "failed the trajectory check")
-    failing = scaled_conv_layers(CONV_LAYERS_FAILING_FACTOR)
-    if not all(conv_layer_errors(failing, CONV_LAYERS_FIXTURE)):
-        errors.append(f"conv_layers: {CONV_LAYERS_FAILING_FACTOR}x direct_ms "
-                      "passed the trajectory check")
+    for section, metric in LAYER_ROWS:
+        passing = scaled_layer_rows(section, metric, LAYER_ROWS_PASSING_FACTOR)
+        if any(layer_row_errors(passing, LAYER_ROWS_FIXTURE)):
+            errors.append(f"{section}: {LAYER_ROWS_PASSING_FACTOR}x {metric} "
+                          "failed the trajectory check")
+        failing = scaled_layer_rows(section, metric, LAYER_ROWS_FAILING_FACTOR)
+        if sum(e is not None for e in
+               layer_row_errors(failing, LAYER_ROWS_FIXTURE)) != len(
+                   LAYER_ROWS_FIXTURE[section]):
+            errors.append(f"{section}: {LAYER_ROWS_FAILING_FACTOR}x {metric} "
+                          "passed the trajectory check")
     for gate in GATES:
         name = gate["name"]
         if run_gate(gate, PASSING_FIXTURE) is not None:
@@ -239,8 +249,9 @@ def self_test():
     for e in errors:
         print(f"perf_gate self-test: FAIL - {e}")
     if not errors:
+        rows = sum(len(LAYER_ROWS_FIXTURE[s]) for s, _ in LAYER_ROWS)
         print(f"perf_gate self-test: ok ({len(GATES)} gates, "
-              f"{len(CONV_LAYERS_FIXTURE['conv_layers'])} conv-layer rows)")
+              f"{rows} layer rows)")
     return 1 if errors else 0
 
 
@@ -320,17 +331,21 @@ def shape_rows(bench):
     return {row["name"]: row for row in (bench or {}).get("shapes", [])}
 
 
-def conv_layer_errors(kernels_now, kernels_prev):
-    """One check() result per conv layer both runs timed: the direct
-    path's forward + backward wall time, lower is better."""
-    def rows(bench):
-        return {row["name"]: row
-                for row in (bench or {}).get("conv_layers", [])}
-    now_rows, prev_rows = rows(kernels_now), rows(kernels_prev)
-    return [check(f"kernels.{name}.direct_ms",
-                  now_rows[name].get("direct_ms"),
-                  prev_rows[name].get("direct_ms"), lower_is_better=True)
-            for name in sorted(set(now_rows) & set(prev_rows))]
+def layer_row_errors(kernels_now, kernels_prev):
+    """One check() result per layer row both runs timed, lower is
+    better: conv_layers' direct_ms (the head's forward + backward) and
+    conv_backward's bwd_ms (a layer's backward inside one pool task)."""
+    errors = []
+    for section, metric in LAYER_ROWS:
+        def rows(bench):
+            return {row["name"]: row
+                    for row in (bench or {}).get(section, [])}
+        now_rows, prev_rows = rows(kernels_now), rows(kernels_prev)
+        errors.extend(check(f"kernels.{section}.{name}.{metric}",
+                            now_rows[name].get(metric),
+                            prev_rows[name].get(metric), lower_is_better=True)
+                      for name in sorted(set(now_rows) & set(prev_rows)))
+    return errors
 
 
 def trajectory():
@@ -407,7 +422,7 @@ def trajectory():
         "kernels.plan_cache.hit_rate",
         kernels_now.get("plan_cache", {}).get("hit_rate"),
         kernels_prev.get("plan_cache", {}).get("hit_rate")))
-    errors.extend(conv_layer_errors(kernels_now, kernels_prev))
+    errors.extend(layer_row_errors(kernels_now, kernels_prev))
 
     errors = [e for e in errors if e is not None]
     if errors:

@@ -18,8 +18,10 @@ void check_backward_shape(const Tensor& cached, const Tensor& grad,
 
 }  // namespace
 
-Tensor ReLU::forward(const Tensor& input, bool /*training*/) {
-  cached_input_ = input;
+// Like Conv2d, an evaluation pass caches nothing: backward needs the
+// activation only after a training forward.
+Tensor ReLU::forward(const Tensor& input, bool training) {
+  cached_input_ = training ? input : Tensor();
   Tensor out(input.shape());
   const float* in = input.data();
   float* o = out.data();
@@ -39,8 +41,8 @@ Tensor ReLU::backward(const Tensor& grad_output) {
   return grad;
 }
 
-Tensor LeakyReLU::forward(const Tensor& input, bool /*training*/) {
-  cached_input_ = input;
+Tensor LeakyReLU::forward(const Tensor& input, bool training) {
+  cached_input_ = training ? input : Tensor();
   Tensor out(input.shape());
   const float* in = input.data();
   float* o = out.data();
@@ -64,13 +66,13 @@ Tensor LeakyReLU::backward(const Tensor& grad_output) {
   return grad;
 }
 
-Tensor Sigmoid::forward(const Tensor& input, bool /*training*/) {
+Tensor Sigmoid::forward(const Tensor& input, bool training) {
   Tensor out(input.shape());
   const float* in = input.data();
   float* o = out.data();
   const std::int64_t n = input.numel();
   for (std::int64_t i = 0; i < n; ++i) o[i] = 1.0f / (1.0f + std::exp(-in[i]));
-  cached_output_ = out;
+  cached_output_ = training ? out : Tensor();
   return out;
 }
 
@@ -85,13 +87,13 @@ Tensor Sigmoid::backward(const Tensor& grad_output) {
   return grad;
 }
 
-Tensor Tanh::forward(const Tensor& input, bool /*training*/) {
+Tensor Tanh::forward(const Tensor& input, bool training) {
   Tensor out(input.shape());
   const float* in = input.data();
   float* o = out.data();
   const std::int64_t n = input.numel();
   for (std::int64_t i = 0; i < n; ++i) o[i] = std::tanh(in[i]);
-  cached_output_ = out;
+  cached_output_ = training ? out : Tensor();
   return out;
 }
 

@@ -1,25 +1,19 @@
 #include "nn/conv2d.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
 #include "nn/init.hpp"
 #include "tensor/conv_direct.hpp"
+#include "tensor/conv_gemm.hpp"
 #include "tensor/matmul.hpp"
-#include "tensor/ops.hpp"
 #include "tensor/plan.hpp"
 #include "util/scratch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fleda {
-namespace {
-
-ImplicitCols implicit_cols(const ConvIndex& ix, const float* padded) {
-  return ImplicitCols{padded, ix.row_offset.data(), ix.pixel_offset.data()};
-}
-
-}  // namespace
 
 Conv2d::Conv2d(std::string name, const Conv2dOptions& opts, Rng& rng)
     : name_(std::move(name)),
@@ -76,54 +70,29 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
   cached_input_ = training ? input : Tensor();
   Tensor output(Shape::of(N, opts_.out_channels, OH, OW));
 
-  // Three lowerings, all reading either a padded copy of each sample or
-  // its im2col column matrix:
-  //   direct   (Cout = 1, stride 1): the direct kernels, padded copy;
-  //   implicit (planner packs):      B panels packed from the padded
-  //                                  copy; the weight panels are packed
-  //                                  once here, shared by the batch;
-  //   im2col   (planner's reference strategy): the materialized cols.
-  const ConvIndex ix = make_conv_index(g);
-  GemmPlan plan;
-  std::vector<float> wpack;
-  if (!direct()) {
-    plan = KernelPlanCache::global().plan_for(
-        GemmOp::kNN, opts_.out_channels, g.col_rows(), g.col_cols());
-    if (plan.strategy == GemmStrategy::kPacked) {
-      wpack.resize(packed_a_elems(plan));
-      pack_a(plan, weight_.value.data(), wpack.data());
-    }
-  }
-  const bool implicit = plan.strategy == GemmStrategy::kPacked;
-  const bool padded = direct() || implicit;
-  const std::size_t buf_elems = static_cast<std::size_t>(
-      padded ? ix.padded_elems() : g.col_rows() * g.col_cols());
+  // The head runs the direct kernels on a padded copy of each sample;
+  // every other layer the conv GEMM, whose weight panels are packed
+  // once here and shared by the batch.
+  const ConvIndex ix = direct() ? make_conv_index(g) : ConvIndex();
+  std::optional<ConvGemm> gemm;
+  if (!direct()) gemm.emplace(g, opts_.out_channels, weight_.value.data());
 
   const std::int64_t in_stride = opts_.in_channels * H * W;
   const std::int64_t out_stride = opts_.out_channels * OH * OW;
-  // Batch-parallel: output slices are disjoint, scratch is per-chunk.
+  // Batch-parallel: output slices are disjoint, scratch is per-thread.
   // Under an outer parallel region this degrades to the serial loop.
   parallel_for(static_cast<std::size_t>(N), [&](std::size_t nb,
                                                 std::size_t ne) {
-    float* buf = thread_scratch(ScratchSlot::kCols, buf_elems);
     for (std::size_t n = nb; n < ne; ++n) {
       const float* x = input.data() + static_cast<std::int64_t>(n) * in_stride;
       float* out_n = output.data() + static_cast<std::int64_t>(n) * out_stride;
-      if (padded) {
-        pad_image(x, g, buf);
-      } else {
-        im2col(x, g, buf);
-      }
-      // y = W [Cout x rows] * cols [rows x OHW]
       if (direct()) {
-        direct_conv_forward(ix, buf, weight_.value.data(), out_n);
-      } else if (implicit) {
-        gemm_packed_implicit(plan, /*a=*/nullptr, wpack.data(),
-                             implicit_cols(ix, buf), out_n,
-                             /*accumulate=*/false);
+        float* padded = thread_scratch(
+            ScratchSlot::kCols, static_cast<std::size_t>(ix.padded_elems()));
+        pad_image(x, g, padded);
+        direct_conv_forward(ix, padded, weight_.value.data(), out_n);
       } else {
-        matmul_reference(weight_.value.data(), buf, out_n, opts_.out_channels,
-                         g.col_rows(), g.col_cols());
+        gemm->run(x, out_n);
       }
       if (opts_.bias) {
         for (std::int64_t co = 0; co < opts_.out_channels; ++co) {
@@ -135,6 +104,23 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
     }
   });
   return output;
+}
+
+std::vector<float> Conv2d::flipped_weight() const {
+  const std::int64_t cin = opts_.in_channels;
+  const std::int64_t cout = opts_.out_channels;
+  const std::int64_t k = opts_.kernel;
+  const std::int64_t taps = k * k;
+  std::vector<float> flipped(static_cast<std::size_t>(cin * cout * taps));
+  const float* w = weight_.value.data();
+  for (std::int64_t co = 0; co < cout; ++co) {
+    for (std::int64_t ci = 0; ci < cin; ++ci) {
+      const float* src = w + (co * cin + ci) * taps;
+      float* dst = flipped.data() + (ci * cout + co) * taps;
+      for (std::int64_t t = 0; t < taps; ++t) dst[t] = src[taps - 1 - t];
+    }
+  }
+  return flipped;
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
@@ -152,114 +138,105 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     throw std::invalid_argument("Conv2d " + name_ + ": bad grad shape " +
                                 grad_output.shape().to_string());
   }
-
-  const bool want_dx = opts_.input_grad;
-  Tensor grad_input = want_dx ? Tensor(input.shape()) : Tensor();
   const std::int64_t in_stride = opts_.in_channels * H * W;
   const std::int64_t out_stride = opts_.out_channels * OH * OW;
+  const ConvIndex ix = direct() ? make_conv_index(g) : ConvIndex();
 
-  // The same lowerings as forward: dW's GEMM (per-sample A = dy) packs
-  // its B panels from the padded copy whenever the planner packs it; the
-  // direct dW kernel pads each sample itself.
-  // dcols = W^T dy reuses the weight across the whole batch: plan once,
-  // prepack once when packed, then col2im.
-  const ConvIndex ix = make_conv_index(g);
-  GemmPlan dw_plan;
-  GemmPlan dx_plan;
-  std::vector<float> wpack;
-  if (!direct()) {
-    dw_plan = KernelPlanCache::global().plan_for(
-        GemmOp::kBT, opts_.out_channels, g.col_cols(), g.col_rows());
-    if (want_dx) {
-      dx_plan = KernelPlanCache::global().plan_for(
+  // dX, batch-parallel (each sample writes its own slice):
+  //   direct:    the head's gather kernel;
+  //   stride 1:  the forward conv of dy, padded by d(k-1)-p, with the
+  //              flipped, channel-transposed weight (ConvGemm);
+  //   stride s:  W^T dy as columns, scattered with col2im.
+  Tensor grad_input;
+  if (opts_.input_grad) {
+    grad_input = Tensor(input.shape());
+    std::vector<float> flipped;
+    std::optional<ConvGemm> dx_gemm;
+    GemmPlan at_plan;
+    std::vector<float> wpack;
+    if (!direct() && opts_.stride == 1) {
+      ConvGeometry gd;
+      gd.channels = opts_.out_channels;
+      gd.height = OH;
+      gd.width = OW;
+      gd.kernel_h = gd.kernel_w = opts_.kernel;
+      gd.pad_h = gd.pad_w = opts_.dilation * (opts_.kernel - 1) - opts_.padding;
+      gd.dilation_h = gd.dilation_w = opts_.dilation;
+      flipped = flipped_weight();
+      dx_gemm.emplace(gd, opts_.in_channels, flipped.data());
+    } else if (!direct()) {
+      at_plan = KernelPlanCache::global().plan_for(
           GemmOp::kAT, g.col_rows(), opts_.out_channels, g.col_cols());
-      if (dx_plan.strategy == GemmStrategy::kPacked) {
-        wpack.resize(packed_a_elems(dx_plan));
-        pack_a(dx_plan, weight_.value.data(), wpack.data());
+      if (at_plan.strategy == GemmStrategy::kPacked) {
+        wpack.resize(packed_a_elems(at_plan));
+        pack_a(at_plan, weight_.value.data(), wpack.data());
       }
     }
-  }
-  const bool implicit = dw_plan.strategy == GemmStrategy::kPacked;
-  const std::size_t buf_elems = static_cast<std::size_t>(
-      direct()   ? 0
-      : implicit ? ix.padded_elems()
+    const std::size_t grad_scratch = static_cast<std::size_t>(
+        direct() ? direct_conv_input_grad_scratch(ix)
                  : g.col_rows() * g.col_cols());
-  const std::size_t dbuf_elems = static_cast<std::size_t>(
-      direct() ? direct_conv_input_grad_scratch(ix)
-               : g.col_rows() * g.col_cols());
-
-  // Batch-parallel over a FIXED number of slices (independent of the
-  // thread-pool size), each with its own dW/db partial, reduced
-  // serially in slice order below. Both properties matter: a per-chunk
-  // mutex merge would make the float sums depend on chunk boundaries
-  // (pool size) and completion order — the determinism tests compare
-  // runs across pool sizes bit-for-bit.
-  const std::size_t batch = static_cast<std::size_t>(N);
-  const std::size_t slices = std::min<std::size_t>(batch, 16);
-  const std::size_t span = (batch + slices - 1) / slices;
-  std::vector<Tensor> dw_partial(slices, Tensor(weight_.grad.shape()));
-  std::vector<Tensor> db_partial(opts_.bias ? slices : 0,
-                                 Tensor(bias_.grad.shape()));
-  parallel_for(slices, [&](std::size_t sb, std::size_t se) {
-    float* buf = thread_scratch(ScratchSlot::kCols, buf_elems);
-    float* dbuf =
-        want_dx ? thread_scratch(ScratchSlot::kColsGrad, dbuf_elems) : nullptr;
-    for (std::size_t s = sb; s < se; ++s) {
-      for (std::size_t n = s * span; n < std::min(batch, (s + 1) * span);
-           ++n) {
-        const float* x =
-            input.data() + static_cast<std::int64_t>(n) * in_stride;
+    parallel_for(static_cast<std::size_t>(N), [&](std::size_t nb,
+                                                  std::size_t ne) {
+      for (std::size_t n = nb; n < ne; ++n) {
         const float* dy =
             grad_output.data() + static_cast<std::int64_t>(n) * out_stride;
-        float* dx = want_dx ? grad_input.data() +
-                                  static_cast<std::int64_t>(n) * in_stride
-                            : nullptr;
-        if (direct()) {
-          direct_conv_weight_grad(ix, x, dy, dw_partial[s].data());
-          if (want_dx) {
-            direct_conv_input_grad(ix, weight_.value.data(), dy, dbuf, dx);
-          }
-        } else {
-          // dW_s += dy [Cout x OHW] * cols^T, from a rebuilt padded copy
-          // or column matrix (cheaper than caching one per sample).
-          if (implicit) {
-            pad_image(x, g, buf);
-            gemm_packed_implicit(dw_plan, dy, /*apack=*/nullptr,
-                                 implicit_cols(ix, buf),
-                                 dw_partial[s].data(), /*accumulate=*/true);
-          } else {
-            im2col(x, g, buf);
-            matmul_bt_reference(dy, buf, dw_partial[s].data(),
-                                opts_.out_channels, g.col_cols(),
-                                g.col_rows(), /*accumulate=*/true);
-          }
-          if (want_dx) {
-            // dcols = W^T [rows x Cout] * dy [Cout x OHW]
-            if (dx_plan.strategy == GemmStrategy::kPacked) {
-              gemm_packed_prepacked_a(dx_plan, wpack.data(), dy, dbuf,
-                                      /*accumulate=*/false);
-            } else {
-              matmul_at_reference(weight_.value.data(), dy, dbuf,
-                                  g.col_rows(), opts_.out_channels,
-                                  g.col_cols());
-            }
-            col2im(dbuf, g, dx);
-          }
+        float* dx = grad_input.data() + static_cast<std::int64_t>(n) * in_stride;
+        if (dx_gemm) {
+          dx_gemm->run(dy, dx);
+          continue;
         }
-        if (opts_.bias) {
-          for (std::int64_t co = 0; co < opts_.out_channels; ++co) {
-            const float* chan = dy + co * OH * OW;
-            double acc = 0.0;
-            for (std::int64_t i = 0; i < OH * OW; ++i) acc += chan[i];
-            db_partial[s][co] += static_cast<float>(acc);
-          }
+        float* buf = thread_scratch(ScratchSlot::kColsGrad, grad_scratch);
+        if (direct()) {
+          direct_conv_input_grad(ix, weight_.value.data(), dy, buf, dx);
+          continue;
+        }
+        // dcols = W^T [rows x Cout] * dy [Cout x OHW]
+        if (at_plan.strategy == GemmStrategy::kPacked) {
+          gemm_packed_prepacked_a(at_plan, wpack.data(), dy, buf,
+                                  /*accumulate=*/false);
+        } else {
+          matmul_at_reference(weight_.value.data(), dy, buf, g.col_rows(),
+                              opts_.out_channels, g.col_cols());
+        }
+        col2im(buf, g, dx);
+      }
+    });
+  }
+
+  // dW and db accumulate straight into the gradients, one sample at a
+  // time in sample order, so their bits do not depend on the pool size
+  // or on whether this runs inside a parallel region. dW is split
+  // across the pool by weight columns instead: conv_gemm_weight_grad's
+  // column blocks, or the head's blocks of eight channels (one AVX2
+  // lane group).
+  if (direct()) {
+    const ColumnBlocks blocks = column_blocks(opts_.in_channels, 8);
+    parallel_for(static_cast<std::size_t>(blocks.count), [&](std::size_t bb,
+                                                             std::size_t be) {
+      for (std::size_t blk = bb; blk < be; ++blk) {
+        const std::int64_t c0 = static_cast<std::int64_t>(blk) * blocks.width;
+        const std::int64_t c1 = std::min(opts_.in_channels, c0 + blocks.width);
+        for (std::int64_t n = 0; n < N; ++n) {
+          direct_conv_weight_grad(ix, input.data() + n * in_stride,
+                                  grad_output.data() + n * out_stride,
+                                  weight_.grad.data(), c0, c1);
         }
       }
+    });
+  } else {
+    conv_gemm_weight_grad(g, opts_.out_channels, N, grad_output.data(),
+                          input.data(), weight_.grad.data());
+  }
+  if (opts_.bias) {
+    for (std::int64_t n = 0; n < N; ++n) {
+      const float* dy = grad_output.data() + n * out_stride;
+      for (std::int64_t co = 0; co < opts_.out_channels; ++co) {
+        const float* chan = dy + co * OH * OW;
+        double acc = 0.0;
+        for (std::int64_t i = 0; i < OH * OW; ++i) acc += chan[i];
+        bias_.grad[co] += static_cast<float>(acc);
+      }
     }
-  });
-  for (std::size_t s = 0; s < slices; ++s) {
-    add_inplace(weight_.grad, dw_partial[s]);
-    if (opts_.bias) add_inplace(bias_.grad, db_partial[s]);
   }
   return grad_input;
 }

@@ -5,8 +5,8 @@
 #include <vector>
 
 #include "nn/init.hpp"
+#include "tensor/conv_gemm.hpp"
 #include "tensor/matmul.hpp"
-#include "tensor/ops.hpp"
 #include "tensor/plan.hpp"
 #include "util/scratch.hpp"
 #include "util/thread_pool.hpp"
@@ -128,68 +128,35 @@ Tensor ConvTranspose2d::backward(const Tensor& grad_output) {
   }
   ConvGeometry g = out_geometry(OH, OW);
 
+  // The adjoint of forward's col2im is the conv of dy at this layer's
+  // stride: dx = W [Cin x Cout*k*k] * cols(dy), batch-parallel, with
+  // the weight panels packed once for the batch.
   Tensor grad_input(input.shape());
   const std::int64_t in_stride = opts_.in_channels * H * W;
   const std::int64_t out_stride = opts_.out_channels * OH * OW;
-
-  // dx reuses the weight across the batch: plan once, prepack once when
-  // packed. dW's per-sample-A GEMM dispatches through matmul_bt.
-  const GemmPlan dx_plan = KernelPlanCache::global().plan_for(
-      GemmOp::kNN, opts_.in_channels, g.col_rows(), g.col_cols());
-  std::vector<float> wpack;
-  if (dx_plan.strategy == GemmStrategy::kPacked) {
-    wpack.resize(packed_a_elems(dx_plan));
-    pack_a(dx_plan, weight_.value.data(), wpack.data());
-  }
-
-  // Fixed-slice partials, reduced in slice order (see Conv2d::backward
-  // for why a pool-size-dependent mutex merge would be
-  // nondeterministic).
-  const std::size_t batch = static_cast<std::size_t>(N);
-  const std::size_t slices = std::min<std::size_t>(batch, 16);
-  const std::size_t span = (batch + slices - 1) / slices;
-  std::vector<Tensor> dw_partial(slices, Tensor(weight_.grad.shape()));
-  std::vector<Tensor> db_partial(opts_.bias ? slices : 0,
-                                 Tensor(bias_.grad.shape()));
-  parallel_for(slices, [&](std::size_t sb, std::size_t se) {
-    float* dcols = thread_scratch(
-        ScratchSlot::kColsGrad,
-        static_cast<std::size_t>(g.col_rows() * g.col_cols()));
-    for (std::size_t s = sb; s < se; ++s) {
-      for (std::size_t n = s * span; n < std::min(batch, (s + 1) * span);
-           ++n) {
-        const float* dy =
-            grad_output.data() + static_cast<std::int64_t>(n) * out_stride;
-        // dcols = im2col(dy) (adjoint of the forward col2im)
-        im2col(dy, g, dcols);
-        // dx = W [Cin x Cout*k*k] * dcols [Cout*k*k x H*W]
-        float* dx_n =
-            grad_input.data() + static_cast<std::int64_t>(n) * in_stride;
-        if (dx_plan.strategy == GemmStrategy::kPacked) {
-          gemm_packed_prepacked_a(dx_plan, wpack.data(), dcols, dx_n,
-                                  /*accumulate=*/false);
-        } else {
-          matmul_reference(weight_.value.data(), dcols, dx_n,
-                           opts_.in_channels, g.col_rows(), g.col_cols());
-        }
-        // dW_s += x [Cin x H*W] * dcols^T
-        matmul_bt(input.data() + static_cast<std::int64_t>(n) * in_stride,
-                  dcols, dw_partial[s].data(), opts_.in_channels,
-                  g.col_cols(), g.col_rows(), /*accumulate=*/true);
-        if (opts_.bias) {
-          for (std::int64_t co = 0; co < opts_.out_channels; ++co) {
-            const float* chan = dy + co * OH * OW;
-            double acc = 0.0;
-            for (std::int64_t i = 0; i < OH * OW; ++i) acc += chan[i];
-            db_partial[s][co] += static_cast<float>(acc);
-          }
-        }
-      }
+  const ConvGemm dx_gemm(g, opts_.in_channels, weight_.value.data());
+  parallel_for(static_cast<std::size_t>(N), [&](std::size_t nb,
+                                                std::size_t ne) {
+    for (std::size_t n = nb; n < ne; ++n) {
+      dx_gemm.run(
+          grad_output.data() + static_cast<std::int64_t>(n) * out_stride,
+          grad_input.data() + static_cast<std::int64_t>(n) * in_stride);
     }
   });
-  for (std::size_t s = 0; s < slices; ++s) {
-    add_inplace(weight_.grad, dw_partial[s]);
-    if (opts_.bias) add_inplace(bias_.grad, db_partial[s]);
+  // dW += x [Cin x H*W] * cols(dy)^T and db, straight into the
+  // gradients in sample order (see Conv2d::backward).
+  conv_gemm_weight_grad(g, opts_.in_channels, N, input.data(),
+                        grad_output.data(), weight_.grad.data());
+  if (opts_.bias) {
+    for (std::int64_t n = 0; n < N; ++n) {
+      const float* dy = grad_output.data() + n * out_stride;
+      for (std::int64_t co = 0; co < opts_.out_channels; ++co) {
+        const float* chan = dy + co * OH * OW;
+        double acc = 0.0;
+        for (std::int64_t i = 0; i < OH * OW; ++i) acc += chan[i];
+        bias_.grad[co] += static_cast<float>(acc);
+      }
+    }
   }
   return grad_input;
 }

@@ -1,7 +1,13 @@
 // Transposed 2D convolution (a.k.a. deconvolution), the upsampling
 // operator in RouteNet's decoder. Implemented as the exact adjoint of
-// Conv2d: forward is conv-backward-data (matmul + col2im), backward is
-// conv-forward (im2col + matmul). Weight layout is [Cin, Cout*kh*kw].
+// Conv2d. Weight layout is [Cin, Cout*kh*kw]. Lowerings:
+//   - forward (conv-backward-data): cols = W^T x through the planner's
+//     kAT GEMM, scattered into the output with col2im;
+//   - dX: the conv of dy at this layer's stride, W * cols(dy), and
+//   - dW: x * cols(dy)^T, added sample by sample in sample order,
+// both through tensor/conv_gemm.hpp, which reads cols(dy) from a
+// padded copy of dy through the stride-s ConvIndex: the panels, and
+// bits, im2col(dy) would give, without building it.
 #pragma once
 
 #include "nn/module.hpp"

@@ -279,8 +279,7 @@ __attribute__((always_inline)) inline void weight_grad_batch(
 template <int N>
 __attribute__((always_inline)) inline void weight_grad_from(
     const ConvIndex& ix, const float* x, const float* dy, float* dw,
-    float* block, std::int64_t c0) {
-  const std::int64_t C = ix.geometry.channels;
+    float* block, std::int64_t c0, std::int64_t C) {
   const std::int64_t taps = ix.geometry.kernel_h * ix.geometry.kernel_w;
   for (; c0 + N <= C; c0 += N) {
     pad_group<N>(ix, x, c0, block);
@@ -296,13 +295,14 @@ __attribute__((always_inline)) inline void weight_grad_from(
     }
   }
   if constexpr (N > 1) {
-    weight_grad_from<N / 2>(ix, x, dy, dw, block, c0);
+    weight_grad_from<N / 2>(ix, x, dy, dw, block, c0, C);
   }
 }
 
 void weight_grad_portable(const ConvIndex& ix, const float* x,
-                          const float* dy, float* dw, float* block) {
-  weight_grad_from<4>(ix, x, dy, dw, block, 0);
+                          const float* dy, float* dw, float* block,
+                          std::int64_t c_begin, std::int64_t c_end) {
+  weight_grad_from<4>(ix, x, dy, dw, block, c_begin, c_end);
 }
 
 #if FLEDA_X86_KERNELS
@@ -327,8 +327,9 @@ FLEDA_TARGET_AVX2 void input_grad_avx2(const ConvIndex& ix, const float* w,
 
 FLEDA_TARGET_AVX2 void weight_grad_avx2(const ConvIndex& ix, const float* x,
                                         const float* dy, float* dw,
-                                        float* block) {
-  weight_grad_from<8>(ix, x, dy, dw, block, 0);
+                                        float* block, std::int64_t c_begin,
+                                        std::int64_t c_end) {
+  weight_grad_from<8>(ix, x, dy, dw, block, c_begin, c_end);
 }
 
 #endif  // FLEDA_X86_KERNELS
@@ -348,18 +349,22 @@ void direct_conv_forward(const ConvIndex& ix, const float* padded,
 }
 
 void direct_conv_weight_grad(const ConvIndex& ix, const float* x,
-                             const float* dy, float* dw) {
+                             const float* dy, float* dw, std::int64_t c_begin,
+                             std::int64_t c_end) {
   require_unit_stride(ix);
+  if (c_begin < 0 || c_begin > c_end || c_end > ix.geometry.channels) {
+    throw std::invalid_argument("direct_conv_weight_grad: bad channel range");
+  }
   float* block = thread_scratch(
       ScratchSlot::kConvBlock,
       static_cast<std::size_t>(ix.padded_height * ix.padded_width * 8));
 #if FLEDA_X86_KERNELS
   if (kernel_isa() == KernelIsa::kAvx2) {
-    weight_grad_avx2(ix, x, dy, dw, block);
+    weight_grad_avx2(ix, x, dy, dw, block, c_begin, c_end);
     return;
   }
 #endif
-  weight_grad_portable(ix, x, dy, dw, block);
+  weight_grad_portable(ix, x, dy, dw, block, c_begin, c_end);
 }
 
 std::int64_t direct_conv_input_grad_scratch(const ConvIndex& ix) {

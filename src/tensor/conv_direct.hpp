@@ -50,9 +50,12 @@ void direct_conv_forward(const ConvIndex& ix, const float* padded,
 
 // dw[C*kh*kw] += dy[OH*OW] * cols^T. `x` is one unpadded sample
 // [C, H, W]: the kernel builds its padded channel blocks itself, in
-// thread-local scratch.
+// thread-local scratch. Only the rows of channels [c_begin, c_end) are
+// computed and written; an element's bits do not depend on the range,
+// so dW can be split across the pool by channels.
 void direct_conv_weight_grad(const ConvIndex& ix, const float* x,
-                             const float* dy, float* dw);
+                             const float* dy, float* dw, std::int64_t c_begin,
+                             std::int64_t c_end);
 
 // dx[C,H,W] = col2im(w^T * dy), overwriting dx. `frame` is scratch of
 // direct_conv_input_grad_scratch(ix) floats.

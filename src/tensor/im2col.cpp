@@ -1,5 +1,6 @@
 #include "tensor/im2col.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace fleda {
@@ -66,18 +67,27 @@ void col2im(const float* cols, const ConvGeometry& g, float* image) {
 void pad_image(const float* image, const ConvGeometry& g, float* padded) {
   const std::int64_t Hp = g.height + 2 * g.pad_h;
   const std::int64_t Wp = g.width + 2 * g.pad_w;
+  // Each kept row copies source columns [w0, w1) between zero margins
+  // (empty when the padding is negative, which crops instead).
+  const std::int64_t w0 = std::max<std::int64_t>(0, -g.pad_w);
+  const std::int64_t w1 = std::min(g.width, Wp - g.pad_w);
+  const std::int64_t left = w0 + g.pad_w;
+  const std::int64_t right = Wp - left - (w1 - w0);
   for (std::int64_t c = 0; c < g.channels; ++c) {
     float* chan = padded + c * Hp * Wp;
     const float* src = image + c * g.height * g.width;
-    std::memset(chan, 0, sizeof(float) * g.pad_h * Wp);
-    for (std::int64_t h = 0; h < g.height; ++h) {
-      float* row = chan + (g.pad_h + h) * Wp;
-      std::memset(row, 0, sizeof(float) * g.pad_w);
-      std::memcpy(row + g.pad_w, src + h * g.width, sizeof(float) * g.width);
-      std::memset(row + g.pad_w + g.width, 0, sizeof(float) * g.pad_w);
+    for (std::int64_t hp = 0; hp < Hp; ++hp) {
+      float* row = chan + hp * Wp;
+      const std::int64_t h = hp - g.pad_h;
+      if (h < 0 || h >= g.height) {
+        std::memset(row, 0, sizeof(float) * Wp);
+        continue;
+      }
+      std::memset(row, 0, sizeof(float) * left);
+      std::memcpy(row + left, src + h * g.width + w0,
+                  sizeof(float) * (w1 - w0));
+      std::memset(row + left + (w1 - w0), 0, sizeof(float) * right);
     }
-    std::memset(chan + (g.pad_h + g.height) * Wp, 0,
-                sizeof(float) * g.pad_h * Wp);
   }
 }
 

@@ -49,7 +49,10 @@ void im2col(const float* image, const ConvGeometry& g, float* cols);
 void col2im(const float* cols, const ConvGeometry& g, float* image);
 
 // image: [C,H,W] contiguous. padded: [C, H+2*pad_h, W+2*pad_w],
-// fully overwritten — the image in the middle, zeros around it.
+// fully overwritten — the image in the middle, zeros around it. A
+// negative pad crops that many rows/columns off each side instead (the
+// stride-1 conv dX of a layer padded past its kernel's reach reads dy
+// so; im2col and ConvIndex take negative pads as they are).
 void pad_image(const float* image, const ConvGeometry& g, float* padded);
 
 // Offsets that address the column matrix inside a padded sample:

@@ -113,12 +113,6 @@ std::string GemmPlan::to_string() const {
 
 GemmPlan make_gemm_plan(GemmOp op, std::int64_t m, std::int64_t k,
                         std::int64_t n) {
-  GemmPlan plan;
-  plan.shape = GemmShape{op, m, k, n};
-  plan.flops = 2.0 * static_cast<double>(m) * static_cast<double>(k) *
-               static_cast<double>(n);
-  plan.isa = kernel_isa();
-
   // Packing pays for itself only when the B panels are reused across
   // several MR row-panels and the accumulator tile runs long enough in
   // k. Skinny shapes (vector-matrix products, rank-1 updates, tiny
@@ -129,11 +123,22 @@ GemmPlan make_gemm_plan(GemmOp op, std::int64_t m, std::int64_t k,
   // 20% faster on reference).
   const bool fat = m >= 2 * kGemmMR && n >= 2 * kGemmNR && k >= 48 &&
                    m * k * n >= 32 * 1024;
+  GemmPlan plan = make_packed_plan(op, m, k, n);
   if (!fat) {
     plan.strategy = GemmStrategy::kReference;
-    return plan;
+    plan.mc = 0;
+    plan.nc = 0;
   }
+  return plan;
+}
 
+GemmPlan make_packed_plan(GemmOp op, std::int64_t m, std::int64_t k,
+                          std::int64_t n) {
+  GemmPlan plan;
+  plan.shape = GemmShape{op, m, k, n};
+  plan.flops = 2.0 * static_cast<double>(m) * static_cast<double>(k) *
+               static_cast<double>(n);
+  plan.isa = kernel_isa();
   plan.strategy = GemmStrategy::kPacked;
   // NC: the packed B block (KC x nc floats) should occupy at most half
   // of L2, so it survives the sweep over all row panels.

@@ -112,6 +112,16 @@ struct GemmPlan {
 GemmPlan make_gemm_plan(GemmOp op, std::int64_t m, std::int64_t k,
                         std::int64_t n);
 
+// The packed plan for a shape, with the blocking make_gemm_plan gives
+// the shapes it packs, whatever the cost model would choose; also a
+// pure function of shape, and not cached. The conv GEMMs whose B is
+// read in place from a padded image (ImplicitCols, tensor/conv_gemm.hpp)
+// always pack: the reference strategy would first have to write the
+// whole column matrix, which costs what packing it does, and then
+// stream it once per row of C. Same bits either way.
+GemmPlan make_packed_plan(GemmOp op, std::int64_t m, std::int64_t k,
+                          std::int64_t n);
+
 struct PlanCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -201,9 +211,14 @@ struct ImplicitCols {
 // (kNN, B = cols [rows, pixels]) and the weight gradient (kBT,
 // B stored [n, k] = cols). A is either raw (`a`, packed on the fly) or
 // prepacked with pack_a (`apack`); pass nullptr for the other.
-// Throws std::invalid_argument for kAT plans.
+// Only C's columns [col_begin, col_end) are computed and written (pass
+// 0, n for all of C); a C element's bits do not depend on the range
+// it was computed in, so a weight gradient can be split across the
+// pool by columns. Throws std::invalid_argument for kAT plans and for
+// a range outside [0, n].
 void gemm_packed_implicit(const GemmPlan& plan, const float* a,
                           const float* apack, const ImplicitCols& b,
-                          float* c, bool accumulate);
+                          float* c, bool accumulate, std::int64_t col_begin,
+                          std::int64_t col_end);
 
 }  // namespace fleda

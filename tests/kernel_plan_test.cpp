@@ -8,9 +8,13 @@
 // count hits/misses/evictions correctly under concurrent lookups. The
 // direct kernels of the single-output-channel conv must reproduce the
 // im2col + reference-GEMM lowering bit for bit on every ISA and pool
-// size, and Conv2d's implicit-column packed path must reproduce im2col
-// + the same GEMMs, at strides 1 and 2, dilation 2 and pool sizes 1
-// and 4.
+// size. Conv2d's implicit-column path must reproduce im2col + the same
+// GEMMs with dW/db summed in sample order — dX at stride 1 as the
+// forward conv of dy with the flipped weight, which must also match the
+// col2im adjoint to within a stated rounding bound — at strides 1 and
+// 2, dilation 2, pool sizes 1/2/8, top level and nested; and
+// ConvTranspose2d's backward must reproduce im2col(dy) + the same
+// GEMMs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,11 +22,13 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "nn/conv2d.hpp"
+#include "nn/conv_transpose2d.hpp"
 #include "tensor/conv_direct.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/matmul.hpp"
@@ -233,11 +239,28 @@ TEST(GemmPacked, EveryEntryPointMatchesCanonicalOrderBitForBit) {
             if (op == GemmOp::kAT) continue;  // no implicit kAT form
             expect_want("gemm_packed_implicit", [&](float* c) {
               gemm_packed_implicit(plan, a.data(), nullptr, spread.cols(), c,
-                                   accumulate);
+                                   accumulate, 0, s.n);
             });
             expect_want("gemm_packed_implicit, prepacked A", [&](float* c) {
               gemm_packed_implicit(plan, nullptr, apack.data(), spread.cols(),
-                                   c, accumulate);
+                                   c, accumulate, 0, s.n);
+            });
+            // Two column ranges split off the NR grid: the first call
+            // leaves every column past it as it was.
+            const std::int64_t split = std::min(s.n, s.n / 2 + 3);
+            expect_want("gemm_packed_implicit, two column ranges",
+                        [&](float* c) {
+              gemm_packed_implicit(plan, a.data(), nullptr, spread.cols(), c,
+                                   accumulate, 0, split);
+              for (std::int64_t i = 0; i < s.m; ++i) {
+                for (std::int64_t j = split; j < s.n; ++j) {
+                  const std::size_t at = static_cast<std::size_t>(i * s.n + j);
+                  ASSERT_EQ(0, std::memcmp(&c[at], &seed[at], sizeof(float)))
+                      << where << ": column " << j << " written";
+                }
+              }
+              gemm_packed_implicit(plan, a.data(), nullptr, spread.cols(), c,
+                                   accumulate, split, s.n);
             });
           }
         }
@@ -271,7 +294,7 @@ TEST(GemmPacked, BitIdenticalAcrossThreadPoolSizes) {
 
 TEST(GemmPacked, ConvForwardBackwardBitIdenticalAcrossPoolSizes) {
   // End to end through Conv2d: the planner picks packed for this shape
-  // and the fixed MR row partition + fixed dW slices must keep both
+  // and the fixed MR row partition + sample-order dW must keep both
   // directions bit-identical whatever the pool size.
   Conv2dOptions opts;
   opts.in_channels = 2;
@@ -323,6 +346,24 @@ TEST(CostModel, FatShapesPackWithSaneBlocking) {
     EXPECT_EQ(plan.nc % kGemmNR, 0) << plan.to_string();
     EXPECT_EQ(plan.mc % kGemmMR, 0) << plan.to_string();
   }
+}
+
+TEST(CostModel, PackedPlanKeepsFatBlockingAndPacksSkinnyShapes) {
+  // The conv GEMMs always pack: make_packed_plan gives a fat shape the
+  // plan the cost model makes, and a skinny one (m = 6: a dX conv into
+  // six input channels) the same blocking rule.
+  const GemmPlan fat = make_gemm_plan(GemmOp::kNN, 64, 486, 1024);
+  const GemmPlan same = make_packed_plan(GemmOp::kNN, 64, 486, 1024);
+  EXPECT_EQ(same.strategy, GemmStrategy::kPacked);
+  EXPECT_EQ(same.mc, fat.mc);
+  EXPECT_EQ(same.nc, fat.nc);
+  ASSERT_EQ(make_gemm_plan(GemmOp::kNN, 6, 5184, 256).strategy,
+            GemmStrategy::kReference);
+  const GemmPlan packed = make_packed_plan(GemmOp::kNN, 6, 5184, 256);
+  EXPECT_EQ(packed.strategy, GemmStrategy::kPacked);
+  EXPECT_TRUE(packed.shape == (GemmShape{GemmOp::kNN, 6, 5184, 256}));
+  EXPECT_EQ(packed.mc, 8);
+  EXPECT_EQ(packed.nc, 192);  // KC = 680 deep, half of L2
 }
 
 TEST(KernelPlanCache, CountsHitsMissesAndEntries) {
@@ -430,7 +471,7 @@ Tensor random_tensor(const Shape& shape, Rng& rng) {
 }
 
 // The Cout = 1 conv as the im2col lowering computes it with the
-// reference kernels, including the layer's 16 fixed dW/db slices.
+// reference kernels, dW/db added one sample at a time in sample order.
 ConvResult im2col_oracle(const DirectCase& c, const Tensor& w, const Tensor& b,
                          const Tensor& x, const Tensor& gy) {
   const ConvGeometry g{c.cin, c.h, c.w, c.kernel, c.kernel, c.pad, c.pad,
@@ -450,25 +491,18 @@ ConvResult im2col_oracle(const DirectCase& c, const Tensor& w, const Tensor& b,
       for (std::int64_t i = 0; i < pixels; ++i) y[i] += b[0];
     }
   }
-  const std::int64_t slices = std::min<std::int64_t>(c.batch, 16);
-  const std::int64_t span = (c.batch + slices - 1) / slices;
-  for (std::int64_t s = 0; s < slices; ++s) {
-    Tensor dw_part(w.shape());
-    Tensor db_part(b.shape());
-    for (std::int64_t n = s * span; n < std::min(c.batch, (s + 1) * span);
-         ++n) {
-      const float* dy = gy.data() + n * pixels;
-      im2col(x.data() + n * in_stride, g, cols.data());
-      matmul_bt_reference(dy, cols.data(), dw_part.data(), 1, pixels, rows,
-                          /*accumulate=*/true);
-      matmul_at_reference(w.data(), dy, dcols.data(), rows, 1, pixels);
-      col2im(dcols.data(), g, r.dx.data() + n * in_stride);
+  for (std::int64_t n = 0; n < c.batch; ++n) {
+    const float* dy = gy.data() + n * pixels;
+    im2col(x.data() + n * in_stride, g, cols.data());
+    matmul_bt_reference(dy, cols.data(), r.dw.data(), 1, pixels, rows,
+                        /*accumulate=*/true);
+    matmul_at_reference(w.data(), dy, dcols.data(), rows, 1, pixels);
+    col2im(dcols.data(), g, r.dx.data() + n * in_stride);
+    if (c.bias) {
       double acc = 0.0;
       for (std::int64_t i = 0; i < pixels; ++i) acc += dy[i];
-      db_part[0] += static_cast<float>(acc);
+      r.db[0] += static_cast<float>(acc);
     }
-    add_inplace(r.dw, dw_part);
-    if (c.bias) add_inplace(r.db, db_part);
   }
   return r;
 }
@@ -543,7 +577,7 @@ TEST_P(DirectConv, BitIdenticalToIm2colOracleAtAnyPoolSize) {
 // Kernels 1/3/5/9 and dilation 2; channel counts that leave every
 // tail of the dW lane cascade (8, 4, 2, 1 channels); output widths on
 // and off multiples of 4 and 8; valid and same padding; bias on and
-// off; batch 1 and 17 (more than the 16 backward slices); more than
+// off; batch 1 and 17 (dW/db summed over many samples); more than
 // kGemmKC taps (forward slices: 9*9*9 = 729) and pixels (dW slices:
 // 29*31 = 899).
 INSTANTIATE_TEST_SUITE_P(
@@ -704,9 +738,55 @@ ConvGeometry geometry_of(const ConvCase& c) {
                       c.stride, c.dilation, c.dilation};
 }
 
-// The layer as the im2col lowering computes it with the dispatching
-// GEMMs (the same plans Conv2d picks), including the 16 fixed dW/db
-// slices of backward.
+// W' of the stride-1 dX conv: W'[ci, (co, kh, kw)] =
+// W[co, (ci, k-1-kh, k-1-kw)].
+Tensor flipped(const ConvCase& c, const Tensor& w) {
+  const std::int64_t taps = c.kernel * c.kernel;
+  Tensor f(Shape::of(c.cin, c.cout * taps));
+  for (std::int64_t co = 0; co < c.cout; ++co) {
+    for (std::int64_t ci = 0; ci < c.cin; ++ci) {
+      for (std::int64_t t = 0; t < taps; ++t) {
+        f[(ci * c.cout + co) * taps + t] = w[(co * c.cin + ci) * taps +
+                                             taps - 1 - t];
+      }
+    }
+  }
+  return f;
+}
+
+// The geometry of the stride-1 dX conv: dy, padded by d(k-1)-p.
+ConvGeometry dx_geometry_of(const ConvCase& c, const ConvGeometry& g) {
+  return ConvGeometry{c.cout,
+                      g.out_height(),
+                      g.out_width(),
+                      c.kernel,
+                      c.kernel,
+                      c.dilation * (c.kernel - 1) - c.pad,
+                      c.dilation * (c.kernel - 1) - c.pad,
+                      1,
+                      1,
+                      c.dilation,
+                      c.dilation};
+}
+
+// dX as col2im(W^T dy), the adjoint every stride used before the
+// stride-1 dX became a forward conv.
+void col2im_input_grad(const ConvCase& c, const Tensor& w, const Tensor& gy,
+                       Tensor& dx) {
+  const ConvGeometry g = geometry_of(c);
+  const std::int64_t pixels = g.col_cols();
+  std::vector<float> dcols(static_cast<std::size_t>(g.col_rows() * pixels));
+  for (std::int64_t n = 0; n < c.batch; ++n) {
+    matmul_at(w.data(), gy.data() + n * c.cout * pixels, dcols.data(),
+              g.col_rows(), c.cout, pixels);
+    col2im(dcols.data(), g, dx.data() + n * c.cin * c.h * c.w);
+  }
+}
+
+// The layer as im2col + the dispatching GEMMs compute it (the same
+// plans Conv2d picks): dW/db added one sample at a time in sample
+// order, and dX at stride 1 as matmul(W', im2col(dy, g')), at other
+// strides as col2im(W^T dy).
 ConvResult conv_oracle(const ConvCase& c, const Tensor& w, const Tensor& b,
                        const Tensor& x, const Tensor& gy) {
   const ConvGeometry g = geometry_of(c);
@@ -715,7 +795,6 @@ ConvResult conv_oracle(const ConvCase& c, const Tensor& w, const Tensor& b,
   const std::int64_t in_stride = c.cin * c.h * c.w;
   const std::int64_t out_stride = c.cout * pixels;
   std::vector<float> cols(static_cast<std::size_t>(rows * pixels));
-  std::vector<float> dcols(cols.size());
   ConvResult r{Tensor(gy.shape()), Tensor(w.shape()), Tensor(b.shape()),
                Tensor(x.shape())};
   for (std::int64_t n = 0; n < c.batch; ++n) {
@@ -726,27 +805,29 @@ ConvResult conv_oracle(const ConvCase& c, const Tensor& w, const Tensor& b,
       for (std::int64_t i = 0; i < pixels; ++i) y[co * pixels + i] += b[co];
     }
   }
-  const std::int64_t slices = std::min<std::int64_t>(c.batch, 16);
-  const std::int64_t span = (c.batch + slices - 1) / slices;
-  for (std::int64_t s = 0; s < slices; ++s) {
-    Tensor dw_part(w.shape());
-    Tensor db_part(b.shape());
-    for (std::int64_t n = s * span; n < std::min(c.batch, (s + 1) * span);
-         ++n) {
-      const float* dy = gy.data() + n * out_stride;
-      im2col(x.data() + n * in_stride, g, cols.data());
-      matmul_bt(dy, cols.data(), dw_part.data(), c.cout, pixels, rows,
-                /*accumulate=*/true);
-      matmul_at(w.data(), dy, dcols.data(), rows, c.cout, pixels);
-      col2im(dcols.data(), g, r.dx.data() + n * in_stride);
-      for (std::int64_t co = 0; co < c.cout; ++co) {
-        double acc = 0.0;
-        for (std::int64_t i = 0; i < pixels; ++i) acc += dy[co * pixels + i];
-        db_part[co] += static_cast<float>(acc);
-      }
+  for (std::int64_t n = 0; n < c.batch; ++n) {
+    const float* dy = gy.data() + n * out_stride;
+    im2col(x.data() + n * in_stride, g, cols.data());
+    matmul_bt(dy, cols.data(), r.dw.data(), c.cout, pixels, rows,
+              /*accumulate=*/true);
+    for (std::int64_t co = 0; co < c.cout; ++co) {
+      double acc = 0.0;
+      for (std::int64_t i = 0; i < pixels; ++i) acc += dy[co * pixels + i];
+      r.db[co] += static_cast<float>(acc);
     }
-    add_inplace(r.dw, dw_part);
-    add_inplace(r.db, db_part);
+  }
+  if (c.stride != 1 || c.cout == 1) {  // the head keeps col2im's bits
+    col2im_input_grad(c, w, gy, r.dx);
+    return r;
+  }
+  const ConvGeometry gd = dx_geometry_of(c, g);
+  const Tensor wf = flipped(c, w);
+  std::vector<float> dcols(
+      static_cast<std::size_t>(gd.col_rows() * gd.col_cols()));
+  for (std::int64_t n = 0; n < c.batch; ++n) {
+    im2col(gy.data() + n * out_stride, gd, dcols.data());
+    matmul(wf.data(), dcols.data(), r.dx.data() + n * in_stride, c.cin,
+           gd.col_rows(), gd.col_cols());
   }
   return r;
 }
@@ -793,7 +874,7 @@ TEST_P(ConvIsa, EveryIsaAndPoolMatchesPortableIm2colOracle) {
     }
     for (KernelIsa isa : all_isas()) {
       IsaGuard guard(isa);
-      for (std::size_t threads : {1u, 4u}) {
+      for (std::size_t threads : {1u, 2u, 8u}) {
         ThreadPool::reset_global(threads);
         expect_same_bits(run_conv(c, w, b, x, gy), want,
                          std::string(to_string(isa)) + ", pool " +
@@ -805,11 +886,13 @@ TEST_P(ConvIsa, EveryIsaAndPoolMatchesPortableIm2colOracle) {
   ThreadPool::reset_global(0);
 }
 
-// Shapes whose forward and dW GEMMs the cost model packs (so Conv2d
-// packs B straight from the padded image): stride 1 with output rows
-// that do and do not fill whole 8-pixel panels, stride 2 (gathered
-// panels), dilation 2, and a fat RouteNet-like layer; plus one the
-// planner keeps on the reference kernels and one Cout = 1 head.
+// Conv2d packs every GEMM's B straight from the padded image: stride 1
+// with output rows that do and do not fill whole 8-pixel panels, stride
+// 2 (gathered panels), dilation 2, and a fat RouteNet-like layer; one
+// whose shapes make_gemm_plan would leave on the reference kernels
+// (the conv GEMMs pack them anyway), and one Cout = 1 head. Then stride-1 dX convs: valid padding
+// at batch 17 (dy padded by 2), padding past the kernel's reach (dy
+// cropped by 1), and dilation 2 with Cout = 6 < 8.
 INSTANTIATE_TEST_SUITE_P(
     Shapes, ConvIsa,
     ::testing::Values(ConvCase{3, 8, 5, 1, 2, 1, 12, 12, 3},
@@ -819,7 +902,10 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{4, 9, 3, 2, 1, 2, 15, 14, 17},
                       ConvCase{8, 16, 7, 1, 3, 1, 16, 16, 2},
                       ConvCase{2, 4, 3, 1, 1, 1, 6, 6, 2},
-                      ConvCase{9, 1, 3, 1, 1, 1, 9, 16, 2}));
+                      ConvCase{9, 1, 3, 1, 1, 1, 9, 16, 2},
+                      ConvCase{12, 10, 3, 1, 0, 1, 11, 9, 17},
+                      ConvCase{8, 9, 3, 1, 3, 1, 7, 10, 4},
+                      ConvCase{8, 6, 3, 1, 1, 2, 12, 9, 1}));
 
 TEST(ConvIsa, ShapeSweepCoversThePackedImplicitPath) {
   // Guards the instantiation above: its first shapes must really run
@@ -835,6 +921,225 @@ TEST(ConvIsa, ShapeSweepCoversThePackedImplicitPath) {
                   .strategy,
               GemmStrategy::kPacked);
   }
+}
+
+TEST(ConvIsa, StrideOneInputGradMatchesCol2imAdjoint) {
+  // The stride-1 dX sums each element over all Cout*k*k terms in KC
+  // slices; col2im(W^T dy) sums over Cout per tap, then over taps. Both
+  // round differently, so they agree only to within the rounding of a
+  // K-term float sum. Bound, per element with S = sum of |w * dy| over
+  // its terms: |new - old| <= sqrt(K) * eps * S (eps = FLT_EPSILON),
+  // the typical growth of rounding error over K terms.
+  const float eps = std::numeric_limits<float>::epsilon();
+  for (const ConvCase& c : {ConvCase{5, 7, 3, 1, 0, 1, 9, 12, 1},
+                            ConvCase{12, 10, 3, 1, 0, 1, 11, 9, 17},
+                            ConvCase{8, 9, 3, 1, 3, 1, 7, 10, 4},
+                            ConvCase{8, 6, 3, 1, 1, 2, 12, 9, 4},
+                            ConvCase{16, 24, 5, 1, 1, 2, 13, 10, 4},
+                            ConvCase{32, 64, 7, 1, 3, 1, 16, 12, 1},
+                            ConvCase{24, 20, 9, 1, 2, 1, 10, 11, 17}}) {
+    std::ostringstream where;
+    PrintTo(c, &where);
+    const ConvGeometry g = geometry_of(c);
+    Rng rng(83);
+    const Tensor w = random_tensor(Shape::of(c.cout, g.col_rows()), rng);
+    const Tensor b = random_tensor(Shape::of(c.cout), rng);
+    const Tensor x = random_tensor(Shape::of(c.batch, c.cin, c.h, c.w), rng);
+    const Tensor gy = random_tensor(
+        Shape::of(c.batch, c.cout, g.out_height(), g.out_width()), rng);
+    const Tensor got = run_conv(c, w, b, x, gy).dx;
+    Tensor old(x.shape());
+    col2im_input_grad(c, w, gy, old);
+    Tensor wabs = w, gyabs = gy, scale(x.shape());
+    for (std::int64_t i = 0; i < wabs.numel(); ++i) wabs[i] = std::fabs(w[i]);
+    for (std::int64_t i = 0; i < gyabs.numel(); ++i) {
+      gyabs[i] = std::fabs(gy[i]);
+    }
+    col2im_input_grad(c, wabs, gyabs, scale);
+    const double bound =
+        std::sqrt(static_cast<double>(c.cout * c.kernel * c.kernel)) * eps;
+    double worst = 0.0;
+    for (std::int64_t i = 0; i < got.numel(); ++i) {
+      ASSERT_TRUE(std::isfinite(got[i])) << where.str() << " at " << i;
+      worst = std::max(worst, std::fabs(static_cast<double>(got[i]) - old[i]) /
+                                  std::max<double>(scale[i], 1e-30));
+    }
+    EXPECT_LE(worst, bound) << where.str();
+  }
+}
+
+TEST(ConvIsa, InfWeightMeetsDyPaddingInStrideOneInputGrad) {
+  // The stride-1 dX reads dy through its zero padding with every weight,
+  // so an Inf weight at tap (0, 0) of input channel 0 makes NaN at the
+  // channel-0 pixels whose tap (0, 0) falls outside dy — where col2im,
+  // which never applied that tap there, stays finite. Everywhere else
+  // the two agree on which values are finite.
+  const ConvCase c{3, 8, 5, 1, 2, 1, 12, 12, 2};
+  const ConvGeometry g = geometry_of(c);
+  Rng rng(84);
+  Tensor w = random_tensor(Shape::of(c.cout, g.col_rows()), rng);
+  w[0] = std::numeric_limits<float>::infinity();
+  const Tensor b = random_tensor(Shape::of(c.cout), rng);
+  const Tensor x = random_tensor(Shape::of(c.batch, c.cin, c.h, c.w), rng);
+  const Tensor gy = random_tensor(
+      Shape::of(c.batch, c.cout, g.out_height(), g.out_width()), rng);
+  const Tensor got = run_conv(c, w, b, x, gy).dx;
+  Tensor old(x.shape());
+  col2im_input_grad(c, w, gy, old);
+  std::int64_t border = 0;
+  for (std::int64_t n = 0; n < c.batch; ++n) {
+    for (std::int64_t ci = 0; ci < c.cin; ++ci) {
+      for (std::int64_t h = 0; h < c.h; ++h) {
+        for (std::int64_t v = 0; v < c.w; ++v) {
+          const std::int64_t i = ((n * c.cin + ci) * c.h + h) * c.w + v;
+          // Tap (0, 0) reads dy at (h + p, v + p).
+          if (ci == 0 && (h + c.pad >= c.h || v + c.pad >= c.w)) {
+            EXPECT_TRUE(std::isfinite(old[i])) << "col2im at " << i;
+            EXPECT_TRUE(std::isnan(got[i])) << "conv dX at " << i;
+            ++border;
+          } else {
+            EXPECT_EQ(std::isfinite(old[i]), std::isfinite(got[i])) << i;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(border, c.batch * (c.h * c.w - (c.h - c.pad) * (c.w - c.pad)));
+}
+
+// Runs `layer` once (forward, then backward of gy) and returns y, dx
+// and every parameter gradient, in that order.
+std::vector<Tensor> forward_backward(Module& layer, const Tensor& x,
+                                     const Tensor& gy) {
+  layer.zero_grad();
+  std::vector<Tensor> out{layer.forward(x, /*training=*/true)};
+  out.push_back(layer.backward(gy));
+  for (Parameter* p : layer.parameters()) out.push_back(p->grad);
+  return out;
+}
+
+TEST(ConvLayers, TopLevelAndNestedCallsGiveTheSameBits) {
+  // A layer called at top level splits dW across the pool by weight
+  // columns; inside a parallel region (a federated round's client task)
+  // it runs everything serially. Both must give the same bits: the
+  // packed stride-1 conv (dX conv packed too), the head, a stride-2
+  // conv and RouteNet's deconv, at pool sizes 1, 2 and 8.
+  Rng rng(85);
+  std::vector<std::unique_ptr<Module>> layers;
+  std::vector<Shape> in_shapes, out_shapes;
+  auto conv = [&](std::int64_t cin, std::int64_t cout, std::int64_t k,
+                  std::int64_t stride, std::int64_t hw) {
+    Conv2dOptions o;
+    o.in_channels = cin;
+    o.out_channels = cout;
+    o.kernel = k;
+    o.stride = stride;
+    o.same_padding();
+    auto layer = std::make_unique<Conv2d>("c", o, rng);
+    const auto [oh, ow] = layer->output_hw(hw, hw);
+    in_shapes.push_back(Shape::of(17, cin, hw, hw));
+    out_shapes.push_back(Shape::of(17, cout, oh, ow));
+    layers.push_back(std::move(layer));
+  };
+  conv(32, 64, 7, 1, 16);
+  conv(32, 1, 5, 1, 16);
+  conv(8, 16, 3, 2, 15);
+  ConvTranspose2dOptions d;
+  d.in_channels = d.out_channels = 32;
+  d.kernel = 4;
+  d.stride = 2;
+  d.padding = 1;
+  layers.push_back(std::make_unique<ConvTranspose2d>("d", d, rng));
+  in_shapes.push_back(Shape::of(17, 32, 8, 8));
+  out_shapes.push_back(Shape::of(17, 32, 16, 16));
+  for (std::size_t l = 0; l < layers.size(); ++l) {
+    const Tensor x = random_tensor(in_shapes[l], rng);
+    const Tensor gy = random_tensor(out_shapes[l], rng);
+    ThreadPool::reset_global(1);
+    const std::vector<Tensor> want = forward_backward(*layers[l], x, gy);
+    for (std::size_t threads : {1u, 2u, 8u}) {
+      ThreadPool::reset_global(threads);
+      const std::vector<Tensor> top = forward_backward(*layers[l], x, gy);
+      std::vector<Tensor> nested;
+      parallel_for(2, [&](std::size_t begin, std::size_t) {
+        if (begin == 0) nested = forward_backward(*layers[l], x, gy);
+      });
+      ASSERT_EQ(top.size(), want.size());
+      ASSERT_EQ(nested.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        const std::string where = layers[l]->describe() + ", pool " +
+                                  std::to_string(threads) + ", output " +
+                                  std::to_string(i);
+        EXPECT_TRUE(same_bits(top[i], want[i])) << where << ", top level";
+        EXPECT_TRUE(same_bits(nested[i], want[i])) << where << ", nested";
+      }
+    }
+  }
+  ThreadPool::reset_global(0);
+}
+
+// ---- ConvTranspose2d backward vs im2col(dy) + the planner's GEMMs ----
+
+struct DeconvCase {
+  std::int64_t cin, cout, kernel, stride, pad, h, w, batch;
+};
+
+TEST(ConvTranspose2dLowering, BackwardBitIdenticalToIm2colOfDy) {
+  // dx = W * im2col(dy) and dW += x * im2col(dy)^T sample by sample:
+  // the layer reads dy's padded copy through its stride-s ConvIndex
+  // instead, which packs the same panels. RouteNet's deconv (both GEMMs
+  // packed), a batch-17 one, and a small one the planner keeps on the
+  // reference kernels.
+  for (const DeconvCase& c : {DeconvCase{32, 32, 4, 2, 1, 8, 8, 4},
+                              DeconvCase{12, 9, 4, 2, 1, 5, 7, 17},
+                              DeconvCase{2, 3, 3, 2, 1, 4, 5, 2}}) {
+    ConvTranspose2dOptions o;
+    o.in_channels = c.cin;
+    o.out_channels = c.cout;
+    o.kernel = c.kernel;
+    o.stride = c.stride;
+    o.padding = c.pad;
+    const std::int64_t oh = o.out_size(c.h);
+    const std::int64_t ow = o.out_size(c.w);
+    const ConvGeometry g{c.cout,   oh,    ow,       c.kernel, c.kernel, c.pad,
+                         c.pad,    c.stride, c.stride, 1,        1};
+    Rng rng(86);
+    const Tensor x = random_tensor(Shape::of(c.batch, c.cin, c.h, c.w), rng);
+    const Tensor gy = random_tensor(Shape::of(c.batch, c.cout, oh, ow), rng);
+    ConvTranspose2d layer("d", o, rng);
+    const Tensor& w = layer.parameters()[0]->value;
+    std::vector<Tensor> want{Tensor(), Tensor(x.shape()),
+                             Tensor(layer.parameters()[0]->value.shape()),
+                             Tensor(Shape::of(c.cout))};
+    std::vector<float> cols(static_cast<std::size_t>(g.col_rows() * g.col_cols()));
+    for (std::int64_t n = 0; n < c.batch; ++n) {
+      const float* dy = gy.data() + n * c.cout * oh * ow;
+      const float* xn = x.data() + n * c.cin * c.h * c.w;
+      im2col(dy, g, cols.data());
+      matmul(w.data(), cols.data(), want[1].data() + n * c.cin * c.h * c.w,
+             c.cin, g.col_rows(), g.col_cols());
+      matmul_bt(xn, cols.data(), want[2].data(), c.cin, g.col_cols(),
+                g.col_rows(), /*accumulate=*/true);
+      for (std::int64_t co = 0; co < c.cout; ++co) {
+        double acc = 0.0;
+        for (std::int64_t i = 0; i < oh * ow; ++i) acc += dy[co * oh * ow + i];
+        want[3][co] += static_cast<float>(acc);
+      }
+    }
+    for (KernelIsa isa : all_isas()) {
+      IsaGuard guard(isa);
+      for (std::size_t threads : {1u, 2u, 8u}) {
+        ThreadPool::reset_global(threads);
+        const std::vector<Tensor> got = forward_backward(layer, x, gy);
+        for (std::size_t i = 1; i < want.size(); ++i) {
+          EXPECT_TRUE(same_bits(got[i], want[i]))
+              << layer.describe() << " " << to_string(isa) << ", pool "
+              << threads << ", output " << i;
+        }
+      }
+    }
+  }
+  ThreadPool::reset_global(0);
 }
 
 }  // namespace

@@ -134,7 +134,12 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{2, 2, 3, 2, 1, 1, 8, 8, 2, true},
                       ConvCase{2, 2, 3, 1, 2, 2, 9, 9, 1, true},
                       ConvCase{1, 4, 9, 1, 4, 1, 12, 12, 1, true},
-                      ConvCase{2, 3, 3, 1, 1, 1, 6, 6, 1, false}));
+                      ConvCase{2, 3, 3, 1, 1, 1, 6, 6, 1, false},
+                      // Stride-1 dX conv of dy cropped (padding past the
+                      // kernel's reach) and padded unevenly (dilation 2,
+                      // no padding), at H != W.
+                      ConvCase{2, 3, 3, 1, 3, 1, 5, 6, 2, true},
+                      ConvCase{3, 2, 3, 1, 0, 2, 9, 8, 1, true}));
 
 // ---- ConvTranspose2d ----
 

@@ -185,6 +185,25 @@ TEST(Conv2d, EvalForwardDoesNotRetainActivation) {
   EXPECT_NO_THROW(conv.backward(y));
 }
 
+TEST(ReLU, EvalForwardDoesNotRetainActivation) {
+  // The same contract as Conv2d's, for the pointwise layers: an eval
+  // forward caches nothing and wipes an earlier training cache.
+  Rng rng(33);
+  Tensor x = random_tensor(Shape::of(1, 2, 4, 4), rng);
+  ReLU relu;
+  Sigmoid sigmoid;
+  Module* layers[] = {&relu, &sigmoid};
+  for (Module* layer : layers) {
+    layer->forward(x, /*training=*/false);
+    EXPECT_THROW(layer->backward(x), std::logic_error) << layer->describe();
+    layer->forward(x, /*training=*/true);
+    layer->forward(x, /*training=*/false);
+    EXPECT_THROW(layer->backward(x), std::logic_error) << layer->describe();
+    layer->forward(x, /*training=*/true);
+    EXPECT_NO_THROW(layer->backward(x)) << layer->describe();
+  }
+}
+
 TEST(ConvTranspose2d, EvalForwardDoesNotRetainActivation) {
   Rng rng(32);
   ConvTranspose2dOptions opts;
