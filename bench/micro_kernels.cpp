@@ -9,10 +9,10 @@
 // through Conv2d) on the portable kernels against the dispatched ISA
 // (AVX2 where the host has it) and gate on identical bits; the JSON
 // names the dispatched ISA. The conv_backward rows time RouteNet's
-// conv2, conv3, conv4 and deconv (forward, and backward alone) inside
-// one pool task, as a round runs them, and check the layer against the
-// col2im lowering it replaced, kept here as an oracle: dW bit for bit,
-// dX to rounding (dx_max_rel_err).
+// conv2, conv3, conv4 and deconv and PROS's stride-2 enc2 (forward,
+// and backward alone) inside one pool task, as a round runs them, and
+// check the layer against the col2im lowering it replaced, kept here
+// as an oracle: dW bit for bit, dX to rounding (dx_max_rel_err).
 //
 // Emits BENCH_kernels.json for the CI bench-trajectory artifact;
 // ci/perf_gate.py diffs the per-shape auto GFLOP/s against the previous
@@ -366,21 +366,23 @@ double measure_ms(const std::function<void()>& call) {
 }
 
 // RouteNet's conv2, conv3, conv4 and deconv at the smoke grid (16, and
-// 8 after the pool) and batch 4, timed inside one pool task as a
-// federated round runs them (every parallel_for in the layer runs
-// serially). The col2im lowering they replaced is kept below as the
-// oracle.
+// 8 after the pool) and batch 4, and PROS's stride-2 enc2 (grid 8 after
+// enc1), timed inside one pool task as a federated round runs them
+// (every parallel_for in the layer runs serially). The col2im lowering
+// they replaced is kept below as the oracle.
 struct ConvBackwardCase {
   const char* name;
   std::int64_t in_channels, out_channels, kernel, grid, batch;
   bool deconv;
+  std::int64_t stride = 1;  // a Conv2d's; the deconv's is always 2
 };
 
 const ConvBackwardCase kConvBackward[] = {
     {"routenet_conv2", 32, 64, 7, 16, 4, false},
     {"routenet_conv3", 64, 32, 9, 8, 4, false},
     {"routenet_conv4", 32, 32, 7, 8, 4, false},
-    {"routenet_deconv", 32, 32, 4, 8, 4, true}};
+    {"routenet_deconv", 32, 32, 4, 8, 4, true},
+    {"pros_enc2", 32, 64, 3, 8, 4, false, 2}};
 
 struct ConvBackwardResult {
   const ConvBackwardCase* layer = nullptr;
@@ -466,10 +468,12 @@ ConvBackwardResult bench_conv_backward(const ConvBackwardCase& c, Rng& rng) {
     o.in_channels = c.in_channels;
     o.out_channels = c.out_channels;
     o.kernel = c.kernel;
+    o.stride = c.stride;
     o.same_padding();
-    g = ConvGeometry{c.in_channels, c.grid,    c.grid, c.kernel, c.kernel,
-                     o.padding,     o.padding, 1,      1,        1, 1};
-    out_shape = Shape::of(c.batch, c.out_channels, c.grid, c.grid);
+    g = ConvGeometry{c.in_channels, c.grid,    c.grid,   c.kernel, c.kernel,
+                     o.padding,     o.padding, c.stride, c.stride, 1, 1};
+    out_shape = Shape::of(c.batch, c.out_channels, g.out_height(),
+                          g.out_width());
     layer = std::make_unique<Conv2d>(c.name, o, rng);
   }
   Tensor x(Shape::of(c.batch, c.in_channels, c.grid, c.grid));
@@ -653,11 +657,9 @@ void write_bench_json(const std::vector<ShapeResult>& results,
   }
   std::fprintf(f,
                "],\"plan_cache\":{\"hits\":%llu,\"misses\":%llu,"
-               "\"evictions\":%llu,\"entries\":%zu,\"hit_rate\":%.4f},"
-               "\"pass\":%s}\n",
+               "\"entries\":%zu,\"hit_rate\":%.4f},\"pass\":%s}\n",
                static_cast<unsigned long long>(stats.hits),
                static_cast<unsigned long long>(stats.misses),
-               static_cast<unsigned long long>(stats.evictions),
                stats.entries, hit_rate, pass ? "true" : "false");
   std::fclose(f);
 }

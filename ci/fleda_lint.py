@@ -21,8 +21,8 @@ from unseeded generators, or depend on hash-table iteration order:
                   are CI-parsed); the library talks through util/logging.
   pragma-once     every header carries #pragma once.
   mutex-guarded   every mutex member declaration (std::mutex,
-                  std::shared_mutex, or the annotated fleda::Mutex /
-                  SharedMutex wrappers) has at least one
+                  std::shared_mutex, or the annotated fleda::Mutex
+                  wrapper) has at least one
                   FLEDA_GUARDED_BY(<that mutex>) protectee in the same
                   file — a mutex that guards nothing is either dead
                   weight or undocumented locking.
@@ -37,13 +37,20 @@ from unseeded generators, or depend on hash-table iteration order:
                   where the portable kernels round twice, so it would
                   make results depend on the host's ISA; the kernel
                   contract is that the ISA changes speed, never bits.
+  orphan-header   a header under src/ that no file under src/, bench/,
+                  examples/ or fledabench/ includes, other than its own
+                  .cpp. Such a module is reachable only from its tests:
+                  code nothing runs. Checked when a linted path is a
+                  directory named src (its parent is the project root);
+                  a fixture tree is a directory named *_tree holding
+                  that layout.
 
 Per-line escape (with a justification comment next to it, please):
 
     std::mutex handshake_;  // fleda-lint: allow(mutex-guarded)
 
-For pragma-once (a file-level rule) the allow comment may sit on any
-line of the file.
+For pragma-once and orphan-header (file-level rules) the allow comment
+may sit on any line of the file.
 
 Usage:
   ci/fleda_lint.py [path ...]          lint trees/files (default: src)
@@ -68,7 +75,12 @@ ALL_RULES = (
     "mutex-guarded",
     "env-knob",
     "fp-contract",
+    "orphan-header",
 )
+
+# Trees whose files count as a header's users for orphan-header (tests
+# do not: a module only its tests reach is what the rule looks for).
+INCLUDER_DIRS = ("src", "bench", "examples", "fledabench")
 
 # Directories (relative to a src root) whose numeric code must not
 # iterate unordered containers.
@@ -99,9 +111,10 @@ FMA_CALL_RE = re.compile(
 PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once\b", re.MULTILINE)
 MUTEX_DECL_RE = re.compile(
     r"^\s*(?:mutable\s+)?(?:fleda\s*::\s*)?"
-    r"(?:std\s*::\s*(?:mutex|shared_mutex)|Mutex|SharedMutex)\s+"
+    r"(?:std\s*::\s*(?:mutex|shared_mutex)|Mutex)\s+"
     r"([A-Za-z_]\w*)\s*;"
 )
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 UNORDERED_DECL_RE = re.compile(
     r"\b(?:std\s*::\s*)?unordered_(?:map|set|multimap|multiset)\s*<[^;{()]*?>"
     r"\s+([A-Za-z_]\w*)\s*[;{=(]"
@@ -233,10 +246,7 @@ def lint_file(path, force_all_rules=False):
 
     # --- file-level: pragma-once -------------------------------------
     if path.endswith(HEADER_EXTS) and not PRAGMA_ONCE_RE.search(stripped):
-        file_allows = set()
-        for rules in allows.values():
-            file_allows |= rules
-        if "pragma-once" not in file_allows:
+        if "pragma-once" not in file_allows(raw):
             findings.append(
                 Finding(path, 0, "pragma-once", "header lacks #pragma once")
             )
@@ -336,6 +346,53 @@ def lint_file(path, force_all_rules=False):
     return findings
 
 
+def file_allows(raw):
+    """Rule ids allowed anywhere in a file (for the file-level rules)."""
+    allowed = set()
+    for rules in allowed_rules_by_line(raw).values():
+        allowed |= rules
+    return allowed
+
+
+def orphan_headers(root):
+    """orphan-header findings for the headers under root/src. An
+    include resolves against root/src, then against the including
+    file's directory. An include inside a comment (strip_code blanks
+    its '#') does not count."""
+    src = os.path.join(root, "src")
+    users = {}  # normalized header path -> set of including files
+    for path in iter_sources([os.path.join(root, d) for d in INCLUDER_DIRS]):
+        with open(path, "r", encoding="utf-8", errors="replace") as f:
+            raw = f.read()
+        code_lines = strip_code(raw).splitlines()
+        for lineno, line in enumerate(raw.splitlines()):
+            m = INCLUDE_RE.match(line)
+            if not m or "#" not in code_lines[lineno]:
+                continue
+            for base in (src, os.path.dirname(path)):
+                target = os.path.normpath(os.path.join(base, m.group(1)))
+                if os.path.isfile(target):
+                    users.setdefault(target, set()).add(os.path.normpath(path))
+                    break
+    findings = []
+    for header in iter_sources([src]):
+        if not header.endswith(HEADER_EXTS):
+            continue
+        key = os.path.normpath(header)
+        own = os.path.splitext(key)[0] + ".cpp"
+        if users.get(key, set()) - {own}:
+            continue
+        with open(header, "r", encoding="utf-8", errors="replace") as f:
+            if "orphan-header" in file_allows(f.read()):
+                continue
+        findings.append(Finding(
+            header, 0, "orphan-header",
+            "no file under " + ", ".join(d + "/" for d in INCLUDER_DIRS) +
+            " includes this header but its own .cpp — delete the module "
+            "or give it a caller"))
+    return findings
+
+
 def iter_sources(paths):
     for p in paths:
         if os.path.isfile(p):
@@ -353,6 +410,10 @@ def run_lint(paths):
     findings = []
     for path in iter_sources(paths):
         findings.extend(lint_file(path))
+    for p in paths:
+        norm = os.path.normpath(os.path.abspath(p))
+        if os.path.isdir(norm) and os.path.basename(norm) == "src":
+            findings.extend(orphan_headers(os.path.dirname(norm)))
     for f in findings:
         print(f)
     if findings:
@@ -373,9 +434,18 @@ def run_self_test(fixtures_dir):
     `// fleda-lint-fixture: clean` or
     `// fleda-lint-fixture: expect rule-a,rule-b`.
     Fixtures run with every rule forced on (directory scoping is a
-    production nicety, not something fixtures should depend on)."""
+    production nicety, not something fixtures should depend on). A
+    directory named *_tree is a project root for orphan-header, whose
+    findings join those of the file they name."""
     failures = []
     fixture_count = 0
+    tree_rules = {}  # normalized path -> rules found by the tree rules
+    for entry in sorted(os.listdir(fixtures_dir)):
+        tree = os.path.join(fixtures_dir, entry)
+        if entry.endswith("_tree") and os.path.isdir(tree):
+            for f in orphan_headers(tree):
+                key = os.path.normpath(f.path)
+                tree_rules.setdefault(key, set()).add(f.rule)
     for path in iter_sources([fixtures_dir]):
         with open(path, "r", encoding="utf-8") as f:
             first_line = f.readline()
@@ -392,6 +462,7 @@ def run_self_test(fixtures_dir):
             failures.append(f"{path}: unknown rule(s) in expectation: {unknown}")
             continue
         got = {f.rule for f in lint_file(path, force_all_rules=True)}
+        got |= tree_rules.get(os.path.normpath(path), set())
         if got != expected:
             failures.append(
                 f"{path}: expected rules {sorted(expected) or '[]'}, "

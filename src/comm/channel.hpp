@@ -95,7 +95,6 @@ struct ChannelStats {
   double downlink_mb() const {
     return static_cast<double>(downlink_bytes) / 1e6;
   }
-  double total_mb() const { return uplink_mb() + downlink_mb(); }
 };
 
 class Channel {

@@ -1,4 +1,4 @@
-// Pointwise activation layers: ReLU, LeakyReLU, Sigmoid, Tanh.
+// Pointwise activation layer: ReLU, the only one the models build.
 #pragma once
 
 #include "nn/module.hpp"
@@ -15,46 +15,6 @@ class ReLU : public Module {
  private:
   std::string name_;
   Tensor cached_input_;
-};
-
-class LeakyReLU : public Module {
- public:
-  explicit LeakyReLU(std::string name = "lrelu", float negative_slope = 0.01f)
-      : name_(std::move(name)), slope_(negative_slope) {}
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::string describe() const override {
-    return "LeakyReLU(" + name_ + ")";
-  }
-
- private:
-  std::string name_;
-  float slope_;
-  Tensor cached_input_;
-};
-
-class Sigmoid : public Module {
- public:
-  explicit Sigmoid(std::string name = "sigmoid") : name_(std::move(name)) {}
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::string describe() const override { return "Sigmoid(" + name_ + ")"; }
-
- private:
-  std::string name_;
-  Tensor cached_output_;
-};
-
-class Tanh : public Module {
- public:
-  explicit Tanh(std::string name = "tanh") : name_(std::move(name)) {}
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::string describe() const override { return "Tanh(" + name_ + ")"; }
-
- private:
-  std::string name_;
-  Tensor cached_output_;
 };
 
 }  // namespace fleda

@@ -8,7 +8,6 @@
 #include "nn/init.hpp"
 #include "tensor/conv_direct.hpp"
 #include "tensor/conv_gemm.hpp"
-#include "tensor/matmul.hpp"
 #include "tensor/plan.hpp"
 #include "util/scratch.hpp"
 #include "util/thread_pool.hpp"
@@ -146,7 +145,8 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   //   direct:    the head's gather kernel;
   //   stride 1:  the forward conv of dy, padded by d(k-1)-p, with the
   //              flipped, channel-transposed weight (ConvGemm);
-  //   stride s:  W^T dy as columns, scattered with col2im.
+  //   stride s:  W^T dy as columns (packed kAT, W packed once),
+  //              scattered with col2im.
   Tensor grad_input;
   if (opts_.input_grad) {
     grad_input = Tensor(input.shape());
@@ -165,12 +165,10 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
       flipped = flipped_weight();
       dx_gemm.emplace(gd, opts_.in_channels, flipped.data());
     } else if (!direct()) {
-      at_plan = KernelPlanCache::global().plan_for(
-          GemmOp::kAT, g.col_rows(), opts_.out_channels, g.col_cols());
-      if (at_plan.strategy == GemmStrategy::kPacked) {
-        wpack.resize(packed_a_elems(at_plan));
-        pack_a(at_plan, weight_.value.data(), wpack.data());
-      }
+      at_plan = make_packed_plan(GemmOp::kAT, g.col_rows(),
+                                 opts_.out_channels, g.col_cols());
+      wpack.resize(packed_a_elems(at_plan));
+      pack_a(at_plan, weight_.value.data(), wpack.data());
     }
     const std::size_t grad_scratch = static_cast<std::size_t>(
         direct() ? direct_conv_input_grad_scratch(ix)
@@ -191,13 +189,8 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
           continue;
         }
         // dcols = W^T [rows x Cout] * dy [Cout x OHW]
-        if (at_plan.strategy == GemmStrategy::kPacked) {
-          gemm_packed_prepacked_a(at_plan, wpack.data(), dy, buf,
-                                  /*accumulate=*/false);
-        } else {
-          matmul_at_reference(weight_.value.data(), dy, buf, g.col_rows(),
-                              opts_.out_channels, g.col_cols());
-        }
+        gemm_packed_prepacked_a(at_plan, wpack.data(), dy, buf,
+                                /*accumulate=*/false);
         col2im(buf, g, dx);
       }
     });

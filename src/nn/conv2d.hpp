@@ -2,7 +2,8 @@
 // workhorse of FLNet / RouteNet / PROS. Weight layout is
 // [Cout, Cin*kh*kw] (a GEMM-ready matrix), bias is [Cout].
 //
-// Lowerings, chosen by the layer's own shape and the GEMM plans:
+// Lowerings, chosen by the layer's own shape alone (no plan lookup;
+// every GEMM here packs):
 //   - forward: the stride-1, single-output-channel conv (every model's
 //     prediction head) runs the direct kernels of tensor/conv_direct.hpp
 //     on a padded copy of each sample; every other conv runs ConvGemm
@@ -12,7 +13,8 @@
 //     d(k-1)-p, with the flipped, channel-transposed weight
 //     W'[ci, (co, kh, kw)] = W[co, (ci, k-1-kh, k-1-kw)], through the
 //     same ConvGemm; the head's dX is its direct gather kernel; at any
-//     other stride, W^T dy is formed as columns and scattered by col2im;
+//     other stride, W^T dy is formed as columns by the packed kAT GEMM
+//     (the weight packed once per call) and scattered by col2im;
 //   - dW: the head's direct kernel, or conv_gemm_weight_grad (B from
 //     the padded sample too).
 // dW and db add into the gradients one sample at a time in sample
@@ -20,7 +22,7 @@
 // the layer runs inside a parallel region; dW is split across the pool
 // by weight-column blocks (channel blocks for the head).
 //
-// Forward and dW give the bits of im2col + the same GEMM plans. dX at
+// Forward and dW give the bits of im2col + any GEMM strategy. dX at
 // stride 1 sums each element over channels x taps in KC slices, not
 // per tap as col2im does, so it matches the col2im adjoint only to
 // rounding. Non-finite values: that dX multiplies every weight by dy's

@@ -6,7 +6,6 @@
 
 #include "nn/init.hpp"
 #include "tensor/conv_gemm.hpp"
-#include "tensor/matmul.hpp"
 #include "tensor/plan.hpp"
 #include "util/scratch.hpp"
 #include "util/thread_pool.hpp"
@@ -67,14 +66,11 @@ Tensor ConvTranspose2d::forward(const Tensor& input, bool training) {
   cached_input_ = training ? input : Tensor();
   Tensor output(Shape::of(N, opts_.out_channels, OH, OW));
 
-  // Plan once per step; prepack the shared weight when packed.
-  const GemmPlan plan = KernelPlanCache::global().plan_for(
-      GemmOp::kAT, g.col_rows(), opts_.in_channels, g.col_cols());
-  std::vector<float> wpack;
-  if (plan.strategy == GemmStrategy::kPacked) {
-    wpack.resize(packed_a_elems(plan));
-    pack_a(plan, weight_.value.data(), wpack.data());
-  }
+  // The weight is packed once for the batch.
+  const GemmPlan plan = make_packed_plan(GemmOp::kAT, g.col_rows(),
+                                         opts_.in_channels, g.col_cols());
+  std::vector<float> wpack(packed_a_elems(plan));
+  pack_a(plan, weight_.value.data(), wpack.data());
 
   const std::int64_t in_stride = opts_.in_channels * H * W;
   const std::int64_t out_stride = opts_.out_channels * OH * OW;
@@ -87,13 +83,8 @@ Tensor ConvTranspose2d::forward(const Tensor& input, bool training) {
       // cols = W^T [Cout*k*k x Cin] * x [Cin x H*W]
       const float* x_n =
           input.data() + static_cast<std::int64_t>(n) * in_stride;
-      if (plan.strategy == GemmStrategy::kPacked) {
-        gemm_packed_prepacked_a(plan, wpack.data(), x_n, cols,
-                                /*accumulate=*/false);
-      } else {
-        matmul_at_reference(weight_.value.data(), x_n, cols, g.col_rows(),
-                            opts_.in_channels, g.col_cols());
-      }
+      gemm_packed_prepacked_a(plan, wpack.data(), x_n, cols,
+                              /*accumulate=*/false);
       // scatter-add columns into the (zeroed) output image
       col2im(cols, g,
              output.data() + static_cast<std::int64_t>(n) * out_stride);

@@ -1,8 +1,9 @@
 // Transposed 2D convolution (a.k.a. deconvolution), the upsampling
 // operator in RouteNet's decoder. Implemented as the exact adjoint of
 // Conv2d. Weight layout is [Cin, Cout*kh*kw]. Lowerings:
-//   - forward (conv-backward-data): cols = W^T x through the planner's
-//     kAT GEMM, scattered into the output with col2im;
+//   - forward (conv-backward-data): cols = W^T x through the packed
+//     kAT GEMM (the weight packed once per call, no plan lookup),
+//     scattered into the output with col2im;
 //   - dX: the conv of dy at this layer's stride, W * cols(dy), and
 //   - dW: x * cols(dy)^T, added sample by sample in sample order,
 // both through tensor/conv_gemm.hpp, which reads cols(dy) from a

@@ -27,11 +27,6 @@ void EventQueue::schedule(double time, EventFn fn) {
   std::push_heap(heap_.begin(), heap_.end(), After{});
 }
 
-double EventQueue::next_time() const {
-  if (heap_.empty()) throw std::logic_error("EventQueue: empty");
-  return heap_.front().time;
-}
-
 bool EventQueue::run_next(SimClock& clock) {
   if (heap_.empty()) return false;
   std::pop_heap(heap_.begin(), heap_.end(), After{});

@@ -38,9 +38,6 @@ class EventQueue {
   std::size_t pending() const { return heap_.size(); }
   std::uint64_t processed() const { return processed_; }
 
-  // Timestamp of the earliest pending event. Requires !empty().
-  double next_time() const;
-
   // Pops the earliest event (ties in insertion order), advances the
   // clock to its timestamp and runs it. Returns false when no event
   // was pending.

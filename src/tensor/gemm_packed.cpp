@@ -283,6 +283,13 @@ void gemm_packed_impl(const GemmPlan& plan, const float* a,
   const std::int64_t m = plan.shape.m;
   const std::int64_t k = plan.shape.k;
   const std::int64_t n = plan.shape.n;
+  if (k == 0) {
+    // No slice to sum: C is +0, or stays as it was when accumulating.
+    for (std::int64_t i = 0; i < m && !accumulate; ++i) {
+      std::fill(c + i * n + col_begin, c + i * n + col_end, 0.0f);
+    }
+    return;
+  }
   const std::int64_t kc_max = std::min(k, kGemmKC);
   const std::int64_t nc_max = plan.nc;
   const MicroKernel kernel = micro_kernel_for(plan.isa);

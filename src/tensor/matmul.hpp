@@ -1,15 +1,16 @@
 // Threaded dense matrix multiply kernels. Matrices are row-major
-// float buffers described by (rows, cols); these are the hot kernels
-// behind im2col-based convolution, so they avoid Tensor overhead and
-// work on raw pointers.
+// float buffers described by (rows, cols), on raw pointers.
 //
 // The public matmul / matmul_at / matmul_bt entry points dispatch
 // through the shape-keyed KernelPlanCache (tensor/plan.hpp): skinny
 // shapes run the row-streaming reference kernels, fat shapes run the
 // packed cache-blocked GEMM. The *_reference variants are the
-// planner's baseline strategy, also exposed for equivalence tests and
-// the micro_kernels bench. Every strategy sums in the one order of
-// tensor/plan.hpp on every ISA, so they all give the same bits.
+// planner's baseline strategy. The conv layers call neither: they run
+// the packed GEMM directly (tensor/conv_gemm.hpp), so these entry
+// points serve tests, the im2col oracles and the kernel benches. Every
+// strategy sums in the one order of tensor/plan.hpp on every ISA, so
+// they all give the same bits. Any k >= 0 works: k = 0 gives +0, or
+// leaves C as it was when accumulating.
 #pragma once
 
 #include <cstdint>

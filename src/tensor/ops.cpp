@@ -57,22 +57,6 @@ void add_inplace(Tensor& a, const Tensor& b) {
   for (std::int64_t i = 0; i < n; ++i) pa[i] += pb[i];
 }
 
-void sub_inplace(Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "sub_inplace");
-  float* pa = a.data();
-  const float* pb = b.data();
-  const std::int64_t n = a.numel();
-  for (std::int64_t i = 0; i < n; ++i) pa[i] -= pb[i];
-}
-
-void mul_inplace(Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "mul_inplace");
-  float* pa = a.data();
-  const float* pb = b.data();
-  const std::int64_t n = a.numel();
-  for (std::int64_t i = 0; i < n; ++i) pa[i] *= pb[i];
-}
-
 void scale_inplace(Tensor& a, float s) {
   float* pa = a.data();
   const std::int64_t n = a.numel();
@@ -89,10 +73,6 @@ void axpy(Tensor& y, float alpha, const Tensor& x) {
 
 Tensor scale(const Tensor& a, float s) {
   return map_unary(a, [s](float x) { return x * s; });
-}
-
-Tensor add_scalar(const Tensor& a, float s) {
-  return map_unary(a, [s](float x) { return x + s; });
 }
 
 Tensor relu(const Tensor& a) {

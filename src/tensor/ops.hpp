@@ -13,13 +13,10 @@ Tensor sub(const Tensor& a, const Tensor& b);
 Tensor mul(const Tensor& a, const Tensor& b);
 
 void add_inplace(Tensor& a, const Tensor& b);        // a += b
-void sub_inplace(Tensor& a, const Tensor& b);        // a -= b
-void mul_inplace(Tensor& a, const Tensor& b);        // a *= b
 void scale_inplace(Tensor& a, float s);              // a *= s
 void axpy(Tensor& y, float alpha, const Tensor& x);  // y += alpha * x
 
 Tensor scale(const Tensor& a, float s);
-Tensor add_scalar(const Tensor& a, float s);
 
 // ---- nonlinearities used outside nn layers (feature post-processing) ----
 Tensor relu(const Tensor& a);

@@ -1,15 +1,21 @@
 // Shape-keyed kernel planner for the dense GEMM family.
 //
-// Every matmul / matmul_at / matmul_bt call consults a KernelPlanCache
-// keyed by (op, m, k, n): the first call for a shape runs a small cost
-// model (shape vs the L1/L2 working sets) and decides between the
-// row-streaming kernels ("reference" — best for skinny shapes) and a
-// packed cache-blocked GEMM ("packed" — B panels packed into aligned
-// scratch, a register-tiled MR x NR micro-kernel, and MC/KC/NC cache
-// blocking). The decision is cached and reused for the rest of the
-// process, which is the poplibs ConvPlan/ConvReuse pattern: conv layer
-// shapes never change across a federated run, so the planning cost is
-// paid once per shape, not once per step.
+// Two kinds of plan:
+//   - make_gemm_plan, the cost model (shape vs the L1/L2 working sets),
+//     decides between the row-streaming kernels ("reference" — best
+//     for skinny shapes) and a packed cache-blocked GEMM ("packed" —
+//     B panels packed into aligned scratch, a register-tiled MR x NR
+//     micro-kernel, and MC/KC/NC cache blocking). matmul / matmul_at /
+//     matmul_bt (tensor/matmul.hpp) look its plans up in a
+//     KernelPlanCache keyed by (op, m, k, n);
+//   - make_packed_plan, the packed plan whatever the cost model says.
+//     Every GEMM of the conv layers (nn/conv2d.hpp,
+//     nn/conv_transpose2d.hpp, tensor/conv_gemm.hpp) runs one, built
+//     per call, so those layers never consult the cost model or the
+//     cache. The cost model would leave some of those shapes on the
+//     reference kernels (k < 48: RouteNet's k = 32 deconv forward);
+//     where that was measured, packed ran as fast (bench/micro_kernels
+//     conv_backward rows).
 //
 // One summation order: every strategy — packed, reference, and the
 // direct conv kernels (tensor/conv_direct.hpp) — computes each output
@@ -34,10 +40,13 @@
 // thread-pool sizes, instruction sets and strategies.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
+
+#include "util/thread_safety.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
 #define FLEDA_X86_KERNELS 1
@@ -114,34 +123,31 @@ GemmPlan make_gemm_plan(GemmOp op, std::int64_t m, std::int64_t k,
 
 // The packed plan for a shape, with the blocking make_gemm_plan gives
 // the shapes it packs, whatever the cost model would choose; also a
-// pure function of shape, and not cached. The conv GEMMs whose B is
-// read in place from a padded image (ImplicitCols, tensor/conv_gemm.hpp)
-// always pack: the reference strategy would first have to write the
-// whole column matrix, which costs what packing it does, and then
-// stream it once per row of C. Same bits either way.
+// pure function of shape, and not cached. Every conv GEMM packs. Those
+// whose B is read in place from a padded image (ImplicitCols,
+// tensor/conv_gemm.hpp) would otherwise first write the whole column
+// matrix, which costs what packing it does, and then stream it once
+// per row of C. The kAT GEMMs that form columns (Conv2d dX at stride
+// != 1, ConvTranspose2d forward) share one prepacked weight across the
+// batch and run as fast packed. Same bits either way. Any k >= 0 works;
+// at k = 0 the packed GEMM stores +0 (or leaves C as it was, when
+// accumulating), as the reference kernels do.
 GemmPlan make_packed_plan(GemmOp op, std::int64_t m, std::int64_t k,
                           std::int64_t n);
 
 struct PlanCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
   std::size_t entries = 0;
 };
 
-// Sharded, read-mostly plan cache. Lookups take a shared lock on one
-// shard (readers never serialize each other) after a thread-local memo
-// of the most recent shapes, so the per-matmul overhead in a
-// parallel_for worker is a handful of loads. Plans are returned by
-// value — eviction can never dangle a caller's plan.
+// The cost model's plans, kept by shape. Only matmul, matmul_at and
+// matmul_bt look plans up here; the conv layers build packed plans
+// directly. So a run holds a handful of shapes, and one mutex over a
+// short vector serves them. Plans are returned by value.
 class KernelPlanCache {
  public:
-  // `capacity_per_shard` bounds each shard; the oldest entry is evicted
-  // (FIFO) when a shard overflows. The default is far above what any
-  // real model needs (a run has tens of distinct GEMM shapes).
-  explicit KernelPlanCache(std::size_t capacity_per_shard = 64);
-  ~KernelPlanCache();
-
+  KernelPlanCache() = default;
   KernelPlanCache(const KernelPlanCache&) = delete;
   KernelPlanCache& operator=(const KernelPlanCache&) = delete;
 
@@ -155,18 +161,15 @@ class KernelPlanCache {
 
   PlanCacheStats stats() const;
 
-  // Drops every entry and zeroes the stats; invalidates the per-thread
-  // memos via an epoch bump. Not for hot paths.
+  // Drops every entry and zeroes the stats.
   void clear();
 
  private:
-  struct Shard;
-  GemmPlan cached_plan(const GemmShape& shape);
-  GemmPlan lookup_or_plan(const GemmShape& shape);
-
-  Shard* shards_;
-  std::size_t capacity_per_shard_;
-  std::atomic<std::uint64_t> memo_hits_{0};
+  mutable Mutex mutex_;
+  std::vector<std::pair<GemmShape, GemmPlan>> entries_
+      FLEDA_GUARDED_BY(mutex_);
+  std::uint64_t hits_ FLEDA_GUARDED_BY(mutex_) = 0;
+  std::uint64_t misses_ FLEDA_GUARDED_BY(mutex_) = 0;
 };
 
 // ---------------------------------------------------------------------

@@ -1,6 +1,6 @@
-// Binary (de)serialization of tensors, used for model checkpoints and
-// cached datasets. Format: magic "FLT1", rank (u32), dims (i64 each),
-// then raw little-endian float32 payload.
+// Binary (de)serialization of tensors, used for cached datasets.
+// Format: magic "FLT1", rank (u32), dims (i64 each), then raw
+// little-endian float32 payload.
 #pragma once
 
 #include <cstdint>

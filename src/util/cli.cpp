@@ -60,11 +60,4 @@ bool CliParser::get_bool(const std::string& name, bool def) const {
   return v == "true" || v == "1" || v == "yes" || v == "on";
 }
 
-std::vector<std::string> CliParser::flag_names() const {
-  std::vector<std::string> names;
-  names.reserve(flags_.size());
-  for (const auto& [k, _] : flags_) names.push_back(k);
-  return names;
-}
-
 }  // namespace fleda

@@ -28,9 +28,6 @@ class CliParser {
   // Arguments that were not --flags, in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
-  // Unrecognized-flag detection: names seen on the command line.
-  std::vector<std::string> flag_names() const;
-
  private:
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;

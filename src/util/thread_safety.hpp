@@ -11,10 +11,9 @@
 // acquire/release it (FLEDA_ACQUIRE / FLEDA_RELEASE).
 //
 // libstdc++'s std::mutex carries no capability attributes, so the
-// analysis cannot see a std::lock_guard acquiring one. Mutex /
-// SharedMutex below are zero-overhead annotated wrappers, and
-// MutexLock / SharedReaderLock / SharedWriterLock are the scoped
-// guards the analysis does understand. MutexLock exposes the
+// analysis cannot see a std::lock_guard acquiring one. Mutex below is
+// a zero-overhead annotated wrapper, and MutexLock is the scoped guard
+// the analysis does understand. MutexLock exposes the
 // underlying std::unique_lock for condition_variable::wait — the wait
 // releases and reacquires invisibly to the analysis, which is the
 // standard (and sound) idiom: the capability is held whenever the
@@ -22,7 +21,6 @@
 #pragma once
 
 #include <mutex>
-#include <shared_mutex>
 
 #if defined(__clang__)
 #define FLEDA_TSA(x) __attribute__((x))
@@ -38,22 +36,11 @@
 #define FLEDA_GUARDED_BY(x) FLEDA_TSA(guarded_by(x))
 // Pointer member whose *pointee* is protected by the capability.
 #define FLEDA_PT_GUARDED_BY(x) FLEDA_TSA(pt_guarded_by(x))
-// Function that must be called with the capability held (exclusively /
-// at least shared).
+// Function that must be called with the capability held.
 #define FLEDA_REQUIRES(...) FLEDA_TSA(requires_capability(__VA_ARGS__))
-#define FLEDA_REQUIRES_SHARED(...) \
-  FLEDA_TSA(requires_shared_capability(__VA_ARGS__))
 // Function that acquires / releases the capability.
 #define FLEDA_ACQUIRE(...) FLEDA_TSA(acquire_capability(__VA_ARGS__))
-#define FLEDA_ACQUIRE_SHARED(...) \
-  FLEDA_TSA(acquire_shared_capability(__VA_ARGS__))
 #define FLEDA_RELEASE(...) FLEDA_TSA(release_capability(__VA_ARGS__))
-#define FLEDA_RELEASE_SHARED(...) \
-  FLEDA_TSA(release_shared_capability(__VA_ARGS__))
-// Release of a scoped capability that may have been acquired in either
-// mode (the right dtor annotation for shared-capable guards).
-#define FLEDA_RELEASE_GENERIC(...) \
-  FLEDA_TSA(release_generic_capability(__VA_ARGS__))
 #define FLEDA_TRY_ACQUIRE(...) FLEDA_TSA(try_acquire_capability(__VA_ARGS__))
 // Function that must NOT be called with the capability held.
 #define FLEDA_EXCLUDES(...) FLEDA_TSA(locks_excluded(__VA_ARGS__))
@@ -84,25 +71,6 @@ class FLEDA_CAPABILITY("mutex") Mutex {
   std::mutex mu_;  // fleda-lint: allow(mutex-guarded)
 };
 
-// Annotated reader/writer mutex (std::shared_mutex underneath).
-class FLEDA_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() FLEDA_ACQUIRE() { mu_.lock(); }
-  void unlock() FLEDA_RELEASE() { mu_.unlock(); }
-  void lock_shared() FLEDA_ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void unlock_shared() FLEDA_RELEASE_SHARED() { mu_.unlock_shared(); }
-
- private:
-  friend class SharedReaderLock;
-  friend class SharedWriterLock;
-  // See Mutex::mu_: the wrapper is the annotated capability.
-  std::shared_mutex mu_;  // fleda-lint: allow(mutex-guarded)
-};
-
 // Scoped exclusive lock over Mutex. native() hands the underlying
 // std::unique_lock to condition_variable::wait; the analysis treats
 // the capability as held across the wait, which matches when the
@@ -119,37 +87,6 @@ class FLEDA_SCOPED_CAPABILITY MutexLock {
 
  private:
   std::unique_lock<std::mutex> lock_;
-};
-
-// Scoped shared (reader) lock over SharedMutex.
-class FLEDA_SCOPED_CAPABILITY SharedReaderLock {
- public:
-  explicit SharedReaderLock(SharedMutex& mu) FLEDA_ACQUIRE_SHARED(mu)
-      : mu_(&mu.mu_) {
-    mu_->lock_shared();
-  }
-  ~SharedReaderLock() FLEDA_RELEASE_GENERIC() { mu_->unlock_shared(); }
-
-  SharedReaderLock(const SharedReaderLock&) = delete;
-  SharedReaderLock& operator=(const SharedReaderLock&) = delete;
-
- private:
-  std::shared_mutex* mu_;
-};
-
-// Scoped exclusive (writer) lock over SharedMutex.
-class FLEDA_SCOPED_CAPABILITY SharedWriterLock {
- public:
-  explicit SharedWriterLock(SharedMutex& mu) FLEDA_ACQUIRE(mu) : mu_(&mu.mu_) {
-    mu_->lock();
-  }
-  ~SharedWriterLock() FLEDA_RELEASE_GENERIC() { mu_->unlock(); }
-
-  SharedWriterLock(const SharedWriterLock&) = delete;
-  SharedWriterLock& operator=(const SharedWriterLock&) = delete;
-
- private:
-  std::shared_mutex* mu_;
 };
 
 }  // namespace fleda

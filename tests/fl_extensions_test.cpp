@@ -1,14 +1,10 @@
-// Tests for the FL extensions: model checkpointing round trips and the
-// differential-privacy Gaussian mechanism (clip norm semantics, noise
-// calibration, end-to-end compatibility with apply_to).
+// Tests for the FL extensions: the differential-privacy Gaussian
+// mechanism (clip norm semantics, noise calibration, end-to-end
+// compatibility with apply_to).
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 
-#include "fl/checkpoint.hpp"
 #include "fl/privacy.hpp"
 #include "models/registry.hpp"
 #include "tensor/ops.hpp"
@@ -20,91 +16,6 @@ ModelParameters snapshot(ModelKind kind, std::uint64_t seed) {
   Rng rng(seed);
   RoutabilityModelPtr m = make_model(kind, 4, rng);
   return ModelParameters::from_model(*m);
-}
-
-TEST(Checkpoint, StreamRoundTripPreservesEverything) {
-  ModelParameters original = snapshot(ModelKind::kPROS, 1);
-  std::stringstream ss;
-  write_checkpoint(ss, original);
-  ModelParameters loaded = read_checkpoint(ss);
-  ASSERT_TRUE(loaded.structurally_equal(original));
-  for (std::size_t i = 0; i < original.entries().size(); ++i) {
-    EXPECT_TRUE(loaded.entries()[i].value.equals(original.entries()[i].value))
-        << original.entries()[i].name;
-    EXPECT_EQ(loaded.entries()[i].is_buffer, original.entries()[i].is_buffer);
-  }
-}
-
-TEST(Checkpoint, FileRoundTripAppliesToFreshModel) {
-  ModelParameters original = snapshot(ModelKind::kFLNet, 2);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "fleda_ckpt_test.bin")
-          .string();
-  save_checkpoint(path, original);
-  ModelParameters loaded = load_checkpoint(path);
-  Rng rng(3);
-  RoutabilityModelPtr fresh = make_model(ModelKind::kFLNet, 4, rng);
-  loaded.apply_to(*fresh);  // must not throw: structure matches
-  EXPECT_NEAR(ModelParameters::from_model(*fresh).squared_distance(original),
-              0.0, 1e-12);
-  std::filesystem::remove(path);
-}
-
-TEST(Checkpoint, BadMagicAndTruncationThrow) {
-  std::stringstream bad("garbagegarbagegarbage");
-  EXPECT_THROW(read_checkpoint(bad), std::runtime_error);
-
-  ModelParameters original = snapshot(ModelKind::kFLNet, 4);
-  std::stringstream ss;
-  write_checkpoint(ss, original);
-  std::string payload = ss.str();
-  std::stringstream truncated(payload.substr(0, payload.size() / 3));
-  EXPECT_THROW(read_checkpoint(truncated), std::runtime_error);
-}
-
-std::string u32_bytes(std::uint32_t v) {
-  return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-// load_checkpoint of `bytes` must raise std::runtime_error naming the
-// file — never bad_alloc, which would escape the catch and fail.
-void expect_checkpoint_error_names_the_file(const std::string& bytes,
-                                            const std::string& label) {
-  const std::string path = (std::filesystem::temp_directory_path() /
-                            ("fleda_ckpt_" + label + ".bin"))
-                               .string();
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  try {
-    load_checkpoint(path);
-    ADD_FAILURE() << label << ": corrupt checkpoint loaded";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
-        << label << ": " << e.what();
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(Checkpoint, HostileCountsAndTruncationNameTheFile) {
-  const std::string magic = u32_bytes(0xF1EDAC4Au);
-  expect_checkpoint_error_names_the_file(magic + u32_bytes(0xFFFFFFFFu),
-                                         "count_max");
-  // Under the 2^20 cap, but far more entries than 8 bytes can hold.
-  expect_checkpoint_error_names_the_file(
-      magic + u32_bytes(1000) + std::string(8, '\0'), "count_bytes");
-  // One entry whose name claims 12 bytes but carries 4.
-  expect_checkpoint_error_names_the_file(
-      magic + u32_bytes(1) + u32_bytes(12) + "conv" + std::string(12, '\0'),
-      "name");
-
-  std::stringstream ss;
-  write_checkpoint(ss, snapshot(ModelKind::kFLNet, 5));
-  const std::string whole = ss.str();
-  expect_checkpoint_error_names_the_file(whole.substr(0, whole.size() - 3),
-                                         "tensor");
-  expect_checkpoint_error_names_the_file("junk", "magic");
 }
 
 TEST(Privacy, UpdateNormMatchesSquaredDistance) {

@@ -1,11 +1,10 @@
 // Tests for metrics: exact ROC AUC values on hand-computed cases,
 // property tests (monotone-transform invariance, complement symmetry,
-// tie handling), confusion-matrix math, and summary statistics.
+// tie handling), and summary statistics.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "metrics/confusion.hpp"
 #include "metrics/roc_auc.hpp"
 #include "metrics/stats.hpp"
 #include "util/rng.hpp"
@@ -121,30 +120,6 @@ TEST(AucAccumulator, MatchesDirectComputation) {
   acc.reset();
   EXPECT_EQ(acc.count(), 0u);
   EXPECT_DOUBLE_EQ(acc.auc(), 0.5);
-}
-
-TEST(Confusion, CountsAndDerivedMetrics) {
-  Tensor scores(Shape{6}, {0.9f, 0.8f, 0.3f, 0.7f, 0.2f, 0.1f});
-  Tensor labels(Shape{6}, {1.0f, 1.0f, 1.0f, 0.0f, 0.0f, 0.0f});
-  ConfusionMatrix cm = confusion_at(scores, labels, 0.5f);
-  EXPECT_EQ(cm.tp, 2);
-  EXPECT_EQ(cm.fn, 1);
-  EXPECT_EQ(cm.fp, 1);
-  EXPECT_EQ(cm.tn, 2);
-  EXPECT_DOUBLE_EQ(cm.accuracy(), 4.0 / 6.0);
-  EXPECT_DOUBLE_EQ(cm.precision(), 2.0 / 3.0);
-  EXPECT_DOUBLE_EQ(cm.recall(), 2.0 / 3.0);
-  EXPECT_DOUBLE_EQ(cm.f1(), 2.0 / 3.0);
-  EXPECT_DOUBLE_EQ(cm.false_positive_rate(), 1.0 / 3.0);
-}
-
-TEST(Confusion, EmptyClassesGiveZeroNotNan) {
-  Tensor scores(Shape{2}, {0.1f, 0.2f});
-  Tensor labels(Shape{2}, {0.0f, 0.0f});
-  ConfusionMatrix cm = confusion_at(scores, labels, 0.5f);
-  EXPECT_DOUBLE_EQ(cm.precision(), 0.0);
-  EXPECT_DOUBLE_EQ(cm.recall(), 0.0);
-  EXPECT_DOUBLE_EQ(cm.f1(), 0.0);
 }
 
 TEST(Stats, SummaryOnKnownValues) {

@@ -223,7 +223,22 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_tuple(1, 1, 1), std::make_tuple(2, 3, 4),
                       std::make_tuple(7, 5, 3), std::make_tuple(16, 16, 16),
                       std::make_tuple(33, 17, 29),
-                      std::make_tuple(64, 81, 100)));
+                      std::make_tuple(64, 81, 100),
+                      std::make_tuple(3, 0, 5)));
+
+TEST(Matmul, EmptyInnerDimGivesPositiveZeros) {
+  // A [3, 0] x [0, 5] product sums nothing: every entry is +0, and
+  // accumulating leaves C as it was.
+  const Tensor c = matmul(Tensor(Shape::of(3, 0)), Tensor(Shape::of(0, 5)));
+  ASSERT_EQ(c.shape(), Shape::of(3, 5));
+  for (std::int64_t i = 0; i < c.numel(); ++i) {
+    EXPECT_TRUE(c[i] == 0.0f && !std::signbit(c[i])) << i;
+  }
+  Tensor acc(Shape::of(3, 5));
+  acc.fill(-2.0f);
+  matmul(nullptr, nullptr, acc.data(), 3, 0, 5, /*accumulate=*/true);
+  for (std::int64_t i = 0; i < acc.numel(); ++i) EXPECT_EQ(acc[i], -2.0f) << i;
+}
 
 TEST(Matmul, AccumulateAddsIntoOutput) {
   Rng rng(5);
