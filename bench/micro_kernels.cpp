@@ -6,9 +6,8 @@
 // direct kernels) against the im2col + reference-GEMM lowering those
 // kernels replace, and gates on the two agreeing bit for bit. The
 // isa_layers rows time RouteNet's conv2 and conv3 (forward + backward
-// through Conv2d) on the portable kernels against the dispatched ISA
-// (AVX2 where the host has it) and gate on identical bits; the JSON
-// names the dispatched ISA. The conv_backward rows time RouteNet's
+// through Conv2d), one row per ISA the host runs, and gate each ISA on
+// the portable kernels' bits. The conv_backward rows time RouteNet's
 // conv2, conv3, conv4 and deconv and PROS's stride-2 enc2 (forward,
 // and backward alone) inside one pool task, as a round runs them, and
 // check the layer against the col2im lowering it replaced, kept here
@@ -276,8 +275,7 @@ ConvLayerResult bench_conv_layer(const ConvLayerCase& c, Rng& rng) {
   return result;
 }
 
-// A Conv2d layer timed over one forward + backward, portable kernels
-// against the dispatched ISA.
+// A Conv2d layer timed over one forward + backward on each ISA.
 struct IsaLayerCase {
   const char* name;
   std::int64_t in_channels, out_channels, kernel, grid, batch;
@@ -290,15 +288,14 @@ const IsaLayerCase kIsaLayers[] = {{"routenet_conv2", 32, 64, 7, 32, 2},
 
 struct IsaLayerResult {
   const IsaLayerCase* layer = nullptr;
-  double portable_ms = 0.0;
-  double dispatched_ms = 0.0;
-  double speedup = 0.0;
-  bool bit_identical = false;
+  KernelIsa isa = KernelIsa::kPortable;
+  double ms = 0.0;
+  double speedup = 0.0;  // the portable row's ms / ms
+  bool bit_identical = false;  // with the portable row
 };
 
-IsaLayerResult bench_isa_layer(const IsaLayerCase& c, Rng& rng) {
-  IsaLayerResult result;
-  result.layer = &c;
+// One row per supported ISA, portable first.
+std::vector<IsaLayerResult> bench_isa_layer(const IsaLayerCase& c, Rng& rng) {
   Conv2dOptions opts;
   opts.in_channels = c.in_channels;
   opts.out_channels = c.out_channels;
@@ -329,19 +326,25 @@ IsaLayerResult bench_isa_layer(const IsaLayerCase& c, Rng& rng) {
                                            c.kernel) *
                        static_cast<double>(c.grid * c.grid * c.batch);
   const KernelIsa dispatched = kernel_isa();
-  ConvGrads portable, fast;
-  set_kernel_isa(KernelIsa::kPortable);
-  result.portable_ms =
-      flops / measure_gflops(flops, [&] { step(portable); }) * 1e-6;
+  std::vector<IsaLayerResult> rows;
+  ConvGrads portable;
+  for (const KernelIsa isa : supported_isas()) {
+    set_kernel_isa(isa);
+    ConvGrads got;
+    IsaLayerResult r;
+    r.layer = &c;
+    r.isa = isa;
+    r.ms = flops / measure_gflops(flops, [&] { step(got); }) * 1e-6;
+    if (rows.empty()) portable = got;
+    r.speedup = rows.empty() ? 1.0 : rows.front().ms / r.ms;
+    r.bit_identical = same_bits(portable.y, got.y) &&
+                      same_bits(portable.dw, got.dw) &&
+                      same_bits(portable.db, got.db) &&
+                      same_bits(portable.dx, got.dx);
+    rows.push_back(r);
+  }
   set_kernel_isa(dispatched);
-  result.dispatched_ms = flops / measure_gflops(flops, [&] { step(fast); }) *
-                         1e-6;
-  result.speedup = result.portable_ms / result.dispatched_ms;
-  result.bit_identical = same_bits(portable.y, fast.y) &&
-                         same_bits(portable.dw, fast.dw) &&
-                         same_bits(portable.db, fast.db) &&
-                         same_bits(portable.dx, fast.dx);
-  return result;
+  return rows;
 }
 
 // Trimmed mean over a cohort of `cohort` updates, each one entry of
@@ -355,10 +358,10 @@ const std::size_t kSortCohorts[] = {9, 200, 1000};
 
 struct SortLanesResult {
   std::size_t cohort = 0;
+  KernelIsa isa = KernelIsa::kPortable;
   double std_sort_ms = 0.0;
-  double portable_ms = 0.0;
-  double avx2_ms = 0.0;  // 0 when the host cannot run AVX2
-  bool bit_identical = false;
+  double network_ms = 0.0;
+  bool bit_identical = false;  // with std::sort
 };
 
 double measure_ms(const std::function<void()>& call) {
@@ -529,9 +532,8 @@ ModelParameters std_sort_trimmed_mean(
   return out;
 }
 
-SortLanesResult bench_sort_lanes(std::size_t n, Rng& rng) {
-  SortLanesResult result;
-  result.cohort = n;
+// One row per supported ISA, portable first; std::sort is timed once.
+std::vector<SortLanesResult> bench_sort_lanes(std::size_t n, Rng& rng) {
   std::vector<ModelParameters> cohort(n);
   std::vector<AggregationInput> inputs;
   for (ModelParameters& p : cohort) {
@@ -543,24 +545,26 @@ SortLanesResult bench_sort_lanes(std::size_t n, Rng& rng) {
     inputs.push_back({&p, 1.0, 0});
   }
   ModelParameters oracle;
-  result.std_sort_ms =
+  const double std_sort_ms =
       measure_ms([&] { oracle = std_sort_trimmed_mean(cohort); });
   const TrimmedMean rule(kSortTrim);
   const KernelIsa dispatched = kernel_isa();
-  result.bit_identical = true;
-  for (const KernelIsa isa : {KernelIsa::kPortable, KernelIsa::kAvx2}) {
-    if (!kernel_isa_supported(isa)) continue;
+  std::vector<SortLanesResult> rows;
+  for (const KernelIsa isa : supported_isas()) {
     set_kernel_isa(isa);
     ModelParameters network;
-    const double ms = measure_ms(
+    SortLanesResult r;
+    r.cohort = n;
+    r.isa = isa;
+    r.std_sort_ms = std_sort_ms;
+    r.network_ms = measure_ms(
         [&] { network = rule.aggregate(ModelParameters{}, inputs); });
-    (isa == KernelIsa::kAvx2 ? result.avx2_ms : result.portable_ms) = ms;
-    result.bit_identical = result.bit_identical &&
-                           network.entries()[0].value.equals(
-                               oracle.entries()[0].value);
+    r.bit_identical =
+        network.entries()[0].value.equals(oracle.entries()[0].value);
+    rows.push_back(r);
   }
   set_kernel_isa(dispatched);
-  return result;
+  return rows;
 }
 
 void write_bench_json(const std::vector<ShapeResult>& results,
@@ -616,16 +620,14 @@ void write_bench_json(const std::vector<ShapeResult>& results,
         f,
         "%s{\"name\":\"%s\",\"in_channels\":%lld,\"out_channels\":%lld,"
         "\"kernel\":%lld,\"grid\":%lld,\"batch\":%lld,\"isa\":\"%s\","
-        "\"portable_ms\":%.4f,\"dispatched_ms\":%.4f,\"speedup\":%.3f,"
-        "\"bit_identical\":%s}",
+        "\"ms\":%.4f,\"speedup\":%.3f,\"bit_identical\":%s}",
         i == 0 ? "" : ",", r.layer->name,
         static_cast<long long>(r.layer->in_channels),
         static_cast<long long>(r.layer->out_channels),
         static_cast<long long>(r.layer->kernel),
         static_cast<long long>(r.layer->grid),
-        static_cast<long long>(r.layer->batch), to_string(kernel_isa()),
-        r.portable_ms, r.dispatched_ms, r.speedup,
-        r.bit_identical ? "true" : "false");
+        static_cast<long long>(r.layer->batch), to_string(r.isa), r.ms,
+        r.speedup, r.bit_identical ? "true" : "false");
   }
   std::fprintf(f, "],\"conv_backward\":[");
   for (std::size_t i = 0; i < backward.size(); ++i) {
@@ -649,11 +651,11 @@ void write_bench_json(const std::vector<ShapeResult>& results,
     std::fprintf(
         f,
         "%s{\"rule\":\"trimmed_mean\",\"trim\":%.2f,\"cohort\":%zu,"
-        "\"coordinates\":%lld,\"std_sort_ms\":%.4f,\"portable_ms\":%.4f,"
-        "\"avx2_ms\":%.4f,\"bit_identical\":%s}",
+        "\"coordinates\":%lld,\"isa\":\"%s\",\"std_sort_ms\":%.4f,"
+        "\"network_ms\":%.4f,\"bit_identical\":%s}",
         i == 0 ? "" : ",", kSortTrim, r.cohort,
-        static_cast<long long>(kSortCoordinates), r.std_sort_ms,
-        r.portable_ms, r.avx2_ms, r.bit_identical ? "true" : "false");
+        static_cast<long long>(kSortCoordinates), to_string(r.isa),
+        r.std_sort_ms, r.network_ms, r.bit_identical ? "true" : "false");
   }
   std::fprintf(f,
                "],\"plan_cache\":{\"hits\":%llu,\"misses\":%llu,"
@@ -715,7 +717,9 @@ int main_impl() {
   }
   std::vector<IsaLayerResult> isa_layers;
   for (const IsaLayerCase& c : kIsaLayers) {
-    isa_layers.push_back(bench_isa_layer(c, rng));
+    for (const IsaLayerResult& r : bench_isa_layer(c, rng)) {
+      isa_layers.push_back(r);
+    }
   }
   std::vector<ConvBackwardResult> backward;
   // Its own stream, so the rows after it keep their inputs.
@@ -725,7 +729,9 @@ int main_impl() {
   }
   std::vector<SortLanesResult> sorts;
   for (const std::size_t n : kSortCohorts) {
-    sorts.push_back(bench_sort_lanes(n, rng));
+    for (const SortLanesResult& r : bench_sort_lanes(n, rng)) {
+      sorts.push_back(r);
+    }
   }
   ThreadPool::reset_global(0);
   std::printf("%-22s %4s %3s %4s %5s %10s %10s %8s %s\n", "conv layer",
@@ -741,19 +747,18 @@ int main_impl() {
                 r.bit_identical ? "identical" : "DIFFER");
   }
 
-  std::printf("%-18s %4s %4s %3s %4s %5s %9s %12s %8s %s\n", "isa layer",
-              "cin", "cout", "k", "grid", "batch", "portable", "dispatched",
+  std::printf("%-18s %4s %4s %3s %4s %5s %-8s %9s %8s %s\n", "isa layer",
+              "cin", "cout", "k", "grid", "batch", "isa", "ms",
               "speedup", "bits");
   for (const IsaLayerResult& r : isa_layers) {
-    std::printf("%-18s %4lld %4lld %3lld %4lld %5lld %6.3f ms %6.3f ms %-4s"
+    std::printf("%-18s %4lld %4lld %3lld %4lld %5lld %-8s %6.3f ms "
                 "%7.2fx %s\n",
                 r.layer->name, static_cast<long long>(r.layer->in_channels),
                 static_cast<long long>(r.layer->out_channels),
                 static_cast<long long>(r.layer->kernel),
                 static_cast<long long>(r.layer->grid),
-                static_cast<long long>(r.layer->batch), r.portable_ms,
-                r.dispatched_ms, to_string(kernel_isa()), r.speedup,
-                r.bit_identical ? "identical" : "DIFFER");
+                static_cast<long long>(r.layer->batch), to_string(r.isa),
+                r.ms, r.speedup, r.bit_identical ? "identical" : "DIFFER");
   }
 
   std::printf("%-18s %4s %4s %3s %4s %5s %9s %9s %8s %14s %s\n",
@@ -771,22 +776,16 @@ int main_impl() {
                 r.dw_identical ? "identical" : "DIFFER");
   }
 
-  std::printf("%-18s %6s %11s %12s %9s %8s %s\n", "sort_lanes", "cohort",
-              "std::sort", "portable", "avx2", "speedup", "bits");
+  std::printf("%-18s %6s %-8s %11s %11s %8s %s\n", "sort_lanes", "cohort",
+              "isa", "std::sort", "network", "speedup", "bits");
   for (const SortLanesResult& r : sorts) {
-    const double network_ms = r.avx2_ms > 0.0 ? r.avx2_ms : r.portable_ms;
-    std::printf("%-18s %6zu %8.3f ms %9.3f ms ", "trimmed_mean", r.cohort,
-                r.std_sort_ms, r.portable_ms);
-    if (r.avx2_ms > 0.0) {
-      std::printf("%6.3f ms", r.avx2_ms);
-    } else {
-      std::printf("%9s", "n/a");
-    }
-    std::printf(" %7.2fx %s\n", r.std_sort_ms / network_ms,
+    std::printf("%-18s %6zu %-8s %8.3f ms %8.3f ms %7.2fx %s\n",
+                "trimmed_mean", r.cohort, to_string(r.isa), r.std_sort_ms,
+                r.network_ms, r.std_sort_ms / r.network_ms,
                 r.bit_identical ? "identical" : "DIFFER");
-    if (network_ms > r.std_sort_ms) {
-      std::printf("note: std::sort beats the network at cohort %zu\n",
-                  r.cohort);
+    if (r.network_ms > r.std_sort_ms) {
+      std::printf("note: std::sort beats the %s network at cohort %zu\n",
+                  to_string(r.isa), r.cohort);
     }
   }
 
@@ -795,7 +794,7 @@ int main_impl() {
   // the m=1 output conv on reference. (3) Repeat lookups hit the cache
   // (the sweep runs each shape hundreds of times against ~8 misses).
   // (4) Each conv layer's direct path reproduces the im2col bits.
-  // (5) Each ISA layer's dispatched kernels reproduce the portable bits.
+  // (5) Each ISA layer's kernels reproduce the portable bits on every ISA.
   // (6) The sorting-network trimmed mean reproduces the std::sort bits
   // on every ISA. (7) Each conv_backward layer's dW reproduces the
   // col2im lowering's bits and its dX agrees with it to rounding.
@@ -810,15 +809,16 @@ int main_impl() {
   }
   for (const SortLanesResult& r : sorts) {
     if (!r.bit_identical) {
-      std::printf("FAIL: trimmed_mean at cohort %zu differs from std::sort\n",
-                  r.cohort);
+      std::printf("FAIL: %s trimmed_mean at cohort %zu differs from "
+                  "std::sort\n",
+                  to_string(r.isa), r.cohort);
       pass = false;
     }
   }
   for (const IsaLayerResult& r : isa_layers) {
     if (!r.bit_identical) {
       std::printf("FAIL: %s %s kernels differ from portable bits\n",
-                  r.layer->name, to_string(kernel_isa()));
+                  r.layer->name, to_string(r.isa));
       pass = false;
     }
   }

@@ -30,13 +30,24 @@ from unseeded generators, or depend on hash-table iteration order:
                   that can change a run behind its config's back, so
                   each one is a visible, reviewed escape. Knobs belong
                   in the benches' config layer (bench/bench_common.hpp).
-  fp-contract     fused multiply-add under src/: "fma" (or an AVX-512
-                  ISA, which brings FMA with it) inside a target(...)
-                  attribute, any _mm*_fmadd*-family intrinsic, or
-                  std::fma / __builtin_fma. A fused a*b + c rounds once
-                  where the portable kernels round twice, so it would
-                  make results depend on the host's ISA; the kernel
-                  contract is that the ISA changes speed, never bits.
+  fp-contract     fused multiply-add under src/: "fma" inside a
+                  target(...) attribute, any _mm*_fmadd*-family
+                  intrinsic, or std::fma / __builtin_fma. A fused
+                  a*b + c rounds once where the portable kernels round
+                  twice, so it would make results depend on the host's
+                  ISA; the kernel contract is that the ISA changes
+                  speed, never bits. An AVX-512 ISA in a target(...)
+                  brings FMA with it, and GCC at its default
+                  -ffp-contract=fast fuses a mul followed by an add
+                  (intrinsics or vector types alike), so it is allowed
+                  only inside the one guarded macro:
+                  `#define FLEDA_TARGET_AVX512` whose definition also
+                  carries optimize("fp-contract=off"), or that follows
+                  a contraction-off pragma (`#pragma clang fp
+                  contract(off)` or `#pragma STDC FP_CONTRACT OFF`,
+                  Clang's form: it ignores optimize) in the same
+                  preprocessor branch. A bare AVX-512 target anywhere
+                  else is a finding.
   orphan-header   a header under src/ that no file under src/, bench/,
                   examples/ or fledabench/ includes, other than its own
                   .cpp. Such a module is reachable only from its tests:
@@ -102,7 +113,16 @@ GETENV_RE = re.compile(r"\b(?:secure_)?getenv\s*\(")
 # Matched on the raw line (the ISA list is a string literal, which
 # strip_code blanks); the match must start in code, not a comment.
 TARGET_ATTR_RE = re.compile(r"\btarget\s*\(\s*\"([^\"]*)\"")
-FUSED_ISA_RE = re.compile(r"^(?:fma4?|avx512\w*)$")
+FUSED_ISA_RE = re.compile(r"^fma4?$")
+AVX512_ISA_RE = re.compile(r"^avx512\w*$")
+# The guarded AVX-512 macro, and what guards it (see fp-contract).
+AVX512_MACRO_RE = re.compile(r"^\s*#\s*define\s+FLEDA_TARGET_AVX512\b")
+CONTRACT_OFF_ATTR_RE = re.compile(
+    r"\boptimize\s*\(\s*\"-?f?fp-contract=off\"\s*\)")
+CONTRACT_OFF_PRAGMA_RE = re.compile(
+    r"^\s*#\s*pragma\s+(?:clang\s+fp\s+contract\s*\(\s*off\s*\)"
+    r"|STDC\s+FP_CONTRACT\s+OFF\b)")
+CONDITIONAL_RE = re.compile(r"^\s*#\s*(?:if|ifdef|ifndef|elif|else|endif)\b")
 FMA_CALL_RE = re.compile(
     r"\b_mm\d*_fn?m(?:add|sub)\w*"
     r"|\bstd\s*::\s*fma[fl]?\s*\("
@@ -226,6 +246,56 @@ def in_src_scope(path):
     return "src" in os.path.normpath(path).split(os.sep)[:-1]
 
 
+def guarded_avx512_lines(raw_lines, lines):
+    """Maps 1-based line number -> True for every line of a
+    `#define FLEDA_TARGET_AVX512` (continuations included) that carries
+    the contraction guard: optimize("fp-contract=off") in the definition
+    itself, or a contraction-off pragma earlier in the same preprocessor
+    branch (so the Clang branch's pragma cannot vouch for a GCC
+    branch's definition)."""
+    guarded = {}
+    pragma_seen = False
+    i = 0
+    while i < len(lines):
+        if CONDITIONAL_RE.match(lines[i]):
+            pragma_seen = False
+        if CONTRACT_OFF_PRAGMA_RE.match(lines[i]):
+            pragma_seen = True
+        if not AVX512_MACRO_RE.match(lines[i]):
+            i += 1
+            continue
+        start = i
+        while i + 1 < len(raw_lines) and raw_lines[i].rstrip().endswith("\\"):
+            i += 1
+        definition = " ".join(raw_lines[start:i + 1])
+        ok = pragma_seen or bool(CONTRACT_OFF_ATTR_RE.search(definition))
+        for lineno in range(start + 1, i + 2):
+            guarded[lineno] = ok
+        i += 1
+    return guarded
+
+
+FUSED_MESSAGE = (
+    "fused multiply-add in the library — it rounds once where the "
+    "portable kernels round twice, so bits would depend on the host ISA; "
+    "multiply, then add")
+UNGUARDED_AVX512_MESSAGE = (
+    "AVX-512 target outside the guarded FLEDA_TARGET_AVX512 macro — "
+    "AVX-512F brings FMA, and GCC contracts a mul followed by an add into "
+    "it unless optimize(\"fp-contract=off\") (or Clang's contract pragma) "
+    "switches that off")
+
+
+def target_message(isas, guarded):
+    """The fp-contract message for one target(...) ISA list, or None."""
+    names = [isa.strip() for isa in isas.split(",")]
+    if any(FUSED_ISA_RE.match(n) for n in names):
+        return FUSED_MESSAGE
+    if any(AVX512_ISA_RE.match(n) for n in names) and not guarded:
+        return UNGUARDED_AVX512_MESSAGE
+    return None
+
+
 def lint_file(path, force_all_rules=False):
     try:
         with open(path, "r", encoding="utf-8", errors="replace") as f:
@@ -264,6 +334,7 @@ def lint_file(path, force_all_rules=False):
     check_unordered = force_all_rules or in_unordered_scope(norm)
     check_env = force_all_rules or in_src_scope(norm)
     raw_lines = raw.splitlines()
+    avx512_guarded = guarded_avx512_lines(raw_lines, lines)
     range_for_res = [
         re.compile(r"for\s*\([^;)]*?:\s*" + re.escape(name) + r"\s*\)")
         for name in unordered_names
@@ -303,20 +374,15 @@ def lint_file(path, force_all_rules=False):
             )
         if check_env:
             raw_line = raw_lines[lineno - 1] if lineno <= len(raw_lines) else ""
-            fused_target = any(
-                line[m.start():m.start() + 6] == "target"
-                and any(FUSED_ISA_RE.match(isa.strip())
-                        for isa in m.group(1).split(","))
+            messages = [
+                target_message(m.group(1), avx512_guarded.get(lineno, False))
                 for m in TARGET_ATTR_RE.finditer(raw_line)
-            )
-            if fused_target or FMA_CALL_RE.search(line):
-                report(
-                    lineno,
-                    "fp-contract",
-                    "fused multiply-add in the library — it rounds once "
-                    "where the portable kernels round twice, so bits would "
-                    "depend on the host ISA; multiply, then add",
-                )
+                if line[m.start():m.start() + 6] == "target"
+            ]
+            if FMA_CALL_RE.search(line):
+                messages.append(FUSED_MESSAGE)
+            for message in dict.fromkeys(m for m in messages if m):
+                report(lineno, "fp-contract", message)
         if check_unordered:
             for name, rf, bf in zip(unordered_names, range_for_res, begin_res):
                 if rf.search(line) or bf.search(line):

@@ -200,10 +200,11 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   // time in sample order, so their bits do not depend on the pool size
   // or on whether this runs inside a parallel region. dW is split
   // across the pool by weight columns instead: conv_gemm_weight_grad's
-  // column blocks, or the head's blocks of eight channels (one AVX2
-  // lane group).
+  // column blocks, or the head's blocks of channels, aligned to the
+  // dispatched ISA's lane group.
   if (direct()) {
-    const ColumnBlocks blocks = column_blocks(opts_.in_channels, 8);
+    const ColumnBlocks blocks =
+        column_blocks(opts_.in_channels, kernel_lanes(kernel_isa()));
     parallel_for(static_cast<std::size_t>(blocks.count), [&](std::size_t bb,
                                                              std::size_t be) {
       for (std::size_t blk = bb; blk < be; ++blk) {

@@ -114,6 +114,7 @@ __attribute__((always_inline)) inline void input_grad_tile(
     std::int64_t h0, std::int64_t rows, std::int64_t x0) {
   typedef typename Lanes<N>::F F;
   typedef typename Lanes<N>::I I;
+  typedef typename Lanes<N>::U U;
   const ConvGeometry& g = ix.geometry;
   const std::int64_t OH = ix.out_height;
   const std::int64_t margin = frame_margin(g);
@@ -139,7 +140,9 @@ __attribute__((always_inline)) inline void input_grad_tile(
     for (std::int64_t kw = 0; kw < g.kernel_w; ++kw) {
       F wt;
       splat(wt, wc[kh * g.kernel_w + kw]);
-      wt = (F)((I)wt & ((ow >= 0) & (ow < out_w)));
+      // 0 <= ow < OW as one unsigned compare (two signed ones make
+      // GCC 12 take a 16-lane mask apart lane by lane).
+      wt = (F)((I)wt & (I)((U)ow < (U)out_w));
       for (std::int64_t r = 0; r < kTileRows; ++r) {
         if (live_rows & (1u << r)) {
           F d;
@@ -332,6 +335,34 @@ FLEDA_TARGET_AVX2 void weight_grad_avx2(const ConvIndex& ix, const float* x,
   weight_grad_from<8>(ix, x, dy, dw, block, c_begin, c_end);
 }
 
+FLEDA_TARGET_AVX512 void forward_avx512(const ConvIndex& ix,
+                                        const float* padded, const float* w,
+                                        float* y) {
+  if (ix.out_width >= 16) {
+    forward_strips<16>(ix, padded, w, y);
+  } else {
+    forward_avx2(ix, padded, w, y);
+  }
+}
+
+FLEDA_TARGET_AVX512 void input_grad_avx512(const ConvIndex& ix,
+                                           const float* w, const float* frame,
+                                           float* dx) {
+  if (ix.geometry.width >= 16) {
+    input_grad_strips<16>(ix, w, frame, dx);
+  } else {
+    input_grad_avx2(ix, w, frame, dx);
+  }
+}
+
+FLEDA_TARGET_AVX512 void weight_grad_avx512(const ConvIndex& ix,
+                                            const float* x, const float* dy,
+                                            float* dw, float* block,
+                                            std::int64_t c_begin,
+                                            std::int64_t c_end) {
+  weight_grad_from<16>(ix, x, dy, dw, block, c_begin, c_end);
+}
+
 #endif  // FLEDA_X86_KERNELS
 
 }  // namespace
@@ -340,9 +371,13 @@ void direct_conv_forward(const ConvIndex& ix, const float* padded,
                          const float* w, float* y) {
   require_unit_stride(ix);
 #if FLEDA_X86_KERNELS
-  if (kernel_isa() == KernelIsa::kAvx2) {
-    forward_avx2(ix, padded, w, y);
-    return;
+  switch (kernel_isa()) {
+    case KernelIsa::kAvx2:
+      return forward_avx2(ix, padded, w, y);
+    case KernelIsa::kAvx512:
+      return forward_avx512(ix, padded, w, y);
+    case KernelIsa::kPortable:
+      break;
   }
 #endif
   forward_portable(ix, padded, w, y);
@@ -355,13 +390,19 @@ void direct_conv_weight_grad(const ConvIndex& ix, const float* x,
   if (c_begin < 0 || c_begin > c_end || c_end > ix.geometry.channels) {
     throw std::invalid_argument("direct_conv_weight_grad: bad channel range");
   }
+  const KernelIsa isa = kernel_isa();
   float* block = thread_scratch(
       ScratchSlot::kConvBlock,
-      static_cast<std::size_t>(ix.padded_height * ix.padded_width * 8));
+      static_cast<std::size_t>(ix.padded_height * ix.padded_width *
+                               kernel_lanes(isa)));
 #if FLEDA_X86_KERNELS
-  if (kernel_isa() == KernelIsa::kAvx2) {
-    weight_grad_avx2(ix, x, dy, dw, block, c_begin, c_end);
-    return;
+  switch (isa) {
+    case KernelIsa::kAvx2:
+      return weight_grad_avx2(ix, x, dy, dw, block, c_begin, c_end);
+    case KernelIsa::kAvx512:
+      return weight_grad_avx512(ix, x, dy, dw, block, c_begin, c_end);
+    case KernelIsa::kPortable:
+      break;
   }
 #endif
   weight_grad_portable(ix, x, dy, dw, block, c_begin, c_end);
@@ -376,9 +417,13 @@ void direct_conv_input_grad(const ConvIndex& ix, const float* w,
   require_unit_stride(ix);
   fill_frame(ix, dy, frame);
 #if FLEDA_X86_KERNELS
-  if (kernel_isa() == KernelIsa::kAvx2) {
-    input_grad_avx2(ix, w, frame, dx);
-    return;
+  switch (kernel_isa()) {
+    case KernelIsa::kAvx2:
+      return input_grad_avx2(ix, w, frame, dx);
+    case KernelIsa::kAvx512:
+      return input_grad_avx512(ix, w, frame, dx);
+    case KernelIsa::kPortable:
+      break;
   }
 #endif
   input_grad_portable(ix, w, frame, dx);

@@ -11,8 +11,9 @@
 // copy (pad_image); dW pads into its own channel-interleaved blocks.
 //
 // Forward and dX run register tiles: up to eight output rows by one
-// vector of adjacent pixels (8 lanes under AVX2, else 4, else 1), one
-// accumulator per row kept in a register across the taps. dX is a
+// vector of adjacent pixels (16 lanes under AVX-512, 8 under AVX2,
+// else 4, else 1), one accumulator per row kept in a register across
+// the taps. dX is a
 // gather: each dx pixel sums w[c,kh,kw] * dy[oh, ow] over its taps,
 // read from a copy of dy framed by zero margins. dW runs its lanes
 // across channels, over channel-interleaved padded blocks of the sample.

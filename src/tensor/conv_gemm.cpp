@@ -57,8 +57,9 @@ void conv_gemm_weight_grad(const ConvGeometry& g, std::int64_t m,
   const ConvIndex ix = make_conv_index(g);
   const std::int64_t taps = g.kernel_h * g.kernel_w;
   const std::int64_t padded_plane = ix.padded_height * ix.padded_width;
-  // Two NR panels wide: the AVX2 micro-kernel steps two at a time.
-  const ColumnBlocks blocks = column_blocks(rows, 2 * kGemmNR);
+  // As wide as the columns one micro-kernel call steps.
+  const ColumnBlocks blocks =
+      column_blocks(rows, gemm_kernel_columns(plan.isa));
   parallel_for(static_cast<std::size_t>(blocks.count), [&](std::size_t bb,
                                                            std::size_t be) {
     float* padded = thread_scratch(

@@ -50,10 +50,10 @@ inline constexpr std::int64_t kWeightGradBlocks = 8;
 //   a[n*m*pixels ..] [m, pixels] * cols(images[n*C*H*W ..])^T,
 // the samples added one at a time in ascending order (each sample's
 // product in KC slices, each slice added to c). One parallel_for runs
-// over the column_blocks of c's columns (two NR panels wide), each
-// walking the samples in order and padding only the
-// channels its columns read; each sample's A panels are packed once
-// for all blocks. So every element of c sums in the same order at any
+// over the column_blocks of c's columns (each a multiple of the columns
+// one micro-kernel call steps), each walking the samples in order and
+// padding only the channels its columns read; each sample's A panels
+// are packed once for all blocks. So every element of c sums in the same order at any
 // pool size or nesting.
 void conv_gemm_weight_grad(const ConvGeometry& g, std::int64_t m,
                            std::int64_t batch, const float* a,

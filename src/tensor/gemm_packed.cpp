@@ -15,9 +15,11 @@
 // the same panels, so the column matrix never has to exist.
 //
 // Micro-kernels: a portable one (scalar C++ left to the compiler's
-// vectorizer) and, on x86 hosts with AVX2, one that holds each tile row
-// in a __m256 and steps two B micro-panels per call (eight independent
-// accumulators hide the add latency). Both compute each KC slice of a
+// vectorizer) and, on x86, an AVX2 one that holds each tile row in a
+// __m256 and steps two B micro-panels per call (eight independent
+// accumulators hide the add latency), and an AVX-512 one that steps two
+// A and four B micro-panels, joining pairs of B panels into __m512 rows
+// (sixteen accumulators). All compute each KC slice of a
 // C element as +0, then + a*b for p ascending, each product rounded
 // before the sum (mul then add, never a fused multiply-add), and add
 // the slices in ascending pc order: the one order of tensor/plan.hpp,
@@ -152,18 +154,20 @@ void pack_b_panel_implicit(GemmOp op, const ImplicitCols& b, std::int64_t pc,
 }
 
 // One micro-kernel call covers `panels` consecutive B micro-panels
-// (panel t at bp + t * kc * NR) against one A micro-panel, writing the
-// valid mr x nr region of C (nr <= panels * NR).
+// (panel t at bp + t * kc * NR) against `a_panels` A micro-panels
+// (panel t at ap + t * a_next), writing the valid mr x nr region of C
+// (mr <= a_panels * MR, nr <= panels * NR).
 struct MicroKernel {
-  void (*run)(const float* ap, const float* bp, std::int64_t kc, float* c,
-              std::int64_t ldc, std::int64_t mr, std::int64_t nr,
-              bool accumulate);
+  void (*run)(const float* ap, std::int64_t a_next, const float* bp,
+              std::int64_t kc, float* c, std::int64_t ldc, std::int64_t mr,
+              std::int64_t nr, bool accumulate);
   std::int64_t panels;
+  std::int64_t a_panels;
 };
 
 // MR x NR register tile: acc += sum_p apanel[p][*] (x) bpanel[p][*],
 // then stored or accumulated into the valid mr x nr region of C.
-void micro_kernel_portable(const float* __restrict ap,
+void micro_kernel_portable(const float* __restrict ap, std::int64_t,
                            const float* __restrict bp, std::int64_t kc,
                            float* __restrict c, std::int64_t ldc,
                            std::int64_t mr, std::int64_t nr, bool accumulate) {
@@ -213,10 +217,11 @@ FLEDA_TARGET_AVX2 inline void store_row_avx2(float* crow, __m256 acc,
 // accumulators are named locals, not arrays: indexing an array by the
 // runtime mr at write-back makes the compiler store every accumulator
 // on every depth step.
-FLEDA_TARGET_AVX2 void micro_kernel_avx2(const float* ap, const float* bp,
-                                         std::int64_t kc, float* c,
-                                         std::int64_t ldc, std::int64_t mr,
-                                         std::int64_t nr, bool accumulate) {
+FLEDA_TARGET_AVX2 void micro_kernel_avx2(const float* ap, std::int64_t,
+                                         const float* bp, std::int64_t kc,
+                                         float* c, std::int64_t ldc,
+                                         std::int64_t mr, std::int64_t nr,
+                                         bool accumulate) {
   static_assert(MR == 4, "one named accumulator per tile row");
   if (nr <= NR) {
     __m256 c0 = _mm256_setzero_ps(), c1 = c0, c2 = c0, c3 = c0;
@@ -262,14 +267,127 @@ FLEDA_TARGET_AVX2 void micro_kernel_avx2(const float* ap, const float* bp,
   }
 }
 
+// Writes the first `nr` (<= 2 NR) lanes of one accumulator row to C.
+FLEDA_TARGET_AVX512 inline void store_row_avx512(float* crow, __m512 acc,
+                                                 std::int64_t nr,
+                                                 bool accumulate) {
+  const __mmask16 lanes = static_cast<__mmask16>(
+      nr >= 2 * NR ? 0xFFFFu : (1u << nr) - 1u);
+  if (accumulate) acc = _mm512_add_ps(_mm512_maskz_loadu_ps(lanes, crow), acc);
+  _mm512_mask_storeu_ps(crow, lanes, acc);
+}
+
+// Depth step p of two adjacent B micro-panels joined into one 16-lane
+// row (panel t in the low half, panel t + 1 in the high half), or of
+// panel t alone, zero-extended, when t + 1 lies past the call. Masked
+// loads: a lane a mask leaves out reads no memory. (GCC 12 flags the
+// _mm512_undefined_* inside the insert intrinsics as uninitialized.)
+template <bool kTwo>
+FLEDA_TARGET_AVX512 inline __m512 load_b_avx512(const float* bp,
+                                                std::int64_t panel) {
+  const __m512 lo = _mm512_maskz_loadu_ps(0x00FF, bp);
+  if constexpr (!kTwo) return lo;
+  return _mm512_mask_loadu_ps(lo, 0xFF00, bp + panel - NR);
+}
+
+// kRows (MR or 2 MR) x kPanels NR tile (kPanels in 1..4) in __m512
+// accumulators: acc[r] holds columns [0, 2 NR) of row r, acc[kRows + r]
+// columns [2 NR, 4 NR). Rows [MR, 2 MR) come from the A micro-panel at
+// ap + a_next. Every loop over the tile has a constant trip count and
+// is unrolled whole, so each accumulator stays in a register (an index
+// the compiler cannot resolve would park the tile in memory).
+template <int kPanels, int kRows>
+FLEDA_TARGET_AVX512 void micro_kernel_avx512_tile(
+    const float* ap, std::int64_t a_next, const float* bp, std::int64_t kc,
+    float* c, std::int64_t ldc, std::int64_t mr, std::int64_t nr,
+    bool accumulate) {
+  constexpr int kHalves = kPanels > 2 ? 2 : 1;
+  const std::int64_t panel = kc * NR;
+  __m512 acc[kHalves * kRows];
+#pragma GCC unroll 16
+  for (int t = 0; t < kHalves * kRows; ++t) acc[t] = _mm512_setzero_ps();
+  for (std::int64_t p = 0; p < kc; ++p) {
+    const float* b = bp + p * NR;
+    __m512 bv[kHalves];
+    bv[0] = load_b_avx512<(kPanels >= 2)>(b, panel);
+    if constexpr (kHalves == 2) {
+      bv[1] = load_b_avx512<(kPanels == 4)>(b + 2 * panel, panel);
+    }
+    const float* a = ap + p * MR;
+#pragma GCC unroll 8
+    for (int r = 0; r < kRows; ++r) {
+      const __m512 av =
+          _mm512_set1_ps(r < MR ? a[r] : a[a_next + r - MR]);
+#pragma GCC unroll 2
+      for (int h = 0; h < kHalves; ++h) {
+        acc[h * kRows + r] =
+            _mm512_add_ps(acc[h * kRows + r], _mm512_mul_ps(av, bv[h]));
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < kRows; ++r) {
+    if (r >= mr) break;
+    float* crow = c + r * ldc;
+    store_row_avx512(crow, acc[r], std::min(nr, 2 * NR), accumulate);
+    if constexpr (kHalves == 2) {
+      store_row_avx512(crow + 2 * NR, acc[kRows + r], nr - 2 * NR,
+                       accumulate);
+    }
+  }
+}
+
+template <int kRows>
+FLEDA_TARGET_AVX512 void micro_kernel_avx512_rows(
+    const float* ap, std::int64_t a_next, const float* bp, std::int64_t kc,
+    float* c, std::int64_t ldc, std::int64_t mr, std::int64_t nr,
+    bool accumulate) {
+  switch ((nr + NR - 1) / NR) {
+    case 1:
+      return micro_kernel_avx512_tile<1, kRows>(ap, a_next, bp, kc, c, ldc,
+                                                mr, nr, accumulate);
+    case 2:
+      return micro_kernel_avx512_tile<2, kRows>(ap, a_next, bp, kc, c, ldc,
+                                                mr, nr, accumulate);
+    case 3:
+      return micro_kernel_avx512_tile<3, kRows>(ap, a_next, bp, kc, c, ldc,
+                                                mr, nr, accumulate);
+    default:
+      return micro_kernel_avx512_tile<4, kRows>(ap, a_next, bp, kc, c, ldc,
+                                                mr, nr, accumulate);
+  }
+}
+
+// 2 MR x 4 NR: two A micro-panels against four B micro-panels per
+// call, the B panels joined in pairs; a call with fewer rows or panels
+// left runs the tile that covers just them.
+FLEDA_TARGET_AVX512 void micro_kernel_avx512(
+    const float* ap, std::int64_t a_next, const float* bp, std::int64_t kc,
+    float* c, std::int64_t ldc, std::int64_t mr, std::int64_t nr,
+    bool accumulate) {
+  if (mr > MR) {
+    micro_kernel_avx512_rows<2 * MR>(ap, a_next, bp, kc, c, ldc, mr, nr,
+                                     accumulate);
+  } else {
+    micro_kernel_avx512_rows<MR>(ap, a_next, bp, kc, c, ldc, mr, nr,
+                                 accumulate);
+  }
+}
+
 #endif  // FLEDA_X86_KERNELS
 
+// Steps gemm_kernel_columns(isa) columns of C per call.
 MicroKernel micro_kernel_for(KernelIsa isa) {
+  MicroKernel kernel{micro_kernel_portable, gemm_kernel_columns(isa) / NR,
+                     1};
 #if FLEDA_X86_KERNELS
-  if (isa == KernelIsa::kAvx2) return {micro_kernel_avx2, 2};
+  if (isa == KernelIsa::kAvx2) kernel.run = micro_kernel_avx2;
+  if (isa == KernelIsa::kAvx512) {
+    kernel.run = micro_kernel_avx512;
+    kernel.a_panels = 2;
+  }
 #endif
-  (void)isa;
-  return {micro_kernel_portable, 1};
+  return kernel;
 }
 
 // Exactly one of `b` (the plan's memory layout) and `implicit` (a conv
@@ -335,22 +453,35 @@ void gemm_packed_impl(const GemmPlan& plan, const float* a,
           static_cast<std::size_t>(mpanels),
           [&](std::size_t begin, std::size_t end) {
             float* apanel = thread_scratch_aligned(
-                ScratchSlot::kPackA, static_cast<std::size_t>(kc_max * MR));
-            for (std::size_t ip = begin; ip < end; ++ip) {
+                ScratchSlot::kPackA,
+                static_cast<std::size_t>(kernel.a_panels * kc_max * MR));
+            for (std::size_t ip = begin; ip < end;
+                 ip += static_cast<std::size_t>(kernel.a_panels)) {
+              const std::int64_t a_panels = std::min<std::int64_t>(
+                  kernel.a_panels, static_cast<std::int64_t>(end - ip));
               const std::int64_t i0 = static_cast<std::int64_t>(ip) * MR;
-              const std::int64_t mr = std::min<std::int64_t>(MR, m - i0);
+              const std::int64_t mr =
+                  std::min<std::int64_t>(a_panels * MR, m - i0);
               const float* ap;
+              std::int64_t a_next;
               if (apack_full != nullptr) {
                 ap = apack_full + static_cast<std::int64_t>(ip) * k * MR +
                      pc * MR;
+                a_next = k * MR;
               } else {
-                pack_a_panel(op, a, m, k, i0, mr, pc, kc, apanel);
+                for (std::int64_t t = 0; t < a_panels; ++t) {
+                  const std::int64_t it = i0 + t * MR;
+                  pack_a_panel(op, a, m, k, it,
+                               std::min<std::int64_t>(MR, m - it), pc, kc,
+                               apanel + t * kc * MR);
+                }
                 ap = apanel;
+                a_next = kc * MR;
               }
               for (std::int64_t jp = 0; jp < npanels; jp += kernel.panels) {
                 const std::int64_t j0 = jc + jp * NR;
-                kernel.run(ap, bpack + jp * kc * NR, kc, c + i0 * n + j0, n,
-                           mr,
+                kernel.run(ap, a_next, bpack + jp * kc * NR, kc,
+                           c + i0 * n + j0, n, mr,
                            std::min<std::int64_t>(kernel.panels * NR,
                                                   jc + nc - j0),
                            acc_c);

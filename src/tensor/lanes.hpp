@@ -1,11 +1,14 @@
 // N-lane float vectors for the kernels that are written once and
-// instantiated per width: N = 8 inside an AVX2 body, 4 in the portable
-// body (an SSE/NEON register), 1 for scalar tails. Each vector operator
+// instantiated per width: N = 16 inside an AVX-512 body, 8 inside an
+// AVX2 body, 4 in the portable body (an SSE/NEON register), 1 for
+// scalar tails. Each vector operator
 // is one IEEE single-precision operation per lane (no FMA, no
 // regrouping), so a lane's value never depends on N or on the ISA.
 //
 // Loads, stores and broadcasts go through references, so no function
-// passes a wide vector by value outside an AVX2 body.
+// passes a wide vector by value outside an AVX2 or AVX-512 body. An
+// AVX-512 body gets `acc + w * x` as a mul and an add only because
+// FLEDA_TARGET_AVX512 (tensor/plan.hpp) switches contraction off.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +20,7 @@ template <int N>
 struct Lanes {
   typedef float F __attribute__((vector_size(4 * N)));
   typedef std::int32_t I __attribute__((vector_size(4 * N)));
+  typedef std::uint32_t U __attribute__((vector_size(4 * N)));
 };
 
 template <class V>

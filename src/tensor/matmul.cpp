@@ -21,7 +21,8 @@ namespace {
 // across kRowDepth depth steps, parking them in a row buffer in between
 // (a float stored and reloaded is the same float), so B is read in
 // blocks of kRowDepth rows that stream along each row. For the k = 32
-// conv shapes a slice is one block, and a 64-column row one AVX2 tile.
+// conv shapes a slice is one block, and a 64-column row one AVX2 tile
+// (a four-vector AVX-512 one).
 
 constexpr std::int64_t kRowDepth = 64;
 
@@ -63,8 +64,8 @@ __attribute__((always_inline)) inline void row_tile(
   }
 }
 
-// The whole row, one depth block at a time: tiles of 8 vectors, then
-// single vectors, then scalars.
+// The whole row, one depth block at a time: tiles of 8 vectors (and,
+// 16 lanes wide, of 4), then single vectors, then scalars.
 template <int N>
 __attribute__((always_inline)) inline void row_blocks(
     const float* a, std::int64_t a_step, const float* b, std::int64_t n,
@@ -80,6 +81,12 @@ __attribute__((always_inline)) inline void row_blocks(
       for (; j + 8 * N <= n; j += 8 * N) {
         row_tile<N, 8>(a, a_step, b + j, n, p0, p1, first, last, part + j,
                        c + j, add);
+      }
+      if constexpr (N > 8) {
+        for (; j + 4 * N <= n; j += 4 * N) {
+          row_tile<N, 4>(a, a_step, b + j, n, p0, p1, first, last,
+                         part + j, c + j, add);
+        }
       }
       for (; j + N <= n; j += N) {
         row_tile<N, 1>(a, a_step, b + j, n, p0, p1, first, last, part + j,
@@ -106,6 +113,13 @@ FLEDA_TARGET_AVX2 void row_avx2(const float* a, std::int64_t a_step,
                                 bool accumulate) {
   row_blocks<8>(a, a_step, b, n, k, part, c, accumulate);
 }
+
+FLEDA_TARGET_AVX512 void row_avx512(const float* a, std::int64_t a_step,
+                                    const float* b, std::int64_t n,
+                                    std::int64_t k, float* part, float* c,
+                                    bool accumulate) {
+  row_blocks<16>(a, a_step, b, n, k, part, c, accumulate);
+}
 #endif
 
 // C[i, :] for rows i of A(i, p) = a[i * i_step + p * p_step].
@@ -115,6 +129,7 @@ void reference_rows(const float* a, std::int64_t i_step, std::int64_t p_step,
   auto row = row_portable;
 #if FLEDA_X86_KERNELS
   if (kernel_isa() == KernelIsa::kAvx2) row = row_avx2;
+  if (kernel_isa() == KernelIsa::kAvx512) row = row_avx512;
 #endif
   parallel_for(
       static_cast<std::size_t>(m),

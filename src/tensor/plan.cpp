@@ -28,14 +28,38 @@ std::int64_t round_down(std::int64_t v, std::int64_t to) {
 
 std::atomic<int> g_kernel_isa{-1};  // -1 = not yet probed
 
-bool host_has_avx2() {
+// __builtin_cpu_supports checks the CPUID bit and that the OS saves
+// the vector state (YMM for avx2, ZMM for avx512f).
+bool host_supports(KernelIsa isa) {
 #if FLEDA_X86_KERNELS
-  // Checks the CPUID bit and that the OS saves the YMM state.
   __builtin_cpu_init();
-  return __builtin_cpu_supports("avx2");
-#else
+  switch (isa) {
+    case KernelIsa::kPortable:
+      return true;
+    case KernelIsa::kAvx2:
+      return __builtin_cpu_supports("avx2");
+    case KernelIsa::kAvx512:
+      // Its bodies fall back to the AVX2 ones for narrow shapes.
+      return __builtin_cpu_supports("avx2") &&
+             __builtin_cpu_supports("avx512f");
+  }
   return false;
+#else
+  return isa == KernelIsa::kPortable;
 #endif
+}
+
+// The ISAs this host runs, probed once, portable first.
+const std::vector<KernelIsa>& host_isas() {
+  static const std::vector<KernelIsa> isas = [] {
+    std::vector<KernelIsa> found;
+    for (const KernelIsa isa :
+         {KernelIsa::kPortable, KernelIsa::kAvx2, KernelIsa::kAvx512}) {
+      if (host_supports(isa)) found.push_back(isa);
+    }
+    return found;
+  }();
+  return isas;
 }
 
 }  // namespace
@@ -68,21 +92,23 @@ const char* to_string(KernelIsa isa) {
       return "portable";
     case KernelIsa::kAvx2:
       return "avx2";
+    case KernelIsa::kAvx512:
+      return "avx512";
   }
   return "?";
 }
 
 bool kernel_isa_supported(KernelIsa isa) {
-  static const bool avx2 = host_has_avx2();
-  return isa == KernelIsa::kPortable || (isa == KernelIsa::kAvx2 && avx2);
+  const std::vector<KernelIsa>& isas = host_isas();
+  return std::find(isas.begin(), isas.end(), isa) != isas.end();
 }
+
+std::vector<KernelIsa> supported_isas() { return host_isas(); }
 
 KernelIsa kernel_isa() {
   int isa = g_kernel_isa.load(std::memory_order_relaxed);
   if (isa < 0) {
-    isa = static_cast<int>(kernel_isa_supported(KernelIsa::kAvx2)
-                               ? KernelIsa::kAvx2
-                               : KernelIsa::kPortable);
+    isa = static_cast<int>(host_isas().back());
     g_kernel_isa.store(isa, std::memory_order_relaxed);
   }
   return static_cast<KernelIsa>(isa);
@@ -94,6 +120,30 @@ void set_kernel_isa(KernelIsa isa) {
                                 to_string(isa) + " is not supported here");
   }
   g_kernel_isa.store(static_cast<int>(isa), std::memory_order_relaxed);
+}
+
+std::int64_t kernel_lanes(KernelIsa isa) {
+  switch (isa) {
+    case KernelIsa::kPortable:
+      return 4;
+    case KernelIsa::kAvx2:
+      return 8;
+    case KernelIsa::kAvx512:
+      return 16;
+  }
+  return 1;
+}
+
+std::int64_t gemm_kernel_columns(KernelIsa isa) {
+  switch (isa) {
+    case KernelIsa::kPortable:
+      return kGemmNR;
+    case KernelIsa::kAvx2:
+      return 2 * kGemmNR;
+    case KernelIsa::kAvx512:
+      return 4 * kGemmNR;
+  }
+  return kGemmNR;
 }
 
 std::string GemmPlan::to_string() const {

@@ -28,10 +28,21 @@
 //
 // Instruction set: every float kernel (the packed micro-kernel, the
 // reference row kernels, the direct conv kernels, the sort_lanes
-// network) has a portable body and, on x86, an AVX2 body; kernel_isa()
-// picks one at run time from the host's CPUID, once per process. The
-// AVX2 bodies are compiled with target("avx2") and never with "fma",
-// and they keep the order above, so the ISA changes speed, never bits.
+// network) has a portable body and, on x86, an AVX2 and an AVX-512
+// body; kernel_isa() picks the best one the host runs (avx512, else
+// avx2, else portable) from its CPUID, once per process. Every body
+// keeps the order above with one IEEE operation per lane, and none
+// contracts a multiply and an add into a fused multiply-add, so the
+// ISA changes speed, never bits. AVX2 cannot contract: its bodies are
+// compiled with target("avx2"), which brings no FMA. AVX-512F does
+// bring FMA, and GCC at its default -ffp-contract=fast turns
+// _mm512_add_ps(c, _mm512_mul_ps(a, b)) — or c + a * b on vector
+// types — into vfmadd. So every AVX-512 body goes through
+// FLEDA_TARGET_AVX512, which switches contraction off in the source:
+// optimize("fp-contract=off") on GCC, a file-scope FP_CONTRACT pragma
+// on Clang (which ignores optimize). The no_fused_instructions ctest
+// (ci/no_fused_instructions.py) disassembles the built library and
+// fails on any fused multiply-add instruction in it.
 // Non-x86 builds compile only the portable bodies.
 //
 // Determinism contract: a plan is a pure function of the shape (never
@@ -52,6 +63,18 @@
 #define FLEDA_X86_KERNELS 1
 // An AVX2 kernel body. Never add "fma": contraction would change bits.
 #define FLEDA_TARGET_AVX2 __attribute__((target("avx2")))
+// An AVX-512 kernel body: AVX-512F implies FMA, so contraction is
+// switched off with it. The only sanctioned way to target AVX-512
+// (ci/fleda_lint.py's fp-contract rule rejects a bare target).
+#if defined(__clang__)
+// Clang ignores optimize(...); the pragma holds to the end of every
+// translation unit that includes this header.
+#pragma clang fp contract(off)
+#define FLEDA_TARGET_AVX512 __attribute__((target("avx512f")))
+#else
+#define FLEDA_TARGET_AVX512 \
+  __attribute__((target("avx512f"), optimize("fp-contract=off")))
+#endif
 #else
 #define FLEDA_X86_KERNELS 0
 #endif
@@ -68,19 +91,31 @@ const char* to_string(GemmOp op);
 enum class GemmStrategy : std::uint8_t { kReference = 0, kPacked = 1 };
 const char* to_string(GemmStrategy strategy);
 
-// The instruction set the float kernels run. kAvx2 needs an x86 host
-// whose CPU (and OS) support AVX2; everything else runs kPortable.
-enum class KernelIsa : std::uint8_t { kPortable = 0, kAvx2 = 1 };
+// The instruction set the float kernels run. kAvx2 and kAvx512 need an
+// x86 host whose CPU (and OS) support AVX2 or AVX-512F; everything
+// else runs kPortable.
+enum class KernelIsa : std::uint8_t { kPortable = 0, kAvx2 = 1, kAvx512 = 2 };
 const char* to_string(KernelIsa isa);
 bool kernel_isa_supported(KernelIsa isa);  // by this host and build
+// Every ISA this host and build run, kPortable first, best last.
+std::vector<KernelIsa> supported_isas();
 // The best supported ISA, probed once; set_kernel_isa() overrides it.
 KernelIsa kernel_isa();
 // Test seam: pins the ISA (e.g. kPortable to compare against AVX2).
 // Throws std::invalid_argument for an ISA this host cannot run.
 void set_kernel_isa(KernelIsa isa);
+// Floats per vector of an ISA's kernels: 4 portable (one SSE/NEON
+// register), 8 avx2, 16 avx512. The direct conv's dW runs its lanes
+// across that many channels.
+std::int64_t kernel_lanes(KernelIsa isa);
+// Columns of C one packed micro-kernel call steps under an ISA: NR
+// portable, 2 NR avx2, 4 NR avx512.
+std::int64_t gemm_kernel_columns(KernelIsa isa);
 
-// Register micro-tile of the packed kernel: MR rows x NR columns of C
-// held in accumulators across a whole KC slice.
+// Micro-panels of the packed kernel: A is packed MR rows and B NR
+// columns wide. A micro-kernel call holds a register tile of C, one or
+// more micro-panels each way (see gemm_kernel_columns), in accumulators
+// across a whole KC slice. Layout, not bits.
 inline constexpr std::int64_t kGemmMR = 4;
 inline constexpr std::int64_t kGemmNR = 8;
 // Depth of one summation slice, for every strategy (see above). One A

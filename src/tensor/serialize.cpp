@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
+#include <istream>
 #include <limits>
+#include <ostream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace fleda {
@@ -125,22 +127,6 @@ Tensor read_tensor(std::istream& in) {
           static_cast<std::streamsize>(count * kFloat));
   if (!in) throw std::runtime_error("read_tensor: truncated payload");
   return t;
-}
-
-void save_tensor(const std::string& path, const Tensor& t) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("save_tensor: cannot open " + path);
-  write_tensor(out, t);
-}
-
-Tensor load_tensor(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("load_tensor: cannot open " + path);
-  try {
-    return read_tensor(in);
-  } catch (const std::runtime_error& e) {
-    throw std::runtime_error("load_tensor: " + path + ": " + e.what());
-  }
 }
 
 }  // namespace fleda

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <string>
 
 #include "tensor/tensor.hpp"
 
@@ -28,10 +27,5 @@ Shape shape_from_dims(std::uint32_t rank, const std::int64_t* dims);
 // the stream cannot seek (a pipe, say). Readers of untrusted headers
 // check a claimed count against it before allocating.
 std::int64_t stream_bytes_left(std::istream& in);
-
-// File convenience wrappers; throw std::runtime_error on I/O failure
-// (load_tensor's errors name the path).
-void save_tensor(const std::string& path, const Tensor& t);
-Tensor load_tensor(const std::string& path);
 
 }  // namespace fleda

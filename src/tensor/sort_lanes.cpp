@@ -37,7 +37,8 @@ void sort_lanes_portable(const SortNetwork& net, std::int32_t* block) {
 
 #if FLEDA_X86_KERNELS
 
-static_assert(kSortLanes == 16, "the AVX2 body holds a row in two vectors");
+static_assert(kSortLanes == 16,
+              "a row is two AVX2 vectors, one AVX-512 vector");
 
 FLEDA_TARGET_AVX2 void sort_lanes_avx2(const SortNetwork& net,
                                        std::int32_t* block) {
@@ -53,6 +54,21 @@ FLEDA_TARGET_AVX2 void sort_lanes_avx2(const SortNetwork& net,
     _mm256_storeu_si256(lo + 1, _mm256_min_epi32(a1, b1));
     _mm256_storeu_si256(hi, _mm256_max_epi32(a0, b0));
     _mm256_storeu_si256(hi + 1, _mm256_max_epi32(a1, b1));
+  }
+}
+
+// A row of kSortLanes int32 keys is one __m512i. The min/max run in
+// their masked forms under a full mask: the plain intrinsics pass an
+// _mm512_undefined_epi32() that GCC 12 flags as uninitialized.
+FLEDA_TARGET_AVX512 void sort_lanes_avx512(const SortNetwork& net,
+                                           std::int32_t* block) {
+  constexpr __mmask16 kAll = 0xFFFF;
+  auto* rows = reinterpret_cast<__m512i*>(block);
+  for (const SortNetwork::Comparator& c : net.comparators()) {
+    const __m512i a = _mm512_loadu_si512(rows + c.lo);
+    const __m512i b = _mm512_loadu_si512(rows + c.hi);
+    _mm512_storeu_si512(rows + c.lo, _mm512_mask_min_epi32(a, kAll, a, b));
+    _mm512_storeu_si512(rows + c.hi, _mm512_mask_max_epi32(a, kAll, a, b));
   }
 }
 
@@ -92,9 +108,13 @@ std::int32_t* aligned_block(std::vector<std::int32_t>& storage,
 
 void sort_lanes(const SortNetwork& net, std::int32_t* block) {
 #if FLEDA_X86_KERNELS
-  if (kernel_isa() == KernelIsa::kAvx2) {
-    sort_lanes_avx2(net, block);
-    return;
+  switch (kernel_isa()) {
+    case KernelIsa::kAvx2:
+      return sort_lanes_avx2(net, block);
+    case KernelIsa::kAvx512:
+      return sort_lanes_avx512(net, block);
+    case KernelIsa::kPortable:
+      break;
   }
 #endif
   sort_lanes_portable(net, block);

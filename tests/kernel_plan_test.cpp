@@ -52,13 +52,6 @@ struct IsaGuard {
   KernelIsa saved;
 };
 
-// Every ISA this host runs, kPortable first.
-std::vector<KernelIsa> all_isas() {
-  std::vector<KernelIsa> isas = {KernelIsa::kPortable};
-  if (kernel_isa_supported(KernelIsa::kAvx2)) isas.push_back(KernelIsa::kAvx2);
-  return isas;
-}
-
 std::vector<float> random_vec(std::size_t n, Rng& rng) {
   std::vector<float> v(n);
   for (float& x : v) x = static_cast<float>(rng.uniform(-1.0, 1.0));
@@ -207,7 +200,7 @@ TEST(GemmPacked, EveryEntryPointMatchesCanonicalOrderBitForBit) {
           const float v = want[static_cast<std::size_t>(j)];
           ASSERT_TRUE(v == 0.0f && !std::signbit(v)) << "column " << j;
         }
-        for (KernelIsa isa : all_isas()) {
+        for (KernelIsa isa : supported_isas()) {
           IsaGuard isa_guard(isa);
           GemmPlan plan = forced;
           plan.isa = isa;
@@ -548,7 +541,7 @@ TEST_P(DirectConv, BitIdenticalToIm2colOracleAtAnyPoolSize) {
   const Tensor gy = random_tensor(
       Shape::of(c.batch, 1, g.out_height(), g.out_width()), rng);
   const ConvResult want = im2col_oracle(c, w, b, x, gy);
-  for (KernelIsa isa : all_isas()) {
+  for (KernelIsa isa : supported_isas()) {
     IsaGuard guard(isa);
     for (std::size_t threads : {1u, 2u, 8u}) {
       ThreadPool::reset_global(threads);
@@ -561,11 +554,11 @@ TEST_P(DirectConv, BitIdenticalToIm2colOracleAtAnyPoolSize) {
 }
 
 // Kernels 1/3/5/9 and dilation 2; channel counts that leave every
-// tail of the dW lane cascade (8, 4, 2, 1 channels); output widths on
-// and off multiples of 4 and 8; valid and same padding; bias on and
-// off; batch 1 and 17 (dW/db summed over many samples); more than
-// kGemmKC taps (forward slices: 9*9*9 = 729) and pixels (dW slices:
-// 29*31 = 899).
+// tail of the dW lane cascade (16, 8, 4, 2, 1 channels: 31); output
+// widths on and off multiples of 4, 8 and 16; valid and same padding;
+// bias on and off; batch 1 and 17 (dW/db summed over many samples);
+// more than kGemmKC taps (forward slices: 9*9*9 = 729) and pixels (dW
+// slices: 29*31 = 899).
 INSTANTIATE_TEST_SUITE_P(
     Geometries, DirectConv,
     ::testing::Values(DirectCase{3, 1, 0, 1, 6, 5, 1, true},
@@ -578,7 +571,8 @@ INSTANTIATE_TEST_SUITE_P(
                       DirectCase{5, 3, 2, 2, 7, 13, 2, false},
                       DirectCase{2, 5, 2, 1, 8, 20, 1, true},
                       DirectCase{9, 9, 4, 1, 10, 10, 2, true},
-                      DirectCase{15, 3, 1, 1, 29, 31, 1, true}));
+                      DirectCase{15, 3, 1, 1, 29, 31, 1, true},
+                      DirectCase{31, 3, 1, 1, 18, 35, 2, true}));
 
 // The heads the benchmark trains: FLNet's at the smoke grid, the
 // fleet's flnet_tiny at 8x8, RouteNet's. Then: OH not a multiple of
@@ -652,7 +646,7 @@ TEST(DirectConv, NonFiniteValuesPoisonLikeOracle) {
       }
       ASSERT_GT(finite, 0) << where.str() << ": no finite dx in channel 0";
     }
-    for (KernelIsa isa : all_isas()) {
+    for (KernelIsa isa : supported_isas()) {
       IsaGuard guard(isa);
       expect_same_bits(run_conv2d(c, w, b, x, gy), want,
                        std::string(to_string(isa)) + " " + where.str());
@@ -700,8 +694,23 @@ TEST(KernelIsa, ProbeAndSeam) {
     EXPECT_NE(plan.to_string().find("portable"), std::string::npos)
         << plan.to_string();
   }
-  if (!kernel_isa_supported(KernelIsa::kAvx2)) {
-    EXPECT_THROW(set_kernel_isa(KernelIsa::kAvx2), std::invalid_argument);
+  // The list runs portable first and best last; the best is the default.
+  const std::vector<KernelIsa> isas = supported_isas();
+  ASSERT_FALSE(isas.empty());
+  EXPECT_EQ(isas.front(), KernelIsa::kPortable);
+  EXPECT_EQ(kernel_isa(), isas.back());
+  for (const KernelIsa isa :
+       {KernelIsa::kPortable, KernelIsa::kAvx2, KernelIsa::kAvx512}) {
+    const bool listed = std::find(isas.begin(), isas.end(), isa) != isas.end();
+    EXPECT_EQ(kernel_isa_supported(isa), listed) << to_string(isa);
+    if (!listed) {
+      EXPECT_THROW(set_kernel_isa(isa), std::invalid_argument)
+          << to_string(isa);
+    }
+  }
+  // The AVX-512 bodies fall back to the AVX2 ones on narrow shapes.
+  if (kernel_isa_supported(KernelIsa::kAvx512)) {
+    EXPECT_TRUE(kernel_isa_supported(KernelIsa::kAvx2));
   }
 }
 
@@ -858,7 +867,7 @@ TEST_P(ConvIsa, EveryIsaAndPoolMatchesPortableIm2colOracle) {
       IsaGuard guard(KernelIsa::kPortable);
       want = conv_oracle(c, w, b, x, gy);
     }
-    for (KernelIsa isa : all_isas()) {
+    for (KernelIsa isa : supported_isas()) {
       IsaGuard guard(isa);
       for (std::size_t threads : {1u, 2u, 8u}) {
         ThreadPool::reset_global(threads);
@@ -1147,7 +1156,7 @@ TEST(ConvTranspose2dLowering, BitIdenticalToIm2colOracle) {
         want[3][co] += static_cast<float>(acc);
       }
     }
-    for (KernelIsa isa : all_isas()) {
+    for (KernelIsa isa : supported_isas()) {
       IsaGuard guard(isa);
       for (std::size_t threads : {1u, 2u, 8u}) {
         ThreadPool::reset_global(threads);

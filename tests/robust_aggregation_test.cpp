@@ -231,8 +231,6 @@ bool values_equal(const ModelParameters& a, const ModelParameters& b,
 
 TEST(RankRuleKernel, MatchesTheSortOraclesAtEveryCohortSizeIsaAndPool) {
   const KernelIsa saved = kernel_isa();
-  std::vector<KernelIsa> isas = {KernelIsa::kPortable};
-  if (kernel_isa_supported(KernelIsa::kAvx2)) isas.push_back(KernelIsa::kAvx2);
   const double trims[] = {0.0, 0.1, 0.49};
   for (const std::size_t n :
        {1u, 2u, 3u, 7u, 9u, 63u, 64u, 65u, 199u, 200u, 201u, 256u, 257u}) {
@@ -243,7 +241,7 @@ TEST(RankRuleKernel, MatchesTheSortOraclesAtEveryCohortSizeIsaAndPool) {
     for (const double trim : trims) {
       trimmed_oracle.push_back(oracle_trimmed_mean(cohort, trim));
     }
-    for (const KernelIsa isa : isas) {
+    for (const KernelIsa isa : supported_isas()) {
       set_kernel_isa(isa);
       for (const std::size_t pool : {1u, 4u}) {
         ThreadPool::reset_global(pool);

@@ -18,12 +18,6 @@
 namespace fleda {
 namespace {
 
-std::vector<KernelIsa> supported_isas() {
-  std::vector<KernelIsa> isas = {KernelIsa::kPortable};
-  if (kernel_isa_supported(KernelIsa::kAvx2)) isas.push_back(KernelIsa::kAvx2);
-  return isas;
-}
-
 // Restores the probed ISA when a test that pins one ends.
 struct IsaGuard {
   KernelIsa saved = kernel_isa();
