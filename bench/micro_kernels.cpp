@@ -11,7 +11,9 @@
 // conv2, conv3, conv4 and deconv and PROS's stride-2 enc2 (forward,
 // and backward alone) inside one pool task, as a round runs them, and
 // check the layer against the col2im lowering it replaced, kept here
-// as an oracle: dW bit for bit, dX to rounding (dx_max_rel_err).
+// as an oracle: dW bit for bit, dX to rounding (dx_max_rel_err). Their
+// pack_ms is the profiler's kernel/pack time inside one forward +
+// backward: the operand packing the GEMMs pay for.
 //
 // Emits BENCH_kernels.json for the CI bench-trajectory artifact;
 // ci/perf_gate.py diffs the per-shape auto GFLOP/s against the previous
@@ -41,6 +43,7 @@
 #include "fl/aggregation.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/conv_transpose2d.hpp"
+#include "obs/profiler.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/plan.hpp"
@@ -391,6 +394,7 @@ struct ConvBackwardResult {
   const ConvBackwardCase* layer = nullptr;
   double fwd_ms = 0.0;
   double bwd_ms = 0.0;
+  double pack_ms = 0.0;  // kernel/pack inside one forward + backward
   double dx_max_rel_err = 0.0;  // max |dx - oracle| / max |oracle|
   bool dw_identical = false;
 };
@@ -448,6 +452,24 @@ void col2im_backward(const ConvBackwardCase& c, const ConvGeometry& g,
 // conv dX sums channels x taps in KC slices instead of per tap).
 constexpr double kDxMaxRelErr = 1e-5;
 
+// The profiler's kernel/pack total over a few forward + backward steps,
+// per step (profiling switched on for the measurement).
+double pack_ms_per_step(Module& layer, const Tensor& x, const Tensor& gy) {
+  constexpr int kSteps = 10;
+  const bool was_enabled = Profiler::enabled();
+  Profiler::set_enabled(true);
+  Profiler::reset();
+  for (int i = 0; i < kSteps; ++i) {
+    layer.forward(x, /*training=*/true);
+    layer.backward(gy);
+  }
+  const double ms = Profiler::report().total_seconds(phase::kKernelPack) *
+                    1e3 / kSteps;
+  Profiler::reset();
+  Profiler::set_enabled(was_enabled);
+  return ms;
+}
+
 ConvBackwardResult bench_conv_backward(const ConvBackwardCase& c, Rng& rng) {
   ConvBackwardResult result;
   result.layer = &c;
@@ -492,6 +514,7 @@ ConvBackwardResult bench_conv_backward(const ConvBackwardCase& c, Rng& rng) {
   in_pool_task([&] {
     result.fwd_ms = measure_ms([&] { layer->forward(x, /*training=*/true); });
     result.bwd_ms = measure_ms([&] { layer->backward(gy); });
+    result.pack_ms = pack_ms_per_step(*layer, x, gy);
     layer->zero_grad();
     dx = layer->backward(gy);
   });
@@ -636,14 +659,15 @@ void write_bench_json(const std::vector<ShapeResult>& results,
         f,
         "%s{\"name\":\"%s\",\"in_channels\":%lld,\"out_channels\":%lld,"
         "\"kernel\":%lld,\"grid\":%lld,\"batch\":%lld,\"fwd_ms\":%.4f,"
-        "\"bwd_ms\":%.4f,\"dx_max_rel_err\":%.3e,\"dw_identical\":%s}",
+        "\"bwd_ms\":%.4f,\"pack_ms\":%.4f,\"dx_max_rel_err\":%.3e,"
+        "\"dw_identical\":%s}",
         i == 0 ? "" : ",", r.layer->name,
         static_cast<long long>(r.layer->in_channels),
         static_cast<long long>(r.layer->out_channels),
         static_cast<long long>(r.layer->kernel),
         static_cast<long long>(r.layer->grid),
         static_cast<long long>(r.layer->batch), r.fwd_ms, r.bwd_ms,
-        r.dx_max_rel_err, r.dw_identical ? "true" : "false");
+        r.pack_ms, r.dx_max_rel_err, r.dw_identical ? "true" : "false");
   }
   std::fprintf(f, "],\"sort_lanes\":[");
   for (std::size_t i = 0; i < sorts.size(); ++i) {
@@ -761,18 +785,18 @@ int main_impl() {
                 r.ms, r.speedup, r.bit_identical ? "identical" : "DIFFER");
   }
 
-  std::printf("%-18s %4s %4s %3s %4s %5s %9s %9s %8s %14s %s\n",
+  std::printf("%-18s %4s %4s %3s %4s %5s %9s %9s %8s %9s %14s %s\n",
               "conv backward", "cin", "cout", "k", "grid", "batch", "fwd ms",
-              "bwd ms", "bwd/fwd", "dx max rel err", "dW");
+              "bwd ms", "bwd/fwd", "pack ms", "dx max rel err", "dW");
   for (const ConvBackwardResult& r : backward) {
     std::printf("%-18s %4lld %4lld %3lld %4lld %5lld %9.3f %9.3f %7.2fx "
-                "%14.3e %s\n",
+                "%9.3f %14.3e %s\n",
                 r.layer->name, static_cast<long long>(r.layer->in_channels),
                 static_cast<long long>(r.layer->out_channels),
                 static_cast<long long>(r.layer->kernel),
                 static_cast<long long>(r.layer->grid),
                 static_cast<long long>(r.layer->batch), r.fwd_ms, r.bwd_ms,
-                r.bwd_ms / r.fwd_ms, r.dx_max_rel_err,
+                r.bwd_ms / r.fwd_ms, r.pack_ms, r.dx_max_rel_err,
                 r.dw_identical ? "identical" : "DIFFER");
   }
 

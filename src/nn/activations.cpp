@@ -36,7 +36,14 @@ Tensor ReLU::backward(const Tensor& grad_output) {
   const float* dy = grad_output.data();
   float* dx = grad.data();
   const std::int64_t n = grad_output.numel();
-  for (std::int64_t i = 0; i < n; ++i) dx[i] = in[i] > 0.0f ? dy[i] : 0.0f;
+  // dy is loaded whether or not it is kept, so the select compiles to
+  // vector compares and masks (loaded only when kept, it made a branchy
+  // scalar loop ~10x slower than forward). Where in <= 0 or NaN, dx is
+  // +0 whatever dy holds, NaN and infinities included.
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float g = dy[i];
+    dx[i] = in[i] > 0.0f ? g : 0.0f;
+  }
   return grad;
 }
 

@@ -9,12 +9,14 @@
 //                         ConvTranspose2d dW)
 //
 // Both always run the packed GEMM (make_packed_plan, tensor/plan.hpp),
-// its B panels packed straight from a zero-padded copy of the image
+// its B panels taken straight from a zero-padded copy of the image
 // through a ConvIndex (gemm_packed_implicit): the panels, and so the
 // bits, that packing a materialized im2col would give, without writing
-// it. Every
-// GEMM strategy sums in one order, so the bits are also those of
-// im2col + the reference kernels.
+// it. ConvGemm's B is read where it lies when every 8-column panel is
+// a run of pixels (stride 1, output width a multiple of kGemmNR:
+// implicit_b_in_place) and packed otherwise; the weight gradient's
+// always packs. Every GEMM strategy sums in one order, so the bits are
+// also those of im2col + the reference kernels.
 #pragma once
 
 #include <cstdint>

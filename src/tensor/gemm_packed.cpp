@@ -11,24 +11,33 @@
 //           then store (pc == 0) or accumulate (pc > 0) into C
 //
 // B comes either from memory in the plan's layout or, for the conv
-// GEMMs, straight from a padded image through ImplicitCols: both pack
-// the same panels, so the column matrix never has to exist.
+// GEMMs, straight from a padded image through ImplicitCols, so the
+// column matrix never has to exist. A conv GEMM of the forward's form
+// (kNN) whose every NR-column panel is a run of NR adjacent pixels (a
+// stride-1 conv whose output width is a multiple of NR) is not packed
+// at all: depth step p of panel t is read in place, as the NR floats at
+// padded + pixel_offset[j0 + t * NR] + row_offset[pc + p]. That call
+// has no B block and no NC loop: each row panel sweeps all its columns
+// per KC slice. Every other call packs, the weight gradient's (kBT)
+// included.
 //
-// Micro-kernels: a portable one (scalar C++ left to the compiler's
-// vectorizer) and, on x86, an AVX2 one that holds each tile row in a
-// __m256 and steps two B micro-panels per call (eight independent
-// accumulators hide the add latency), and an AVX-512 one that steps two
-// A and four B micro-panels, joining pairs of B panels into __m512 rows
-// (sixteen accumulators). All compute each KC slice of a
-// C element as +0, then + a*b for p ascending, each product rounded
-// before the sum (mul then add, never a fused multiply-add), and add
-// the slices in ascending pc order: the one order of tensor/plan.hpp,
-// so the results are the reference kernels' bits at every thread-pool
-// size and kernel ISA.
+// Micro-kernels: one body per ISA, each a template over the B operand
+// (a packed block, or the image in place). A portable one (scalar C++
+// left to the compiler's vectorizer) and, on x86, an AVX2 one that
+// holds each tile row in a __m256 and steps two B micro-panels per call
+// (eight independent accumulators hide the add latency), and an AVX-512
+// one that steps two A and four B micro-panels, joining pairs of B
+// panels into __m512 rows (sixteen accumulators). All compute each KC
+// slice of a C element as +0, then + a*b for p ascending, each product
+// rounded before the sum (mul then add, never a fused multiply-add),
+// and add the slices in ascending pc order: the one order of
+// tensor/plan.hpp, so the results are the reference kernels' bits at
+// every thread-pool size, kernel ISA and B operand form.
 //
 // Zero-padding contract: the packing routines zero-fill the MR/NR
 // tails, so the micro-kernel always runs full tiles; only the valid
-// mr x nr region is written back to C.
+// mr x nr region is written back to C. (B read in place has no tail:
+// its panels are all full.)
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
@@ -153,12 +162,43 @@ void pack_b_panel_implicit(GemmOp op, const ImplicitCols& b, std::int64_t pc,
   }
 }
 
+// The B operand of one micro-kernel call: row(t, p) is depth step p of
+// its micro-panel t, NR contiguous floats.
+//
+// A packed block (panel t at bp + t * kc * NR).
+struct PackedB {
+  static constexpr bool kJoined = false;
+  const float* bp;
+  std::int64_t panel;  // kc * NR
+  const float* row(std::int64_t t, std::int64_t p) const {
+    return bp + t * panel + p * NR;
+  }
+};
+
+// A conv's column matrix read in place, every panel a run of NR
+// pixels: panel t starts at padded + pixel_offset[t * NR] (the table
+// advanced to the call's first column), and depth step p adds
+// row_offset[p] (the table advanced to the slice's first row). When
+// kPairs, each pair of panels a call joins (t even, t + 1) is one run
+// of 2 NR pixels too.
+template <bool kPairs>
+struct InPlaceB {
+  static constexpr bool kJoined = kPairs;
+  const float* padded;
+  const std::int64_t* pixel_offset;
+  const std::int64_t* row_offset;
+  const float* row(std::int64_t t, std::int64_t p) const {
+    return padded + pixel_offset[t * NR] + row_offset[p];
+  }
+};
+
 // One micro-kernel call covers `panels` consecutive B micro-panels
-// (panel t at bp + t * kc * NR) against `a_panels` A micro-panels
-// (panel t at ap + t * a_next), writing the valid mr x nr region of C
-// (mr <= a_panels * MR, nr <= panels * NR).
+// against `a_panels` A micro-panels (panel t at ap + t * a_next),
+// writing the valid mr x nr region of C (mr <= a_panels * MR,
+// nr <= panels * NR).
+template <class B>
 struct MicroKernel {
-  void (*run)(const float* ap, std::int64_t a_next, const float* bp,
+  void (*run)(const float* ap, std::int64_t a_next, const B& b,
               std::int64_t kc, float* c, std::int64_t ldc, std::int64_t mr,
               std::int64_t nr, bool accumulate);
   std::int64_t panels;
@@ -167,14 +207,15 @@ struct MicroKernel {
 
 // MR x NR register tile: acc += sum_p apanel[p][*] (x) bpanel[p][*],
 // then stored or accumulated into the valid mr x nr region of C.
+template <class B>
 void micro_kernel_portable(const float* __restrict ap, std::int64_t,
-                           const float* __restrict bp, std::int64_t kc,
-                           float* __restrict c, std::int64_t ldc,
-                           std::int64_t mr, std::int64_t nr, bool accumulate) {
+                           const B& b, std::int64_t kc, float* __restrict c,
+                           std::int64_t ldc, std::int64_t mr, std::int64_t nr,
+                           bool accumulate) {
   float acc[MR * NR] = {};
   for (std::int64_t p = 0; p < kc; ++p) {
     const float* __restrict arow = ap + p * MR;
-    const float* __restrict brow = bp + p * NR;
+    const float* __restrict brow = b.row(0, p);
     for (std::int64_t r = 0; r < MR; ++r) {
       const float av = arow[r];
       float* __restrict accrow = acc + r * NR;
@@ -217,8 +258,9 @@ FLEDA_TARGET_AVX2 inline void store_row_avx2(float* crow, __m256 acc,
 // accumulators are named locals, not arrays: indexing an array by the
 // runtime mr at write-back makes the compiler store every accumulator
 // on every depth step.
+template <class B>
 FLEDA_TARGET_AVX2 void micro_kernel_avx2(const float* ap, std::int64_t,
-                                         const float* bp, std::int64_t kc,
+                                         const B& b, std::int64_t kc,
                                          float* c, std::int64_t ldc,
                                          std::int64_t mr, std::int64_t nr,
                                          bool accumulate) {
@@ -226,12 +268,12 @@ FLEDA_TARGET_AVX2 void micro_kernel_avx2(const float* ap, std::int64_t,
   if (nr <= NR) {
     __m256 c0 = _mm256_setzero_ps(), c1 = c0, c2 = c0, c3 = c0;
     for (std::int64_t p = 0; p < kc; ++p) {
-      const __m256 b = _mm256_loadu_ps(bp + p * NR);
+      const __m256 b0 = _mm256_loadu_ps(b.row(0, p));
       const float* a = ap + p * MR;
-      c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_broadcast_ss(a), b));
-      c1 = _mm256_add_ps(c1, _mm256_mul_ps(_mm256_broadcast_ss(a + 1), b));
-      c2 = _mm256_add_ps(c2, _mm256_mul_ps(_mm256_broadcast_ss(a + 2), b));
-      c3 = _mm256_add_ps(c3, _mm256_mul_ps(_mm256_broadcast_ss(a + 3), b));
+      c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_broadcast_ss(a), b0));
+      c1 = _mm256_add_ps(c1, _mm256_mul_ps(_mm256_broadcast_ss(a + 1), b0));
+      c2 = _mm256_add_ps(c2, _mm256_mul_ps(_mm256_broadcast_ss(a + 2), b0));
+      c3 = _mm256_add_ps(c3, _mm256_mul_ps(_mm256_broadcast_ss(a + 3), b0));
     }
     const __m256 rows[MR] = {c0, c1, c2, c3};
     for (std::int64_t r = 0; r < mr; ++r) {
@@ -239,12 +281,11 @@ FLEDA_TARGET_AVX2 void micro_kernel_avx2(const float* ap, std::int64_t,
     }
     return;
   }
-  const float* bp1 = bp + kc * NR;
   __m256 c0 = _mm256_setzero_ps(), c1 = c0, c2 = c0, c3 = c0;
   __m256 d0 = c0, d1 = c0, d2 = c0, d3 = c0;
   for (std::int64_t p = 0; p < kc; ++p) {
-    const __m256 b0 = _mm256_loadu_ps(bp + p * NR);
-    const __m256 b1 = _mm256_loadu_ps(bp1 + p * NR);
+    const __m256 b0 = _mm256_loadu_ps(b.row(0, p));
+    const __m256 b1 = _mm256_loadu_ps(b.row(1, p));
     const float* a = ap + p * MR;
     __m256 av = _mm256_broadcast_ss(a);
     c0 = _mm256_add_ps(c0, _mm256_mul_ps(av, b0));
@@ -281,13 +322,21 @@ FLEDA_TARGET_AVX512 inline void store_row_avx512(float* crow, __m512 acc,
 // row (panel t in the low half, panel t + 1 in the high half), or of
 // panel t alone, zero-extended, when t + 1 lies past the call. Masked
 // loads: a lane a mask leaves out reads no memory. (GCC 12 flags the
-// _mm512_undefined_* inside the insert intrinsics as uninitialized.)
-template <bool kTwo>
-FLEDA_TARGET_AVX512 inline __m512 load_b_avx512(const float* bp,
-                                                std::int64_t panel) {
-  const __m512 lo = _mm512_maskz_loadu_ps(0x00FF, bp);
-  if constexpr (!kTwo) return lo;
-  return _mm512_mask_loadu_ps(lo, 0xFF00, bp + panel - NR);
+// _mm512_undefined_* inside the insert intrinsics as uninitialized.) A
+// joined pair that is one run in memory takes one 16-lane load: next to
+// two masked loads, ~13% off a 16-wide stride-1 conv's forward and
+// 7.3% off paper_routenet's table_s (10 paired runs, 4-vCPU AVX-512
+// Xeon).
+template <bool kTwo, class B>
+FLEDA_TARGET_AVX512 inline __m512 load_b_avx512(const B& b, std::int64_t t,
+                                                std::int64_t p) {
+  if constexpr (kTwo && B::kJoined) {
+    return _mm512_loadu_ps(b.row(t, p));
+  } else {
+    const __m512 lo = _mm512_maskz_loadu_ps(0x00FF, b.row(t, p));
+    if constexpr (!kTwo) return lo;
+    return _mm512_mask_loadu_ps(lo, 0xFF00, b.row(t + 1, p) - NR);
+  }
 }
 
 // kRows (MR or 2 MR) x kPanels NR tile (kPanels in 1..4) in __m512
@@ -296,22 +345,20 @@ FLEDA_TARGET_AVX512 inline __m512 load_b_avx512(const float* bp,
 // ap + a_next. Every loop over the tile has a constant trip count and
 // is unrolled whole, so each accumulator stays in a register (an index
 // the compiler cannot resolve would park the tile in memory).
-template <int kPanels, int kRows>
+template <class B, int kPanels, int kRows>
 FLEDA_TARGET_AVX512 void micro_kernel_avx512_tile(
-    const float* ap, std::int64_t a_next, const float* bp, std::int64_t kc,
+    const float* ap, std::int64_t a_next, const B& b, std::int64_t kc,
     float* c, std::int64_t ldc, std::int64_t mr, std::int64_t nr,
     bool accumulate) {
   constexpr int kHalves = kPanels > 2 ? 2 : 1;
-  const std::int64_t panel = kc * NR;
   __m512 acc[kHalves * kRows];
 #pragma GCC unroll 16
   for (int t = 0; t < kHalves * kRows; ++t) acc[t] = _mm512_setzero_ps();
   for (std::int64_t p = 0; p < kc; ++p) {
-    const float* b = bp + p * NR;
     __m512 bv[kHalves];
-    bv[0] = load_b_avx512<(kPanels >= 2)>(b, panel);
+    bv[0] = load_b_avx512<(kPanels >= 2)>(b, 0, p);
     if constexpr (kHalves == 2) {
-      bv[1] = load_b_avx512<(kPanels == 4)>(b + 2 * panel, panel);
+      bv[1] = load_b_avx512<(kPanels == 4)>(b, 2, p);
     }
     const float* a = ap + p * MR;
 #pragma GCC unroll 8
@@ -337,57 +384,155 @@ FLEDA_TARGET_AVX512 void micro_kernel_avx512_tile(
   }
 }
 
-template <int kRows>
+template <class B, int kRows>
 FLEDA_TARGET_AVX512 void micro_kernel_avx512_rows(
-    const float* ap, std::int64_t a_next, const float* bp, std::int64_t kc,
+    const float* ap, std::int64_t a_next, const B& b, std::int64_t kc,
     float* c, std::int64_t ldc, std::int64_t mr, std::int64_t nr,
     bool accumulate) {
   switch ((nr + NR - 1) / NR) {
     case 1:
-      return micro_kernel_avx512_tile<1, kRows>(ap, a_next, bp, kc, c, ldc,
-                                                mr, nr, accumulate);
+      return micro_kernel_avx512_tile<B, 1, kRows>(ap, a_next, b, kc, c,
+                                                   ldc, mr, nr, accumulate);
     case 2:
-      return micro_kernel_avx512_tile<2, kRows>(ap, a_next, bp, kc, c, ldc,
-                                                mr, nr, accumulate);
+      return micro_kernel_avx512_tile<B, 2, kRows>(ap, a_next, b, kc, c,
+                                                   ldc, mr, nr, accumulate);
     case 3:
-      return micro_kernel_avx512_tile<3, kRows>(ap, a_next, bp, kc, c, ldc,
-                                                mr, nr, accumulate);
+      return micro_kernel_avx512_tile<B, 3, kRows>(ap, a_next, b, kc, c,
+                                                   ldc, mr, nr, accumulate);
     default:
-      return micro_kernel_avx512_tile<4, kRows>(ap, a_next, bp, kc, c, ldc,
-                                                mr, nr, accumulate);
+      return micro_kernel_avx512_tile<B, 4, kRows>(ap, a_next, b, kc, c,
+                                                   ldc, mr, nr, accumulate);
   }
 }
 
 // 2 MR x 4 NR: two A micro-panels against four B micro-panels per
 // call, the B panels joined in pairs; a call with fewer rows or panels
 // left runs the tile that covers just them.
+template <class B>
 FLEDA_TARGET_AVX512 void micro_kernel_avx512(
-    const float* ap, std::int64_t a_next, const float* bp, std::int64_t kc,
+    const float* ap, std::int64_t a_next, const B& b, std::int64_t kc,
     float* c, std::int64_t ldc, std::int64_t mr, std::int64_t nr,
     bool accumulate) {
   if (mr > MR) {
-    micro_kernel_avx512_rows<2 * MR>(ap, a_next, bp, kc, c, ldc, mr, nr,
-                                     accumulate);
+    micro_kernel_avx512_rows<B, 2 * MR>(ap, a_next, b, kc, c, ldc, mr, nr,
+                                        accumulate);
   } else {
-    micro_kernel_avx512_rows<MR>(ap, a_next, bp, kc, c, ldc, mr, nr,
-                                 accumulate);
+    micro_kernel_avx512_rows<B, MR>(ap, a_next, b, kc, c, ldc, mr, nr,
+                                    accumulate);
   }
 }
 
 #endif  // FLEDA_X86_KERNELS
 
 // Steps gemm_kernel_columns(isa) columns of C per call.
-MicroKernel micro_kernel_for(KernelIsa isa) {
-  MicroKernel kernel{micro_kernel_portable, gemm_kernel_columns(isa) / NR,
-                     1};
+template <class B>
+MicroKernel<B> micro_kernel_for(KernelIsa isa) {
+  MicroKernel<B> kernel{micro_kernel_portable<B>,
+                        gemm_kernel_columns(isa) / NR, 1};
 #if FLEDA_X86_KERNELS
-  if (isa == KernelIsa::kAvx2) kernel.run = micro_kernel_avx2;
+  if (isa == KernelIsa::kAvx2) kernel.run = micro_kernel_avx2<B>;
   if (isa == KernelIsa::kAvx512) {
-    kernel.run = micro_kernel_avx512;
+    kernel.run = micro_kernel_avx512<B>;
     kernel.a_panels = 2;
   }
 #endif
   return kernel;
+}
+
+// C's rows x columns [jc, jc + nc) over the KC slice [pc, pc + kc),
+// stored (or added, when `accumulate`): a parallel_for over MR row
+// panels, each packing its A panels (unless A came prepacked in
+// apack_full) and calling the micro-kernel along the columns with
+// b_at(jp), the B operand of the call that starts at panel jp.
+template <class B, class BAt>
+void multiply_slice(const GemmPlan& plan, const float* a,
+                    const float* apack_full, std::int64_t pc,
+                    std::int64_t kc, std::int64_t jc, std::int64_t nc,
+                    const BAt& b_at, float* c, bool accumulate) {
+  const MicroKernel<B> kernel = micro_kernel_for<B>(plan.isa);
+  const std::int64_t m = plan.shape.m;
+  const std::int64_t k = plan.shape.k;
+  const std::int64_t n = plan.shape.n;
+  const std::int64_t kc_max = std::min(k, kGemmKC);
+  const std::int64_t npanels = (nc + NR - 1) / NR;
+  const std::int64_t mpanels = (m + MR - 1) / MR;
+  const std::size_t mc_grain =
+      static_cast<std::size_t>(std::max<std::int64_t>(1, plan.mc / MR));
+  parallel_for(
+      static_cast<std::size_t>(mpanels),
+      [&](std::size_t begin, std::size_t end) {
+        float* apanel = thread_scratch_aligned(
+            ScratchSlot::kPackA,
+            static_cast<std::size_t>(kernel.a_panels * kc_max * MR));
+        for (std::size_t ip = begin; ip < end;
+             ip += static_cast<std::size_t>(kernel.a_panels)) {
+          const std::int64_t a_panels = std::min<std::int64_t>(
+              kernel.a_panels, static_cast<std::int64_t>(end - ip));
+          const std::int64_t i0 = static_cast<std::int64_t>(ip) * MR;
+          const std::int64_t mr =
+              std::min<std::int64_t>(a_panels * MR, m - i0);
+          const float* ap;
+          std::int64_t a_next;
+          if (apack_full != nullptr) {
+            ap = apack_full + static_cast<std::int64_t>(ip) * k * MR +
+                 pc * MR;
+            a_next = k * MR;
+          } else {
+            for (std::int64_t t = 0; t < a_panels; ++t) {
+              const std::int64_t it = i0 + t * MR;
+              pack_a_panel(plan.shape.op, a, m, k, it,
+                           std::min<std::int64_t>(MR, m - it), pc, kc,
+                           apanel + t * kc * MR);
+            }
+            ap = apanel;
+            a_next = kc * MR;
+          }
+          for (std::int64_t jp = 0; jp < npanels; jp += kernel.panels) {
+            const std::int64_t j0 = jc + jp * NR;
+            kernel.run(ap, a_next, b_at(jp), kc, c + i0 * n + j0, n, mr,
+                       std::min<std::int64_t>(kernel.panels * NR,
+                                              jc + nc - j0),
+                       accumulate);
+          }
+        }
+      },
+      mc_grain);
+}
+
+// Whether [col_begin, col_end) splits into blocks of `width` columns
+// that are each a run of adjacent pixels (pixel offsets strictly
+// increase, so the ends of a block tell).
+bool pixel_runs(const std::int64_t* pixel_offset, std::int64_t col_begin,
+                std::int64_t col_end, std::int64_t width) {
+  if ((col_end - col_begin) % width != 0) return false;
+  for (std::int64_t j0 = col_begin; j0 < col_end; j0 += width) {
+    if (pixel_offset[j0 + width - 1] - pixel_offset[j0] != width - 1) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The in-place form of the slice loop below: each slice reads its B
+// rows straight from the image, in the packed path's slice order
+// (dropping its NC loop moves no C element's sum).
+template <bool kPairs>
+void multiply_in_place(const GemmPlan& plan, const float* a,
+                       const float* apack_full, const ImplicitCols& b,
+                       float* c, bool accumulate, std::int64_t col_begin,
+                       std::int64_t col_end) {
+  const std::int64_t k = plan.shape.k;
+  const std::int64_t kc_max = std::min(k, kGemmKC);
+  for (std::int64_t pc = 0; pc < k; pc += kc_max) {
+    const std::int64_t kc = std::min(kc_max, k - pc);
+    const auto b_at = [&](std::int64_t jp) {
+      return InPlaceB<kPairs>{b.padded, b.pixel_offset + col_begin + jp * NR,
+                              b.row_offset + pc};
+    };
+    multiply_slice<InPlaceB<kPairs>>(plan, a, apack_full, pc, kc, col_begin,
+                                     col_end - col_begin, b_at, c,
+                                     accumulate || pc > 0);
+  }
 }
 
 // Exactly one of `b` (the plan's memory layout) and `implicit` (a conv
@@ -409,19 +554,30 @@ void gemm_packed_impl(const GemmPlan& plan, const float* a,
     return;
   }
   const std::int64_t kc_max = std::min(k, kGemmKC);
-  const std::int64_t nc_max = plan.nc;
-  const MicroKernel kernel = micro_kernel_for(plan.isa);
+
+  if (implicit != nullptr && op == GemmOp::kNN &&
+      implicit_b_in_place(*implicit, col_begin, col_end)) {
+    // AVX-512 joins panels in pairs; where every pair is a run as well
+    // (an output width that is a multiple of 2 NR), it reads each pair
+    // with one load.
+    if (plan.isa == KernelIsa::kAvx512 &&
+        pixel_runs(implicit->pixel_offset, col_begin, col_end, 2 * NR)) {
+      multiply_in_place<true>(plan, a, apack_full, *implicit, c, accumulate,
+                              col_begin, col_end);
+    } else {
+      multiply_in_place<false>(plan, a, apack_full, *implicit, c,
+                               accumulate, col_begin, col_end);
+    }
+    return;
+  }
 
   // Shared packed-B block: panels are written disjointly by the packing
   // parallel_for and read-only during compute, all through the calling
   // thread's persistent aligned scratch.
+  const std::int64_t nc_max = plan.nc;
   const std::size_t bpack_elems = static_cast<std::size_t>(
       ((nc_max + NR - 1) / NR) * NR * kc_max);
   float* bpack = thread_scratch_aligned(ScratchSlot::kPackB, bpack_elems);
-
-  const std::int64_t mpanels = (m + MR - 1) / MR;
-  const std::size_t mc_grain =
-      static_cast<std::size_t>(std::max<std::int64_t>(1, plan.mc / MR));
 
   for (std::int64_t jc = col_begin; jc < col_end; jc += nc_max) {
     const std::int64_t nc = std::min(nc_max, col_end - jc);
@@ -448,52 +604,21 @@ void gemm_packed_impl(const GemmPlan& plan, const float* a,
             },
             /*grain=*/4);
       }
-      const bool acc_c = accumulate || pc > 0;
-      parallel_for(
-          static_cast<std::size_t>(mpanels),
-          [&](std::size_t begin, std::size_t end) {
-            float* apanel = thread_scratch_aligned(
-                ScratchSlot::kPackA,
-                static_cast<std::size_t>(kernel.a_panels * kc_max * MR));
-            for (std::size_t ip = begin; ip < end;
-                 ip += static_cast<std::size_t>(kernel.a_panels)) {
-              const std::int64_t a_panels = std::min<std::int64_t>(
-                  kernel.a_panels, static_cast<std::int64_t>(end - ip));
-              const std::int64_t i0 = static_cast<std::int64_t>(ip) * MR;
-              const std::int64_t mr =
-                  std::min<std::int64_t>(a_panels * MR, m - i0);
-              const float* ap;
-              std::int64_t a_next;
-              if (apack_full != nullptr) {
-                ap = apack_full + static_cast<std::int64_t>(ip) * k * MR +
-                     pc * MR;
-                a_next = k * MR;
-              } else {
-                for (std::int64_t t = 0; t < a_panels; ++t) {
-                  const std::int64_t it = i0 + t * MR;
-                  pack_a_panel(op, a, m, k, it,
-                               std::min<std::int64_t>(MR, m - it), pc, kc,
-                               apanel + t * kc * MR);
-                }
-                ap = apanel;
-                a_next = kc * MR;
-              }
-              for (std::int64_t jp = 0; jp < npanels; jp += kernel.panels) {
-                const std::int64_t j0 = jc + jp * NR;
-                kernel.run(ap, a_next, bpack + jp * kc * NR, kc,
-                           c + i0 * n + j0, n, mr,
-                           std::min<std::int64_t>(kernel.panels * NR,
-                                                  jc + nc - j0),
-                           acc_c);
-              }
-            }
-          },
-          mc_grain);
+      const auto b_at = [&](std::int64_t jp) {
+        return PackedB{bpack + jp * kc * NR, kc * NR};
+      };
+      multiply_slice<PackedB>(plan, a, apack_full, pc, kc, jc, nc, b_at, c,
+                              accumulate || pc > 0);
     }
   }
 }
 
 }  // namespace
+
+bool implicit_b_in_place(const ImplicitCols& b, std::int64_t col_begin,
+                         std::int64_t col_end) {
+  return pixel_runs(b.pixel_offset, col_begin, col_end, NR);
+}
 
 std::size_t packed_a_elems(const GemmPlan& plan) {
   const std::int64_t mpanels = (plan.shape.m + MR - 1) / MR;

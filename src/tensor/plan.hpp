@@ -236,19 +236,32 @@ void gemm_packed_prepacked_a(const GemmPlan& plan, const float* apack,
 // A conv's column matrix, read in place from one zero-padded sample:
 //   cols(r, q) = padded[row_offset[r] + pixel_offset[q]]
 // for weight row r = (c, kh, kw) and output pixel q. That is im2col's
-// cols[r][q], so packing B panels from here gives the panels — and the
-// bits — that packing a materialized cols would, without writing it.
-// ConvIndex (tensor/im2col.hpp) builds the two tables.
+// cols[r][q], so a B panel taken from here — packed, or read where it
+// lies — holds the values, and gives the bits, that packing a
+// materialized cols would, without writing it. ConvIndex
+// (tensor/im2col.hpp) builds the two tables; pixel_offset strictly
+// increases with q.
 struct ImplicitCols {
   const float* padded = nullptr;
   const std::int64_t* row_offset = nullptr;
   const std::int64_t* pixel_offset = nullptr;
 };
 
+// Whether gemm_packed_implicit reads a kNN B over C's columns
+// [col_begin, col_end) in place instead of packing it: every kGemmNR
+// column panel of the range is a run of adjacent pixels
+// (pixel_offset[j0 + NR - 1] - pixel_offset[j0] == NR - 1). Holds for a
+// stride-1 conv whose output width is a multiple of kGemmNR; a stride-2
+// conv, or an output width like 12, packs.
+bool implicit_b_in_place(const ImplicitCols& b, std::int64_t col_begin,
+                         std::int64_t col_end);
+
 // The two conv GEMMs whose B is the column matrix: the forward
-// (kNN, B = cols [rows, pixels]) and the weight gradient (kBT,
-// B stored [n, k] = cols). A is either raw (`a`, packed on the fly) or
-// prepacked with pack_a (`apack`); pass nullptr for the other.
+// (kNN, B = cols [rows, pixels]; read in place when
+// implicit_b_in_place, else packed) and the weight gradient (kBT,
+// B stored [n, k] = cols; always packed). A is either raw (`a`, packed
+// on the fly) or prepacked with pack_a (`apack`); pass nullptr for the
+// other.
 // Only C's columns [col_begin, col_end) are computed and written (pass
 // 0, n for all of C); a C element's bits do not depend on the range
 // it was computed in, so a weight gradient can be split across the

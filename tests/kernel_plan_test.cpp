@@ -887,7 +887,9 @@ TEST_P(ConvIsa, EveryIsaAndPoolMatchesPortableIm2colOracle) {
 // whose shapes make_gemm_plan would leave on the reference kernels
 // (the conv GEMMs pack them anyway), and one Cout = 1 head. Then stride-1 dX convs: valid padding
 // at batch 17 (dy padded by 2), padding past the kernel's reach (dy
-// cropped by 1), and dilation 2 with Cout = 6 < 8.
+// cropped by 1), and dilation 2 with Cout = 6 < 8. Last, RouteNet's
+// conv2 (B read in place, in joined pairs on AVX-512, forward and dX)
+// and a k = 1 conv (in place too, each weight row a single tap).
 INSTANTIATE_TEST_SUITE_P(
     Shapes, ConvIsa,
     ::testing::Values(ConvCase{3, 8, 5, 1, 2, 1, 12, 12, 3},
@@ -900,7 +902,9 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{9, 1, 3, 1, 1, 1, 9, 16, 2},
                       ConvCase{12, 10, 3, 1, 0, 1, 11, 9, 17},
                       ConvCase{8, 9, 3, 1, 3, 1, 7, 10, 4},
-                      ConvCase{8, 6, 3, 1, 1, 2, 12, 9, 1}));
+                      ConvCase{8, 6, 3, 1, 1, 2, 12, 9, 1},
+                      ConvCase{32, 64, 7, 1, 3, 1, 16, 16, 2},
+                      ConvCase{4, 8, 1, 1, 0, 1, 8, 8, 1}));
 
 TEST(ConvIsa, ShapeSweepCoversThePackedImplicitPath) {
   // Guards the instantiation above: its first shapes must really run
@@ -915,6 +919,36 @@ TEST(ConvIsa, ShapeSweepCoversThePackedImplicitPath) {
     EXPECT_EQ(make_gemm_plan(GemmOp::kBT, c.cout, g.col_cols(), g.col_rows())
                   .strategy,
               GemmStrategy::kPacked);
+  }
+}
+
+TEST(ConvIsa, StrideOneConvsWithWholePanelRowsReadBInPlace) {
+  // Guards the instantiation above and the models' hot layers: a
+  // stride-1 conv whose output width is a multiple of NR reads its
+  // forward and dX B operand in place (RouteNet's conv2 at grid 16,
+  // conv3 at 8, and the fleet FLNet's input conv at 8); an output width
+  // of 12, or a stride-2 conv, packs its panels.
+  const auto in_place = [](const ConvGeometry& g) {
+    const ConvIndex ix = make_conv_index(g);
+    const ImplicitCols cols{nullptr, ix.row_offset.data(),
+                            ix.pixel_offset.data()};
+    return implicit_b_in_place(cols, 0, g.col_cols());
+  };
+  for (const ConvCase& c : {ConvCase{32, 64, 7, 1, 3, 1, 16, 16, 4},
+                            ConvCase{64, 32, 9, 1, 4, 1, 8, 8, 4},
+                            ConvCase{2, 64, 9, 1, 4, 1, 8, 8, 1}}) {
+    std::ostringstream where;
+    PrintTo(c, &where);
+    const ConvGeometry g = geometry_of(c);
+    EXPECT_TRUE(in_place(g)) << where.str();
+    EXPECT_TRUE(in_place(dx_geometry_of(c, g))) << where.str() << " dX";
+  }
+  for (const ConvCase& c : {ConvCase{3, 8, 5, 1, 2, 1, 12, 12, 3},
+                            ConvCase{3, 8, 5, 2, 2, 1, 16, 16, 3},
+                            ConvCase{32, 64, 3, 2, 1, 1, 8, 8, 4}}) {
+    std::ostringstream where;
+    PrintTo(c, &where);
+    EXPECT_FALSE(in_place(geometry_of(c))) << where.str();
   }
 }
 

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "nn/activations.hpp"
 #include "nn/batchnorm2d.hpp"
@@ -352,6 +355,39 @@ TEST(ReLUForward, ClampsNegatives) {
   EXPECT_FLOAT_EQ(out[1], 0.0f);
   EXPECT_FLOAT_EQ(out[2], 0.0f);
   EXPECT_FLOAT_EQ(out[3], 3.0f);
+}
+
+TEST(ReLUBackward, PassesGradientOnlyWherePositiveAndNeverItsNaN) {
+  // Where the input is <= 0 or NaN, dx is +0 whatever dy holds (NaN and
+  // infinities included); where it is positive, dy passes bit for bit.
+  const float nan = std::nanf("");
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> in = {-2.0f, -0.0f, 0.0f, nan, -nan, -inf,
+                                 -1.0f, 0.0f,  nan,  3.0f, 0.5f, inf,
+                                 1e-30f, 2.0f, -3.0f, -0.0f, 7.0f};
+  const std::vector<float> dy = {nan,  inf,   -inf, nan,  -inf, inf,
+                                 -nan, nan,   inf,  nan,  -inf, -2.5f,
+                                 4.0f, -0.0f, nan,  -inf, inf};
+  const auto n = static_cast<std::int64_t>(in.size());
+  Tensor x(Shape{n}, in);
+  Tensor g(Shape{n}, dy);
+  ReLU relu;
+  relu.forward(x, /*training=*/true);
+  const Tensor dx = relu.backward(g);
+  const auto bits = [](float f) {
+    std::uint32_t u;
+    std::memcpy(&u, &f, sizeof u);
+    return u;
+  };
+  for (std::int64_t i = 0; i < n; ++i) {
+    const auto j = static_cast<std::size_t>(i);
+    if (in[j] > 0.0f) {
+      EXPECT_EQ(bits(dx[i]), bits(dy[j])) << "at " << i;
+    } else {
+      EXPECT_EQ(dx[i], 0.0f) << "at " << i;
+      EXPECT_FALSE(std::signbit(dx[i])) << "at " << i;
+    }
+  }
 }
 
 TEST(MaxPool2d, SelectsWindowMaxima) {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
@@ -12,6 +14,7 @@
 #include "nn/optimizer.hpp"
 #include "nn/sequential.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/plan.hpp"
 #include "util/rng.hpp"
 
 namespace fleda {
@@ -177,6 +180,84 @@ TEST(AdamOptimizer, WeightDecayShrinksWeights) {
     adam.step();
   }
   EXPECT_LT(std::fabs(p.value[0]), 0.5f);
+}
+
+std::uint32_t bits(float f) {
+  std::uint32_t u;
+  std::memcpy(&u, &f, sizeof u);
+  return u;
+}
+
+// Pins the kernel ISA for one scope, then restores the host default.
+struct IsaGuard {
+  explicit IsaGuard(KernelIsa isa) : saved(kernel_isa()) {
+    set_kernel_isa(isa);
+  }
+  ~IsaGuard() { set_kernel_isa(saved); }
+  KernelIsa saved;
+};
+
+// Adam's update as a plain scalar loop, one float operation at a time:
+// the vector body must reproduce it bit for bit.
+void scalar_adam_step(const AdamOptions& o, std::int64_t t,
+                      std::vector<float>& w, const std::vector<float>& g,
+                      std::vector<float>& m, std::vector<float>& v) {
+  const double bc1 = 1.0 - std::pow(o.beta1, static_cast<double>(t));
+  const double bc2 = 1.0 - std::pow(o.beta2, static_cast<double>(t));
+  const float lr = static_cast<float>(o.lr);
+  const float b1 = static_cast<float>(o.beta1);
+  const float b2 = static_cast<float>(o.beta2);
+  const float eps = static_cast<float>(o.eps);
+  const float wd = static_cast<float>(o.weight_decay);
+  const float inv_bc1 = static_cast<float>(1.0 / bc1);
+  const float inv_bc2 = static_cast<float>(1.0 / bc2);
+  for (std::size_t j = 0; j < w.size(); ++j) {
+    const float grad = g[j] + wd * w[j];
+    m[j] = b1 * m[j] + (1.0f - b1) * grad;
+    v[j] = b2 * v[j] + (1.0f - b2) * grad * grad;
+    const float mhat = m[j] * inv_bc1;
+    const float vhat = v[j] * inv_bc2;
+    w[j] -= lr * mhat / (std::sqrt(vhat) + eps);
+  }
+}
+
+TEST(AdamOptimizer, EveryIsaMatchesTheScalarLoopBitForBit) {
+  AdamOptions opts;
+  opts.lr = 0.01;
+  opts.weight_decay = 0.05;
+  for (const std::int64_t n : {1, 3, 17, 1001}) {
+    for (const KernelIsa isa : supported_isas()) {
+      const IsaGuard pin(isa);
+      Rng rng(static_cast<std::uint64_t>(n));
+      Parameter p("w", Shape{n});
+      std::vector<float> w(static_cast<std::size_t>(n));
+      for (std::int64_t j = 0; j < n; ++j) {
+        w[static_cast<std::size_t>(j)] = p.value[j] =
+            static_cast<float>(rng.uniform(-1.0, 1.0));
+      }
+      std::vector<float> m(w.size(), 0.0f), v(w.size(), 0.0f);
+      Adam adam({&p}, opts);
+      for (std::int64_t t = 1; t <= 5; ++t) {
+        std::vector<float> g(w.size());
+        for (std::int64_t j = 0; j < n; ++j) {
+          g[static_cast<std::size_t>(j)] = p.grad[j] =
+              static_cast<float>(rng.uniform(-2.0, 2.0));
+        }
+        adam.step();
+        scalar_adam_step(opts, t, w, g, m, v);
+      }
+      const AdamMoments moments = adam.export_moments();
+      for (std::int64_t j = 0; j < n; ++j) {
+        const auto i = static_cast<std::size_t>(j);
+        ASSERT_EQ(bits(p.value[j]), bits(w[i]))
+            << to_string(isa) << ", n " << n << ", w[" << j << "]";
+        ASSERT_EQ(bits(moments.m[0][j]), bits(m[i]))
+            << to_string(isa) << ", n " << n << ", m[" << j << "]";
+        ASSERT_EQ(bits(moments.v[0][j]), bits(v[i]))
+            << to_string(isa) << ", n " << n << ", v[" << j << "]";
+      }
+    }
+  }
 }
 
 TEST(AdamOptimizer, ResetStateRestartsMoments) {
