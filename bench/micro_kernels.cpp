@@ -8,12 +8,13 @@
 // isa_layers rows time RouteNet's conv2 and conv3 (forward + backward
 // through Conv2d), one row per ISA the host runs, and gate each ISA on
 // the portable kernels' bits. The conv_backward rows time RouteNet's
-// conv2, conv3, conv4 and deconv and PROS's stride-2 enc2 (forward,
-// and backward alone) inside one pool task, as a round runs them, and
-// check the layer against the col2im lowering it replaced, kept here
-// as an oracle: dW bit for bit, dX to rounding (dx_max_rel_err). Their
-// pack_ms is the profiler's kernel/pack time inside one forward +
-// backward: the operand packing the GEMMs pay for.
+// conv2, conv3, conv4 and deconv, PROS's stride-2 enc2 and the input
+// convs of FLNet and of micro_sim's fleet (forward, backward alone, and
+// the weight gradient alone) inside one pool task, as a round runs
+// them, and check the layer against the col2im lowering it replaced,
+// kept here as an oracle: dW bit for bit, dX to rounding
+// (dx_max_rel_err). Their pack_ms is the profiler's kernel/pack time
+// inside one forward + backward: the operand packing the GEMMs pay for.
 //
 // Emits BENCH_kernels.json for the CI bench-trajectory artifact;
 // ci/perf_gate.py diffs the per-shape auto GFLOP/s against the previous
@@ -27,7 +28,9 @@
 //
 // Shape naming: <model>_<layer>[_dw|_dx]. Forward conv GEMMs are kNN
 // (weight x im2col columns), backward dW is kBT (dy x cols^T), backward
-// dcols is kAT (W^T x dy). Grid 32 is the "quick" bench scale; the
+// dcols is kAT (W^T x dy). These rows time the matmul family on those
+// shapes; the layers run dW as cols x dy^T with cols read in place
+// (conv_backward's dw_ms) and a stride-1 dX as a conv of dy. Grid 32 is the "quick" bench scale; the
 // sim_* rows are micro_sim's synthetic FLNet world (grid 8, 2 input
 // channels), so the K = 1000 federation numbers trace back to these.
 #include <algorithm>
@@ -44,6 +47,7 @@
 #include "nn/conv2d.hpp"
 #include "nn/conv_transpose2d.hpp"
 #include "obs/profiler.hpp"
+#include "tensor/conv_gemm.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/plan.hpp"
@@ -372,15 +376,19 @@ double measure_ms(const std::function<void()>& call) {
 }
 
 // RouteNet's conv2, conv3, conv4 and deconv at the smoke grid (16, and
-// 8 after the pool) and batch 4, and PROS's stride-2 enc2 (grid 8 after
-// enc1), timed inside one pool task as a federated round runs them
-// (every parallel_for in the layer runs serially). The col2im lowering
-// they replaced is kept below as the oracle.
+// 8 after the pool) and batch 4, PROS's stride-2 enc2 (grid 8 after
+// enc1), FLNet's input conv at the smoke grid and batch 4, and the
+// fleet's (micro_sim and fledabench fleet_10k: grid 8, batch 1), timed
+// inside one pool task as a federated round runs them (every
+// parallel_for in the layer runs serially). The input convs compute no
+// dX, as in the models. The col2im lowering they replaced is kept below
+// as the oracle.
 struct ConvBackwardCase {
   const char* name;
   std::int64_t in_channels, out_channels, kernel, grid, batch;
   bool deconv;
   std::int64_t stride = 1;  // a Conv2d's; the deconv's is always 2
+  bool input_grad = true;
 };
 
 const ConvBackwardCase kConvBackward[] = {
@@ -388,12 +396,15 @@ const ConvBackwardCase kConvBackward[] = {
     {"routenet_conv3", 64, 32, 9, 8, 4, false},
     {"routenet_conv4", 32, 32, 7, 8, 4, false},
     {"routenet_deconv", 32, 32, 4, 8, 4, true},
-    {"pros_enc2", 32, 64, 3, 8, 4, false, 2}};
+    {"pros_enc2", 32, 64, 3, 8, 4, false, 2},
+    {"flnet_input_conv", 6, 64, 9, 16, 4, false, 1, false},
+    {"fleet_input_conv", 2, 64, 9, 8, 1, false, 1, false}};
 
 struct ConvBackwardResult {
   const ConvBackwardCase* layer = nullptr;
   double fwd_ms = 0.0;
   double bwd_ms = 0.0;
+  double dw_ms = 0.0;  // conv_gemm_weight_grad alone
   double pack_ms = 0.0;  // kernel/pack inside one forward + backward
   double dx_max_rel_err = 0.0;  // max |dx - oracle| / max |oracle|
   bool dw_identical = false;
@@ -495,6 +506,7 @@ ConvBackwardResult bench_conv_backward(const ConvBackwardCase& c, Rng& rng) {
     o.kernel = c.kernel;
     o.stride = c.stride;
     o.same_padding();
+    o.input_grad = c.input_grad;
     g = ConvGeometry{c.in_channels, c.grid,    c.grid,   c.kernel, c.kernel,
                      o.padding,     o.padding, c.stride, c.stride, 1, 1};
     out_shape = Shape::of(c.batch, c.out_channels, g.out_height(),
@@ -510,10 +522,19 @@ ConvBackwardResult bench_conv_backward(const ConvBackwardCase& c, Rng& rng) {
     gy[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
   }
   Parameter& weight = *layer->parameters()[0];
+  // The deconv's weight gradient is x against cols(dy); a Conv2d's is dy
+  // against cols(x).
+  const std::int64_t dw_m = c.deconv ? c.in_channels : c.out_channels;
+  const Tensor& dw_a = c.deconv ? x : gy;
+  const Tensor& dw_images = c.deconv ? gy : x;
   Tensor dx;
   in_pool_task([&] {
     result.fwd_ms = measure_ms([&] { layer->forward(x, /*training=*/true); });
     result.bwd_ms = measure_ms([&] { layer->backward(gy); });
+    result.dw_ms = measure_ms([&] {
+      conv_gemm_weight_grad(g, dw_m, c.batch, dw_a.data(), dw_images.data(),
+                            weight.grad.data());
+    });
     result.pack_ms = pack_ms_per_step(*layer, x, gy);
     layer->zero_grad();
     dx = layer->backward(gy);
@@ -525,7 +546,7 @@ ConvBackwardResult bench_conv_backward(const ConvBackwardCase& c, Rng& rng) {
       same_bits(dw, std::vector<float>(weight.grad.data(),
                                        weight.grad.data() + dw.size()));
   double err = 0.0, scale = 0.0;
-  for (std::size_t i = 0; i < want_dx.size(); ++i) {
+  for (std::size_t i = 0; i < want_dx.size() && c.input_grad; ++i) {
     const float got = dx[static_cast<std::int64_t>(i)];
     err = std::max(err, static_cast<double>(std::fabs(got - want_dx[i])));
     scale = std::max(scale, static_cast<double>(std::fabs(want_dx[i])));
@@ -659,15 +680,16 @@ void write_bench_json(const std::vector<ShapeResult>& results,
         f,
         "%s{\"name\":\"%s\",\"in_channels\":%lld,\"out_channels\":%lld,"
         "\"kernel\":%lld,\"grid\":%lld,\"batch\":%lld,\"fwd_ms\":%.4f,"
-        "\"bwd_ms\":%.4f,\"pack_ms\":%.4f,\"dx_max_rel_err\":%.3e,"
-        "\"dw_identical\":%s}",
+        "\"bwd_ms\":%.4f,\"dw_ms\":%.4f,\"pack_ms\":%.4f,"
+        "\"dx_max_rel_err\":%.3e,\"dw_identical\":%s}",
         i == 0 ? "" : ",", r.layer->name,
         static_cast<long long>(r.layer->in_channels),
         static_cast<long long>(r.layer->out_channels),
         static_cast<long long>(r.layer->kernel),
         static_cast<long long>(r.layer->grid),
         static_cast<long long>(r.layer->batch), r.fwd_ms, r.bwd_ms,
-        r.pack_ms, r.dx_max_rel_err, r.dw_identical ? "true" : "false");
+        r.dw_ms, r.pack_ms, r.dx_max_rel_err,
+        r.dw_identical ? "true" : "false");
   }
   std::fprintf(f, "],\"sort_lanes\":[");
   for (std::size_t i = 0; i < sorts.size(); ++i) {
@@ -785,18 +807,19 @@ int main_impl() {
                 r.ms, r.speedup, r.bit_identical ? "identical" : "DIFFER");
   }
 
-  std::printf("%-18s %4s %4s %3s %4s %5s %9s %9s %8s %9s %14s %s\n",
+  std::printf("%-18s %4s %4s %3s %4s %5s %9s %9s %8s %9s %9s %14s %s\n",
               "conv backward", "cin", "cout", "k", "grid", "batch", "fwd ms",
-              "bwd ms", "bwd/fwd", "pack ms", "dx max rel err", "dW");
+              "bwd ms", "bwd/fwd", "dW ms", "pack ms", "dx max rel err",
+              "dW");
   for (const ConvBackwardResult& r : backward) {
     std::printf("%-18s %4lld %4lld %3lld %4lld %5lld %9.3f %9.3f %7.2fx "
-                "%9.3f %14.3e %s\n",
+                "%9.3f %9.3f %14.3e %s\n",
                 r.layer->name, static_cast<long long>(r.layer->in_channels),
                 static_cast<long long>(r.layer->out_channels),
                 static_cast<long long>(r.layer->kernel),
                 static_cast<long long>(r.layer->grid),
                 static_cast<long long>(r.layer->batch), r.fwd_ms, r.bwd_ms,
-                r.bwd_ms / r.fwd_ms, r.pack_ms, r.dx_max_rel_err,
+                r.bwd_ms / r.fwd_ms, r.dw_ms, r.pack_ms, r.dx_max_rel_err,
                 r.dw_identical ? "identical" : "DIFFER");
   }
 

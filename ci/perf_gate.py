@@ -36,6 +36,7 @@ Gated metrics (current vs previous):
   - BENCH_kernels.json plan_cache.hit_rate             must be >= 0.8x
   - BENCH_kernels.json conv_layers[*].direct_ms        must be <= 1.2x
   - BENCH_kernels.json conv_backward[*].bwd_ms         must be <= 1.2x
+  - BENCH_kernels.json conv_backward[*].dw_ms          must be <= 1.2x
 
 Stdlib only (urllib + zipfile against the GitHub REST API). The gate is
 advisory-by-absence: no GITHUB_TOKEN, no previous artifact, or an API
@@ -206,14 +207,17 @@ LAYER_ROWS_FIXTURE = {
         {"name": "routenet_output_conv", "direct_ms": 0.4},
     ],
     "conv_backward": [
-        {"name": "routenet_conv2", "fwd_ms": 4.0, "bwd_ms": 9.0},
-        {"name": "routenet_deconv", "fwd_ms": 0.5, "bwd_ms": 0.8},
+        {"name": "routenet_conv2", "fwd_ms": 4.0, "bwd_ms": 9.0,
+         "dw_ms": 4.5},
+        {"name": "routenet_deconv", "fwd_ms": 0.5, "bwd_ms": 0.8,
+         "dw_ms": 0.3},
     ],
 }
 LAYER_ROWS_PASSING_FACTOR = 1.15
 LAYER_ROWS_FAILING_FACTOR = 1.3
 # (section, gated metric) pairs of the trajectory gate's layer rows.
-LAYER_ROWS = (("conv_layers", "direct_ms"), ("conv_backward", "bwd_ms"))
+LAYER_ROWS = (("conv_layers", "direct_ms"), ("conv_backward", "bwd_ms"),
+              ("conv_backward", "dw_ms"))
 
 
 def scaled_layer_rows(section, metric, factor):
@@ -333,8 +337,9 @@ def shape_rows(bench):
 
 def layer_row_errors(kernels_now, kernels_prev):
     """One check() result per layer row both runs timed, lower is
-    better: conv_layers' direct_ms (the head's forward + backward) and
-    conv_backward's bwd_ms (a layer's backward inside one pool task)."""
+    better: conv_layers' direct_ms (the head's forward + backward),
+    conv_backward's bwd_ms (a layer's backward inside one pool task)
+    and its dw_ms (the layer's weight gradient alone)."""
     errors = []
     for section, metric in LAYER_ROWS:
         def rows(bench):

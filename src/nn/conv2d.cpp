@@ -200,11 +200,11 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   // time in sample order, so their bits do not depend on the pool size
   // or on whether this runs inside a parallel region. dW is split
   // across the pool by weight columns instead: conv_gemm_weight_grad's
-  // column blocks, or the head's blocks of channels, aligned to the
-  // dispatched ISA's lane group.
+  // blocks of (channel, tap) columns, or the head's blocks of channels,
+  // aligned to the dispatched ISA's tile rows or lane group.
   if (direct()) {
-    const ColumnBlocks blocks =
-        column_blocks(opts_.in_channels, kernel_lanes(kernel_isa()));
+    const WeightGradBlocks blocks =
+        weight_grad_blocks(opts_.in_channels, kernel_lanes(kernel_isa()));
     parallel_for(static_cast<std::size_t>(blocks.count), [&](std::size_t bb,
                                                              std::size_t be) {
       for (std::size_t blk = bb; blk < be; ++blk) {
@@ -222,15 +222,8 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
                           input.data(), weight_.grad.data());
   }
   if (opts_.bias) {
-    for (std::int64_t n = 0; n < N; ++n) {
-      const float* dy = grad_output.data() + n * out_stride;
-      for (std::int64_t co = 0; co < opts_.out_channels; ++co) {
-        const float* chan = dy + co * OH * OW;
-        double acc = 0.0;
-        for (std::int64_t i = 0; i < OH * OW; ++i) acc += chan[i];
-        bias_.grad[co] += static_cast<float>(acc);
-      }
-    }
+    conv_bias_grad(grad_output.data(), N, opts_.out_channels, OH * OW,
+                   bias_.grad.data());
   }
   return grad_input;
 }

@@ -15,12 +15,14 @@
 //     same ConvGemm; the head's dX is its direct gather kernel; at any
 //     other stride, W^T dy is formed as columns by the packed kAT GEMM
 //     (the weight packed once per call) and scattered by col2im;
-//   - dW: the head's direct kernel, or conv_gemm_weight_grad (B from
-//     the padded sample too).
+//   - dW: the head's direct kernel, or conv_gemm_weight_grad (the
+//     column matrix read in place from the padded sample as its A
+//     operand, dy packed as its B).
 // dW and db add into the gradients one sample at a time in sample
 // order, so they keep their bits at any pool size and whether or not
 // the layer runs inside a parallel region; dW is split across the pool
-// by weight-column blocks (channel blocks for the head).
+// by blocks of weight columns, (channel, tap) (channel blocks for the
+// head).
 //
 // Forward and dW give the bits of im2col + any GEMM strategy. dX at
 // stride 1 sums each element over channels x taps in KC slices, not

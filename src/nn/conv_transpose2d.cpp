@@ -139,15 +139,8 @@ Tensor ConvTranspose2d::backward(const Tensor& grad_output) {
   conv_gemm_weight_grad(g, opts_.in_channels, N, input.data(),
                         grad_output.data(), weight_.grad.data());
   if (opts_.bias) {
-    for (std::int64_t n = 0; n < N; ++n) {
-      const float* dy = grad_output.data() + n * out_stride;
-      for (std::int64_t co = 0; co < opts_.out_channels; ++co) {
-        const float* chan = dy + co * OH * OW;
-        double acc = 0.0;
-        for (std::int64_t i = 0; i < OH * OW; ++i) acc += chan[i];
-        bias_.grad[co] += static_cast<float>(acc);
-      }
-    }
+    conv_bias_grad(grad_output.data(), N, opts_.out_channels, OH * OW,
+                   bias_.grad.data());
   }
   return grad_input;
 }

@@ -12,7 +12,7 @@ MaxPool2d::MaxPool2d(std::string name, const MaxPool2dOptions& opts)
   }
 }
 
-Tensor MaxPool2d::forward(const Tensor& input, bool /*training*/) {
+Tensor MaxPool2d::forward(const Tensor& input, bool training) {
   if (input.shape().rank() != 4) {
     throw std::invalid_argument("MaxPool2d " + name_ + ": bad input " +
                                 input.shape().to_string());
@@ -27,9 +27,16 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*training*/) {
     throw std::invalid_argument("MaxPool2d " + name_ + ": window too large");
   }
 
+  // Only a training pass records where each maximum came from; an
+  // evaluation pass computes the maxima alone and leaves the layer with
+  // nothing to run backward through.
   cached_input_shape_ = input.shape();
   Tensor out(Shape::of(N, C, OH, OW));
-  argmax_.assign(static_cast<std::size_t>(out.numel()), 0);
+  if (training) {
+    argmax_.assign(static_cast<std::size_t>(out.numel()), 0);
+  } else {
+    argmax_.clear();
+  }
 
   std::int64_t oidx = 0;
   for (std::int64_t n = 0; n < N; ++n) {
@@ -51,7 +58,10 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*training*/) {
             }
           }
           out[oidx] = best;
-          argmax_[static_cast<std::size_t>(oidx)] = (n * C + c) * H * W + best_idx;
+          if (training) {
+            argmax_[static_cast<std::size_t>(oidx)] =
+                (n * C + c) * H * W + best_idx;
+          }
         }
       }
     }

@@ -11,33 +11,43 @@
 //           then store (pc == 0) or accumulate (pc > 0) into C
 //
 // B comes either from memory in the plan's layout or, for the conv
-// GEMMs, straight from a padded image through ImplicitCols, so the
-// column matrix never has to exist. A conv GEMM of the forward's form
-// (kNN) whose every NR-column panel is a run of NR adjacent pixels (a
+// GEMMs of the forward's form (kNN), straight from a padded image
+// through ImplicitCols, so the column matrix never has to exist. Such a
+// GEMM whose every NR-column panel is a run of NR adjacent pixels (a
 // stride-1 conv whose output width is a multiple of NR) is not packed
 // at all: depth step p of panel t is read in place, as the NR floats at
 // padded + pixel_offset[j0 + t * NR] + row_offset[pc + p]. That call
 // has no B block and no NC loop: each row panel sweeps all its columns
-// per KC slice. Every other call packs, the weight gradient's (kBT)
-// included.
+// per KC slice. At other strides and widths the B panels are gathered.
 //
-// Micro-kernels: one body per ISA, each a template over the B operand
-// (a packed block, or the image in place). A portable one (scalar C++
-// left to the compiler's vectorizer) and, on x86, an AVX2 one that
-// holds each tile row in a __m256 and steps two B micro-panels per call
-// (eight independent accumulators hide the add latency), and an AVX-512
-// one that steps two A and four B micro-panels, joining pairs of B
-// panels into __m512 rows (sixteen accumulators). All compute each KC
-// slice of a C element as +0, then + a*b for p ascending, each product
-// rounded before the sum (mul then add, never a fused multiply-add),
-// and add the slices in ascending pc order: the one order of
-// tensor/plan.hpp, so the results are the reference kernels' bits at
-// every thread-pool size, kernel ISA and B operand form.
+// The weight gradient swaps the roles: C^T[taps, m] += cols * dy^T, so
+// the column matrix is its A operand, read in place (the micro-kernel
+// only broadcasts A, one scalar at a time, so A needs no contiguity:
+// A(r, p) = padded[row_offset[r] + pixel_offset[p]] at every stride,
+// dilation and width), and dy is a small B packed once per sample. Its
+// tile is stored transposed, into the weight gradient [m, taps]. No
+// conv GEMM gathers B at stride 1.
+//
+// Micro-kernels: one body per ISA, each a template over the A operand
+// (packed micro-panels, or the column matrix in place) and the B
+// operand (a packed block, or the image in place). A portable one
+// (scalar C++ left to the compiler's vectorizer) and, on x86, an AVX2
+// one that holds each tile row in a __m256 and steps two B micro-panels
+// per call (eight independent accumulators hide the add latency), and
+// an AVX-512 one that steps two A and four B micro-panels, joining
+// pairs of B panels into __m512 rows (sixteen accumulators). All
+// compute each KC slice of a C element as +0, then + a*b for p
+// ascending, each product rounded before the sum (mul then add, never a
+// fused multiply-add), and add the slices in ascending pc order: the
+// one order of tensor/plan.hpp, so the results are the reference
+// kernels' bits at every thread-pool size, kernel ISA and operand form
+// (a*b = b*a exactly, so swapping the operands moves no bit either).
 //
 // Zero-padding contract: the packing routines zero-fill the MR/NR
 // tails, so the micro-kernel always runs full tiles; only the valid
 // mr x nr region is written back to C. (B read in place has no tail:
-// its panels are all full.)
+// its panels are all full. A read in place repeats its first row in
+// the tail, whose products are never stored.)
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
@@ -116,37 +126,14 @@ void pack_b_panel(GemmOp op, const float* b, std::int64_t k, std::int64_t n,
   }
 }
 
-// The same panel as pack_b_panel would pack from a materialized column
-// matrix, gathered from the padded image instead.
-void pack_b_panel_implicit(GemmOp op, const ImplicitCols& b, std::int64_t pc,
+// The kNN panel pack_b_panel would pack from a materialized column
+// matrix, gathered from the padded image instead: B(p, j) =
+// cols(pc + p, j0 + j), one weight row per depth step. A full panel of
+// pixels on one output row at stride 1 is a contiguous run of the
+// padded row (offsets strictly increase along a row).
+void pack_b_panel_implicit(const ImplicitCols& b, std::int64_t pc,
                            std::int64_t kc, std::int64_t j0, std::int64_t nr,
                            float* dst) {
-  if (op == GemmOp::kBT) {
-    // B(p, j) = cols(j0 + j, pc + p): one weight row per column. The
-    // panel is written in order, one depth step of NR floats at a time
-    // (~3x faster than a column at a time, whose stores stride by NR);
-    // a full panel gets a fixed-width inner loop the compiler unrolls.
-    const std::int64_t* px = b.pixel_offset + pc;
-    const float* src[NR];
-    for (std::int64_t j = 0; j < nr; ++j) {
-      src[j] = b.padded + b.row_offset[j0 + j];
-    }
-    if (nr == NR) {
-      for (std::int64_t p = 0; p < kc; ++p) {
-        for (std::int64_t j = 0; j < NR; ++j) dst[p * NR + j] = src[j][px[p]];
-      }
-      return;
-    }
-    for (std::int64_t p = 0; p < kc; ++p) {
-      std::int64_t j = 0;
-      for (; j < nr; ++j) dst[p * NR + j] = src[j][px[p]];
-      for (; j < NR; ++j) dst[p * NR + j] = 0.0f;
-    }
-    return;
-  }
-  // B(p, j) = cols(pc + p, j0 + j): one weight row per depth step. A
-  // full panel of pixels on one output row at stride 1 is a contiguous
-  // run of the padded row (offsets strictly increase along a row).
   const std::int64_t* px = b.pixel_offset + j0;
   const bool run = nr == NR && px[NR - 1] - px[0] == NR - 1;
   for (std::int64_t p = 0; p < kc; ++p) {
@@ -162,6 +149,35 @@ void pack_b_panel_implicit(GemmOp op, const ImplicitCols& b, std::int64_t pc,
   }
 }
 
+// The A operand of one micro-kernel call: at(r, p) points at row r of
+// its tile at depth step p.
+//
+// Packed micro-panels: rows [0, MR) at ap, rows [MR, 2 MR) at
+// ap + a_next.
+struct PackedA {
+  static constexpr bool kTransposedC = false;
+  const float* ap;
+  std::int64_t a_next;
+  const float* at(int r, std::int64_t p) const {
+    return ap + r / MR * a_next + p * MR + r % MR;
+  }
+};
+
+// A conv's column matrix read in place, the weight gradient's A: row r
+// of the tile starts at row[r] (padded + row_offset of the row; a row
+// past the call's mr repeats row 0) and depth step p adds
+// pixel_offset[p] (the table advanced to the slice's first pixel). Its
+// C is the weight gradient, [n, m]: the tile is stored transposed,
+// C(r, j) at c[j * ldc + r].
+struct InPlaceA {
+  static constexpr bool kTransposedC = true;
+  const float* row[2 * MR];
+  const std::int64_t* pixel_offset;
+  const float* at(int r, std::int64_t p) const {
+    return row[r] + pixel_offset[p];
+  }
+};
+
 // The B operand of one micro-kernel call: row(t, p) is depth step p of
 // its micro-panel t, NR contiguous floats.
 //
@@ -174,6 +190,28 @@ struct PackedB {
     return bp + t * panel + p * NR;
   }
 };
+
+// The weight gradient's B, packed whole by pack_b with its micro-panels
+// in pairs: pair q of a slice holds panels 2q and 2q + 1 as kc rows of
+// 2 NR floats (panel 2q in the low half), so each pair's depth step is
+// one run, which the AVX-512 tile reads with one load instead of two
+// merge-masked ones (micro_kernels dw_ms on a 4-vCPU AVX-512 EPYC:
+// RouteNet conv2 1.29-1.39 -> 0.81-0.85 ms, conv3 0.53 -> 0.40 ms).
+// bp points at the call's first panel; only a one-panel call (portable)
+// starts on an odd one.
+struct PairedB {
+  static constexpr bool kJoined = true;
+  const float* bp;
+  std::int64_t kc;
+  const float* row(std::int64_t t, std::int64_t p) const {
+    return bp + (t / 2) * kc * 2 * NR + p * 2 * NR + (t % 2) * NR;
+  }
+};
+
+// Columns of PairedB's packing: n rounded up to whole pairs of panels.
+std::int64_t paired_cols(std::int64_t n) {
+  return (n + 2 * NR - 1) / (2 * NR) * 2 * NR;
+}
 
 // A conv's column matrix read in place, every panel a run of NR
 // pixels: panel t starts at padded + pixel_offset[t * NR] (the table
@@ -193,28 +231,32 @@ struct InPlaceB {
 };
 
 // One micro-kernel call covers `panels` consecutive B micro-panels
-// against `a_panels` A micro-panels (panel t at ap + t * a_next),
-// writing the valid mr x nr region of C (mr <= a_panels * MR,
-// nr <= panels * NR).
-template <class B>
+// against up to `a_panels` A micro-panels, writing the valid mr x nr
+// region of C (mr <= a_panels * MR, nr <= panels * NR), C(r, j) at
+// c[r * ldc + j] (c[j * ldc + r] when A::kTransposedC).
+template <class A, class B>
 struct MicroKernel {
-  void (*run)(const float* ap, std::int64_t a_next, const B& b,
-              std::int64_t kc, float* c, std::int64_t ldc, std::int64_t mr,
-              std::int64_t nr, bool accumulate);
+  void (*run)(const A& a, const B& b, std::int64_t kc, float* c,
+              std::int64_t ldc, std::int64_t mr, std::int64_t nr,
+              bool accumulate);
   std::int64_t panels;
   std::int64_t a_panels;
 };
 
 // MR x NR register tile: acc += sum_p apanel[p][*] (x) bpanel[p][*],
 // then stored or accumulated into the valid mr x nr region of C.
-template <class B>
-void micro_kernel_portable(const float* __restrict ap, std::int64_t,
-                           const B& b, std::int64_t kc, float* __restrict c,
-                           std::int64_t ldc, std::int64_t mr, std::int64_t nr,
+template <class A, class B>
+void micro_kernel_portable(const A& a, const B& b, std::int64_t kc,
+                           float* __restrict c, std::int64_t ldc,
+                           std::int64_t mr, std::int64_t nr,
                            bool accumulate) {
   float acc[MR * NR] = {};
   for (std::int64_t p = 0; p < kc; ++p) {
-    const float* __restrict arow = ap + p * MR;
+    // The step's A values go to a local row first: read through the
+    // accessor inside the loop below, they left GCC's vectorizer out
+    // and the kernel ran ~2.4x slower.
+    float arow[MR];
+    for (int r = 0; r < MR; ++r) arow[r] = *a.at(r, p);
     const float* __restrict brow = b.row(0, p);
     for (std::int64_t r = 0; r < MR; ++r) {
       const float av = arow[r];
@@ -223,8 +265,15 @@ void micro_kernel_portable(const float* __restrict ap, std::int64_t,
     }
   }
   for (std::int64_t r = 0; r < mr; ++r) {
-    float* crow = c + r * ldc;
     const float* accrow = acc + r * NR;
+    if constexpr (A::kTransposedC) {
+      for (std::int64_t j = 0; j < nr; ++j) {
+        float& out = c[j * ldc + r];
+        out = accumulate ? out + accrow[j] : accrow[j];
+      }
+      continue;
+    }
+    float* crow = c + r * ldc;
     if (accumulate) {
       for (std::int64_t j = 0; j < nr; ++j) crow[j] += accrow[j];
     } else {
@@ -253,32 +302,74 @@ FLEDA_TARGET_AVX2 inline void store_row_avx2(float* crow, __m256 acc,
   }
 }
 
+// Writes the valid mr x nr region of an MR x NR block (row r in
+// rows[r]) to C, transposed when A::kTransposedC: a 4 x 8 in-register
+// transpose, then one 4-float run per column.
+template <class A>
+FLEDA_TARGET_AVX2 inline void store_block_avx2(const __m256 (&rows)[MR],
+                                               float* c, std::int64_t ldc,
+                                               std::int64_t mr,
+                                               std::int64_t nr,
+                                               bool accumulate) {
+  if constexpr (!A::kTransposedC) {
+    for (std::int64_t r = 0; r < mr; ++r) {
+      store_row_avx2(c + r * ldc, rows[r], nr, accumulate);
+    }
+  } else {
+    const __m256 t0 = _mm256_unpacklo_ps(rows[0], rows[1]);
+    const __m256 t1 = _mm256_unpackhi_ps(rows[0], rows[1]);
+    const __m256 t2 = _mm256_unpacklo_ps(rows[2], rows[3]);
+    const __m256 t3 = _mm256_unpackhi_ps(rows[2], rows[3]);
+    // cols[q] holds column q (rows 0..3) in its low 128 bits and
+    // column q + 4 in its high 128 bits.
+    const __m256 cols[4] = {
+        _mm256_shuffle_ps(t0, t2, 0x44), _mm256_shuffle_ps(t0, t2, 0xEE),
+        _mm256_shuffle_ps(t1, t3, 0x44), _mm256_shuffle_ps(t1, t3, 0xEE)};
+#pragma GCC unroll 8
+    for (int j = 0; j < NR; ++j) {
+      if (j >= nr) break;
+      __m128 v = j < 4 ? _mm256_castps256_ps128(cols[j])
+                       : _mm256_extractf128_ps(cols[j - 4], 1);
+      float* out = c + j * ldc;
+      if (mr == MR) {
+        if (accumulate) v = _mm_add_ps(_mm_loadu_ps(out), v);
+        _mm_storeu_ps(out, v);
+        continue;
+      }
+      alignas(16) float lanes[MR];
+      _mm_store_ps(lanes, v);
+      for (std::int64_t r = 0; r < mr; ++r) {
+        out[r] = accumulate ? out[r] + lanes[r] : lanes[r];
+      }
+    }
+  }
+}
+
 // MR x 2NR tile (two B micro-panels) in eight __m256 accumulators;
 // a single-panel call (nr <= NR) runs the MR x NR half alone. The
 // accumulators are named locals, not arrays: indexing an array by the
 // runtime mr at write-back makes the compiler store every accumulator
 // on every depth step.
-template <class B>
-FLEDA_TARGET_AVX2 void micro_kernel_avx2(const float* ap, std::int64_t,
-                                         const B& b, std::int64_t kc,
-                                         float* c, std::int64_t ldc,
-                                         std::int64_t mr, std::int64_t nr,
-                                         bool accumulate) {
+template <class A, class B>
+FLEDA_TARGET_AVX2 void micro_kernel_avx2(const A& a, const B& b,
+                                         std::int64_t kc, float* c,
+                                         std::int64_t ldc, std::int64_t mr,
+                                         std::int64_t nr, bool accumulate) {
   static_assert(MR == 4, "one named accumulator per tile row");
   if (nr <= NR) {
     __m256 c0 = _mm256_setzero_ps(), c1 = c0, c2 = c0, c3 = c0;
     for (std::int64_t p = 0; p < kc; ++p) {
       const __m256 b0 = _mm256_loadu_ps(b.row(0, p));
-      const float* a = ap + p * MR;
-      c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_broadcast_ss(a), b0));
-      c1 = _mm256_add_ps(c1, _mm256_mul_ps(_mm256_broadcast_ss(a + 1), b0));
-      c2 = _mm256_add_ps(c2, _mm256_mul_ps(_mm256_broadcast_ss(a + 2), b0));
-      c3 = _mm256_add_ps(c3, _mm256_mul_ps(_mm256_broadcast_ss(a + 3), b0));
+      __m256 av = _mm256_broadcast_ss(a.at(0, p));
+      c0 = _mm256_add_ps(c0, _mm256_mul_ps(av, b0));
+      av = _mm256_broadcast_ss(a.at(1, p));
+      c1 = _mm256_add_ps(c1, _mm256_mul_ps(av, b0));
+      av = _mm256_broadcast_ss(a.at(2, p));
+      c2 = _mm256_add_ps(c2, _mm256_mul_ps(av, b0));
+      av = _mm256_broadcast_ss(a.at(3, p));
+      c3 = _mm256_add_ps(c3, _mm256_mul_ps(av, b0));
     }
-    const __m256 rows[MR] = {c0, c1, c2, c3};
-    for (std::int64_t r = 0; r < mr; ++r) {
-      store_row_avx2(c + r * ldc, rows[r], nr, accumulate);
-    }
+    store_block_avx2<A>({c0, c1, c2, c3}, c, ldc, mr, nr, accumulate);
     return;
   }
   __m256 c0 = _mm256_setzero_ps(), c1 = c0, c2 = c0, c3 = c0;
@@ -286,26 +377,23 @@ FLEDA_TARGET_AVX2 void micro_kernel_avx2(const float* ap, std::int64_t,
   for (std::int64_t p = 0; p < kc; ++p) {
     const __m256 b0 = _mm256_loadu_ps(b.row(0, p));
     const __m256 b1 = _mm256_loadu_ps(b.row(1, p));
-    const float* a = ap + p * MR;
-    __m256 av = _mm256_broadcast_ss(a);
+    __m256 av = _mm256_broadcast_ss(a.at(0, p));
     c0 = _mm256_add_ps(c0, _mm256_mul_ps(av, b0));
     d0 = _mm256_add_ps(d0, _mm256_mul_ps(av, b1));
-    av = _mm256_broadcast_ss(a + 1);
+    av = _mm256_broadcast_ss(a.at(1, p));
     c1 = _mm256_add_ps(c1, _mm256_mul_ps(av, b0));
     d1 = _mm256_add_ps(d1, _mm256_mul_ps(av, b1));
-    av = _mm256_broadcast_ss(a + 2);
+    av = _mm256_broadcast_ss(a.at(2, p));
     c2 = _mm256_add_ps(c2, _mm256_mul_ps(av, b0));
     d2 = _mm256_add_ps(d2, _mm256_mul_ps(av, b1));
-    av = _mm256_broadcast_ss(a + 3);
+    av = _mm256_broadcast_ss(a.at(3, p));
     c3 = _mm256_add_ps(c3, _mm256_mul_ps(av, b0));
     d3 = _mm256_add_ps(d3, _mm256_mul_ps(av, b1));
   }
-  const __m256 left[MR] = {c0, c1, c2, c3};
-  const __m256 right[MR] = {d0, d1, d2, d3};
-  for (std::int64_t r = 0; r < mr; ++r) {
-    store_row_avx2(c + r * ldc, left[r], NR, accumulate);
-    store_row_avx2(c + r * ldc + NR, right[r], nr - NR, accumulate);
-  }
+  store_block_avx2<A>({c0, c1, c2, c3}, c, ldc, mr, NR, accumulate);
+  store_block_avx2<A>({d0, d1, d2, d3},
+                      A::kTransposedC ? c + NR * ldc : c + NR, ldc, mr,
+                      nr - NR, accumulate);
 }
 
 // Writes the first `nr` (<= 2 NR) lanes of one accumulator row to C.
@@ -316,6 +404,69 @@ FLEDA_TARGET_AVX512 inline void store_row_avx512(float* crow, __m512 acc,
       nr >= 2 * NR ? 0xFFFFu : (1u << nr) - 1u);
   if (accumulate) acc = _mm512_add_ps(_mm512_maskz_loadu_ps(lanes, crow), acc);
   _mm512_mask_storeu_ps(crow, lanes, acc);
+}
+
+// Writes lanes [0, 2 MR) of v to column jl of a transposed C (row r at
+// c[jl * ldc + r]) and lanes [2 MR, 4 MR) to column jh, the rows in
+// `row_lanes`, skipping a column at or past nr.
+FLEDA_TARGET_AVX512 inline void store_column_pair_avx512(
+    __m512 v, float* c, std::int64_t ldc, std::int64_t jl, std::int64_t jh,
+    unsigned row_lanes, std::int64_t nr, bool accumulate) {
+  const __mmask16 lo = static_cast<__mmask16>(jl < nr ? row_lanes : 0u);
+  const __mmask16 hi =
+      static_cast<__mmask16>(jh < nr ? row_lanes << (2 * MR) : 0u);
+  float* lo_at = c + jl * ldc;
+  float* hi_at = c + jh * ldc - 2 * MR;  // lane 2 MR + r lands on row r
+  if (accumulate) {
+    v = _mm512_add_ps(
+        _mm512_mask_loadu_ps(_mm512_maskz_loadu_ps(lo, lo_at), hi, hi_at),
+        v);
+  }
+  _mm512_mask_storeu_ps(lo_at, lo, v);
+  _mm512_mask_storeu_ps(hi_at, hi, v);
+}
+
+// Writes the valid mr x nr region (nr <= 2 NR) of a 2 MR x 2 NR block
+// (row r in rows[r]) to C transposed, C(r, j) at c[j * ldc + r]: an
+// 8 x 16 in-register transpose (24 shuffles), then each pair of
+// columns' 8-row runs through one masked load and two masked stores.
+FLEDA_TARGET_AVX512 inline void store_block_transposed_avx512(
+    const __m512 (&rows)[2 * MR], float* c, std::int64_t ldc,
+    std::int64_t mr, std::int64_t nr, bool accumulate) {
+  // t: rows interleaved in pairs; u[q] (u[4 + q]): in 128-bit lane L,
+  // column 4 L + q of rows 0..3 (rows 4..7). (The unpacks take their
+  // all-lanes mask form: GCC 12 flags the _mm512_undefined_ps inside
+  // the plain ones as uninitialized.)
+  __m512 t[2 * MR], u[2 * MR];
+#pragma GCC unroll 4
+  for (int i = 0; i < MR; ++i) {
+    const __m512 even = rows[2 * i], odd = rows[2 * i + 1];
+    t[2 * i] = _mm512_mask_unpacklo_ps(even, 0xFFFF, even, odd);
+    t[2 * i + 1] = _mm512_mask_unpackhi_ps(even, 0xFFFF, even, odd);
+  }
+#pragma GCC unroll 2
+  for (int h = 0; h < 2; ++h) {
+    const __m512* th = t + MR * h;
+    u[MR * h + 0] = _mm512_shuffle_ps(th[0], th[2], 0x44);
+    u[MR * h + 1] = _mm512_shuffle_ps(th[0], th[2], 0xEE);
+    u[MR * h + 2] = _mm512_shuffle_ps(th[1], th[3], 0x44);
+    u[MR * h + 3] = _mm512_shuffle_ps(th[1], th[3], 0xEE);
+  }
+  // Column q's 8 rows in the low half and column q + 4's in the high
+  // half (`low`), or columns q + 8 and q + 12 (`high`).
+  const __m512i low = _mm512_setr_epi32(0, 1, 2, 3, 16, 17, 18, 19, 4, 5,
+                                        6, 7, 20, 21, 22, 23);
+  const __m512i high = _mm512_setr_epi32(8, 9, 10, 11, 24, 25, 26, 27, 12,
+                                         13, 14, 15, 28, 29, 30, 31);
+  const unsigned row_lanes = (1u << mr) - 1u;
+#pragma GCC unroll 4
+  for (int q = 0; q < MR; ++q) {
+    store_column_pair_avx512(_mm512_permutex2var_ps(u[q], low, u[MR + q]),
+                             c, ldc, q, q + 4, row_lanes, nr, accumulate);
+    store_column_pair_avx512(_mm512_permutex2var_ps(u[q], high, u[MR + q]),
+                             c, ldc, q + 8, q + 12, row_lanes, nr,
+                             accumulate);
+  }
 }
 
 // Depth step p of two adjacent B micro-panels joined into one 16-lane
@@ -341,15 +492,13 @@ FLEDA_TARGET_AVX512 inline __m512 load_b_avx512(const B& b, std::int64_t t,
 
 // kRows (MR or 2 MR) x kPanels NR tile (kPanels in 1..4) in __m512
 // accumulators: acc[r] holds columns [0, 2 NR) of row r, acc[kRows + r]
-// columns [2 NR, 4 NR). Rows [MR, 2 MR) come from the A micro-panel at
-// ap + a_next. Every loop over the tile has a constant trip count and
-// is unrolled whole, so each accumulator stays in a register (an index
-// the compiler cannot resolve would park the tile in memory).
-template <class B, int kPanels, int kRows>
+// columns [2 NR, 4 NR). Every loop over the tile has a constant trip
+// count and is unrolled whole, so each accumulator stays in a register
+// (an index the compiler cannot resolve would park the tile in memory).
+template <class A, class B, int kPanels, int kRows>
 FLEDA_TARGET_AVX512 void micro_kernel_avx512_tile(
-    const float* ap, std::int64_t a_next, const B& b, std::int64_t kc,
-    float* c, std::int64_t ldc, std::int64_t mr, std::int64_t nr,
-    bool accumulate) {
+    const A& a, const B& b, std::int64_t kc, float* c, std::int64_t ldc,
+    std::int64_t mr, std::int64_t nr, bool accumulate) {
   constexpr int kHalves = kPanels > 2 ? 2 : 1;
   __m512 acc[kHalves * kRows];
 #pragma GCC unroll 16
@@ -360,11 +509,9 @@ FLEDA_TARGET_AVX512 void micro_kernel_avx512_tile(
     if constexpr (kHalves == 2) {
       bv[1] = load_b_avx512<(kPanels == 4)>(b, 2, p);
     }
-    const float* a = ap + p * MR;
 #pragma GCC unroll 8
     for (int r = 0; r < kRows; ++r) {
-      const __m512 av =
-          _mm512_set1_ps(r < MR ? a[r] : a[a_next + r - MR]);
+      const __m512 av = _mm512_set1_ps(*a.at(r, p));
 #pragma GCC unroll 2
       for (int h = 0; h < kHalves; ++h) {
         acc[h * kRows + r] =
@@ -372,69 +519,81 @@ FLEDA_TARGET_AVX512 void micro_kernel_avx512_tile(
       }
     }
   }
+  if constexpr (A::kTransposedC) {
+#pragma GCC unroll 2
+    for (int h = 0; h < kHalves; ++h) {
+      __m512 rows[2 * MR];
 #pragma GCC unroll 8
-  for (int r = 0; r < kRows; ++r) {
-    if (r >= mr) break;
-    float* crow = c + r * ldc;
-    store_row_avx512(crow, acc[r], std::min(nr, 2 * NR), accumulate);
-    if constexpr (kHalves == 2) {
-      store_row_avx512(crow + 2 * NR, acc[kRows + r], nr - 2 * NR,
-                       accumulate);
+      for (int r = 0; r < 2 * MR; ++r) {
+        rows[r] = r < kRows ? acc[h * kRows + r] : _mm512_setzero_ps();
+      }
+      store_block_transposed_avx512(rows, c + h * 2 * NR * ldc, ldc, mr,
+                                    std::min(nr - h * 2 * NR, 2 * NR),
+                                    accumulate);
+    }
+  } else {
+#pragma GCC unroll 8
+    for (int r = 0; r < kRows; ++r) {
+      if (r >= mr) break;
+      float* crow = c + r * ldc;
+      store_row_avx512(crow, acc[r], std::min(nr, 2 * NR), accumulate);
+      if constexpr (kHalves == 2) {
+        store_row_avx512(crow + 2 * NR, acc[kRows + r], nr - 2 * NR,
+                         accumulate);
+      }
     }
   }
 }
 
-template <class B, int kRows>
+template <class A, class B, int kRows>
 FLEDA_TARGET_AVX512 void micro_kernel_avx512_rows(
-    const float* ap, std::int64_t a_next, const B& b, std::int64_t kc,
-    float* c, std::int64_t ldc, std::int64_t mr, std::int64_t nr,
-    bool accumulate) {
+    const A& a, const B& b, std::int64_t kc, float* c, std::int64_t ldc,
+    std::int64_t mr, std::int64_t nr, bool accumulate) {
   switch ((nr + NR - 1) / NR) {
     case 1:
-      return micro_kernel_avx512_tile<B, 1, kRows>(ap, a_next, b, kc, c,
-                                                   ldc, mr, nr, accumulate);
+      return micro_kernel_avx512_tile<A, B, 1, kRows>(a, b, kc, c, ldc, mr,
+                                                      nr, accumulate);
     case 2:
-      return micro_kernel_avx512_tile<B, 2, kRows>(ap, a_next, b, kc, c,
-                                                   ldc, mr, nr, accumulate);
+      return micro_kernel_avx512_tile<A, B, 2, kRows>(a, b, kc, c, ldc, mr,
+                                                      nr, accumulate);
     case 3:
-      return micro_kernel_avx512_tile<B, 3, kRows>(ap, a_next, b, kc, c,
-                                                   ldc, mr, nr, accumulate);
+      return micro_kernel_avx512_tile<A, B, 3, kRows>(a, b, kc, c, ldc, mr,
+                                                      nr, accumulate);
     default:
-      return micro_kernel_avx512_tile<B, 4, kRows>(ap, a_next, b, kc, c,
-                                                   ldc, mr, nr, accumulate);
+      return micro_kernel_avx512_tile<A, B, 4, kRows>(a, b, kc, c, ldc, mr,
+                                                      nr, accumulate);
   }
 }
 
 // 2 MR x 4 NR: two A micro-panels against four B micro-panels per
 // call, the B panels joined in pairs; a call with fewer rows or panels
 // left runs the tile that covers just them.
-template <class B>
-FLEDA_TARGET_AVX512 void micro_kernel_avx512(
-    const float* ap, std::int64_t a_next, const B& b, std::int64_t kc,
-    float* c, std::int64_t ldc, std::int64_t mr, std::int64_t nr,
-    bool accumulate) {
+template <class A, class B>
+FLEDA_TARGET_AVX512 void micro_kernel_avx512(const A& a, const B& b,
+                                             std::int64_t kc, float* c,
+                                             std::int64_t ldc,
+                                             std::int64_t mr, std::int64_t nr,
+                                             bool accumulate) {
   if (mr > MR) {
-    micro_kernel_avx512_rows<B, 2 * MR>(ap, a_next, b, kc, c, ldc, mr, nr,
-                                        accumulate);
+    micro_kernel_avx512_rows<A, B, 2 * MR>(a, b, kc, c, ldc, mr, nr,
+                                           accumulate);
   } else {
-    micro_kernel_avx512_rows<B, MR>(ap, a_next, b, kc, c, ldc, mr, nr,
-                                    accumulate);
+    micro_kernel_avx512_rows<A, B, MR>(a, b, kc, c, ldc, mr, nr, accumulate);
   }
 }
 
 #endif  // FLEDA_X86_KERNELS
 
-// Steps gemm_kernel_columns(isa) columns of C per call.
-template <class B>
-MicroKernel<B> micro_kernel_for(KernelIsa isa) {
-  MicroKernel<B> kernel{micro_kernel_portable<B>,
-                        gemm_kernel_columns(isa) / NR, 1};
+// Steps gemm_kernel_rows(isa) rows and gemm_kernel_columns(isa) columns
+// of C per call.
+template <class A, class B>
+MicroKernel<A, B> micro_kernel_for(KernelIsa isa) {
+  MicroKernel<A, B> kernel{micro_kernel_portable<A, B>,
+                           gemm_kernel_columns(isa) / NR,
+                           gemm_kernel_rows(isa) / MR};
 #if FLEDA_X86_KERNELS
-  if (isa == KernelIsa::kAvx2) kernel.run = micro_kernel_avx2<B>;
-  if (isa == KernelIsa::kAvx512) {
-    kernel.run = micro_kernel_avx512<B>;
-    kernel.a_panels = 2;
-  }
+  if (isa == KernelIsa::kAvx2) kernel.run = micro_kernel_avx2<A, B>;
+  if (isa == KernelIsa::kAvx512) kernel.run = micro_kernel_avx512<A, B>;
 #endif
   return kernel;
 }
@@ -449,7 +608,8 @@ void multiply_slice(const GemmPlan& plan, const float* a,
                     const float* apack_full, std::int64_t pc,
                     std::int64_t kc, std::int64_t jc, std::int64_t nc,
                     const BAt& b_at, float* c, bool accumulate) {
-  const MicroKernel<B> kernel = micro_kernel_for<B>(plan.isa);
+  const MicroKernel<PackedA, B> kernel =
+      micro_kernel_for<PackedA, B>(plan.isa);
   const std::int64_t m = plan.shape.m;
   const std::int64_t k = plan.shape.k;
   const std::int64_t n = plan.shape.n;
@@ -489,7 +649,8 @@ void multiply_slice(const GemmPlan& plan, const float* a,
           }
           for (std::int64_t jp = 0; jp < npanels; jp += kernel.panels) {
             const std::int64_t j0 = jc + jp * NR;
-            kernel.run(ap, a_next, b_at(jp), kc, c + i0 * n + j0, n, mr,
+            kernel.run(PackedA{ap, a_next}, b_at(jp), kc, c + i0 * n + j0, n,
+                       mr,
                        std::min<std::int64_t>(kernel.panels * NR,
                                               jc + nc - j0),
                        accumulate);
@@ -535,8 +696,8 @@ void multiply_in_place(const GemmPlan& plan, const float* a,
   }
 }
 
-// Exactly one of `b` (the plan's memory layout) and `implicit` (a conv
-// column matrix read from its padded image) is set.
+// Exactly one of `b` (the plan's memory layout) and `implicit` (a kNN
+// conv column matrix read from its padded image) is set.
 // Only C's columns [col_begin, col_end) are computed and written.
 void gemm_packed_impl(const GemmPlan& plan, const float* a,
                       const float* apack_full, const float* b,
@@ -555,7 +716,7 @@ void gemm_packed_impl(const GemmPlan& plan, const float* a,
   }
   const std::int64_t kc_max = std::min(k, kGemmKC);
 
-  if (implicit != nullptr && op == GemmOp::kNN &&
+  if (implicit != nullptr &&
       implicit_b_in_place(*implicit, col_begin, col_end)) {
     // AVX-512 joins panels in pairs; where every pair is a run as well
     // (an output width that is a multiple of 2 NR), it reads each pair
@@ -596,7 +757,7 @@ void gemm_packed_impl(const GemmPlan& plan, const float* a,
                     std::min<std::int64_t>(NR, jc + nc - j0);
                 float* dst = bpack + static_cast<std::int64_t>(jp) * kc * NR;
                 if (implicit != nullptr) {
-                  pack_b_panel_implicit(op, *implicit, pc, kc, j0, nr, dst);
+                  pack_b_panel_implicit(*implicit, pc, kc, j0, nr, dst);
                 } else {
                   pack_b_panel(op, b, k, n, pc, kc, j0, nr, dst);
                 }
@@ -659,14 +820,77 @@ void gemm_packed_implicit(const GemmPlan& plan, const float* a,
                           const float* apack, const ImplicitCols& b,
                           float* c, bool accumulate, std::int64_t col_begin,
                           std::int64_t col_end) {
-  if (plan.shape.op == GemmOp::kAT) {
-    throw std::invalid_argument("gemm_packed_implicit: no kAT form");
+  if (plan.shape.op != GemmOp::kNN) {
+    throw std::invalid_argument("gemm_packed_implicit: kNN plans only");
   }
   if (col_begin < 0 || col_begin > col_end || col_end > plan.shape.n) {
     throw std::invalid_argument("gemm_packed_implicit: bad column range");
   }
   gemm_packed_impl(plan, a, apack, /*b=*/nullptr, &b, c, accumulate,
                    col_begin, col_end);
+}
+
+std::size_t packed_b_elems(const GemmPlan& plan) {
+  return static_cast<std::size_t>(paired_cols(plan.shape.n) * plan.shape.k);
+}
+
+void pack_b(const GemmPlan& plan, const float* b, float* bpack) {
+  if (plan.shape.op != GemmOp::kBT) {
+    throw std::invalid_argument("pack_b: kBT plans only");
+  }
+  const std::int64_t k = plan.shape.k;
+  const std::int64_t n = plan.shape.n;
+  const std::int64_t kc_max = std::min(k, kGemmKC);
+  const std::int64_t cols = paired_cols(n);
+  ProfileScope pack(phase::kKernelPack);
+  for (std::int64_t pc = 0; pc < k; pc += kc_max) {
+    const std::int64_t kc = std::min(kc_max, k - pc);
+    for (std::int64_t j = 0; j < cols; ++j) {
+      // Column j of pair j / 2 NR, one float per 2 NR-float depth row.
+      float* dst = bpack + pc * cols + j / (2 * NR) * kc * 2 * NR +
+                   j % (2 * NR);
+      for (std::int64_t p = 0; p < kc; ++p) {
+        dst[p * 2 * NR] = j < n ? b[j * k + pc + p] : 0.0f;
+      }
+    }
+  }
+}
+
+void gemm_packed_implicit_a(const GemmPlan& plan, const ImplicitCols& a,
+                            const float* bpack, float* c,
+                            std::int64_t row_begin, std::int64_t row_end) {
+  if (plan.shape.op != GemmOp::kBT) {
+    throw std::invalid_argument("gemm_packed_implicit_a: kBT plans only");
+  }
+  if (row_begin < 0 || row_begin > row_end || row_end > plan.shape.m) {
+    throw std::invalid_argument("gemm_packed_implicit_a: bad row range");
+  }
+  const MicroKernel<InPlaceA, PairedB> kernel =
+      micro_kernel_for<InPlaceA, PairedB>(plan.isa);
+  const std::int64_t m = plan.shape.m;
+  const std::int64_t k = plan.shape.k;
+  const std::int64_t n = plan.shape.n;
+  const std::int64_t kc_max = std::min(k, kGemmKC);
+  const std::int64_t npanels = (n + NR - 1) / NR;
+  const std::int64_t call_rows = kernel.a_panels * MR;
+  for (std::int64_t pc = 0; pc < k; pc += kc_max) {
+    const std::int64_t kc = std::min(kc_max, k - pc);
+    const float* slice = bpack + pc * paired_cols(n);
+    for (std::int64_t i0 = row_begin; i0 < row_end; i0 += call_rows) {
+      const std::int64_t mr = std::min(call_rows, row_end - i0);
+      InPlaceA tile;
+      for (std::int64_t r = 0; r < 2 * MR; ++r) {
+        tile.row[r] = a.padded + a.row_offset[i0 + (r < mr ? r : 0)];
+      }
+      tile.pixel_offset = a.pixel_offset + pc;
+      for (std::int64_t jp = 0; jp < npanels; jp += kernel.panels) {
+        const PairedB panels{slice + jp / 2 * kc * 2 * NR + jp % 2 * NR, kc};
+        kernel.run(tile, panels, kc, c + jp * NR * m + i0, m, mr,
+                   std::min(kernel.panels * NR, n - jp * NR),
+                   /*accumulate=*/true);
+      }
+    }
+  }
 }
 
 }  // namespace fleda

@@ -146,6 +146,10 @@ std::int64_t gemm_kernel_columns(KernelIsa isa) {
   return kGemmNR;
 }
 
+std::int64_t gemm_kernel_rows(KernelIsa isa) {
+  return isa == KernelIsa::kAvx512 ? 2 * kGemmMR : kGemmMR;
+}
+
 std::string GemmPlan::to_string() const {
   std::string s = "gemm(";
   s += fleda::to_string(shape.op);

@@ -12,10 +12,13 @@
 //     Every GEMM of the conv layers (nn/conv2d.hpp,
 //     nn/conv_transpose2d.hpp, tensor/conv_gemm.hpp) runs one, built
 //     per call, so those layers never consult the cost model or the
-//     cache. The cost model would leave some of those shapes on the
-//     reference kernels (k < 48: RouteNet's k = 32 deconv forward);
-//     where that was measured, packed ran as fast (bench/micro_kernels
-//     conv_backward rows).
+//     cache. Their weight gradient runs as cols * dy^T, the column
+//     matrix read in place as the A operand (gemm_packed_implicit_a),
+//     so at stride 1 no conv GEMM gathers its B operand. The cost
+//     model would leave some of those shapes on the reference kernels
+//     (k < 48: RouteNet's k = 32 deconv forward); where that was
+//     measured, packed ran as fast (bench/micro_kernels conv_backward
+//     rows).
 //
 // One summation order: every strategy — packed, reference, and the
 // direct conv kernels (tensor/conv_direct.hpp) — computes each output
@@ -109,8 +112,10 @@ void set_kernel_isa(KernelIsa isa);
 // across that many channels.
 std::int64_t kernel_lanes(KernelIsa isa);
 // Columns of C one packed micro-kernel call steps under an ISA: NR
-// portable, 2 NR avx2, 4 NR avx512.
+// portable, 2 NR avx2, 4 NR avx512; and rows: MR portable and avx2,
+// 2 MR avx512.
 std::int64_t gemm_kernel_columns(KernelIsa isa);
+std::int64_t gemm_kernel_rows(KernelIsa isa);
 
 // Micro-panels of the packed kernel: A is packed MR rows and B NR
 // columns wide. A micro-kernel call holds a register tile of C, one or
@@ -236,9 +241,9 @@ void gemm_packed_prepacked_a(const GemmPlan& plan, const float* apack,
 // A conv's column matrix, read in place from one zero-padded sample:
 //   cols(r, q) = padded[row_offset[r] + pixel_offset[q]]
 // for weight row r = (c, kh, kw) and output pixel q. That is im2col's
-// cols[r][q], so a B panel taken from here — packed, or read where it
-// lies — holds the values, and gives the bits, that packing a
-// materialized cols would, without writing it. ConvIndex
+// cols[r][q], so an operand taken from here — a B panel packed or read
+// where it lies, or A read in place — holds the values, and gives the
+// bits, that a materialized cols would, without writing it. ConvIndex
 // (tensor/im2col.hpp) builds the two tables; pixel_offset strictly
 // increases with q.
 struct ImplicitCols {
@@ -247,29 +252,55 @@ struct ImplicitCols {
   const std::int64_t* pixel_offset = nullptr;
 };
 
-// Whether gemm_packed_implicit reads a kNN B over C's columns
+// Whether gemm_packed_implicit reads B over C's columns
 // [col_begin, col_end) in place instead of packing it: every kGemmNR
 // column panel of the range is a run of adjacent pixels
 // (pixel_offset[j0 + NR - 1] - pixel_offset[j0] == NR - 1). Holds for a
 // stride-1 conv whose output width is a multiple of kGemmNR; a stride-2
-// conv, or an output width like 12, packs.
+// conv, or an output width like 12, gathers its panels.
 bool implicit_b_in_place(const ImplicitCols& b, std::int64_t col_begin,
                          std::int64_t col_end);
 
-// The two conv GEMMs whose B is the column matrix: the forward
-// (kNN, B = cols [rows, pixels]; read in place when
-// implicit_b_in_place, else packed) and the weight gradient (kBT,
-// B stored [n, k] = cols; always packed). A is either raw (`a`, packed
-// on the fly) or prepacked with pack_a (`apack`); pass nullptr for the
-// other.
+// The conv GEMM of the forward's form (kNN, B = cols [rows, pixels];
+// read in place when implicit_b_in_place, else gathered into packed
+// panels): the forward, a stride-1 dX and the deconv's dX. A is either
+// raw (`a`, packed on the fly) or prepacked with pack_a (`apack`); pass
+// nullptr for the other.
 // Only C's columns [col_begin, col_end) are computed and written (pass
 // 0, n for all of C); a C element's bits do not depend on the range
-// it was computed in, so a weight gradient can be split across the
-// pool by columns. Throws std::invalid_argument for kAT plans and for
-// a range outside [0, n].
+// it was computed in. Throws std::invalid_argument for a plan that is
+// not kNN and for a range outside [0, n].
 void gemm_packed_implicit(const GemmPlan& plan, const float* a,
                           const float* apack, const ImplicitCols& b,
                           float* c, bool accumulate, std::int64_t col_begin,
                           std::int64_t col_end);
+
+// Elements (floats) of a kBT plan's B operand packed whole, every KC
+// slice of it, by pack_b: slice pc's micro-panels, in pairs of two
+// NR-wide panels (2 NR floats per depth step, zero-padded past n), start
+// at bpack + pc * round_up(n, 2 NR).
+std::size_t packed_b_elems(const GemmPlan& plan);
+
+// Packs a kBT plan's whole B operand (stored [n, k]) into `bpack`
+// (packed_b_elems floats), on the calling thread. Throws
+// std::invalid_argument for any other plan.
+void pack_b(const GemmPlan& plan, const float* b, float* bpack);
+
+// The conv weight gradient's GEMM, with a column matrix as A: under a
+// kBT plan (m = rows, k = pixels, n = channels),
+//   C += cols[m, k] * B^T,   B stored [n, k], packed with pack_b,
+// with cols read in place from `a` (A(i, p) = cols(i, p), at any stride
+// and width: the micro-kernel broadcasts A one scalar at a time, so it
+// needs no contiguity) and C stored transposed, C(i, j) at c[j * m + i]
+// (the weight gradient [n, m]). Every KC slice is added to C, in
+// ascending order; the bits are those of accumulating
+// B * cols^T into c with the reference kernels. Only C's rows
+// [row_begin, row_end) are computed, on the calling thread; a C
+// element's bits do not depend on the range. Throws
+// std::invalid_argument for a plan that is not kBT and for a range
+// outside [0, m].
+void gemm_packed_implicit_a(const GemmPlan& plan, const ImplicitCols& a,
+                            const float* bpack, float* c,
+                            std::int64_t row_begin, std::int64_t row_end);
 
 }  // namespace fleda

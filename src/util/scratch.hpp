@@ -15,7 +15,8 @@ enum class ScratchSlot : int {
   kColsGrad = 1,
   kConvBlock = 2,   // a channel group's padded block (direct conv dW)
   kPackA = 3,       // packed A micro-panels (gemm_packed)
-  kPackB = 4,       // packed B panel block (gemm_packed)
+  kPackB = 4,       // packed B panel block (gemm_packed), or a weight
+                    // gradient's packed dy (conv_gemm_weight_grad)
   kRowPartial = 5,  // a row's KC-slice partial sums (reference GEMM)
 };
 

@@ -1,9 +1,11 @@
 // Tests for the shape-keyed kernel planner and its one summation
 // order. Every GEMM entry point — the dispatching matmul family, the
 // reference kernels, the packed GEMM with A packed on the fly, prepacked
-// or B read through implicit columns — must reproduce a scalar oracle of
-// the canonical order bit for bit, on every kernel ISA the host
-// supports and at pool sizes 1 and 4, across KC slice boundaries,
+// or B read through implicit columns, and the weight gradient's form
+// with A read through implicit columns and C stored transposed — must
+// reproduce a scalar oracle of the canonical order bit for bit, on
+// every kernel ISA the host supports and at pool sizes 1 and 4, across
+// KC slice boundaries,
 // accumulation, k = 0, -0 rows and non-finite values. The plan cache
 // must count hits and misses correctly under concurrent lookups, and
 // the conv layers must never consult it. The direct kernels of the
@@ -129,7 +131,8 @@ GemmPlan forced_packed_plan(GemmOp op, std::int64_t m, std::int64_t k,
 
 // B as implicit columns: B's stored rows, each spread to every other
 // float of a NaN-filled buffer, so a panel gathers its columns and a
-// stray read of a gap poisons the result.
+// stray read of a gap poisons the result. (Built as for kBT from A
+// [m, k], with n = m, it is A's implicit columns.)
 struct SpreadB {
   std::vector<float> spread;
   std::vector<std::int64_t> row_offset, pixel_offset;
@@ -236,6 +239,47 @@ TEST(GemmPacked, EveryEntryPointMatchesCanonicalOrderBitForBit) {
               gemm_packed_prepacked_a(plan, apack.data(), b.data(), c,
                                       accumulate);
             });
+            if (op == GemmOp::kBT) {
+              // The weight gradient's form: A read in place, B packed
+              // whole, C stored transposed and always accumulated.
+              if (!accumulate) continue;
+              const SpreadB spread_a(GemmOp::kBT, a, s.k, s.m);
+              std::vector<float> bpack(packed_b_elems(plan));
+              pack_b(plan, b.data(), bpack.data());
+              // A row range off the kernel's row grid, then the rest.
+              const std::int64_t split = std::min(s.m, s.m / 2 + 3);
+              std::vector<float> ct(seed.size());
+              for (std::int64_t i = 0; i < s.m; ++i) {
+                for (std::int64_t j = 0; j < s.n; ++j) {
+                  ct[static_cast<std::size_t>(j * s.m + i)] =
+                      seed[static_cast<std::size_t>(i * s.n + j)];
+                }
+              }
+              const std::vector<float> ct_seed = ct;
+              gemm_packed_implicit_a(plan, spread_a.cols(), bpack.data(),
+                                     ct.data(), 0, split);
+              for (std::int64_t j = 0; j < s.n; ++j) {
+                for (std::int64_t i = split; i < s.m; ++i) {
+                  const std::size_t at = static_cast<std::size_t>(j * s.m + i);
+                  ASSERT_EQ(0, std::memcmp(&ct[at], &ct_seed[at],
+                                           sizeof(float)))
+                      << where << ": row " << i << " written";
+                }
+              }
+              gemm_packed_implicit_a(plan, spread_a.cols(), bpack.data(),
+                                     ct.data(), split, s.m);
+              for (std::int64_t i = 0; i < s.m; ++i) {
+                for (std::int64_t j = 0; j < s.n; ++j) {
+                  EXPECT_EQ(0, std::memcmp(
+                                   &want[static_cast<std::size_t>(i * s.n + j)],
+                                   &ct[static_cast<std::size_t>(j * s.m + i)],
+                                   sizeof(float)))
+                      << "gemm_packed_implicit_a: " << where << " at (" << i
+                      << ", " << j << ")";
+                }
+              }
+              continue;
+            }
             if (op == GemmOp::kAT) continue;  // no implicit kAT form
             expect_want("gemm_packed_implicit", [&](float* c) {
               gemm_packed_implicit(plan, a.data(), nullptr, spread.cols(), c,
@@ -889,7 +933,8 @@ TEST_P(ConvIsa, EveryIsaAndPoolMatchesPortableIm2colOracle) {
 // at batch 17 (dy padded by 2), padding past the kernel's reach (dy
 // cropped by 1), and dilation 2 with Cout = 6 < 8. Last, RouteNet's
 // conv2 (B read in place, in joined pairs on AVX-512, forward and dX)
-// and a k = 1 conv (in place too, each weight row a single tap).
+// and a k = 1 conv (in place too, each weight row a single tap). Last,
+// a 900-pixel conv: dW sums each sample over two KC slices.
 INSTANTIATE_TEST_SUITE_P(
     Shapes, ConvIsa,
     ::testing::Values(ConvCase{3, 8, 5, 1, 2, 1, 12, 12, 3},
@@ -904,21 +949,62 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{8, 9, 3, 1, 3, 1, 7, 10, 4},
                       ConvCase{8, 6, 3, 1, 1, 2, 12, 9, 1},
                       ConvCase{32, 64, 7, 1, 3, 1, 16, 16, 2},
-                      ConvCase{4, 8, 1, 1, 0, 1, 8, 8, 1}));
+                      ConvCase{4, 8, 1, 1, 0, 1, 8, 8, 1},
+                      ConvCase{2, 5, 3, 1, 1, 1, 30, 30, 2}));
 
 TEST(ConvIsa, ShapeSweepCoversThePackedImplicitPath) {
   // Guards the instantiation above: its first shapes must really run
-  // the implicit path (forward and dW packed) rather than im2col.
-  for (const ConvCase& c : {ConvCase{3, 8, 5, 1, 2, 1, 12, 12, 3},
+  // the implicit path rather than im2col — the forward packed, and dW
+  // as cols * dy^T with the column matrix read in place as A
+  // (gemm_packed_implicit_a) over more than one block of weight columns
+  // at stride 1 and 2 and dilation 2, and the 900-pixel shape across two
+  // KC slices.
+  const ConvCase swept[] = {ConvCase{3, 8, 5, 1, 2, 1, 12, 12, 3},
                             ConvCase{3, 8, 5, 2, 2, 1, 16, 16, 3},
-                            ConvCase{6, 8, 3, 1, 2, 2, 10, 10, 2}}) {
+                            ConvCase{6, 8, 3, 1, 2, 2, 10, 10, 2}};
+  for (const ConvCase& c : swept) {
     const ConvGeometry g = geometry_of(c);
     EXPECT_EQ(make_gemm_plan(GemmOp::kNN, c.cout, g.col_rows(), g.col_cols())
                   .strategy,
               GemmStrategy::kPacked);
-    EXPECT_EQ(make_gemm_plan(GemmOp::kBT, c.cout, g.col_cols(), g.col_rows())
-                  .strategy,
-              GemmStrategy::kPacked);
+  }
+  for (const ConvCase& c : {swept[0], swept[1], swept[2],
+                            ConvCase{2, 5, 3, 1, 1, 1, 30, 30, 2}}) {
+    std::ostringstream where;
+    PrintTo(c, &where);
+    const ConvGeometry g = geometry_of(c);
+    EXPECT_GT(weight_grad_blocks(g.col_rows(), gemm_kernel_rows(kernel_isa()))
+                  .count,
+              1)
+        << where.str();
+    // conv_gemm_weight_grad is that GEMM, sample by sample.
+    Rng rng(82);
+    const std::vector<float> dy =
+        random_vec(static_cast<std::size_t>(c.batch * c.cout * g.col_cols()),
+                   rng);
+    const std::vector<float> x = random_vec(
+        static_cast<std::size_t>(c.batch * c.cin * c.h * c.w), rng);
+    std::vector<float> got(static_cast<std::size_t>(c.cout * g.col_rows()));
+    std::vector<float> want = got;
+    conv_gemm_weight_grad(g, c.cout, c.batch, dy.data(), x.data(),
+                          got.data());
+    const GemmPlan plan =
+        make_packed_plan(GemmOp::kBT, g.col_rows(), g.col_cols(), c.cout);
+    const ConvIndex ix = make_conv_index(g);
+    std::vector<float> padded(static_cast<std::size_t>(ix.padded_elems()));
+    std::vector<float> bpack(packed_b_elems(plan));
+    for (std::int64_t n = 0; n < c.batch; ++n) {
+      pad_image(x.data() + n * c.cin * c.h * c.w, g, padded.data());
+      pack_b(plan, dy.data() + n * c.cout * g.col_cols(), bpack.data());
+      gemm_packed_implicit_a(
+          plan,
+          ImplicitCols{padded.data(), ix.row_offset.data(),
+                       ix.pixel_offset.data()},
+          bpack.data(), want.data(), 0, g.col_rows());
+    }
+    EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
+                             want.size() * sizeof(float)))
+        << where.str();
   }
 }
 

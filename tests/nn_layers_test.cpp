@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "nn/activations.hpp"
@@ -410,6 +412,42 @@ TEST(MaxPool2d, BackwardRoutesToArgmax) {
   EXPECT_FLOAT_EQ(dx[1], 7.0f);
   EXPECT_FLOAT_EQ(dx[2], 0.0f);
   EXPECT_FLOAT_EQ(dx[3], 0.0f);
+}
+
+TEST(MaxPool2d, EvalForwardComputesMaximaOnly) {
+  // An evaluation pass gives the training pass's bits (odd sizes, a
+  // stride below the window, ties, -0 and -Inf) and records no argmax,
+  // so a backward after it throws; a training pass arms it again.
+  MaxPool2d pool("p", MaxPool2dOptions{3, 2});
+  Rng rng(7);
+  Tensor input(Shape{2, 3, 9, 7});
+  for (std::int64_t i = 0; i < input.numel(); ++i) {
+    input[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  input[5] = input[6] = 2.0f;
+  input[20] = -0.0f;
+  input[40] = -std::numeric_limits<float>::infinity();
+  const Tensor trained = pool.forward(input, /*training=*/true);
+  const Tensor grad_in = pool.backward(trained);
+  const Tensor evaluated = pool.forward(input, /*training=*/false);
+  ASSERT_EQ(evaluated.shape(), trained.shape());
+  EXPECT_EQ(0, std::memcmp(evaluated.data(), trained.data(),
+                           sizeof(float) * trained.numel()));
+  EXPECT_THROW(
+      {
+        try {
+          pool.backward(trained);
+        } catch (const std::logic_error& e) {
+          EXPECT_NE(std::string(e.what()).find("backward before forward"),
+                    std::string::npos);
+          throw;
+        }
+      },
+      std::logic_error);
+  pool.forward(input, /*training=*/true);
+  const Tensor again = pool.backward(trained);
+  EXPECT_EQ(0, std::memcmp(again.data(), grad_in.data(),
+                           sizeof(float) * grad_in.numel()));
 }
 
 TEST(PixelShuffle, PermutationIsExact) {
