@@ -32,8 +32,6 @@ Gated metrics (current vs previous):
   - BENCH_sim.json     hundred_k.events_per_sec        must be >= 0.8x
   - BENCH_comm.json    codecs[*].encode_mb_per_s       must be >= 0.8x
   - BENCH_comm.json    codecs[*].decode_mb_per_s       must be >= 0.8x
-  - BENCH_kernels.json shapes[*].auto_gflops           must be >= 0.8x
-  - BENCH_kernels.json plan_cache.hit_rate             must be >= 0.8x
   - BENCH_kernels.json conv_layers[*].direct_ms        must be <= 1.2x
   - BENCH_kernels.json conv_backward[*].bwd_ms         must be <= 1.2x
   - BENCH_kernels.json conv_backward[*].dw_ms          must be <= 1.2x
@@ -331,10 +329,6 @@ def codec_rows(bench):
     return {row["name"]: row for row in (bench or {}).get("codecs", [])}
 
 
-def shape_rows(bench):
-    return {row["name"]: row for row in (bench or {}).get("shapes", [])}
-
-
 def layer_row_errors(kernels_now, kernels_prev):
     """One check() result per layer row both runs timed, lower is
     better: conv_layers' direct_ms (the head's forward + backward),
@@ -416,17 +410,6 @@ def trajectory():
             errors.append(check(
                 f"comm.{name}.{metric}",
                 now_rows[name].get(metric), prev_rows[name].get(metric)))
-    now_shapes = shape_rows(kernels_now)
-    prev_shapes = shape_rows(kernels_prev)
-    for name in sorted(set(now_shapes) & set(prev_shapes)):
-        errors.append(check(
-            f"kernels.{name}.auto_gflops",
-            now_shapes[name].get("auto_gflops"),
-            prev_shapes[name].get("auto_gflops")))
-    errors.append(check(
-        "kernels.plan_cache.hit_rate",
-        kernels_now.get("plan_cache", {}).get("hit_rate"),
-        kernels_prev.get("plan_cache", {}).get("hit_rate")))
     errors.extend(layer_row_errors(kernels_now, kernels_prev))
 
     errors = [e for e in errors if e is not None]

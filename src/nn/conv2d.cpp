@@ -165,8 +165,8 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
       flipped = flipped_weight();
       dx_gemm.emplace(gd, opts_.in_channels, flipped.data());
     } else if (!direct()) {
-      at_plan = make_packed_plan(GemmOp::kAT, g.col_rows(),
-                                 opts_.out_channels, g.col_cols());
+      at_plan = make_gemm_plan(GemmOp::kAT, g.col_rows(),
+                               opts_.out_channels, g.col_cols());
       wpack.resize(packed_a_elems(at_plan));
       pack_a(at_plan, weight_.value.data(), wpack.data());
     }

@@ -24,7 +24,7 @@
 // by blocks of weight columns, (channel, tap) (channel blocks for the
 // head).
 //
-// Forward and dW give the bits of im2col + any GEMM strategy. dX at
+// Forward and dW give the bits of im2col + matmul. dX at
 // stride 1 sums each element over channels x taps in KC slices, not
 // per tap as col2im does, so it matches the col2im adjoint only to
 // rounding. Non-finite values: that dX multiplies every weight by dy's

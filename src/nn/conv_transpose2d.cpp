@@ -67,8 +67,8 @@ Tensor ConvTranspose2d::forward(const Tensor& input, bool training) {
   Tensor output(Shape::of(N, opts_.out_channels, OH, OW));
 
   // The weight is packed once for the batch.
-  const GemmPlan plan = make_packed_plan(GemmOp::kAT, g.col_rows(),
-                                         opts_.in_channels, g.col_cols());
+  const GemmPlan plan = make_gemm_plan(GemmOp::kAT, g.col_rows(),
+                                       opts_.in_channels, g.col_cols());
   std::vector<float> wpack(packed_a_elems(plan));
   pack_a(plan, weight_.value.data(), wpack.data());
 

@@ -21,7 +21,7 @@
 // Forward and dW are the m = 1 GEMMs of the im2col lowering, computed
 // in the one summation order of tensor/plan.hpp (KC slices of +0 then
 // + a*b in ascending order, each slice stored or added), so their bits
-// are those of every GEMM strategy:
+// are those of the packed GEMM:
 //   forward  == im2col + matmul    (slices of taps, then stored in y)
 //   dW       == im2col + matmul_bt (slices of pixels, each added to dw)
 //   dX       == matmul_at + col2im (0 + w*dy, scattered)

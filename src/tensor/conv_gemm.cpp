@@ -16,7 +16,7 @@ ImplicitCols implicit_cols(const ConvIndex& ix, const float* padded) {
 
 ConvGemm::ConvGemm(const ConvGeometry& g, std::int64_t m, const float* a)
     : ix_(make_conv_index(g)),
-      plan_(make_packed_plan(GemmOp::kNN, m, g.col_rows(), g.col_cols())),
+      plan_(make_gemm_plan(GemmOp::kNN, m, g.col_rows(), g.col_cols())),
       apack_(packed_a_elems(plan_)) {
   pack_a(plan_, a, apack_.data());
 }
@@ -49,7 +49,7 @@ void conv_gemm_weight_grad(const ConvGeometry& g, std::int64_t m,
   // c^T [rows, m] += cols [rows, pixels] * a_n^T: a_n, stored [m,
   // pixels], is the kBT plan's B, packed once per sample and shared by
   // every block.
-  const GemmPlan plan = make_packed_plan(GemmOp::kBT, rows, pixels, m);
+  const GemmPlan plan = make_gemm_plan(GemmOp::kBT, rows, pixels, m);
   const std::size_t bpack_elems = packed_b_elems(plan);
   float* bpack = thread_scratch_aligned(
       ScratchSlot::kPackB, static_cast<std::size_t>(batch) * bpack_elems);

@@ -8,7 +8,7 @@
 //                         over the batch (Conv2d and ConvTranspose2d
 //                         dW), run as C^T += cols(image_n) * A_n^T
 //
-// Both always run the packed GEMM (make_packed_plan, tensor/plan.hpp),
+// Both run the packed GEMM (make_gemm_plan, tensor/plan.hpp),
 // reading cols from a zero-padded copy of the image through a ConvIndex
 // without writing it. ConvGemm's B is read where it lies when every
 // 8-column panel is a run of pixels (stride 1, output width a multiple
@@ -16,8 +16,8 @@
 // otherwise (gemm_packed_implicit). The weight gradient reads cols in
 // place as its A operand at every stride and width, with A_n packed
 // once per sample as its B (gemm_packed_implicit_a), so nothing is
-// gathered. Every GEMM strategy sums in one order, so the bits are also
-// those of im2col + the reference kernels.
+// gathered. Every operand form sums in one order, so the bits are also
+// those of im2col + matmul.
 #pragma once
 
 #include <cstdint>

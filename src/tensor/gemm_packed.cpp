@@ -1,4 +1,5 @@
-// Packed cache-blocked GEMM — the planner's "fat shape" strategy.
+// Packed cache-blocked GEMM — the one dense GEMM driver; every GEMM
+// runs it under a make_gemm_plan plan.
 //
 // Classic three-loop blocking (the BLIS/poplibs structure):
 //
@@ -39,9 +40,9 @@
 // compute each KC slice of a C element as +0, then + a*b for p
 // ascending, each product rounded before the sum (mul then add, never a
 // fused multiply-add), and add the slices in ascending pc order: the
-// one order of tensor/plan.hpp, so the results are the reference
-// kernels' bits at every thread-pool size, kernel ISA and operand form
-// (a*b = b*a exactly, so swapping the operands moves no bit either).
+// one order of tensor/plan.hpp, so the results are the same bits at
+// every thread-pool size, kernel ISA and operand form (a*b = b*a
+// exactly, so swapping the operands moves no bit either).
 //
 // Zero-padding contract: the packing routines zero-fill the MR/NR
 // tails, so the micro-kernel always runs full tiles; only the valid
@@ -471,22 +472,27 @@ FLEDA_TARGET_AVX512 inline void store_block_transposed_avx512(
 
 // Depth step p of two adjacent B micro-panels joined into one 16-lane
 // row (panel t in the low half, panel t + 1 in the high half), or of
-// panel t alone, zero-extended, when t + 1 lies past the call. Masked
-// loads: a lane a mask leaves out reads no memory. (GCC 12 flags the
-// _mm512_undefined_* inside the insert intrinsics as uninitialized.) A
-// joined pair that is one run in memory takes one 16-lane load: next to
-// two masked loads, ~13% off a 16-wide stride-1 conv's forward and
-// 7.3% off paper_routenet's table_s (10 paired runs, 4-vCPU AVX-512
-// Xeon).
+// panel t alone, zero-extended, when t + 1 lies past the call. A joined
+// pair that is one run in memory takes one 16-lane load: next to two
+// masked loads, ~13% off a 16-wide stride-1 conv's forward and 7.3% off
+// paper_routenet's table_s (10 paired runs, 4-vCPU AVX-512 Xeon). Any
+// other panel is read with an 8-lane load: a masked 16-lane load spans
+// 64 bytes around the panel's 32, so it crosses a cache line where the
+// 32-byte-aligned packed panels never do. Both halves go in by masked
+// inserts: the unmasked one's _mm512_undefined_pd (also inside
+// _mm512_zextps256_ps512) trips GCC 12's uninitialized warning.
 template <bool kTwo, class B>
 FLEDA_TARGET_AVX512 inline __m512 load_b_avx512(const B& b, std::int64_t t,
                                                 std::int64_t p) {
   if constexpr (kTwo && B::kJoined) {
     return _mm512_loadu_ps(b.row(t, p));
   } else {
-    const __m512 lo = _mm512_maskz_loadu_ps(0x00FF, b.row(t, p));
-    if constexpr (!kTwo) return lo;
-    return _mm512_mask_loadu_ps(lo, 0xFF00, b.row(t + 1, p) - NR);
+    const __m512d lo = _mm512_maskz_insertf64x4(
+        0xFF, _mm512_setzero_pd(),
+        _mm256_castps_pd(_mm256_loadu_ps(b.row(t, p))), 0);
+    if constexpr (!kTwo) return _mm512_castpd_ps(lo);
+    return _mm512_castpd_ps(_mm512_mask_insertf64x4(
+        lo, 0xFF, lo, _mm256_castps_pd(_mm256_loadu_ps(b.row(t + 1, p))), 1));
   }
 }
 

@@ -9,7 +9,7 @@
 namespace fleda {
 namespace {
 
-// Cost-model cache sizes. Deliberately compile-time constants (not
+// Blocking cache sizes. Deliberately compile-time constants (not
 // probed from the host) so a plan is a pure function of the GEMM shape.
 constexpr std::int64_t kL1Bytes = 32 * 1024;
 static_assert((kGemmMR + kGemmNR) * kGemmKC *
@@ -72,16 +72,6 @@ const char* to_string(GemmOp op) {
       return "at";
     case GemmOp::kBT:
       return "bt";
-  }
-  return "?";
-}
-
-const char* to_string(GemmStrategy strategy) {
-  switch (strategy) {
-    case GemmStrategy::kReference:
-      return "reference";
-    case GemmStrategy::kPacked:
-      return "packed";
   }
   return "?";
 }
@@ -154,46 +144,19 @@ std::string GemmPlan::to_string() const {
   std::string s = "gemm(";
   s += fleda::to_string(shape.op);
   s += ", m=" + std::to_string(shape.m) + ", k=" + std::to_string(shape.k) +
-       ", n=" + std::to_string(shape.n) + ") -> ";
-  s += fleda::to_string(strategy);
-  if (strategy == GemmStrategy::kPacked) {
-    s += "{mc=" + std::to_string(mc) + ", nc=" + std::to_string(nc) + "}";
-  }
-  s += " on ";
+       ", n=" + std::to_string(shape.n) + ") -> {mc=" + std::to_string(mc) +
+       ", nc=" + std::to_string(nc) + "} on ";
   s += fleda::to_string(isa);
   return s;
 }
 
 GemmPlan make_gemm_plan(GemmOp op, std::int64_t m, std::int64_t k,
                         std::int64_t n) {
-  // Packing pays for itself only when the B panels are reused across
-  // several MR row-panels and the accumulator tile runs long enough in
-  // k. Skinny shapes (vector-matrix products, rank-1 updates, tiny
-  // tails) stay on the reference row kernels, which stream those
-  // shapes at close to memory speed already — and at k < ~48 the
-  // reference kernels keep the whole B slab L1-resident per output row,
-  // while a packed call packs A and B for one use. (The conv layers do
-  // not ask: their k = 32 deconv GEMM packs its weight once per batch
-  // and runs as fast packed, so it takes make_packed_plan.)
-  const bool fat = m >= 2 * kGemmMR && n >= 2 * kGemmNR && k >= 48 &&
-                   m * k * n >= 32 * 1024;
-  GemmPlan plan = make_packed_plan(op, m, k, n);
-  if (!fat) {
-    plan.strategy = GemmStrategy::kReference;
-    plan.mc = 0;
-    plan.nc = 0;
-  }
-  return plan;
-}
-
-GemmPlan make_packed_plan(GemmOp op, std::int64_t m, std::int64_t k,
-                          std::int64_t n) {
   GemmPlan plan;
   plan.shape = GemmShape{op, m, k, n};
   plan.flops = 2.0 * static_cast<double>(m) * static_cast<double>(k) *
                static_cast<double>(n);
   plan.isa = kernel_isa();
-  plan.strategy = GemmStrategy::kPacked;
   // NC: the packed B block (KC x nc floats) should occupy at most half
   // of L2, so it survives the sweep over all row panels. (k = 0 budgets
   // as k = 1: nothing is packed.)

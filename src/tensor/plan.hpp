@@ -1,44 +1,34 @@
-// Shape-keyed kernel planner for the dense GEMM family.
+// Shape-keyed plans for the packed GEMM, the one dense GEMM driver.
 //
-// Two kinds of plan:
-//   - make_gemm_plan, the cost model (shape vs the L1/L2 working sets),
-//     decides between the row-streaming kernels ("reference" — best
-//     for skinny shapes) and a packed cache-blocked GEMM ("packed" —
-//     B panels packed into aligned scratch, a register-tiled MR x NR
-//     micro-kernel, and MC/KC/NC cache blocking). matmul / matmul_at /
-//     matmul_bt (tensor/matmul.hpp) look its plans up in a
-//     KernelPlanCache keyed by (op, m, k, n);
-//   - make_packed_plan, the packed plan whatever the cost model says.
-//     Every GEMM of the conv layers (nn/conv2d.hpp,
-//     nn/conv_transpose2d.hpp, tensor/conv_gemm.hpp) runs one, built
-//     per call, so those layers never consult the cost model or the
-//     cache. Their weight gradient runs as cols * dy^T, the column
-//     matrix read in place as the A operand (gemm_packed_implicit_a),
-//     so at stride 1 no conv GEMM gathers its B operand. The cost
-//     model would leave some of those shapes on the reference kernels
-//     (k < 48: RouteNet's k = 32 deconv forward); where that was
-//     measured, packed ran as fast (bench/micro_kernels conv_backward
-//     rows).
+// make_gemm_plan gives a shape its cache blocking: B packed into
+// aligned NR-wide micro-panels, a register-tiled MR x NR micro-kernel,
+// and MC/KC/NC blocks (tensor/gemm_packed.cpp). Every GEMM of the conv
+// layers (nn/conv2d.hpp, nn/conv_transpose2d.hpp, tensor/conv_gemm.hpp)
+// runs one, built per call. Their weight gradient runs as cols * dy^T,
+// the column matrix read in place as the A operand
+// (gemm_packed_implicit_a), so at stride 1 no conv GEMM gathers its B
+// operand. matmul / matmul_at / matmul_bt (tensor/matmul.hpp) look the
+// same plans up in a KernelPlanCache keyed by (op, m, k, n).
 //
-// One summation order: every strategy — packed, reference, and the
-// direct conv kernels (tensor/conv_direct.hpp) — computes each output
-// element the same way. k is split into slices of KC = min(k, kGemmKC);
-// each slice sums +0, then + a*b for p ascending, one rounded product
-// per step (mul then add, never a fused multiply-add); the first slice
-// is stored (or added, when accumulating) and each later slice is added
-// in ascending order. So the strategy a plan picks changes speed, never
-// bits.
+// One summation order: the packed GEMM and the direct conv kernels
+// (tensor/conv_direct.hpp) compute each output element the same way.
+// k is split into slices of KC = min(k, kGemmKC); each slice sums +0,
+// then + a*b for p ascending, one rounded product per step (mul then
+// add, never a fused multiply-add); the first slice is stored (or
+// added, when accumulating) and each later slice is added in ascending
+// order. So the blocking a plan picks, and the operand
+// form a conv GEMM reads, change speed, never bits.
 //
 // Instruction set: every float kernel (the packed micro-kernel, the
-// reference row kernels, the direct conv kernels, the sort_lanes
-// network) has a portable body and, on x86, an AVX2 and an AVX-512
-// body; kernel_isa() picks the best one the host runs (avx512, else
-// avx2, else portable) from its CPUID, once per process. Every body
-// keeps the order above with one IEEE operation per lane, and none
-// contracts a multiply and an add into a fused multiply-add, so the
-// ISA changes speed, never bits. AVX2 cannot contract: its bodies are
-// compiled with target("avx2"), which brings no FMA. AVX-512F does
-// bring FMA, and GCC at its default -ffp-contract=fast turns
+// direct conv kernels, the sort_lanes network) has a portable body
+// and, on x86, an AVX2 and an AVX-512 body; kernel_isa() picks the
+// best one the host runs (avx512, else avx2, else portable) from its
+// CPUID, once per process. Every body keeps the order above with one
+// IEEE operation per lane, and none contracts a multiply and an add
+// into a fused multiply-add, so the ISA changes speed, never bits.
+// AVX2 cannot contract: its bodies are compiled with target("avx2"),
+// which brings no FMA. AVX-512F does bring FMA, and GCC at its default
+// -ffp-contract=fast turns
 // _mm512_add_ps(c, _mm512_mul_ps(a, b)) — or c + a * b on vector
 // types — into vfmadd. So every AVX-512 body goes through
 // FLEDA_TARGET_AVX512, which switches contraction off in the source:
@@ -51,7 +41,7 @@
 // Determinism contract: a plan is a pure function of the shape (never
 // of the thread-pool size), and no kernel's order depends on how its
 // rows are partitioned — so results are bit-identical across
-// thread-pool sizes, instruction sets and strategies.
+// thread-pool sizes and instruction sets.
 #pragma once
 
 #include <cstddef>
@@ -91,9 +81,6 @@ namespace fleda {
 enum class GemmOp : std::uint8_t { kNN = 0, kAT = 1, kBT = 2 };
 const char* to_string(GemmOp op);
 
-enum class GemmStrategy : std::uint8_t { kReference = 0, kPacked = 1 };
-const char* to_string(GemmStrategy strategy);
-
 // The instruction set the float kernels run. kAvx2 and kAvx512 need an
 // x86 host whose CPU (and OS) support AVX2 or AVX-512F; everything
 // else runs kPortable.
@@ -123,7 +110,7 @@ std::int64_t gemm_kernel_rows(KernelIsa isa);
 // across a whole KC slice. Layout, not bits.
 inline constexpr std::int64_t kGemmMR = 4;
 inline constexpr std::int64_t kGemmNR = 8;
-// Depth of one summation slice, for every strategy (see above). One A
+// Depth of one summation slice, for every kernel (see above). One A
 // micro-panel plus one B micro-panel, (MR + NR) * KC floats, fills the
 // 32 KiB L1 the packed kernel is blocked for. Part of the bits: changing
 // it changes results.
@@ -142,9 +129,8 @@ struct GemmShape {
 
 struct GemmPlan {
   GemmShape shape;
-  GemmStrategy strategy = GemmStrategy::kReference;
-  // Cache blocking (packed strategy only): MR/NR multiples. The depth
-  // blocking is kGemmKC for every plan.
+  // Cache blocking: MR/NR multiples. The depth blocking is kGemmKC for
+  // every plan.
   std::int64_t mc = 0;
   std::int64_t nc = 0;
   double flops = 0.0;  // 2*m*k*n, for bench reporting
@@ -155,25 +141,12 @@ struct GemmPlan {
   std::string to_string() const;
 };
 
-// The cost model: pure function of shape (and compile-time cache-size
-// constants), never of thread count or environment. Exposed so tests
-// and benches can force strategies without going through the cache.
+// The packed plan for a shape: a pure function of the shape (and
+// compile-time cache-size constants), never of thread count or
+// environment. Any k >= 0 works; at k = 0 the packed GEMM stores +0
+// (or leaves C as it was, when accumulating).
 GemmPlan make_gemm_plan(GemmOp op, std::int64_t m, std::int64_t k,
                         std::int64_t n);
-
-// The packed plan for a shape, with the blocking make_gemm_plan gives
-// the shapes it packs, whatever the cost model would choose; also a
-// pure function of shape, and not cached. Every conv GEMM packs. Those
-// whose B is read in place from a padded image (ImplicitCols,
-// tensor/conv_gemm.hpp) would otherwise first write the whole column
-// matrix, which costs what packing it does, and then stream it once
-// per row of C. The kAT GEMMs that form columns (Conv2d dX at stride
-// != 1, ConvTranspose2d forward) share one prepacked weight across the
-// batch and run as fast packed. Same bits either way. Any k >= 0 works;
-// at k = 0 the packed GEMM stores +0 (or leaves C as it was, when
-// accumulating), as the reference kernels do.
-GemmPlan make_packed_plan(GemmOp op, std::int64_t m, std::int64_t k,
-                          std::int64_t n);
 
 struct PlanCacheStats {
   std::uint64_t hits = 0;
@@ -181,8 +154,8 @@ struct PlanCacheStats {
   std::size_t entries = 0;
 };
 
-// The cost model's plans, kept by shape. Only matmul, matmul_at and
-// matmul_bt look plans up here; the conv layers build packed plans
+// make_gemm_plan's plans, kept by shape. Only matmul, matmul_at and
+// matmul_bt look plans up here; the conv layers build their plans
 // directly. So a run holds a handful of shapes, and one mutex over a
 // short vector serves them. Plans are returned by value.
 class KernelPlanCache {
@@ -194,7 +167,7 @@ class KernelPlanCache {
   static KernelPlanCache& global();
 
   // The plan for a shape under the current KernelIsa: consults the
-  // cache and runs the cost model on a miss (inside a kernel/plan
+  // cache and runs make_gemm_plan on a miss (inside a kernel/plan
   // profiler span).
   GemmPlan plan_for(GemmOp op, std::int64_t m, std::int64_t k,
                     std::int64_t n);
@@ -213,9 +186,8 @@ class KernelPlanCache {
 };
 
 // ---------------------------------------------------------------------
-// Packed kernel entry points (gemm_packed.cpp). All of them require
-// plan.strategy == kPacked and operate on the layouts implied by
-// plan.shape.op.
+// Packed kernel entry points (gemm_packed.cpp). All of them operate on
+// the layouts implied by plan.shape.op.
 
 // Elements (floats) of a fully packed A operand for `plan` — the
 // zero-padded MR micro-panel layout reused across many GEMM calls
@@ -294,7 +266,7 @@ void pack_b(const GemmPlan& plan, const float* b, float* bpack);
 // needs no contiguity) and C stored transposed, C(i, j) at c[j * m + i]
 // (the weight gradient [n, m]). Every KC slice is added to C, in
 // ascending order; the bits are those of accumulating
-// B * cols^T into c with the reference kernels. Only C's rows
+// B * cols^T into c with gemm_packed. Only C's rows
 // [row_begin, row_end) are computed, on the calling thread; a C
 // element's bits do not depend on the range. Throws
 // std::invalid_argument for a plan that is not kBT and for a range

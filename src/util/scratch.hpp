@@ -17,10 +17,9 @@ enum class ScratchSlot : int {
   kPackA = 3,       // packed A micro-panels (gemm_packed)
   kPackB = 4,       // packed B panel block (gemm_packed), or a weight
                     // gradient's packed dy (conv_gemm_weight_grad)
-  kRowPartial = 5,  // a row's KC-slice partial sums (reference GEMM)
 };
 
-inline constexpr int kNumScratchSlots = 6;
+inline constexpr int kNumScratchSlots = 5;
 
 // Returns a thread-local float buffer of at least `n` elements for the
 // given slot. Contents are unspecified — callers must fully overwrite

@@ -1,23 +1,22 @@
-// Tests for the shape-keyed kernel planner and its one summation
-// order. Every GEMM entry point — the dispatching matmul family, the
-// reference kernels, the packed GEMM with A packed on the fly, prepacked
-// or B read through implicit columns, and the weight gradient's form
-// with A read through implicit columns and C stored transposed — must
-// reproduce a scalar oracle of the canonical order bit for bit, on
-// every kernel ISA the host supports and at pool sizes 1 and 4, across
-// KC slice boundaries,
-// accumulation, k = 0, -0 rows and non-finite values. The plan cache
-// must count hits and misses correctly under concurrent lookups, and
-// the conv layers must never consult it. The direct kernels of the
-// single-output-channel conv must reproduce the
-// im2col + reference-GEMM lowering bit for bit on every ISA and pool
-// size. Conv2d's implicit-column path must reproduce im2col + the same
-// GEMMs with dW/db summed in sample order — dX at stride 1 as the
+// Tests for the packed GEMM's plans and its one summation order. Every
+// GEMM entry point — the matmul family, the packed GEMM with A packed
+// on the fly, prepacked or B read through implicit columns, and the
+// weight gradient's form with A read through implicit columns and C
+// stored transposed — must reproduce a scalar oracle of the canonical
+// order (canonical_gemm) bit for bit, on every kernel ISA the host
+// supports and at pool sizes 1 and 4, across KC slice and NC block
+// boundaries, accumulation, k = 0, -0 rows and non-finite values. The
+// plan cache must count hits and misses correctly under concurrent
+// lookups, and the conv layers must never consult it. The direct
+// kernels of the single-output-channel conv must reproduce the im2col
+// lowering with the scalar oracle's GEMMs bit for bit on every ISA and
+// pool size. Conv2d's implicit-column path must reproduce im2col + the
+// same GEMMs with dW/db summed in sample order — dX at stride 1 as the
 // forward conv of dy with the flipped weight, which must also match the
 // col2im adjoint to within a stated rounding bound — at strides 1 and
 // 2, dilation 2, pool sizes 1/2/8, top level and nested; and
-// ConvTranspose2d's forward must reproduce the reference kAT GEMM +
-// col2im, and its backward im2col(dy) + the same GEMMs.
+// ConvTranspose2d's forward must reproduce the kAT GEMM + col2im, and
+// its backward im2col(dy) + the same GEMMs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -60,23 +59,7 @@ std::vector<float> random_vec(std::size_t n, Rng& rng) {
   return v;
 }
 
-void run_reference(GemmOp op, const float* a, const float* b, float* c,
-                   std::int64_t m, std::int64_t k, std::int64_t n,
-                   bool accumulate) {
-  switch (op) {
-    case GemmOp::kNN:
-      matmul_reference(a, b, c, m, k, n, accumulate);
-      return;
-    case GemmOp::kAT:
-      matmul_at_reference(a, b, c, m, k, n, accumulate);
-      return;
-    case GemmOp::kBT:
-      matmul_bt_reference(a, b, c, m, k, n, accumulate);
-      return;
-  }
-}
-
-void run_dispatch(GemmOp op, const float* a, const float* b, float* c,
+void run_matmul(GemmOp op, const float* a, const float* b, float* c,
                   std::int64_t m, std::int64_t k, std::int64_t n,
                   bool accumulate) {
   switch (op) {
@@ -92,41 +75,33 @@ void run_dispatch(GemmOp op, const float* a, const float* b, float* c,
   }
 }
 
-// The canonical order (tensor/plan.hpp), one scalar at a time: each
-// KC slice sums +0, then + a*b for p ascending, and is stored (first
-// slice, not accumulating) or added.
+// The canonical order (tensor/plan.hpp) in scalar code, the oracle of
+// every test below: each KC slice of an element sums +0, then + a*b for
+// p ascending, and is stored (first slice, not accumulating) or added.
+// A row of C runs its slices side by side, so B is read along its rows.
 void canonical_gemm(GemmOp op, const float* a, const float* b, float* c,
                     std::int64_t m, std::int64_t k, std::int64_t n,
                     bool accumulate) {
+  std::vector<float> slice(static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      float& out = c[i * n + j];
-      if (k == 0 && !accumulate) out = 0.0f;  // no slice: +0
-      for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
-        float slice = 0.0f;
-        for (std::int64_t p = pc; p < std::min(k, pc + kGemmKC); ++p) {
-          const float av = op == GemmOp::kAT ? a[p * m + i] : a[i * k + p];
+    float* out = c + i * n;
+    if (k == 0 && !accumulate) std::fill(out, out + n, 0.0f);  // no slice
+    for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
+      std::fill(slice.begin(), slice.end(), 0.0f);
+      for (std::int64_t p = pc; p < std::min(k, pc + kGemmKC); ++p) {
+        const float av = op == GemmOp::kAT ? a[p * m + i] : a[i * k + p];
+        for (std::int64_t j = 0; j < n; ++j) {
           const float bv = op == GemmOp::kBT ? b[j * k + p] : b[p * n + j];
-          slice = slice + av * bv;
+          slice[static_cast<std::size_t>(j)] =
+              slice[static_cast<std::size_t>(j)] + av * bv;
         }
-        out = accumulate || pc > 0 ? out + slice : slice;
+      }
+      for (std::int64_t j = 0; j < n; ++j) {
+        const float sum = slice[static_cast<std::size_t>(j)];
+        out[j] = accumulate || pc > 0 ? out[j] + sum : sum;
       }
     }
   }
-}
-
-// A packed plan for any shape, bypassing the cost model so the sweep
-// can push degenerate shapes (m=1, n=1, tiny k) through the packed
-// path that the planner would normally route to reference.
-GemmPlan forced_packed_plan(GemmOp op, std::int64_t m, std::int64_t k,
-                            std::int64_t n) {
-  GemmPlan plan = make_gemm_plan(op, m, k, n);
-  if (plan.strategy == GemmStrategy::kPacked) return plan;
-  plan.strategy = GemmStrategy::kPacked;
-  plan.nc = std::min<std::int64_t>((n + kGemmNR - 1) / kGemmNR * kGemmNR,
-                                   8 * kGemmNR);
-  plan.mc = std::min<std::int64_t>((m + kGemmMR - 1) / kGemmMR * kGemmMR, 96);
-  return plan;
 }
 
 // B as implicit columns: B's stored rows, each spread to every other
@@ -159,8 +134,10 @@ struct SpreadB {
 
 TEST(GemmPacked, EveryEntryPointMatchesCanonicalOrderBitForBit) {
   // Odd sizes, tiny k, single-row/column degenerates, the k = 32 conv dX
-  // shape, fat shapes the cost model itself would pack, k on either
-  // side of one and two KC slices, and k = 0 (no slice at all).
+  // shape, fat shapes, k on either side of one and two KC slices, and
+  // k = 0 (no slice at all). Each shape runs make_gemm_plan's plan and,
+  // where n exceeds 8 NR, a copy of it with NC narrowed to 8 NR, so the
+  // NC loop runs more than once.
   const struct {
     std::int64_t m, k, n;
   } shapes[] = {{1, 7, 33},    {5, 3, 17},   {4, 16, 16},  {7, 81, 23},
@@ -194,7 +171,11 @@ TEST(GemmPacked, EveryEntryPointMatchesCanonicalOrderBitForBit) {
       const std::vector<float> seed =
           random_vec(static_cast<std::size_t>(s.m * s.n), rng);
       const SpreadB spread(op, b, s.k, s.n);
-      const GemmPlan forced = forced_packed_plan(op, s.m, s.k, s.n);
+      std::vector<GemmPlan> plans{make_gemm_plan(op, s.m, s.k, s.n)};
+      if (s.n > 8 * kGemmNR) {
+        plans.push_back(plans[0]);
+        plans.back().nc = 8 * kGemmNR;
+      }
       for (bool accumulate : {false, true}) {
         std::vector<float> want = seed;
         canonical_gemm(op, a.data(), b.data(), want.data(), s.m, s.k, s.n,
@@ -205,107 +186,105 @@ TEST(GemmPacked, EveryEntryPointMatchesCanonicalOrderBitForBit) {
         }
         for (KernelIsa isa : supported_isas()) {
           IsaGuard isa_guard(isa);
-          GemmPlan plan = forced;
-          plan.isa = isa;
           for (std::size_t threads : {1u, 4u}) {
-            ThreadPool::reset_global(threads);
-            const std::string where =
-                std::string(to_string(op)) + " m=" + std::to_string(s.m) +
-                " k=" + std::to_string(s.k) + " n=" + std::to_string(s.n) +
-                " accumulate=" + std::to_string(accumulate) + " " +
-                to_string(isa) + " pool " + std::to_string(threads);
-            auto expect_want = [&](const char* entry,
-                                   const std::function<void(float*)>& run) {
-              std::vector<float> got = seed;
-              run(got.data());
-              EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
-                                       want.size() * sizeof(float)))
-                  << entry << ": " << where;
-            };
-            expect_want("reference", [&](float* c) {
-              run_reference(op, a.data(), b.data(), c, s.m, s.k, s.n,
-                            accumulate);
-            });
-            expect_want("dispatch", [&](float* c) {
-              run_dispatch(op, a.data(), b.data(), c, s.m, s.k, s.n,
+            for (GemmPlan plan : plans) {
+              plan.isa = isa;
+              ThreadPool::reset_global(threads);
+              const std::string where =
+                  std::string(to_string(op)) + " m=" + std::to_string(s.m) +
+                  " k=" + std::to_string(s.k) + " n=" + std::to_string(s.n) +
+                  " nc=" + std::to_string(plan.nc) +
+                  " accumulate=" + std::to_string(accumulate) + " " +
+                  to_string(isa) + " pool " + std::to_string(threads);
+              auto expect_want = [&](const char* entry,
+                                     const std::function<void(float*)>& run) {
+                std::vector<float> got = seed;
+                run(got.data());
+                EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
+                                         want.size() * sizeof(float)))
+                    << entry << ": " << where;
+              };
+              expect_want("matmul", [&](float* c) {
+                run_matmul(op, a.data(), b.data(), c, s.m, s.k, s.n,
                            accumulate);
-            });
-            expect_want("gemm_packed", [&](float* c) {
-              gemm_packed(plan, a.data(), b.data(), c, accumulate);
-            });
-            std::vector<float> apack(packed_a_elems(plan));
-            pack_a(plan, a.data(), apack.data());
-            expect_want("gemm_packed_prepacked_a", [&](float* c) {
-              gemm_packed_prepacked_a(plan, apack.data(), b.data(), c,
-                                      accumulate);
-            });
-            if (op == GemmOp::kBT) {
-              // The weight gradient's form: A read in place, B packed
-              // whole, C stored transposed and always accumulated.
-              if (!accumulate) continue;
-              const SpreadB spread_a(GemmOp::kBT, a, s.k, s.m);
-              std::vector<float> bpack(packed_b_elems(plan));
-              pack_b(plan, b.data(), bpack.data());
-              // A row range off the kernel's row grid, then the rest.
-              const std::int64_t split = std::min(s.m, s.m / 2 + 3);
-              std::vector<float> ct(seed.size());
-              for (std::int64_t i = 0; i < s.m; ++i) {
+              });
+              expect_want("gemm_packed", [&](float* c) {
+                gemm_packed(plan, a.data(), b.data(), c, accumulate);
+              });
+              std::vector<float> apack(packed_a_elems(plan));
+              pack_a(plan, a.data(), apack.data());
+              expect_want("gemm_packed_prepacked_a", [&](float* c) {
+                gemm_packed_prepacked_a(plan, apack.data(), b.data(), c,
+                                        accumulate);
+              });
+              if (op == GemmOp::kBT) {
+                // The weight gradient's form: A read in place, B packed
+                // whole, C stored transposed and always accumulated.
+                if (!accumulate) continue;
+                const SpreadB spread_a(GemmOp::kBT, a, s.k, s.m);
+                std::vector<float> bpack(packed_b_elems(plan));
+                pack_b(plan, b.data(), bpack.data());
+                // A row range off the kernel's row grid, then the rest.
+                const std::int64_t split = std::min(s.m, s.m / 2 + 3);
+                std::vector<float> ct(seed.size());
+                for (std::int64_t i = 0; i < s.m; ++i) {
+                  for (std::int64_t j = 0; j < s.n; ++j) {
+                    ct[static_cast<std::size_t>(j * s.m + i)] =
+                        seed[static_cast<std::size_t>(i * s.n + j)];
+                  }
+                }
+                const std::vector<float> ct_seed = ct;
+                gemm_packed_implicit_a(plan, spread_a.cols(), bpack.data(),
+                                       ct.data(), 0, split);
                 for (std::int64_t j = 0; j < s.n; ++j) {
-                  ct[static_cast<std::size_t>(j * s.m + i)] =
-                      seed[static_cast<std::size_t>(i * s.n + j)];
+                  for (std::int64_t i = split; i < s.m; ++i) {
+                    const auto at = static_cast<std::size_t>(j * s.m + i);
+                    ASSERT_EQ(0, std::memcmp(&ct[at], &ct_seed[at],
+                                             sizeof(float)))
+                        << where << ": row " << i << " written";
+                  }
                 }
-              }
-              const std::vector<float> ct_seed = ct;
-              gemm_packed_implicit_a(plan, spread_a.cols(), bpack.data(),
-                                     ct.data(), 0, split);
-              for (std::int64_t j = 0; j < s.n; ++j) {
-                for (std::int64_t i = split; i < s.m; ++i) {
-                  const std::size_t at = static_cast<std::size_t>(j * s.m + i);
-                  ASSERT_EQ(0, std::memcmp(&ct[at], &ct_seed[at],
-                                           sizeof(float)))
-                      << where << ": row " << i << " written";
+                gemm_packed_implicit_a(plan, spread_a.cols(), bpack.data(),
+                                       ct.data(), split, s.m);
+                for (std::int64_t i = 0; i < s.m; ++i) {
+                  for (std::int64_t j = 0; j < s.n; ++j) {
+                    const auto at = static_cast<std::size_t>(i * s.n + j);
+                    const auto at_t = static_cast<std::size_t>(j * s.m + i);
+                    EXPECT_EQ(0,
+                              std::memcmp(&want[at], &ct[at_t], sizeof(float)))
+                        << "gemm_packed_implicit_a: " << where << " at (" << i
+                        << ", " << j << ")";
+                  }
                 }
+                continue;
               }
-              gemm_packed_implicit_a(plan, spread_a.cols(), bpack.data(),
-                                     ct.data(), split, s.m);
-              for (std::int64_t i = 0; i < s.m; ++i) {
-                for (std::int64_t j = 0; j < s.n; ++j) {
-                  EXPECT_EQ(0, std::memcmp(
-                                   &want[static_cast<std::size_t>(i * s.n + j)],
-                                   &ct[static_cast<std::size_t>(j * s.m + i)],
-                                   sizeof(float)))
-                      << "gemm_packed_implicit_a: " << where << " at (" << i
-                      << ", " << j << ")";
+              if (op == GemmOp::kAT) continue;  // no implicit kAT form
+              expect_want("gemm_packed_implicit", [&](float* c) {
+                gemm_packed_implicit(plan, a.data(), nullptr, spread.cols(), c,
+                                     accumulate, 0, s.n);
+              });
+              expect_want("gemm_packed_implicit, prepacked A", [&](float* c) {
+                gemm_packed_implicit(plan, nullptr, apack.data(), spread.cols(),
+                                     c, accumulate, 0, s.n);
+              });
+              // Two column ranges split off the NR grid: the first call
+              // leaves every column past it as it was.
+              const std::int64_t split = std::min(s.n, s.n / 2 + 3);
+              expect_want("gemm_packed_implicit, two column ranges",
+                          [&](float* c) {
+                gemm_packed_implicit(plan, a.data(), nullptr, spread.cols(), c,
+                                     accumulate, 0, split);
+                for (std::int64_t i = 0; i < s.m; ++i) {
+                  for (std::int64_t j = split; j < s.n; ++j) {
+                    const auto at = static_cast<std::size_t>(i * s.n + j);
+                    ASSERT_EQ(0, std::memcmp(&c[at], &seed[at], sizeof(float)))
+                        << where << ": column " << j << " written";
+                  }
                 }
-              }
-              continue;
+                gemm_packed_implicit(plan, a.data(), nullptr, spread.cols(), c,
+                                     accumulate, split, s.n);
+              });
             }
-            if (op == GemmOp::kAT) continue;  // no implicit kAT form
-            expect_want("gemm_packed_implicit", [&](float* c) {
-              gemm_packed_implicit(plan, a.data(), nullptr, spread.cols(), c,
-                                   accumulate, 0, s.n);
-            });
-            expect_want("gemm_packed_implicit, prepacked A", [&](float* c) {
-              gemm_packed_implicit(plan, nullptr, apack.data(), spread.cols(),
-                                   c, accumulate, 0, s.n);
-            });
-            // Two column ranges split off the NR grid: the first call
-            // leaves every column past it as it was.
-            const std::int64_t split = std::min(s.n, s.n / 2 + 3);
-            expect_want("gemm_packed_implicit, two column ranges",
-                        [&](float* c) {
-              gemm_packed_implicit(plan, a.data(), nullptr, spread.cols(), c,
-                                   accumulate, 0, split);
-              for (std::int64_t i = 0; i < s.m; ++i) {
-                for (std::int64_t j = split; j < s.n; ++j) {
-                  const std::size_t at = static_cast<std::size_t>(i * s.n + j);
-                  ASSERT_EQ(0, std::memcmp(&c[at], &seed[at], sizeof(float)))
-                      << where << ": column " << j << " written";
-                }
-              }
-              gemm_packed_implicit(plan, a.data(), nullptr, spread.cols(), c,
-                                   accumulate, split, s.n);
-            });
           }
         }
       }
@@ -316,11 +295,9 @@ TEST(GemmPacked, EveryEntryPointMatchesCanonicalOrderBitForBit) {
 
 TEST(GemmPacked, BitIdenticalAcrossThreadPoolSizes) {
   Rng rng(13);
-  const std::int64_t m = 64, k = 162, n = 256;  // cost model picks packed
+  const std::int64_t m = 64, k = 162, n = 256;
   std::vector<float> a = random_vec(static_cast<std::size_t>(m * k), rng);
   std::vector<float> b = random_vec(static_cast<std::size_t>(k * n), rng);
-  ASSERT_EQ(make_gemm_plan(GemmOp::kNN, m, k, n).strategy,
-            GemmStrategy::kPacked);
   std::vector<std::vector<float>> results;
   for (std::size_t threads : {1u, 2u, 8u}) {
     ThreadPool::reset_global(threads);
@@ -337,9 +314,8 @@ TEST(GemmPacked, BitIdenticalAcrossThreadPoolSizes) {
 }
 
 TEST(GemmPacked, ConvForwardBackwardBitIdenticalAcrossPoolSizes) {
-  // End to end through Conv2d: the planner picks packed for this shape
-  // and the fixed MR row partition + sample-order dW must keep both
-  // directions bit-identical whatever the pool size.
+  // End to end through Conv2d: the fixed MR row partition + sample-order
+  // dW must keep both directions bit-identical whatever the pool size.
   Conv2dOptions opts;
   opts.in_channels = 2;
   opts.out_channels = 64;
@@ -370,57 +346,33 @@ TEST(GemmPacked, ConvForwardBackwardBitIdenticalAcrossPoolSizes) {
   }
 }
 
-TEST(CostModel, SkinnyShapesStayOnReference) {
-  // Vector-matrix products, tiny tails, and single-output-channel
-  // convs (FLNet's output conv has m=1) must not pay for packing.
-  EXPECT_EQ(make_gemm_plan(GemmOp::kNN, 1, 5184, 4096).strategy,
-            GemmStrategy::kReference);
-  EXPECT_EQ(make_gemm_plan(GemmOp::kNN, 4, 3, 4).strategy,
-            GemmStrategy::kReference);
-  EXPECT_EQ(make_gemm_plan(GemmOp::kBT, 64, 8, 64).strategy,
-            GemmStrategy::kReference);
-}
-
-TEST(CostModel, FatShapesPackWithSaneBlocking) {
+TEST(GemmPlan, BlocksInWholeMicroPanels) {
   for (const GemmPlan& plan :
        {make_gemm_plan(GemmOp::kNN, 64, 486, 1024),
         make_gemm_plan(GemmOp::kAT, 486, 64, 1024),
-        make_gemm_plan(GemmOp::kBT, 64, 1024, 486)}) {
-    EXPECT_EQ(plan.strategy, GemmStrategy::kPacked) << plan.to_string();
+        make_gemm_plan(GemmOp::kBT, 64, 1024, 486),
+        make_gemm_plan(GemmOp::kNN, 1, 5184, 1024)}) {
     EXPECT_EQ(plan.nc % kGemmNR, 0) << plan.to_string();
     EXPECT_EQ(plan.mc % kGemmMR, 0) << plan.to_string();
   }
-}
-
-TEST(CostModel, PackedPlanKeepsFatBlockingAndPacksSkinnyShapes) {
-  // The conv GEMMs always pack: make_packed_plan gives a fat shape the
-  // plan the cost model makes, and a skinny one (m = 6: a dX conv into
-  // six input channels) the same blocking rule.
-  const GemmPlan fat = make_gemm_plan(GemmOp::kNN, 64, 486, 1024);
-  const GemmPlan same = make_packed_plan(GemmOp::kNN, 64, 486, 1024);
-  EXPECT_EQ(same.strategy, GemmStrategy::kPacked);
-  EXPECT_EQ(same.mc, fat.mc);
-  EXPECT_EQ(same.nc, fat.nc);
-  ASSERT_EQ(make_gemm_plan(GemmOp::kNN, 6, 5184, 256).strategy,
-            GemmStrategy::kReference);
-  const GemmPlan packed = make_packed_plan(GemmOp::kNN, 6, 5184, 256);
-  EXPECT_EQ(packed.strategy, GemmStrategy::kPacked);
-  EXPECT_TRUE(packed.shape == (GemmShape{GemmOp::kNN, 6, 5184, 256}));
-  EXPECT_EQ(packed.mc, 8);
-  EXPECT_EQ(packed.nc, 192);  // KC = 680 deep, half of L2
+  // A dX conv into six input channels: one MR panel rounded up, and NC
+  // the B block of a KC = 680 slice that fills half of L2.
+  const GemmPlan plan = make_gemm_plan(GemmOp::kNN, 6, 5184, 256);
+  EXPECT_TRUE(plan.shape == (GemmShape{GemmOp::kNN, 6, 5184, 256}));
+  EXPECT_EQ(plan.mc, 8);
+  EXPECT_EQ(plan.nc, 192);
 }
 
 TEST(KernelPlanCache, CountsHitsMissesAndEntries) {
   KernelPlanCache cache;
   const GemmPlan first = cache.plan_for(GemmOp::kNN, 64, 486, 1024);
-  EXPECT_EQ(first.strategy, GemmStrategy::kPacked);
   PlanCacheStats stats = cache.stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.entries, 1u);
   for (int i = 0; i < 5; ++i) {
     const GemmPlan again = cache.plan_for(GemmOp::kNN, 64, 486, 1024);
-    EXPECT_EQ(again.strategy, first.strategy);
+    EXPECT_EQ(again.mc, first.mc);
     EXPECT_EQ(again.nc, first.nc);
   }
   stats = cache.stats();
@@ -452,8 +404,7 @@ TEST(KernelPlanCache, ConcurrentLookupsAgreeAndCountEveryCall) {
       const std::int64_t m = 16 << (i % 4);
       const GemmPlan plan = cache.plan_for(GemmOp::kNN, m, 486, 1024);
       const GemmPlan want = make_gemm_plan(GemmOp::kNN, m, 486, 1024);
-      if (plan.strategy != want.strategy ||
-          plan.nc != want.nc || plan.mc != want.mc) {
+      if (plan.nc != want.nc || plan.mc != want.mc) {
         bad.fetch_add(1, std::memory_order_relaxed);
       }
     }
@@ -493,8 +444,8 @@ Tensor random_tensor(const Shape& shape, Rng& rng) {
   return t;
 }
 
-// The Cout = 1 conv as the im2col lowering computes it with the
-// reference kernels, dW/db added one sample at a time in sample order.
+// The Cout = 1 conv as the im2col lowering computes it with the scalar
+// oracle's GEMMs, dW/db added one sample at a time in sample order.
 ConvResult im2col_oracle(const DirectCase& c, const Tensor& w, const Tensor& b,
                          const Tensor& x, const Tensor& gy) {
   const ConvGeometry g{c.cin, c.h, c.w, c.kernel, c.kernel, c.pad, c.pad,
@@ -509,7 +460,8 @@ ConvResult im2col_oracle(const DirectCase& c, const Tensor& w, const Tensor& b,
   for (std::int64_t n = 0; n < c.batch; ++n) {
     im2col(x.data() + n * in_stride, g, cols.data());
     float* y = r.y.data() + n * pixels;
-    matmul_reference(w.data(), cols.data(), y, 1, rows, pixels);
+    canonical_gemm(GemmOp::kNN, w.data(), cols.data(), y, 1, rows, pixels,
+                   /*accumulate=*/false);
     if (c.bias) {
       for (std::int64_t i = 0; i < pixels; ++i) y[i] += b[0];
     }
@@ -517,9 +469,10 @@ ConvResult im2col_oracle(const DirectCase& c, const Tensor& w, const Tensor& b,
   for (std::int64_t n = 0; n < c.batch; ++n) {
     const float* dy = gy.data() + n * pixels;
     im2col(x.data() + n * in_stride, g, cols.data());
-    matmul_bt_reference(dy, cols.data(), r.dw.data(), 1, pixels, rows,
-                        /*accumulate=*/true);
-    matmul_at_reference(w.data(), dy, dcols.data(), rows, 1, pixels);
+    canonical_gemm(GemmOp::kBT, dy, cols.data(), r.dw.data(), 1, pixels,
+                   rows, /*accumulate=*/true);
+    canonical_gemm(GemmOp::kAT, w.data(), dy, dcols.data(), rows, 1, pixels,
+                   /*accumulate=*/false);
     col2im(dcols.data(), g, r.dx.data() + n * in_stride);
     if (c.bias) {
       double acc = 0.0;
@@ -758,7 +711,7 @@ TEST(KernelIsa, ProbeAndSeam) {
   }
 }
 
-// ---- Conv2d at any Cout and stride vs im2col + the planner's GEMMs ----
+// ---- Conv2d at any Cout and stride vs im2col + the scalar GEMMs ----
 
 struct ConvCase {
   std::int64_t cin, cout, kernel, stride, pad, dilation, h, w, batch;
@@ -816,16 +769,16 @@ void col2im_input_grad(const ConvCase& c, const Tensor& w, const Tensor& gy,
   const std::int64_t pixels = g.col_cols();
   std::vector<float> dcols(static_cast<std::size_t>(g.col_rows() * pixels));
   for (std::int64_t n = 0; n < c.batch; ++n) {
-    matmul_at(w.data(), gy.data() + n * c.cout * pixels, dcols.data(),
-              g.col_rows(), c.cout, pixels);
+    canonical_gemm(GemmOp::kAT, w.data(), gy.data() + n * c.cout * pixels,
+                   dcols.data(), g.col_rows(), c.cout, pixels,
+                   /*accumulate=*/false);
     col2im(dcols.data(), g, dx.data() + n * c.cin * c.h * c.w);
   }
 }
 
-// The layer as im2col + the dispatching GEMMs compute it (the same
-// plans Conv2d picks): dW/db added one sample at a time in sample
-// order, and dX at stride 1 as matmul(W', im2col(dy, g')), at other
-// strides as col2im(W^T dy).
+// The layer as im2col + the scalar oracle's GEMMs compute it: dW/db
+// added one sample at a time in sample order, and dX at stride 1 as
+// W' * im2col(dy, g'), at other strides as col2im(W^T dy).
 ConvResult conv_oracle(const ConvCase& c, const Tensor& w, const Tensor& b,
                        const Tensor& x, const Tensor& gy) {
   const ConvGeometry g = geometry_of(c);
@@ -839,7 +792,8 @@ ConvResult conv_oracle(const ConvCase& c, const Tensor& w, const Tensor& b,
   for (std::int64_t n = 0; n < c.batch; ++n) {
     im2col(x.data() + n * in_stride, g, cols.data());
     float* y = r.y.data() + n * out_stride;
-    matmul(w.data(), cols.data(), y, c.cout, rows, pixels);
+    canonical_gemm(GemmOp::kNN, w.data(), cols.data(), y, c.cout, rows,
+                   pixels, /*accumulate=*/false);
     for (std::int64_t co = 0; co < c.cout; ++co) {
       for (std::int64_t i = 0; i < pixels; ++i) y[co * pixels + i] += b[co];
     }
@@ -847,8 +801,8 @@ ConvResult conv_oracle(const ConvCase& c, const Tensor& w, const Tensor& b,
   for (std::int64_t n = 0; n < c.batch; ++n) {
     const float* dy = gy.data() + n * out_stride;
     im2col(x.data() + n * in_stride, g, cols.data());
-    matmul_bt(dy, cols.data(), r.dw.data(), c.cout, pixels, rows,
-              /*accumulate=*/true);
+    canonical_gemm(GemmOp::kBT, dy, cols.data(), r.dw.data(), c.cout,
+                   pixels, rows, /*accumulate=*/true);
     for (std::int64_t co = 0; co < c.cout; ++co) {
       double acc = 0.0;
       for (std::int64_t i = 0; i < pixels; ++i) acc += dy[co * pixels + i];
@@ -865,8 +819,9 @@ ConvResult conv_oracle(const ConvCase& c, const Tensor& w, const Tensor& b,
       static_cast<std::size_t>(gd.col_rows() * gd.col_cols()));
   for (std::int64_t n = 0; n < c.batch; ++n) {
     im2col(gy.data() + n * out_stride, gd, dcols.data());
-    matmul(wf.data(), dcols.data(), r.dx.data() + n * in_stride, c.cin,
-           gd.col_rows(), gd.col_cols());
+    canonical_gemm(GemmOp::kNN, wf.data(), dcols.data(),
+                   r.dx.data() + n * in_stride, c.cin, gd.col_rows(),
+                   gd.col_cols(), /*accumulate=*/false);
   }
   return r;
 }
@@ -894,7 +849,7 @@ ConvResult run_conv(const ConvCase& c, const Tensor& w, const Tensor& b,
 
 class ConvIsa : public ::testing::TestWithParam<ConvCase> {};
 
-TEST_P(ConvIsa, EveryIsaAndPoolMatchesPortableIm2colOracle) {
+TEST_P(ConvIsa, EveryIsaAndPoolMatchesIm2colOracle) {
   const ConvCase& c = GetParam();
   const ConvGeometry g = geometry_of(c);
   Rng rng(81);
@@ -906,11 +861,7 @@ TEST_P(ConvIsa, EveryIsaAndPoolMatchesPortableIm2colOracle) {
   for (bool poisoned : {false, true}) {
     // A NaN pixel must poison the same outputs and gradients everywhere.
     if (poisoned) x[x.numel() / 2] = std::nanf("");
-    ConvResult want;
-    {
-      IsaGuard guard(KernelIsa::kPortable);
-      want = conv_oracle(c, w, b, x, gy);
-    }
+    const ConvResult want = conv_oracle(c, w, b, x, gy);
     for (KernelIsa isa : supported_isas()) {
       IsaGuard guard(isa);
       for (std::size_t threads : {1u, 2u, 8u}) {
@@ -927,11 +878,11 @@ TEST_P(ConvIsa, EveryIsaAndPoolMatchesPortableIm2colOracle) {
 
 // Conv2d packs every GEMM's B straight from the padded image: stride 1
 // with output rows that do and do not fill whole 8-pixel panels, stride
-// 2 (gathered panels), dilation 2, and a fat RouteNet-like layer; one
-// whose shapes make_gemm_plan would leave on the reference kernels
-// (the conv GEMMs pack them anyway), and one Cout = 1 head. Then stride-1 dX convs: valid padding
-// at batch 17 (dy padded by 2), padding past the kernel's reach (dy
-// cropped by 1), and dilation 2 with Cout = 6 < 8. Last, RouteNet's
+// 2 (gathered panels), dilation 2, and a fat RouteNet-like layer; a
+// small one (2 -> 4 channels at 6x6), and one Cout = 1 head. Then
+// stride-1 dX convs: valid padding at batch 17 (dy padded by 2),
+// padding past the kernel's reach (dy cropped by 1), and dilation 2
+// with Cout = 6 < 8. Last, RouteNet's
 // conv2 (B read in place, in joined pairs on AVX-512, forward and dX)
 // and a k = 1 conv (in place too, each weight row a single tap). Last,
 // a 900-pixel conv: dW sums each sample over two KC slices.
@@ -954,21 +905,13 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ConvIsa, ShapeSweepCoversThePackedImplicitPath) {
   // Guards the instantiation above: its first shapes must really run
-  // the implicit path rather than im2col — the forward packed, and dW
-  // as cols * dy^T with the column matrix read in place as A
+  // dW as cols * dy^T with the column matrix read in place as A
   // (gemm_packed_implicit_a) over more than one block of weight columns
   // at stride 1 and 2 and dilation 2, and the 900-pixel shape across two
   // KC slices.
-  const ConvCase swept[] = {ConvCase{3, 8, 5, 1, 2, 1, 12, 12, 3},
+  for (const ConvCase& c : {ConvCase{3, 8, 5, 1, 2, 1, 12, 12, 3},
                             ConvCase{3, 8, 5, 2, 2, 1, 16, 16, 3},
-                            ConvCase{6, 8, 3, 1, 2, 2, 10, 10, 2}};
-  for (const ConvCase& c : swept) {
-    const ConvGeometry g = geometry_of(c);
-    EXPECT_EQ(make_gemm_plan(GemmOp::kNN, c.cout, g.col_rows(), g.col_cols())
-                  .strategy,
-              GemmStrategy::kPacked);
-  }
-  for (const ConvCase& c : {swept[0], swept[1], swept[2],
+                            ConvCase{6, 8, 3, 1, 2, 2, 10, 10, 2},
                             ConvCase{2, 5, 3, 1, 1, 1, 30, 30, 2}}) {
     std::ostringstream where;
     PrintTo(c, &where);
@@ -989,7 +932,7 @@ TEST(ConvIsa, ShapeSweepCoversThePackedImplicitPath) {
     conv_gemm_weight_grad(g, c.cout, c.batch, dy.data(), x.data(),
                           got.data());
     const GemmPlan plan =
-        make_packed_plan(GemmOp::kBT, g.col_rows(), g.col_cols(), c.cout);
+        make_gemm_plan(GemmOp::kBT, g.col_rows(), g.col_cols(), c.cout);
     const ConvIndex ix = make_conv_index(g);
     std::vector<float> padded(static_cast<std::size_t>(ix.padded_elems()));
     std::vector<float> bpack(packed_b_elems(plan));
@@ -1213,21 +1156,19 @@ TEST(ConvLayers, ModelStepsNeverConsultThePlanCache) {
   }
 }
 
-// ---- ConvTranspose2d vs the reference kernels, col2im and im2col(dy) ----
+// ---- ConvTranspose2d vs the scalar GEMMs, col2im and im2col(dy) ----
 
 struct DeconvCase {
   std::int64_t cin, cout, kernel, stride, pad, h, w, batch;
 };
 
 TEST(ConvTranspose2dLowering, BitIdenticalToIm2colOracle) {
-  // Forward: y = col2im(W^T x) + b, the kAT GEMM on the reference
-  // kernels; the layer runs it packed, its weight packed once per call.
-  // Backward: dx = W * im2col(dy) and dW += x * im2col(dy)^T sample by
-  // sample; the layer reads dy's padded copy through its stride-s
-  // ConvIndex instead, which packs the same panels. RouteNet's deconv,
-  // a batch-17 one, and a small one whose forward GEMM the cost model
-  // would leave on the reference kernels, with m = Cout*k*k = 27 (not
-  // a multiple of MR) and 45.
+  // Forward: y = col2im(W^T x) + b, the kAT GEMM in scalar code; the
+  // layer runs it packed, its weight packed once per call. Backward:
+  // dx = W * im2col(dy) and dW += x * im2col(dy)^T sample by sample; the
+  // layer reads dy's padded copy through its stride-s ConvIndex instead,
+  // which packs the same panels. RouteNet's deconv, a batch-17 one, and
+  // two small ones with m = Cout*k*k = 27 (not a multiple of MR) and 45.
   for (const DeconvCase& c : {DeconvCase{32, 32, 4, 2, 1, 8, 8, 4},
                               DeconvCase{12, 9, 4, 2, 1, 5, 7, 17},
                               DeconvCase{2, 3, 3, 2, 1, 4, 5, 2},
@@ -1255,8 +1196,9 @@ TEST(ConvTranspose2dLowering, BitIdenticalToIm2colOracle) {
     for (std::int64_t n = 0; n < c.batch; ++n) {
       float* y = want[0].data() + n * c.cout * oh * ow;
       ASSERT_EQ(g.col_cols(), c.h * c.w);
-      matmul_at_reference(w.data(), x.data() + n * c.cin * c.h * c.w,
-                          cols.data(), g.col_rows(), c.cin, g.col_cols());
+      canonical_gemm(GemmOp::kAT, w.data(), x.data() + n * c.cin * c.h * c.w,
+                     cols.data(), g.col_rows(), c.cin, g.col_cols(),
+                     /*accumulate=*/false);
       col2im(cols.data(), g, y);
       for (std::int64_t i = 0; i < c.cout * oh * ow; ++i) {
         y[i] += b[i / (oh * ow)];
@@ -1266,10 +1208,11 @@ TEST(ConvTranspose2dLowering, BitIdenticalToIm2colOracle) {
       const float* dy = gy.data() + n * c.cout * oh * ow;
       const float* xn = x.data() + n * c.cin * c.h * c.w;
       im2col(dy, g, cols.data());
-      matmul(w.data(), cols.data(), want[1].data() + n * c.cin * c.h * c.w,
-             c.cin, g.col_rows(), g.col_cols());
-      matmul_bt(xn, cols.data(), want[2].data(), c.cin, g.col_cols(),
-                g.col_rows(), /*accumulate=*/true);
+      canonical_gemm(GemmOp::kNN, w.data(), cols.data(),
+                     want[1].data() + n * c.cin * c.h * c.w, c.cin,
+                     g.col_rows(), g.col_cols(), /*accumulate=*/false);
+      canonical_gemm(GemmOp::kBT, xn, cols.data(), want[2].data(), c.cin,
+                     g.col_cols(), g.col_rows(), /*accumulate=*/true);
       for (std::int64_t co = 0; co < c.cout; ++co) {
         double acc = 0.0;
         for (std::int64_t i = 0; i < oh * ow; ++i) acc += dy[co * oh * ow + i];

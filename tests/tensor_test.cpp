@@ -184,7 +184,8 @@ TEST_P(MatmulSizes, MatchesNaive) {
   Tensor b = random_tensor(Shape::of(k, n), rng);
   Tensor expected(Shape::of(m, n));
   naive_matmul(a, b, expected);
-  Tensor c = matmul(a, b);
+  Tensor c(Shape::of(m, n));
+  matmul(a.data(), b.data(), c.data(), m, k, n);
   EXPECT_TRUE(allclose(c, expected, 1e-4f, 1e-5f))
       << "m=" << m << " k=" << k << " n=" << n;
 }
@@ -227,8 +228,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Matmul, EmptyInnerDimGivesPositiveZeros) {
   // A [3, 0] x [0, 5] product sums nothing: every entry is +0, and
   // accumulating leaves C as it was.
-  const Tensor c = matmul(Tensor(Shape::of(3, 0)), Tensor(Shape::of(0, 5)));
-  ASSERT_EQ(c.shape(), Shape::of(3, 5));
+  Tensor c(Shape::of(3, 5));
+  c.fill(-1.0f);
+  matmul(nullptr, nullptr, c.data(), 3, 0, 5);
   for (std::int64_t i = 0; i < c.numel(); ++i) {
     EXPECT_TRUE(c[i] == 0.0f && !std::signbit(c[i])) << i;
   }
@@ -242,17 +244,12 @@ TEST(Matmul, AccumulateAddsIntoOutput) {
   Rng rng(5);
   Tensor a = random_tensor(Shape::of(3, 4), rng);
   Tensor b = random_tensor(Shape::of(4, 5), rng);
-  Tensor c0 = matmul(a, b);
+  Tensor c0(Shape::of(3, 5));
+  matmul(a.data(), b.data(), c0.data(), 3, 4, 5);
   Tensor c = c0;
   matmul(a.data(), b.data(), c.data(), 3, 4, 5, /*accumulate=*/true);
   Tensor twice = scale(c0, 2.0f);
   EXPECT_TRUE(allclose(c, twice, 1e-4f, 1e-5f));
-}
-
-TEST(Matmul, InnerDimMismatchThrows) {
-  Tensor a(Shape{2, 3});
-  Tensor b(Shape{4, 2});
-  EXPECT_THROW(matmul(a, b), std::invalid_argument);
 }
 
 TEST(Matmul, ZeroTimesNaNPropagates) {
@@ -264,7 +261,8 @@ TEST(Matmul, ZeroTimesNaNPropagates) {
   Tensor b(Shape::of(k, n));
   b.fill(1.0f);
   b[4 * n + 2] = std::nanf("");  // in the k tail, column 2
-  Tensor c = matmul(a, b);
+  Tensor c(Shape::of(m, n));
+  matmul(a.data(), b.data(), c.data(), m, k, n);
   for (std::int64_t i = 0; i < m; ++i) {
     EXPECT_TRUE(std::isnan(c[i * n + 2])) << "row " << i;
     EXPECT_FLOAT_EQ(c[i * n + 0], 0.0f) << "row " << i;
