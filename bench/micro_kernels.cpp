@@ -1,7 +1,9 @@
 // Kernel microbenchmark over the layers the models train. A
 // conv-layer row times a single-output-channel head as Conv2d runs it
-// (the direct kernels) and gates on its bits matching the im2col
-// lowering through matmul / matmul_bt / matmul_at. The isa_layers rows
+// (forward and dW on the direct kernels, dX as the stride-1 dX conv)
+// and gates its y, dW and db on the bits of the im2col lowering
+// through matmul / matmul_bt, and its dX to rounding against
+// matmul_at + col2im (dx_max_rel_err). The isa_layers rows
 // time RouteNet's conv2 and conv3 (forward + backward through Conv2d),
 // one row per ISA the host runs, and gate each ISA on the portable
 // kernels' bits. The conv_backward rows time RouteNet's conv2, conv3,
@@ -97,17 +99,32 @@ const ConvLayerCase kConvLayers[] = {
 struct ConvLayerResult {
   const ConvLayerCase* layer = nullptr;
   double direct_ms = 0.0;
-  bool bit_identical = false;
+  bool bit_identical = false;   // y, dW and db
+  double dx_max_rel_err = 0.0;  // max |dx - oracle| / max |oracle|
 };
 
 struct ConvGrads {
-  std::vector<float> y, dw, dx, db;  // db: isa_layers only
+  std::vector<float> y, dw, dx, db;
 };
 
+// dX's bound against the col2im oracle: a few ulps of its largest
+// value (the stride-1 dX conv sums channels x taps in KC slices
+// instead of per tap).
+constexpr double kDxMaxRelErr = 1e-5;
+
+// max |got - want| / max |want| over want's elements.
+double max_rel_err(const float* got, const std::vector<float>& want) {
+  double err = 0.0, scale = 0.0;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    err = std::max(err, static_cast<double>(std::fabs(got[i] - want[i])));
+    scale = std::max(scale, static_cast<double>(std::fabs(want[i])));
+  }
+  return scale > 0.0 ? err / scale : err;
+}
+
 // The im2col lowering through the matmul family, as Conv2d ran this
-// layer before its direct path (bias is zero; at batch <= 16 every
-// sample is its own dW slice, so accumulating in sample order matches
-// the layer's slice reduction).
+// layer before its direct path (bias is zero; db sums each sample in
+// double, in sample order, as the layer does).
 void im2col_layer(const ConvGeometry& g, std::int64_t batch,
                   const float* w, const float* x, const float* gy,
                   ConvGrads& out) {
@@ -118,6 +135,7 @@ void im2col_layer(const ConvGeometry& g, std::int64_t batch,
   std::vector<float> dcols(cols.size());
   std::fill(out.dw.begin(), out.dw.end(), 0.0f);
   std::fill(out.dx.begin(), out.dx.end(), 0.0f);
+  out.db.assign(1, 0.0f);
   for (std::int64_t n = 0; n < batch; ++n) {
     im2col(x + n * in_stride, g, cols.data());
     matmul(w, cols.data(), out.y.data() + n * pixels, 1, rows, pixels);
@@ -129,6 +147,9 @@ void im2col_layer(const ConvGeometry& g, std::int64_t batch,
               /*accumulate=*/true);
     matmul_at(w, dy, dcols.data(), rows, 1, pixels);
     col2im(dcols.data(), g, out.dx.data() + n * in_stride);
+    double acc = 0.0;
+    for (std::int64_t i = 0; i < pixels; ++i) acc += dy[i];
+    out.db[0] += static_cast<float>(acc);
   }
 }
 
@@ -171,11 +192,14 @@ ConvLayerResult bench_conv_layer(const ConvLayerCase& c, Rng& rng) {
     direct.dx.assign(dx.data(), dx.data() + dx.numel());
     direct.dw.assign(conv.weight().grad.data(),
                      conv.weight().grad.data() + conv.weight().grad.numel());
+    direct.db.assign(conv.bias().grad.data(),
+                     conv.bias().grad.data() + conv.bias().grad.numel());
   });
   result.direct_ms = flops / direct_gflops * 1e-6;
   result.bit_identical = same_bits(direct.y, oracle.y) &&
                          same_bits(direct.dw, oracle.dw) &&
-                         same_bits(direct.dx, oracle.dx);
+                         same_bits(direct.db, oracle.db);
+  result.dx_max_rel_err = max_rel_err(direct.dx.data(), oracle.dx);
   return result;
 }
 
@@ -356,10 +380,6 @@ void col2im_backward(const ConvBackwardCase& c, const ConvGeometry& g,
   }
 }
 
-// dX's bound against the oracle: a few ulps of its largest value (the
-// conv dX sums channels x taps in KC slices instead of per tap).
-constexpr double kDxMaxRelErr = 1e-5;
-
 // The profiler's kernel/pack total over a few forward + backward steps,
 // per step (profiling switched on for the measurement).
 double pack_ms_per_step(Module& layer, const Tensor& x, const Tensor& gy) {
@@ -442,13 +462,7 @@ ConvBackwardResult bench_conv_backward(const ConvBackwardCase& c, Rng& rng) {
   result.dw_identical =
       same_bits(dw, std::vector<float>(weight.grad.data(),
                                        weight.grad.data() + dw.size()));
-  double err = 0.0, scale = 0.0;
-  for (std::size_t i = 0; i < want_dx.size() && c.input_grad; ++i) {
-    const float got = dx[static_cast<std::int64_t>(i)];
-    err = std::max(err, static_cast<double>(std::fabs(got - want_dx[i])));
-    scale = std::max(scale, static_cast<double>(std::fabs(want_dx[i])));
-  }
-  result.dx_max_rel_err = scale > 0.0 ? err / scale : err;
+  if (c.input_grad) result.dx_max_rel_err = max_rel_err(dx.data(), want_dx);
   return result;
 }
 
@@ -528,13 +542,13 @@ void write_bench_json(const std::vector<ConvLayerResult>& layers,
         f,
         "%s{\"name\":\"%s\",\"in_channels\":%lld,\"out_channels\":1,"
         "\"kernel\":%lld,\"grid\":%lld,\"batch\":%lld,\"path\":\"direct\","
-        "\"direct_ms\":%.4f,\"bit_identical\":%s}",
+        "\"direct_ms\":%.4f,\"bit_identical\":%s,\"dx_max_rel_err\":%.3e}",
         i == 0 ? "" : ",", r.layer->name,
         static_cast<long long>(r.layer->in_channels),
         static_cast<long long>(r.layer->kernel),
         static_cast<long long>(r.layer->grid),
         static_cast<long long>(r.layer->batch), r.direct_ms,
-        r.bit_identical ? "true" : "false");
+        r.bit_identical ? "true" : "false", r.dx_max_rel_err);
   }
   std::fprintf(f, "],\"isa_layers\":[");
   for (std::size_t i = 0; i < isa_layers.size(); ++i) {
@@ -621,15 +635,16 @@ int main_impl() {
     }
   }
   ThreadPool::reset_global(0);
-  std::printf("%-22s %4s %3s %4s %5s %10s %s\n", "conv layer", "cin", "k",
-              "grid", "batch", "direct ms", "bits");
+  std::printf("%-22s %4s %3s %4s %5s %10s %14s %s\n", "conv layer", "cin",
+              "k", "grid", "batch", "direct ms", "dx max rel err",
+              "y/dW/db");
   for (const ConvLayerResult& r : layers) {
-    std::printf("%-22s %4lld %3lld %4lld %5lld %10.3f %s\n", r.layer->name,
-                static_cast<long long>(r.layer->in_channels),
+    std::printf("%-22s %4lld %3lld %4lld %5lld %10.3f %14.3e %s\n",
+                r.layer->name, static_cast<long long>(r.layer->in_channels),
                 static_cast<long long>(r.layer->kernel),
                 static_cast<long long>(r.layer->grid),
                 static_cast<long long>(r.layer->batch), r.direct_ms,
-                r.bit_identical ? "identical" : "DIFFER");
+                r.dx_max_rel_err, r.bit_identical ? "identical" : "DIFFER");
   }
 
   std::printf("%-18s %4s %4s %3s %4s %5s %-8s %9s %8s %s\n", "isa layer",
@@ -675,8 +690,8 @@ int main_impl() {
     }
   }
 
-  // Gates. (1) Each conv layer's direct path reproduces the im2col bits.
-  // (2) Each ISA layer's kernels reproduce the portable bits on every
+  // Gates. (1) Each conv layer's y, dW and db reproduce the im2col
+  // bits and its dX agrees with matmul_at + col2im to rounding. (2) Each ISA layer's kernels reproduce the portable bits on every
   // ISA. (3) The sorting-network trimmed mean reproduces the std::sort
   // bits on every ISA. (4) Each conv_backward layer's dW reproduces the
   // col2im lowering's bits and its dX agrees with it to rounding.
@@ -705,9 +720,10 @@ int main_impl() {
     }
   }
   for (const ConvLayerResult& r : layers) {
-    if (!r.bit_identical) {
-      std::printf("FAIL: %s direct path differs from im2col bits\n",
-                  r.layer->name);
+    if (!r.bit_identical || !(r.dx_max_rel_err <= kDxMaxRelErr)) {
+      std::printf("FAIL: %s: y/dW/db %s, dx max rel err %.3e (max %.0e)\n",
+                  r.layer->name, r.bit_identical ? "identical" : "DIFFER",
+                  r.dx_max_rel_err, kDxMaxRelErr);
       pass = false;
     }
   }

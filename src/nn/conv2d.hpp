@@ -2,36 +2,36 @@
 // workhorse of FLNet / RouteNet / PROS. Weight layout is
 // [Cout, Cin*kh*kw] (a GEMM-ready matrix), bias is [Cout].
 //
-// Lowerings, chosen by the layer's own shape alone (no plan lookup;
-// every GEMM here packs):
-//   - forward: the stride-1, single-output-channel conv (every model's
-//     prediction head) runs the direct kernels of tensor/conv_direct.hpp
-//     on a padded copy of each sample; every other conv runs ConvGemm
-//     (tensor/conv_gemm.hpp), which packs B panels straight from a
-//     padded copy of the sample;
-//   - dX at stride 1 (not the head): the forward conv of dy, padded by
-//     d(k-1)-p, with the flipped, channel-transposed weight
-//     W'[ci, (co, kh, kw)] = W[co, (ci, k-1-kh, k-1-kw)], through the
-//     same ConvGemm; the head's dX is its direct gather kernel; at any
-//     other stride, W^T dy is formed as columns by the packed kAT GEMM
-//     (the weight packed once per call) and scattered by col2im;
-//   - dW: the head's direct kernel, or conv_gemm_weight_grad (the
-//     column matrix read in place from the padded sample as its A
-//     operand, dy packed as its B).
+// Every pass is one call into the conv lowering of
+// tensor/conv_gemm.hpp, which picks its form from the layer's shape
+// alone (no plan lookup):
+//   - forward: ConvGemm, which packs B panels straight from a padded
+//     copy of each sample, or, for the stride-1, single-output-channel
+//     conv (every model's prediction head), runs the direct kernels of
+//     tensor/conv_direct.hpp; then conv_add_bias;
+//   - dX: ConvGemmAdjoint, the forward's adjoint. At stride 1, the head
+//     included, it is the forward conv of dy, padded by d(k-1)-p, with
+//     the flipped, channel-transposed weight
+//     W'[ci, (co, kh, kw)] = W[co, (ci, k-1-kh, k-1-kw)], through
+//     ConvGemm; at any other stride, W^T dy formed as columns by the
+//     packed kAT GEMM and scattered back into the image;
+//   - dW: conv_gemm_weight_grad (the column matrix read in place from
+//     the padded sample as its A operand, dy packed as its B; the
+//     head's direct kernel at m = 1), and db: conv_bias_grad.
 // dW and db add into the gradients one sample at a time in sample
 // order, so they keep their bits at any pool size and whether or not
 // the layer runs inside a parallel region; dW is split across the pool
 // by blocks of weight columns, (channel, tap) (channel blocks for the
 // head).
 //
-// Forward and dW give the bits of im2col + matmul. dX at
-// stride 1 sums each element over channels x taps in KC slices, not
-// per tap as col2im does, so it matches the col2im adjoint only to
-// rounding. Non-finite values: that dX multiplies every weight by dy's
-// zero padding, so an Inf or NaN weight puts NaN at border pixels of
-// dX that col2im never multiplied by it. The head keeps the col2im
-// contract (its gather masks taps that fall outside dy), as does dX at
-// stride != 1.
+// Forward and dW give the bits of im2col + matmul. dX at stride 1 sums
+// each element over Cout x taps in KC slices, not per tap as the
+// column scatter does, so it matches that adjoint only to rounding.
+// Non-finite values: that dX multiplies every weight by dy's zero
+// padding, so an Inf or NaN weight puts NaN at the border pixels of dX
+// whose taps fall outside dy, where the column scatter never multiplied
+// it. The head is no exception. dX at stride != 1 is the scatter
+// itself, with its bits.
 #pragma once
 
 #include <vector>
@@ -82,9 +82,6 @@ class Conv2d : public Module {
 
  private:
   ConvGeometry geometry(std::int64_t h, std::int64_t w) const;
-  // W' of the stride-1 dX conv, [Cin, Cout*k*k].
-  std::vector<float> flipped_weight() const;
-  bool direct() const { return opts_.out_channels == 1 && opts_.stride == 1; }
 
   std::string name_;
   Conv2dOptions opts_;

@@ -1,13 +1,10 @@
 #include "nn/conv_transpose2d.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
 #include "nn/init.hpp"
 #include "tensor/conv_gemm.hpp"
-#include "tensor/plan.hpp"
-#include "util/scratch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fleda {
@@ -66,35 +63,18 @@ Tensor ConvTranspose2d::forward(const Tensor& input, bool training) {
   cached_input_ = training ? input : Tensor();
   Tensor output(Shape::of(N, opts_.out_channels, OH, OW));
 
-  // The weight is packed once for the batch.
-  const GemmPlan plan = make_gemm_plan(GemmOp::kAT, g.col_rows(),
-                                       opts_.in_channels, g.col_cols());
-  std::vector<float> wpack(packed_a_elems(plan));
-  pack_a(plan, weight_.value.data(), wpack.data());
-
+  // Conv2d's dX with this layer's weight, which is packed once for the
+  // batch.
+  const ConvGemmAdjoint gemm(g, opts_.in_channels, weight_.value.data());
   const std::int64_t in_stride = opts_.in_channels * H * W;
   const std::int64_t out_stride = opts_.out_channels * OH * OW;
   parallel_for(static_cast<std::size_t>(N), [&](std::size_t nb,
                                                 std::size_t ne) {
-    float* cols = thread_scratch(
-        ScratchSlot::kCols,
-        static_cast<std::size_t>(g.col_rows() * g.col_cols()));
     for (std::size_t n = nb; n < ne; ++n) {
-      // cols = W^T [Cout*k*k x Cin] * x [Cin x H*W]
-      const float* x_n =
-          input.data() + static_cast<std::int64_t>(n) * in_stride;
-      gemm_packed_prepacked_a(plan, wpack.data(), x_n, cols,
-                              /*accumulate=*/false);
-      // scatter-add columns into the (zeroed) output image
-      col2im(cols, g,
-             output.data() + static_cast<std::int64_t>(n) * out_stride);
+      float* out_n = output.data() + static_cast<std::int64_t>(n) * out_stride;
+      gemm.run(input.data() + static_cast<std::int64_t>(n) * in_stride, out_n);
       if (opts_.bias) {
-        float* out = output.data() + static_cast<std::int64_t>(n) * out_stride;
-        for (std::int64_t co = 0; co < opts_.out_channels; ++co) {
-          const float b = bias_.value[co];
-          float* chan = out + co * OH * OW;
-          for (std::int64_t i = 0; i < OH * OW; ++i) chan[i] += b;
-        }
+        conv_add_bias(bias_.value.data(), opts_.out_channels, OH * OW, out_n);
       }
     }
   });
@@ -119,7 +99,7 @@ Tensor ConvTranspose2d::backward(const Tensor& grad_output) {
   }
   ConvGeometry g = out_geometry(OH, OW);
 
-  // The adjoint of forward's col2im is the conv of dy at this layer's
+  // The adjoint of the forward is the conv of dy at this layer's
   // stride: dx = W [Cin x Cout*k*k] * cols(dy), batch-parallel, with
   // the weight panels packed once for the batch.
   Tensor grad_input(input.shape());

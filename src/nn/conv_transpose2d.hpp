@@ -1,14 +1,18 @@
 // Transposed 2D convolution (a.k.a. deconvolution), the upsampling
-// operator in RouteNet's decoder. Implemented as the exact adjoint of
-// Conv2d. Weight layout is [Cin, Cout*kh*kw]. Lowerings:
-//   - forward (conv-backward-data): cols = W^T x through the packed
-//     kAT GEMM (the weight packed once per call, no plan lookup),
-//     scattered into the output with col2im;
-//   - dX: the conv of dy at this layer's stride, W * cols(dy), and
-//   - dW: x * cols(dy)^T, added sample by sample in sample order,
-// both through tensor/conv_gemm.hpp, which reads cols(dy) from a
-// padded copy of dy through the stride-s ConvIndex: the panels, and
-// bits, im2col(dy) would give, without building it.
+// operator in RouteNet's decoder. Implemented as the adjoint of
+// Conv2d. Weight layout is [Cin, Cout*kh*kw]. Every pass is one call
+// into tensor/conv_gemm.hpp:
+//   - forward (conv-backward-data): ConvGemmAdjoint, exactly what
+//     Conv2d's dX computes with this weight: at stride 2, cols = W^T x
+//     through the packed kAT GEMM (the weight packed once per call, no
+//     plan lookup), scattered into the output; then conv_add_bias;
+//   - dX: ConvGemm, the conv of dy at this layer's stride,
+//     W * cols(dy), and
+//   - dW: conv_gemm_weight_grad, x * cols(dy)^T, added sample by
+//     sample in sample order,
+// both reading cols(dy) from a padded copy of dy through the stride-s
+// ConvIndex: the panels, and bits, im2col(dy) would give, without
+// building it.
 #pragma once
 
 #include "nn/module.hpp"

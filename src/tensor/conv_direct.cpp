@@ -4,26 +4,28 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "tensor/conv_gemm.hpp"
 #include "tensor/lanes.hpp"
 #include "tensor/plan.hpp"
 #include "util/scratch.hpp"
+#include "util/thread_pool.hpp"
 
 namespace fleda {
 namespace {
 
-void require_unit_stride(const ConvIndex& ix) {
-  if (ix.geometry.stride_h != 1 || ix.geometry.stride_w != 1) {
+void require_unit_stride(const ConvGeometry& g) {
+  if (g.stride_h != 1 || g.stride_w != 1) {
     throw std::invalid_argument("direct conv: stride must be 1");
   }
 }
 
-// ---- Register tiles (forward and dX) ----
+// ---- Forward: register tiles ----
 //
 // A tile is up to kTileRows rows x N adjacent pixels of one output
 // plane, one N-lane accumulator per row (tensor/lanes.hpp), held in
-// registers across the taps (for forward, across each KC slice of
-// them) and stored once. A pixel's value does not depend on N, on the
-// tile it falls in, or on the ISA.
+// registers across each KC slice of the taps and stored once. A
+// pixel's value does not depend on N, on the tile it falls in, or on
+// the ISA.
 //
 // A row narrower than the widest N runs N = 4, then N = 1; a row at
 // least N wide takes strips of N pixels, the last one shifted left to
@@ -92,117 +94,12 @@ __attribute__((always_inline)) inline void forward_strips(const ConvIndex& ix,
   }
 }
 
-// Width of the zero margin on each side of a frame row (see
-// direct_conv_input_grad_scratch): the farthest a tap reaches left of
-// output column 0 from image column 0.
-std::int64_t frame_margin(const ConvGeometry& g) {
-  return std::max<std::int64_t>(0, (g.kernel_w - 1) * g.dilation_w - g.pad_w);
-}
-
-// dx rows [h0, h0 + rows) x columns [x0, x0 + N) of channel plane `dxc`,
-// whose taps are `wc`. col2im adds a pixel's column entries 0 + w*dy in
-// ascending (kh, kw) order onto +0; the gather adds w*dy in that order
-// onto a +0 accumulator. The two agree bit for bit: the accumulator
-// never holds -0 (x + y is -0 only when both are), so dropping the
-// 0 + changes no sum. A tap whose (oh, ow) lies outside dy is one
-// col2im never adds, so it must not contribute even w*0 (NaN for an
-// Inf weight). Its row is skipped; its lanes read the frame's zero
-// margin with the weight masked to +0, so they add +0 * 0 = +0.
-template <int N>
-__attribute__((always_inline)) inline void input_grad_tile(
-    const ConvIndex& ix, const float* wc, const float* frame, float* dxc,
-    std::int64_t h0, std::int64_t rows, std::int64_t x0) {
-  typedef typename Lanes<N>::F F;
-  typedef typename Lanes<N>::I I;
-  typedef typename Lanes<N>::U U;
-  const ConvGeometry& g = ix.geometry;
-  const std::int64_t OH = ix.out_height;
-  const std::int64_t margin = frame_margin(g);
-  const std::int64_t FW = ix.out_width + 2 * margin;
-  I lane, first, step, out_w;
-  for (int l = 0; l < N; ++l) lane[l] = l;
-  splat(first, static_cast<std::int32_t>(x0 + g.pad_w));
-  splat(step, static_cast<std::int32_t>(g.dilation_w));
-  splat(out_w, static_cast<std::int32_t>(ix.out_width));
-  F acc[kTileRows] = {};
-  for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
-    // Bit r: dx row h0 + r sees dy row oh0 + r under this kh.
-    const std::int64_t oh0 = h0 + g.pad_h - kh * g.dilation_h;
-    unsigned live_rows = 0;
-    for (std::int64_t r = 0; r < rows; ++r) {
-      if (oh0 + r >= 0 && oh0 + r < OH) live_rows |= 1u << r;
-    }
-    if (live_rows == 0) continue;
-    // Frame offset of lane 0 in tile row 0, and each lane's dy column.
-    // An offset, not a pointer: rows above dy are never dereferenced.
-    std::int64_t at = oh0 * FW + margin + x0 + g.pad_w;
-    I ow = lane + first;
-    for (std::int64_t kw = 0; kw < g.kernel_w; ++kw) {
-      F wt;
-      splat(wt, wc[kh * g.kernel_w + kw]);
-      // 0 <= ow < OW as one unsigned compare (two signed ones make
-      // GCC 12 take a 16-lane mask apart lane by lane).
-      wt = (F)((I)wt & (I)((U)ow < (U)out_w));
-      for (std::int64_t r = 0; r < kTileRows; ++r) {
-        if (live_rows & (1u << r)) {
-          F d;
-          load(d, frame + (at + r * FW));
-          acc[r] = acc[r] + wt * d;
-        }
-      }
-      at -= g.dilation_w;
-      ow -= step;
-    }
-  }
-  for (std::int64_t r = 0; r < rows; ++r) {
-    store(dxc + (h0 + r) * g.width + x0, acc[r]);
-  }
-}
-
-template <int N>
-__attribute__((always_inline)) inline void input_grad_strips(
-    const ConvIndex& ix, const float* w, const float* frame, float* dx) {
-  const ConvGeometry& g = ix.geometry;
-  const std::int64_t taps = g.kernel_h * g.kernel_w;
-  for (std::int64_t c = 0; c < g.channels; ++c) {
-    float* dxc = dx + c * g.height * g.width;
-    for (std::int64_t h = 0; h < g.height; h += kTileRows) {
-      const std::int64_t rows = std::min(kTileRows, g.height - h);
-      for (std::int64_t x = 0; x < g.width; x += N) {
-        input_grad_tile<N>(ix, w + c * taps, frame, dxc, h, rows,
-                           std::min(x, g.width - N));
-      }
-    }
-  }
-}
-
-// dy [OH, OW] into the frame's rows, between zero margins.
-void fill_frame(const ConvIndex& ix, const float* dy, float* frame) {
-  const std::int64_t OW = ix.out_width;
-  const std::int64_t margin = frame_margin(ix.geometry);
-  for (std::int64_t oh = 0; oh < ix.out_height; ++oh) {
-    float* row = frame + oh * (OW + 2 * margin);
-    std::memset(row, 0, sizeof(float) * margin);
-    std::memcpy(row + margin, dy + oh * OW, sizeof(float) * OW);
-    std::memset(row + margin + OW, 0, sizeof(float) * margin);
-  }
-}
-
 void forward_portable(const ConvIndex& ix, const float* padded,
                       const float* w, float* y) {
   if (ix.out_width >= 4) {
     forward_strips<4>(ix, padded, w, y);
   } else {
     forward_strips<1>(ix, padded, w, y);
-  }
-}
-
-void input_grad_portable(const ConvIndex& ix, const float* w,
-                         const float* frame, float* dx) {
-  if (ix.geometry.width >= 4) {
-    input_grad_strips<4>(ix, w, frame, dx);
-  } else {
-    input_grad_strips<1>(ix, w, frame, dx);
   }
 }
 
@@ -319,15 +216,6 @@ FLEDA_TARGET_AVX2 void forward_avx2(const ConvIndex& ix, const float* padded,
   }
 }
 
-FLEDA_TARGET_AVX2 void input_grad_avx2(const ConvIndex& ix, const float* w,
-                                       const float* frame, float* dx) {
-  if (ix.geometry.width >= 8) {
-    input_grad_strips<8>(ix, w, frame, dx);
-  } else {
-    input_grad_portable(ix, w, frame, dx);
-  }
-}
-
 FLEDA_TARGET_AVX2 void weight_grad_avx2(const ConvIndex& ix, const float* x,
                                         const float* dy, float* dw,
                                         float* block, std::int64_t c_begin,
@@ -345,16 +233,6 @@ FLEDA_TARGET_AVX512 void forward_avx512(const ConvIndex& ix,
   }
 }
 
-FLEDA_TARGET_AVX512 void input_grad_avx512(const ConvIndex& ix,
-                                           const float* w, const float* frame,
-                                           float* dx) {
-  if (ix.geometry.width >= 16) {
-    input_grad_strips<16>(ix, w, frame, dx);
-  } else {
-    input_grad_avx2(ix, w, frame, dx);
-  }
-}
-
 FLEDA_TARGET_AVX512 void weight_grad_avx512(const ConvIndex& ix,
                                             const float* x, const float* dy,
                                             float* dw, float* block,
@@ -365,36 +243,10 @@ FLEDA_TARGET_AVX512 void weight_grad_avx512(const ConvIndex& ix,
 
 #endif  // FLEDA_X86_KERNELS
 
-}  // namespace
-
-void direct_conv_forward(const ConvIndex& ix, const float* padded,
-                         const float* w, float* y) {
-  require_unit_stride(ix);
-#if FLEDA_X86_KERNELS
-  switch (kernel_isa()) {
-    case KernelIsa::kAvx2:
-      return forward_avx2(ix, padded, w, y);
-    case KernelIsa::kAvx512:
-      return forward_avx512(ix, padded, w, y);
-    case KernelIsa::kPortable:
-      break;
-  }
-#endif
-  forward_portable(ix, padded, w, y);
-}
-
-void direct_conv_weight_grad(const ConvIndex& ix, const float* x,
-                             const float* dy, float* dw, std::int64_t c_begin,
-                             std::int64_t c_end) {
-  require_unit_stride(ix);
-  if (c_begin < 0 || c_begin > c_end || c_end > ix.geometry.channels) {
-    throw std::invalid_argument("direct_conv_weight_grad: bad channel range");
-  }
-  const KernelIsa isa = kernel_isa();
-  float* block = thread_scratch(
-      ScratchSlot::kConvBlock,
-      static_cast<std::size_t>(ix.padded_height * ix.padded_width *
-                               kernel_lanes(isa)));
+// Channels [c_begin, c_end) of dw += dy * cols(x)^T for one sample x.
+void weight_grad_sample(KernelIsa isa, const ConvIndex& ix, const float* x,
+                        const float* dy, float* dw, float* block,
+                        std::int64_t c_begin, std::int64_t c_end) {
 #if FLEDA_X86_KERNELS
   switch (isa) {
     case KernelIsa::kAvx2:
@@ -408,25 +260,51 @@ void direct_conv_weight_grad(const ConvIndex& ix, const float* x,
   weight_grad_portable(ix, x, dy, dw, block, c_begin, c_end);
 }
 
-std::int64_t direct_conv_input_grad_scratch(const ConvIndex& ix) {
-  return ix.out_height * (ix.out_width + 2 * frame_margin(ix.geometry));
-}
+}  // namespace
 
-void direct_conv_input_grad(const ConvIndex& ix, const float* w,
-                            const float* dy, float* frame, float* dx) {
-  require_unit_stride(ix);
-  fill_frame(ix, dy, frame);
+void direct_conv_forward(const ConvIndex& ix, const float* image,
+                         const float* w, float* y) {
+  require_unit_stride(ix.geometry);
+  float* padded = thread_scratch(ScratchSlot::kCols,
+                                 static_cast<std::size_t>(ix.padded_elems()));
+  pad_image(image, ix.geometry, padded);
 #if FLEDA_X86_KERNELS
   switch (kernel_isa()) {
     case KernelIsa::kAvx2:
-      return input_grad_avx2(ix, w, frame, dx);
+      return forward_avx2(ix, padded, w, y);
     case KernelIsa::kAvx512:
-      return input_grad_avx512(ix, w, frame, dx);
+      return forward_avx512(ix, padded, w, y);
     case KernelIsa::kPortable:
       break;
   }
 #endif
-  input_grad_portable(ix, w, frame, dx);
+  forward_portable(ix, padded, w, y);
+}
+
+void direct_conv_weight_grad(const ConvGeometry& g, std::int64_t batch,
+                             const float* dy, const float* images,
+                             float* dw) {
+  require_unit_stride(g);
+  const ConvIndex ix = make_conv_index(g);
+  const KernelIsa isa = kernel_isa();
+  const std::int64_t lanes = kernel_lanes(isa);
+  const std::int64_t pixels = ix.out_height * ix.out_width;
+  const std::int64_t image_stride = g.channels * g.height * g.width;
+  const WeightGradBlocks blocks = weight_grad_blocks(g.channels, lanes);
+  parallel_for(static_cast<std::size_t>(blocks.count), [&](std::size_t bb,
+                                                           std::size_t be) {
+    float* block = thread_scratch(
+        ScratchSlot::kConvBlock,
+        static_cast<std::size_t>(ix.padded_height * ix.padded_width * lanes));
+    for (std::size_t blk = bb; blk < be; ++blk) {
+      const std::int64_t c0 = static_cast<std::int64_t>(blk) * blocks.width;
+      const std::int64_t c1 = std::min(g.channels, c0 + blocks.width);
+      for (std::int64_t n = 0; n < batch; ++n) {
+        weight_grad_sample(isa, ix, images + n * image_stride, dy + n * pixels,
+                           dw, block, c0, c1);
+      }
+    }
+  });
 }
 
 }  // namespace fleda

@@ -1,14 +1,19 @@
-// The conv GEMMs whose operand is the column matrix cols(image) of a
-// ConvGeometry (tensor/im2col.hpp), behind one lowering:
+// The conv lowering: every GEMM of the conv layers, and the plans,
+// packing and scratch slots they need, behind these entry points over
+// the column matrix cols(image) of a ConvGeometry (tensor/im2col.hpp):
 //
 //   ConvGemm              out[m, pixels] = A[m, rows] * cols(image)
-//                         (kNN; Conv2d forward, Conv2d stride-1 dX,
+//                         (kNN; Conv2d forward, the stride-1 dX conv,
 //                         ConvTranspose2d dX)
+//   ConvGemmAdjoint       image = col2im(A^T * x), x [m, pixels]: the
+//                         adjoint of ConvGemm with the same A (Conv2d
+//                         dX, ConvTranspose2d forward)
 //   conv_gemm_weight_grad C[m, rows]   += A_n[m, pixels] * cols(image_n)^T
 //                         over the batch (Conv2d and ConvTranspose2d
 //                         dW), run as C^T += cols(image_n) * A_n^T
+//   conv_add_bias / conv_bias_grad  the bias and its gradient
 //
-// Both run the packed GEMM (make_gemm_plan, tensor/plan.hpp),
+// The GEMMs run the packed GEMM (make_gemm_plan, tensor/plan.hpp),
 // reading cols from a zero-padded copy of the image through a ConvIndex
 // without writing it. ConvGemm's B is read where it lies when every
 // 8-column panel is a run of pixels (stride 1, output width a multiple
@@ -17,10 +22,24 @@
 // place as its A operand at every stride and width, with A_n packed
 // once per sample as its B (gemm_packed_implicit_a), so nothing is
 // gathered. Every operand form sums in one order, so the bits are also
-// those of im2col + matmul.
+// those of im2col + matmul. At m = 1 and stride 1 (every model's
+// prediction head) ConvGemm and conv_gemm_weight_grad run the direct
+// kernels of tensor/conv_direct.hpp instead, with the same bits.
+//
+// ConvGemmAdjoint at stride 1 is the forward conv of x, padded by
+// d(k-1)-p, with the flipped, channel-transposed weight
+//   W'[c, (i, kh, kw)] = A[i, (c, k-1-kh, k-1-kw)],
+// through ConvGemm: it sums each element over m x taps in KC slices,
+// so it matches col2im(A^T x), which sums over m per tap and then over
+// taps, only to rounding. Non-finite values: it multiplies every weight
+// by x's zero padding, so an Inf or NaN weight puts NaN at the border
+// pixels whose taps fall outside x, where col2im never multiplied it.
+// At any other stride it forms A^T x as columns (the packed kAT GEMM)
+// and scatters them with col2im.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "tensor/im2col.hpp"
@@ -31,7 +50,7 @@ namespace fleda {
 class ConvGemm {
  public:
   // Plans the GEMM for `g` and packs `a` ([m, rows]) once for every
-  // sample.
+  // sample (at m = 1 and stride 1, keeps a copy of it).
   ConvGemm(const ConvGeometry& g, std::int64_t m, const float* a);
 
   // out[m, pixels] = A * cols(image) for one [C, H, W] image,
@@ -41,7 +60,25 @@ class ConvGemm {
 
  private:
   ConvIndex ix_;
+  bool direct_;
   GemmPlan plan_;
+  std::vector<float> apack_;
+};
+
+class ConvGemmAdjoint {
+ public:
+  // `g` is ConvGemm's geometry, whose image the adjoint writes; `a` is
+  // [m, g.col_rows()], flipped or packed once for every sample.
+  ConvGemmAdjoint(const ConvGeometry& g, std::int64_t m, const float* a);
+
+  // image[C, H, W] = col2im(A^T * x) for one x [m, pixels], overwriting
+  // image. Safe to call concurrently, as ConvGemm::run.
+  void run(const float* x, float* image) const;
+
+ private:
+  ConvGeometry g_;
+  std::optional<ConvGemm> flipped_;  // stride 1
+  GemmPlan plan_;                    // other strides: the kAT GEMM
   std::vector<float> apack_;
 };
 
@@ -63,9 +100,14 @@ void conv_gemm_weight_grad(const ConvGeometry& g, std::int64_t m,
                            std::int64_t batch, const float* a,
                            const float* images, float* c);
 
+// y[co, i] += bias[co] for every pixel i of one sample's channels
+// (y is [channels, pixels]): the bias of Conv2d and ConvTranspose2d.
+void conv_add_bias(const float* bias, std::int64_t channels,
+                   std::int64_t pixels, float* y);
+
 // db[co] += sum over pixels of dy's channel co, one sample at a time in
-// sample order, each sample's sum in double: the bias gradient of
-// Conv2d and ConvTranspose2d (dy is [batch, channels, pixels]).
+// sample order, each sample's sum in double: conv_add_bias's adjoint
+// (dy is [batch, channels, pixels]).
 void conv_bias_grad(const float* dy, std::int64_t batch,
                     std::int64_t channels, std::int64_t pixels, float* db);
 

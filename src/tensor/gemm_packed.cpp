@@ -5,7 +5,8 @@
 //
 //   for jc over n in NC columns:                 L2-resident B block
 //     for pc over k in KC = kGemmKC depth slices:
-//       pack B(pc:kc, jc:nc) into NR-wide micro-panels (aligned scratch)
+//       pack B(pc:kc, jc:nc) into pairs of NR-wide micro-panels
+//         (aligned scratch)
 //       parallel_for over MR row panels:         deterministic partition
 //         pack A(panel, pc:kc) into an MR-wide micro-panel
 //         for each B micro-panel: MR x NR register tile over kc,
@@ -100,8 +101,25 @@ void pack_a_panel(GemmOp op, const float* a, std::int64_t m, std::int64_t k,
   }
 }
 
+// B micro-panels are packed in pairs (see PairedB): depth step p of a
+// panel is NR floats at dst + p * kPairRow, the other panel of its pair
+// interleaved between them.
+constexpr std::int64_t kPairRow = 2 * NR;
+
+// Panel jp of a slice packed in pairs, kc deep.
+template <class T>
+T* paired_panel(T* slice, std::int64_t jp, std::int64_t kc) {
+  return slice + jp / 2 * kc * kPairRow + jp % 2 * NR;
+}
+
+// Columns of PairedB's packing: n rounded up to whole pairs of panels.
+std::int64_t paired_cols(std::int64_t n) {
+  return (n + kPairRow - 1) / kPairRow * kPairRow;
+}
+
 // Packs B depth [pc, pc + kc) x columns [j0, j0 + nr) into an NR-wide
-// micro-panel: dst[p * NR + j] = B(pc + p, j0 + j), zero-padded cols.
+// micro-panel of a pair: dst[p * kPairRow + j] = B(pc + p, j0 + j),
+// zero-padded cols.
 void pack_b_panel(GemmOp op, const float* b, std::int64_t k, std::int64_t n,
                   std::int64_t pc, std::int64_t kc, std::int64_t j0,
                   std::int64_t nr, float* dst) {
@@ -109,10 +127,10 @@ void pack_b_panel(GemmOp op, const float* b, std::int64_t k, std::int64_t n,
     // B stored [n, k]: one contiguous kc run per column.
     for (std::int64_t j = 0; j < nr; ++j) {
       const float* src = b + (j0 + j) * k + pc;
-      for (std::int64_t p = 0; p < kc; ++p) dst[p * NR + j] = src[p];
+      for (std::int64_t p = 0; p < kc; ++p) dst[p * kPairRow + j] = src[p];
     }
     for (std::int64_t j = nr; j < NR; ++j) {
-      for (std::int64_t p = 0; p < kc; ++p) dst[p * NR + j] = 0.0f;
+      for (std::int64_t p = 0; p < kc; ++p) dst[p * kPairRow + j] = 0.0f;
     }
     return;
   }
@@ -120,7 +138,7 @@ void pack_b_panel(GemmOp op, const float* b, std::int64_t k, std::int64_t n,
   (void)k;
   for (std::int64_t p = 0; p < kc; ++p) {
     const float* src = b + (pc + p) * n + j0;
-    float* out = dst + p * NR;
+    float* out = dst + p * kPairRow;
     std::int64_t j = 0;
     for (; j < nr; ++j) out[j] = src[j];
     for (; j < NR; ++j) out[j] = 0.0f;
@@ -139,7 +157,7 @@ void pack_b_panel_implicit(const ImplicitCols& b, std::int64_t pc,
   const bool run = nr == NR && px[NR - 1] - px[0] == NR - 1;
   for (std::int64_t p = 0; p < kc; ++p) {
     const float* src = b.padded + b.row_offset[pc + p];
-    float* out = dst + p * NR;
+    float* out = dst + p * kPairRow;
     if (run) {
       std::memcpy(out, src + px[0], sizeof(float) * NR);
       continue;
@@ -182,37 +200,25 @@ struct InPlaceA {
 // The B operand of one micro-kernel call: row(t, p) is depth step p of
 // its micro-panel t, NR contiguous floats.
 //
-// A packed block (panel t at bp + t * kc * NR).
-struct PackedB {
-  static constexpr bool kJoined = false;
-  const float* bp;
-  std::int64_t panel;  // kc * NR
-  const float* row(std::int64_t t, std::int64_t p) const {
-    return bp + t * panel + p * NR;
-  }
-};
-
-// The weight gradient's B, packed whole by pack_b with its micro-panels
-// in pairs: pair q of a slice holds panels 2q and 2q + 1 as kc rows of
-// 2 NR floats (panel 2q in the low half), so each pair's depth step is
-// one run, which the AVX-512 tile reads with one load instead of two
-// merge-masked ones (micro_kernels dw_ms on a 4-vCPU AVX-512 EPYC:
-// RouteNet conv2 1.29-1.39 -> 0.81-0.85 ms, conv3 0.53 -> 0.40 ms).
-// bp points at the call's first panel; only a one-panel call (portable)
+// Packed panels in pairs: pair q of a KC slice holds panels 2q and
+// 2q + 1 as kc rows of 2 NR floats (panel 2q in the low half), so each
+// pair's depth step is one run, which the AVX-512 tile reads with one
+// load. Against two merge-masked loads, micro_kernels dw_ms on a
+// 4-vCPU AVX-512 EPYC read RouteNet conv2 1.29-1.39 -> 0.81-0.85 ms and
+// conv3 0.53 -> 0.40 ms; against two 256-bit loads, RouteNet's deconv
+// forward (a kAT GEMM of the generic path) read 0.1035 -> 0.096 ms
+// (medians of 8 runs). So every packed B takes this layout: the
+// whole-operand pack_b and the block of the generic packed path. bp
+// points at the call's first panel; only a one-panel call (portable)
 // starts on an odd one.
 struct PairedB {
   static constexpr bool kJoined = true;
   const float* bp;
   std::int64_t kc;
   const float* row(std::int64_t t, std::int64_t p) const {
-    return bp + (t / 2) * kc * 2 * NR + p * 2 * NR + (t % 2) * NR;
+    return paired_panel(bp, t, kc) + p * kPairRow;
   }
 };
-
-// Columns of PairedB's packing: n rounded up to whole pairs of panels.
-std::int64_t paired_cols(std::int64_t n) {
-  return (n + 2 * NR - 1) / (2 * NR) * 2 * NR;
-}
 
 // A conv's column matrix read in place, every panel a run of NR
 // pixels: panel t starts at padded + pixel_offset[t * NR] (the table
@@ -738,12 +744,12 @@ void gemm_packed_impl(const GemmPlan& plan, const float* a,
     return;
   }
 
-  // Shared packed-B block: panels are written disjointly by the packing
-  // parallel_for and read-only during compute, all through the calling
-  // thread's persistent aligned scratch.
+  // Shared packed-B block, its panels in pairs: panels are written
+  // disjointly by the packing parallel_for and read-only during compute,
+  // all through the calling thread's persistent aligned scratch.
   const std::int64_t nc_max = plan.nc;
-  const std::size_t bpack_elems = static_cast<std::size_t>(
-      ((nc_max + NR - 1) / NR) * NR * kc_max);
+  const std::size_t bpack_elems =
+      static_cast<std::size_t>(paired_cols(nc_max) * kc_max);
   float* bpack = thread_scratch_aligned(ScratchSlot::kPackB, bpack_elems);
 
   for (std::int64_t jc = col_begin; jc < col_end; jc += nc_max) {
@@ -761,7 +767,8 @@ void gemm_packed_impl(const GemmPlan& plan, const float* a,
                     jc + static_cast<std::int64_t>(jp) * NR;
                 const std::int64_t nr =
                     std::min<std::int64_t>(NR, jc + nc - j0);
-                float* dst = bpack + static_cast<std::int64_t>(jp) * kc * NR;
+                float* dst =
+                    paired_panel(bpack, static_cast<std::int64_t>(jp), kc);
                 if (implicit != nullptr) {
                   pack_b_panel_implicit(*implicit, pc, kc, j0, nr, dst);
                 } else {
@@ -772,9 +779,9 @@ void gemm_packed_impl(const GemmPlan& plan, const float* a,
             /*grain=*/4);
       }
       const auto b_at = [&](std::int64_t jp) {
-        return PackedB{bpack + jp * kc * NR, kc * NR};
+        return PairedB{paired_panel(bpack, jp, kc), kc};
       };
-      multiply_slice<PackedB>(plan, a, apack_full, pc, kc, jc, nc, b_at, c,
+      multiply_slice<PairedB>(plan, a, apack_full, pc, kc, jc, nc, b_at, c,
                               accumulate || pc > 0);
     }
   }
@@ -852,11 +859,10 @@ void pack_b(const GemmPlan& plan, const float* b, float* bpack) {
   for (std::int64_t pc = 0; pc < k; pc += kc_max) {
     const std::int64_t kc = std::min(kc_max, k - pc);
     for (std::int64_t j = 0; j < cols; ++j) {
-      // Column j of pair j / 2 NR, one float per 2 NR-float depth row.
-      float* dst = bpack + pc * cols + j / (2 * NR) * kc * 2 * NR +
-                   j % (2 * NR);
+      // Column j % NR of panel j / NR, one float per depth row.
+      float* dst = paired_panel(bpack + pc * cols, j / NR, kc) + j % NR;
       for (std::int64_t p = 0; p < kc; ++p) {
-        dst[p * 2 * NR] = j < n ? b[j * k + pc + p] : 0.0f;
+        dst[p * kPairRow] = j < n ? b[j * k + pc + p] : 0.0f;
       }
     }
   }
@@ -890,7 +896,7 @@ void gemm_packed_implicit_a(const GemmPlan& plan, const ImplicitCols& a,
       }
       tile.pixel_offset = a.pixel_offset + pc;
       for (std::int64_t jp = 0; jp < npanels; jp += kernel.panels) {
-        const PairedB panels{slice + jp / 2 * kc * 2 * NR + jp % 2 * NR, kc};
+        const PairedB panels{paired_panel(slice, jp, kc), kc};
         kernel.run(tile, panels, kc, c + jp * NR * m + i0, m, mr,
                    std::min(kernel.panels * NR, n - jp * NR),
                    /*accumulate=*/true);

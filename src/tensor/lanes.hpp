@@ -20,7 +20,6 @@ template <int N>
 struct Lanes {
   typedef float F __attribute__((vector_size(4 * N)));
   typedef std::int32_t I __attribute__((vector_size(4 * N)));
-  typedef std::uint32_t U __attribute__((vector_size(4 * N)));
 };
 
 template <class V>

@@ -3,8 +3,8 @@
 // make_gemm_plan gives a shape its cache blocking: B packed into
 // aligned NR-wide micro-panels, a register-tiled MR x NR micro-kernel,
 // and MC/KC/NC blocks (tensor/gemm_packed.cpp). Every GEMM of the conv
-// layers (nn/conv2d.hpp, nn/conv_transpose2d.hpp, tensor/conv_gemm.hpp)
-// runs one, built per call. Their weight gradient runs as cols * dy^T,
+// layers runs one, built per call inside their lowering
+// (tensor/conv_gemm.hpp). Their weight gradient runs as cols * dy^T,
 // the column matrix read in place as the A operand
 // (gemm_packed_implicit_a), so at stride 1 no conv GEMM gathers its B
 // operand. matmul / matmul_at / matmul_bt (tensor/matmul.hpp) look the

@@ -1,5 +1,5 @@
-// Thread-local scratch buffers for kernel intermediates (im2col column
-// matrices, their gradients, and the packed GEMM panels). Convolution
+// Thread-local scratch buffers for kernel intermediates (padded images,
+// column matrices, and the packed GEMM panels). Convolution
 // layers need multi-MB temporaries per call; allocating them fresh each
 // step costs more in page faults and zero-fill than the math itself.
 // Buffers persist per thread and per slot, growing monotonically.
@@ -11,15 +11,14 @@
 namespace fleda {
 
 enum class ScratchSlot : int {
-  kCols = 0,
-  kColsGrad = 1,
-  kConvBlock = 2,   // a channel group's padded block (direct conv dW)
-  kPackA = 3,       // packed A micro-panels (gemm_packed)
-  kPackB = 4,       // packed B panel block (gemm_packed), or a weight
+  kCols = 0,        // a padded sample, or a column matrix (conv lowering)
+  kConvBlock = 1,   // a channel group's padded block (direct conv dW)
+  kPackA = 2,       // packed A micro-panels (gemm_packed)
+  kPackB = 3,       // packed B panel block (gemm_packed), or a weight
                     // gradient's packed dy (conv_gemm_weight_grad)
 };
 
-inline constexpr int kNumScratchSlots = 5;
+inline constexpr int kNumScratchSlots = 4;
 
 // Returns a thread-local float buffer of at least `n` elements for the
 // given slot. Contents are unspecified — callers must fully overwrite

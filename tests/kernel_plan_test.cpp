@@ -8,13 +8,14 @@
 // boundaries, accumulation, k = 0, -0 rows and non-finite values. The
 // plan cache must count hits and misses correctly under concurrent
 // lookups, and the conv layers must never consult it. The direct
-// kernels of the single-output-channel conv must reproduce the im2col
-// lowering with the scalar oracle's GEMMs bit for bit on every ISA and
-// pool size. Conv2d's implicit-column path must reproduce im2col + the
-// same GEMMs with dW/db summed in sample order — dX at stride 1 as the
-// forward conv of dy with the flipped weight, which must also match the
-// col2im adjoint to within a stated rounding bound — at strides 1 and
-// 2, dilation 2, pool sizes 1/2/8, top level and nested; and
+// forward and dW kernels of the single-output-channel conv must
+// reproduce the im2col lowering with the scalar oracle's GEMMs bit for
+// bit on every ISA and pool size. Conv2d's implicit-column path must
+// reproduce im2col + the same GEMMs with dW/db summed in sample order —
+// dX at stride 1, the head's included, as the forward conv of dy with
+// the flipped weight, which must also match the col2im adjoint to
+// within a stated rounding bound — at strides 1 and 2, dilation 2,
+// pool sizes 1/2/8, top level and nested; and
 // ConvTranspose2d's forward must reproduce the kAT GEMM + col2im, and
 // its backward im2col(dy) + the same GEMMs.
 #include <gtest/gtest.h>
@@ -32,7 +33,6 @@
 #include "models/registry.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/conv_transpose2d.hpp"
-#include "tensor/conv_direct.hpp"
 #include "tensor/conv_gemm.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/matmul.hpp"
@@ -419,6 +419,87 @@ TEST(KernelPlanCache, ConcurrentLookupsAgreeAndCountEveryCall) {
   EXPECT_EQ(stats.misses, 4u);
 }
 
+// ---- Conv geometry and the dX oracles ----
+
+struct ConvCase {
+  std::int64_t cin, cout, kernel, stride, pad, dilation, h, w, batch;
+};
+
+void PrintTo(const ConvCase& c, std::ostream* os) {
+  *os << "cin=" << c.cin << " cout=" << c.cout << " k=" << c.kernel
+      << " stride=" << c.stride << " pad=" << c.pad
+      << " dilation=" << c.dilation << " " << c.h << "x" << c.w
+      << " batch=" << c.batch;
+}
+
+ConvGeometry geometry_of(const ConvCase& c) {
+  return ConvGeometry{c.cin,    c.h,      c.w,        c.kernel,
+                      c.kernel, c.pad,    c.pad,      c.stride,
+                      c.stride, c.dilation, c.dilation};
+}
+
+// W' of the stride-1 dX conv: W'[ci, (co, kh, kw)] =
+// W[co, (ci, k-1-kh, k-1-kw)].
+Tensor flipped(const ConvCase& c, const Tensor& w) {
+  const std::int64_t taps = c.kernel * c.kernel;
+  Tensor f(Shape::of(c.cin, c.cout * taps));
+  for (std::int64_t co = 0; co < c.cout; ++co) {
+    for (std::int64_t ci = 0; ci < c.cin; ++ci) {
+      for (std::int64_t t = 0; t < taps; ++t) {
+        f[(ci * c.cout + co) * taps + t] = w[(co * c.cin + ci) * taps +
+                                             taps - 1 - t];
+      }
+    }
+  }
+  return f;
+}
+
+// The geometry of the stride-1 dX conv: dy, padded by d(k-1)-p.
+ConvGeometry dx_geometry_of(const ConvCase& c, const ConvGeometry& g) {
+  return ConvGeometry{c.cout,
+                      g.out_height(),
+                      g.out_width(),
+                      c.kernel,
+                      c.kernel,
+                      c.dilation * (c.kernel - 1) - c.pad,
+                      c.dilation * (c.kernel - 1) - c.pad,
+                      1,
+                      1,
+                      c.dilation,
+                      c.dilation};
+}
+
+// dX as col2im(W^T dy): what the layer computes at stride != 1, and
+// the adjoint the stride-1 dX matches to rounding.
+void col2im_input_grad(const ConvCase& c, const Tensor& w, const Tensor& gy,
+                       Tensor& dx) {
+  const ConvGeometry g = geometry_of(c);
+  const std::int64_t pixels = g.col_cols();
+  std::vector<float> dcols(static_cast<std::size_t>(g.col_rows() * pixels));
+  for (std::int64_t n = 0; n < c.batch; ++n) {
+    canonical_gemm(GemmOp::kAT, w.data(), gy.data() + n * c.cout * pixels,
+                   dcols.data(), g.col_rows(), c.cout, pixels,
+                   /*accumulate=*/false);
+    col2im(dcols.data(), g, dx.data() + n * c.cin * c.h * c.w);
+  }
+}
+
+// dX at stride 1 as the forward conv of dy with the flipped weight,
+// W' * im2col(dy, g'), in the scalar oracle's order.
+void flipped_input_grad(const ConvCase& c, const Tensor& w, const Tensor& gy,
+                        Tensor& dx) {
+  const ConvGeometry gd = dx_geometry_of(c, geometry_of(c));
+  const Tensor wf = flipped(c, w);
+  std::vector<float> dcols(
+      static_cast<std::size_t>(gd.col_rows() * gd.col_cols()));
+  for (std::int64_t n = 0; n < c.batch; ++n) {
+    im2col(gy.data() + n * c.cout * gd.height * gd.width, gd, dcols.data());
+    canonical_gemm(GemmOp::kNN, wf.data(), dcols.data(),
+                   dx.data() + n * c.cin * c.h * c.w, c.cin, gd.col_rows(),
+                   gd.col_cols(), /*accumulate=*/false);
+  }
+}
+
 // ---- Direct single-output-channel conv vs the im2col oracle ----
 
 struct DirectCase {
@@ -445,7 +526,8 @@ Tensor random_tensor(const Shape& shape, Rng& rng) {
 }
 
 // The Cout = 1 conv as the im2col lowering computes it with the scalar
-// oracle's GEMMs, dW/db added one sample at a time in sample order.
+// oracle's GEMMs, dW/db added one sample at a time in sample order, and
+// dX as the flipped conv of dy, as every stride-1 Conv2d computes it.
 ConvResult im2col_oracle(const DirectCase& c, const Tensor& w, const Tensor& b,
                          const Tensor& x, const Tensor& gy) {
   const ConvGeometry g{c.cin, c.h, c.w, c.kernel, c.kernel, c.pad, c.pad,
@@ -454,7 +536,6 @@ ConvResult im2col_oracle(const DirectCase& c, const Tensor& w, const Tensor& b,
   const std::int64_t pixels = g.col_cols();
   const std::int64_t in_stride = c.cin * c.h * c.w;
   std::vector<float> cols(static_cast<std::size_t>(rows * pixels));
-  std::vector<float> dcols(cols.size());
   ConvResult r{Tensor(gy.shape()), Tensor(w.shape()), Tensor(b.shape()),
                Tensor(x.shape())};
   for (std::int64_t n = 0; n < c.batch; ++n) {
@@ -471,15 +552,15 @@ ConvResult im2col_oracle(const DirectCase& c, const Tensor& w, const Tensor& b,
     im2col(x.data() + n * in_stride, g, cols.data());
     canonical_gemm(GemmOp::kBT, dy, cols.data(), r.dw.data(), 1, pixels,
                    rows, /*accumulate=*/true);
-    canonical_gemm(GemmOp::kAT, w.data(), dy, dcols.data(), rows, 1, pixels,
-                   /*accumulate=*/false);
-    col2im(dcols.data(), g, r.dx.data() + n * in_stride);
     if (c.bias) {
       double acc = 0.0;
       for (std::int64_t i = 0; i < pixels; ++i) acc += dy[i];
       r.db[0] += static_cast<float>(acc);
     }
   }
+  flipped_input_grad(
+      ConvCase{c.cin, 1, c.kernel, 1, c.pad, c.dilation, c.h, c.w, c.batch},
+      w, gy, r.dx);
   return r;
 }
 
@@ -574,8 +655,8 @@ INSTANTIATE_TEST_SUITE_P(
 // The heads the benchmark trains: FLNet's at the smoke grid, the
 // fleet's flnet_tiny at 8x8, RouteNet's. Then: OH not a multiple of
 // the 8-row tile with an OW tail past the last 8-lane vector (11x13),
-// dilation 2 with such a tail (12x19), and a one-channel image whose
-// dX frame outgrows padded_elems().
+// dilation 2 with such a tail (12x19), and a one-channel image, whose
+// dX conv (m = Cin = 1) runs the direct forward kernel too.
 INSTANTIATE_TEST_SUITE_P(
     Tiles, DirectConv,
     ::testing::Values(DirectCase{64, 9, 4, 1, 16, 16, 4, true},
@@ -585,27 +666,16 @@ INSTANTIATE_TEST_SUITE_P(
                       DirectCase{4, 5, 4, 2, 12, 19, 2, false},
                       DirectCase{1, 3, 0, 1, 20, 3, 2, true}));
 
-TEST(DirectConv, InputGradScratchCoversTheFrame) {
-  // dX reads dy from OH rows framed by (k-1)*d - pad zeros on each side.
-  const ConvIndex thin = make_conv_index(
-      ConvGeometry{1, 20, 3, 3, 3, 0, 0, 1, 1, 1, 1});
-  EXPECT_EQ(direct_conv_input_grad_scratch(thin), 18 * (1 + 2 * 2));
-  EXPECT_GT(direct_conv_input_grad_scratch(thin), thin.padded_elems());
-  const ConvIndex head = make_conv_index(
-      ConvGeometry{64, 8, 8, 9, 9, 4, 4, 1, 1, 1, 1});
-  EXPECT_EQ(direct_conv_input_grad_scratch(head), 8 * (8 + 2 * 4));
-}
-
 TEST(DirectConv, NonFiniteValuesPoisonLikeOracle) {
   // A weight and optionally dy's top-right pixel set to `value`, under
-  // every ISA:
+  // every ISA, checked on the direct kernels' outputs (forward, dW and
+  // db; the head's dX is the stride-1 dX conv, whose non-finite
+  // contract ConvIsa.InfWeightMeetsDyPaddingInStrideOneInputGrad
+  // checks):
   //  - 6x7, a NaN in the axpy1 tail row (18 = 4*4 + 2 rows), which
   //    reads every output pixel, zero padding included;
   //  - the 16x16 and 8x8 heads, an Inf at tap (c=0, kh=0, kw=0) and an
-  //    Inf dy. Most dx pixels of channel 0 have that tap outside dy:
-  //    col2im never applies it there, so a gather that multiplied it
-  //    by a zero margin would put NaN where the oracle has a finite
-  //    value.
+  //    Inf dy, which meets x's zero padding in dW.
   struct Poison {
     DirectCase c;
     std::int64_t weight;
@@ -636,17 +706,14 @@ TEST(DirectConv, NonFiniteValuesPoisonLikeOracle) {
       for (std::int64_t i = 0; i < want.y.numel(); ++i) {
         ASSERT_TRUE(std::isnan(want.y[i])) << where.str() << " pixel " << i;
       }
-    } else {
-      std::int64_t finite = 0;
-      for (std::int64_t i = 0; i < c.h * c.w; ++i) {
-        finite += std::isfinite(want.dx[i]) ? 1 : 0;
-      }
-      ASSERT_GT(finite, 0) << where.str() << ": no finite dx in channel 0";
     }
     for (KernelIsa isa : supported_isas()) {
       IsaGuard guard(isa);
-      expect_same_bits(run_conv2d(c, w, b, x, gy), want,
-                       std::string(to_string(isa)) + " " + where.str());
+      const ConvResult got = run_conv2d(c, w, b, x, gy);
+      const std::string at = std::string(to_string(isa)) + " " + where.str();
+      EXPECT_TRUE(same_bits(got.y, want.y)) << at << ": forward";
+      EXPECT_TRUE(same_bits(got.dw, want.dw)) << at << ": dW";
+      EXPECT_TRUE(same_bits(got.db, want.db)) << at << ": db";
     }
   }
 }
@@ -713,69 +780,6 @@ TEST(KernelIsa, ProbeAndSeam) {
 
 // ---- Conv2d at any Cout and stride vs im2col + the scalar GEMMs ----
 
-struct ConvCase {
-  std::int64_t cin, cout, kernel, stride, pad, dilation, h, w, batch;
-};
-
-void PrintTo(const ConvCase& c, std::ostream* os) {
-  *os << "cin=" << c.cin << " cout=" << c.cout << " k=" << c.kernel
-      << " stride=" << c.stride << " pad=" << c.pad
-      << " dilation=" << c.dilation << " " << c.h << "x" << c.w
-      << " batch=" << c.batch;
-}
-
-ConvGeometry geometry_of(const ConvCase& c) {
-  return ConvGeometry{c.cin,    c.h,      c.w,        c.kernel,
-                      c.kernel, c.pad,    c.pad,      c.stride,
-                      c.stride, c.dilation, c.dilation};
-}
-
-// W' of the stride-1 dX conv: W'[ci, (co, kh, kw)] =
-// W[co, (ci, k-1-kh, k-1-kw)].
-Tensor flipped(const ConvCase& c, const Tensor& w) {
-  const std::int64_t taps = c.kernel * c.kernel;
-  Tensor f(Shape::of(c.cin, c.cout * taps));
-  for (std::int64_t co = 0; co < c.cout; ++co) {
-    for (std::int64_t ci = 0; ci < c.cin; ++ci) {
-      for (std::int64_t t = 0; t < taps; ++t) {
-        f[(ci * c.cout + co) * taps + t] = w[(co * c.cin + ci) * taps +
-                                             taps - 1 - t];
-      }
-    }
-  }
-  return f;
-}
-
-// The geometry of the stride-1 dX conv: dy, padded by d(k-1)-p.
-ConvGeometry dx_geometry_of(const ConvCase& c, const ConvGeometry& g) {
-  return ConvGeometry{c.cout,
-                      g.out_height(),
-                      g.out_width(),
-                      c.kernel,
-                      c.kernel,
-                      c.dilation * (c.kernel - 1) - c.pad,
-                      c.dilation * (c.kernel - 1) - c.pad,
-                      1,
-                      1,
-                      c.dilation,
-                      c.dilation};
-}
-
-// dX as col2im(W^T dy), the adjoint every stride used before the
-// stride-1 dX became a forward conv.
-void col2im_input_grad(const ConvCase& c, const Tensor& w, const Tensor& gy,
-                       Tensor& dx) {
-  const ConvGeometry g = geometry_of(c);
-  const std::int64_t pixels = g.col_cols();
-  std::vector<float> dcols(static_cast<std::size_t>(g.col_rows() * pixels));
-  for (std::int64_t n = 0; n < c.batch; ++n) {
-    canonical_gemm(GemmOp::kAT, w.data(), gy.data() + n * c.cout * pixels,
-                   dcols.data(), g.col_rows(), c.cout, pixels,
-                   /*accumulate=*/false);
-    col2im(dcols.data(), g, dx.data() + n * c.cin * c.h * c.w);
-  }
-}
-
 // The layer as im2col + the scalar oracle's GEMMs compute it: dW/db
 // added one sample at a time in sample order, and dX at stride 1 as
 // W' * im2col(dy, g'), at other strides as col2im(W^T dy).
@@ -809,19 +813,10 @@ ConvResult conv_oracle(const ConvCase& c, const Tensor& w, const Tensor& b,
       r.db[co] += static_cast<float>(acc);
     }
   }
-  if (c.stride != 1 || c.cout == 1) {  // the head keeps col2im's bits
+  if (c.stride == 1) {
+    flipped_input_grad(c, w, gy, r.dx);
+  } else {
     col2im_input_grad(c, w, gy, r.dx);
-    return r;
-  }
-  const ConvGeometry gd = dx_geometry_of(c, g);
-  const Tensor wf = flipped(c, w);
-  std::vector<float> dcols(
-      static_cast<std::size_t>(gd.col_rows() * gd.col_cols()));
-  for (std::int64_t n = 0; n < c.batch; ++n) {
-    im2col(gy.data() + n * out_stride, gd, dcols.data());
-    canonical_gemm(GemmOp::kNN, wf.data(), dcols.data(),
-                   r.dx.data() + n * in_stride, c.cin, gd.col_rows(),
-                   gd.col_cols(), /*accumulate=*/false);
   }
   return r;
 }
@@ -884,8 +879,11 @@ TEST_P(ConvIsa, EveryIsaAndPoolMatchesIm2colOracle) {
 // padding past the kernel's reach (dy cropped by 1), and dilation 2
 // with Cout = 6 < 8. Last, RouteNet's
 // conv2 (B read in place, in joined pairs on AVX-512, forward and dX)
-// and a k = 1 conv (in place too, each weight row a single tap). Last,
-// a 900-pixel conv: dW sums each sample over two KC slices.
+// and a k = 1 conv (in place too, each weight row a single tap). Then
+// a 900-pixel conv: dW sums each sample over two KC slices. Last, the
+// heads the benchmark trains (forward and dW direct, dX the m = Cin
+// flipped conv): FLNet's 64 -> 1 9x9 at grids 16 and 8, and RouteNet's
+// 32 -> 1 5x5.
 INSTANTIATE_TEST_SUITE_P(
     Shapes, ConvIsa,
     ::testing::Values(ConvCase{3, 8, 5, 1, 2, 1, 12, 12, 3},
@@ -901,7 +899,10 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{8, 6, 3, 1, 1, 2, 12, 9, 1},
                       ConvCase{32, 64, 7, 1, 3, 1, 16, 16, 2},
                       ConvCase{4, 8, 1, 1, 0, 1, 8, 8, 1},
-                      ConvCase{2, 5, 3, 1, 1, 1, 30, 30, 2}));
+                      ConvCase{2, 5, 3, 1, 1, 1, 30, 30, 2},
+                      ConvCase{64, 1, 9, 1, 4, 1, 16, 16, 4},
+                      ConvCase{64, 1, 9, 1, 4, 1, 8, 8, 1},
+                      ConvCase{32, 1, 5, 1, 2, 1, 16, 16, 4}));
 
 TEST(ConvIsa, ShapeSweepCoversThePackedImplicitPath) {
   // Guards the instantiation above: its first shapes must really run
@@ -995,7 +996,8 @@ TEST(ConvIsa, StrideOneInputGradMatchesCol2imAdjoint) {
                             ConvCase{8, 6, 3, 1, 1, 2, 12, 9, 4},
                             ConvCase{16, 24, 5, 1, 1, 2, 13, 10, 4},
                             ConvCase{32, 64, 7, 1, 3, 1, 16, 12, 1},
-                            ConvCase{24, 20, 9, 1, 2, 1, 10, 11, 17}}) {
+                            ConvCase{24, 20, 9, 1, 2, 1, 10, 11, 17},
+                            ConvCase{64, 1, 9, 1, 4, 1, 16, 16, 2}}) {
     std::ostringstream where;
     PrintTo(c, &where);
     const ConvGeometry g = geometry_of(c);
@@ -1031,38 +1033,47 @@ TEST(ConvIsa, InfWeightMeetsDyPaddingInStrideOneInputGrad) {
   // so an Inf weight at tap (0, 0) of input channel 0 makes NaN at the
   // channel-0 pixels whose tap (0, 0) falls outside dy — where col2im,
   // which never applied that tap there, stays finite. Everywhere else
-  // the two agree on which values are finite.
-  const ConvCase c{3, 8, 5, 1, 2, 1, 12, 12, 2};
-  const ConvGeometry g = geometry_of(c);
-  Rng rng(84);
-  Tensor w = random_tensor(Shape::of(c.cout, g.col_rows()), rng);
-  w[0] = std::numeric_limits<float>::infinity();
-  const Tensor b = random_tensor(Shape::of(c.cout), rng);
-  const Tensor x = random_tensor(Shape::of(c.batch, c.cin, c.h, c.w), rng);
-  const Tensor gy = random_tensor(
-      Shape::of(c.batch, c.cout, g.out_height(), g.out_width()), rng);
-  const Tensor got = run_conv(c, w, b, x, gy).dx;
-  Tensor old(x.shape());
-  col2im_input_grad(c, w, gy, old);
-  std::int64_t border = 0;
-  for (std::int64_t n = 0; n < c.batch; ++n) {
-    for (std::int64_t ci = 0; ci < c.cin; ++ci) {
-      for (std::int64_t h = 0; h < c.h; ++h) {
-        for (std::int64_t v = 0; v < c.w; ++v) {
-          const std::int64_t i = ((n * c.cin + ci) * c.h + h) * c.w + v;
-          // Tap (0, 0) reads dy at (h + p, v + p).
-          if (ci == 0 && (h + c.pad >= c.h || v + c.pad >= c.w)) {
-            EXPECT_TRUE(std::isfinite(old[i])) << "col2im at " << i;
-            EXPECT_TRUE(std::isnan(got[i])) << "conv dX at " << i;
-            ++border;
-          } else {
-            EXPECT_EQ(std::isfinite(old[i]), std::isfinite(got[i])) << i;
+  // the two agree on which values are finite. A packed conv, and
+  // FLNet's head at the fleet's grid: the head's dX is that conv too.
+  for (const ConvCase& c : {ConvCase{3, 8, 5, 1, 2, 1, 12, 12, 2},
+                            ConvCase{64, 1, 9, 1, 4, 1, 8, 8, 1}}) {
+    std::ostringstream where;
+    PrintTo(c, &where);
+    const ConvGeometry g = geometry_of(c);
+    Rng rng(84);
+    Tensor w = random_tensor(Shape::of(c.cout, g.col_rows()), rng);
+    w[0] = std::numeric_limits<float>::infinity();
+    const Tensor b = random_tensor(Shape::of(c.cout), rng);
+    const Tensor x = random_tensor(Shape::of(c.batch, c.cin, c.h, c.w), rng);
+    const Tensor gy = random_tensor(
+        Shape::of(c.batch, c.cout, g.out_height(), g.out_width()), rng);
+    const Tensor got = run_conv(c, w, b, x, gy).dx;
+    Tensor old(x.shape());
+    col2im_input_grad(c, w, gy, old);
+    std::int64_t border = 0;
+    for (std::int64_t n = 0; n < c.batch; ++n) {
+      for (std::int64_t ci = 0; ci < c.cin; ++ci) {
+        for (std::int64_t h = 0; h < c.h; ++h) {
+          for (std::int64_t v = 0; v < c.w; ++v) {
+            const std::int64_t i = ((n * c.cin + ci) * c.h + h) * c.w + v;
+            // Tap (0, 0) reads dy at (h + p, v + p).
+            if (ci == 0 && (h + c.pad >= c.h || v + c.pad >= c.w)) {
+              EXPECT_TRUE(std::isfinite(old[i]))
+                  << where.str() << ": col2im at " << i;
+              EXPECT_TRUE(std::isnan(got[i]))
+                  << where.str() << ": conv dX at " << i;
+              ++border;
+            } else {
+              EXPECT_EQ(std::isfinite(old[i]), std::isfinite(got[i]))
+                  << where.str() << " at " << i;
+            }
           }
         }
       }
     }
+    EXPECT_EQ(border, c.batch * (c.h * c.w - (c.h - c.pad) * (c.w - c.pad)))
+        << where.str();
   }
-  EXPECT_EQ(border, c.batch * (c.h * c.w - (c.h - c.pad) * (c.w - c.pad)));
 }
 
 // Runs `layer` once (forward, then backward of gy) and returns y, dx
