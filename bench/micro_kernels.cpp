@@ -2,24 +2,27 @@
 // conv-layer row times a single-output-channel head as Conv2d runs it
 // (forward and dW on the direct kernels, dX as the stride-1 dX conv)
 // and gates its y, dW and db on the bits of the im2col lowering
-// through matmul / matmul_bt, and its dX to rounding against
-// matmul_at + col2im (dx_max_rel_err). The isa_layers rows
+// through matmul / matmul_bt, and its dX to rounding against the
+// scalar adjoint, the conv's transpose written from its definition
+// (dx_max_rel_err). The isa_layers rows
 // time RouteNet's conv2 and conv3 (forward + backward through Conv2d),
 // one row per ISA the host runs, and gate each ISA on the portable
 // kernels' bits. The conv_backward rows time RouteNet's conv2, conv3,
 // conv4 and deconv, PROS's stride-2 enc2 and the input convs of FLNet
 // and of micro_sim's fleet (forward, backward alone, and the weight
 // gradient alone) inside one pool task, as a round runs them, and check
-// the layer against the col2im lowering it replaced, kept here as an
-// oracle: dW bit for bit, dX to rounding (dx_max_rel_err). Their
+// the layer against oracles kept here: dW bit for bit against the
+// im2col lowering with per-slice partials, and y and dX to rounding
+// (y_max_rel_err, dx_max_rel_err) against im2col + matmul (a Conv2d's
+// y) or the scalar adjoint (a Conv2d's dX, the deconv's y). Their
 // pack_ms is the profiler's kernel/pack time inside one forward +
 // backward: the operand packing the GEMMs pay for. The sort_lanes rows
 // time the trimmed mean's sorting network against std::sort.
 //
 // Emits BENCH_kernels.json for the CI bench-trajectory artifact;
 // ci/perf_gate.py diffs the conv_layers direct_ms and the conv_backward
-// bwd_ms and dw_ms against the previous main run with a +/-20% band.
-// The bench gates itself on every row's bits.
+// fwd_ms, bwd_ms and dw_ms against the previous main run with a +/-20%
+// band. The bench gates itself on every row's bits and rounding.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -107,10 +110,47 @@ struct ConvGrads {
   std::vector<float> y, dw, dx, db;
 };
 
-// dX's bound against the col2im oracle: a few ulps of its largest
-// value (the stride-1 dX conv sums channels x taps in KC slices
-// instead of per tap).
+// The bound of an adjoint (dX, the deconv's y) against the scalar
+// adjoint: a few ulps of its largest value (the phase convs sum
+// channels x taps in float KC slices, the oracle in double).
 constexpr double kDxMaxRelErr = 1e-5;
+
+// The adjoint of the conv `g` with weight a [m, g.col_rows()] applied
+// to x [batch, m, OH, OW], from the definition, into image [batch, C,
+// H, W]: pixel (c, ih, iw) sums a[i, (c, kh, kw)] * x[i, oh, ow] over
+// the terms with oh*s + kh*d - p = ih and ow*s + kw*d - p = iw, in
+// double.
+void scalar_adjoint(const ConvGeometry& g, std::int64_t m, std::int64_t batch,
+                    const float* a, const float* x, float* image) {
+  const std::int64_t oh_n = g.out_height(), ow_n = g.out_width();
+  const std::int64_t taps = g.kernel_h * g.kernel_w;
+  for (std::int64_t n = 0; n < batch; ++n) {
+    for (std::int64_t c = 0; c < g.channels; ++c) {
+      for (std::int64_t ih = 0; ih < g.height; ++ih) {
+        for (std::int64_t iw = 0; iw < g.width; ++iw) {
+          double acc = 0.0;
+          for (std::int64_t i = 0; i < m; ++i) {
+            for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
+              const std::int64_t sh = ih + g.pad_h - kh * g.dilation_h;
+              const std::int64_t oh = sh / g.stride_h;
+              if (sh % g.stride_h != 0 || oh < 0 || oh >= oh_n) continue;
+              for (std::int64_t kw = 0; kw < g.kernel_w; ++kw) {
+                const std::int64_t sw = iw + g.pad_w - kw * g.dilation_w;
+                const std::int64_t ow = sw / g.stride_w;
+                if (sw % g.stride_w != 0 || ow < 0 || ow >= ow_n) continue;
+                acc += static_cast<double>(
+                           a[(i * g.channels + c) * taps + kh * g.kernel_w +
+                             kw]) *
+                       x[((n * m + i) * oh_n + oh) * ow_n + ow];
+              }
+            }
+          }
+          *image++ = static_cast<float>(acc);
+        }
+      }
+    }
+  }
+}
 
 // max |got - want| / max |want| over want's elements.
 double max_rel_err(const float* got, const std::vector<float>& want) {
@@ -124,7 +164,8 @@ double max_rel_err(const float* got, const std::vector<float>& want) {
 
 // The im2col lowering through the matmul family, as Conv2d ran this
 // layer before its direct path (bias is zero; db sums each sample in
-// double, in sample order, as the layer does).
+// double, in sample order, as the layer does), and dX as the scalar
+// adjoint.
 void im2col_layer(const ConvGeometry& g, std::int64_t batch,
                   const float* w, const float* x, const float* gy,
                   ConvGrads& out) {
@@ -132,21 +173,18 @@ void im2col_layer(const ConvGeometry& g, std::int64_t batch,
   const std::int64_t pixels = g.col_cols();
   const std::int64_t in_stride = g.channels * g.height * g.width;
   std::vector<float> cols(static_cast<std::size_t>(rows * pixels));
-  std::vector<float> dcols(cols.size());
   std::fill(out.dw.begin(), out.dw.end(), 0.0f);
-  std::fill(out.dx.begin(), out.dx.end(), 0.0f);
   out.db.assign(1, 0.0f);
   for (std::int64_t n = 0; n < batch; ++n) {
     im2col(x + n * in_stride, g, cols.data());
     matmul(w, cols.data(), out.y.data() + n * pixels, 1, rows, pixels);
   }
+  scalar_adjoint(g, 1, batch, w, gy, out.dx.data());
   for (std::int64_t n = 0; n < batch; ++n) {
     const float* dy = gy + n * pixels;
     im2col(x + n * in_stride, g, cols.data());
     matmul_bt(dy, cols.data(), out.dw.data(), 1, pixels, rows,
               /*accumulate=*/true);
-    matmul_at(w, dy, dcols.data(), rows, 1, pixels);
-    col2im(dcols.data(), g, out.dx.data() + n * in_stride);
     double acc = 0.0;
     for (std::int64_t i = 0; i < pixels; ++i) acc += dy[i];
     out.db[0] += static_cast<float>(acc);
@@ -302,8 +340,7 @@ double measure_ms(const std::function<void()>& call) {
 // fleet's (micro_sim and fledabench fleet_10k: grid 8, batch 1), timed
 // inside one pool task as a federated round runs them (every
 // parallel_for in the layer runs serially). The input convs compute no
-// dX, as in the models. The col2im lowering they replaced is kept below
-// as the oracle.
+// dX, as in the models. Their oracles are kept below.
 struct ConvBackwardCase {
   const char* name;
   std::int64_t in_channels, out_channels, kernel, grid, batch;
@@ -327,6 +364,7 @@ struct ConvBackwardResult {
   double bwd_ms = 0.0;
   double dw_ms = 0.0;  // conv_gemm_weight_grad alone
   double pack_ms = 0.0;  // kernel/pack inside one forward + backward
+  double y_max_rel_err = 0.0;   // max |y - oracle| / max |oracle|
   double dx_max_rel_err = 0.0;  // max |dx - oracle| / max |oracle|
   bool dw_identical = false;
 };
@@ -338,21 +376,27 @@ void in_pool_task(const std::function<void()>& fn) {
   });
 }
 
-// The lowering the layers' backward ran before dX became a conv: the
+// The oracles of a conv_backward row (the layers' bias is zero). dW:
+// the lowering the layers' backward ran before dX became a conv, the
 // batch in min(N, 16) fixed slices, each with its own dW partial added
-// into dw in slice order, and dX as col2im(W^T dy) for a Conv2d, or
-// W * im2col(dy) for the deconv (whose `g` is its output geometry).
-void col2im_backward(const ConvBackwardCase& c, const ConvGeometry& g,
-                     const float* w, const Tensor& x, const Tensor& gy,
-                     std::vector<float>& dw, std::vector<float>& dx) {
+// into dw in slice order. y: W * im2col(x) for a Conv2d, the scalar
+// adjoint of x for the deconv (whose `g` is its output geometry). dX:
+// the scalar adjoint of dy for a Conv2d, W * im2col(dy) for the deconv.
+void oracle_layer(const ConvBackwardCase& c, const ConvGeometry& g,
+                  const float* w, const Tensor& x, const Tensor& gy,
+                  std::vector<float>& y, std::vector<float>& dw,
+                  std::vector<float>& dx) {
   const std::int64_t rows = g.col_rows();
   const std::int64_t pixels = g.col_cols();
   const std::int64_t x_stride = x.numel() / c.batch;
   const std::int64_t gy_stride = gy.numel() / c.batch;
   std::vector<float> cols(static_cast<std::size_t>(rows * pixels));
-  std::vector<float> dcols(cols.size());
   std::fill(dw.begin(), dw.end(), 0.0f);
-  std::fill(dx.begin(), dx.end(), 0.0f);
+  if (c.deconv) {
+    scalar_adjoint(g, c.in_channels, c.batch, w, x.data(), y.data());
+  } else {
+    scalar_adjoint(g, c.out_channels, c.batch, w, gy.data(), dx.data());
+  }
   const std::int64_t slices = std::min<std::int64_t>(c.batch, 16);
   const std::int64_t span = (c.batch + slices - 1) / slices;
   std::vector<float> partial(dw.size());
@@ -362,18 +406,18 @@ void col2im_backward(const ConvBackwardCase& c, const ConvGeometry& g,
          ++n) {
       const float* xn = x.data() + n * x_stride;
       const float* dy = gy.data() + n * gy_stride;
-      float* dxn = dx.data() + n * x_stride;
       if (c.deconv) {
-        im2col(dy, g, dcols.data());
-        matmul(w, dcols.data(), dxn, c.in_channels, rows, pixels);
-        matmul_bt(xn, dcols.data(), partial.data(), c.in_channels, pixels,
+        im2col(dy, g, cols.data());
+        matmul(w, cols.data(), dx.data() + n * x_stride, c.in_channels, rows,
+               pixels);
+        matmul_bt(xn, cols.data(), partial.data(), c.in_channels, pixels,
                   rows, /*accumulate=*/true);
       } else {
         im2col(xn, g, cols.data());
+        matmul(w, cols.data(), y.data() + n * gy_stride, c.out_channels, rows,
+               pixels);
         matmul_bt(dy, cols.data(), partial.data(), c.out_channels, pixels,
                   rows, /*accumulate=*/true);
-        matmul_at(w, dy, dcols.data(), rows, c.out_channels, pixels);
-        col2im(dcols.data(), g, dxn);
       }
     }
     for (std::size_t i = 0; i < dw.size(); ++i) dw[i] += partial[i];
@@ -444,7 +488,7 @@ ConvBackwardResult bench_conv_backward(const ConvBackwardCase& c, Rng& rng) {
   const std::int64_t dw_m = c.deconv ? c.in_channels : c.out_channels;
   const Tensor& dw_a = c.deconv ? x : gy;
   const Tensor& dw_images = c.deconv ? gy : x;
-  Tensor dx;
+  Tensor y, dx;
   in_pool_task([&] {
     result.fwd_ms = measure_ms([&] { layer->forward(x, /*training=*/true); });
     result.bwd_ms = measure_ms([&] { layer->backward(gy); });
@@ -454,11 +498,14 @@ ConvBackwardResult bench_conv_backward(const ConvBackwardCase& c, Rng& rng) {
     });
     result.pack_ms = pack_ms_per_step(*layer, x, gy);
     layer->zero_grad();
+    y = layer->forward(x, /*training=*/true);
     dx = layer->backward(gy);
   });
+  std::vector<float> want_y(static_cast<std::size_t>(gy.numel()));
   std::vector<float> dw(static_cast<std::size_t>(weight.grad.numel()));
   std::vector<float> want_dx(static_cast<std::size_t>(x.numel()));
-  col2im_backward(c, g, weight.value.data(), x, gy, dw, want_dx);
+  oracle_layer(c, g, weight.value.data(), x, gy, want_y, dw, want_dx);
+  result.y_max_rel_err = max_rel_err(y.data(), want_y);
   result.dw_identical =
       same_bits(dw, std::vector<float>(weight.grad.data(),
                                        weight.grad.data() + dw.size()));
@@ -574,14 +621,15 @@ void write_bench_json(const std::vector<ConvLayerResult>& layers,
         "%s{\"name\":\"%s\",\"in_channels\":%lld,\"out_channels\":%lld,"
         "\"kernel\":%lld,\"grid\":%lld,\"batch\":%lld,\"fwd_ms\":%.4f,"
         "\"bwd_ms\":%.4f,\"dw_ms\":%.4f,\"pack_ms\":%.4f,"
-        "\"dx_max_rel_err\":%.3e,\"dw_identical\":%s}",
+        "\"y_max_rel_err\":%.3e,\"dx_max_rel_err\":%.3e,"
+        "\"dw_identical\":%s}",
         i == 0 ? "" : ",", r.layer->name,
         static_cast<long long>(r.layer->in_channels),
         static_cast<long long>(r.layer->out_channels),
         static_cast<long long>(r.layer->kernel),
         static_cast<long long>(r.layer->grid),
         static_cast<long long>(r.layer->batch), r.fwd_ms, r.bwd_ms,
-        r.dw_ms, r.pack_ms, r.dx_max_rel_err,
+        r.dw_ms, r.pack_ms, r.y_max_rel_err, r.dx_max_rel_err,
         r.dw_identical ? "true" : "false");
   }
   std::fprintf(f, "],\"sort_lanes\":[");
@@ -661,20 +709,21 @@ int main_impl() {
                 r.ms, r.speedup, r.bit_identical ? "identical" : "DIFFER");
   }
 
-  std::printf("%-18s %4s %4s %3s %4s %5s %9s %9s %8s %9s %9s %14s %s\n",
+  std::printf("%-18s %4s %4s %3s %4s %5s %9s %9s %8s %9s %9s %13s %14s "
+              "%s\n",
               "conv backward", "cin", "cout", "k", "grid", "batch", "fwd ms",
-              "bwd ms", "bwd/fwd", "dW ms", "pack ms", "dx max rel err",
-              "dW");
+              "bwd ms", "bwd/fwd", "dW ms", "pack ms", "y max rel err",
+              "dx max rel err", "dW");
   for (const ConvBackwardResult& r : backward) {
     std::printf("%-18s %4lld %4lld %3lld %4lld %5lld %9.3f %9.3f %7.2fx "
-                "%9.3f %9.3f %14.3e %s\n",
+                "%9.3f %9.3f %13.3e %14.3e %s\n",
                 r.layer->name, static_cast<long long>(r.layer->in_channels),
                 static_cast<long long>(r.layer->out_channels),
                 static_cast<long long>(r.layer->kernel),
                 static_cast<long long>(r.layer->grid),
                 static_cast<long long>(r.layer->batch), r.fwd_ms, r.bwd_ms,
-                r.bwd_ms / r.fwd_ms, r.dw_ms, r.pack_ms, r.dx_max_rel_err,
-                r.dw_identical ? "identical" : "DIFFER");
+                r.bwd_ms / r.fwd_ms, r.dw_ms, r.pack_ms, r.y_max_rel_err,
+                r.dx_max_rel_err, r.dw_identical ? "identical" : "DIFFER");
   }
 
   std::printf("%-18s %6s %-8s %11s %11s %8s %s\n", "sort_lanes", "cohort",
@@ -691,16 +740,20 @@ int main_impl() {
   }
 
   // Gates. (1) Each conv layer's y, dW and db reproduce the im2col
-  // bits and its dX agrees with matmul_at + col2im to rounding. (2) Each ISA layer's kernels reproduce the portable bits on every
-  // ISA. (3) The sorting-network trimmed mean reproduces the std::sort
-  // bits on every ISA. (4) Each conv_backward layer's dW reproduces the
-  // col2im lowering's bits and its dX agrees with it to rounding.
+  // bits and its dX agrees with the scalar adjoint to rounding. (2) Each
+  // ISA layer's kernels reproduce the portable bits on every ISA. (3)
+  // The sorting-network trimmed mean reproduces the std::sort bits on
+  // every ISA. (4) Each conv_backward layer's dW reproduces the im2col
+  // lowering's bits, and its y and dX agree with their oracles to
+  // rounding.
   bool pass = true;
   for (const ConvBackwardResult& r : backward) {
-    if (!r.dw_identical || !(r.dx_max_rel_err <= kDxMaxRelErr)) {
-      std::printf("FAIL: %s backward: dW %s, dx max rel err %.3e (max %.0e)\n",
+    if (!r.dw_identical || !(r.y_max_rel_err <= kDxMaxRelErr) ||
+        !(r.dx_max_rel_err <= kDxMaxRelErr)) {
+      std::printf("FAIL: %s: dW %s, y max rel err %.3e, dx max rel err "
+                  "%.3e (max %.0e)\n",
                   r.layer->name, r.dw_identical ? "identical" : "DIFFERS",
-                  r.dx_max_rel_err, kDxMaxRelErr);
+                  r.y_max_rel_err, r.dx_max_rel_err, kDxMaxRelErr);
       pass = false;
     }
   }

@@ -33,6 +33,7 @@ Gated metrics (current vs previous):
   - BENCH_comm.json    codecs[*].encode_mb_per_s       must be >= 0.8x
   - BENCH_comm.json    codecs[*].decode_mb_per_s       must be >= 0.8x
   - BENCH_kernels.json conv_layers[*].direct_ms        must be <= 1.2x
+  - BENCH_kernels.json conv_backward[*].fwd_ms         must be <= 1.2x
   - BENCH_kernels.json conv_backward[*].bwd_ms         must be <= 1.2x
   - BENCH_kernels.json conv_backward[*].dw_ms          must be <= 1.2x
 
@@ -214,8 +215,8 @@ LAYER_ROWS_FIXTURE = {
 LAYER_ROWS_PASSING_FACTOR = 1.15
 LAYER_ROWS_FAILING_FACTOR = 1.3
 # (section, gated metric) pairs of the trajectory gate's layer rows.
-LAYER_ROWS = (("conv_layers", "direct_ms"), ("conv_backward", "bwd_ms"),
-              ("conv_backward", "dw_ms"))
+LAYER_ROWS = (("conv_layers", "direct_ms"), ("conv_backward", "fwd_ms"),
+              ("conv_backward", "bwd_ms"), ("conv_backward", "dw_ms"))
 
 
 def scaled_layer_rows(section, metric, factor):
@@ -332,8 +333,9 @@ def codec_rows(bench):
 def layer_row_errors(kernels_now, kernels_prev):
     """One check() result per layer row both runs timed, lower is
     better: conv_layers' direct_ms (the head's forward + backward),
-    conv_backward's bwd_ms (a layer's backward inside one pool task)
-    and its dw_ms (the layer's weight gradient alone)."""
+    conv_backward's fwd_ms and bwd_ms (a layer's forward and backward
+    inside one pool task) and its dw_ms (the layer's weight gradient
+    alone)."""
     errors = []
     for section, metric in LAYER_ROWS:
         def rows(bench):

@@ -9,12 +9,12 @@
 //     copy of each sample, or, for the stride-1, single-output-channel
 //     conv (every model's prediction head), runs the direct kernels of
 //     tensor/conv_direct.hpp; then conv_add_bias;
-//   - dX: ConvGemmAdjoint, the forward's adjoint. At stride 1, the head
-//     included, it is the forward conv of dy, padded by d(k-1)-p, with
-//     the flipped, channel-transposed weight
-//     W'[ci, (co, kh, kw)] = W[co, (ci, k-1-kh, k-1-kw)], through
-//     ConvGemm; at any other stride, W^T dy formed as columns by the
-//     packed kAT GEMM and scattered back into the image;
+//   - dX: ConvGemmAdjoint, the forward's adjoint, as stride x stride
+//     stride-1 phase convs of dy, each over the taps that reach its
+//     pixels with the flipped, channel-transposed weight, interleaved
+//     into dX. At stride 1, the head included, the one phase is the
+//     forward conv of dy, padded by d(k-1)-p, with
+//     W'[ci, (co, kh, kw)] = W[co, (ci, k-1-kh, k-1-kw)];
 //   - dW: conv_gemm_weight_grad (the column matrix read in place from
 //     the padded sample as its A operand, dy packed as its B; the
 //     head's direct kernel at m = 1), and db: conv_bias_grad.
@@ -24,14 +24,13 @@
 // by blocks of weight columns, (channel, tap) (channel blocks for the
 // head).
 //
-// Forward and dW give the bits of im2col + matmul. dX at stride 1 sums
-// each element over Cout x taps in KC slices, not per tap as the
-// column scatter does, so it matches that adjoint only to rounding.
-// Non-finite values: that dX multiplies every weight by dy's zero
-// padding, so an Inf or NaN weight puts NaN at the border pixels of dX
-// whose taps fall outside dy, where the column scatter never multiplied
-// it. The head is no exception. dX at stride != 1 is the scatter
-// itself, with its bits.
+// Forward and dW give the bits of im2col + matmul. dX sums each element
+// over Cout x taps in KC slices, not per tap as a column scatter would,
+// so it matches the transposed conv's definition only to rounding.
+// Non-finite values: dX multiplies every weight by dy's zero padding,
+// so an Inf or NaN weight puts NaN at the border pixels of dX whose
+// taps fall outside dy, at every stride, where a scatter never
+// multiplied it. The head is no exception.
 #pragma once
 
 #include <vector>

@@ -3,9 +3,13 @@
 // Conv2d. Weight layout is [Cin, Cout*kh*kw]. Every pass is one call
 // into tensor/conv_gemm.hpp:
 //   - forward (conv-backward-data): ConvGemmAdjoint, exactly what
-//     Conv2d's dX computes with this weight: at stride 2, cols = W^T x
-//     through the packed kAT GEMM (the weight packed once per call, no
-//     plan lookup), scattered into the output; then conv_add_bias;
+//     Conv2d's dX computes with this weight: stride x stride stride-1
+//     phase convs of x (RouteNet's k = 4, s = 2 deconv: four 2x2
+//     convs, each writing every other pixel of every other row), the
+//     weight gathered and packed once per call, no plan lookup; then
+//     conv_add_bias. It matches the transposed conv's definition to
+//     rounding, and, as Conv2d's dX does, puts NaN at the output pixels
+//     whose taps fall outside x when a weight is Inf or NaN;
 //   - dX: ConvGemm, the conv of dy at this layer's stride,
 //     W * cols(dy), and
 //   - dW: conv_gemm_weight_grad, x * cols(dy)^T, added sample by
@@ -47,8 +51,8 @@ class ConvTranspose2d : public Module {
   const ConvTranspose2dOptions& options() const { return opts_; }
 
  private:
-  // Geometry of the *output* image viewed as a conv input, which makes
-  // col2im/im2col exact adjoints of the corresponding Conv2d.
+  // Geometry of the *output* image viewed as a conv input: the Conv2d
+  // whose dX this layer's forward is, and whose forward its dX is.
   ConvGeometry out_geometry(std::int64_t out_h, std::int64_t out_w) const;
 
   std::string name_;

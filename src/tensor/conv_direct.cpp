@@ -262,12 +262,9 @@ void weight_grad_sample(KernelIsa isa, const ConvIndex& ix, const float* x,
 
 }  // namespace
 
-void direct_conv_forward(const ConvIndex& ix, const float* image,
+void direct_conv_forward(const ConvIndex& ix, const float* padded,
                          const float* w, float* y) {
   require_unit_stride(ix.geometry);
-  float* padded = thread_scratch(ScratchSlot::kCols,
-                                 static_cast<std::size_t>(ix.padded_elems()));
-  pad_image(image, ix.geometry, padded);
 #if FLEDA_X86_KERNELS
   switch (kernel_isa()) {
     case KernelIsa::kAvx2:

@@ -7,9 +7,9 @@
 // instead: through a ConvIndex at stride 1, weight row p = (c, kh, kw)
 // sees output pixel (oh, ow) at
 //   padded[row_offset[p] + oh*Wp + ow],
-// which is exactly im2col's cols[p][oh*OW + ow]. Both pad the sample
-// themselves: forward into the calling thread's scratch, dW into its
-// own channel-interleaved blocks. ConvGemm and conv_gemm_weight_grad
+// which is exactly im2col's cols[p][oh*OW + ow]. The forward reads the
+// padded copy ConvGemm makes; dW pads the sample itself, into its own
+// channel-interleaved blocks. ConvGemm and conv_gemm_weight_grad
 // (tensor/conv_gemm.hpp) run them for every m = 1, stride-1 conv; the
 // head's dX is the stride-1 dX conv of ConvGemmAdjoint, an m = Cin
 // GEMM.
@@ -38,9 +38,9 @@
 
 namespace fleda {
 
-// y[OH*OW] = w[C*kh*kw] * cols(image), overwriting y, for one unpadded
-// sample [C, H, W].
-void direct_conv_forward(const ConvIndex& ix, const float* image,
+// y[OH*OW] = w[C*kh*kw] * cols(image), overwriting y, for one sample
+// padded as ix addresses it (pad_image).
+void direct_conv_forward(const ConvIndex& ix, const float* padded,
                          const float* w, float* y);
 
 // dw[C*kh*kw] += sum over n in [0, batch) of

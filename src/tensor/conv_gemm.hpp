@@ -3,11 +3,11 @@
 // the column matrix cols(image) of a ConvGeometry (tensor/im2col.hpp):
 //
 //   ConvGemm              out[m, pixels] = A[m, rows] * cols(image)
-//                         (kNN; Conv2d forward, the stride-1 dX conv,
+//                         (kNN; Conv2d forward, the dX conv,
 //                         ConvTranspose2d dX)
-//   ConvGemmAdjoint       image = col2im(A^T * x), x [m, pixels]: the
-//                         adjoint of ConvGemm with the same A (Conv2d
-//                         dX, ConvTranspose2d forward)
+//   ConvGemmAdjoint       image = A^T x scattered back through cols,
+//                         x [m, pixels]: the adjoint of ConvGemm with the
+//                         same A (Conv2d dX, ConvTranspose2d forward)
 //   conv_gemm_weight_grad C[m, rows]   += A_n[m, pixels] * cols(image_n)^T
 //                         over the batch (Conv2d and ConvTranspose2d
 //                         dW), run as C^T += cols(image_n) * A_n^T
@@ -26,20 +26,28 @@
 // prediction head) ConvGemm and conv_gemm_weight_grad run the direct
 // kernels of tensor/conv_direct.hpp instead, with the same bits.
 //
-// ConvGemmAdjoint at stride 1 is the forward conv of x, padded by
-// d(k-1)-p, with the flipped, channel-transposed weight
-//   W'[c, (i, kh, kw)] = A[i, (c, k-1-kh, k-1-kw)],
-// through ConvGemm: it sums each element over m x taps in KC slices,
-// so it matches col2im(A^T x), which sums over m per tap and then over
-// taps, only to rounding. Non-finite values: it multiplies every weight
-// by x's zero padding, so an Inf or NaN weight puts NaN at the border
-// pixels whose taps fall outside x, where col2im never multiplied it.
-// At any other stride it forms A^T x as columns (the packed kAT GEMM)
-// and scatters them with col2im.
+// ConvGemmAdjoint is s_h * s_w stride-1 convs of x, its phases (the
+// sub-pixel identity of Shi et al., CVPR 2016). Along each axis of a
+// stride-s conv (pad p, dilation d), image row ih = r + s u receives
+// exactly the taps kh with (r + p - kh d) = 0 (mod s), tap kh reading x
+// row u + (r + p - kh d) / s. So phase r is a conv of x over those taps
+// in descending kh, at dilation d / gcd(d, s), with ceil((H - r) / s)
+// output rows; a phase with no tap writes +0. x is padded once per
+// sample, far enough for every phase's reads; each phase runs ConvGemm's
+// kNN GEMM through a ConvIndex whose pixels start at its origin, with
+// the phase's taps of A flipped and channel-transposed,
+//   W_r[c, (i, jh, jw)] = A[i, (c, taps_h[jh], taps_w[jw])],
+// and its block is interleaved into the image. At stride 1 the one
+// phase is the flipped conv (taps k-1 .. 0, x padded by d(k-1)-p),
+// written in place. Each element sums over m x taps in KC slices, so it
+// matches the scatter of A^T x, which sums over m per tap and then over
+// taps, only to rounding. Non-finite values: a phase multiplies every
+// weight by x's zero padding, so an Inf or NaN weight puts NaN at the
+// image pixels whose taps fall outside x, where the scatter never
+// multiplied it.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "tensor/im2col.hpp"
@@ -59,6 +67,15 @@ class ConvGemm {
   void run(const float* image, float* out) const;
 
  private:
+  friend class ConvGemmAdjoint;
+  // With `column` set, a phase of ConvGemmAdjoint: always the packed
+  // GEMM, over an index whose pixels start at the phase's origin, with A
+  // gathered as it is packed, A(i, p) = a[i * row_stride + column[p]].
+  ConvGemm(ConvIndex ix, std::int64_t m, const float* a,
+           const std::int64_t* column, std::int64_t row_stride);
+  // run() for an image already padded as ix_ addresses it.
+  void run_padded(const float* padded, float* out) const;
+
   ConvIndex ix_;
   bool direct_;
   GemmPlan plan_;
@@ -68,18 +85,23 @@ class ConvGemm {
 class ConvGemmAdjoint {
  public:
   // `g` is ConvGemm's geometry, whose image the adjoint writes; `a` is
-  // [m, g.col_rows()], flipped or packed once for every sample.
+  // [m, g.col_rows()], split into its phases' weights, each packed once
+  // for every sample.
   ConvGemmAdjoint(const ConvGeometry& g, std::int64_t m, const float* a);
 
-  // image[C, H, W] = col2im(A^T * x) for one x [m, pixels], overwriting
-  // image. Safe to call concurrently, as ConvGemm::run.
+  // image[C, H, W] = the adjoint of cols applied to A^T x, for one
+  // x [m, pixels], overwriting image. Safe to call concurrently, as
+  // ConvGemm::run.
   void run(const float* x, float* image) const;
 
  private:
+  struct Phase {
+    std::int64_t row, col;  // the image pixel its block starts at
+    ConvGemm gemm;
+  };
   ConvGeometry g_;
-  std::optional<ConvGemm> flipped_;  // stride 1
-  GemmPlan plan_;                    // other strides: the kAT GEMM
-  std::vector<float> apack_;
+  ConvGeometry x_;  // x [m, OH, OW] and the pad every phase reads
+  std::vector<Phase> phases_;
 };
 
 // Blocks a weight gradient is split into across the pool. Fixed (not

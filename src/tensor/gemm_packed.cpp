@@ -69,12 +69,6 @@ namespace {
 constexpr std::int64_t MR = kGemmMR;
 constexpr std::int64_t NR = kGemmNR;
 
-// A(i, p) under the plan's A layout.
-inline std::int64_t a_index(GemmOp op, std::int64_t m, std::int64_t k,
-                            std::int64_t i, std::int64_t p) {
-  return op == GemmOp::kAT ? p * m + i : i * k + p;
-}
-
 // Packs A rows [i0, i0 + mr) x depth [pc, pc + kc) into an MR-wide
 // micro-panel: dst[p * MR + r] = A(i0 + r, pc + p), zero-padded rows.
 void pack_a_panel(GemmOp op, const float* a, std::int64_t m, std::int64_t k,
@@ -206,7 +200,7 @@ struct InPlaceA {
 // load. Against two merge-masked loads, micro_kernels dw_ms on a
 // 4-vCPU AVX-512 EPYC read RouteNet conv2 1.29-1.39 -> 0.81-0.85 ms and
 // conv3 0.53 -> 0.40 ms; against two 256-bit loads, RouteNet's deconv
-// forward (a kAT GEMM of the generic path) read 0.1035 -> 0.096 ms
+// forward (then a kAT GEMM of the generic path) read 0.1035 -> 0.096 ms
 // (medians of 8 runs). So every packed B takes this layout: the
 // whole-operand pack_b and the block of the generic packed path. bp
 // points at the call's first panel; only a one-panel call (portable)
@@ -799,7 +793,8 @@ std::size_t packed_a_elems(const GemmPlan& plan) {
   return static_cast<std::size_t>(mpanels * plan.shape.k * MR);
 }
 
-void pack_a(const GemmPlan& plan, const float* a, float* apack) {
+void pack_a(const GemmPlan& plan, const float* a, float* apack,
+            const std::int64_t* column, std::int64_t row_stride) {
   const std::int64_t m = plan.shape.m;
   const std::int64_t k = plan.shape.k;
   const std::int64_t mpanels = (m + MR - 1) / MR;
@@ -809,9 +804,18 @@ void pack_a(const GemmPlan& plan, const float* a, float* apack) {
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t ip = begin; ip < end; ++ip) {
           const std::int64_t i0 = static_cast<std::int64_t>(ip) * MR;
-          pack_a_panel(plan.shape.op, a, m, k, i0,
-                       std::min<std::int64_t>(MR, m - i0), 0, k,
-                       apack + static_cast<std::int64_t>(ip) * k * MR);
+          const std::int64_t mr = std::min<std::int64_t>(MR, m - i0);
+          float* dst = apack + static_cast<std::int64_t>(ip) * k * MR;
+          if (column == nullptr) {
+            pack_a_panel(plan.shape.op, a, m, k, i0, mr, 0, k, dst);
+            continue;
+          }
+          for (std::int64_t p = 0; p < k; ++p) {
+            for (std::int64_t r = 0; r < MR; ++r) {
+              dst[p * MR + r] =
+                  r < mr ? a[(i0 + r) * row_stride + column[p]] : 0.0f;
+            }
+          }
         }
       },
       /*grain=*/4);
@@ -821,12 +825,6 @@ void gemm_packed(const GemmPlan& plan, const float* a, const float* b,
                  float* c, bool accumulate) {
   gemm_packed_impl(plan, a, /*apack_full=*/nullptr, b, /*implicit=*/nullptr,
                    c, accumulate, 0, plan.shape.n);
-}
-
-void gemm_packed_prepacked_a(const GemmPlan& plan, const float* apack,
-                             const float* b, float* c, bool accumulate) {
-  gemm_packed_impl(plan, /*a=*/nullptr, apack, b, /*implicit=*/nullptr, c,
-                   accumulate, 0, plan.shape.n);
 }
 
 void gemm_packed_implicit(const GemmPlan& plan, const float* a,

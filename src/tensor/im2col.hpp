@@ -1,12 +1,11 @@
-// im2col / col2im for strided, padded, dilated 2D convolution.
+// The column matrix of strided, padded, dilated 2D convolution.
 //
 // im2col lowers a [C,H,W] image into a [C*kh*kw, OH*OW] column matrix
 // so convolution becomes a matmul with the [Cout, C*kh*kw] weight
-// matrix; col2im is its exact adjoint (scatter-add), used both for
-// conv backward-data and for ConvTranspose2d forward. pad_image makes
-// the zero-padded copy of one sample that the direct conv kernels and
-// the implicit-column GEMM read in place of a column matrix, addressed
-// through a ConvIndex.
+// matrix. No layer writes it: pad_image makes the zero-padded copy of
+// one sample that the direct conv kernels and the implicit-column GEMM
+// read in its place, addressed through a ConvIndex. im2col gathers it
+// from that copy for the tests' oracles and the benchmark ledger.
 #pragma once
 
 #include <cstdint>
@@ -42,11 +41,6 @@ struct ConvGeometry {
 // image: [C,H,W] contiguous. cols: [col_rows, col_cols] contiguous,
 // fully overwritten (padding positions become 0).
 void im2col(const float* image, const ConvGeometry& g, float* cols);
-
-// Adjoint of im2col: scatter-adds cols back into image. The image
-// buffer must be zeroed by the caller if overwrite semantics are
-// desired.
-void col2im(const float* cols, const ConvGeometry& g, float* image);
 
 // image: [C,H,W] contiguous. padded: [C, H+2*pad_h, W+2*pad_w],
 // fully overwritten — the image in the middle, zeros around it. A

@@ -154,8 +154,6 @@ GemmPlan make_gemm_plan(GemmOp op, std::int64_t m, std::int64_t k,
                         std::int64_t n) {
   GemmPlan plan;
   plan.shape = GemmShape{op, m, k, n};
-  plan.flops = 2.0 * static_cast<double>(m) * static_cast<double>(k) *
-               static_cast<double>(n);
   plan.isa = kernel_isa();
   // NC: the packed B block (KC x nc floats) should occupy at most half
   // of L2, so it survives the sweep over all row panels. (k = 0 budgets

@@ -133,7 +133,6 @@ struct GemmPlan {
   // every plan.
   std::int64_t mc = 0;
   std::int64_t nc = 0;
-  double flops = 0.0;  // 2*m*k*n, for bench reporting
   // The ISA the kernels run under; stamped from kernel_isa() whenever a
   // plan is made or handed out, so it is not part of the cached choice.
   KernelIsa isa = KernelIsa::kPortable;
@@ -197,18 +196,16 @@ std::size_t packed_a_elems(const GemmPlan& plan);
 
 // Packs the whole A operand into `apack` (packed_a_elems floats,
 // ideally 64-byte aligned). Rows beyond m inside the last MR panel are
-// zero-filled.
-void pack_a(const GemmPlan& plan, const float* a, float* apack);
+// zero-filled. Given `column`, A is gathered as it is packed, A(i, p)
+// = a[i * row_stride + column[p]], whatever the plan's op.
+void pack_a(const GemmPlan& plan, const float* a, float* apack,
+            const std::int64_t* column = nullptr,
+            std::int64_t row_stride = 0);
 
 // C = A*B (+C when accumulate) under `plan`. Packs B panels into the
 // calling thread's aligned scratch and A micro-panels on the fly.
 void gemm_packed(const GemmPlan& plan, const float* a, const float* b,
                  float* c, bool accumulate);
-
-// Same, but A was packed up front with pack_a (shared, read-only —
-// safe to use concurrently from batch-parallel workers).
-void gemm_packed_prepacked_a(const GemmPlan& plan, const float* apack,
-                             const float* b, float* c, bool accumulate);
 
 // A conv's column matrix, read in place from one zero-padded sample:
 //   cols(r, q) = padded[row_offset[r] + pixel_offset[q]]

@@ -1,5 +1,5 @@
 // Thread-local scratch buffers for kernel intermediates (padded images,
-// column matrices, and the packed GEMM panels). Convolution
+// conv output blocks, and the packed GEMM panels). Convolution
 // layers need multi-MB temporaries per call; allocating them fresh each
 // step costs more in page faults and zero-fill than the math itself.
 // Buffers persist per thread and per slot, growing monotonically.
@@ -11,8 +11,9 @@
 namespace fleda {
 
 enum class ScratchSlot : int {
-  kCols = 0,        // a padded sample, or a column matrix (conv lowering)
-  kConvBlock = 1,   // a channel group's padded block (direct conv dW)
+  kCols = 0,        // a padded sample (conv lowering)
+  kConvBlock = 1,   // a channel group's padded block (direct conv dW),
+                    // or a phase's output block (conv adjoint)
   kPackA = 2,       // packed A micro-panels (gemm_packed)
   kPackB = 3,       // packed B panel block (gemm_packed), or a weight
                     // gradient's packed dy (conv_gemm_weight_grad)

@@ -1,5 +1,6 @@
 // Unit tests for the tensor substrate: Shape, Tensor storage, element
-// ops, matmul kernels (vs naive reference), im2col/col2im adjointness,
+// ops, matmul kernels (vs naive reference), im2col against a direct
+// gather,
 // and binary serialization round-trips.
 #include <gtest/gtest.h>
 
@@ -276,7 +277,7 @@ TEST(Matmul, ZeroTimesNaNPropagates) {
   }
 }
 
-// ---- im2col / col2im ----
+// ---- im2col ----
 
 struct ConvGeomParam {
   int c, h, w, k, pad, stride, dilation;
@@ -323,22 +324,6 @@ TEST_P(Im2colGeometry, MatchesDirectGather) {
       }
     }
   }
-}
-
-// Adjointness: <im2col(x), y> == <x, col2im(y)> for all x, y — the
-// property that makes conv backward exact.
-TEST_P(Im2colGeometry, Col2imIsAdjointOfIm2col) {
-  ConvGeometry g = make_geom(GetParam());
-  Rng rng(7);
-  Tensor x = random_tensor(Shape::of(g.channels, g.height, g.width), rng);
-  Tensor y = random_tensor(Shape::of(g.col_rows(), g.col_cols()), rng);
-
-  Tensor ix(Shape::of(g.col_rows(), g.col_cols()));
-  im2col(x.data(), g, ix.data());
-  Tensor cy(Shape::of(g.channels, g.height, g.width));
-  col2im(y.data(), g, cy.data());
-
-  EXPECT_NEAR(dot(ix, y), dot(x, cy), 1e-2);
 }
 
 INSTANTIATE_TEST_SUITE_P(
