@@ -243,8 +243,6 @@ int bench_straggler() {
 
   AsyncConfig config;
   config.buffer_size = 4;
-  config.server_mix = 0.5;
-  config.poly_exponent = 1.0;
   AsyncFedAvg async_algo(config);
   // Aggregation budget: enough buffered rounds to pass the target well
   // before the sync run's horizon.

@@ -59,8 +59,8 @@ struct ExperimentConfig {
   // Server-side attacker detection / reputation loop (fl/anomaly.hpp);
   // disabled by default, a pure observer when enabled.
   AnomalyConfig anomaly;
-  // AsyncFedAvg knobs (buffer size, staleness discount, max_in_flight
-  // dispatch gate).
+  // AsyncFedAvg knobs (buffer size, max_in_flight dispatch gate); its
+  // staleness discount and server mix are `aggregation`'s.
   AsyncConfig async;
   // Restart local Adam moments from zero at every deployment (the
   // paper's behavior); false carries each client's moments across

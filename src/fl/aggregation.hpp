@@ -327,7 +327,8 @@ class StalenessDiscountedMix : public AggregationRule {
 struct AggregationConfig {
   // AggregationRegistry key. Empty = the algorithm's historical
   // default: WeightedAverage for the synchronous round loops,
-  // StalenessDiscountedMix (from AsyncConfig's knobs) for AsyncFedAvg.
+  // StalenessDiscountedMix (from `staleness` and `server_mix` below)
+  // for AsyncFedAvg.
   // Synchronous loops reject delta-mixing rules ("staleness_mix") —
   // their cohorts are full parameters, not deltas.
   std::string rule;
@@ -335,10 +336,11 @@ struct AggregationConfig {
   double clip_norm = 10.0;     // "norm_clipped_mean"
   int krum_f = 1;              // "krum" / "multi_krum": Byzantine budget
   int krum_m = 0;              // "multi_krum": selected count; 0 = n-f-2
-  // Knobs for an EXPLICIT rule = "staleness_mix". They intentionally
-  // take precedence over AsyncConfig's staleness/server_mix fields,
-  // which apply only to the empty-rule default — naming the rule here
-  // means configuring it here.
+  // "staleness_mix" and AsyncFedAvg's empty-rule default. server_mix
+  // is the rate eta on the discounted average delta; below 1.0 it
+  // damps the cohort-to-cohort oscillation a small async buffer
+  // induces. AsyncFedAvg also folds an averaging rule's consensus
+  // delta in at server_mix, its folds weighted by the discount.
   StalenessPolicy staleness;
   double server_mix = 0.5;
 };

@@ -39,6 +39,7 @@ std::vector<ModelParameters> AlphaPortionSync::run_rounds(
                  sim, [&](std::size_t, std::size_t i, ModelParameters&& u) {
                    updates[i] = std::move(u);
                  });
+    if (cohort.empty()) throw empty_cohort_error(name(), r);
 
     // The mixing below bypasses the AggregationRule guards, so screen
     // the cohort's updates for non-finite values here — a poisoned

@@ -31,21 +31,6 @@ AsyncFedAvg::AsyncFedAvg(AsyncConfig config) : config_(config) {
   if (config_.staleness_gate_age < 0) {
     throw std::invalid_argument("AsyncFedAvg: staleness_gate_age < 0");
   }
-  // Validates server_mix and the discount parameters.
-  StalenessDiscountedMix(staleness_policy(config_), config_.server_mix);
-}
-
-StalenessPolicy AsyncFedAvg::staleness_policy(const AsyncConfig& config) {
-  StalenessPolicy policy;
-  policy.discount = config.discount;
-  policy.poly_exponent = config.poly_exponent;
-  policy.constant_factor = config.constant_factor;
-  return policy;
-}
-
-double AsyncFedAvg::staleness_weight(const AsyncConfig& config,
-                                     int staleness) {
-  return staleness_policy(config).weight(staleness);
 }
 
 std::vector<ModelParameters> AsyncFedAvg::run_rounds(
@@ -64,18 +49,14 @@ std::vector<ModelParameters> AsyncFedAvg::run_rounds(
   SimEngine& engine = sim.engine();
   Channel& channel = sim.channel();
   const std::vector<double> weights = client_weights(clients);
-  const StalenessPolicy staleness = staleness_policy(config_);
-  // The configured aggregation rule; the empty default keeps the
-  // historical AsyncConfig-derived StalenessDiscountedMix. NOTE: an
-  // explicit rule name — including "staleness_mix" — is built from
-  // AggregationConfig's own knobs (staleness / server_mix there), not
-  // from this AsyncConfig; naming the rule means configuring it in
-  // AggregationConfig.
-  const std::unique_ptr<AggregationRule> rule =
-      opts.aggregation.rule.empty()
-          ? std::make_unique<StalenessDiscountedMix>(staleness,
-                                                     config_.server_mix)
-          : make_aggregation_rule(opts.aggregation);
+  // The configured aggregation rule. The empty default is
+  // StalenessDiscountedMix with the config's staleness and server_mix;
+  // building it validates those knobs for the averaging rules too,
+  // which weight by the discount and mix with server_mix.
+  const AggregationConfig& agg = opts.aggregation;
+  std::unique_ptr<AggregationRule> rule =
+      std::make_unique<StalenessDiscountedMix>(agg.staleness, agg.server_mix);
+  if (!agg.rule.empty()) rule = make_aggregation_rule(agg);
 
   int version = 0;  // completed aggregations, the async "round" counter
   // Per-client upload counter, the Byzantine noise-stream nonce: a
@@ -142,7 +123,7 @@ std::vector<ModelParameters> AsyncFedAvg::run_rounds(
     if (rule->folds_into_current()) {
       global = std::move(step);
     } else {
-      global.add_scaled(step, config_.server_mix);
+      global.add_scaled(step, agg.server_mix);
     }
     arrivals.clear();
     ++version;
@@ -297,7 +278,7 @@ std::vector<ModelParameters> AsyncFedAvg::run_rounds(
                       const int tau = version - dispatched_version;
                       double w = weights[k];
                       if (!rule->folds_into_current()) {
-                        w *= staleness.weight(tau);
+                        w *= agg.staleness.weight(tau);
                       }
                       if (observe) observed.push_back(delta);
                       interval->fold(std::move(delta), w, tau,

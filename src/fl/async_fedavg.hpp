@@ -16,21 +16,13 @@
 
 namespace fleda {
 
-// StalenessDiscount lives in fl/aggregation.hpp now (the discount math
-// moved into the pluggable StalenessDiscountedMix rule); AsyncConfig
-// keeps its flat fields as the user-facing knobs.
-
+// The staleness discount and the server mixing rate are
+// FLRunOptions::aggregation's `staleness` and `server_mix`: the empty
+// rule runs StalenessDiscountedMix with them.
 struct AsyncConfig {
   // Server aggregates once this many updates are buffered. 1 recovers
   // fully-async FedAsync; #clients approximates a soft sync round.
   int buffer_size = 3;
-  // Server mixing rate eta on the discounted average delta. Below 1.0
-  // damps the cohort-to-cohort oscillation a small buffer induces
-  // (each aggregation sees only buffer_size of the clients).
-  double server_mix = 0.5;
-  StalenessDiscount discount = StalenessDiscount::kPolynomial;
-  double poly_exponent = 1.0;    // kPolynomial
-  double constant_factor = 0.3;  // kConstant
   // Dispatch gate: at most this many clients hold a dispatched model
   // (download -> train -> upload) at any instant; the rest wait FIFO
   // for a slot. The async analogue of cohort subsampling — a K = 1000
@@ -56,13 +48,6 @@ class AsyncFedAvg : public FederatedAlgorithm {
   // ignores the sync-barrier participation policy.
   bool uses_participation() const override { return false; }
   const AsyncConfig& config() const { return config_; }
-
-  // Discount weight for an update trained on a model `staleness`
-  // versions behind the current one (delegates to StalenessPolicy).
-  static double staleness_weight(const AsyncConfig& config, int staleness);
-
-  // The async knobs as an aggregation-layer StalenessPolicy.
-  static StalenessPolicy staleness_policy(const AsyncConfig& config);
 
  protected:
   // opts.rounds counts server aggregations (the async analogue of a

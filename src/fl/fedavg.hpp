@@ -1,13 +1,14 @@
 // FedAvg (McMahan et al. 2017): the baseline FL round loop of Fig. 1
-// with plain local SGD/Adam training (no proximal term). Included for
-// the convergence-comparison bench; the paper builds on FedProx.
+// with plain local SGD/Adam training — FedProx without the proximal
+// term. Included for the convergence-comparison bench; the paper
+// builds on FedProx.
 #pragma once
 
-#include "fl/trainer.hpp"
+#include "fl/fedprox.hpp"
 
 namespace fleda {
 
-class FedAvg : public FederatedAlgorithm {
+class FedAvg : public FedProx {
  public:
   std::string name() const override { return "FedAvg"; }
 
@@ -15,7 +16,11 @@ class FedAvg : public FederatedAlgorithm {
   std::vector<ModelParameters> run_rounds(
       std::vector<Client>& clients, const ModelFactory& factory,
       const FLRunOptions& opts, FederationSim& sim,
-      ParticipationPolicy& participation) override;
+      ParticipationPolicy& participation) override {
+    FLRunOptions plain = opts;
+    plain.client.mu = 0.0;
+    return FedProx::run_rounds(clients, factory, plain, sim, participation);
+  }
 };
 
 }  // namespace fleda

@@ -1,19 +1,20 @@
 // IFCA — Iterative Federated Clustering Algorithm (Ghosh et al. 2020),
 // paper Fig. 2b. The developer maintains C cluster models; each round
-// every client evaluates all C models on its training data, joins the
-// lowest-loss cluster, trains that model, and the developer aggregates
-// per cluster over that round's members. Clusters can die (no members)
-// — their model is then carried over unchanged.
+// every cohort member evaluates all C models on its training data,
+// joins the lowest-loss cluster and trains that model; the rest is
+// FedProx's clustered body (per-cluster aggregation over the round's
+// members; a cluster with no members keeps its model). Every run
+// starts with all clients in cluster 0.
 #pragma once
 
-#include "fl/trainer.hpp"
+#include "fl/fedprox.hpp"
 
 namespace fleda {
 
-class IFCA : public FederatedAlgorithm {
+class IFCA : public FedProx {
  public:
   explicit IFCA(int num_clusters, int selection_batches = 4)
-      : num_clusters_(num_clusters), selection_batches_(selection_batches) {}
+      : FedProx(num_clusters, {}), selection_batches_(selection_batches) {}
 
   std::string name() const override { return "IFCA"; }
 
@@ -21,15 +22,14 @@ class IFCA : public FederatedAlgorithm {
   const std::vector<int>& final_assignment() const { return assignment_; }
 
  protected:
-  std::vector<ModelParameters> run_rounds(
-      std::vector<Client>& clients, const ModelFactory& factory,
-      const FLRunOptions& opts, FederationSim& sim,
-      ParticipationPolicy& participation) override;
+  // Ships all C models to every cohort member (one wave per model) and
+  // moves each member to its lowest-loss cluster.
+  std::vector<std::shared_ptr<const ModelParameters>> deploy(
+      std::vector<Client>& clients, const std::vector<std::size_t>& cohort,
+      const std::vector<ModelParameters>& models, FederationSim& sim) override;
 
  private:
-  int num_clusters_;
   int selection_batches_;
-  std::vector<int> assignment_;
 };
 
 }  // namespace fleda

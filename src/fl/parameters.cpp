@@ -1,6 +1,5 @@
 #include "fl/parameters.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "tensor/ops.hpp"
@@ -132,45 +131,6 @@ bool ModelParameters::structurally_equal(const ModelParameters& other) const {
     }
   }
   return true;
-}
-
-ModelParameters ModelParameters::weighted_average(
-    const std::vector<const ModelParameters*>& snapshots,
-    const std::vector<double>& weights) {
-  if (snapshots.empty()) {
-    throw std::invalid_argument(
-        "weighted_average: no snapshots — cannot average an empty cohort "
-        "(did the participation policy sample only offline clients?)");
-  }
-  if (snapshots.size() != weights.size()) {
-    throw std::invalid_argument(
-        "weighted_average: " + std::to_string(snapshots.size()) +
-        " snapshots but " + std::to_string(weights.size()) + " weights");
-  }
-  double total = 0.0;
-  for (double w : weights) {
-    if (!(w >= 0.0)) {  // negatives and NaNs both fail this
-      throw std::invalid_argument(
-          "weighted_average: weight " + std::to_string(w) +
-          " is negative or non-finite");
-    }
-    total += w;
-  }
-  if (!(total > 0.0) || !std::isfinite(total)) {
-    throw std::invalid_argument(
-        "weighted_average: total weight " + std::to_string(total) +
-        " — refusing to divide (would emit NaN parameters)");
-  }
-
-  ModelParameters result = *snapshots[0];
-  result.scale(weights[0] / total);
-  for (std::size_t s = 1; s < snapshots.size(); ++s) {
-    if (!result.structurally_equal(*snapshots[s])) {
-      throw std::invalid_argument("weighted_average: structure mismatch");
-    }
-    result.add_scaled(*snapshots[s], weights[s] / total);
-  }
-  return result;
 }
 
 void ModelParameters::add_scaled(const ModelParameters& other, double alpha) {

@@ -49,12 +49,6 @@ class ModelParameters {
   // Throws std::invalid_argument on any name/shape mismatch.
   void apply_to(Module& model) const;
 
-  // Weighted average of several snapshots; weights are normalized
-  // internally. All snapshots must be structurally identical.
-  static ModelParameters weighted_average(
-      const std::vector<const ModelParameters*>& snapshots,
-      const std::vector<double>& weights);
-
   // this += alpha * other (entrywise; structures must match).
   void add_scaled(const ModelParameters& other, double alpha);
   void scale(double alpha);

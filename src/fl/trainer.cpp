@@ -127,6 +127,14 @@ std::vector<std::size_t> FederatedAlgorithm::select_cohort(
   return participation.select(ctx);
 }
 
+std::invalid_argument FederatedAlgorithm::empty_cohort_error(
+    const std::string& algo, int round) {
+  return std::invalid_argument(
+      algo + ": empty cohort in round " + std::to_string(round) +
+      " — no client contributed (did the participation policy sample only "
+      "offline clients?)");
+}
+
 namespace {
 
 // The channel's parallel encode/decode touches per-client state

@@ -19,12 +19,16 @@
 // decoded upload is handed to the algorithm's consumer on its lane
 // thread (usually a fold into that lane's accumulator — see
 // LaneAccumulators in fl/aggregation.hpp), and the barrier closes the
-// round. The server (the paper's "developer") never sees data, only
-// the uploads, weighted by each client's sample count n_k.
+// round. FedAvg, FedProx, Assigned Clustering and IFCA share one round
+// loop on top of it, FedProx's clustered body (fl/fedprox.hpp); the
+// personalized FedProx-LG and alpha-sync keep their own. The server
+// (the paper's "developer") never sees data, only the uploads,
+// weighted by each client's sample count n_k.
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -53,8 +57,8 @@ struct FLRunOptions {
   ParticipationConfig participation;
   // How the cohort's updates become the next model, selected by
   // AggregationRegistry name. Empty rule = the algorithm's historical
-  // default (WeightedAverage for sync loops, AsyncConfig-derived
-  // StalenessDiscountedMix for AsyncFedAvg); a robust rule
+  // default (WeightedAverage for sync loops, StalenessDiscountedMix
+  // from this config's staleness/server_mix for AsyncFedAvg); a robust rule
   // ("coordinate_median", "trimmed_mean", "norm_clipped_mean") slots
   // into any algorithm by name.
   AggregationConfig aggregation;
@@ -145,6 +149,11 @@ class FederatedAlgorithm {
       ParticipationPolicy& participation, int round,
       std::size_t num_clients, const FLRunOptions& opts,
       const FederationSim& sim);
+
+  // What a round that folded no upload throws: under partial
+  // participation an all-offline cohort must fail loudly.
+  static std::invalid_argument empty_cohort_error(const std::string& algo,
+                                                  int round);
 
   // Receives cohort position i's decoded upload on fold lane `lane`.
   using Consume =

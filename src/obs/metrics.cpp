@@ -1,11 +1,9 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <map>
 #include <memory>
-#include <stdexcept>
 #include <thread>
 
 #include "util/thread_safety.hpp"
@@ -19,22 +17,6 @@ std::size_t thread_shard() {
   thread_local const std::size_t shard =
       std::hash<std::thread::id>{}(std::this_thread::get_id()) % kMetricShards;
   return shard;
-}
-
-void atomic_add_double(std::atomic<double>& target, double delta) {
-  double current = target.load(std::memory_order_relaxed);
-  while (!target.compare_exchange_weak(current, current + delta,
-                                       std::memory_order_relaxed,
-                                       std::memory_order_relaxed)) {
-  }
-}
-
-// %.6g keeps gauges/sums readable and byte-stable across runs with the
-// same inputs (no locale, no trailing-zero drift).
-void append_double(std::string& out, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  out += buf;
 }
 
 void append_u64(std::string& out, std::uint64_t value) {
@@ -64,72 +46,14 @@ void Counter::reset() {
   }
 }
 
-Histogram::Histogram(std::vector<double> upper_bounds)
-    : bounds_(std::move(upper_bounds)),
-      buckets_(bounds_.size() + 1) {
-  if (bounds_.empty()) {
-    throw std::invalid_argument("Histogram requires at least one bound");
-  }
-  for (std::size_t i = 1; i < bounds_.size(); ++i) {
-    if (bounds_[i] <= bounds_[i - 1]) {
-      throw std::invalid_argument("Histogram bounds must be ascending");
-    }
-  }
-}
-
-void Histogram::observe(double value) {
-  std::size_t bucket = bounds_.size();  // overflow bucket by default
-  for (std::size_t i = 0; i < bounds_.size(); ++i) {
-    if (value <= bounds_[i]) {
-      bucket = i;
-      break;
-    }
-  }
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  atomic_add_double(sum_, value);
-}
-
-Histogram::Snapshot Histogram::snapshot() const {
-  Snapshot snap;
-  snap.bounds = bounds_;
-  snap.counts.reserve(buckets_.size());
-  for (const auto& bucket : buckets_) {
-    snap.counts.push_back(bucket.load(std::memory_order_relaxed));
-  }
-  snap.count = count_.load(std::memory_order_relaxed);
-  snap.sum = sum_.load(std::memory_order_relaxed);
-  return snap;
-}
-
-void Histogram::reset() {
-  for (auto& bucket : buckets_) {
-    bucket.store(0, std::memory_order_relaxed);
-  }
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-}
-
-// unique_ptr-valued maps: references returned to callers stay pinned
-// while the maps rehash under new registrations. The mutex guards the
-// map structure only — the metrics themselves are internally atomic,
+// unique_ptr-valued map: references returned to callers stay pinned
+// as the map grows under new registrations. The mutex guards the
+// map structure only — the counters themselves are internally atomic,
 // so cached references update them without ever touching the lock.
 struct MetricsRegistry::Impl {
   mutable Mutex mutex;
   std::map<std::string, std::unique_ptr<Counter>> counters
       FLEDA_GUARDED_BY(mutex);
-  std::map<std::string, std::unique_ptr<Gauge>> gauges
-      FLEDA_GUARDED_BY(mutex);
-  std::map<std::string, std::unique_ptr<Histogram>> histograms
-      FLEDA_GUARDED_BY(mutex);
-
-  bool name_taken_elsewhere(const std::string& name, int kind) const
-      FLEDA_REQUIRES(mutex) {
-    // kind: 0=counter, 1=gauge, 2=histogram
-    return (kind != 0 && counters.count(name) != 0) ||
-           (kind != 1 && gauges.count(name) != 0) ||
-           (kind != 2 && histograms.count(name) != 0);
-  }
 };
 
 MetricsRegistry::Impl* MetricsRegistry::impl() const {
@@ -161,39 +85,8 @@ MetricsRegistry& MetricsRegistry::global() {
 Counter& MetricsRegistry::counter(const std::string& name) {
   Impl& im = *impl();
   MutexLock lock(im.mutex);
-  if (im.name_taken_elsewhere(name, 0)) {
-    throw std::invalid_argument("metric '" + name +
-                                "' already registered with another kind");
-  }
   auto& slot = im.counters[name];
   if (slot == nullptr) slot = std::make_unique<Counter>();
-  return *slot;
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  Impl& im = *impl();
-  MutexLock lock(im.mutex);
-  if (im.name_taken_elsewhere(name, 1)) {
-    throw std::invalid_argument("metric '" + name +
-                                "' already registered with another kind");
-  }
-  auto& slot = im.gauges[name];
-  if (slot == nullptr) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<double> upper_bounds) {
-  Impl& im = *impl();
-  MutexLock lock(im.mutex);
-  if (im.name_taken_elsewhere(name, 2)) {
-    throw std::invalid_argument("metric '" + name +
-                                "' already registered with another kind");
-  }
-  auto& slot = im.histograms[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Histogram>(std::move(upper_bounds));
-  }
   return *slot;
 }
 
@@ -201,12 +94,9 @@ std::vector<std::string> MetricsRegistry::names() const {
   Impl& im = *impl();
   MutexLock lock(im.mutex);
   std::vector<std::string> out;
-  out.reserve(im.counters.size() + im.gauges.size() + im.histograms.size());
+  out.reserve(im.counters.size());
   for (const auto& [name, _] : im.counters) out.push_back(name);
-  for (const auto& [name, _] : im.gauges) out.push_back(name);
-  for (const auto& [name, _] : im.histograms) out.push_back(name);
-  std::sort(out.begin(), out.end());
-  return out;
+  return out;  // std::map iterates sorted
 }
 
 std::string MetricsRegistry::snapshot_json() const {
@@ -222,40 +112,6 @@ std::string MetricsRegistry::snapshot_json() const {
     out += "\":";
     append_u64(out, counter->value());
   }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, gauge] : im.gauges) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += name;
-    out += "\":";
-    append_double(out, gauge->value());
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, histogram] : im.histograms) {
-    if (!first) out += ',';
-    first = false;
-    const Histogram::Snapshot snap = histogram->snapshot();
-    out += '"';
-    out += name;
-    out += "\":{\"bounds\":[";
-    for (std::size_t i = 0; i < snap.bounds.size(); ++i) {
-      if (i != 0) out += ',';
-      append_double(out, snap.bounds[i]);
-    }
-    out += "],\"counts\":[";
-    for (std::size_t i = 0; i < snap.counts.size(); ++i) {
-      if (i != 0) out += ',';
-      append_u64(out, snap.counts[i]);
-    }
-    out += "],\"count\":";
-    append_u64(out, snap.count);
-    out += ",\"sum\":";
-    append_double(out, snap.sum);
-    out += '}';
-  }
   out += "}}";
   return out;
 }
@@ -264,8 +120,6 @@ void MetricsRegistry::reset() {
   Impl& im = *impl();
   MutexLock lock(im.mutex);
   for (auto& [_, counter] : im.counters) counter->reset();
-  for (auto& [_, gauge] : im.gauges) gauge->reset();
-  for (auto& [_, histogram] : im.histograms) histogram->reset();
 }
 
 }  // namespace fleda

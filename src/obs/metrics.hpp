@@ -1,7 +1,7 @@
-// MetricsRegistry: named counters, gauges, and fixed-bucket histograms
-// with a JSON snapshot — the structured, always-cheap complement to the
-// scoped profiler (which answers "where did the time go"; metrics
-// answer "how much of everything happened").
+// MetricsRegistry: named counters with a JSON snapshot — the
+// structured, always-cheap complement to the scoped profiler (which
+// answers "where did the time go"; metrics answer "how much of
+// everything happened").
 //
 // Naming scheme: "fleda.<subsystem>.<metric>", lowercase, dot-
 // separated — e.g. fleda.comm.uplink_bytes, fleda.pool.acquires,
@@ -12,17 +12,14 @@
 //
 // Counters are sharded across cache lines by thread-id hash so eight
 // pool workers incrementing the same counter do not serialize on one
-// cache line; value() sums the shards. Gauges are a single atomic
-// double. Histograms keep one atomic count per bucket plus a CAS-added
-// sum. reset() zeroes values but never unregisters metrics — cached
-// references stay valid forever.
+// cache line; value() sums the shards. reset() zeroes values but never
+// unregisters metrics — cached references stay valid forever.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace fleda {
@@ -43,44 +40,6 @@ class Counter {
   std::array<Shard, kMetricShards> shards_;
 };
 
-// Last-write-wins instantaneous value.
-class Gauge {
- public:
-  void set(double value) { value_.store(value, std::memory_order_relaxed); }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { set(0.0); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
-
-// Fixed-bucket histogram: bucket i counts observations <= bounds[i],
-// with one implicit overflow bucket above the last bound.
-class Histogram {
- public:
-  // `upper_bounds` must be non-empty and strictly ascending.
-  explicit Histogram(std::vector<double> upper_bounds);
-
-  void observe(double value);
-
-  struct Snapshot {
-    std::vector<double> bounds;         // the configured upper bounds
-    std::vector<std::uint64_t> counts;  // bounds.size() + 1 buckets
-    std::uint64_t count = 0;
-    double sum = 0.0;
-  };
-  Snapshot snapshot() const;
-  void reset();
-
-  const std::vector<double>& bounds() const { return bounds_; }
-
- private:
-  std::vector<double> bounds_;
-  std::vector<std::atomic<std::uint64_t>> buckets_;
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-};
-
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -92,19 +51,13 @@ class MetricsRegistry {
   static MetricsRegistry& global();
 
   // Find-or-create by name. The returned reference is valid for the
-  // registry's lifetime. Creating a name twice with different kinds
-  // throws std::invalid_argument; histogram bounds are fixed by the
-  // first registration.
+  // registry's lifetime.
   Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name,
-                       std::vector<double> upper_bounds);
 
   // All registered names, sorted.
   std::vector<std::string> names() const;
 
-  // {"counters":{...},"gauges":{...},"histograms":{...}} with sorted
-  // names and fixed formatting.
+  // {"counters":{...}} with sorted names and fixed formatting.
   std::string snapshot_json() const;
 
   // Zeroes every metric's value; registrations (and references) stay.
@@ -113,10 +66,10 @@ class MetricsRegistry {
  private:
   struct Impl;
   Impl* impl() const;
-  // Lazily created via an acquire/CAS publish: counter()/gauge()/
-  // histogram() may race on a fresh registry, and a plain pointer here
-  // was a genuine data race (two threads could both observe nullptr,
-  // both allocate, and leak/tear the pointer).
+  // Lazily created via an acquire/CAS publish: counter() may race on a
+  // fresh registry, and a plain pointer here was a genuine data race
+  // (two threads could both observe nullptr, both allocate, and
+  // leak/tear the pointer).
   mutable std::atomic<Impl*> impl_{nullptr};
 };
 

@@ -180,7 +180,6 @@ TEST(FedProx, RoundCallbackFiresEachRound) {
   FedProx algo;
   algo.run(w.clients, w.factory, opts);
   EXPECT_EQ(calls, 3);
-  EXPECT_FALSE(algo.global_model().empty());
 }
 
 TEST(FedProx, DeterministicAcrossRuns) {
@@ -252,6 +251,10 @@ TEST(AssignedClustering, PaperAssignmentShape) {
   // Paper assignment is for 9 clients; running on 3 must throw.
   EXPECT_THROW(algo.run(w.clients, w.factory, tiny_options()),
                std::invalid_argument);
+  // So must a negative cluster index.
+  EXPECT_THROW(
+      AssignedClustering({0, -1, 1}).run(w.clients, w.factory, tiny_options()),
+      std::invalid_argument);
 }
 
 TEST(AlphaPortionSync, ProducesPerClientModels) {
@@ -563,19 +566,114 @@ TEST(Participation, SampledFedProxIsDeterministicAndPersonalizesCohortOnly) {
 }
 
 TEST(Participation, AllOfflineCohortFailsWithDescriptiveError) {
-  TinyWorld w = make_world(84);
-  FLRunOptions opts = tiny_options(1);
-  opts.participation.kind = ParticipationKind::kAvailabilityAware;
-  opts.sim = SimConfig::uniform(3);
-  for (ClientProfile& p : opts.sim.profiles) p.offline.push_back({0.0, 100.0});
-  FedAvg algo;
-  try {
-    algo.run(w.clients, w.factory, opts);
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("empty cohort"), std::string::npos)
-        << e.what();
+  // Every algorithm that consults the participation policy must refuse
+  // a round in which nobody contributed, not carry its models over.
+  AlgorithmOptions options;
+  options.cluster_assignment = {0, 0, 1};  // the tiny world has 3 clients
+  for (const std::string& name : AlgorithmRegistry::global().names()) {
+    if (name == "async_fedavg") continue;  // ignores participation
+    SCOPED_TRACE(name);
+    TinyWorld w = make_world(84);
+    FLRunOptions opts = tiny_options(1);
+    opts.participation.kind = ParticipationKind::kAvailabilityAware;
+    opts.sim = SimConfig::uniform(3);
+    for (ClientProfile& p : opts.sim.profiles) {
+      p.offline.push_back({0.0, 100.0});
+    }
+    try {
+      AlgorithmRegistry::global().create(name, options)->run(
+          w.clients, w.factory, opts);
+      ADD_FAILURE() << "expected invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("empty cohort"), std::string::npos)
+          << e.what();
+    }
   }
+}
+
+TEST(Participation, HostileUploadFailsLoudlyInEveryAlgorithm) {
+  // Client 1's very first upload overflows float; every algorithm must
+  // reach a guard that names the sender before the upload is used.
+  AttackSpec overflow;
+  overflow.kind = AttackKind::kGaussianNoise;
+  overflow.noise_stddev = 1e300;
+  {
+    TinyWorld w = make_world(88);
+    Rng rng(5);
+    const ModelParameters reference =
+        ModelParameters::from_model(*w.factory(rng));
+    const ModelParameters upload =
+        apply_attack(overflow, reference, reference, 1, 0);
+    ASSERT_FALSE(std::isfinite(upload.squared_l2_norm()));
+  }
+  AlgorithmOptions options;
+  options.cluster_assignment = {0, 0, 1};
+  options.finetune_steps = 4;
+  options.async.buffer_size = 2;
+  for (const std::string& name : AlgorithmRegistry::global().names()) {
+    SCOPED_TRACE(name);
+    TinyWorld w = make_world(88);
+    FLRunOptions opts = tiny_options(2);
+    opts.sim = SimConfig::uniform(3);
+    opts.sim.profiles[1].attack = overflow;
+    try {
+      AlgorithmRegistry::global().create(name, options)->run(
+          w.clients, w.factory, opts);
+      ADD_FAILURE() << "expected invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("client 1"), std::string::npos) << what;
+      EXPECT_NE(what.find("non-finite"), std::string::npos) << what;
+    }
+  }
+}
+
+// FedAvg, FedProx and Assigned Clustering share FedProx's clustered
+// round body; these pin the identities that sharing rests on.
+void expect_same_run(FederatedAlgorithm& a, FederatedAlgorithm& b,
+                     const FLRunOptions& base) {
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ThreadPool::reset_global(threads);
+    ChannelStats comm_a, comm_b;
+    SimReport sim_a, sim_b;
+    FLRunOptions opts_a = base, opts_b = base;
+    opts_a.comm_stats = &comm_a;
+    opts_a.sim_report = &sim_a;
+    opts_b.comm_stats = &comm_b;
+    opts_b.sim_report = &sim_b;
+    TinyWorld wa = make_world(89);
+    TinyWorld wb = make_world(89);
+    const std::vector<ModelParameters> fa = a.run(wa.clients, wa.factory, opts_a);
+    const std::vector<ModelParameters> fb = b.run(wb.clients, wb.factory, opts_b);
+    ASSERT_EQ(fa.size(), fb.size());
+    for (std::size_t k = 0; k < fa.size(); ++k) {
+      EXPECT_TRUE(bit_identical(fa[k], fb[k])) << "client " << k;
+    }
+    EXPECT_EQ(comm_a.uplink_bytes, comm_b.uplink_bytes);
+    EXPECT_EQ(comm_a.downlink_bytes, comm_b.downlink_bytes);
+    EXPECT_EQ(comm_a.uplink_messages, comm_b.uplink_messages);
+    EXPECT_EQ(comm_a.downlink_messages, comm_b.downlink_messages);
+    EXPECT_EQ(comm_a.rounds.size(), comm_b.rounds.size());
+    EXPECT_EQ(comm_a.simulated_latency_s, comm_b.simulated_latency_s);
+    EXPECT_EQ(sim_a.total_time_s, sim_b.total_time_s);
+    EXPECT_EQ(sim_a.events_processed, sim_b.events_processed);
+  }
+  ThreadPool::reset_global(0);
+}
+
+TEST(ClusteredBody, FedAvgIsFedProxAtMuZero) {
+  FLRunOptions opts = tiny_options(3);
+  opts.client.mu = 0.0;
+  FedAvg fedavg;
+  FedProx fedprox;
+  expect_same_run(fedavg, fedprox, opts);
+}
+
+TEST(ClusteredBody, FedProxIsOneClusterAssignedClustering) {
+  FedProx fedprox;
+  AssignedClustering one_cluster({0, 0, 0});
+  expect_same_run(fedprox, one_cluster, tiny_options(3));
 }
 
 // --- aggregation rules (tentpole + guard satellite) ------------------
@@ -623,6 +721,8 @@ TEST(AggregationRules, EmptyCohortAndZeroWeightThrowDescriptively) {
   EXPECT_THROW(
       avg.aggregate(ModelParameters{}, {{&u, 0.0, 0}, {&u, 0.0, 0}}),
       std::invalid_argument);
+  EXPECT_THROW(avg.aggregate(ModelParameters{}, {{&u, -1.0, 0}}),
+               std::invalid_argument);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(avg.aggregate(ModelParameters{}, {{&u, nan, 0}}),
                std::invalid_argument);

@@ -66,41 +66,11 @@ TEST(ModelParameters, BuffersIncludedForPROS) {
   EXPECT_GT(buffers, 0);
 }
 
-TEST(ModelParameters, WeightedAverageExact) {
-  RoutabilityModelPtr m = fresh(ModelKind::kFLNet, 7);
-  // va = base * 1, vb = base * 4; weights 3:1 -> average = base * 1.75.
-  ModelParameters base = ModelParameters::from_model(*m);
-  ModelParameters va = base, vb = base;
-  va.scale(1.0);
-  vb.scale(4.0);
-  ModelParameters avg = ModelParameters::weighted_average({&va, &vb}, {3, 1});
-  // avg should equal base * (3*1 + 1*4)/4 = base * 1.75.
-  ModelParameters expected = base;
-  expected.scale(1.75);
-  for (std::size_t i = 0; i < avg.entries().size(); ++i) {
-    EXPECT_TRUE(allclose(avg.entries()[i].value,
-                         expected.entries()[i].value, 1e-5f, 1e-6f));
-  }
-}
-
-TEST(ModelParameters, WeightedAverageValidates) {
-  RoutabilityModelPtr m = fresh(ModelKind::kFLNet, 8);
-  ModelParameters a = ModelParameters::from_model(*m);
-  EXPECT_THROW(ModelParameters::weighted_average({}, {}),
-               std::invalid_argument);
-  EXPECT_THROW(ModelParameters::weighted_average({&a}, {1.0, 2.0}),
-               std::invalid_argument);
-  EXPECT_THROW(ModelParameters::weighted_average({&a}, {-1.0}),
-               std::invalid_argument);
-  EXPECT_THROW(ModelParameters::weighted_average({&a}, {0.0}),
-               std::invalid_argument);
-}
-
 TEST(ModelParameters, AverageOfIdenticalIsIdentity) {
   RoutabilityModelPtr m = fresh(ModelKind::kPROS, 9);
   ModelParameters a = ModelParameters::from_model(*m);
-  ModelParameters avg =
-      ModelParameters::weighted_average({&a, &a, &a}, {1, 5, 3});
+  ModelParameters avg = WeightedAverage().aggregate(
+      ModelParameters{}, {{&a, 1.0, 0}, {&a, 5.0, 0}, {&a, 3.0, 0}});
   for (std::size_t i = 0; i < a.entries().size(); ++i) {
     EXPECT_TRUE(allclose(avg.entries()[i].value, a.entries()[i].value,
                          1e-6f, 1e-7f));
@@ -315,8 +285,8 @@ TEST_F(SharedSnapshot, MergedWithDetaches) {
 
 TEST_F(SharedSnapshot, WeightedAverageDetaches) {
   const ModelParameters copy = original;
-  ModelParameters avg =
-      ModelParameters::weighted_average({&original, &copy}, {1.0, 3.0});
+  ModelParameters avg = WeightedAverage().aggregate(
+      ModelParameters{}, {{&original, 1.0, 0}, {&copy, 3.0, 0}});
   EXPECT_NE(&avg.entries(), &original.entries());
   avg.scale(2.0);
   expect_siblings_untouched();

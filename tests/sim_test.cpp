@@ -223,16 +223,30 @@ TEST(SyncSchedule, PermanentlyOfflineClientThrowsDescriptively) {
 // --- AsyncFedAvg -----------------------------------------------------
 
 TEST(AsyncFedAvg, StalenessWeights) {
-  AsyncConfig config;
-  config.discount = StalenessDiscount::kPolynomial;
-  config.poly_exponent = 0.5;
-  EXPECT_DOUBLE_EQ(AsyncFedAvg::staleness_weight(config, 0), 1.0);
-  EXPECT_NEAR(AsyncFedAvg::staleness_weight(config, 3), 0.5, 1e-12);
-  config.discount = StalenessDiscount::kConstant;
-  config.constant_factor = 0.25;
-  EXPECT_DOUBLE_EQ(AsyncFedAvg::staleness_weight(config, 0), 1.0);
-  EXPECT_DOUBLE_EQ(AsyncFedAvg::staleness_weight(config, 7), 0.25);
-  EXPECT_THROW(AsyncFedAvg(AsyncConfig{0, 1.0}), std::invalid_argument);
+  StalenessPolicy policy;
+  policy.discount = StalenessDiscount::kPolynomial;
+  policy.poly_exponent = 0.5;
+  EXPECT_DOUBLE_EQ(policy.weight(0), 1.0);
+  EXPECT_NEAR(policy.weight(3), 0.5, 1e-12);
+  policy.discount = StalenessDiscount::kConstant;
+  policy.constant_factor = 0.25;
+  EXPECT_DOUBLE_EQ(policy.weight(0), 1.0);
+  EXPECT_DOUBLE_EQ(policy.weight(7), 0.25);
+  EXPECT_THROW(AsyncFedAvg(AsyncConfig{0}), std::invalid_argument);
+}
+
+TEST(AsyncFedAvg, RejectsABadServerMixUnderEveryRule) {
+  // The mixing rate and discount live on FLRunOptions::aggregation; the
+  // averaging rules mix with them too, so they are checked for both.
+  for (const char* rule : {"", "coordinate_median"}) {
+    SCOPED_TRACE(rule);
+    TinyWorld w = make_world(30);
+    FLRunOptions opts = tiny_options(1);
+    opts.aggregation.rule = rule;
+    opts.aggregation.server_mix = 0.0;
+    EXPECT_THROW(AsyncFedAvg().run(w.clients, w.factory, opts),
+                 std::invalid_argument);
+  }
 }
 
 TEST(AsyncFedAvg, AggregatesAndMetersRounds) {

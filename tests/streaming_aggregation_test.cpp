@@ -690,7 +690,6 @@ TEST(StreamingRounds, AsyncFedAvgFoldsOneIntervalToTheClosedForm) {
   const FLRunOptions opts = small_world_options(1);
   AsyncConfig config;
   config.buffer_size = 4;
-  config.server_mix = 0.5;
 
   SyntheticWorld replay = make_synthetic_world(17, options);
   Rng init_rng(opts.seed);
@@ -704,7 +703,7 @@ TEST(StreamingRounds, AsyncFedAvgFoldsOneIntervalToTheClosedForm) {
   const ModelParameters step =
       weighted_mean(deltas, client_weights(replay.clients));
   ModelParameters expected = w0;
-  expected.add_scaled(step, config.server_mix);
+  expected.add_scaled(step, opts.aggregation.server_mix);
 
   SyntheticWorld world = make_synthetic_world(17, options);
   AsyncFedAvg algo(config);
